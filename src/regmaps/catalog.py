@@ -69,6 +69,17 @@ def _int_args(parts: List[str], count: int, name: str) -> List[int]:
         raise UnknownMapError(f"{name!r}: parameters must be integers") from exc
 
 
+def _fraction_args(parts: List[str], count: int, name: str) -> List[Fraction]:
+    if len(parts) != count:
+        raise UnknownMapError(
+            f"{name!r}: expected {count} rational parameter(s), got {len(parts)}"
+        )
+    try:
+        return [Fraction(p) for p in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UnknownMapError(f"{name!r}: parameters must be rationals") from exc
+
+
 def resolve(name: str) -> RationalMap:
     """Build the catalog map with the given compact name."""
     parts = name.split(":")
@@ -87,9 +98,7 @@ def resolve(name: str) -> RationalMap:
         if family == "zpow":
             return spheres.circle_power(*_int_args(rest, 1, name))
         if family == "rot":
-            if len(rest) != 2:
-                raise UnknownMapError(f"{name!r}: expected rot:c:s")
-            return spheres.circle_rotation(Fraction(rest[0]), Fraction(rest[1]))
+            return spheres.circle_rotation(*_fraction_args(rest, 2, name))
         if family == "id":
             return spheres.sphere_identity(*_int_args(rest, 1, name))
         if family == "antipodal":

@@ -150,13 +150,12 @@ def _cmd_eval(args) -> int:
     else:
         point = sample_point(m.domain, args.seed)
     image = m.evaluate(point)
-    floats = m.evaluate_float([float(c) for c in point.coords])
     _emit(
         {
             "map": args.name,
             "point": [str(c) for c in point.coords],
             "image": [str(c) for c in image.coords],
-            "image_float": list(floats),
+            "image_float": [float(c) for c in image.coords],
         },
         args.output,
     )

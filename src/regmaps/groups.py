@@ -133,11 +133,6 @@ def unitary_identity(k: int) -> PointOnVariety:
 
 
 @lru_cache(maxsize=None)
-def special_unitary_identity(k: int) -> PointOnVariety:
-    return PointOnVariety(special_unitary(k), _unitary_identity_coords(k))
-
-
-@lru_cache(maxsize=None)
 def embed_orthogonal(sub: int, total: int) -> MatrixMap:
     """SO(sub) -> SO(total) as the lower-right block, identity elsewhere."""
     if not 1 <= sub <= total:

@@ -103,9 +103,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -186,14 +183,6 @@ class VarRegistry:
         return f"VarRegistry({list(self.names)!r})"
 
 
-def registry_to_json(registry: VarRegistry) -> list:
-    return list(registry.names)
-
-
-def registry_from_json(obj: Sequence[str]) -> VarRegistry:
-    return VarRegistry(obj)
-
-
 def _grevlex_key(exponents: tuple) -> tuple:
     # Sorting descending by this key yields graded reverse-lexicographic
     # order, highest term first.
@@ -251,14 +240,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Scalar:
-        """Value of a constant polynomial (zero polynomial gives 0)."""
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def total_degree(self) -> int:
         """Largest monomial degree; the zero polynomial has degree 0."""
         if not self.terms:
@@ -272,11 +253,6 @@ class Polynomial:
                 if e:
                     used.add(i)
         return tuple(sorted(used))
-
-    def leading_coefficient(self) -> Scalar:
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
 
     def coefficient(self, exps: tuple) -> Scalar:
         return self.terms.get(tuple(exps), Fraction(0))

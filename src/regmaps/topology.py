@@ -3,10 +3,11 @@
 * :func:`winding` -- degree of a circle self-map by accumulating angle
   increments over a uniform partition, refined until every step is small.
 * :func:`degree_mc` -- Monte Carlo mapping degree of a sphere self-map:
-  the signed Jacobian determinant in orthonormal tangent frames,
-  averaged over uniform random points, estimates the degree (the
-  integrand integrates to ``degree * volume`` and the frames normalize
-  the volume away).  Deterministic for a fixed seed: points are drawn in
+  the tangent Jacobian determinant det(B_f^T J B_x) in oriented orthonormal
+  frames ([x | B_x], [f | B_f] positive), averaged over uniform points x,
+  estimates the degree.  It equals det(f x^T + J (I - x x^T)), since in
+  those frames that matrix is [[1, f^T J B_x], [0, B_f^T J B_x]]; so no
+  frame is built.  Deterministic for a fixed seed: points are drawn in
   fixed-size chunks from counter-based streams keyed by (seed, chunk).
 * :func:`regular_value_probe` -- exact-arithmetic check that given fiber
   points map to a common value and that the differential, restricted to
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +43,10 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _term_data(p: Polynomial) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
+TermData = List[Tuple[float, Tuple[Tuple[int, int], ...]]]
+
+
+def _term_data(p: Polynomial) -> TermData:
     out = []
     for exps, coeff in p.terms.items():
         factors = tuple((i, e) for i, e in enumerate(exps) if e)
@@ -51,7 +55,7 @@ def _term_data(p: Polynomial) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]
 
 
 def _batch_eval(
-    term_data: List[Tuple[float, Tuple[Tuple[int, int], ...]]],
+    term_data: TermData,
     points: np.ndarray,
     power_cache: Dict[Tuple[int, int], np.ndarray],
 ) -> np.ndarray:
@@ -164,60 +168,68 @@ class DegreeEstimate:
         }
 
 
-def _oriented_tangent_frames(points: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames for unit rows, deterministically oriented.
+class _MapTerms(NamedTuple):
+    num: List[TermData]
+    den: TermData
+    dnum: List[List[TermData]]  # dnum[i][j] = d num_i / d x_j
+    dden: List[TermData]
 
-    For each point the coordinate of largest magnitude (lowest index on
-    ties) is dropped from the standard basis; the remaining basis vectors
-    are Gram-Schmidt-orthogonalized against the point and each other, and
-    the last column is flipped if needed so every frame [point | frame]
-    is positively oriented in the ambient space.
+
+def _map_terms(f: RationalMap) -> _MapTerms:
+    dim = f.domain.ambient_dim
+    return _MapTerms(
+        num=[_term_data(p) for p in f.numerators],
+        den=_term_data(f.denominator),
+        dnum=[[_term_data(p.differentiate(j)) for j in range(dim)] for p in f.numerators],
+        dden=[_term_data(f.denominator.differentiate(j)) for j in range(dim)],
+    )
+
+
+def _degree_integrand(
+    terms: _MapTerms, points: np.ndarray, den: np.ndarray, cache: dict
+) -> np.ndarray:
+    """``det(f x^T + J (I - x x^T))`` for each unit row ``x`` of ``points``.
+
+    ``den`` is the denominator at the points and ``cache`` its power cache.
+    The matrices are built batch-last, ``(dim, dim, batch)``, column-wise.
     """
-    batch, dim = points.shape
-    pivot = np.argmax(np.abs(points), axis=1)
-    indices = np.tile(np.arange(dim), (batch, 1))
-    keep = indices != pivot[:, None]
-    candidates = indices[keep].reshape(batch, dim - 1)
-    rows = np.arange(batch)[:, None]
-    seeds = np.zeros((batch, dim, dim - 1))
-    seeds[rows, candidates, np.arange(dim - 1)[None, :]] = 1.0
-    columns: List[np.ndarray] = []
-    for c in range(dim - 1):
-        v = seeds[:, :, c]
-        v = v - np.sum(v * points, axis=1, keepdims=True) * points
-        for prev in columns:
-            v = v - np.sum(v * prev, axis=1, keepdims=True) * prev
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        columns.append(v)
-    frame = np.stack(columns, axis=2)
-    oriented = np.concatenate([points[:, :, None], frame], axis=2)
-    flip = np.sign(np.linalg.det(oriented))
-    frame[:, :, -1] *= flip[:, None]
-    return frame
+    dim = points.shape[1]
+    x = points.T
+    nums = np.stack([_batch_eval(d, points, cache) for d in terms.num])
+    images = nums / den
+    images /= np.linalg.norm(images, axis=0)
+    dden = [_batch_eval(d, points, cache) for d in terms.dden]
+    m = np.empty((dim, dim, points.shape[0]))
+    for i in range(dim):
+        for j in range(dim):
+            dn = _batch_eval(terms.dnum[i][j], points, cache)
+            m[i, j] = dn * den - nums[i] * dden[j]
+    m /= den * den  # m is now J; add (f - J x) x^T
+    m += (images - np.sum(m * x, axis=1))[:, None, :] * x
+    return np.linalg.det(np.ascontiguousarray(m.transpose(2, 0, 1)))
 
 
 def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
     """Monte Carlo estimate of the mapping degree of a sphere self-map.
 
-    Averages ``det(B_f(x)^T . Df(x) . B_x)`` over uniform points ``x``,
-    where ``B_x`` and ``B_f(x)`` are the deterministic oriented tangent
-    frames above and ``Df`` is the float Jacobian of the rational map.
+    Averages ``det(B_f^T J B_x) = det(f x^T + J (I - x x^T))`` over uniform
+    points ``x`` (``f`` the normalized image, ``J`` the float Jacobian; the
+    identity holds because the right-hand matrix is block upper-triangular
+    with corner 1 in the oriented frames ``[x | B_x]``, ``[f | B_f]``).
     Reports a three-sigma half-width; the estimate is conclusive when
     the half-width is below one half.  Points where the denominator is
     numerically zero are redrawn from the same stream (and counted).
+    ``seed`` keys the stream and must lie in ``[0, 2**64)``.
     """
     n = f.domain.ambient_dim - 1
     if f.domain != sphere(n) or f.codomain != f.domain:
         raise ValueError("mapping degree needs a sphere self-map")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
     dim = n + 1
-    num_data = [_term_data(p) for p in f.numerators]
-    den_data = _term_data(f.denominator)
-    dnum_data = [
-        [_term_data(p.differentiate(j)) for j in range(dim)] for p in f.numerators
-    ]
-    dden_data = [_term_data(f.denominator.differentiate(j)) for j in range(dim)]
+    terms = _map_terms(f)
 
     total = 0.0
     total_sq = 0.0
@@ -226,16 +238,15 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
     chunk_index = 0
     while produced < samples:
         want = min(CHUNK_SIZE, samples - produced)
-        key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
+        key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         raw = rng.standard_normal((CHUNK_SIZE, dim))[:want]
         points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         cache: Dict[Tuple[int, int], np.ndarray] = {}
-        den = _batch_eval(den_data, points, cache)
+        den = _batch_eval(terms.den, points, cache)
         guard = 0
         while True:
-            bad = np.abs(den) < 1e-12
-            bad |= ~np.isfinite(den)
+            bad = (np.abs(den) < 1e-12) | ~np.isfinite(den)
             count_bad = int(np.sum(bad))
             if count_bad == 0:
                 break
@@ -249,24 +260,9 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
             redraw = redraw / np.linalg.norm(redraw, axis=1, keepdims=True)
             points[bad] = redraw
             cache = {}
-            den = _batch_eval(den_data, points, cache)
+            den = _batch_eval(terms.den, points, cache)
 
-        nums = np.stack([_batch_eval(d, points, cache) for d in num_data], axis=1)
-        images = nums / den[:, None]
-        images = images / np.linalg.norm(images, axis=1, keepdims=True)
-
-        jac = np.empty((want, dim, dim))
-        den_sq = den * den
-        for i in range(dim):
-            for j in range(dim):
-                dn = _batch_eval(dnum_data[i][j], points, cache)
-                dd = _batch_eval(dden_data[j], points, cache)
-                jac[:, i, j] = (dn * den - nums[:, i] * dd) / den_sq
-
-        frames_x = _oriented_tangent_frames(points)
-        frames_fx = _oriented_tangent_frames(images)
-        pulled = np.matmul(np.transpose(frames_fx, (0, 2, 1)), np.matmul(jac, frames_x))
-        dets = np.linalg.det(pulled)
+        dets = _degree_integrand(terms, points, den, cache)
         total += float(np.sum(dets))
         total_sq += float(np.sum(dets * dets))
         produced += want

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through ``cli.main``."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,10 @@ def test_build_rejects_bad_names(capsys):
     assert run(capsys, ["build", "phi:0"])[0] == 2
     # reflections of the first coordinate are off the menu
     assert run(capsys, ["build", "reflect:2:1"])[0] == 2
+    # a rotation parameter with a zero denominator is bad input, not a failure
+    assert run(capsys, ["build", "rot:1:0/0"])[0] == 2
+    assert run(capsys, ["build", "rot:1/0:0"])[0] == 2
+    assert run(capsys, ["build", "rot:one:0"])[0] == 2
 
 
 def test_output_flag_tees_the_json(capsys, tmp_path):
@@ -73,6 +78,15 @@ def test_eval_sampled_point_is_seed_deterministic(capsys):
     _, other, _ = run(capsys, ["eval", "oplus:1", "--seed", "4"])
     assert first == second
     assert first != other
+
+
+def test_eval_image_float_is_the_rounded_exact_image(capsys):
+    # the expanded chain map loses digits to cancellation in floats; the
+    # reported float image must be the exact image, correctly rounded
+    code, out, _ = run(capsys, ["eval", "chain:4:2", "--seed", "2"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["image_float"] == [float(Fraction(s)) for s in obj["image"]]
 
 
 def test_eval_rejects_bad_points(capsys):
@@ -184,6 +198,15 @@ def test_degree_monte_carlo_route(capsys):
     assert obj["rounded"] == -1
     assert obj["conclusive"] is True
     assert run(capsys, args)[1] == out
+
+
+def test_degree_seed_must_be_a_stream_key(capsys):
+    base = ["degree", "phi:3", "--samples", "2000", "--seed"]
+    code, out, err = run(capsys, base + ["-1"])
+    assert code == 2 and out == "" and "seed" in err
+    code, out, _ = run(capsys, base + [str(2**64 - 1)])
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
 
 
 def test_degree_inconclusive_run_exits_1(capsys):

@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from regmaps.groups import fiber_points, j_map, jmap_rotation
@@ -18,6 +19,9 @@ from regmaps.spheres import (
     sphere_identity,
 )
 from regmaps.topology import (
+    _batch_eval,
+    _degree_integrand,
+    _map_terms,
     check_codim_pair,
     degree_mc,
     radon_hurwitz,
@@ -124,6 +128,81 @@ def test_degree_rejects_non_self_maps():
         degree_mc(stereo(2), samples=100, seed=0)
     with pytest.raises(ValueError):
         degree_mc(sphere_identity(2), samples=1, seed=0)
+
+
+def test_degree_rejects_seeds_outside_the_stream_key_range():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            degree_mc(phi_double(3), samples=100, seed=seed)
+    # the largest key is its own stream, no longer an alias of seed -1
+    top = degree_mc(phi_double(3), samples=100, seed=2**64 - 1)
+    assert top.seed == 2**64 - 1
+    assert top.estimate != degree_mc(phi_double(3), samples=100, seed=0).estimate
+
+
+def _oriented_frame(v, completion):
+    """Orthonormal basis B of the tangent space at v with det[v | B] > 0."""
+    q, _ = np.linalg.qr(np.column_stack([v, completion]))
+    frame = q[:, 1:]
+    if np.linalg.det(np.column_stack([v, frame])) < 0:
+        frame[:, -1] *= -1
+    return frame
+
+
+def _frame_integrand(f, points):
+    """det(B_f^T J B_x) straight from the definition, one point at a time."""
+    dim = points.shape[1]
+    num_partials = [[p.differentiate(j) for j in range(dim)] for p in f.numerators]
+    den_partials = [f.denominator.differentiate(j) for j in range(dim)]
+    completion = np.random.default_rng(99).standard_normal((dim, dim - 1))
+    dets = []
+    for x in points:
+        den = f.denominator.evaluate_float(x)
+        nums = [p.evaluate_float(x) for p in f.numerators]
+        dden = [d.evaluate_float(x) for d in den_partials]
+        jac = np.array([
+            [(num_partials[i][j].evaluate_float(x) * den - nums[i] * dden[j]) / den**2
+             for j in range(dim)]
+            for i in range(dim)
+        ])
+        image = np.array(nums) / den
+        image /= np.linalg.norm(image)
+        frame_x = _oriented_frame(x, completion)
+        frame_f = _oriented_frame(image, completion)
+        dets.append(np.linalg.det(frame_f.T @ jac @ frame_x))
+    return np.array(dets)
+
+
+@pytest.mark.parametrize(
+    "f", [phi_double(3), antipodal(4), reflect(3, 2)], ids=["phi:3", "antipodal:4", "reflect:3:2"]
+)
+def test_frame_free_integrand_equals_the_tangent_frame_determinant(f):
+    dim = f.domain.ambient_dim
+    raw = np.random.default_rng(5).standard_normal((1000, dim))
+    points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    terms = _map_terms(f)
+    cache = {}
+    den = _batch_eval(terms.den, points, cache)
+    fast = _degree_integrand(terms, points, den, cache)
+    reference = _frame_integrand(f, points)
+    assert np.max(np.abs(fast - reference)) <= 1e-10
+
+
+# estimate, half_width and resampled as measured with explicit tangent frames
+GOLDEN_RUNS = [
+    (3, 0, 1.9823241219080745, 0.0422895532691579, 0),
+    (3, 1, 1.9927365459084039, 0.04236432142701127, 0),
+    (4, 0, -0.010686037473128516, 0.07410608606109013, 0),
+    (4, 1, -0.03840900487312066, 0.07425097121880672, 0),
+]
+
+
+@pytest.mark.parametrize("k, seed, estimate, half_width, resampled", GOLDEN_RUNS)
+def test_degree_matches_the_tangent_frame_golden_runs(k, seed, estimate, half_width, resampled):
+    est = degree_mc(phi_double(k), samples=20_000, seed=seed)
+    assert est.estimate == pytest.approx(estimate, rel=0, abs=1e-12)
+    assert est.half_width == pytest.approx(half_width, rel=0, abs=1e-12)
+    assert est.resampled == resampled
 
 
 # ---------------------------------------------------------------------------
