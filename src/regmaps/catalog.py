@@ -4,6 +4,13 @@ The command-line interface addresses maps by compact names like
 ``oplus:2`` or ``chain:4:2``; :func:`resolve` turns such a name into the
 constructed map and :func:`verification_suite` runs the family-specific
 battery of exact checks against it.
+
+:data:`FAMILIES` is the one place that says what a name means, and so
+the one place to add a family: each row, keyed by the family prefix
+before the first colon, gives the name forms with their help text, the
+parser of the parameters, the builder and the family's extra checks.
+:data:`NAME_FORMS`, :func:`resolve` and :func:`verification_suite` all
+follow from it.
 """
 
 from __future__ import annotations
@@ -22,143 +29,17 @@ from .ratmap import (
     equal_mod,
     equal_symbolic,
     identity_map,
+    identity_matrix_map,
     maps_into,
     matrix_transpose,
 )
-from .varieties import sample_points, special_orthogonal, special_unitary, sphere, unitary
+from .varieties import (
+    euclidean, sample_points, special_orthogonal, special_unitary, sphere, unitary,
+)
 
 
 class UnknownMapError(ValueError):
     """Raised when a catalog name does not resolve to a map."""
-
-
-NAME_FORMS = {
-    "stereo:n": "stereographic chart S^n -> R^n",
-    "stereo-inv:n": "inverse stereographic parametrization R^n -> S^n",
-    "oplus:n": "rational addition S^n x S^n -> S^n",
-    "reflect:n:j": "reflection of S^n negating coordinate j",
-    "phi:k": "meridian-doubling self-map of S^k",
-    "zpow:d": "circle power z -> z^d",
-    "rot:c:s": "exact circle rotation by the rational point (c, s)",
-    "id:n": "identity self-map of S^n",
-    "antipodal:n": "antipodal self-map of S^n",
-    "p:n": "first-column projection SO(n) -> S^{n-1}",
-    "s:n": "rational section S^{n-1} -> SO(n)",
-    "p-u:k": "first-column projection U(k) -> S^{2k-1}",
-    "s-u:k": "rational section S^{2k-1} -> U(k)",
-    "r:n": "retraction of SO(n) onto the basepoint stabilizer",
-    "r-u:k": "retraction of U(k) onto the basepoint stabilizer",
-    "chain:m:k": "iterated retraction SO(m) -> embedded SO(k)",
-    "su-retract:k": "determinant-correcting retraction U(k) -> SU(k)",
-    "embed-u:k": "realification embedding U(k) -> SO(2k)",
-    "jmap:identity:n:k": "join-style map from the constant identity family",
-    "jmap:rotation": "join-style map from the 2x2 rotation family",
-    "jmap:double-rotation": "join-style map from the quadratic rotation family",
-    "jmap:<file>": "join-style map from a JSON family description",
-}
-
-
-def _int_args(parts: List[str], count: int, name: str) -> List[int]:
-    if len(parts) != count:
-        raise UnknownMapError(
-            f"{name!r}: expected {count} integer parameter(s), got {len(parts)}"
-        )
-    try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise UnknownMapError(f"{name!r}: parameters must be integers") from exc
-
-
-def _fraction_args(parts: List[str], count: int, name: str) -> List[Fraction]:
-    if len(parts) != count:
-        raise UnknownMapError(
-            f"{name!r}: expected {count} rational parameter(s), got {len(parts)}"
-        )
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UnknownMapError(f"{name!r}: parameters must be rationals") from exc
-
-
-def resolve(name: str) -> RationalMap:
-    """Build the catalog map with the given compact name."""
-    parts = name.split(":")
-    family, rest = parts[0], parts[1:]
-    try:
-        if family == "stereo":
-            return spheres.stereo(*_int_args(rest, 1, name))
-        if family == "stereo-inv":
-            return spheres.stereo_inv(*_int_args(rest, 1, name))
-        if family == "oplus":
-            return spheres.oplus(*_int_args(rest, 1, name))
-        if family == "reflect":
-            return spheres.reflect(*_int_args(rest, 2, name))
-        if family == "phi":
-            return spheres.phi_double(*_int_args(rest, 1, name))
-        if family == "zpow":
-            return spheres.circle_power(*_int_args(rest, 1, name))
-        if family == "rot":
-            return spheres.circle_rotation(*_fraction_args(rest, 2, name))
-        if family == "id":
-            return spheres.sphere_identity(*_int_args(rest, 1, name))
-        if family == "antipodal":
-            return spheres.antipodal(*_int_args(rest, 1, name))
-        if family == "p":
-            return groups.first_column(*_int_args(rest, 1, name))
-        if family == "s":
-            return groups.section_so(*_int_args(rest, 1, name))
-        if family == "p-u":
-            return groups.first_column_u(*_int_args(rest, 1, name))
-        if family == "s-u":
-            return groups.section_u(*_int_args(rest, 1, name))
-        if family == "r":
-            return groups.retract_so(*_int_args(rest, 1, name))
-        if family == "r-u":
-            return groups.retract_u(*_int_args(rest, 1, name))
-        if family == "chain":
-            return groups.chain_retract(*_int_args(rest, 2, name))
-        if family == "su-retract":
-            return groups.su_retract(*_int_args(rest, 1, name))
-        if family == "embed-u":
-            return groups.embed_u_in_so(*_int_args(rest, 1, name))
-        if family == "jmap":
-            return groups.j_map(_resolve_jmap_input(rest, name))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, UnknownMapError):
-            raise
-        raise UnknownMapError(f"cannot build {name!r}: {exc}") from exc
-    raise UnknownMapError(
-        f"unknown map family {family!r}; known forms: {', '.join(sorted(NAME_FORMS))}"
-    )
-
-
-def _resolve_jmap_input(rest: List[str], name: str) -> groups.JMapInput:
-    if not rest:
-        raise UnknownMapError(f"{name!r}: expected jmap:<builtin or file>")
-    if rest[0] == "identity":
-        n, k = _int_args(rest[1:], 2, name)
-        return groups.jmap_constant_identity(n, k)
-    if rest == ["rotation"]:
-        return groups.jmap_rotation()
-    if rest == ["double-rotation"]:
-        return groups.jmap_double_rotation()
-    path = ":".join(rest)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise UnknownMapError(f"cannot read family file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UnknownMapError(f"family file {path!r} is not valid JSON: {exc}") from exc
-    try:
-        return groups.jmap_input_from_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UnknownMapError(f"family file {path!r} is malformed: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -179,6 +60,286 @@ def _exact(name: str, passed: bool, **info) -> CheckResult:
     return CheckResult(name=name, passed=passed, info=dict(info))
 
 
+# Parameter parsers: (parameters after the prefix, full name) -> arguments.
+
+
+def _params(count: int, kind: type = int) -> Callable[[List[str], str], list]:
+    """Parser of exactly ``count`` parameters of ``kind`` (int or Fraction)."""
+    word = "integer" if kind is int else "rational"
+
+    def parse(parts: List[str], name: str) -> list:
+        if len(parts) != count:
+            raise UnknownMapError(
+                f"{name!r}: expected {count} {word} parameter(s), got {len(parts)}"
+            )
+        try:
+            return [kind(p) for p in parts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UnknownMapError(f"{name!r}: parameters must be {word}s") from exc
+
+    return parse
+
+
+def _jmap_spec(rest: List[str], name: str) -> list:
+    if not rest:
+        raise UnknownMapError(f"{name!r}: expected jmap:<builtin or file>")
+    if rest[0] == "identity":
+        return [groups.jmap_constant_identity(*_params(2)(rest[1:], name))]
+    if rest == ["rotation"]:
+        return [groups.jmap_rotation()]
+    if rest == ["double-rotation"]:
+        return [groups.jmap_double_rotation()]
+    path = ":".join(rest)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise UnknownMapError(f"cannot read family file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UnknownMapError(f"family file {path!r} is not valid JSON: {exc}") from exc
+    try:
+        return [groups.jmap_input_from_obj(obj)]
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UnknownMapError(f"family file {path!r} is malformed: {exc}") from exc
+
+
+# Family checks: (map, *parsed arguments, trials=, samples=, seed=) -> checks.
+
+
+def _chart_checks(m, n, **_) -> List[CheckResult]:
+    on_sphere = compose(spheres.stereo_inv(n), spheres.stereo(n))
+    on_plane = compose(spheres.stereo(n), spheres.stereo_inv(n))
+    return [
+        _check("round-trip-on-sphere", equal_symbolic(on_sphere, spheres.sphere_identity(n))),
+        _check("round-trip-on-plane", equal_symbolic(on_plane, identity_map(euclidean(n)))),
+    ]
+
+
+def _oplus_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
+    ok_left = True
+    ok_anti = True
+    e = spheres.basepoint(n)
+    minus_e = [-c for c in e.coords]
+    for point in sample_points(sphere(n), trials, seed):
+        left = m.evaluate_raw(list(e.coords) + list(point.coords))
+        ok_left = ok_left and tuple(left) == point.coords
+        anti = m.evaluate_raw(list(point.coords) + minus_e)
+        ok_anti = ok_anti and tuple(anti) == tuple(minus_e)
+    return [
+        _check("matches-chart-route-symbolic", equal_symbolic(m, spheres.oplus_via_charts(n))),
+        _check(
+            "matches-chart-route-sampled",
+            equal_mod(m, spheres.oplus_via_charts(n), trials=trials, seed=seed),
+        ),
+        _exact(
+            "defining-identity-reduces-to-zero",
+            spheres.chart_sum_identity_residual(n).is_zero(),
+        ),
+        _exact("basepoint-is-left-unit", ok_left, trials=trials),
+        _exact("antipode-absorbs", ok_anti, trials=trials),
+    ]
+
+
+def _involution_checks(m, n, j, **_) -> List[CheckResult]:
+    return [_check("involution", equal_symbolic(compose(m, m), spheres.sphere_identity(n)))]
+
+
+def _phi_checks(m, k, **_) -> List[CheckResult]:
+    e = spheres.basepoint(k)
+    equator = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1)
+    return [
+        _exact("matches-chart-route-structurally", m == spheres.phi_double_via_chart(k)),
+        _exact("fixes-basepoint", m.evaluate(e) == e),
+        _exact(
+            "equator-to-antipode",
+            tuple(m.evaluate_raw(equator)) == tuple([Fraction(-1)] + [Fraction(0)] * k),
+        ),
+    ]
+
+
+def _winding_checks(m, d, **_) -> List[CheckResult]:
+    return [_exact("winding-equals-exponent", topology.winding(m) == d, expected=d)]
+
+
+def _round_trip(project, section, sphere_dim: int) -> CheckResult:
+    return _check(
+        "projection-after-section-is-identity",
+        equal_symbolic(compose(project, section), spheres.sphere_identity(sphere_dim)),
+    )
+
+
+def _projection_checks(m, n, **_) -> List[CheckResult]:
+    return [_round_trip(groups.first_column(n), groups.section_so(n), n - 1)]
+
+
+def _section_checks(m, n, **_) -> List[CheckResult]:
+    image = groups.section_so(n).evaluate(spheres.basepoint(n - 1))
+    at_identity = image.coords == groups.orthogonal_identity(n).coords
+    return _projection_checks(m, n) + [_exact("basepoint-to-identity-matrix", at_identity)]
+
+
+def _projection_u_checks(m, k, **_) -> List[CheckResult]:
+    return [_round_trip(groups.first_column_u(k), groups.section_u(k), 2 * k - 1)]
+
+
+def _section_u_checks(m, k, **_) -> List[CheckResult]:
+    image = groups.section_u(k).evaluate(spheres.basepoint(2 * k - 1))
+    at_identity = image.coords == groups.unitary_identity(k).coords
+    return _projection_u_checks(m, k) + [_exact("basepoint-to-identity-matrix", at_identity)]
+
+
+def _agree(name: str, f, g, trials: int, seed: int) -> CheckResult:
+    return _check(name, equal_mod(f, g, trials=trials, seed=seed, height=50))
+
+
+def _retract_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
+    projected = compose(groups.first_column(n), m)
+    target = constant_map(special_orthogonal(n), spheres.basepoint(n - 1))
+    embed = groups.embed_orthogonal(n - 1, n)
+    return [
+        _agree("image-projects-to-basepoint", projected, target, trials, seed),
+        _agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed),
+    ]
+
+
+def _retract_u_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
+    projected = compose(groups.first_column_u(k), m)
+    target = constant_map(unitary(k), spheres.basepoint(2 * k - 1))
+    embed = groups.embed_unitary(k - 1, k)
+    return [
+        _agree("image-projects-to-basepoint", projected, target, trials, seed),
+        _agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed),
+    ]
+
+
+def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[CheckResult]:
+    embed = groups.embed_orthogonal(sub, total)
+    checks = [_agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed)]
+    ok_block = True
+    offset = total - sub
+    for point in sample_points(special_orthogonal(total), min(trials, 4), seed, height=4):
+        image = m.evaluate_raw(point.coords)
+        for a in range(total):
+            for b in range(total):
+                if a >= offset and b >= offset:
+                    continue
+                expected = Fraction(1 if a == b else 0)
+                ok_block = ok_block and image[a * total + b] == expected
+    checks.append(_exact("image-in-embedded-subgroup", ok_block))
+    return checks
+
+
+def _su_retract_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
+    fixed = compose(m, groups.embed_special_unitary(k))
+    inclusion = identity_map(special_unitary(k))
+    return [_agree("fixes-special-unitary-group", fixed, inclusion, trials, seed)]
+
+
+def _embed_u_checks(m, k, **_) -> List[CheckResult]:
+    adjoint = matrix_transpose(identity_matrix_map(unitary(k), k, complex_entries=True))
+    # The real transpose of the image is the image of the conjugate transpose.
+    intertwines = matrix_transpose(m).numerators == compose(m, adjoint).numerators
+    return [_exact("intertwines-adjoints", intertwines)]
+
+
+def _jmap_checks(m, spec, *, samples, seed, **_) -> List[CheckResult]:
+    points = groups.fiber_points(spec, min(samples, 25), seed)
+    e = spheres.basepoint(spec.matrix_size)
+    fiber_ok = all(tuple(m.evaluate_raw(p.coords)) == e.coords for p in points)
+    return [
+        _exact("fiber-maps-to-basepoint", fiber_ok, points=len(points)),
+        _check("regular-along-fiber", topology.regular_value_probe(m, points, value=e)),
+    ]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family.  ``parse`` turns the parameters after the prefix
+    into the arguments of ``build``; ``checks`` gets the built map and the
+    same arguments and returns the checks that follow the two generic ones
+    (``None``: the generic checks say it all).  ``generic_height`` overrides
+    the sample height of the generic checks."""
+
+    forms: Dict[str, str]
+    parse: Callable[[List[str], str], list]
+    build: Callable[..., RationalMap]
+    checks: Optional[Callable[..., List[CheckResult]]] = None
+    generic_height: Optional[int] = None
+
+
+FAMILIES: Dict[str, Family] = {
+    "stereo": Family({"stereo:n": "stereographic chart S^n -> R^n"},
+                     _params(1), spheres.stereo, _chart_checks),
+    "stereo-inv": Family({"stereo-inv:n": "inverse stereographic parametrization R^n -> S^n"},
+                         _params(1), spheres.stereo_inv, _chart_checks),
+    "oplus": Family({"oplus:n": "rational addition S^n x S^n -> S^n"},
+                    _params(1), spheres.oplus, _oplus_checks),
+    "reflect": Family({"reflect:n:j": "reflection of S^n negating coordinate j"},
+                      _params(2), spheres.reflect, _involution_checks),
+    "phi": Family({"phi:k": "meridian-doubling self-map of S^k"},
+                  _params(1), spheres.phi_double, _phi_checks),
+    "zpow": Family({"zpow:d": "circle power z -> z^d"},
+                   _params(1), spheres.circle_power, _winding_checks),
+    "rot": Family({"rot:c:s": "exact circle rotation by the rational point (c, s)"},
+                  _params(2, Fraction), spheres.circle_rotation),
+    "id": Family({"id:n": "identity self-map of S^n"},
+                 _params(1), spheres.sphere_identity),
+    "antipodal": Family({"antipodal:n": "antipodal self-map of S^n"},
+                        _params(1), spheres.antipodal),
+    "p": Family({"p:n": "first-column projection SO(n) -> S^{n-1}"},
+                _params(1), groups.first_column, _projection_checks),
+    "s": Family({"s:n": "rational section S^{n-1} -> SO(n)"},
+                _params(1), groups.section_so, _section_checks),
+    "p-u": Family({"p-u:k": "first-column projection U(k) -> S^{2k-1}"},
+                  _params(1), groups.first_column_u, _projection_u_checks),
+    "s-u": Family({"s-u:k": "rational section S^{2k-1} -> U(k)"},
+                  _params(1), groups.section_u, _section_u_checks),
+    "r": Family({"r:n": "retraction of SO(n) onto the basepoint stabilizer"},
+                _params(1), groups.retract_so, _retract_checks),
+    "r-u": Family({"r-u:k": "retraction of U(k) onto the basepoint stabilizer"},
+                  _params(1), groups.retract_u, _retract_u_checks),
+    "chain": Family({"chain:m:k": "iterated retraction SO(m) -> embedded SO(k)"},
+                    _params(2), groups.chain_retract, _chain_checks, generic_height=4),
+    "su-retract": Family({"su-retract:k": "determinant-correcting retraction U(k) -> SU(k)"},
+                         _params(1), groups.su_retract, _su_retract_checks),
+    "embed-u": Family({"embed-u:k": "realification embedding U(k) -> SO(2k)"},
+                      _params(1), groups.embed_u_in_so, _embed_u_checks),
+    "jmap": Family(
+        {
+            "jmap:identity:n:k": "join-style map from the constant identity family",
+            "jmap:rotation": "join-style map from the 2x2 rotation family",
+            "jmap:double-rotation": "join-style map from the quadratic rotation family",
+            "jmap:<file>": "join-style map from a JSON family description",
+        },
+        _jmap_spec, groups.j_map, _jmap_checks,
+    ),
+}
+
+NAME_FORMS = {form: text for row in FAMILIES.values() for form, text in row.forms.items()}
+
+
+def _parse(name: str):
+    """Split a catalog name into its table row and parsed arguments."""
+    prefix, *rest = name.split(":")
+    family = FAMILIES.get(prefix)
+    if family is None:
+        raise UnknownMapError(
+            f"unknown map family {prefix!r}; known forms: {', '.join(sorted(NAME_FORMS))}"
+        )
+    return family, family.parse(rest, name)
+
+
+def resolve(name: str) -> RationalMap:
+    """Build the catalog map with the given compact name."""
+    try:
+        family, args = _parse(name)
+        return family.build(*args)
+    except (ValueError, TypeError) as exc:
+        if isinstance(exc, UnknownMapError):
+            raise
+        raise UnknownMapError(f"cannot build {name!r}: {exc}") from exc
+
+
 def verification_suite(
     name: str,
     m: Optional[RationalMap] = None,
@@ -196,12 +357,9 @@ def verification_suite(
     join-style maps.
     """
     m = m if m is not None else resolve(name)
-    parts = name.split(":")
-    family, rest = parts[0], parts[1:]
+    family, args = _parse(name)
     group_like = not m.domain.block_reducible()
-    sample_height = 50 if group_like else 1000
-    if family == "chain":
-        sample_height = 4
+    sample_height = family.generic_height or (50 if group_like else 1000)
     generic_samples = min(samples, 8) if group_like else samples
     checks = [
         _check("maps-into-codomain", maps_into(m, samples=generic_samples, seed=seed, height=sample_height)),
@@ -210,169 +368,6 @@ def verification_suite(
             denominator_check(m, samples=generic_samples, seed=seed, height=sample_height),
         ),
     ]
-    add = checks.append
-
-    if family in ("stereo", "stereo-inv"):
-        n = int(rest[0])
-        on_sphere = compose(spheres.stereo_inv(n), spheres.stereo(n))
-        on_plane = compose(spheres.stereo(n), spheres.stereo_inv(n))
-        from .varieties import euclidean
-
-        add(_check("round-trip-on-sphere", equal_symbolic(on_sphere, spheres.sphere_identity(n))))
-        add(_check("round-trip-on-plane", equal_symbolic(on_plane, identity_map(euclidean(n)))))
-    elif family == "oplus":
-        n = int(rest[0])
-        add(_check("matches-chart-route-symbolic", equal_symbolic(m, spheres.oplus_via_charts(n))))
-        add(_check(
-            "matches-chart-route-sampled",
-            equal_mod(m, spheres.oplus_via_charts(n), trials=trials, seed=seed),
-        ))
-        add(_exact(
-            "defining-identity-reduces-to-zero",
-            spheres.chart_sum_identity_residual(n).is_zero(),
-        ))
-        ok_left = True
-        ok_anti = True
-        e = spheres.basepoint(n)
-        minus_e = [-c for c in e.coords]
-        from .varieties import PointOnVariety, sphere_product
-
-        for point in sample_points(sphere(n), trials, seed):
-            left = m.evaluate_raw(list(e.coords) + list(point.coords))
-            ok_left = ok_left and tuple(left) == point.coords
-            anti = m.evaluate_raw(list(point.coords) + minus_e)
-            ok_anti = ok_anti and tuple(anti) == tuple(minus_e)
-        add(_exact("basepoint-is-left-unit", ok_left, trials=trials))
-        add(_exact("antipode-absorbs", ok_anti, trials=trials))
-    elif family == "reflect":
-        n = int(rest[0])
-        add(_check("involution", equal_symbolic(compose(m, m), spheres.sphere_identity(n))))
-    elif family == "phi":
-        k = int(rest[0])
-        add(_exact(
-            "matches-chart-route-structurally",
-            m == spheres.phi_double_via_chart(k),
-        ))
-        e = spheres.basepoint(k)
-        add(_exact("fixes-basepoint", m.evaluate(e) == e))
-        equator = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1)
-        from .varieties import PointOnVariety
-
-        image = m.evaluate_raw(equator)
-        add(_exact(
-            "equator-to-antipode",
-            tuple(image) == tuple([Fraction(-1)] + [Fraction(0)] * k),
-        ))
-    elif family == "zpow":
-        d = int(rest[0])
-        add(_exact("winding-equals-exponent", topology.winding(m) == d, expected=d))
-    elif family in ("rot", "id", "antipodal"):
-        pass  # the generic checks say it all for these
-    elif family in ("p", "s"):
-        n = int(rest[0])
-        round_trip = compose(groups.first_column(n), groups.section_so(n))
-        add(_check("projection-after-section-is-identity",
-                   equal_symbolic(round_trip, spheres.sphere_identity(n - 1))))
-        if family == "s":
-            e = spheres.basepoint(n - 1)
-            identity_coords = groups.orthogonal_identity(n).coords
-            add(_exact("basepoint-to-identity-matrix",
-                       groups.section_so(n).evaluate(e).coords == identity_coords))
-    elif family in ("p-u", "s-u"):
-        k = int(rest[0])
-        round_trip = compose(groups.first_column_u(k), groups.section_u(k))
-        add(_check("projection-after-section-is-identity",
-                   equal_symbolic(round_trip, spheres.sphere_identity(2 * k - 1))))
-        if family == "s-u":
-            e = spheres.basepoint(2 * k - 1)
-            identity_coords = groups.unitary_identity(k).coords
-            add(_exact("basepoint-to-identity-matrix",
-                       groups.section_u(k).evaluate(e).coords == identity_coords))
-    elif family == "r":
-        n = int(rest[0])
-        projected = compose(groups.first_column(n), m)
-        target = constant_map(special_orthogonal(n), spheres.basepoint(n - 1))
-        add(_check("image-projects-to-basepoint",
-                   equal_mod(projected, target, trials=trials, seed=seed, height=50)))
-        embed = groups.embed_orthogonal(n - 1, n)
-        add(_check("fixes-embedded-subgroup",
-                   equal_mod(compose(m, embed), embed, trials=trials, seed=seed, height=50)))
-    elif family == "r-u":
-        k = int(rest[0])
-        projected = compose(groups.first_column_u(k), m)
-        target = constant_map(unitary(k), spheres.basepoint(2 * k - 1))
-        add(_check("image-projects-to-basepoint",
-                   equal_mod(projected, target, trials=trials, seed=seed, height=50)))
-        embed = groups.embed_unitary(k - 1, k)
-        add(_check("fixes-embedded-subgroup",
-                   equal_mod(compose(m, embed), embed, trials=trials, seed=seed, height=50)))
-    elif family == "chain":
-        total, sub = (int(rest[0]), int(rest[1]))
-        embed = groups.embed_orthogonal(sub, total)
-        add(_check("fixes-embedded-subgroup",
-                   equal_mod(compose(m, embed), embed, trials=trials, seed=seed, height=50)))
-        ok_block = True
-        offset = total - sub
-        for point in sample_points(special_orthogonal(total), min(trials, 4), seed, height=4):
-            image = m.evaluate_raw(point.coords)
-            for a in range(total):
-                for b in range(total):
-                    if a >= offset and b >= offset:
-                        continue
-                    expected = Fraction(1 if a == b else 0)
-                    ok_block = ok_block and image[a * total + b] == expected
-        add(_exact("image-in-embedded-subgroup", ok_block))
-    elif family == "su-retract":
-        k = int(rest[0])
-        embed = groups.embed_special_unitary(k)
-        fixed = compose(m, embed)
-        add(_check("fixes-special-unitary-group",
-                   equal_mod(fixed, _su_inclusion_as_self(k), trials=trials, seed=seed, height=50)))
-    elif family == "embed-u":
-        k = int(rest[0])
-        transposed = matrix_transpose(m)  # real transpose of the image
-        adjoint_then_embed = compose(m, _unitary_adjoint(k))
-        add(_exact(
-            "intertwines-adjoints",
-            transposed.numerators == adjoint_then_embed.numerators,
-        ))
-    elif family == "jmap":
-        spec = _resolve_jmap_input(rest, name)
-        points = groups.fiber_points(spec, min(samples, 25), seed)
-        e = spheres.basepoint(spec.matrix_size)
-        fiber_ok = all(tuple(m.evaluate_raw(p.coords)) == e.coords for p in points)
-        add(_exact("fiber-maps-to-basepoint", fiber_ok, points=len(points)))
-        probe = topology.regular_value_probe(m, points, value=e)
-        add(_check("regular-along-fiber", probe))
-    else:
-        raise UnknownMapError(f"no verification suite for family {family!r}")
+    if family.checks is not None:
+        checks += family.checks(m, *args, trials=trials, samples=samples, seed=seed)
     return checks
-
-
-def _su_inclusion_as_self(k: int):
-    """SU(k) -> SU(k) written through the ambient unitary coordinates."""
-    from .polynomial import Polynomial
-
-    dom = special_unitary(k)
-    nums = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
-    return RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"id_SU{k}")
-
-
-def _unitary_adjoint(k: int):
-    """U(k) -> U(k), g -> conjugate transpose (the group inverse)."""
-    from .polynomial import Polynomial
-
-    dom = unitary(k)
-    reg = dom.registry
-    nums: List = []
-    for i in range(k):
-        for j in range(k):
-            base = 2 * (j * k + i)
-            nums.append(Polynomial.variable(reg, base))
-            nums.append(-Polynomial.variable(reg, base + 1))
-    from .ratmap import MatrixMap
-
-    return MatrixMap(
-        dom, dom, nums, Polynomial.one(reg), rows=k, cols=k, complex_entries=True,
-        label=f"adjoint_U{k}",
-    )

@@ -164,6 +164,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1 or args.trials < 1:
+        # a verdict drawn from no sampled point would be a pass without evidence
+        raise ValueError("--samples and --trials must be at least 1")
     m = catalog.resolve(args.name)
     checks = catalog.verification_suite(
         args.name, m, trials=args.trials, samples=args.samples, seed=args.seed

@@ -26,7 +26,8 @@ denominator (1 + z1)(1 + conj(z1)) = (1 + x1)^2 + x2^2):
 Both sections send the basepoint to the identity matrix and are proved
 orthogonal/unitary (and determinant one in the real case) symbolically
 at construction time, by reducing the lifted codomain relations to zero
-normal form over the domain sphere.
+normal form over the domain sphere; their denominators are sign-checked
+at sampled points.
 
 The module also provides the determinant-correcting retraction onto the
 special unitary group, the realification embedding of unitaries into
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .polynomial import (
     Polynomial,
@@ -56,13 +57,12 @@ from .ratmap import (
     compose,
     denominator_check,
     identity_matrix_map,
-    maps_into,
     matrix_multiply,
     matrix_transpose,
+    verified,
 )
 from .varieties import (
     PointOnVariety,
-    Variety,
     complex_entry_polys,
     euclidean,
     poly_matrix_determinant,
@@ -73,24 +73,10 @@ from .varieties import (
     unitary,
 )
 
-
-def _verified_group(
-    m: RationalMap, *, samples: int = 4, seed: int = 23, height: int = 8
-) -> RationalMap:
-    """Construction check for maps out of matrix groups: exact membership of
-    sampled images in the codomain, plus denominator signs at the samples."""
-    report = maps_into(m, samples=samples, seed=seed, height=height)
-    if not report.ok:
-        raise AssertionError(
-            f"catalog map {m._describe()} failed codomain check: {report.to_dict()}"
-        )
-    sign_report = denominator_check(m, samples=samples, seed=seed, height=height)
-    if not sign_report.all_positive:
-        raise AssertionError(
-            f"catalog map {m._describe()} has sign-indefinite denominator: "
-            f"{sign_report.to_dict()}"
-        )
-    return m
+# Construction-check sampling: (samples, seed, height).  Maps out of the
+# groups are checked at sampled points; the sections, whose domain is a
+# sphere, get a symbolic codomain proof and sampled denominator signs.
+_CHECK = (4, 23, 8)
 
 
 def _relabel(m: MatrixMap, label: str, excluded: Optional[str] = None) -> MatrixMap:
@@ -217,10 +203,11 @@ def first_column(n: int) -> RationalMap:
         raise ValueError("need n >= 2")
     dom = special_orthogonal(n)
     nums = [Polynomial.variable(dom.registry, i * n) for i in range(n)]
-    return _verified_group(
+    return verified(
         RationalMap(
             dom, sphere(n - 1), nums, Polynomial.one(dom.registry), label=f"first_column_{n}"
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -235,26 +222,16 @@ def first_column_u(k: int) -> RationalMap:
         base = 2 * (i * k)
         nums.append(Polynomial.variable(dom.registry, base))
         nums.append(Polynomial.variable(dom.registry, base + 1))
-    return _verified_group(
+    return verified(
         RationalMap(
             dom,
             sphere(2 * k - 1),
             nums,
             Polynomial.one(dom.registry),
             label=f"first_column_u_{k}",
-        )
+        ),
+        *_CHECK,
     )
-
-
-def _verified_section(m: MatrixMap) -> MatrixMap:
-    # Domain is a sphere, so the check is a complete symbolic proof that
-    # the image satisfies every codomain relation.
-    report = maps_into(m)
-    if not report.ok:
-        raise AssertionError(
-            f"section {m._describe()} failed symbolic codomain proof: {report.to_dict()}"
-        )
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +254,7 @@ def section_so(n: int) -> MatrixMap:
                 nums.append(den - x[i] * x[i])
             else:
                 nums.append(-x[i] * x[j])
-    return _verified_section(
+    return verified(
         MatrixMap(
             dom,
             special_orthogonal(n),
@@ -287,7 +264,8 @@ def section_so(n: int) -> MatrixMap:
             cols=n,
             excluded="x1 = -1",
             label=f"section_so_{n}",
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -325,7 +303,7 @@ def section_u(k: int) -> MatrixMap:
             re, im = real_imag_parts(entry)
             nums.append(re)
             nums.append(im)
-    return _verified_section(
+    return verified(
         MatrixMap(
             dom,
             unitary(k),
@@ -336,7 +314,8 @@ def section_u(k: int) -> MatrixMap:
             complex_entries=True,
             excluded="x1 = -1, x2 = 0 (the antipode of the basepoint)",
             label=f"section_u_{k}",
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -359,8 +338,9 @@ def retract_so(n: int) -> MatrixMap:
     product = matrix_multiply(
         matrix_transpose(lifted), identity_matrix_map(special_orthogonal(n), n)
     )
-    return _verified_group(
-        _relabel(product, f"retract_so_{n}", "first column at the antipode of e")
+    return verified(
+        _relabel(product, f"retract_so_{n}", "first column at the antipode of e"),
+        *_CHECK,
     )
 
 
@@ -373,8 +353,9 @@ def retract_u(k: int) -> MatrixMap:
         matrix_transpose(lifted),
         identity_matrix_map(unitary(k), k, complex_entries=True),
     )
-    return _verified_group(
-        _relabel(product, f"retract_u_{k}", "first column at the antipode of e")
+    return verified(
+        _relabel(product, f"retract_u_{k}", "first column at the antipode of e"),
+        *_CHECK,
     )
 
 
@@ -421,13 +402,14 @@ def chain_retract(m: int, k: int) -> MatrixMap:
             label=f"lifted_section_{size}",
         )
         current = matrix_multiply(matrix_transpose(lifted), current)
-    return _verified_group(
+    return verified(
         _relabel(
             current,
             f"chain_retract_{m}_{k}",
             "a block column hits the antipode at some level",
         ),
         samples=2,
+        seed=23,
         height=3,
     )
 
@@ -450,7 +432,7 @@ def su_retract(k: int) -> MatrixMap:
             re, im = real_imag_parts(entry)
             nums.append(re)
             nums.append(im)
-    return _verified_group(
+    return verified(
         MatrixMap(
             dom,
             special_unitary(k),
@@ -460,7 +442,8 @@ def su_retract(k: int) -> MatrixMap:
             cols=k,
             complex_entries=True,
             label=f"su_retract_{k}",
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -482,7 +465,7 @@ def embed_u_in_so(k: int) -> MatrixMap:
             nums[(2 * i) * total + (2 * j + 1)] = -b
             nums[(2 * i + 1) * total + (2 * j)] = b
             nums[(2 * i + 1) * total + (2 * j + 1)] = a
-    return _verified_group(
+    return verified(
         MatrixMap(
             dom,
             special_orthogonal(total),
@@ -491,7 +474,8 @@ def embed_u_in_so(k: int) -> MatrixMap:
             rows=total,
             cols=total,
             label=f"embed_u{k}_in_so{total}",
-        )
+        ),
+        *_CHECK,
     )
 
 

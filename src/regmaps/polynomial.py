@@ -237,9 +237,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def total_degree(self) -> int:
         """Largest monomial degree; the zero polynomial has degree 0."""
         if not self.terms:

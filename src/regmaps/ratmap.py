@@ -32,7 +32,7 @@ polynomials again, no division needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -581,6 +581,25 @@ def denominator_check(
         negatives=negatives,
         witness=witness,
     )
+
+
+def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMap:
+    """One-time construction check of a catalog map: codomain membership
+    (a symbolic proof on sphere-block domains, sampled otherwise), then
+    denominator signs at sampled points.  Returns ``m`` or raises
+    ``AssertionError`` with the failing report."""
+    report = maps_into(m, samples=samples, seed=seed, height=height)
+    if not report.ok:
+        raise AssertionError(
+            f"catalog map {m._describe()} failed codomain check: {report.to_dict()}"
+        )
+    sign_report = denominator_check(m, samples=samples, seed=seed, height=height)
+    if not sign_report.all_positive:
+        raise AssertionError(
+            f"catalog map {m._describe()} has sign-indefinite denominator: "
+            f"{sign_report.to_dict()}"
+        )
+    return m
 
 
 # ---------------------------------------------------------------------------

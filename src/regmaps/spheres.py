@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
 
 from .polynomial import (
     GAUSSIAN_I,
@@ -36,30 +35,13 @@ from .polynomial import (
     normal_form,
     real_imag_parts,
 )
-from .ratmap import (
-    RationalMap,
-    compose,
-    denominator_check,
-    maps_into,
-    pair_map,
-)
+from .ratmap import RationalMap, compose, pair_map, verified
 from .varieties import PointOnVariety, euclidean, sphere, sphere_product
 
-
-def _verified(m: RationalMap, *, denominator_samples: int = 12) -> RationalMap:
-    """One-time construction check: codomain membership + denominator signs."""
-    report = maps_into(m, samples=8, seed=17)
-    if not report.ok:
-        raise AssertionError(
-            f"catalog map {m._describe()} failed codomain check: {report.to_dict()}"
-        )
-    sign_report = denominator_check(m, samples=denominator_samples, seed=17, height=20)
-    if not sign_report.all_positive:
-        raise AssertionError(
-            f"catalog map {m._describe()} has sign-indefinite denominator: "
-            f"{sign_report.to_dict()}"
-        )
-    return m
+# Construction-check sampling: (samples, seed, height).  Every domain here
+# reduces to sphere blocks, where codomain membership is a symbolic proof,
+# so only the denominator-sign check samples.
+_CHECK = (12, 17, 20)
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +53,9 @@ def stereo(n: int) -> RationalMap:
     reg = dom.registry
     nums = [Polynomial.variable(reg, i) for i in range(1, n + 1)]
     den = Polynomial.one(reg) + Polynomial.variable(reg, 0)
-    return _verified(
-        RationalMap(dom, euclidean(n), nums, den, excluded="x1 = -1", label=f"stereo_{n}")
+    return verified(
+        RationalMap(dom, euclidean(n), nums, den, excluded="x1 = -1", label=f"stereo_{n}"),
+        *_CHECK,
     )
 
 
@@ -89,8 +72,9 @@ def stereo_inv(n: int) -> RationalMap:
     den = Polynomial.one(reg) + norm
     nums = [Polynomial.one(reg) - norm]
     nums += [2 * Polynomial.variable(reg, i) for i in range(n)]
-    return _verified(
-        RationalMap(dom, sphere(n), nums, den, excluded="", label=f"stereo_inv_{n}")
+    return verified(
+        RationalMap(dom, sphere(n), nums, den, excluded="", label=f"stereo_inv_{n}"),
+        *_CHECK,
     )
 
 
@@ -113,7 +97,7 @@ def oplus(n: int) -> RationalMap:
     nums = [product_term - 2 * one + 2 * x[0] * y[0] - 2 * cross]
     for j in range(1, m):
         nums.append(2 * x[j] * (one + y[0]) + 2 * y[j] * (one + x[0]))
-    return _verified(
+    return verified(
         RationalMap(
             dom,
             sphere(n),
@@ -121,7 +105,8 @@ def oplus(n: int) -> RationalMap:
             den,
             excluded="x = y = -e (both antipodes of the basepoint)",
             label=f"oplus_{n}",
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -134,10 +119,11 @@ def factor_projection(n: int, which: int) -> RationalMap:
     m = n + 1
     offset = 0 if which == 1 else m
     nums = [Polynomial.variable(dom.registry, offset + i) for i in range(m)]
-    return _verified(
+    return verified(
         RationalMap(
             dom, sphere(n), nums, Polynomial.one(dom.registry), label=f"proj{which}_{n}"
-        )
+        ),
+        *_CHECK,
     )
 
 
@@ -168,7 +154,7 @@ def oplus_via_charts(n: int) -> RationalMap:
     independent route for cross-checking the closed form."""
     left = compose(stereo(n), factor_projection(n, 1))
     right = compose(stereo(n), factor_projection(n, 2))
-    return _verified(compose(stereo_inv(n), _euclidean_sum(left, right)))
+    return verified(compose(stereo_inv(n), _euclidean_sum(left, right)), *_CHECK)
 
 
 def chart_sum_identity_residual(n: int) -> Polynomial:
@@ -214,8 +200,9 @@ def reflect(n: int, j: int) -> RationalMap:
         -Polynomial.variable(dom.registry, i) if i == j - 1 else Polynomial.variable(dom.registry, i)
         for i in range(n + 1)
     ]
-    return _verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"reflect_{n}_{j}")
+    return verified(
+        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"reflect_{n}_{j}"),
+        *_CHECK,
     )
 
 
@@ -223,8 +210,9 @@ def reflect(n: int, j: int) -> RationalMap:
 def antipodal(n: int) -> RationalMap:
     dom = sphere(n)
     nums = [-Polynomial.variable(dom.registry, i) for i in range(n + 1)]
-    return _verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"antipodal_{n}")
+    return verified(
+        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"antipodal_{n}"),
+        *_CHECK,
     )
 
 
@@ -232,8 +220,9 @@ def antipodal(n: int) -> RationalMap:
 def sphere_identity(n: int) -> RationalMap:
     dom = sphere(n)
     nums = [Polynomial.variable(dom.registry, i) for i in range(n + 1)]
-    return _verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"id_S{n}")
+    return verified(
+        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"id_S{n}"),
+        *_CHECK,
     )
 
 
@@ -260,8 +249,9 @@ def phi_double(k: int) -> RationalMap:
     x1 = Polynomial.variable(reg, 0)
     nums = [2 * x1 * x1 - Polynomial.one(reg)]
     nums += [2 * x1 * Polynomial.variable(reg, i) for i in range(1, k + 1)]
-    return _verified(
-        RationalMap(dom, dom, nums, Polynomial.one(reg), label=f"phi_double_{k}")
+    return verified(
+        RationalMap(dom, dom, nums, Polynomial.one(reg), label=f"phi_double_{k}"),
+        *_CHECK,
     )
 
 
@@ -281,7 +271,7 @@ def meridian_chart(k: int) -> RationalMap:
 def phi_double_via_chart(k: int) -> RationalMap:
     """Angle doubling assembled as inverse-chart-after-chart; reduces to the
     same canonical form as :func:`phi_double`."""
-    return _verified(compose(stereo_inv(k), meridian_chart(k)))
+    return verified(compose(stereo_inv(k), meridian_chart(k)), *_CHECK)
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +284,9 @@ def circle_power(d: int) -> RationalMap:
         z = z.conjugate_coefficients()
     power = z ** abs(d) if d != 0 else Polynomial.one(reg)
     re, im = real_imag_parts(power)
-    return _verified(
-        RationalMap(dom, dom, [re, im], Polynomial.one(reg), label=f"circle_power_{d}")
+    return verified(
+        RationalMap(dom, dom, [re, im], Polynomial.one(reg), label=f"circle_power_{d}"),
+        *_CHECK,
     )
 
 
@@ -310,8 +301,9 @@ def circle_rotation(cos_value: Fraction, sin_value: Fraction) -> RationalMap:
     x1 = Polynomial.variable(reg, 0)
     x2 = Polynomial.variable(reg, 1)
     nums = [c * x1 - s * x2, s * x1 + c * x2]
-    return _verified(
-        RationalMap(dom, dom, nums, Polynomial.one(reg), label=f"rotation_{c}_{s}")
+    return verified(
+        RationalMap(dom, dom, nums, Polynomial.one(reg), label=f"rotation_{c}_{s}"),
+        *_CHECK,
     )
 
 

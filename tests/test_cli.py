@@ -133,6 +133,19 @@ def test_verify_reports_honest_failures(capsys):
     assert "FAIL jmap:rotation maps-into-codomain" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--samples", "0", "--trials", "0"],
+    ["--samples", "0"],
+    ["--trials", "0"],
+    ["--samples", "-3"],
+])
+def test_verify_without_sample_points_is_a_usage_error(capsys, flags):
+    code, out, err = run(capsys, ["verify", "r:3", *flags])
+    assert code == 2
+    assert out == ""
+    assert "--samples and --trials must be at least 1" in err
+
+
 def test_verify_is_byte_deterministic(capsys):
     args = ["verify", "oplus:1", "--samples", "40", "--trials", "4", "--seed", "9"]
     assert run(capsys, args)[1] == run(capsys, args)[1]

@@ -1,0 +1,62 @@
+"""Source hygiene checks that need no linter: every name a module imports
+is used somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    p for p in (Path(__file__).resolve().parents[1] / "src" / "regmaps").glob("*.py")
+    if p.name != "__init__.py"  # the package re-exports its imports
+)
+
+
+def _annotation_names(node: ast.AST):
+    """Names inside string annotations, which the parser leaves as constants."""
+    annotations = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotations.append(node.returns)
+    elif isinstance(node, ast.arg):
+        annotations.append(node.annotation)
+    elif isinstance(node, ast.AnnAssign):
+        annotations.append(node.annotation)
+    for annotation in annotations:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            for inner in ast.walk(ast.parse(annotation.value, mode="eval")):
+                if isinstance(inner, ast.Name):
+                    yield inner.id
+
+
+def unused_imports(source: str):
+    """(line, name) of each imported name that the module never reads."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                ):
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, bound))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        used.update(_annotation_names(node))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_the_checker_finds_an_unused_import():
+    source = "from typing import List, Optional\nimport json\nx: Optional[int] = None\n"
+    assert unused_imports(source) == [(1, "List"), (2, "json")]
+
+
+def test_the_checker_reads_string_annotations():
+    assert unused_imports("from typing import List\ndef f(x: 'List[int]'): pass\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

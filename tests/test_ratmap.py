@@ -27,6 +27,7 @@ from regmaps.ratmap import (
     matrix_transpose,
     pair_map,
     variety_by_name,
+    verified,
 )
 from regmaps.spheres import (
     antipodal,
@@ -221,6 +222,25 @@ def test_denominator_check_positive_and_negative_cases():
     assert not bad.passed
     assert bad.negatives > 0
     assert bad.witness is not None
+
+
+def test_verified_checks_the_codomain_then_the_denominator_signs():
+    assert verified(stereo(2), 12, 17, 20) is stereo(2)
+
+    reg = euclidean(1).registry
+    off_sphere = RationalMap(
+        euclidean(1), sphere(1), [Polynomial.variable(reg, 0), Polynomial.zero(reg)],
+        Polynomial.one(reg),
+    )
+    with pytest.raises(AssertionError, match="failed codomain check"):
+        verified(off_sphere, 12, 17, 20)
+
+    reg = sphere(1).registry
+    signed = RationalMap(
+        sphere(1), euclidean(1), [Polynomial.one(reg)], Polynomial.variable(reg, 0)
+    )
+    with pytest.raises(AssertionError, match="sign-indefinite denominator"):
+        verified(signed, 12, 17, 20)
 
 
 def test_equal_mod_distinguishes_maps_and_reports_witness():
