@@ -205,11 +205,14 @@ def _retract_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
 def _retract_u_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
     projected = compose(groups.first_column_u(k), m)
     target = constant_map(unitary(k), spheres.basepoint(2 * k - 1))
+    checks = [_agree("image-projects-to-basepoint", projected, target, trials, seed)]
+    if k == 1:
+        # The embedded U(0) is trivial: fixing it means fixing the identity.
+        identity = groups.unitary_identity(1)
+        fixed = m.evaluate(identity).coords == identity.coords
+        return checks + [_exact("fixes-embedded-subgroup", fixed)]
     embed = groups.embed_unitary(k - 1, k)
-    return [
-        _agree("image-projects-to-basepoint", projected, target, trials, seed),
-        _agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed),
-    ]
+    return checks + [_agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed)]
 
 
 def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[CheckResult]:

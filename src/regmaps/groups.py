@@ -44,11 +44,10 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .polynomial import (
+    ComplexPolynomial,
     Polynomial,
-    VarRegistry,
     polynomial_from_obj,
     polynomial_to_obj,
-    real_imag_parts,
     transport_polynomial,
 )
 from .ratmap import (
@@ -276,18 +275,15 @@ def section_u(k: int) -> MatrixMap:
         raise ValueError("need k >= 1")
     dom = sphere(2 * k - 1)
     reg = dom.registry
-    z = []
-    for j in range(k):
-        z.append(
-            Polynomial.variable(reg, 2 * j)
-            + Polynomial.variable(reg, 2 * j + 1) * _gaussian_unit(reg)
-        )
-    zbar = [p.conjugate_coefficients() for p in z]
-    one = Polynomial.one(reg)
-    lead = one + z[0]
-    lead_bar = one + zbar[0]
+    z = [
+        ComplexPolynomial(Polynomial.variable(reg, 2 * j), Polynomial.variable(reg, 2 * j + 1))
+        for j in range(k)
+    ]
+    zbar = [p.conjugate() for p in z]
+    lead = ComplexPolynomial(Polynomial.one(reg) + z[0].re, z[0].im)
+    lead_bar = lead.conjugate()
     den_complex = lead * lead_bar
-    den_re, den_im = real_imag_parts(den_complex)
+    den_re, den_im = den_complex
     assert den_im.is_zero()
     nums: List[Polynomial] = []
     for i in range(k):
@@ -300,9 +296,7 @@ def section_u(k: int) -> MatrixMap:
                 entry = lead * (lead_bar - z[i] * zbar[i])
             else:
                 entry = -z[i] * zbar[j] * lead
-            re, im = real_imag_parts(entry)
-            nums.append(re)
-            nums.append(im)
+            nums.extend(entry)
     return verified(
         MatrixMap(
             dom,
@@ -317,12 +311,6 @@ def section_u(k: int) -> MatrixMap:
         ),
         *_CHECK,
     )
-
-
-def _gaussian_unit(registry: VarRegistry) -> Polynomial:
-    from .polynomial import GAUSSIAN_I
-
-    return Polynomial.constant(registry, GAUSSIAN_I)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +412,11 @@ def su_retract(k: int) -> MatrixMap:
         raise ValueError("need k >= 1")
     dom = unitary(k)
     entries = complex_entry_polys(dom.registry, k)
-    det_conj = poly_matrix_determinant(entries).conjugate_coefficients()
+    det_conj = poly_matrix_determinant(entries).conjugate()
     nums: List[Polynomial] = []
     for i in range(k):
         for j in range(k):
-            entry = entries[i][j] * det_conj if j == 0 else entries[i][j]
-            re, im = real_imag_parts(entry)
-            nums.append(re)
-            nums.append(im)
+            nums.extend(entries[i][j] * det_conj if j == 0 else entries[i][j])
     return verified(
         MatrixMap(
             dom,

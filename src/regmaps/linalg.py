@@ -1,18 +1,94 @@
 """Exact dense linear algebra over the rationals and Gaussian rationals.
 
 Small helper kit used by the samplers (Cayley transforms need an exact
-matrix inverse) and by the Jacobian rank probe (exact nullspaces and
-ranks).  Matrices are plain lists of lists of ``Fraction`` or
-:class:`~regmaps.polynomial.GaussianRational`; everything here is
-division-based Gaussian elimination, which both scalar types support.
+matrix inverse), by the Jacobian rank probe (exact nullspaces and ranks)
+and by checks that read a unitary image as a complex matrix.  Matrices
+are plain lists of lists of ``Fraction`` or :class:`GaussianRational`,
+the exact complex scalar defined here; everything is division-based
+Gaussian elimination, which both scalar types support.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Union
 
-from .polynomial import GaussianRational
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "GaussianRational":
+        return GaussianRational(Fraction(re), Fraction(im))
+
+    def __add__(self, other: "GaussianRational"):
+        if not isinstance(other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        other = _as_gaussian(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "GaussianRational"):
+        if not isinstance(other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        other = _as_gaussian(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: object):
+        if not isinstance(other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        return _as_gaussian(other) - self
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other: object):
+        if not isinstance(other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        other = _as_gaussian(other)
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: object) -> "GaussianRational":
+        other = _as_gaussian(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return GaussianRational(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!s}, {self.im!s})"
+
+
+def _as_gaussian(value: object) -> GaussianRational:
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(Fraction(value), Fraction(0))
+    raise TypeError(f"cannot interpret {value!r} as a GaussianRational")
+
 
 Scalar = Union[Fraction, GaussianRational]
 Matrix = List[List[Scalar]]

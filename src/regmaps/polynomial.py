@@ -2,8 +2,7 @@
 
 Data model
 ----------
-* Coefficients are ``fractions.Fraction`` (exact rationals) or
-  :class:`GaussianRational` (exact complex rationals ``re + im*i``).
+* Coefficients are ``fractions.Fraction`` (exact rationals).
 * Variables live in a :class:`VarRegistry`, an immutable ordered list of
   names.  A variable is referred to by its integer id (its position).
 * A monomial is a dense exponent tuple, one entry per registry slot.
@@ -11,6 +10,11 @@ Data model
   coefficients, kept in a canonical graded-reverse-lexicographic order
   (highest first) so that equal polynomials have identical iteration
   order and identical serialized bytes.
+* A complex polynomial in real variables is a :class:`ComplexPolynomial`,
+  the pair ``(re, im)`` of its real and imaginary parts.  Complex
+  quantities only occur while constructing maps into the circle and the
+  unitary groups, and the pair type is the one place that knows
+  ``(a + bi)(c + di)``.
 
 The module also implements reduction modulo "sphere blocks": for a block
 of variables ``v1..vm`` subject to ``v1^2 + ... + vm^2 = 1`` every
@@ -27,7 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 class RegistryMismatchError(ValueError):
@@ -44,95 +48,6 @@ class MissingAssignmentError(ValueError):
 
 class OverlappingBlocksError(ValueError):
     """Raised when sphere blocks given to a normal-form pass share variables."""
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "GaussianRational"):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "GaussianRational"):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: object):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        return _as_gaussian(other) - self
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: object):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussianRational":
-        other = _as_gaussian(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!s}, {self.im!s})"
-
-
-Scalar = Union[Fraction, GaussianRational]
-
-GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
-
-
-def _as_gaussian(value: object) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    raise TypeError(f"cannot interpret {value!r} as a GaussianRational")
-
-
-def _scalar_is_zero(c: Scalar) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.is_zero()
-    return c == 0
 
 
 class VarRegistry:
@@ -194,10 +109,8 @@ class Polynomial:
 
     __slots__ = ("registry", "terms")
 
-    def __init__(self, registry: VarRegistry, terms: Mapping[tuple, Scalar]):
-        cleaned = {
-            exps: coeff for exps, coeff in terms.items() if not _scalar_is_zero(coeff)
-        }
+    def __init__(self, registry: VarRegistry, terms: Mapping[tuple, Fraction]):
+        cleaned = {exps: coeff for exps, coeff in terms.items() if coeff != 0}
         ordered = {
             exps: cleaned[exps]
             for exps in sorted(cleaned, key=_grevlex_key, reverse=True)
@@ -215,10 +128,8 @@ class Polynomial:
         return Polynomial(registry, {})
 
     @staticmethod
-    def constant(registry: VarRegistry, value: Union[int, Fraction, GaussianRational]) -> "Polynomial":
-        if not isinstance(value, GaussianRational):
-            value = Fraction(value)
-        return Polynomial(registry, {(0,) * registry.size: value})
+    def constant(registry: VarRegistry, value: Union[int, Fraction]) -> "Polynomial":
+        return Polynomial(registry, {(0,) * registry.size: Fraction(value)})
 
     @staticmethod
     def variable(registry: VarRegistry, var: Union[int, str]) -> "Polynomial":
@@ -251,11 +162,8 @@ class Polynomial:
                     used.add(i)
         return tuple(sorted(used))
 
-    def coefficient(self, exps: tuple) -> Scalar:
+    def coefficient(self, exps: tuple) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def has_gaussian_coefficients(self) -> bool:
-        return any(isinstance(c, GaussianRational) for c in self.terms.values())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -292,13 +200,8 @@ class Polynomial:
         return Polynomial(self.registry, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            if _scalar_is_zero(other if isinstance(other, GaussianRational) else Fraction(other)):
-                return Polynomial.zero(self.registry)
-            factor = other if isinstance(other, GaussianRational) else Fraction(other)
-            return Polynomial(
-                self.registry, {e: c * factor for e, c in self.terms.items()}
-            )
+        if isinstance(other, (int, Fraction)):
+            return Polynomial(self.registry, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_registry(other)
@@ -328,7 +231,7 @@ class Polynomial:
     def _coerce(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return Polynomial.constant(self.registry, other)
         raise TypeError(f"cannot combine Polynomial with {type(other).__name__}")
 
@@ -339,15 +242,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.registry, tuple(self.terms.items())))
-
-    def map_coefficients(self, fn: Callable[[Scalar], Scalar]) -> "Polynomial":
-        return Polynomial(self.registry, {e: fn(c) for e, c in self.terms.items()})
-
-    def conjugate_coefficients(self) -> "Polynomial":
-        """Complex-conjugate every coefficient (variables stay untouched)."""
-        return self.map_coefficients(
-            lambda c: c.conjugate() if isinstance(c, GaussianRational) else c
-        )
 
     # -- calculus ----------------------------------------------------------
 
@@ -366,8 +260,11 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _assignment_vector(self, point: object) -> list:
-        """Resolve ``point`` to a list indexed by var id, checking coverage."""
+    def _assignment_vector(self, point: object) -> tuple:
+        """Resolve ``point`` to a list indexed by var id, checking coverage.
+
+        Returns the list and ``variables_used()``, the ids it was checked at.
+        """
         n = self.registry.size
         used = self.variables_used()
         if isinstance(point, Mapping):
@@ -382,49 +279,18 @@ class Polynomial:
         if missing:
             names = ", ".join(self.registry.name(i) for i in missing)
             raise MissingAssignmentError(f"no value assigned to: {names}")
-        return vals
+        return vals, used
 
-    def evaluate(self, point: object) -> Scalar:
-        """Exact evaluation at rational (or Gaussian-rational) coordinates.
+    def evaluate(self, point: object) -> Fraction:
+        """Exact evaluation at rational coordinates.
 
         ``point`` is either a sequence indexed by variable id or a mapping
-        from variable id to value.  For all-rational input an integer
-        common-denominator path avoids per-operation gcd work.
+        from variable id to value.  An integer common-denominator path
+        avoids per-operation gcd work.
         """
-        vals = self._assignment_vector(point)
-        used = self.variables_used()
+        vals, used = self._assignment_vector(point)
         if not self.terms:
             return Fraction(0)
-        gaussian = self.has_gaussian_coefficients() or any(
-            isinstance(vals[i], GaussianRational) for i in used
-        )
-        if gaussian:
-            return self._evaluate_generic(vals, used)
-        return self._evaluate_rational(vals, used)
-
-    def _evaluate_generic(self, vals: list, used: tuple) -> Scalar:
-        powers: dict = {}
-        total: Scalar = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i in used:
-                e = exps[i]
-                if e == 0:
-                    continue
-                key = (i, e)
-                p = powers.get(key)
-                if p is None:
-                    p = vals[i] ** e if not isinstance(vals[i], GaussianRational) else _gaussian_pow(vals[i], e)
-                    powers[key] = p
-                if _scalar_is_zero(p):
-                    term = None
-                    break
-                term = term * p
-            if term is not None:
-                total = total + term
-        return total
-
-    def _evaluate_rational(self, vals: list, used: tuple) -> Fraction:
         # Common-denominator integer evaluation: write each value as
         # p_i / q with one shared q, each coefficient as c*L with one
         # shared L, and homogenize monomials to the maximal degree D so
@@ -466,12 +332,11 @@ class Polynomial:
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         """Floating-point evaluation, traversing terms in canonical order."""
-        vals = self._assignment_vector(point)
-        used = self.variables_used()
+        vals, used = self._assignment_vector(point)
         powers: dict = {}
         total = 0.0
         for exps, coeff in self.terms.items():
-            term = float(coeff) if not isinstance(coeff, GaussianRational) else complex(coeff)
+            term = float(coeff)
             for i in used:
                 e = exps[i]
                 if e == 0:
@@ -502,18 +367,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _gaussian_pow(base: GaussianRational, exponent: int) -> GaussianRational:
-    result = GaussianRational.of(1)
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * b
-        b = b * b if e > 1 else b
-        e >>= 1
-    return result
-
-
 def transport_polynomial(
     p: Polynomial, new_registry: VarRegistry, var_map: Sequence[int]
 ) -> Polynomial:
@@ -530,23 +383,53 @@ def transport_polynomial(
     return Polynomial(new_registry, terms)
 
 
-def real_imag_parts(p: Polynomial) -> tuple:
-    """Split a Gaussian-coefficient polynomial over real variables into
-    its real and imaginary parts (two rational-coefficient polynomials)."""
-    re_terms: dict = {}
-    im_terms: dict = {}
-    for exps, coeff in p.terms.items():
-        if isinstance(coeff, GaussianRational):
-            if coeff.re:
-                re_terms[exps] = coeff.re
-            if coeff.im:
-                im_terms[exps] = coeff.im
-        else:
-            re_terms[exps] = coeff
-    return (
-        Polynomial(p.registry, re_terms),
-        Polynomial(p.registry, im_terms),
-    )
+class ComplexPolynomial(NamedTuple):
+    """The complex polynomial ``re + i*im`` in real variables, as the pair of
+    its real and imaginary parts over one registry.
+
+    Only pairs combine with pairs; a real polynomial ``p`` enters as
+    ``ComplexPolynomial(p, zero)``.  Being a tuple, a pair unpacks as
+    ``re, im = z``.
+    """
+
+    re: Polynomial
+    im: Polynomial
+
+    def __add__(self, other: object) -> "ComplexPolynomial":
+        if not isinstance(other, ComplexPolynomial):
+            return NotImplemented
+        return ComplexPolynomial(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: object) -> "ComplexPolynomial":
+        if not isinstance(other, ComplexPolynomial):
+            return NotImplemented
+        return ComplexPolynomial(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "ComplexPolynomial":
+        return ComplexPolynomial(-self.re, -self.im)
+
+    def __mul__(self, other: object) -> "ComplexPolynomial":
+        if not isinstance(other, ComplexPolynomial):
+            return NotImplemented
+        return ComplexPolynomial(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "ComplexPolynomial":
+        if exponent < 0:
+            raise ValueError("negative powers are not polynomials")
+        registry = self.re.registry
+        result = ComplexPolynomial(Polynomial.one(registry), Polynomial.zero(registry))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def conjugate(self) -> "ComplexPolynomial":
+        """Complex conjugate; the variables are real, so only ``im`` flips."""
+        return ComplexPolynomial(self.re, -self.im)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +540,6 @@ def _fraction_from_str(text: str) -> Fraction:
 def polynomial_to_obj(p: Polynomial) -> list:
     """JSON-ready form: canonical term list, each term a coefficient string
     plus sparse `[variable-id, exponent]` pairs sorted by variable id."""
-    if p.has_gaussian_coefficients():
-        raise TypeError("serialize real and imaginary parts separately")
     out = []
     for exps, coeff in p.terms.items():
         mono = [[i, e] for i, e in enumerate(exps) if e]

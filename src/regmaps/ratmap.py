@@ -37,8 +37,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from .linalg import GaussianRational
 from .polynomial import (
-    GaussianRational,
+    ComplexPolynomial,
     Polynomial,
     normal_form,
 )
@@ -92,10 +93,6 @@ class RationalMap:
             if p.registry != domain.registry:
                 raise VarietyMismatchError(
                     "map polynomials must live over the domain registry"
-                )
-            if p.has_gaussian_coefficients():
-                raise TypeError(
-                    "map polynomials must be real; realify complex entries first"
                 )
         nums = [normal_form(p, domain.blocks) for p in numerators]
         den = normal_form(denominator, domain.blocks)
@@ -207,13 +204,13 @@ class MatrixMap(RationalMap):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "complex_entries", complex_entries)
 
-    def entry(self, i: int, j: int) -> Union[Polynomial, Tuple[Polynomial, Polynomial]]:
+    def entry(self, i: int, j: int) -> Union[Polynomial, ComplexPolynomial]:
         """Numerator of entry (i, j); a (real, imaginary) pair when complex."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
         if self.complex_entries:
             base = 2 * (i * self.cols + j)
-            return (self.numerators[base], self.numerators[base + 1])
+            return ComplexPolynomial(self.numerators[base], self.numerators[base + 1])
         return self.numerators[i * self.cols + j]
 
     def evaluate_matrix(self, point: PointOnVariety) -> list:
@@ -620,9 +617,7 @@ def matrix_transpose(m: MatrixMap, codomain: Optional[Variety] = None) -> Matrix
     for i in range(m.cols):
         for j in range(m.rows):
             if m.complex_entries:
-                re, im = m.entry(j, i)  # type: ignore[misc]
-                nums.append(re)
-                nums.append(-im)
+                nums.extend(m.entry(j, i).conjugate())  # type: ignore[union-attr]
             else:
                 nums.append(m.entry(j, i))  # type: ignore[arg-type]
     return MatrixMap(
@@ -655,24 +650,16 @@ def matrix_multiply(
             target = a.codomain
         else:
             raise VarietyMismatchError("product of mismatched shapes needs a codomain")
-    registry = a.domain.registry
     nums: List[Polynomial] = []
     for i in range(a.rows):
         for j in range(b.cols):
+            # Real entries are polynomials, complex ones ComplexPolynomial pairs.
+            acc = a.entry(i, 0) * b.entry(0, j)
+            for k in range(1, a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)  # type: ignore[operator]
             if a.complex_entries:
-                re_acc = Polynomial.zero(registry)
-                im_acc = Polynomial.zero(registry)
-                for k in range(a.cols):
-                    are, aim = a.entry(i, k)  # type: ignore[misc]
-                    bre, bim = b.entry(k, j)  # type: ignore[misc]
-                    re_acc = re_acc + are * bre - aim * bim
-                    im_acc = im_acc + are * bim + aim * bre
-                nums.append(re_acc)
-                nums.append(im_acc)
+                nums.extend(acc)
             else:
-                acc = Polynomial.zero(registry)
-                for k in range(a.cols):
-                    acc = acc + a.entry(i, k) * b.entry(k, j)  # type: ignore[operator]
                 nums.append(acc)
     return MatrixMap(
         a.domain,

@@ -29,12 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import (
-    GAUSSIAN_I,
-    Polynomial,
-    normal_form,
-    real_imag_parts,
-)
+from .polynomial import ComplexPolynomial, Polynomial, normal_form
 from .ratmap import RationalMap, compose, pair_map, verified
 from .varieties import PointOnVariety, euclidean, sphere, sphere_product
 
@@ -279,11 +274,8 @@ def circle_power(d: int) -> RationalMap:
     """The circle self-map z -> z^d (z = x1 + i*x2); negative d conjugates."""
     dom = sphere(1)
     reg = dom.registry
-    z = Polynomial.variable(reg, 0) + GAUSSIAN_I * Polynomial.variable(reg, 1)
-    if d < 0:
-        z = z.conjugate_coefficients()
-    power = z ** abs(d) if d != 0 else Polynomial.one(reg)
-    re, im = real_imag_parts(power)
+    z = ComplexPolynomial(Polynomial.variable(reg, 0), Polynomial.variable(reg, 1))
+    re, im = (z if d >= 0 else z.conjugate()) ** abs(d)
     return verified(
         RationalMap(dom, dom, [re, im], Polynomial.one(reg), label=f"circle_power_{d}"),
         *_CHECK,

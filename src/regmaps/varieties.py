@@ -31,17 +31,11 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
-from .polynomial import (
-    GAUSSIAN_I,
-    GaussianRational,
-    Polynomial,
-    SphereBlock,
-    VarRegistry,
-    real_imag_parts,
-)
+from .linalg import GaussianRational
+from .polynomial import ComplexPolynomial, Polynomial, SphereBlock, VarRegistry
 
 DEFAULT_HEIGHT = 1000
 
@@ -162,66 +156,65 @@ def matrix_entry_polys(variety_registry: VarRegistry, n: int) -> List[List[Polyn
     ]
 
 
-def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[Polynomial]]:
+def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[ComplexPolynomial]]:
     """Complex k x k entries z_ij = a_ij + i b_ij over the interleaved
     row-major registry (a11, b11, a12, b12, ...)."""
-    out: List[List[Polynomial]] = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            base = 2 * (i * k + j)
-            a = Polynomial.variable(variety_registry, base)
-            b = Polynomial.variable(variety_registry, base + 1)
-            row.append(a + b * GAUSSIAN_I)
-        out.append(row)
-    return out
+    return [
+        [
+            ComplexPolynomial(
+                Polynomial.variable(variety_registry, 2 * (i * k + j)),
+                Polynomial.variable(variety_registry, 2 * (i * k + j) + 1),
+            )
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
 
 
-def poly_matrix_determinant(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Leibniz-formula determinant of a small matrix of polynomials."""
+_Entry = TypeVar("_Entry", Polynomial, ComplexPolynomial)
+
+
+def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
+    """Leibniz-formula determinant of a small matrix of polynomials, real
+    or :class:`~regmaps.polynomial.ComplexPolynomial` pairs alike."""
     n = len(entries)
-    registry = entries[0][0].registry
-    acc = Polynomial.zero(registry)
+    acc = None
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Polynomial.constant(registry, sign)
-        for i in range(n):
+        term = entries[0][perm[0]]
+        for i in range(1, n):
             term = term * entries[i][perm[i]]
-        acc = acc + term
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        if inversions % 2:
+            term = -term
+        acc = term if acc is None else acc + term
     return acc
 
 
-def _gram_relations(entries: Sequence[Sequence[Polynomial]], conjugate: bool) -> List[Polynomial]:
+def _gram_relations(entries: Sequence[Sequence[_Entry]], conjugate: bool) -> List[Polynomial]:
     """Entries of M* M - I and M M* - I (upper triangle, realified)."""
     n = len(entries)
-    registry = entries[0][0].registry
     out: List[Polynomial] = []
     for left_conj in (True, False):
         for i in range(n):
             for j in range(i, n):
-                acc = Polynomial.zero(registry)
+                products = []
                 for m in range(n):
                     if left_conj:
                         a, b = entries[m][i], entries[m][j]
                     else:
                         a, b = entries[i][m], entries[j][m]
-                    if conjugate:
-                        a = a.conjugate_coefficients()
-                    acc = acc + a * b
+                    products.append((a.conjugate() if conjugate else a) * b)
+                acc = sum(products[1:], products[0])
+                if not conjugate:
+                    out.append(acc - 1 if i == j else acc)
+                    continue
+                re, im = acc
                 if i == j:
-                    acc = acc - 1
-                if conjugate:
-                    re, im = real_imag_parts(acc)
-                    if not re.is_zero() or i == j:
-                        out.append(re)
-                    if not im.is_zero():
-                        out.append(im)
-                else:
-                    out.append(acc)
+                    re = re - 1
+                if not re.is_zero() or i == j:
+                    out.append(re)
+                if not im.is_zero():
+                    out.append(im)
     return out
 
 
@@ -308,7 +301,7 @@ def special_unitary(k: int) -> Variety:
     base = unitary(k)
     registry = base.registry
     entries = complex_entry_polys(registry, k)
-    det_re, det_im = real_imag_parts(poly_matrix_determinant(entries))
+    det_re, det_im = poly_matrix_determinant(entries)
     relations = list(base.relations) + [det_re - 1, det_im]
     return Variety(
         name=f"SU{k}", registry=registry, relations=relations, sampler="cayley-su"

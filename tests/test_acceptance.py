@@ -27,13 +27,13 @@ from regmaps.groups import (
     section_u,
 )
 from regmaps.linalg import (
+    GaussianRational,
     conjugate_transpose,
     determinant,
     identity,
     mat_mul,
     transpose,
 )
-from regmaps.polynomial import GaussianRational
 from regmaps.ratmap import (
     ExcludedLocusError,
     compose,

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from regmaps.linalg import (
+    GaussianRational,
     conjugate_transpose,
     determinant,
     identity,
     mat_mul,
     transpose,
 )
-from regmaps.polynomial import GaussianRational, Polynomial
+from regmaps.polynomial import Polynomial
 from regmaps.groups import (
     JMapInput,
     chain_retract,

@@ -1,15 +1,14 @@
 """Source hygiene checks that need no linter: every name a module imports
-is used somewhere in that module."""
+is used somewhere in that module, and every private module-level function
+or class is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "regmaps").glob("*.py")
-    if p.name != "__init__.py"  # the package re-exports its imports
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "regmaps").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # the package re-exports its imports
 
 
 def _annotation_names(node: ast.AST):
@@ -60,3 +59,39 @@ def test_the_checker_reads_string_annotations():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_definitions(sources):
+    """(module, name) of each module-level ``_private`` function or class that
+    no source in ``sources`` (a mapping module -> text) reads by name or
+    attribute."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [(module, name) for module, name in defined if name not in referenced]
+
+
+def test_the_checker_finds_an_unreferenced_private_helper():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef public(): pass\n",
+        "b": "from . import a\na._used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == [("a", "_dead"), ("a", "_Gone")]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_definitions(sources) == []

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from regmaps.linalg import GaussianRational
 from regmaps.polynomial import (
-    GAUSSIAN_I,
-    GaussianRational,
+    ComplexPolynomial,
     MissingAssignmentError,
     OverlappingBlocksError,
     Polynomial,
@@ -124,7 +124,8 @@ def test_gaussian_rational_field_ops():
     b = GaussianRational(Fraction(-2), Fraction(1, 3))
     assert a + b == GaussianRational(Fraction(-3, 2), Fraction(10, 3))
     assert a * b == GaussianRational(Fraction(-2), Fraction(-35, 6))
-    assert GAUSSIAN_I * GAUSSIAN_I == GaussianRational(Fraction(-1), Fraction(0))
+    i = GaussianRational.of(0, 1)
+    assert i * i == GaussianRational(Fraction(-1), Fraction(0))
     assert a.conjugate() == GaussianRational(Fraction(1, 2), Fraction(-3))
     # |a|^2 = a * conj(a) is real
     norm = a * a.conjugate()
@@ -132,15 +133,22 @@ def test_gaussian_rational_field_ops():
 
 
 def test_gaussian_polynomial_round_trip_to_real_parts():
-    z = X1 + GAUSSIAN_I * X2
-    square = z * z
-    assert square.has_gaussian_coefficients()
-    from regmaps.polynomial import real_imag_parts
-
-    re, im = real_imag_parts(square)
+    # (X1 + i X2)^2 = (X1^2 - X2^2) + i (2 X1 X2), carried as (re, im) pairs.
+    z = ComplexPolynomial(X1, X2)
+    re, im = z * z
     assert re == X1 ** 2 - X2 ** 2
     assert im == 2 * X1 * X2
-    assert not re.has_gaussian_coefficients()
+    assert z ** 2 == z * z
+    assert z ** 0 == (Polynomial.one(REG), Polynomial.zero(REG))
+    # The conjugate flips the imaginary part, and z * conj(z) = |z|^2 is real.
+    assert z.conjugate() == (X1, -X2)
+    assert z.conjugate() * z.conjugate() == (X1 ** 2 - X2 ** 2, -2 * X1 * X2)
+    assert z * z.conjugate() == (X1 ** 2 + X2 ** 2, Polynomial.zero(REG))
+    assert z + z.conjugate() == (2 * X1, Polynomial.zero(REG))
+    assert z - z.conjugate() == (Polynomial.zero(REG), 2 * X2)
+    assert -z == (-X1, -X2)
+    with pytest.raises(TypeError):
+        z + X1  # a real polynomial must enter as a pair
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Variety registry and the exact rational point samplers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from regmaps.linalg import determinant, identity, mat_mul, transpose
-from regmaps.polynomial import GaussianRational, VarRegistry
+from regmaps.linalg import GaussianRational, determinant, identity, mat_mul, transpose
+from regmaps.polynomial import VarRegistry, polynomial_to_json
 from regmaps.varieties import (
     NoSamplerError,
     PointOnVariety,
@@ -182,6 +183,28 @@ def test_height_bound_controls_coordinate_size():
     for c in p.coords:
         assert abs(c.numerator) <= 4 * 5 ** 4  # crude bound from the chart formula
         assert c.denominator <= 4 * 5 ** 4
+
+
+# (family, k): (number of relations, sha256 of their JSON, one per line, in order).
+# `verify` reads the relations in this order, so the order is pinned too.
+RELATION_DIGESTS = {
+    (unitary, 1): (2, "ef602133c30ac7d2b1e081aa36542c4e3f3ee56898563e16809d0d34802da6e3"),
+    (unitary, 2): (8, "61075427cdfcc50daf04d6e5f43ecb08bbafb5b06e60925b635bb2258b345c1b"),
+    (unitary, 3): (18, "7bc070a472dbcc8137c05449fcb657c33c82329232b8c561527ce11d16a0c97b"),
+    (special_unitary, 1): (4, "7125b0ff0a09b6eba6439419f6d929aa0c8dc7c9b717000d1fa31aecf652472d"),
+    (special_unitary, 2): (10, "815088e08427d198b03401014a545e50e31882c5f542152776f41945dfa6a517"),
+    (special_unitary, 3): (20, "d544c9f7fce363bd97653d20136a18504a94b2b874c9f47207c1c54d43ca3771"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, k", sorted(RELATION_DIGESTS, key=lambda fk: (fk[0].__name__, fk[1])),
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_unitary_relations_are_pinned(family, k):
+    relations = family(k).relations
+    digest = hashlib.sha256("\n".join(map(polynomial_to_json, relations)).encode())
+    assert (len(relations), digest.hexdigest()) == RELATION_DIGESTS[family, k]
 
 
 def test_missing_sampler_is_reported():
