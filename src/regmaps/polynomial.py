@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
@@ -107,7 +107,7 @@ def _grevlex_key(exponents: tuple) -> tuple:
 class Polynomial:
     """Sparse polynomial with exact coefficients in canonical term order."""
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "terms", "_evaluation_scalars")
 
     def __init__(self, registry: VarRegistry, terms: Mapping[tuple, Fraction]):
         cleaned = {exps: coeff for exps, coeff in terms.items() if coeff != 0}
@@ -155,12 +155,28 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def variables_used(self) -> tuple:
+        return self._scalars()[0]
+
+    def _scalars(self) -> tuple:
+        """``(variables_used, lcm of the coefficient denominators, total
+        degree)``, computed on first use and kept: every exact evaluation
+        needs all three."""
+        try:
+            return self._evaluation_scalars
+        except AttributeError:
+            pass
         used = set()
         for exps in self.terms:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
-        return tuple(sorted(used))
+        scalars = (
+            tuple(sorted(used)),
+            lcm(*[c.denominator for c in self.terms.values()]),
+            self.total_degree(),
+        )
+        object.__setattr__(self, "_evaluation_scalars", scalars)
+        return scalars
 
     def coefficient(self, exps: tuple) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -285,29 +301,29 @@ class Polynomial:
         """Exact evaluation at rational coordinates.
 
         ``point`` is either a sequence indexed by variable id or a mapping
-        from variable id to value.  An integer common-denominator path
-        avoids per-operation gcd work.
+        from variable id to value; values are ``Fraction`` or ``int`` (any
+        other value is read through ``Fraction``).  The sum is computed on
+        integers and reduced once: each value is written as ``p_i / q``
+        with one shared ``q``, each coefficient as ``c / L`` with one shared
+        ``L``, and each monomial is homogenized to the maximal degree ``D``,
+        so the result is a single integer over ``L * q**D``.
         """
         vals, used = self._assignment_vector(point)
         if not self.terms:
             return Fraction(0)
-        # Common-denominator integer evaluation: write each value as
-        # p_i / q with one shared q, each coefficient as c*L with one
-        # shared L, and homogenize monomials to the maximal degree D so
-        # the whole sum is a single integer divided by L * q**D.
-        fracs = {i: Fraction(vals[i]) for i in used}
-        q = 1
-        for f in fracs.values():
-            q = q * f.denominator // gcd(q, f.denominator)
-        nums = {i: f.numerator * (q // f.denominator) for i, f in fracs.items()}
-        coeff_lcm = 1
-        for c in self.terms.values():
-            coeff_lcm = coeff_lcm * c.denominator // gcd(coeff_lcm, c.denominator)
-        degree = max(sum(e) for e in self.terms)
-        powers: dict = {}
+        rationals = [vals[i] for i in used]
+        for k, v in enumerate(rationals):
+            if not isinstance(v, (Fraction, int)):
+                rationals[k] = Fraction(v)
+        q = lcm(*[v.denominator for v in rationals])
+        nums = [0] * self.registry.size
+        for i, v in zip(used, rationals):
+            nums[i] = v.numerator * (q // v.denominator)
+        _, coeff_lcm, degree = self._scalars()
         qpow = [1] * (degree + 1)
         for k in range(1, degree + 1):
             qpow[k] = qpow[k - 1] * q
+        powers: dict = {}
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff.numerator * (coeff_lcm // coeff.denominator)
@@ -317,11 +333,14 @@ class Polynomial:
                 if e == 0:
                     continue
                 mono_degree += e
-                key = (i, e)
-                p = powers.get(key)
-                if p is None:
-                    p = nums[i] ** e
-                    powers[key] = p
+                if e == 1:
+                    p = nums[i]
+                else:
+                    key = (i, e)
+                    p = powers.get(key)
+                    if p is None:
+                        p = nums[i] ** e
+                        powers[key] = p
                 if p == 0:
                     term = 0
                     break

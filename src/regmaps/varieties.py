@@ -31,6 +31,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
@@ -108,7 +109,7 @@ class PointOnVariety:
     __slots__ = ("variety", "coords")
 
     def __init__(self, variety: Variety, coords: Sequence[Fraction], check: bool = True):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
         if len(coords) != variety.ambient_dim:
             raise PointValidationError(
                 f"{variety.name} needs {variety.ambient_dim} coordinates, "
@@ -318,11 +319,23 @@ def _bounded_fraction(rng: random.Random, height: int) -> Fraction:
 
 
 def sphere_coords_from_parameters(ts: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Rational point on the sphere from parameters via the inverse
+    """Rational point on the sphere from rational parameters via the inverse
     stereographic parametrization (never hits the pole (-1, 0, ..., 0))."""
-    s = sum(t * t for t in ts)
-    den = 1 + s
-    return tuple([Fraction(1 - s, 1) / den] + [2 * t / den for t in ts])
+    return _sphere_coords([(t.numerator, t.denominator) for t in ts])
+
+
+def _sphere_coords(pairs: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
+    """The same point from parameters given as integer pairs ``(p, q)``
+    meaning ``p / q`` with ``q > 0``.  Over one common denominator ``L`` the
+    parameters are ``T_i / L``; with ``S = sum T_i^2`` the coordinates are
+    ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``, one reduction
+    each."""
+    common = lcm(*[q for _, q in pairs])
+    scaled = [p * (common // q) for p, q in pairs]
+    square = common * common
+    s = sum(t * t for t in scaled)
+    den = square + s
+    return tuple([Fraction(square - s, den)] + [Fraction(2 * t * common, den) for t in scaled])
 
 
 def _cayley_orthogonal(params: Sequence[Fraction], n: int) -> List[List[Fraction]]:
@@ -372,8 +385,8 @@ def _sample_coords(variety: Variety, rng: random.Random, height: int) -> List[Fr
         return [_bounded_fraction(rng, height) for _ in range(variety.ambient_dim)]
     if kind == "sphere":
         n = variety.ambient_dim - 1
-        ts = [_bounded_fraction(rng, height) for _ in range(n)]
-        return list(sphere_coords_from_parameters(ts))
+        pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(n)]
+        return list(_sphere_coords(pairs))
     if kind == "product":
         coords: List[Fraction] = []
         for factor in variety.factors:

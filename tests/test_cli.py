@@ -1,13 +1,15 @@
 """End-to-end CLI tests, run in-process through ``cli.main``."""
 
+import builtins
 import json
 from fractions import Fraction
 
 import pytest
 
-from regmaps import cli
+from regmaps import catalog, cli
 from regmaps.groups import jmap_double_rotation, jmap_input_to_obj
 from regmaps.ratmap import map_from_obj
+from regmaps.spheres import circle_power
 from regmaps.topology import winding
 
 
@@ -269,12 +271,48 @@ def test_jmap_from_file_matches_the_builtin(capsys, tmp_path):
     assert from_file == builtin
 
 
+def test_verify_reads_a_jmap_file_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "family.json"
+    path.write_text(
+        json.dumps(jmap_input_to_obj(jmap_double_rotation())), encoding="utf-8"
+    )
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    flags = ["--samples", "20", "--trials", "3", "--seed", "0"]
+    code, from_file, _ = run(capsys, ["verify", f"jmap:{path}", *flags])
+    assert len(opened) == 1
+    assert code == 0
+    assert from_file == run(capsys, ["verify", "jmap:double-rotation", *flags])[1]
+
+
 def test_malformed_jmap_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"bogus": 1}', encoding="utf-8")
     assert run(capsys, ["build", f"jmap:{path}"])[0] == 2
     path.write_text("not json", encoding="utf-8")
     assert run(capsys, ["build", f"jmap:{path}"])[0] == 2
+
+
+def test_circle_power_degree_is_bounded(capsys):
+    bound = catalog.ZPOW_MAX_DEGREE
+    built = circle_power.cache_info().currsize
+    for argv in (
+        ["build", "zpow:100000"],
+        ["verify", f"zpow:{-bound - 1}", "--samples", "5", "--trials", "2"],
+        ["degree", f"zpow:{bound + 1}"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"bounded by {bound}" in err
+    assert circle_power.cache_info().currsize == built  # refused before any build
+    assert catalog._parse(f"zpow:{-bound}")[1] == [-bound]  # the bound itself is allowed
 
 
 def test_unknown_verbs_exit_through_argparse(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module imports
-is used somewhere in that module, and every private module-level function
-or class is referenced somewhere in the package."""
+is used somewhere in that module, every private module-level function or
+class is referenced somewhere in the package, and no code skips the
+relation check of a point except where the point is valid by construction."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,47 @@ def test_the_checker_finds_an_unreferenced_private_helper():
 def test_every_private_helper_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_definitions(sources) == []
+
+
+# (module, function) of each call allowed to pass ``check=False``: the fiber
+# points (x, 0) of S^{n+k} are built from sampled, already validated points x
+# of S^n, so their relation holds by construction.
+UNCHECKED_POINTS_ALLOWED = {("groups.py", "fiber_points")}
+
+
+def unchecked_calls(module: str, source: str):
+    """(module, enclosing function, line) of each call passing a false
+    constant as ``check``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and any(
+                kw.arg == "check" and isinstance(kw.value, ast.Constant) and not kw.value.value
+                for kw in child.keywords
+            ):
+                found.append((module, function, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_checker_finds_an_unchecked_point():
+    source = (
+        "def fast(v, c):\n    return PointOnVariety(v, c, check=False)\n"
+        "def fine(v, c):\n    return PointOnVariety(v, c, check=True)\n"
+        "x = sample_point(v, check=0)\n"
+    )
+    assert unchecked_calls("m.py", source) == [("m.py", "fast", 2), ("m.py", None, 5)]
+
+
+def test_points_are_validated_outside_the_allow_list():
+    found = [
+        call
+        for path in PACKAGE
+        for call in unchecked_calls(path.name, path.read_text(encoding="utf-8"))
+    ]
+    assert [call[:2] for call in found if call[:2] not in UNCHECKED_POINTS_ALLOWED] == []
+    assert {call[:2] for call in found} == UNCHECKED_POINTS_ALLOWED

@@ -259,6 +259,54 @@ def test_evaluate_requires_full_assignment():
     assert X1.evaluate({0: Fraction(2)}) == 2
 
 
+def naive_evaluate(p, values):
+    """Reference: the plain sum of c * prod(v ** e) in Fraction arithmetic."""
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def test_evaluate_matches_the_naive_sum():
+    rng = random.Random(20)
+    for _ in range(300):
+        p = random_poly(rng, terms=6, max_exp=4, height=rng.choice([1, 9, 1000]))
+        point = random_point(rng, height=rng.choice([1, 7, 10 ** 6]))
+        for k in range(len(point)):
+            if rng.random() < 0.2:
+                point[k] = Fraction(0)
+        expected = naive_evaluate(p, point)
+        assert p.evaluate(point) == expected
+        assert p.evaluate(tuple(point)) == expected
+        assert p.evaluate(dict(enumerate(point))) == expected
+        as_ints = [int(v) for v in point]
+        assert p.evaluate(as_ints) == naive_evaluate(p, as_ints)
+        assert type(p.evaluate(as_ints)) is Fraction
+
+
+def test_evaluate_edge_cases():
+    zero = Polynomial.zero(REG)
+    assert zero.evaluate([]) == 0 and type(zero.evaluate([])) is Fraction
+    third = Polynomial.constant(REG, Fraction(1, 3))
+    assert third.evaluate({}) == Fraction(1, 3)
+    # a longer sequence is fine; only the used ids are read
+    assert (X1 * Y1).evaluate([2, 5, 5, Fraction(1, 2), 9]) == 1
+    # a zero coordinate kills every monomial it divides, whatever the others
+    p = X1 ** 3 * X2 + Fraction(1, 7) * X2 ** 2 - 2
+    assert p.evaluate([0, Fraction(7, 2), 0, 0]) == Fraction(7, 4) - 2
+    # values that are neither Fraction nor int are read through Fraction
+    assert p.evaluate(["1/2", 2.0, 0, 0]) == naive_evaluate(p, [Fraction(1, 2), 2, 0, 0])
+    with pytest.raises(MissingAssignmentError, match="x2"):
+        p.evaluate([1])
+    with pytest.raises(MissingAssignmentError, match="x1"):
+        p.evaluate([None, 1, 0, 0])
+    with pytest.raises(MissingAssignmentError, match="x2"):
+        p.evaluate({0: 1, 1: None})
+
+
 def test_float_evaluation_tracks_exact():
     rng = random.Random(5050)
     for _ in range(40):

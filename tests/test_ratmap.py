@@ -224,6 +224,40 @@ def test_denominator_check_positive_and_negative_cases():
     assert bad.witness is not None
 
 
+def test_denominator_check_reports_are_golden():
+    # Sign-indefinite denominators on one- and two-block sphere domains; the
+    # reports, witness included, were recorded before the exact audit
+    # (sampler, point check, evaluation) moved to integer arithmetic.
+    reg = sphere(2).registry
+    x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
+    on_sphere = RationalMap(
+        sphere(2), euclidean(1), [Polynomial.one(reg)], x1 + Fraction(1, 2) * x2 * x3
+    )
+    preg = sphere_product(1).registry
+    y = [Polynomial.variable(preg, i) for i in range(4)]
+    on_product = RationalMap(
+        sphere_product(1), euclidean(1), [Polynomial.one(preg)],
+        y[0] * y[3] - Fraction(1, 3) * y[1],
+    )
+    meridian = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], x1)
+    cases = [
+        (denominator_check(on_sphere, samples=200, seed=3), {
+            "all_positive": False, "samples": 200, "zeros": 0, "negatives": 167,
+            "witness": ["-395079601/399531729", "-58990696/399531729", "7603232/399531729"],
+        }),
+        (denominator_check(on_product, samples=200, seed=5), {
+            "all_positive": False, "samples": 200, "zeros": 0, "negatives": 108,
+            "witness": ["696687/701105", "-78584/701105", "-415521/816929", "-703360/816929"],
+        }),
+        (denominator_check(meridian, samples=200, seed=1, height=4), {
+            "all_positive": False, "samples": 200, "zeros": 5, "negatives": 166,
+            "witness": ["-1/33", "8/33", "-32/33"],
+        }),
+    ]
+    for report, expected in cases:
+        assert report.to_dict() == expected
+
+
 def test_verified_checks_the_codomain_then_the_denominator_signs():
     assert verified(stereo(2), 12, 17, 20) is stereo(2)
 

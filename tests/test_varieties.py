@@ -207,6 +207,96 @@ def test_unitary_relations_are_pinned(family, k):
     assert (len(relations), digest.hexdigest()) == RELATION_DIGESTS[family, k]
 
 
+# One variety per sampler kind; the digests were recorded before the sphere
+# sampler moved to integer arithmetic, so they pin the exact points (and the
+# random draws behind them) of every sampler.
+SAMPLER_KINDS = {
+    "euclidean": euclidean(3),
+    "sphere": sphere(3),
+    "product": sphere_product(2),
+    "cayley-so": special_orthogonal(4),
+    "cayley-u": unitary(2),
+    "cayley-su": special_unitary(2),
+}
+
+# (sampler kind, height, seed): sha256 of the first 50 points of sample_points,
+# one point per line as comma-separated "numerator/denominator".
+SAMPLE_DIGESTS = {
+    ("euclidean", 1000, 0): "f7a73b26b94624ff0aca0ae11a26ccfe936a97036421c14bbdc1505e3bc80451",
+    ("euclidean", 1000, 11): "3d6568fa252d1cc99224111da847e918e5b71cb683f7f2167232fffe48ccc395",
+    ("euclidean", 50, 0): "f82aa90ee192a5b03c09b6b15a8a670b02289ebf8c3560297b6d59f2041caf45",
+    ("euclidean", 50, 11): "7bec3137980c7181fe8354dfaf82eb9433acf906ed2120078d88eca9ba20efff",
+    ("euclidean", 4, 0): "d4c4464e27a3a5c5578f7d3decb8cade98fa82178d871bb6622cb65fa604bd83",
+    ("euclidean", 4, 11): "a43ef245ffaf84e846dd43d00b1a50804e6a68aa14d6b5c19475eaf4a25c975f",
+    ("sphere", 1000, 0): "5e27192e2213f3454ff525dffe03481bda060a44081707e7834fcd96a5b21061",
+    ("sphere", 1000, 11): "986cec4af7467e3b32dc2fcaa1133c6ee77af8e7a5657fa96d2d17a3bcea4125",
+    ("sphere", 50, 0): "7c2e7ef1f4fab1f9cef6ddc1aeecb3b71d5a45bce33d36a0e8a75ce70c5a75cb",
+    ("sphere", 50, 11): "677f78a4449fdbe97606369e90550e61c108508debb12651a081e36d40572ec8",
+    ("sphere", 4, 0): "fad7ac1eeb410495d159bcf4ae1d0a2f2cee3e6b9773f7bdd4e0b28aec5e7c8a",
+    ("sphere", 4, 11): "ddd8dcfec48846b24a915864ce5b17e07a23c523cd4a92a1d0e8c0b158c1adf6",
+    ("product", 1000, 0): "29a60cde345151378ccb9a726aa4b31b00cdc570c6f07666862543c139900dd2",
+    ("product", 1000, 11): "b51b987515c2630ad22724e05bb294cb58b6e7e93a4c641b91cde1cdcab0c2f5",
+    ("product", 50, 0): "8e3cd8940d433d7849dbfe6b0d7f929ebd2d3c5c43cc4e671704ca1beabd3b4c",
+    ("product", 50, 11): "d5f7a5711ceb1b72910300f0c27aa9f185dbfd46d8f9cc2adeab2f16257000ad",
+    ("product", 4, 0): "2977b639bbf7c89e512d094051313f0f9ae054f326a71398e6db4f77af7e2db2",
+    ("product", 4, 11): "22f1dbfaec0aa4f87f6ad2eb673fd0c76ed85483779ec56944dbc051ec27f860",
+    ("cayley-so", 1000, 0): "c778fc4863d162dee2e275f203b843c4a8ba1d1e448d9fcc03ee9acfc55e3172",
+    ("cayley-so", 1000, 11): "b8be6d93deb2e5b5a10d62d757bc226350f56a38eb9a4166523430a6bbb41e21",
+    ("cayley-so", 50, 0): "60843bc37d1f1f05d632081b0f7be3e629f51e4b7c903a004db97515c80ae254",
+    ("cayley-so", 50, 11): "284abcb99f5e693e7ee05a7542c999e4c747ae0fb090ff5be2b49990f5506486",
+    ("cayley-so", 4, 0): "73fb864d8374008f0dcac034d2665a4580b2b50320ded8386200344cb2d2acee",
+    ("cayley-so", 4, 11): "730191b86daad3669a5bf8a4ba0c4a5203ba924d51b14a8933941b55af9946c8",
+    ("cayley-u", 1000, 0): "1d1da5d7ceeb44361208963aa5af43615a1002a68b1a5eb4100678dfb30b3261",
+    ("cayley-u", 1000, 11): "82ae74e00cd29af33db4caa0802cd1f41bb215ec1bdad0be63b338e8efe5553a",
+    ("cayley-u", 50, 0): "8845aef882f2e0587c23970e67f3a2c15f1580f244559ea930df411af79b54c5",
+    ("cayley-u", 50, 11): "acd5fa5dfa01507fa9fa403a090d91e8299308ec38620cb8a74895ac68b82e85",
+    ("cayley-u", 4, 0): "ecc7f2ad3ff670279be207ff3cbcc9fdbe1d48d3ffa4eb2ca86ba9a09b14bf07",
+    ("cayley-u", 4, 11): "6b743c2e113147c0e3db669f17fb97ec0694ee7e11919a6b5bf9fb9a6cd95ee8",
+    ("cayley-su", 1000, 0): "20cea0f93956b9cf224c1a213e27d368b9ef0395141793c7955527e2d63c721d",
+    ("cayley-su", 1000, 11): "0253fbc00a90c5adef68808a918da91aa79218bff455b01e485f72e293cb1569",
+    ("cayley-su", 50, 0): "47770ca0781ef80ffda3c881f87d6c3a4d84e3a6027588b140b44f5c3b05410c",
+    ("cayley-su", 50, 11): "4dcf5ac664aaafab709563a7d8173081ed4b5b8412550f8dfe81b73842bb9a5c",
+    ("cayley-su", 4, 0): "eac36d1f9a7662d8612fabd479373673cb85d89d8bae29778d96c8c12bffdffe",
+    ("cayley-su", 4, 11): "540c2c5e6f58e4a2680351fc98e971c3c59e925325ebe3cfd5b5d22122b7139a",
+}
+
+
+def _points_text(points):
+    return "\n".join(
+        ",".join(f"{c.numerator}/{c.denominator}" for c in p.coords) for p in points
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_KINDS))
+def test_sampled_points_are_pinned(kind):
+    variety = SAMPLER_KINDS[kind]
+    assert variety.sampler == kind
+    for height in (1000, 50, 4):
+        for seed in (0, 11):
+            points = sample_points(variety, 50, seed, height=height)
+            digest = hashlib.sha256(_points_text(points).encode()).hexdigest()
+            assert digest == SAMPLE_DIGESTS[kind, height, seed], (height, seed)
+            assert all(type(c) is Fraction for p in points for c in p.coords)
+
+
+def test_sphere_parameters_may_be_integers():
+    assert sphere_coords_from_parameters([0]) == (Fraction(1), Fraction(0))
+    coords = sphere_coords_from_parameters([2, Fraction(-1, 3)])
+    assert all(type(c) is Fraction for c in coords)
+    assert coords == sphere_coords_from_parameters([Fraction(2), Fraction(-2, 6)])
+    assert sum(c * c for c in coords) == 1
+
+
+def test_point_coordinates_are_fractions_and_every_relation_is_checked():
+    point = PointOnVariety(sphere(1), [0, 1])
+    assert all(type(c) is Fraction for c in point.coords)
+    kept = Fraction(3, 5)
+    assert PointOnVariety(sphere(1), [kept, Fraction(4, 5)]).coords[0] is kept
+    # SO(2) with an orthogonal but reflecting matrix fails only the determinant relation
+    with pytest.raises(PointValidationError):
+        PointOnVariety(special_orthogonal(2), [1, 0, 0, -1])
+
+
 def test_missing_sampler_is_reported():
     bare = Variety("bare", VarRegistry(["t"]), relations=())
     with pytest.raises(NoSamplerError):
