@@ -277,6 +277,14 @@ class Family:
 # 1 s at |d| = 200, 4 s at 400 and 13 s at 800, so the catalog stops at 200.
 ZPOW_MAX_DEGREE = 200
 
+# SO(n) and SU(k) carry det = 1 with n! Leibniz terms; embed-u:k lands in
+# SO(2k).  Builds on a 2-vCPU Xeon: p:8 11 s, s:8 32 s, r:8 39 s (n = 9 has
+# 9 times the det terms; not run), embed-u:4 11 s (k = 5 needs det at n = 10),
+# su-retract:5 4 s and su-retract:6 61 s at 1 GB peak RSS.
+SO_MAX_SIZE = 8
+EMBED_U_MAX_SIZE = 4
+SU_RETRACT_MAX_SIZE = 5
+
 FAMILIES: Dict[str, Family] = {
     "stereo": Family({"stereo:n": "stereographic chart S^n -> R^n"},
                      _params(1), spheres.stereo, _chart_checks),
@@ -298,23 +306,28 @@ FAMILIES: Dict[str, Family] = {
     "antipodal": Family({"antipodal:n": "antipodal self-map of S^n"},
                         _params(1), spheres.antipodal),
     "p": Family({"p:n": "first-column projection SO(n) -> S^{n-1}"},
-                _params(1), groups.first_column, _projection_checks),
+                _params(1), groups.first_column, _projection_checks,
+                max_parameter=SO_MAX_SIZE),
     "s": Family({"s:n": "rational section S^{n-1} -> SO(n)"},
-                _params(1), groups.section_so, _section_checks),
+                _params(1), groups.section_so, _section_checks,
+                max_parameter=SO_MAX_SIZE),
     "p-u": Family({"p-u:k": "first-column projection U(k) -> S^{2k-1}"},
                   _params(1), groups.first_column_u, _projection_u_checks),
     "s-u": Family({"s-u:k": "rational section S^{2k-1} -> U(k)"},
                   _params(1), groups.section_u, _section_u_checks),
     "r": Family({"r:n": "retraction of SO(n) onto the basepoint stabilizer"},
-                _params(1), groups.retract_so, _retract_checks),
+                _params(1), groups.retract_so, _retract_checks,
+                max_parameter=SO_MAX_SIZE),
     "r-u": Family({"r-u:k": "retraction of U(k) onto the basepoint stabilizer"},
                   _params(1), groups.retract_u, _retract_u_checks),
     "chain": Family({"chain:m:k": "iterated retraction SO(m) -> embedded SO(k)"},
                     _params(2), groups.chain_retract, _chain_checks, generic_height=4),
     "su-retract": Family({"su-retract:k": "determinant-correcting retraction U(k) -> SU(k)"},
-                         _params(1), groups.su_retract, _su_retract_checks),
+                         _params(1), groups.su_retract, _su_retract_checks,
+                         max_parameter=SU_RETRACT_MAX_SIZE),
     "embed-u": Family({"embed-u:k": "realification embedding U(k) -> SO(2k)"},
-                      _params(1), groups.embed_u_in_so, _embed_u_checks),
+                      _params(1), groups.embed_u_in_so, _embed_u_checks,
+                      max_parameter=EMBED_U_MAX_SIZE),
     "jmap": Family(
         {
             "jmap:identity:n:k": "join-style map from the constant identity family",

@@ -545,16 +545,11 @@ def j_map(spec: JMapInput) -> RationalMap:
         [transport_polynomial(p, reg, var_map) for p in row] for row in spec.entries
     ]
     ys = [Polynomial.variable(reg, n + 1 + j) for j in range(k)]
-    y_norm = Polynomial.zero(reg)
-    for y in ys:
-        y_norm = y_norm + y * y
+    y_norm = Polynomial.sum(reg, (y * y for y in ys))
     q_squared = scale_t * scale_t
     nums = [q_squared - y_norm]
     for j in range(k):
-        acc = Polynomial.zero(reg)
-        for i in range(k):
-            acc = acc + entries_t[i][j] * ys[i]
-        nums.append(2 * acc)
+        nums.append(2 * Polynomial.sum(reg, (entries_t[i][j] * ys[i] for i in range(k))))
     den = q_squared + y_norm
     label = spec.label or f"j_map_{n}_{k}"
     built = RationalMap(

@@ -10,6 +10,10 @@ Data model
   coefficients, kept in a canonical graded-reverse-lexicographic order
   (highest first) so that equal polynomials have identical iteration
   order and identical serialized bytes.
+* The constructor is the one place where terms combine: it takes a mapping
+  or an iterable of ``(exponents, coefficient)`` pairs, adds repeated
+  monomials, drops zeros and sorts once.  :meth:`Polynomial.sum` adds many
+  polynomials in one such pass instead of a quadratic chain of ``+``.
 * A complex polynomial in real variables is a :class:`ComplexPolynomial`,
   the pair ``(re, im)`` of its real and imaginary parts.  Complex
   quantities only occur while constructing maps into the circle and the
@@ -30,7 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
@@ -109,14 +115,18 @@ class Polynomial:
 
     __slots__ = ("registry", "terms", "_evaluation_scalars")
 
-    def __init__(self, registry: VarRegistry, terms: Mapping[tuple, Fraction]):
-        cleaned = {exps: coeff for exps, coeff in terms.items() if coeff != 0}
-        ordered = {
-            exps: cleaned[exps]
-            for exps in sorted(cleaned, key=_grevlex_key, reverse=True)
-        }
+    def __init__(self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]]):
+        """``terms`` is a mapping or an iterable of ``(exponents, coefficient)``
+        pairs.  Repeated monomials are added, zero coefficients dropped and
+        the result put in canonical order: every sum of terms is made here."""
+        combined: dict = {}
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            prev = combined.get(exps)
+            combined[exps] = coeff if prev is None else prev + coeff
+        nonzero = (exps for exps, coeff in combined.items() if coeff != 0)
+        ordered = sorted(nonzero, key=_grevlex_key, reverse=True)
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "terms", {exps: combined[exps] for exps in ordered})
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -142,6 +152,12 @@ class Polynomial:
     @staticmethod
     def one(registry: VarRegistry) -> "Polynomial":
         return Polynomial.constant(registry, 1)
+
+    @staticmethod
+    def sum(registry: VarRegistry, polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of ``polys``, all over ``registry``, built in one pass."""
+        checked = (_check_registry(registry, p).terms.items() for p in polys)
+        return Polynomial(registry, chain.from_iterable(checked))
 
     # -- inspection ------------------------------------------------------
 
@@ -178,9 +194,6 @@ class Polynomial:
         object.__setattr__(self, "_evaluation_scalars", scalars)
         return scalars
 
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -189,25 +202,15 @@ class Polynomial:
 
     # -- ring operations --------------------------------------------------
 
-    def _check_registry(self, other: "Polynomial") -> None:
-        if self.registry != other.registry:
-            raise RegistryMismatchError(
-                f"operands use different registries: "
-                f"{self.registry.names} vs {other.registry.names}"
-            )
-
     def __add__(self, other: object) -> "Polynomial":
-        other = self._coerce(other)
-        self._check_registry(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.registry, acc)
+        return Polynomial.sum(self.registry, (self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = _check_registry(self.registry, self._coerce(other))
+        negated = ((e, -c) for e, c in other.terms.items())
+        return Polynomial(self.registry, chain(self.terms.items(), negated))
 
     def __rsub__(self, other: object) -> "Polynomial":
         return self._coerce(other) - self
@@ -220,14 +223,13 @@ class Polynomial:
             return Polynomial(self.registry, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_registry(other)
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prev = acc.get(key)
-                acc[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial(self.registry, acc)
+        _check_registry(self.registry, other)
+        products = (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return Polynomial(self.registry, products)
 
     __rmul__ = __mul__
 
@@ -265,14 +267,12 @@ class Polynomial:
         var_id = self.registry.id(var) if isinstance(var, str) else var
         if not 0 <= var_id < self.registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
-        acc: dict = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var_id]
-            if e == 0:
-                continue
-            key = exps[:var_id] + (e - 1,) + exps[var_id + 1 :]
-            acc[key] = acc.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.registry, acc)
+        derivatives = (
+            (exps[:var_id] + (exps[var_id] - 1,) + exps[var_id + 1 :], coeff * exps[var_id])
+            for exps, coeff in self.terms.items()
+            if exps[var_id]
+        )
+        return Polynomial(self.registry, derivatives)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -386,20 +386,29 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def _check_registry(registry: VarRegistry, p: Polynomial) -> Polynomial:
+    """``p``, after checking that it lives over ``registry``."""
+    if p.registry != registry:
+        raise RegistryMismatchError(
+            f"operands use different registries: {registry.names} vs {p.registry.names}"
+        )
+    return p
+
+
 def transport_polynomial(
     p: Polynomial, new_registry: VarRegistry, var_map: Sequence[int]
 ) -> Polynomial:
     """Rewrite ``p`` over ``new_registry``, sending old variable id ``i``
     to new id ``var_map[i]``."""
-    terms: dict = {}
-    for exps, coeff in p.terms.items():
+
+    def moved(exps: tuple) -> tuple:
         out = [0] * new_registry.size
         for i, e in enumerate(exps):
             if e:
                 out[var_map[i]] += e
-        key = tuple(out)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(new_registry, terms)
+        return tuple(out)
+
+    return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()))
 
 
 class ComplexPolynomial(NamedTuple):
@@ -413,6 +422,21 @@ class ComplexPolynomial(NamedTuple):
 
     re: Polynomial
     im: Polynomial
+
+    @property
+    def registry(self) -> VarRegistry:
+        return self.re.registry
+
+    @staticmethod
+    def sum(
+        registry: VarRegistry, pairs: Iterable["ComplexPolynomial"]
+    ) -> "ComplexPolynomial":
+        """The sum of ``pairs``, all over ``registry``: one sum per part."""
+        pairs = list(pairs)
+        return ComplexPolynomial(
+            Polynomial.sum(registry, (z.re for z in pairs)),
+            Polynomial.sum(registry, (z.im for z in pairs)),
+        )
 
     def __add__(self, other: object) -> "ComplexPolynomial":
         if not isinstance(other, ComplexPolynomial):
@@ -478,17 +502,13 @@ class SphereBlock:
 
     def relation(self, registry: VarRegistry) -> Polynomial:
         """The defining polynomial `v1^2 + ... + vm^2 - 1`."""
-        acc = Polynomial.constant(registry, -1)
-        for v in self.variable_ids:
-            acc = acc + Polynomial.variable(registry, v) ** 2
-        return acc
+        squares = (Polynomial.variable(registry, v) ** 2 for v in self.variable_ids)
+        return Polynomial.sum(registry, squares) - 1
 
     def substitute_polynomial(self, registry: VarRegistry) -> Polynomial:
         """`1 - v1^2 - ... - v(m-1)^2`, the replacement for `v_last^2`."""
-        acc = Polynomial.one(registry)
-        for v in self.variable_ids[:-1]:
-            acc = acc - Polynomial.variable(registry, v) ** 2
-        return acc
+        squares = (Polynomial.variable(registry, v) ** 2 for v in self.variable_ids[:-1])
+        return 1 - Polynomial.sum(registry, squares)
 
 
 def check_blocks_disjoint(blocks: Sequence[SphereBlock]) -> None:
@@ -519,28 +539,24 @@ def normal_form(p: Polynomial, blocks: Sequence[SphereBlock]) -> Polynomial:
 
 def _reduce_one_block(p: Polynomial, block: SphereBlock) -> Polynomial:
     target = block.eliminated
-    needs_work = any(exps[target] >= 2 for exps in p.terms)
-    if not needs_work:
+    if not any(exps[target] >= 2 for exps in p.terms):
         return p
     substitute = block.substitute_polynomial(p.registry)
-    sub_powers: dict = {0: Polynomial.one(p.registry)}
+    sub_powers = [Polynomial.one(p.registry)]
 
-    def sub_power(k: int) -> Polynomial:
-        if k not in sub_powers:
-            sub_powers[k] = sub_power(k - 1) * substitute
-        return sub_powers[k]
+    def rewritten():
+        for exps, coeff in p.terms.items():
+            e = exps[target]
+            if e < 2:
+                yield exps, coeff
+                continue
+            while len(sub_powers) <= e // 2:
+                sub_powers.append(sub_powers[-1] * substitute)
+            base = exps[:target] + (e % 2,) + exps[target + 1 :]
+            for sub_exps, sub_coeff in sub_powers[e // 2].terms.items():
+                yield tuple(map(add, base, sub_exps)), coeff * sub_coeff
 
-    acc = Polynomial.zero(p.registry)
-    plain: dict = {}
-    for exps, coeff in p.terms.items():
-        e = exps[target]
-        if e < 2:
-            plain[exps] = plain.get(exps, Fraction(0)) + coeff
-            continue
-        reduced_exps = exps[:target] + (e % 2,) + exps[target + 1 :]
-        base = Polynomial(p.registry, {reduced_exps: coeff})
-        acc = acc + base * sub_power(e // 2)
-    return acc + Polynomial(p.registry, plain)
+    return Polynomial(p.registry, rewritten())
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +583,7 @@ def polynomial_to_obj(p: Polynomial) -> list:
 
 
 def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
-    terms: dict = {}
-    for item in obj:
+    def term(item: Mapping) -> tuple:
         coeff = _fraction_from_str(item["c"])
         exps = [0] * registry.size
         for pair in item["m"]:
@@ -578,9 +593,9 @@ def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
             if e <= 0:
                 raise ValueError("serialized exponents must be positive")
             exps[var_id] = e
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(registry, terms)
+        return tuple(exps), coeff
+
+    return Polynomial(registry, (term(item) for item in obj))
 
 
 def polynomial_to_json(p: Polynomial) -> str:

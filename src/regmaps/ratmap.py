@@ -6,10 +6,10 @@ variable registry.  Maps are normalized on construction:
 
 * every polynomial is reduced to its normal form modulo the domain's
   sphere blocks (when the domain has any),
-* the tuple is scaled by the rational content so coefficients are
-  coprime integers overall, and
-* the sign is fixed so the denominator's leading coefficient is
-  positive.
+* the tuple is scaled by the positive reciprocal of its rational
+  content, so the coefficients are coprime integers overall.  The sign
+  is kept: a denominator built positive stays positive, though its
+  leading coefficient may be negative (``oplus:2`` leads with -1).
 
 Together with the canonical term order this makes structural equality
 (`same numerators, same denominator`) meaningful: two maps constructed
@@ -32,9 +32,10 @@ polynomials again, no division needed.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import GaussianRational
@@ -42,6 +43,8 @@ from .polynomial import (
     ComplexPolynomial,
     Polynomial,
     normal_form,
+    polynomial_from_obj,
+    polynomial_to_obj,
 )
 from .varieties import (
     PointOnVariety,
@@ -232,18 +235,11 @@ class MatrixMap(RationalMap):
 def _normalize_content(
     nums: List[Polynomial], den: Polynomial
 ) -> Tuple[List[Polynomial], Polynomial]:
-    # Scale by the (positive) reciprocal of the rational content so that
-    # coefficients are integers with overall gcd one.  The sign is never
-    # touched: denominators keep the sign the constructor gave them, so a
-    # documented positive denominator stays positive.
-    coeffs: List[Fraction] = []
-    for p in nums + [den]:
-        coeffs.extend(p.terms.values())
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    # Scale by the positive reciprocal of the rational content, so the
+    # coefficients become integers with overall gcd one; the sign is kept.
+    coeffs = [c for p in nums + [den] for c in p.terms.values()]
+    num_gcd = gcd(*[c.numerator for c in coeffs])
+    den_lcm = lcm(*[c.denominator for c in coeffs])
     scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
     if scale != 1:
         nums = [p * scale for p in nums]
@@ -274,29 +270,25 @@ def substitute_cleared(
         raise ValueError("clearing degree is smaller than the source degree")
     target = denominator.registry
     image_powers: dict = {}
-    den_powers: dict = {0: Polynomial.one(target)}
+    den_powers = [Polynomial.one(target)]
 
-    def den_power(k: int) -> Polynomial:
-        if k not in den_powers:
-            den_powers[k] = den_power(k - 1) * denominator
-        return den_powers[k]
-
-    acc = Polynomial.zero(target)
-    for exps, coeff in source.terms.items():
+    def cleared_term(exps: tuple, coeff: Fraction) -> Polynomial:
         term = Polynomial.constant(target, coeff)
-        mono_degree = 0
         for i, e in enumerate(exps):
             if e == 0:
                 continue
-            mono_degree += e
             key = (i, e)
             p = image_powers.get(key)
             if p is None:
                 p = images[i] ** e
                 image_powers[key] = p
             term = term * p
-        acc = acc + term * den_power(degree - mono_degree)
-    return acc
+        k = degree - sum(exps)
+        while len(den_powers) <= k:
+            den_powers.append(den_powers[-1] * denominator)
+        return term * den_powers[k]
+
+    return Polynomial.sum(target, (cleared_term(e, c) for e, c in source.terms.items()))
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
@@ -650,17 +642,16 @@ def matrix_multiply(
             target = a.codomain
         else:
             raise VarietyMismatchError("product of mismatched shapes needs a codomain")
+    summed = ComplexPolynomial.sum if a.complex_entries else Polynomial.sum
     nums: List[Polynomial] = []
     for i in range(a.rows):
         for j in range(b.cols):
-            # Real entries are polynomials, complex ones ComplexPolynomial pairs.
-            acc = a.entry(i, 0) * b.entry(0, j)
-            for k in range(1, a.cols):
-                acc = acc + a.entry(i, k) * b.entry(k, j)  # type: ignore[operator]
+            products = (a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+            entry = summed(a.domain.registry, products)  # type: ignore[arg-type]
             if a.complex_entries:
-                nums.extend(acc)
+                nums.extend(entry)
             else:
-                nums.append(acc)
+                nums.append(entry)
     return MatrixMap(
         a.domain,
         target,
@@ -692,9 +683,6 @@ def identity_matrix_map(group: Variety, size: int, complex_entries: bool = False
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-from .polynomial import polynomial_from_obj, polynomial_to_obj  # noqa: E402
-
 
 def map_to_obj(m: RationalMap) -> dict:
     out = {
@@ -751,8 +739,6 @@ def map_from_json(text: str, resolve: Optional[Callable[[str], Variety]] = None)
 
 def variety_by_name(name: str) -> Variety:
     """Resolve the built-in variety families by their canonical names."""
-    import re as _re
-
     for pattern, build in (
         (r"^S(\d+)xS(\d+)$", None),
         (r"^S(\d+)$", _varieties.sphere),
@@ -761,7 +747,7 @@ def variety_by_name(name: str) -> Variety:
         (r"^SU(\d+)$", _varieties.special_unitary),
         (r"^U(\d+)$", _varieties.unitary),
     ):
-        match = _re.match(pattern, name)
+        match = re.match(pattern, name)
         if not match:
             continue
         if build is None:

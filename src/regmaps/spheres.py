@@ -61,9 +61,7 @@ def stereo_inv(n: int) -> RationalMap:
         raise ValueError("need n >= 1")
     dom = euclidean(n)
     reg = dom.registry
-    norm = Polynomial.zero(reg)
-    for i in range(n):
-        norm = norm + Polynomial.variable(reg, i) ** 2
+    norm = Polynomial.sum(reg, (Polynomial.variable(reg, i) ** 2 for i in range(n)))
     den = Polynomial.one(reg) + norm
     nums = [Polynomial.one(reg) - norm]
     nums += [2 * Polynomial.variable(reg, i) for i in range(n)]
@@ -84,9 +82,7 @@ def oplus(n: int) -> RationalMap:
     x = [Polynomial.variable(reg, i) for i in range(m)]
     y = [Polynomial.variable(reg, m + i) for i in range(m)]
     one = Polynomial.one(reg)
-    cross = Polynomial.zero(reg)
-    for j in range(1, m):
-        cross = cross + x[j] * y[j]
+    cross = Polynomial.sum(reg, (x[j] * y[j] for j in range(1, m)))
     product_term = (one + x[0]) * (one + y[0])
     den = product_term + 2 * one - 2 * x[0] * y[0] + 2 * cross
     nums = [product_term - 2 * one + 2 * x[0] * y[0] - 2 * cross]
@@ -170,13 +166,9 @@ def chart_sum_identity_residual(n: int) -> Polynomial:
     x = [Polynomial.variable(reg, i) for i in range(m)]
     y = [Polynomial.variable(reg, m + i) for i in range(m)]
     one = Polynomial.one(reg)
-    lhs = Polynomial.zero(reg)
-    for j in range(1, m):
-        u = x[j] * (one + y[0]) + y[j] * (one + x[0])
-        lhs = lhs + u * u
-    cross = Polynomial.zero(reg)
-    for j in range(1, m):
-        cross = cross + x[j] * y[j]
+    u = [x[j] * (one + y[0]) + y[j] * (one + x[0]) for j in range(1, m)]
+    lhs = Polynomial.sum(reg, (u_i * u_i for u_i in u))
+    cross = Polynomial.sum(reg, (x[j] * y[j] for j in range(1, m)))
     rhs = (2 * one - 2 * x[0] * y[0] + 2 * cross) * (one + x[0]) * (one + y[0])
     return normal_form(lhs - rhs, dom.blocks)
 

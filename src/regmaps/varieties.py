@@ -179,33 +179,34 @@ def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
     """Leibniz-formula determinant of a small matrix of polynomials, real
     or :class:`~regmaps.polynomial.ComplexPolynomial` pairs alike."""
     n = len(entries)
-    acc = None
-    for perm in itertools.permutations(range(n)):
+
+    def signed_product(perm: tuple) -> _Entry:
         term = entries[0][perm[0]]
         for i in range(1, n):
             term = term * entries[i][perm[i]]
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        if inversions % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+        return -term if inversions % 2 else term
+
+    first = entries[0][0]
+    terms = map(signed_product, itertools.permutations(range(n)))
+    # Polynomial.sum or ComplexPolynomial.sum, as the entries are.
+    return type(first).sum(first.registry, terms)
 
 
 def _gram_relations(entries: Sequence[Sequence[_Entry]], conjugate: bool) -> List[Polynomial]:
     """Entries of M* M - I and M M* - I (upper triangle, realified)."""
     n = len(entries)
+    summed = ComplexPolynomial.sum if conjugate else Polynomial.sum
     out: List[Polynomial] = []
     for left_conj in (True, False):
         for i in range(n):
             for j in range(i, n):
-                products = []
-                for m in range(n):
-                    if left_conj:
-                        a, b = entries[m][i], entries[m][j]
-                    else:
-                        a, b = entries[i][m], entries[j][m]
-                    products.append((a.conjugate() if conjugate else a) * b)
-                acc = sum(products[1:], products[0])
+                if left_conj:
+                    pairs = ((entries[m][i], entries[m][j]) for m in range(n))
+                else:
+                    pairs = ((entries[i][m], entries[j][m]) for m in range(n))
+                products = ((a.conjugate() if conjugate else a) * b for a, b in pairs)
+                acc = summed(entries[0][0].registry, products)
                 if not conjugate:
                     out.append(acc - 1 if i == j else acc)
                     continue
@@ -412,12 +413,13 @@ def _sample_coords(variety: Variety, rng: random.Random, height: int) -> List[Fr
 
 
 def sample_point(
-    variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT, check: bool = True
+    variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> PointOnVariety:
-    """Deterministic exact rational point on the variety."""
+    """Deterministic exact rational point on the variety, validated against
+    every relation."""
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
     coords = _sample_coords(variety, rng, height)
-    return PointOnVariety(variety, coords, check=check)
+    return PointOnVariety(variety, coords)
 
 
 def sample_points(
@@ -426,10 +428,6 @@ def sample_points(
     seed: int = 0,
     *,
     height: int = DEFAULT_HEIGHT,
-    check: bool = True,
 ) -> List[PointOnVariety]:
     """``count`` independent samples; sample ``i`` depends only on ``(seed, i)``."""
-    return [
-        sample_point(variety, seed * 1_000_003 + i, height=height, check=check)
-        for i in range(count)
-    ]
+    return [sample_point(variety, seed * 1_000_003 + i, height=height) for i in range(count)]

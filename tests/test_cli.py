@@ -11,6 +11,7 @@ from regmaps.groups import jmap_double_rotation, jmap_input_to_obj
 from regmaps.ratmap import map_from_obj
 from regmaps.spheres import circle_power
 from regmaps.topology import winding
+from regmaps.varieties import special_orthogonal
 
 
 def run(capsys, argv):
@@ -313,6 +314,22 @@ def test_circle_power_degree_is_bounded(capsys):
         assert f"bounded by {bound}" in err
     assert circle_power.cache_info().currsize == built  # refused before any build
     assert catalog._parse(f"zpow:{-bound}")[1] == [-bound]  # the bound itself is allowed
+
+
+def test_factorial_cost_families_are_bounded(capsys):
+    built = special_orthogonal.cache_info().currsize
+    for argv, bound in (
+        (["build", "p:12"], catalog.SO_MAX_SIZE),
+        (["build", "embed-u:6"], catalog.EMBED_U_MAX_SIZE),
+        (["build", f"s:{catalog.SO_MAX_SIZE + 1}"], catalog.SO_MAX_SIZE),
+        (["verify", f"r:{catalog.SO_MAX_SIZE + 1}"], catalog.SO_MAX_SIZE),
+        (["build", f"su-retract:{catalog.SU_RETRACT_MAX_SIZE + 1}"], catalog.SU_RETRACT_MAX_SIZE),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"bounded by {bound}" in err
+    assert special_orthogonal.cache_info().currsize == built  # refused before any build
+    assert catalog._parse(f"p:{catalog.SO_MAX_SIZE}")[1] == [catalog.SO_MAX_SIZE]
 
 
 def test_unknown_verbs_exit_through_argparse(capsys):

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
-class is referenced somewhere in the package, and no code skips the
-relation check of a point except where the point is valid by construction."""
+class is referenced somewhere in the package, no code skips the relation
+check of a point except where the point is valid by construction, and no
+sum of polynomials is folded by hand."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,122 @@ def test_points_are_validated_outside_the_allow_list():
     ]
     assert [call[:2] for call in found if call[:2] not in UNCHECKED_POINTS_ALLOWED] == []
     assert {call[:2] for call in found} == UNCHECKED_POINTS_ALLOWED
+
+
+# Modules whose loops fold scalars, never polynomials: ``linalg`` sums exact
+# matrix entries, ``topology`` sums float arrays in place.
+SCALAR_FOLDS_ALLOWED = {"linalg.py", "topology.py"}
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of ``scope`` outside any function, lambda or class in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(nodes):
+    """(line, name, value) of each assignment of a value to a name."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield node.lineno, target.id, node.value
+
+
+def _rebound_by_sum(node):
+    """The name that ``node`` rebinds as ``name += …``, ``name -= …`` or
+    ``name = …`` with ``name ± …`` in the new value, else None."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+        target = node.target
+        return target.id if isinstance(target, ast.Name) else None
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return None
+    target = node.targets[0]
+    if isinstance(target, ast.Name) and any(
+        isinstance(inner, ast.BinOp)
+        and isinstance(inner.op, (ast.Add, ast.Sub))
+        and isinstance(inner.left, ast.Name)
+        and inner.left.id == target.id
+        for inner in ast.walk(node.value)
+    ):
+        return target.id
+    return None
+
+
+def hand_rolled_folds(source: str):
+    """(line, name) of each hand-rolled sum: a name bound before a loop and
+    rebound inside it by ``name = name ± …``, ``name += …`` or ``name -= …``,
+    and each ``sum()`` call given a start value (named ``"sum"``).  A name
+    last bound before the loop to a number literal is a counter or a scalar
+    total, not a fold of polynomials, and is not reported."""
+    tree = ast.parse(source)
+    found = set()
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]
+    for scope in scopes:
+        nodes = list(_own_nodes(scope))
+        bindings = list(_bindings(nodes))
+        for loop in (n for n in nodes if isinstance(n, _LOOPS)):
+            for node in _own_nodes(loop):
+                name = _rebound_by_sum(node)
+                before = [(line, value) for line, bound, value in bindings
+                          if bound == name and line < loop.lineno]
+                if not before:
+                    continue
+                value = max(before, key=lambda b: b[0])[1]
+                if not (isinstance(value, ast.Constant) and isinstance(value.value, (int, float))):
+                    found.add((node.lineno, name))
+        for node in nodes:
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                and (len(node.args) > 1 or any(kw.arg == "start" for kw in node.keywords))
+            ):
+                found.add((node.lineno, "sum"))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_hand_rolled_fold():
+    source = (
+        "def folds(polys, reg, zero):\n"
+        "    acc = Polynomial.zero(reg)\n"
+        "    for p in polys:\n"
+        "        acc = acc + p\n"
+        "    total: object = None\n"
+        "    while polys:\n"
+        "        for q in polys.pop():\n"
+        "            total = q if total is None else total - q\n"
+        "            acc -= q\n"
+        "    return sum(polys, acc), sum(polys, start=zero)\n"
+        "def fine(polys, reg):\n"
+        "    count = 0\n"
+        "    for p in polys:\n"
+        "        count += 1\n"
+        "        term = p\n"
+        "        term = term + p\n"
+        "        term = p - term\n"
+        "    return Polynomial.sum(reg, polys), sum(len(p) for p in polys)\n"
+    )
+    assert hand_rolled_folds(source) == [(4, "acc"), (8, "total"), (9, "acc"), (10, "sum")]
+
+
+def test_polynomial_sums_go_through_one_accumulator():
+    found = {
+        path.name: hand_rolled_folds(path.read_text(encoding="utf-8")) for path in PACKAGE
+    }
+    assert {name: f for name, f in found.items() if f and name not in SCALAR_FOLDS_ALLOWED} == {}
+    # A stale allow-list entry fails too.
+    assert {name for name in SCALAR_FOLDS_ALLOWED if found[name]} == SCALAR_FOLDS_ALLOWED

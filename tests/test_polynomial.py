@@ -99,6 +99,64 @@ def test_power_matches_repeated_multiplication():
         q = q * p
 
 
+# ---------------------------------------------------------------------------
+# accumulation: the constructor adds repeated monomials, ``sum`` feeds it
+# ---------------------------------------------------------------------------
+
+
+def test_constructor_adds_repeated_pairs():
+    e, f = (1, 0, 0, 0), (0, 2, 0, 0)
+    pairs = [(e, Fraction(1, 2)), (f, Fraction(3)), (e, Fraction(1, 3)), (f, Fraction(-3))]
+    p = Polynomial(REG, pairs)
+    assert p.terms == {e: Fraction(5, 6)}
+    assert p == Polynomial(REG, iter(pairs)) == Fraction(5, 6) * X1
+    assert Polynomial(REG, ((e, Fraction(1)) for _ in range(4))) == 4 * X1
+    assert Polynomial(REG, [(e, Fraction(2)), (e, Fraction(-2))]).is_zero()
+    shuffled = list((X1 + X2**2 + X3 * Y1 + 1).terms.items())[::-1]
+    assert list(Polynomial(REG, shuffled).terms) == list((X1 + X2**2 + X3 * Y1 + 1).terms)
+
+
+def test_sum_matches_a_left_fold_of_addition():
+    rng = random.Random(606)
+    for _ in range(60):
+        polys = [random_poly(rng) for _ in range(rng.randrange(7))]
+        folded = Polynomial.zero(REG)
+        for p in polys:
+            folded = folded + p
+        total = Polynomial.sum(REG, (p for p in polys))
+        assert total == folded
+        assert list(total.terms.items()) == list(folded.terms.items())
+    p = X1 * X2 - Fraction(3, 7) * Y1**2 + 2
+    assert Polynomial.sum(REG, (q for q in (p, -p, 2 * p, -2 * p))).is_zero()
+    assert Polynomial.sum(REG, iter(())) == Polynomial.zero(REG)
+
+
+def test_sum_rejects_a_summand_over_another_registry():
+    other = VarRegistry(["a", "b"])
+    with pytest.raises(RegistryMismatchError):
+        Polynomial.sum(REG, (q for q in (X1, Polynomial.variable(other, "a"))))
+    with pytest.raises(RegistryMismatchError):
+        Polynomial.sum(other, [X1])
+
+
+def test_complex_sum_matches_its_fold():
+    rng = random.Random(707)
+    zero = ComplexPolynomial(Polynomial.zero(REG), Polynomial.zero(REG))
+    for _ in range(30):
+        pairs = [
+            ComplexPolynomial(random_poly(rng), random_poly(rng))
+            for _ in range(rng.randrange(6))
+        ]
+        folded = zero
+        for z in pairs:
+            folded = folded + z
+        assert ComplexPolynomial.sum(REG, (z for z in pairs)) == folded
+    assert ComplexPolynomial.sum(REG, iter(())) == zero
+    with pytest.raises(RegistryMismatchError):
+        other = Polynomial.zero(VarRegistry(["a"]))
+        ComplexPolynomial.sum(REG, [ComplexPolynomial(X1, X2), ComplexPolynomial(other, other)])
+
+
 def test_registry_mismatch_rejected():
     other = VarRegistry(["x1", "x2"])
     with pytest.raises(RegistryMismatchError):

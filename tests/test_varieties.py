@@ -15,6 +15,8 @@ from regmaps.varieties import (
     Variety,
     _cayley_orthogonal,
     euclidean,
+    matrix_entry_polys,
+    poly_matrix_determinant,
     sample_point,
     sample_points,
     special_orthogonal,
@@ -295,6 +297,17 @@ def test_point_coordinates_are_fractions_and_every_relation_is_checked():
     # SO(2) with an orthogonal but reflecting matrix fails only the determinant relation
     with pytest.raises(PointValidationError):
         PointOnVariety(special_orthogonal(2), [1, 0, 0, -1])
+
+
+def test_generic_determinant_has_every_permutation_term():
+    n = 7
+    reg = VarRegistry(f"g{i}{j}" for i in range(n) for j in range(n))
+    det = poly_matrix_determinant(matrix_entry_polys(reg, n))
+    assert len(det) == 5040
+    assert {abs(c) for c in det.terms.values()} == {1}
+    rng = random.Random(49)
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+    assert det.evaluate([x for row in m for x in row]) == determinant(m)
 
 
 def test_missing_sampler_is_reported():
