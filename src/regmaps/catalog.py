@@ -16,13 +16,14 @@ follow from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import groups, spheres, topology
 from .ratmap import (
     RationalMap,
+    Verdict,
     compose,
     constant_map,
     denominator_check,
@@ -40,24 +41,6 @@ from .varieties import (
 
 class UnknownMapError(ValueError):
     """Raised when a catalog name does not resolve to a map."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    info: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "info": self.info}
-
-
-def _check(name: str, report) -> CheckResult:
-    return CheckResult(name=name, passed=report.passed, info=report.to_dict())
-
-
-def _exact(name: str, passed: bool, **info) -> CheckResult:
-    return CheckResult(name=name, passed=passed, info=dict(info))
 
 
 # Parameter parsers: (parameters after the prefix, full name) -> arguments.
@@ -106,16 +89,18 @@ def _jmap_spec(rest: List[str], name: str) -> list:
 # Family checks: (map, *parsed arguments, trials=, samples=, seed=) -> checks.
 
 
-def _chart_checks(m, n, **_) -> List[CheckResult]:
+def _chart_checks(m, n, **_) -> List[Verdict]:
     on_sphere = compose(spheres.stereo_inv(n), spheres.stereo(n))
     on_plane = compose(spheres.stereo(n), spheres.stereo_inv(n))
+    sphere_round_trip = equal_symbolic(on_sphere, spheres.sphere_identity(n))
+    plane_round_trip = equal_symbolic(on_plane, identity_map(euclidean(n)))
     return [
-        _check("round-trip-on-sphere", equal_symbolic(on_sphere, spheres.sphere_identity(n))),
-        _check("round-trip-on-plane", equal_symbolic(on_plane, identity_map(euclidean(n)))),
+        replace(sphere_round_trip, name="round-trip-on-sphere"),
+        replace(plane_round_trip, name="round-trip-on-plane"),
     ]
 
 
-def _oplus_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
+def _oplus_checks(m, n, *, trials, seed, **_) -> List[Verdict]:
     ok_left = True
     ok_anti = True
     e = spheres.basepoint(n)
@@ -125,74 +110,91 @@ def _oplus_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
         ok_left = ok_left and tuple(left) == point.coords
         anti = m.evaluate_raw(list(point.coords) + minus_e)
         ok_anti = ok_anti and tuple(anti) == tuple(minus_e)
+    via_charts = spheres.oplus_via_charts(n)
     return [
-        _check("matches-chart-route-symbolic", equal_symbolic(m, spheres.oplus_via_charts(n))),
-        _check(
-            "matches-chart-route-sampled",
-            equal_mod(m, spheres.oplus_via_charts(n), trials=trials, seed=seed),
+        replace(equal_symbolic(m, via_charts), name="matches-chart-route-symbolic"),
+        replace(
+            equal_mod(m, via_charts, trials=trials, seed=seed),
+            name="matches-chart-route-sampled",
         ),
-        _exact(
-            "defining-identity-reduces-to-zero",
-            spheres.chart_sum_identity_residual(n).is_zero(),
+        Verdict(
+            "symbolic", spheres.chart_sum_identity_residual(n).is_zero(), {},
+            name="defining-identity-reduces-to-zero",
         ),
-        _exact("basepoint-is-left-unit", ok_left, trials=trials),
-        _exact("antipode-absorbs", ok_anti, trials=trials),
+        Verdict("sampling", ok_left, {"trials": trials}, name="basepoint-is-left-unit"),
+        Verdict("sampling", ok_anti, {"trials": trials}, name="antipode-absorbs"),
     ]
 
 
-def _involution_checks(m, n, j, **_) -> List[CheckResult]:
-    return [_check("involution", equal_symbolic(compose(m, m), spheres.sphere_identity(n)))]
+def _involution_checks(m, n, j, **_) -> List[Verdict]:
+    return [replace(equal_symbolic(compose(m, m), spheres.sphere_identity(n)), name="involution")]
 
 
-def _phi_checks(m, k, **_) -> List[CheckResult]:
+def _phi_checks(m, k, **_) -> List[Verdict]:
     e = spheres.basepoint(k)
     equator = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1)
+    antipode = tuple([Fraction(-1)] + [Fraction(0)] * k)
     return [
-        _exact("matches-chart-route-structurally", m == spheres.phi_double_via_chart(k)),
-        _exact("fixes-basepoint", m.evaluate(e) == e),
-        _exact(
-            "equator-to-antipode",
-            tuple(m.evaluate_raw(equator)) == tuple([Fraction(-1)] + [Fraction(0)] * k),
+        Verdict(
+            "symbolic", m == spheres.phi_double_via_chart(k), {},
+            name="matches-chart-route-structurally",
+        ),
+        Verdict("exact-evaluation", m.evaluate(e) == e, {}, name="fixes-basepoint"),
+        Verdict(
+            "exact-evaluation", tuple(m.evaluate_raw(equator)) == antipode, {},
+            name="equator-to-antipode",
         ),
     ]
 
 
-def _winding_checks(m, d, **_) -> List[CheckResult]:
-    return [_exact("winding-equals-exponent", topology.winding(m) == d, expected=d)]
+def _winding_checks(m, d, **_) -> List[Verdict]:
+    # winding rounds a float angle sum: an estimate, not an exact count.
+    return [
+        Verdict(
+            "float-estimate", topology.winding(m) == d, {"expected": d},
+            name="winding-equals-exponent",
+        )
+    ]
 
 
-def _round_trip(project, section, sphere_dim: int) -> CheckResult:
-    return _check(
-        "projection-after-section-is-identity",
+def _round_trip(project, section, sphere_dim: int) -> Verdict:
+    return replace(
         equal_symbolic(compose(project, section), spheres.sphere_identity(sphere_dim)),
+        name="projection-after-section-is-identity",
     )
 
 
-def _projection_checks(m, n, **_) -> List[CheckResult]:
+def _at_identity(section, sphere_dim: int, identity) -> Verdict:
+    image = section.evaluate(spheres.basepoint(sphere_dim))
+    return Verdict(
+        "exact-evaluation", image.coords == identity.coords, {},
+        name="basepoint-to-identity-matrix",
+    )
+
+
+def _projection_checks(m, n, **_) -> List[Verdict]:
     return [_round_trip(groups.first_column(n), groups.section_so(n), n - 1)]
 
 
-def _section_checks(m, n, **_) -> List[CheckResult]:
-    image = groups.section_so(n).evaluate(spheres.basepoint(n - 1))
-    at_identity = image.coords == groups.orthogonal_identity(n).coords
-    return _projection_checks(m, n) + [_exact("basepoint-to-identity-matrix", at_identity)]
+def _section_checks(m, n, **_) -> List[Verdict]:
+    at_identity = _at_identity(groups.section_so(n), n - 1, groups.orthogonal_identity(n))
+    return _projection_checks(m, n) + [at_identity]
 
 
-def _projection_u_checks(m, k, **_) -> List[CheckResult]:
+def _projection_u_checks(m, k, **_) -> List[Verdict]:
     return [_round_trip(groups.first_column_u(k), groups.section_u(k), 2 * k - 1)]
 
 
-def _section_u_checks(m, k, **_) -> List[CheckResult]:
-    image = groups.section_u(k).evaluate(spheres.basepoint(2 * k - 1))
-    at_identity = image.coords == groups.unitary_identity(k).coords
-    return _projection_u_checks(m, k) + [_exact("basepoint-to-identity-matrix", at_identity)]
+def _section_u_checks(m, k, **_) -> List[Verdict]:
+    at_identity = _at_identity(groups.section_u(k), 2 * k - 1, groups.unitary_identity(k))
+    return _projection_u_checks(m, k) + [at_identity]
 
 
-def _agree(name: str, f, g, trials: int, seed: int) -> CheckResult:
-    return _check(name, equal_mod(f, g, trials=trials, seed=seed, height=50))
+def _agree(name: str, f, g, trials: int, seed: int) -> Verdict:
+    return replace(equal_mod(f, g, trials=trials, seed=seed, height=50), name=name)
 
 
-def _retract_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
+def _retract_checks(m, n, *, trials, seed, **_) -> List[Verdict]:
     projected = compose(groups.first_column(n), m)
     target = constant_map(special_orthogonal(n), spheres.basepoint(n - 1))
     embed = groups.embed_orthogonal(n - 1, n)
@@ -202,7 +204,7 @@ def _retract_checks(m, n, *, trials, seed, **_) -> List[CheckResult]:
     ]
 
 
-def _retract_u_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
+def _retract_u_checks(m, k, *, trials, seed, **_) -> List[Verdict]:
     projected = compose(groups.first_column_u(k), m)
     target = constant_map(unitary(k), spheres.basepoint(2 * k - 1))
     checks = [_agree("image-projects-to-basepoint", projected, target, trials, seed)]
@@ -210,17 +212,20 @@ def _retract_u_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
         # The embedded U(0) is trivial: fixing it means fixing the identity.
         identity = groups.unitary_identity(1)
         fixed = m.evaluate(identity).coords == identity.coords
-        return checks + [_exact("fixes-embedded-subgroup", fixed)]
+        return checks + [
+            Verdict("exact-evaluation", fixed, {}, name="fixes-embedded-subgroup")
+        ]
     embed = groups.embed_unitary(k - 1, k)
     return checks + [_agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed)]
 
 
-def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[CheckResult]:
+def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[Verdict]:
     embed = groups.embed_orthogonal(sub, total)
     checks = [_agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed)]
     ok_block = True
     offset = total - sub
-    for point in sample_points(special_orthogonal(total), min(trials, 4), seed, height=4):
+    points = sample_points(special_orthogonal(total), min(trials, 4), seed, height=4)
+    for point in points:
         image = m.evaluate_raw(point.coords)
         for a in range(total):
             for b in range(total):
@@ -228,30 +233,34 @@ def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[CheckResult]:
                     continue
                 expected = Fraction(1 if a == b else 0)
                 ok_block = ok_block and image[a * total + b] == expected
-    checks.append(_exact("image-in-embedded-subgroup", ok_block))
+    checks.append(
+        Verdict(
+            "sampling", ok_block, {"points": len(points)}, name="image-in-embedded-subgroup"
+        )
+    )
     return checks
 
 
-def _su_retract_checks(m, k, *, trials, seed, **_) -> List[CheckResult]:
+def _su_retract_checks(m, k, *, trials, seed, **_) -> List[Verdict]:
     fixed = compose(m, groups.embed_special_unitary(k))
     inclusion = identity_map(special_unitary(k))
     return [_agree("fixes-special-unitary-group", fixed, inclusion, trials, seed)]
 
 
-def _embed_u_checks(m, k, **_) -> List[CheckResult]:
+def _embed_u_checks(m, k, **_) -> List[Verdict]:
     adjoint = matrix_transpose(identity_matrix_map(unitary(k), k, complex_entries=True))
     # The real transpose of the image is the image of the conjugate transpose.
-    intertwines = matrix_transpose(m).numerators == compose(m, adjoint).numerators
-    return [_exact("intertwines-adjoints", intertwines)]
+    intertwines = matrix_transpose(m) == compose(m, adjoint)
+    return [Verdict("symbolic", intertwines, {}, name="intertwines-adjoints")]
 
 
-def _jmap_checks(m, spec, *, samples, seed, **_) -> List[CheckResult]:
+def _jmap_checks(m, spec, *, samples, seed, **_) -> List[Verdict]:
     points = groups.fiber_points(spec, min(samples, 25), seed)
     e = spheres.basepoint(spec.matrix_size)
     fiber_ok = all(tuple(m.evaluate_raw(p.coords)) == e.coords for p in points)
     return [
-        _exact("fiber-maps-to-basepoint", fiber_ok, points=len(points)),
-        _check("regular-along-fiber", topology.regular_value_probe(m, points, value=e)),
+        Verdict("sampling", fiber_ok, {"points": len(points)}, name="fiber-maps-to-basepoint"),
+        replace(topology.regular_value_probe(m, points, value=e), name="regular-along-fiber"),
     ]
 
 
@@ -268,7 +277,7 @@ class Family:
     forms: Dict[str, str]
     parse: Callable[[List[str], str], list]
     build: Callable[..., RationalMap]
-    checks: Optional[Callable[..., List[CheckResult]]] = None
+    checks: Optional[Callable[..., List[Verdict]]] = None
     generic_height: Optional[int] = None
     max_parameter: Optional[int] = None
 
@@ -387,8 +396,8 @@ def verification_suite(
     trials: int = 20,
     samples: int = 100,
     seed: int = 0,
-) -> List[CheckResult]:
-    """Family-specific exact checks for a catalog map.
+) -> List[Verdict]:
+    """Family-specific checks for a catalog map, each a named :class:`Verdict`.
 
     Every suite starts with the two generic checks (codomain membership,
     denominator signs) and adds the contracts that define the family:
@@ -404,10 +413,13 @@ def verification_suite(
     sample_height = family.generic_height or (50 if group_like else 1000)
     generic_samples = min(samples, 8) if group_like else samples
     checks = [
-        _check("maps-into-codomain", maps_into(m, samples=generic_samples, seed=seed, height=sample_height)),
-        _check(
-            "denominator-signs",
+        replace(
+            maps_into(m, samples=generic_samples, seed=seed, height=sample_height),
+            name="maps-into-codomain",
+        ),
+        replace(
             denominator_check(m, samples=generic_samples, seed=seed, height=sample_height),
+            name="denominator-signs",
         ),
     ]
     if family.checks is not None:

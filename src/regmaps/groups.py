@@ -561,9 +561,9 @@ def j_map(spec: JMapInput) -> RationalMap:
         label=label,
     )
     sign_report = denominator_check(built, samples=12, seed=29)
-    if not sign_report.all_positive:
+    if not sign_report.passed:
         raise AssertionError(
-            f"{label}: denominator not positive at samples: {sign_report.to_dict()}"
+            f"{label}: denominator not positive at samples: {sign_report.info}"
         )
     return built
 

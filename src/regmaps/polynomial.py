@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
@@ -107,7 +107,7 @@ class VarRegistry:
 def _grevlex_key(exponents: tuple) -> tuple:
     # Sorting descending by this key yields graded reverse-lexicographic
     # order, highest term first.
-    return (sum(exponents), tuple(-e for e in reversed(exponents)))
+    return (sum(exponents), tuple(map(neg, reversed(exponents))))
 
 
 class Polynomial:

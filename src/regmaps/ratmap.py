@@ -356,71 +356,44 @@ def constant_map(domain: Variety, value: PointOnVariety) -> RationalMap:
 
 
 # ---------------------------------------------------------------------------
-# Verification operations and their reports
+# Verification operations and their verdicts
 # ---------------------------------------------------------------------------
 
 
+METHODS = ("symbolic", "exact-evaluation", "sampling", "float-estimate")
+
+
 @dataclass(frozen=True)
-class EqualityReport:
-    equal: bool
-    method: str  # "symbolic" or "sampling"
-    trials: int = 0
+class Verdict:
+    """A pass/fail check and the kind of evidence behind it.
+
+    ``method`` is one of :data:`METHODS`: ``symbolic`` is a complete proof
+    by normal forms or structural equality, ``exact-evaluation`` an exact
+    evaluation at fixed points, ``sampling`` exact evaluation at sampled
+    points and ``float-estimate`` a rounded floating-point computation.
+    ``evidence`` holds the JSON-ready counts and findings; ``witness`` is
+    the exact point that failed, if any.
+    """
+
+    method: str
+    passed: bool
+    evidence: dict
     witness: Optional[tuple] = None
+    name: str = ""
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown verdict method {self.method!r}")
 
     @property
-    def passed(self) -> bool:
-        return self.equal
-
-    def to_dict(self) -> dict:
-        out = {"equal": self.equal, "method": self.method, "trials": self.trials}
+    def info(self) -> dict:
+        out = {"method": self.method, **self.evidence}
         if self.witness is not None:
             out["witness"] = [str(c) for c in self.witness]
         return out
 
-
-@dataclass(frozen=True)
-class MapsIntoReport:
-    ok: bool
-    method: str  # "symbolic" or "sampling"
-    checked: int  # relations (symbolic) or sample points (sampling)
-    failed_relation: Optional[int] = None
-    witness: Optional[tuple] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.ok
-
     def to_dict(self) -> dict:
-        out = {"ok": self.ok, "method": self.method, "checked": self.checked}
-        if self.failed_relation is not None:
-            out["failed_relation"] = self.failed_relation
-        if self.witness is not None:
-            out["witness"] = [str(c) for c in self.witness]
-        return out
-
-
-@dataclass(frozen=True)
-class DenominatorReport:
-    all_positive: bool
-    samples: int
-    zeros: int = 0
-    negatives: int = 0
-    witness: Optional[tuple] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.all_positive
-
-    def to_dict(self) -> dict:
-        out = {
-            "all_positive": self.all_positive,
-            "samples": self.samples,
-            "zeros": self.zeros,
-            "negatives": self.negatives,
-        }
-        if self.witness is not None:
-            out["witness"] = [str(c) for c in self.witness]
-        return out
+        return {"name": self.name, "passed": self.passed, "info": self.info}
 
 
 def _check_same_signature(f: RationalMap, g: RationalMap) -> None:
@@ -431,15 +404,27 @@ def _check_same_signature(f: RationalMap, g: RationalMap) -> None:
         )
 
 
-def _cross_difference_values(
-    f: RationalMap, g: RationalMap, coords: Sequence[Fraction]
-) -> List[Fraction]:
-    df = f.denominator.evaluate(coords)
-    dg = g.denominator.evaluate(coords)
-    return [
-        nf.evaluate(coords) * dg - ng.evaluate(coords) * df
-        for nf, ng in zip(f.numerators, g.numerators)
-    ]
+def _sampled_off_locus(
+    domain: Variety, denominators: Sequence[Polynomial], count: int, seed: int, height: int
+):
+    """Lazily yield ``(coords, denominator values)`` at the first ``count``
+    sampled points of ``domain`` where no given denominator vanishes.
+    Raises :class:`ExcludedLocusError` if ``8 * count`` draws do not find
+    them."""
+    found = 0
+    for attempt in range(8 * max(count, 1)):
+        if found == count:
+            return
+        coords = sample_point(domain, seed * 1_000_003 + attempt, height=height).coords
+        values = [d.evaluate(coords) for d in denominators]
+        if 0 not in values:
+            found += 1
+            yield coords, values
+    if found < count:
+        raise ExcludedLocusError(
+            "sampling kept hitting vanishing denominators; "
+            "cannot collect enough sample points"
+        )
 
 
 def equal_mod(
@@ -449,32 +434,21 @@ def equal_mod(
     seed: int = 0,
     *,
     height: int = _varieties.DEFAULT_HEIGHT,
-) -> EqualityReport:
+) -> Verdict:
     """Exact-sampling equality: cross-multiplied coordinate differences must
     vanish at ``trials`` sampled rational points of the common domain."""
     _check_same_signature(f, g)
-    done = 0
-    attempt = 0
-    limit = 8 * max(trials, 1)
-    while done < trials:
-        if attempt >= limit:
-            raise ExcludedLocusError(
-                "sampling kept hitting vanishing denominators; "
-                "cannot collect enough trial points"
-            )
-        point = sample_point(f.domain, seed * 1_000_003 + attempt, height=height)
-        attempt += 1
-        coords = point.coords
-        if f.denominator.evaluate(coords) == 0 or g.denominator.evaluate(coords) == 0:
-            continue
-        diffs = _cross_difference_values(f, g, coords)
-        if any(d != 0 for d in diffs):
-            return EqualityReport(False, "sampling", trials=done + 1, witness=coords)
-        done += 1
-    return EqualityReport(True, "sampling", trials=trials)
+    points = _sampled_off_locus(f.domain, (f.denominator, g.denominator), trials, seed, height)
+    for done, (coords, (df, dg)) in enumerate(points):
+        if any(
+            nf.evaluate(coords) * dg != ng.evaluate(coords) * df
+            for nf, ng in zip(f.numerators, g.numerators)
+        ):
+            return Verdict("sampling", False, {"trials": done + 1}, coords)
+    return Verdict("sampling", True, {"trials": trials})
 
 
-def equal_symbolic(f: RationalMap, g: RationalMap) -> EqualityReport:
+def equal_symbolic(f: RationalMap, g: RationalMap) -> Verdict:
     """Symbolic equality: each cross-multiplied difference reduces to the
     zero normal form modulo the domain's sphere blocks.  Only available
     when the domain's relations are exactly its sphere blocks, which is
@@ -485,11 +459,11 @@ def equal_symbolic(f: RationalMap, g: RationalMap) -> EqualityReport:
             f"symbolic equality needs a sphere-block domain; "
             f"{f.domain.name} has extra relations"
         )
-    for nf, ng in zip(f.numerators, g.numerators):
-        diff = nf * g.denominator - ng * f.denominator
-        if not normal_form(diff, f.domain.blocks).is_zero():
-            return EqualityReport(False, "symbolic")
-    return EqualityReport(True, "symbolic")
+    equal = all(
+        normal_form(nf * g.denominator - ng * f.denominator, f.domain.blocks).is_zero()
+        for nf, ng in zip(f.numerators, g.numerators)
+    )
+    return Verdict("symbolic", equal, {"trials": 0})
 
 
 def maps_into(
@@ -498,48 +472,31 @@ def maps_into(
     seed: int = 0,
     *,
     height: int = _varieties.DEFAULT_HEIGHT,
-) -> MapsIntoReport:
+) -> Verdict:
     """Check that the image satisfies every codomain relation.
 
     Symbolic route (complete proof) when the domain is reducible to sphere
     blocks: each codomain relation, cleared of denominators, must have zero
     normal form.  Otherwise falls back to exact evaluation at sampled
-    points of the domain.
+    points of the domain.  ``checked`` counts relations (symbolic) or
+    sample points (sampling).
     """
     if f.domain.block_reducible():
         for index, relation in enumerate(f.codomain.relations):
             lifted = substitute_cleared(relation, f.numerators, f.denominator)
             if not normal_form(lifted, f.domain.blocks).is_zero():
-                return MapsIntoReport(
-                    False, "symbolic", checked=index + 1, failed_relation=index
+                return Verdict(
+                    "symbolic", False, {"checked": index + 1, "failed_relation": index}
                 )
-        return MapsIntoReport(True, "symbolic", checked=len(f.codomain.relations))
-    done = 0
-    attempt = 0
-    limit = 8 * max(samples, 1)
-    while done < samples:
-        if attempt >= limit:
-            raise ExcludedLocusError(
-                "sampling kept hitting vanishing denominators; "
-                "cannot collect enough sample points"
-            )
-        point = sample_point(f.domain, seed * 1_000_003 + attempt, height=height)
-        attempt += 1
-        try:
-            image = f.evaluate_raw(point.coords)
-        except ExcludedLocusError:
-            continue
+        return Verdict("symbolic", True, {"checked": len(f.codomain.relations)})
+    points = _sampled_off_locus(f.domain, (f.denominator,), samples, seed, height)
+    for done, (coords, (den,)) in enumerate(points):
+        image = [n.evaluate(coords) / den for n in f.numerators]
         for index, relation in enumerate(f.codomain.relations):
             if relation.evaluate(image) != 0:
-                return MapsIntoReport(
-                    False,
-                    "sampling",
-                    checked=done + 1,
-                    failed_relation=index,
-                    witness=point.coords,
-                )
-        done += 1
-    return MapsIntoReport(True, "sampling", checked=samples)
+                evidence = {"checked": done + 1, "failed_relation": index}
+                return Verdict("sampling", False, evidence, coords)
+    return Verdict("sampling", True, {"checked": samples})
 
 
 def denominator_check(
@@ -548,7 +505,7 @@ def denominator_check(
     seed: int = 0,
     *,
     height: int = _varieties.DEFAULT_HEIGHT,
-) -> DenominatorReport:
+) -> Verdict:
     """Evaluate the denominator at sampled points and report any value
     that is zero or negative."""
     zeros = 0
@@ -563,13 +520,8 @@ def denominator_check(
         elif value < 0:
             negatives += 1
             witness = witness or point.coords
-    return DenominatorReport(
-        all_positive=(zeros == 0 and negatives == 0),
-        samples=samples,
-        zeros=zeros,
-        negatives=negatives,
-        witness=witness,
-    )
+    evidence = {"samples": samples, "zeros": zeros, "negatives": negatives}
+    return Verdict("sampling", zeros == negatives == 0, evidence, witness)
 
 
 def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMap:
@@ -578,15 +530,15 @@ def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMa
     denominator signs at sampled points.  Returns ``m`` or raises
     ``AssertionError`` with the failing report."""
     report = maps_into(m, samples=samples, seed=seed, height=height)
-    if not report.ok:
+    if not report.passed:
         raise AssertionError(
-            f"catalog map {m._describe()} failed codomain check: {report.to_dict()}"
+            f"catalog map {m._describe()} failed codomain check: {report.info}"
         )
     sign_report = denominator_check(m, samples=samples, seed=seed, height=height)
-    if not sign_report.all_positive:
+    if not sign_report.passed:
         raise AssertionError(
             f"catalog map {m._describe()} has sign-indefinite denominator: "
-            f"{sign_report.to_dict()}"
+            f"{sign_report.info}"
         )
     return m
 

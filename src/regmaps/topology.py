@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .polynomial import Polynomial
-from .ratmap import RationalMap
+from .ratmap import RationalMap, Verdict
 from .varieties import PointOnVariety, sphere
 
 CHUNK_SIZE = 1 << 14
@@ -151,10 +151,6 @@ class DegreeEstimate:
     seed: int
     resampled: int
     conclusive: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.conclusive
 
     def to_dict(self) -> dict:
         return {
@@ -288,34 +284,12 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    all_on_fiber: bool
-    all_regular: bool
-    required_rank: int
-    ranks: Tuple[int, ...]
-    value: Tuple[Fraction, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.all_on_fiber and self.all_regular
-
-    def to_dict(self) -> dict:
-        return {
-            "all_on_fiber": self.all_on_fiber,
-            "all_regular": self.all_regular,
-            "required_rank": self.required_rank,
-            "ranks": list(self.ranks),
-            "value": [str(c) for c in self.value],
-        }
-
-
 def regular_value_probe(
     f: RationalMap,
     points: Sequence[PointOnVariety],
     value: Optional[PointOnVariety] = None,
-) -> ProbeReport:
-    """Exact regularity of ``f`` along a fiber.
+) -> Verdict:
+    """Exact regularity of ``f`` along a fiber, at the given sample points.
 
     Checks that every given point maps exactly to the common value (the
     image of the first point unless ``value`` is supplied), and computes
@@ -388,13 +362,15 @@ def regular_value_probe(
         rank_value = linalg.rank(stacked) - normal_rank
         ranks.append(rank_value)
 
-    return ProbeReport(
-        all_on_fiber=all_on_fiber,
-        all_regular=all(r == required for r in ranks),
-        required_rank=required,
-        ranks=tuple(ranks),
-        value=value_coords,
-    )
+    all_regular = all(r == required for r in ranks)
+    evidence = {
+        "all_on_fiber": all_on_fiber,
+        "all_regular": all_regular,
+        "required_rank": required,
+        "ranks": tuple(ranks),
+        "value": [str(c) for c in value_coords],
+    }
+    return Verdict("sampling", all_on_fiber and all_regular, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +402,6 @@ class CodimPairReport:
     k: int
     modulus: int
     admissible: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.admissible
 
     def to_dict(self) -> dict:
         return {

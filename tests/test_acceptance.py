@@ -111,10 +111,10 @@ def test_criterion_2_sphere_addition_routes_agree():
     problems = []
     for n in (1, 2):
         routes = equal_mod(oplus(n), oplus_via_charts(n), trials=20)
-        if not routes.equal:
+        if not routes.passed:
             problems.append(f"chart route disagrees on S^{n} at {routes.witness}")
         target = maps_into(oplus(n))
-        if not (target.ok and target.method == "symbolic"):
+        if not (target.passed and target.method == "symbolic"):
             problems.append(f"image relation not proven symbolically on S^{n}")
     verdict(
         2,
@@ -148,12 +148,12 @@ def test_criterion_4_sections_invert_the_fibrations():
 
     if not equal_symbolic(
         compose(first_column(2), section_so(2)), sphere_identity(1)
-    ).equal:
+    ).passed:
         problems.append("p . s != id symbolically for n=2")
     for n in (3, 4):
         if not equal_mod(
             compose(first_column(n), section_so(n)), sphere_identity(n - 1), trials=100
-        ).equal:
+        ).passed:
             problems.append(f"p . s != id at samples for n={n}")
 
     for n in (2, 3, 4):
@@ -174,7 +174,7 @@ def test_criterion_4_sections_invert_the_fibrations():
     # the unitary section, k = 2
     if not equal_symbolic(
         compose(first_column_u(2), section_u(2)), sphere_identity(3)
-    ).equal:
+    ).passed:
         problems.append("p' . s' != id symbolically for k=2")
     at_base = section_u(2).evaluate(basepoint(3))
     if as_complex(at_base.coords, 2) != identity(2, gaussian=True):
@@ -296,7 +296,7 @@ def test_criterion_6_doubling_map_degrees():
 def test_criterion_7_join_style_maps():
     problems = []
     report = maps_into(j_map(jmap_constant_identity(1, 2)))
-    if not (report.ok and report.method == "symbolic"):
+    if not (report.passed and report.method == "symbolic"):
         problems.append("identity-family image relation not proven symbolically")
 
     spec = jmap_rotation()
@@ -308,10 +308,10 @@ def test_criterion_7_join_style_maps():
             problems.append(f"fiber point {p.coords} does not map to e")
             break
     probe = regular_value_probe(g, points)
-    if probe.required_rank != 2:
-        problems.append(f"expected rank 2 fibers, required {probe.required_rank}")
+    if probe.evidence["required_rank"] != 2:
+        problems.append(f"expected rank 2 fibers, required {probe.evidence['required_rank']}")
     if not probe.passed:
-        problems.append(f"ranks {sorted(set(probe.ranks))} are not all 2")
+        problems.append(f"ranks {sorted(set(probe.evidence['ranks']))} are not all 2")
     verdict(
         7,
         problems,

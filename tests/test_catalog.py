@@ -20,134 +20,137 @@ VERIFY_FLAGS = ["--samples", "50", "--trials", "5", "--seed", "0"]
 GOLDEN = {
     "stereo:2": (
         "306291a0bcdcbe2834e195b64c92430b569d0f82dc8467412439dc56537ba15a", 0,
-        "aa49f599ec242ee63271ae811c0b69e5d98683bcb6ecd9cc29b7787c35334f92", 0,
+        "527f6478c6e450f9b57d00938520aaa172b9f704da8c800f4e56aafc667df31d", 0,
     ),
     "stereo-inv:2": (
         "24a328e1c0d96ed9eb27d4f66801b3397aaf1f48d303b272436b7bacfa7ba0f8", 0,
-        "5642b54c3c0923ad14b6e9b2127300fc3ebd849430cdd58fdf3322f32359adc7", 0,
+        "d50130d1b61ba5f644e1b7fcb3cffd592585ca628a029c78da2aa61f88307a8f", 0,
     ),
     "oplus:2": (
         "e0933287fa41238bddb2346d0dc313108b82320b737702f862b54f807c2b457a", 0,
-        "2ba079a57b853c4ac9f0d24d822d5245ad2d3505ca88e0e995bc01ce88978616", 0,
+        "52ba2554327c2c67503c1ce110da04aef4c9c99ea8de1514381075e7d8218be8", 0,
     ),
     "reflect:3:2": (
         "4455b0a4fdebac54c77ccf75d6613615ef319a5db667bd43db7c91664548d89b", 0,
-        "33194c567b603da67b5b99b236c5380cd3fa344b902e15fecf90a2fccf1fd292", 0,
+        "f16544765f0fe776945bd1d4688de92c8b923179b08fd73cfecc047a639971f0", 0,
     ),
     "phi:2": (
         "ed20d52de5f30b301d7dd551d0b4a7cc32a235acb38d9949281dfa6ff9794323", 0,
-        "3b50f78a618a9852802501d6cceb98569bae25849791ee6df6741d39efbdc3c8", 0,
+        "737c37c3072c385b578ceb72a9764914ae5add44d494baea3dd74f33088ce51b", 0,
     ),
     "zpow:-3": (
         "d9c5bb77bd43a4ae36fc386689816412d0ef80eaff32783edad3940bcc3b936d", 0,
-        "be7f3e33aa675b77e3b3daed68c9d4c489791636128804f1d23f2f21df70e5c2", 0,
+        "d7968c4e863b633d816994d1e1a37508197864e60206ae3add2a074ef9be965b", 0,
     ),
     "zpow:0": (
         "e1745422c7041f60e370c4e693503ae4d67a0d0cd0051e13b0f08ce28229bb00", 0,
-        "485e1f1846288c3aed32a4358629192ccdd17b890ce2bcb940235fac5824b2b1", 0,
+        "68db8c6e2a5d84174d43b6373ef9c05ae956a306daad932065463532a4f8e06f", 0,
     ),
     "zpow:3": (
         "101930cb327e72f16f0068c92c5666f6ec73d295929ea8fb5ade3948e8a7e7be", 0,
-        "01be81a0a5ff379c9632039587c6b8de927225ff75a00254d59e9faaa9c1fb8f", 0,
+        "75311e3dab20671d9ccbd3d7ea668d2dc230b167789dda9221940cf2d5a57b93", 0,
     ),
     "rot:3/5:4/5": (
         "16823416962727c5cc8b1753fafbe140c1a5d3fef0bee7f8b65e798fb2272d22", 0,
-        "0c34c5d895c036d12132fac391118ad996e8675bb6552f59068e7435e3d295de", 0,
+        "9d7f122add2508cd3712b2f1425bae45b43414b49246f1baf61bc6bc584e9b9a", 0,
     ),
     "id:2": (
         "1630e8a807418094e415eea221ab1ae63ae7c7f8d54c64842ca3ee4fe8b5611a", 0,
-        "0c34c5d895c036d12132fac391118ad996e8675bb6552f59068e7435e3d295de", 0,
+        "9d7f122add2508cd3712b2f1425bae45b43414b49246f1baf61bc6bc584e9b9a", 0,
     ),
     "antipodal:2": (
         "3536aaaac60e0c3e9294e4af48c42192cb10246c9a4d9617a483ea54c785d850", 0,
-        "0c34c5d895c036d12132fac391118ad996e8675bb6552f59068e7435e3d295de", 0,
+        "9d7f122add2508cd3712b2f1425bae45b43414b49246f1baf61bc6bc584e9b9a", 0,
     ),
     "p:3": (
         "c6ea4e8a2d96b6a73dfe8df01c512c1ab911c818b304f0f10d336ba783f8495c", 0,
-        "c2599c8c2d2a0d0bb4e1355700198a1193a70d218835b654505a0d5baa360295", 0,
+        "97fd5b8d7cda66a656b29b51d30044804f1e56b6335e831273a385a5e0bca5c6", 0,
     ),
     "s:3": (
         "554567ff36262828e92ce6e66137ec49a507bcade6536598a059f59c215099fa", 0,
-        "64ab82699bd0868b3b69fd459244912e11ad09a5fecb8ea32960b239823df206", 0,
+        "c4e5b6518898cffd3436f011635c4354719cc25d4d58fad555205a270e6cbdbb", 0,
     ),
     "p-u:1": (
         "d7257cb165eafd9fc8ccce966624156ea7284d524d0012ac6afde3c7669281ab", 0,
-        "c2599c8c2d2a0d0bb4e1355700198a1193a70d218835b654505a0d5baa360295", 0,
+        "97fd5b8d7cda66a656b29b51d30044804f1e56b6335e831273a385a5e0bca5c6", 0,
     ),
     "p-u:2": (
         "412a16823dc979cb196589e45ef9bed93dae06df6f938f44eeb9908fc6890719", 0,
-        "c2599c8c2d2a0d0bb4e1355700198a1193a70d218835b654505a0d5baa360295", 0,
+        "97fd5b8d7cda66a656b29b51d30044804f1e56b6335e831273a385a5e0bca5c6", 0,
     ),
     "s-u:1": (
         "ee8962e9b1914b05895099ed5a1f28ef80fcda55701d6fea7c8fc751d54c3d95", 0,
-        "6d25e9a9fd14afad20bc0673cd563ff88552a7d01c0cf1bba1cabf6ce5696401", 0,
+        "dff75cafdb205a228ee02674657338890dedd55d740831907535403e293479f8", 0,
     ),
     "s-u:2": (
         "8731b93f5ed609a09c485d1f62ce429b49aed6a537079fa6b172a75816e26159", 0,
-        "de9635b20724c5b6abf64a8d57f4172c004e9dc4a23a8e9f688349e4a5a4c41e", 0,
+        "58bdde7997cb123666bdb131e9a25a18cc3af6c03e6ab0620d7ad1c8c79a3f71", 0,
     ),
     "s-u:3": (
         "e6e894d62526b234876cbb245b3b06b8a7c380d8ef55486df5d66cc0b572c925", 0,
-        "751e4aae18c77e2dd6768a337ff9e04c5d61f560f6bf8bc2e755e426f37d5c09", 0,
+        "999091f0de1cb5258c0ae3c4f2e5db91c55d2f4fbe3df056c9eb21534d7cc094", 0,
     ),
     "r:3": (
         "03120fba6ed0047b21f306c65e8f3f653de2085199ab75031fd8302ca8c69395", 0,
-        "c72ebe97a1ce2e9133a3f1f75c594bb5a0a006e188ef8ab3af25d4440433a1da", 0,
+        "f032fef466e73fe173681e87ef7b74649cede3b4ffc0283e994b2f0d9924da50", 0,
     ),
     # verify r-u:1 exited 2 before its fixed-subgroup check handled the trivial U(0).
     "r-u:1": (
         "c10f1961c62b7521e46c699f450c5b929631a8f1a75206510c981838e6b8f269", 0,
-        "60b6d84e8d40acc961cd97cb497178a7c0846094610ac18a0989456a3751766f", 0,
+        "5885e0cb9d2ecc90d755446792c26ebfd0b33a5f0a57e135f71d24c25c155f2c", 0,
     ),
     "r-u:2": (
         "c8ae1311c08461d5f4d05824ee7a4360c120fb76eaeab4c0ac330b3bd0913de4", 0,
-        "c72ebe97a1ce2e9133a3f1f75c594bb5a0a006e188ef8ab3af25d4440433a1da", 0,
+        "f032fef466e73fe173681e87ef7b74649cede3b4ffc0283e994b2f0d9924da50", 0,
     ),
     "r-u:3": (
         "2e63540547e1f98bc87e70a2f70bff2449a1efcca1eacc4cd841d7fad563f066", 0,
-        "c72ebe97a1ce2e9133a3f1f75c594bb5a0a006e188ef8ab3af25d4440433a1da", 0,
+        "f032fef466e73fe173681e87ef7b74649cede3b4ffc0283e994b2f0d9924da50", 0,
     ),
     "chain:4:2": (
         "56c07d602557ddeac4d49edffc166c215c90916a951cf72b5f8e466b624b2e0e", 0,
-        "9276186bb2ca6012362b67955f97f31ada7093d2f16320688e461cbae0d1da10", 0,
+        "d35ef460cd146342ada7a8e40b8b745d70abbebadbbe73ffef3245f3e5c442fb", 0,
     ),
     "su-retract:1": (
         "27852302dccfbb790ee2bd5445bdbfeacb14ae34a342dfcec29f80ff435ef106", 0,
-        "b52386a0ca4690015fc51e35e06d5d63c808813d51b9a0cde48953dc024e637a", 0,
+        "d13b2ba9db377f5cc1d46955892555bbd293c3aa03aefdf92e536bbcb44a7a51", 0,
     ),
     "su-retract:2": (
         "79ca1411cab6ceff12d2c9d51a464f6d97a0faee886fe2538a1e40bdaf99435d", 0,
-        "b52386a0ca4690015fc51e35e06d5d63c808813d51b9a0cde48953dc024e637a", 0,
+        "d13b2ba9db377f5cc1d46955892555bbd293c3aa03aefdf92e536bbcb44a7a51", 0,
     ),
     "su-retract:3": (
         "8515af049b5627fa13471d360f5acce877da59b710935cbbe02a5ef8ac2ae61a", 0,
-        "b52386a0ca4690015fc51e35e06d5d63c808813d51b9a0cde48953dc024e637a", 0,
+        "d13b2ba9db377f5cc1d46955892555bbd293c3aa03aefdf92e536bbcb44a7a51", 0,
     ),
     "embed-u:1": (
         "db7c85068589ade310a517df1d131dd1b0dee61c73aec14604968ca269be0f36", 0,
-        "34f3f6fd060ee7b7df9d2b0b9e81aafab7548797b2bac0f4fe47fc0837101d64", 0,
+        "59a3d14ae2e9bb54599cd7ba4b6cc9394c6b2884f1b4448430c618ba182d5b51", 0,
     ),
     "embed-u:2": (
         "d957eeb986774ac9ef7691868c974e5effaa6f8d36a00ba45010a69de9c053e8", 0,
-        "34f3f6fd060ee7b7df9d2b0b9e81aafab7548797b2bac0f4fe47fc0837101d64", 0,
+        "59a3d14ae2e9bb54599cd7ba4b6cc9394c6b2884f1b4448430c618ba182d5b51", 0,
     ),
     "embed-u:3": (
         "1a895438a3892ed380a7354168cc8361d4638ec20bf3975dda955104f8c76bef", 0,
-        "34f3f6fd060ee7b7df9d2b0b9e81aafab7548797b2bac0f4fe47fc0837101d64", 0,
+        "59a3d14ae2e9bb54599cd7ba4b6cc9394c6b2884f1b4448430c618ba182d5b51", 0,
     ),
     "jmap:identity:1:2": (
         "99681548c86f85e1578924d21453b2dfd331723cbc808fbe42a576461d0f40c6", 0,
-        "88c1b8bf36fa9818caaec2a2c8eafba7d63813ba36a8c4701d8e41c78ec9a83d", 0,
+        "83978eaff9bf082734f42d9ad285ad3323ca6e5518fc9114449b6cf164c62a9a", 0,
     ),
     "jmap:rotation": (
         "0f518e0e3e1ddea1d475ae98e455879972c2abb9a193df2ea4f6d368a8817b94", 0,
-        "abbf8fbd5cb12b74f654c28992e0acc56502b8b895cd458ec0ab5bfe8a2fbe41", 1,
+        "b106a12694267dda2d2b9b933942b4f2d37c4bd4d6ac10c0fe92163af62f0708", 1,
     ),
     "jmap:double-rotation": (
         "aebdbe87c6e77256d84d66272aaa4acb56a7e3fe2d3d66e5ef71c7c415696a3a", 0,
-        "88c1b8bf36fa9818caaec2a2c8eafba7d63813ba36a8c4701d8e41c78ec9a83d", 0,
+        "83978eaff9bf082734f42d9ad285ad3323ca6e5518fc9114449b6cf164c62a9a", 0,
     ),
 }
+
+# The kinds of evidence a check may state, strongest first.
+VERDICT_METHODS = ("symbolic", "exact-evaluation", "sampling", "float-estimate")
 
 # The `--help` epilog: every name form, sorted.
 EPILOG = (
@@ -172,6 +175,21 @@ def test_build_and_verify_match_the_golden_output(capsys, name):
     build_sha, build_code, verify_sha, verify_code = GOLDEN[name]
     assert _run(capsys, ["build", name]) == (build_sha, build_code)
     assert _run(capsys, ["verify", name, *VERIFY_FLAGS]) == (verify_sha, verify_code)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_verify_check_states_its_method(capsys, name):
+    cli.main(["verify", name, *VERIFY_FLAGS])
+    for check in json.loads(capsys.readouterr().out):
+        assert check["info"]["method"] in VERDICT_METHODS, check
+        # `passed` carries the result; the evidence does not repeat it.
+        assert not {"ok", "equal", "all_positive"} & set(check["info"]), check
+
+
+def test_the_winding_check_is_a_float_estimate():
+    checks = catalog.verification_suite("zpow:3", trials=5, samples=50)
+    winding = [c for c in checks if c.name == "winding-equals-exponent"]
+    assert [c.method for c in winding] == ["float-estimate"]
 
 
 def test_every_family_prefix_resolves_at_its_smallest_example():

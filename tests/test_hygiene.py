@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, no code skips the relation
-check of a point except where the point is valid by construction, and no
-sum of polynomials is folded by hand."""
+check of a point except where the point is valid by construction, no
+sum of polynomials is folded by hand, and no pass/fail record besides the
+one verdict type serializes itself."""
 
 import ast
 from pathlib import Path
@@ -260,3 +261,34 @@ def test_polynomial_sums_go_through_one_accumulator():
     assert {name: f for name, f in found.items() if f and name not in SCALAR_FOLDS_ALLOWED} == {}
     # A stale allow-list entry fails too.
     assert {name for name in SCALAR_FOLDS_ALLOWED if found[name]} == SCALAR_FOLDS_ALLOWED
+
+
+# The one pass/fail record and the three measurements that print themselves.
+TO_DICT_ALLOWED = {"Verdict", "DegreeEstimate", "RadonHurwitzValue", "CodimPairReport"}
+
+
+def classes_with_to_dict(source: str):
+    """Names of the classes that define a ``to_dict`` method."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body
+        )
+    ]
+
+
+def test_the_checker_finds_a_class_with_to_dict():
+    source = (
+        "class Report:\n    def to_dict(self):\n        return {}\n"
+        "class Plain:\n    def as_dict(self):\n        return {}\n"
+    )
+    assert classes_with_to_dict(source) == ["Report"]
+
+
+def test_only_the_verdict_and_the_measurements_define_to_dict():
+    found = {
+        name for path in PACKAGE for name in classes_with_to_dict(path.read_text(encoding="utf-8"))
+    }
+    assert found - TO_DICT_ALLOWED == set()

@@ -12,6 +12,7 @@ from regmaps.ratmap import (
     MatrixMap,
     RationalMap,
     VarietyMismatchError,
+    Verdict,
     ZeroDenominatorError,
     compose,
     constant_map,
@@ -176,7 +177,7 @@ def test_maps_into_sampling_on_group_domains():
 
     report = maps_into(first_column(3), samples=10, seed=1, height=40)
     assert report.passed and report.method == "sampling"
-    assert report.checked == 10
+    assert report.evidence["checked"] == 10
 
 
 def test_maps_into_fails_symbolically_with_relation_index():
@@ -188,7 +189,7 @@ def test_maps_into_fails_symbolically_with_relation_index():
     report = maps_into(off_sphere, samples=12, seed=0)
     assert not report.passed
     assert report.method == "symbolic"
-    assert report.failed_relation == 0
+    assert report.evidence["failed_relation"] == 0
 
 
 def test_maps_into_fails_by_sampling_with_witness():
@@ -208,7 +209,7 @@ def test_maps_into_fails_by_sampling_with_witness():
 
 def test_denominator_check_positive_and_negative_cases():
     good = denominator_check(stereo(2), samples=60, seed=7)
-    assert good.passed and good.samples == 60
+    assert good.passed and good.evidence["samples"] == 60
 
     reg = sphere(1).registry
     signed = RationalMap(
@@ -220,14 +221,14 @@ def test_denominator_check_positive_and_negative_cases():
     )
     bad = denominator_check(signed, samples=60, seed=7)
     assert not bad.passed
-    assert bad.negatives > 0
+    assert bad.evidence["negatives"] > 0
     assert bad.witness is not None
 
 
 def test_denominator_check_reports_are_golden():
     # Sign-indefinite denominators on one- and two-block sphere domains; the
-    # reports, witness included, were recorded before the exact audit
-    # (sampler, point check, evaluation) moved to integer arithmetic.
+    # counts and witnesses were recorded before the exact audit (sampler,
+    # point check, evaluation) moved to integer arithmetic.
     reg = sphere(2).registry
     x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
     on_sphere = RationalMap(
@@ -242,20 +243,21 @@ def test_denominator_check_reports_are_golden():
     meridian = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], x1)
     cases = [
         (denominator_check(on_sphere, samples=200, seed=3), {
-            "all_positive": False, "samples": 200, "zeros": 0, "negatives": 167,
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 167,
             "witness": ["-395079601/399531729", "-58990696/399531729", "7603232/399531729"],
         }),
         (denominator_check(on_product, samples=200, seed=5), {
-            "all_positive": False, "samples": 200, "zeros": 0, "negatives": 108,
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 108,
             "witness": ["696687/701105", "-78584/701105", "-415521/816929", "-703360/816929"],
         }),
         (denominator_check(meridian, samples=200, seed=1, height=4), {
-            "all_positive": False, "samples": 200, "zeros": 5, "negatives": 166,
+            "method": "sampling", "samples": 200, "zeros": 5, "negatives": 166,
             "witness": ["-1/33", "8/33", "-32/33"],
         }),
     ]
     for report, expected in cases:
-        assert report.to_dict() == expected
+        assert not report.passed
+        assert report.info == expected
 
 
 def test_verified_checks_the_codomain_then_the_denominator_signs():
@@ -288,6 +290,26 @@ def test_equal_mod_distinguishes_maps_and_reports_witness():
     # the recorded witness genuinely separates the two maps
     w = PointOnVariety(sphere(1), diff.witness)
     assert circle_power(2).evaluate(w) != circle_power(3).evaluate(w)
+
+
+def test_equal_mod_gives_up_when_every_draw_hits_the_excluded_locus():
+    # At height 1 the circle sampler draws only (0, -1), (0, 1) and (1, 0),
+    # all on the zero set of x1 * x2.
+    reg = sphere(1).registry
+    x1, x2 = Polynomial.variable(reg, 0), Polynomial.variable(reg, 1)
+    f = RationalMap(sphere(1), euclidean(1), [Polynomial.one(reg)], x1 * x2)
+    with pytest.raises(ExcludedLocusError, match="vanishing denominators"):
+        equal_mod(f, f, trials=3, height=1)
+
+
+def test_a_verdict_states_one_of_four_methods():
+    verdict = Verdict("sampling", False, {"trials": 2}, (Fraction(1, 2),), name="n")
+    assert verdict.to_dict() == {
+        "name": "n", "passed": False,
+        "info": {"method": "sampling", "trials": 2, "witness": ["1/2"]},
+    }
+    with pytest.raises(ValueError, match="unknown verdict method"):
+        Verdict("exact-sampling", True, {})
 
 
 def test_equal_symbolic_requires_block_domain():

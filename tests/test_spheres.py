@@ -114,7 +114,7 @@ def test_oplus_denominator_closed_form():
 def test_oplus_denominator_positive_on_ten_thousand_pairs():
     report = denominator_check(oplus(1), samples=10_000, seed=0)
     assert report.passed
-    assert report.samples == 10_000
+    assert report.evidence["samples"] == 10_000
 
 
 def test_oplus_closed_form_matches_chart_composition():

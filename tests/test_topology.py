@@ -213,23 +213,23 @@ def test_degree_matches_the_tangent_frame_golden_runs(k, seed, estimate, half_wi
 def test_probe_identity_is_regular():
     report = regular_value_probe(sphere_identity(2), [basepoint(2)])
     assert report.passed
-    assert report.required_rank == 2
-    assert report.ranks == (2,)
+    assert report.evidence["required_rank"] == 2
+    assert report.evidence["ranks"] == (2,)
 
 
 def test_probe_constant_map_is_singular():
     report = regular_value_probe(
         constant_map(sphere(2), basepoint(2)), [basepoint(2)]
     )
-    assert not report.all_regular
-    assert report.ranks == (0,)
+    assert not report.evidence["all_regular"]
+    assert report.evidence["ranks"] == (0,)
 
 
 def test_probe_flags_points_off_the_fiber():
     report = regular_value_probe(
         sphere_identity(2), [basepoint(2)], value=antipodal(2).evaluate(basepoint(2))
     )
-    assert not report.all_on_fiber
+    assert not report.evidence["all_on_fiber"]
     assert not report.passed
     with pytest.raises(ValueError):
         regular_value_probe(sphere_identity(2), [])
@@ -242,8 +242,8 @@ def test_probe_hopf_like_fiber():
     g = j_map(spec)
     report = regular_value_probe(g, fiber_points(spec, 10, seed=3))
     assert report.passed
-    assert report.required_rank == 2
-    assert set(report.ranks) == {2}
+    assert report.evidence["required_rank"] == 2
+    assert set(report.evidence["ranks"]) == {2}
 
 
 # ---------------------------------------------------------------------------
