@@ -35,6 +35,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -50,7 +51,7 @@ from .varieties import (
     PointOnVariety,
     PointValidationError,
     Variety,
-    sample_point,
+    sample_stream,
     sphere,
     sphere_product,
 )
@@ -360,7 +361,7 @@ def constant_map(domain: Variety, value: PointOnVariety) -> RationalMap:
 # ---------------------------------------------------------------------------
 
 
-METHODS = ("symbolic", "exact-evaluation", "sampling", "float-estimate")
+METHODS = ("symbolic", "exact-evaluation", "sampling")
 
 
 @dataclass(frozen=True)
@@ -368,9 +369,9 @@ class Verdict:
     """A pass/fail check and the kind of evidence behind it.
 
     ``method`` is one of :data:`METHODS`: ``symbolic`` is a complete proof
-    by normal forms or structural equality, ``exact-evaluation`` an exact
-    evaluation at fixed points, ``sampling`` exact evaluation at sampled
-    points and ``float-estimate`` a rounded floating-point computation.
+    by normal forms, structural equality or a Sturm count,
+    ``exact-evaluation`` an exact evaluation at fixed points and
+    ``sampling`` exact evaluation at sampled points.
     ``evidence`` holds the JSON-ready counts and findings; ``witness`` is
     the exact point that failed, if any.
     """
@@ -412,14 +413,13 @@ def _sampled_off_locus(
     Raises :class:`ExcludedLocusError` if ``8 * count`` draws do not find
     them."""
     found = 0
-    for attempt in range(8 * max(count, 1)):
-        if found == count:
-            return
-        coords = sample_point(domain, seed * 1_000_003 + attempt, height=height).coords
-        values = [d.evaluate(coords) for d in denominators]
+    for point in islice(sample_stream(domain, seed, height=height), 8 * count):
+        values = [d.evaluate(point.coords) for d in denominators]
         if 0 not in values:
+            yield point.coords, values
             found += 1
-            yield coords, values
+            if found == count:
+                return
     if found < count:
         raise ExcludedLocusError(
             "sampling kept hitting vanishing denominators; "
@@ -511,8 +511,7 @@ def denominator_check(
     zeros = 0
     negatives = 0
     witness = None
-    for i in range(samples):
-        point = sample_point(f.domain, seed * 1_000_003 + i, height=height)
+    for point in islice(sample_stream(f.domain, seed, height=height), samples):
         value = f.denominator.evaluate(point.coords)
         if value == 0:
             zeros += 1

@@ -1,7 +1,7 @@
 """Topological invariants of rational maps, measured numerically or exactly.
 
-* :func:`winding` -- degree of a circle self-map by accumulating angle
-  increments over a uniform partition, refined until every step is small.
+* :func:`winding` -- exact degree of a circle self-map: a Cauchy index over
+  the rationals, counted by signed remainder (Sturm) sequences.
 * :func:`degree_mc` -- Monte Carlo mapping degree of a sphere self-map:
   the tangent Jacobian determinant det(B_f^T J B_x) in oriented orthonormal
   frames ([x | B_x], [f | B_f] positive), averaged over uniform points x,
@@ -22,13 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import dropwhile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .polynomial import Polynomial
-from .ratmap import RationalMap, Verdict
+from .ratmap import RationalMap, Verdict, compose
+from .spheres import stereo_inv
 from .varieties import PointOnVariety, sphere
 
 CHUNK_SIZE = 1 << 14
@@ -78,63 +80,67 @@ def _batch_eval(
 # ---------------------------------------------------------------------------
 
 
-def winding(
-    f: RationalMap,
-    *,
-    initial_points: int = 64,
-    max_points: int = 1 << 20,
-    tol: float = 1e-6,
-) -> int:
-    """Winding number of a circle self-map.
+def _coefficients(p: Polynomial) -> List[Fraction]:
+    """Dense coefficients of a one-variable polynomial, leading first."""
+    coeffs = [Fraction(0)] * (p.total_degree() + 1) if p.terms else []
+    for (e,), c in p.terms.items():
+        coeffs[-1 - e] = c
+    return coeffs
 
-    Walks the image of a uniform partition of the circle and accumulates
-    wrapped angle increments, doubling the partition until every step is
-    below pi/2 (so no wrap is ambiguous).  The accumulated total must be
-    within ``tol`` of an integer multiple of 2*pi.
+
+def _remainder(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    """Remainder of ``a`` by nonzero ``b``, both dense and leading first."""
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    return list(dropwhile(lambda c: c == 0, a))
+
+
+def _cauchy_index(p: Polynomial, q: Polynomial) -> int:
+    """Ind(q/p) over the real line, ``p`` nonzero: the jumps of ``q/p`` from
+    -inf to +inf minus those from +inf to -inf.  By the Sturm-Sylvester
+    theorem it is the number of sign changes at -inf minus that at +inf of
+    the signed remainder sequence ``p, q, -rem(p, q), ...``.  Two neighbours
+    with degrees of equal parity change sign at both ends or at neither; the
+    others add +1 when their leading coefficients agree in sign, else -1."""
+    a, b = _coefficients(p), _coefficients(q)
+    index = 0
+    while b:
+        if (len(a) + len(b)) % 2:
+            index += 1 if (a[0] > 0) == (b[0] > 0) else -1
+        a, b = b, [-c for c in _remainder(a, b)]
+    return index
+
+
+def _real_roots(p: Polynomial) -> int:
+    """Sturm's theorem: ``Ind(p'/p)`` is the number of distinct real roots."""
+    return _cauchy_index(p, p.differentiate(0))
+
+
+def winding(f: RationalMap) -> int:
+    """Exact winding number of a circle self-map.
+
+    ``compose(f, stereo_inv(1))`` is ``(P, Q) / E`` in ``t``, which runs
+    counter-clockwise over the circle minus the pole ``(-1, 0)``.  Each
+    counter-clockwise crossing of ``P = 0`` makes ``Q/P`` jump from +inf to
+    -inf, so ``w`` turns give ``Ind(Q/P) = -2w``; ``Ind(P/Q) = 2w`` serves
+    when ``P`` vanishes at the pole.  Raises ``ZeroDivisionError`` if the
+    denominator vanishes on the circle, ``ValueError`` if the image meets 0.
     """
     circle = sphere(1)
     if f.domain != circle or f.codomain != circle:
         raise ValueError("winding numbers are defined for maps S1 -> S1")
-    num_data = [_term_data(p) for p in f.numerators]
-    den_data = _term_data(f.denominator)
-    count = initial_points
-    previous: Optional[int] = None
-    # A single partition with small sampled steps can alias: a fast swing
-    # between neighbours (denominator near zero) may wrap almost a full
-    # turn yet produce a small wrapped step.  Accept only when two
-    # successive refinements both have every step below pi/2 and agree.
-    while count <= max_points:
-        theta = 2.0 * math.pi * np.arange(count) / count
-        points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        cache: Dict[Tuple[int, int], np.ndarray] = {}
-        den = _batch_eval(den_data, points, cache)
-        if np.min(np.abs(den)) < 1e-12:
-            raise ZeroDivisionError(
-                "denominator vanishes near a partition point; "
-                "the map is not defined on the whole circle"
-            )
-        g1 = _batch_eval(num_data[0], points, cache) / den
-        g2 = _batch_eval(num_data[1], points, cache) / den
-        angles = np.arctan2(g2, g1)
-        steps = np.diff(angles, append=angles[:1])
-        steps = np.mod(steps + math.pi, 2.0 * math.pi) - math.pi
-        if np.max(np.abs(steps)) < 0.5 * math.pi:
-            turns = float(np.sum(steps)) / (2.0 * math.pi)
-            rounded = round(turns)
-            if abs(turns - rounded) > tol:
-                raise NonConvergenceError(
-                    f"accumulated angle {turns} turns is not close to an integer"
-                )
-            if previous is not None and previous == rounded:
-                return int(rounded)
-            previous = rounded
-        else:
-            previous = None
-        count *= 2
-    raise NonConvergenceError(
-        f"partition refinement exceeded {max_points} points without "
-        "stable small angle steps"
-    )
+    pole = (Fraction(-1), Fraction(0))
+    if f.denominator.evaluate(pole) == 0:
+        raise ZeroDivisionError("the denominator vanishes at (-1, 0) on the circle")
+    at_pole = [n.evaluate(pole) for n in f.numerators]
+    pulled = compose(f, stereo_inv(1))
+    p, q = pulled.numerators
+    if _real_roots(pulled.denominator):
+        raise ZeroDivisionError("the denominator vanishes on the circle")
+    if not any(at_pole) or _real_roots(p * p + q * q):
+        raise ValueError("the image passes through the origin; no winding number")
+    return -_cauchy_index(p, q) // 2 if at_pole[0] else _cauchy_index(q, p) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +325,10 @@ def regular_value_probe(
     normal_rank = linalg.rank(codomain_normals) if codomain_normals else 0
     required = f.codomain.ambient_dim - normal_rank
 
-    num_partials = [
-        [p.differentiate(j) for j in range(f.domain.ambient_dim)] for p in f.numerators
-    ]
-    den_partials = [
-        f.denominator.differentiate(j) for j in range(f.domain.ambient_dim)
-    ]
+    dim = f.domain.ambient_dim
+    num_partials = [[p.differentiate(j) for j in range(dim)] for p in f.numerators]
+    den_partials = [f.denominator.differentiate(j) for j in range(dim)]
+    relation_partials = [[r.differentiate(j) for j in range(dim)] for r in f.domain.relations]
 
     all_on_fiber = True
     ranks: List[int] = []
@@ -335,32 +339,21 @@ def regular_value_probe(
         image = f.evaluate_raw(coords)
         if tuple(image) != value_coords:
             all_on_fiber = False
+        # quotient rule with n / d = image: d(n / d) = (dn - image * dd) / d
         den_value = f.denominator.evaluate(coords)
-        den_sq = den_value * den_value
+        dden = [d.evaluate(coords) for d in den_partials]
         jacobian = [
-            [
-                (num_partials[i][j].evaluate(coords) * den_value
-                 - f.numerators[i].evaluate(coords) * den_partials[j].evaluate(coords))
-                / den_sq
-                for j in range(f.domain.ambient_dim)
-            ]
-            for i in range(len(f.numerators))
+            [(dn.evaluate(coords) - y * dd) / den_value for dn, dd in zip(row, dden)]
+            for row, y in zip(num_partials, image)
         ]
-        relation_rows = [
-            [relation.differentiate(j).evaluate(coords) for j in range(f.domain.ambient_dim)]
-            for relation in f.domain.relations
-        ]
+        relation_rows = [[d.evaluate(coords) for d in row] for row in relation_partials]
         if relation_rows:
             tangent = linalg.nullspace_basis(relation_rows)
         else:
-            tangent = [
-                [Fraction(1) if a == b else Fraction(0) for a in range(f.domain.ambient_dim)]
-                for b in range(f.domain.ambient_dim)
-            ]
+            tangent = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
         pushed = [linalg.mat_vec(jacobian, t) for t in tangent]
         stacked = [list(col) for col in pushed] + [list(row) for row in codomain_normals]
-        rank_value = linalg.rank(stacked) - normal_rank
-        ranks.append(rank_value)
+        ranks.append(linalg.rank(stacked) - normal_rank)
 
     all_regular = all(r == required for r in ranks)
     evidence = {

@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
 from .linalg import GaussianRational
@@ -422,12 +422,16 @@ def sample_point(
     return PointOnVariety(variety, coords)
 
 
+def sample_stream(
+    variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
+) -> Iterator[PointOnVariety]:
+    """Lazy endless stream of samples; sample ``i`` depends only on ``(seed, i)``."""
+    for i in itertools.count():
+        yield sample_point(variety, seed * 1_000_003 + i, height=height)
+
+
 def sample_points(
-    variety: Variety,
-    count: int,
-    seed: int = 0,
-    *,
-    height: int = DEFAULT_HEIGHT,
+    variety: Variety, count: int, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> List[PointOnVariety]:
-    """``count`` independent samples; sample ``i`` depends only on ``(seed, i)``."""
-    return [sample_point(variety, seed * 1_000_003 + i, height=height) for i in range(count)]
+    """The first ``count`` samples of :func:`sample_stream`."""
+    return list(itertools.islice(sample_stream(variety, seed, height=height), count))

@@ -205,6 +205,13 @@ def test_degree_uses_winding_numbers_on_the_circle(capsys):
     }
 
 
+def test_winding_is_exact_at_high_circle_powers(capsys):
+    code, out, _ = run(capsys, ["degree", "zpow:64"])
+    assert code == 0
+    assert json.loads(out) == {"map": "zpow:64", "method": "winding", "rounded": 64, "value": 64}
+    assert run(capsys, ["verify", "zpow:-64", "--samples", "50", "--trials", "5"])[0] == 0
+
+
 def test_degree_monte_carlo_route(capsys):
     args = ["degree", "antipodal:2", "--samples", "2000", "--seed", "7"]
     code, out, _ = run(capsys, args)

@@ -2,8 +2,9 @@
 is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, no code skips the relation
 check of a point except where the point is valid by construction, no
-sum of polynomials is folded by hand, and no pass/fail record besides the
-one verdict type serializes itself."""
+sum of polynomials is folded by hand, no pass/fail record besides the
+one verdict type serializes itself, and only the one sample stream spells
+its seed formula."""
 
 import ast
 from pathlib import Path
@@ -292,3 +293,36 @@ def test_only_the_verdict_and_the_measurements_define_to_dict():
         name for path in PACKAGE for name in classes_with_to_dict(path.read_text(encoding="utf-8"))
     }
     assert found - TO_DICT_ALLOWED == set()
+
+
+# The multiplier of the sample-stream seed formula ``seed * 1_000_003 + i``.
+# ``varieties.sample_stream`` spells it once; every other sampler draws from
+# that stream, so the points of a seed are defined in one place.
+STREAM_MULTIPLIER = 1_000_003
+
+
+def stream_multipliers(source: str):
+    """Lines of each integer literal equal to the stream multiplier."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is int
+        and node.value == STREAM_MULTIPLIER
+    ]
+
+
+def test_the_checker_finds_a_spelled_seed_formula():
+    source = (
+        "a = sample_point(v, seed * 1_000_003 + i)\n"
+        "b = sample_point(v, seed * 1000003 + i)\n"
+        "c = sample_point(v, seed * 1_000_004 + i)  # 1_000_003\n"
+        "d = '1_000_003'\n"
+    )
+    assert stream_multipliers(source) == [1, 2]
+
+
+def test_only_the_sample_stream_spells_its_seed_formula():
+    found = {path.name: stream_multipliers(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines and name != "varieties.py"} == {}
+    assert len(found["varieties.py"]) == 1

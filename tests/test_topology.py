@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from regmaps.groups import fiber_points, j_map, jmap_rotation
-from regmaps.ratmap import compose, constant_map, identity_map
+from regmaps.polynomial import Polynomial
+from regmaps.ratmap import RationalMap, compose, constant_map, identity_map
 from regmaps.spheres import (
     antipodal,
     basepoint,
@@ -39,10 +40,20 @@ ROT = circle_rotation(Fraction(3, 5), Fraction(4, 5))
 # ---------------------------------------------------------------------------
 
 
+X1, X2 = (Polynomial.variable(sphere(1).registry, i) for i in range(2))
+ONE = Polynomial.one(sphere(1).registry)
+
+
+def _circle_map(numerators, denominator=ONE):
+    return RationalMap(sphere(1), sphere(1), numerators, denominator)
+
+
 def test_winding_basic_values():
     assert winding(sphere_identity(1)) == 1
     assert winding(constant_map(sphere(1), basepoint(1))) == 0
     assert winding(phi_double(1)) == 2
+    # the image need not lie on the circle, only avoid the origin
+    assert winding(_circle_map([2 * X1, 2 * X2])) == 1
 
 
 def test_winding_of_powers():
@@ -60,6 +71,24 @@ def test_winding_flips_under_reflection():
 def test_winding_ignores_rotation_offsets():
     assert winding(compose(ROT, circle_power(2))) == 2
     assert winding(compose(circle_power(2), ROT)) == 2
+    # sends the pole (-1, 0) to (0, 1), where P vanishes: the Ind(P/Q) branch
+    assert winding(circle_rotation(Fraction(0), Fraction(-1))) == 1
+
+
+def test_winding_needs_a_denominator_that_never_vanishes_on_the_circle():
+    vanishing_at_basepoint = _circle_map([X1 * (ONE - X1), X2 * (ONE - X1)], ONE - X1)
+    vanishing_at_pole = _circle_map([X1 * (ONE + X1), X2 * (ONE + X1)], ONE + X1)
+    for f in (vanishing_at_basepoint, vanishing_at_pole):
+        with pytest.raises(ZeroDivisionError):
+            winding(f)
+
+
+def test_winding_needs_an_image_that_avoids_the_origin():
+    through_origin_at_the_top = _circle_map([X1, 0 * X1])
+    through_origin_at_the_pole = _circle_map([ONE + X1, X2])
+    for f in (through_origin_at_the_top, through_origin_at_the_pole):
+        with pytest.raises(ValueError, match="origin"):
+            winding(f)
 
 
 def test_winding_additive_under_pointwise_addition():
