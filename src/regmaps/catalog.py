@@ -287,10 +287,11 @@ class Family:
 # `degree zpow:200` takes 21 s (2-vCPU Xeon), nearly all in its compose.
 ZPOW_MAX_DEGREE = 200
 
-# SO(n) and SU(k) carry det = 1 with n! Leibniz terms; embed-u:k lands in
-# SO(2k).  Builds on a 2-vCPU Xeon: p:8 11 s, s:8 32 s, r:8 39 s (n = 9 has
-# 9 times the det terms; not run), embed-u:4 11 s (k = 5 needs det at n = 10),
-# su-retract:5 4 s and su-retract:6 61 s at 1 GB peak RSS.
+# SO(n) and SU(k) carry det = 1 with n! Leibniz terms (chain:m:k builds
+# SO(m)); embed-u:k lands in SO(2k).  Builds on a 2-vCPU Xeon: p:8 11 s,
+# s:8 32 s, r:8 39 s (n = 9 has 9 times the det terms; not run), embed-u:4
+# 11 s (k = 5 needs det at n = 10), su-retract:5 4 s and su-retract:6 61 s
+# at 1 GB peak RSS.
 SO_MAX_SIZE = 8
 EMBED_U_MAX_SIZE = 4
 SU_RETRACT_MAX_SIZE = 5
@@ -331,7 +332,8 @@ FAMILIES: Dict[str, Family] = {
     "r-u": Family({"r-u:k": "retraction of U(k) onto the basepoint stabilizer"},
                   _params(1), groups.retract_u, _retract_u_checks),
     "chain": Family({"chain:m:k": "iterated retraction SO(m) -> embedded SO(k)"},
-                    _params(2), groups.chain_retract, _chain_checks, generic_height=4),
+                    _params(2), groups.chain_retract, _chain_checks, generic_height=4,
+                    max_parameter=SO_MAX_SIZE),
     "su-retract": Family({"su-retract:k": "determinant-correcting retraction U(k) -> SU(k)"},
                          _params(1), groups.su_retract, _su_retract_checks,
                          max_parameter=SU_RETRACT_MAX_SIZE),

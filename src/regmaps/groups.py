@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .polynomial import (
     ComplexPolynomial,
@@ -58,6 +58,7 @@ from .ratmap import (
     identity_matrix_map,
     matrix_multiply,
     matrix_transpose,
+    relabel,
     verified,
 )
 from .varieties import (
@@ -76,20 +77,6 @@ from .varieties import (
 # groups are checked at sampled points; the sections, whose domain is a
 # sphere, get a symbolic codomain proof and sampled denominator signs.
 _CHECK = (4, 23, 8)
-
-
-def _relabel(m: MatrixMap, label: str, excluded: Optional[str] = None) -> MatrixMap:
-    return MatrixMap(
-        m.domain,
-        m.codomain,
-        m.numerators,
-        m.denominator,
-        rows=m.rows,
-        cols=m.cols,
-        complex_entries=m.complex_entries,
-        excluded=m.excluded if excluded is None else excluded,
-        label=label,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +182,21 @@ def embed_special_unitary(k: int) -> MatrixMap:
 # ---------------------------------------------------------------------------
 
 
+def _block_column(m: int, size: int, label: str) -> RationalMap:
+    """SO(m) -> S^{size-1}: the first column of the lower-right size x size
+    block.  It lands on the sphere wherever the matrix is block-diagonal."""
+    dom = special_orthogonal(m)
+    offset = m - size
+    nums = [Polynomial.variable(dom.registry, r * m + offset) for r in range(offset, m)]
+    return RationalMap(dom, sphere(size - 1), nums, Polynomial.one(dom.registry), label=label)
+
+
 @lru_cache(maxsize=None)
 def first_column(n: int) -> RationalMap:
     """SO(n) -> S^{n-1}, the image of the first basis vector."""
     if n < 2:
         raise ValueError("need n >= 2")
-    dom = special_orthogonal(n)
-    nums = [Polynomial.variable(dom.registry, i * n) for i in range(n)]
-    return verified(
-        RationalMap(
-            dom, sphere(n - 1), nums, Polynomial.one(dom.registry), label=f"first_column_{n}"
-        ),
-        *_CHECK,
-    )
+    return verified(_block_column(n, n, f"first_column_{n}"), *_CHECK)
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +316,7 @@ def retract_so(n: int) -> MatrixMap:
         matrix_transpose(lifted), identity_matrix_map(special_orthogonal(n), n)
     )
     return verified(
-        _relabel(product, f"retract_so_{n}", "first column at the antipode of e"),
+        relabel(product, f"retract_so_{n}", "first column at the antipode of e"),
         *_CHECK,
     )
 
@@ -342,7 +331,7 @@ def retract_u(k: int) -> MatrixMap:
         identity_matrix_map(unitary(k), k, complex_entries=True),
     )
     return verified(
-        _relabel(product, f"retract_u_{k}", "first column at the antipode of e"),
+        relabel(product, f"retract_u_{k}", "first column at the antipode of e"),
         *_CHECK,
     )
 
@@ -361,37 +350,12 @@ def chain_retract(m: int, k: int) -> MatrixMap:
     group = special_orthogonal(m)
     current = identity_matrix_map(group, m)
     for size in range(m, k, -1):
-        offset = m - size
-        column = RationalMap(
-            group,
-            sphere(size - 1),
-            [current.numerators[r * m + offset] for r in range(offset, m)],
-            current.denominator,
-            label=f"block_column_{size}",
-        )
+        column = compose(_block_column(m, size, f"block_column_{size}"), current)
         block = compose(section_so(size), column)
-        nums: List[Polynomial] = []
-        reg = group.registry
-        for a in range(m):
-            for b in range(m):
-                if a < offset or b < offset:
-                    nums.append(
-                        block.denominator if a == b else Polynomial.zero(reg)
-                    )
-                else:
-                    nums.append(block.entry(a - offset, b - offset))
-        lifted = MatrixMap(
-            group,
-            group,
-            nums,
-            block.denominator,
-            rows=m,
-            cols=m,
-            label=f"lifted_section_{size}",
-        )
+        lifted = compose(embed_orthogonal(size, m), block)
         current = matrix_multiply(matrix_transpose(lifted), current)
     return verified(
-        _relabel(
+        relabel(
             current,
             f"chain_retract_{m}_{k}",
             "a block column hits the antipode at some level",

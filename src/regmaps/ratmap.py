@@ -27,6 +27,24 @@ coordinate ``N/D`` of ``f`` clears denominators by homogenizing with
 ``E`` up to the maximal degree ``d`` appearing in ``f``, producing
 numerators ``N(M/E) * E^d`` and denominator ``D(M/E) * E^d`` --
 polynomials again, no division needed.
+
+Staged maps.  On a domain without sphere blocks (SO(n), U(k), SU(k),
+R^n) no normal form is involved, so :func:`compose`,
+:func:`matrix_multiply`, :func:`matrix_transpose` and :func:`relabel`
+return a *staged* map: it keeps its inputs and a rule for their values,
+a straight-line program in the sense of Kaltofen (JACM 1988).
+:meth:`RationalMap.values` evaluates it as it stands, each shared stage
+once per point.  Invariant: at every coordinate vector the values are a
+*positive multiple* of the expanded map's numerator and denominator
+values, so every ratio, zero test and sign -- hence every verdict built
+on them -- is the expanded map's.  A composite keeps the invariant by
+evaluating the outer map at the inner image only where the inner
+denominator is positive; elsewhere the dropped factor ``E^d`` could
+vanish or flip the sign, so it evaluates its own expansion.  Reading
+``numerators``, ``denominator``, ``entry``, ``max_degree``, ``==``,
+``hash`` or :func:`map_to_obj` expands the map once, by the same
+polynomial code an expanded map is built with, and releases its inputs.
+On sphere-block domains the operations expand at once.
 """
 
 from __future__ import annotations
@@ -75,9 +93,13 @@ class CodomainViolationError(ValueError):
 
 
 class RationalMap:
-    """Tuple of numerators over one shared denominator, typed by varieties."""
+    """Tuple of numerators over one shared denominator, typed by varieties.
 
-    __slots__ = ("domain", "codomain", "numerators", "denominator", "excluded", "label")
+    A staged map (see the module docstring) holds ``_stage`` until its
+    polynomials are first read; then it holds ``_polys``, as an expanded
+    map does from construction."""
+
+    __slots__ = ("domain", "codomain", "excluded", "label", "_polys", "_stage")
 
     def __init__(
         self,
@@ -88,44 +110,103 @@ class RationalMap:
         excluded: str = "",
         label: str = "",
     ):
-        if len(numerators) != codomain.ambient_dim:
+        self._set(domain=domain, codomain=codomain, excluded=excluded, label=label, _stage=None)
+        self._set(_polys=self._normalized(numerators, denominator))
+
+    def __setattr__(self, key, value):  # pragma: no cover
+        raise AttributeError("RationalMap is immutable")
+
+    def _set(self, **fields) -> None:
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+
+    def _normalized(
+        self, numerators: Sequence[Polynomial], denominator: Polynomial
+    ) -> Tuple[Tuple[Polynomial, ...], Polynomial]:
+        if len(numerators) != self.codomain.ambient_dim:
             raise VarietyMismatchError(
-                f"{codomain.name} needs {codomain.ambient_dim} coordinates, "
+                f"{self.codomain.name} needs {self.codomain.ambient_dim} coordinates, "
                 f"got {len(numerators)} numerators"
             )
         for p in list(numerators) + [denominator]:
-            if p.registry != domain.registry:
+            if p.registry != self.domain.registry:
                 raise VarietyMismatchError(
                     "map polynomials must live over the domain registry"
                 )
-        nums = [normal_form(p, domain.blocks) for p in numerators]
-        den = normal_form(denominator, domain.blocks)
+        nums = [normal_form(p, self.domain.blocks) for p in numerators]
+        den = normal_form(denominator, self.domain.blocks)
         if den.is_zero():
             raise ZeroDenominatorError(
                 "denominator is zero modulo the domain relations"
             )
         nums, den = _normalize_content(nums, den)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "numerators", tuple(nums))
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "label", label)
+        return tuple(nums), den
 
-    def __setattr__(self, key, value):  # pragma: no cover
-        raise AttributeError("RationalMap is immutable")
+    # -- staged maps --------------------------------------------------------
+
+    def _expanded(self) -> Tuple[Tuple[Polynomial, ...], Polynomial]:
+        """The normalized polynomials, expanding a staged map once (its
+        inputs are released afterwards)."""
+        stage = self._stage
+        if stage is not None:
+            polys = self._normalized(*stage.expand(*stage.inputs))
+            self._set(_polys=polys, _stage=None)
+        return self._polys
+
+    @property
+    def numerators(self) -> Tuple[Polynomial, ...]:
+        return self._expanded()[0]
+
+    @property
+    def denominator(self) -> Polynomial:
+        return self._expanded()[1]
+
+    @property
+    def staged(self) -> bool:
+        """True until the polynomials of a staged map are first read."""
+        return self._stage is not None
 
     # -- evaluation -------------------------------------------------------
 
+    def values(self, coords: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
+        """Numerator values and denominator value at ``coords``: a positive
+        multiple of the expanded map's, so ratios, zeros and signs are its."""
+        return self._values(coords, {})
+
+    def _values(self, coords: Sequence[Fraction], memo: dict):
+        # ``memo`` maps id(node) -> (node, values) at this one point, so a
+        # stage that feeds several others is evaluated once; keeping the
+        # node alive keeps its id from being reused meanwhile.
+        hit = memo.get(id(self))
+        if hit is None:
+            stage = self._stage
+            found = (
+                self._polynomial_values(coords)
+                if stage is None
+                else stage.values(self, coords, memo)
+            )
+            hit = memo[id(self)] = (self, found)
+        return hit[1]
+
+    def _polynomial_values(self, coords: Sequence[Fraction]):
+        nums, den = self._expanded()
+        return [n.evaluate(coords) for n in nums], den.evaluate(coords)
+
+    def _denominator_value(self, coords: Sequence[Fraction]) -> Fraction:
+        # An expanded map evaluates its denominator alone.
+        if self._stage is None:
+            return self._polys[1].evaluate(coords)
+        return self.values(coords)[1]
+
     def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
         """Exact image coordinates without variety bookkeeping."""
-        den_value = self.denominator.evaluate(coords)
+        nums, den_value = self.values(coords)
         if den_value == 0:
             raise ExcludedLocusError(
                 f"denominator of {self._describe()} vanishes at the given point"
                 + (f" (excluded locus: {self.excluded})" if self.excluded else "")
             )
-        return [n.evaluate(coords) / den_value for n in self.numerators]
+        return [n / den_value for n in nums]
 
     def evaluate(self, point: PointOnVariety) -> PointOnVariety:
         if point.variety != self.domain:
@@ -168,10 +249,8 @@ class RationalMap:
         return hash((self.domain, self.codomain, self.numerators, self.denominator))
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self._describe()}, "
-            f"degree {self.max_degree()})"
-        )
+        size = "staged" if self.staged else f"degree {self.max_degree()}"
+        return f"{type(self).__name__}({self._describe()}, {size})"
 
 
 class MatrixMap(RationalMap):
@@ -204,9 +283,7 @@ class MatrixMap(RationalMap):
                 f"needs {expected} coordinates, got {len(numerators)}"
             )
         super().__init__(domain, codomain, numerators, denominator, excluded, label)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "complex_entries", complex_entries)
+        self._set(rows=rows, cols=cols, complex_entries=complex_entries)
 
     def entry(self, i: int, j: int) -> Union[Polynomial, ComplexPolynomial]:
         """Numerator of entry (i, j); a (real, imaginary) pair when complex."""
@@ -292,6 +369,56 @@ def substitute_cleared(
     return Polynomial.sum(target, (cleared_term(e, c) for e, c in source.terms.items()))
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """How a staged map follows from its ``inputs``.  ``values(node, coords,
+    memo)`` gives a positive multiple of the expanded map's values at
+    ``coords``; ``expand(*inputs)`` gives its polynomials before
+    normalization, by the same code that builds an expanded map."""
+
+    inputs: tuple
+    values: Callable
+    expand: Callable
+
+
+def _derived(
+    domain: Variety,
+    codomain: Variety,
+    shape: Optional[tuple],
+    stage: _Stage,
+    excluded: str,
+    label: str,
+) -> RationalMap:
+    """The map ``stage`` computes, with ``shape`` (rows, cols,
+    complex_entries) when it is a matrix map: staged on a domain without
+    sphere blocks, expanded at once on one with them."""
+    m = object.__new__(RationalMap if shape is None else MatrixMap)
+    m._set(domain=domain, codomain=codomain, excluded=excluded, label=label)
+    m._set(_polys=None, _stage=stage)
+    if shape is not None:
+        m._set(rows=shape[0], cols=shape[1], complex_entries=shape[2])
+    if domain.blocks:
+        m._expanded()
+    return m
+
+
+def _shape(m: RationalMap) -> Optional[tuple]:
+    return (m.rows, m.cols, m.complex_entries) if isinstance(m, MatrixMap) else None
+
+
+def relabel(m: RationalMap, label: str, excluded: Optional[str] = None) -> RationalMap:
+    """``m`` under a new label (and excluded-locus text); a staged map stays
+    staged and is expanded at most once."""
+    stage = _Stage((m,), _relabeled_values, lambda inner: inner._expanded())
+    excluded = m.excluded if excluded is None else excluded
+    return _derived(m.domain, m.codomain, _shape(m), stage, excluded, label)
+
+
+def _relabeled_values(node, coords, memo):
+    (inner,) = node._stage.inputs
+    return inner._values(coords, memo)
+
+
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """Exact composite ``outer after inner``."""
     if inner.codomain != outer.domain:
@@ -299,27 +426,30 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
             f"cannot compose: inner lands in {inner.codomain.name}, "
             f"outer starts from {outer.domain.name}"
         )
+    excluded = "; ".join(s for s in (inner.excluded, outer.excluded) if s)
+    label = f"{outer._describe()} . {inner._describe()}"
+    stage = _Stage((outer, inner), _composite_values, _composite_polynomials)
+    return _derived(inner.domain, outer.codomain, _shape(outer), stage, excluded, label)
+
+
+def _composite_polynomials(outer: RationalMap, inner: RationalMap):
     degree = outer.max_degree()
     nums = [
         substitute_cleared(n, inner.numerators, inner.denominator, degree)
         for n in outer.numerators
     ]
     den = substitute_cleared(outer.denominator, inner.numerators, inner.denominator, degree)
-    excluded = "; ".join(s for s in (inner.excluded, outer.excluded) if s)
-    label = f"{outer._describe()} . {inner._describe()}"
-    if isinstance(outer, MatrixMap):
-        return MatrixMap(
-            inner.domain,
-            outer.codomain,
-            nums,
-            den,
-            rows=outer.rows,
-            cols=outer.cols,
-            complex_entries=outer.complex_entries,
-            excluded=excluded,
-            label=label,
-        )
-    return RationalMap(inner.domain, outer.codomain, nums, den, excluded, label)
+    return nums, den
+
+
+def _composite_values(node, coords, memo):
+    outer, inner = node._stage.inputs
+    image, den = inner._values(coords, memo)
+    if den > 0:
+        return outer.values([v / den for v in image])
+    # The expansion carries the factor den ** deg(outer), which the rule
+    # above drops; where den <= 0 it can vanish or flip the sign.
+    return node._polynomial_values(coords)
 
 
 def pair_map(first: RationalMap, second: RationalMap) -> RationalMap:
@@ -406,16 +536,16 @@ def _check_same_signature(f: RationalMap, g: RationalMap) -> None:
 
 
 def _sampled_off_locus(
-    domain: Variety, denominators: Sequence[Polynomial], count: int, seed: int, height: int
+    domain: Variety, maps: Sequence[RationalMap], count: int, seed: int, height: int
 ):
-    """Lazily yield ``(coords, denominator values)`` at the first ``count``
-    sampled points of ``domain`` where no given denominator vanishes.
+    """Lazily yield ``(coords, values of each map)`` at the first ``count``
+    sampled points of ``domain`` where no map's denominator vanishes.
     Raises :class:`ExcludedLocusError` if ``8 * count`` draws do not find
     them."""
     found = 0
     for point in islice(sample_stream(domain, seed, height=height), 8 * count):
-        values = [d.evaluate(point.coords) for d in denominators]
-        if 0 not in values:
+        values = [m.values(point.coords) for m in maps]
+        if all(den != 0 for _, den in values):
             yield point.coords, values
             found += 1
             if found == count:
@@ -438,12 +568,9 @@ def equal_mod(
     """Exact-sampling equality: cross-multiplied coordinate differences must
     vanish at ``trials`` sampled rational points of the common domain."""
     _check_same_signature(f, g)
-    points = _sampled_off_locus(f.domain, (f.denominator, g.denominator), trials, seed, height)
-    for done, (coords, (df, dg)) in enumerate(points):
-        if any(
-            nf.evaluate(coords) * dg != ng.evaluate(coords) * df
-            for nf, ng in zip(f.numerators, g.numerators)
-        ):
+    points = _sampled_off_locus(f.domain, (f, g), trials, seed, height)
+    for done, (coords, ((nf, df), (ng, dg))) in enumerate(points):
+        if any(a * dg != b * df for a, b in zip(nf, ng)):
             return Verdict("sampling", False, {"trials": done + 1}, coords)
     return Verdict("sampling", True, {"trials": trials})
 
@@ -489,9 +616,9 @@ def maps_into(
                     "symbolic", False, {"checked": index + 1, "failed_relation": index}
                 )
         return Verdict("symbolic", True, {"checked": len(f.codomain.relations)})
-    points = _sampled_off_locus(f.domain, (f.denominator,), samples, seed, height)
-    for done, (coords, (den,)) in enumerate(points):
-        image = [n.evaluate(coords) / den for n in f.numerators]
+    points = _sampled_off_locus(f.domain, (f,), samples, seed, height)
+    for done, (coords, ((nums, den),)) in enumerate(points):
+        image = [n / den for n in nums]
         for index, relation in enumerate(f.codomain.relations):
             if relation.evaluate(image) != 0:
                 evidence = {"checked": done + 1, "failed_relation": index}
@@ -512,7 +639,7 @@ def denominator_check(
     negatives = 0
     witness = None
     for point in islice(sample_stream(f.domain, seed, height=height), samples):
-        value = f.denominator.evaluate(point.coords)
+        value = f._denominator_value(point.coords)
         if value == 0:
             zeros += 1
             witness = witness or point.coords
@@ -556,24 +683,34 @@ def matrix_transpose(m: MatrixMap, codomain: Optional[Variety] = None) -> Matrix
     target = codomain or (m.codomain if m.rows == m.cols else None)
     if target is None:
         raise VarietyMismatchError("transpose of a non-square map needs a codomain")
-    nums: List[Polynomial] = []
+    stage = _Stage((m,), _transposed_values, _transposed_polynomials)
+    label = f"({m._describe()})^T" if not m.complex_entries else f"({m._describe()})^*"
+    shape = (m.cols, m.rows, m.complex_entries)
+    return _derived(m.domain, target, shape, stage, m.excluded, label)
+
+
+def _transposed(m: MatrixMap, coords: Sequence) -> list:
+    """Row-major coordinates (polynomials or values) of the transpose of the
+    matrix ``coords`` of shape ``m``; conjugated when complex."""
+    out = []
     for i in range(m.cols):
         for j in range(m.rows):
             if m.complex_entries:
-                nums.extend(m.entry(j, i).conjugate())  # type: ignore[union-attr]
+                base = 2 * (j * m.cols + i)
+                out.extend((coords[base], -coords[base + 1]))
             else:
-                nums.append(m.entry(j, i))  # type: ignore[arg-type]
-    return MatrixMap(
-        m.domain,
-        target,
-        nums,
-        m.denominator,
-        rows=m.cols,
-        cols=m.rows,
-        complex_entries=m.complex_entries,
-        excluded=m.excluded,
-        label=f"({m._describe()})^T" if not m.complex_entries else f"({m._describe()})^*",
-    )
+                out.append(coords[j * m.cols + i])
+    return out
+
+
+def _transposed_polynomials(m: MatrixMap):
+    return _transposed(m, m.numerators), m.denominator
+
+
+def _transposed_values(node, coords, memo):
+    (m,) = node._stage.inputs
+    nums, den = m._values(coords, memo)
+    return _transposed(m, nums), den
 
 
 def matrix_multiply(
@@ -593,6 +730,18 @@ def matrix_multiply(
             target = a.codomain
         else:
             raise VarietyMismatchError("product of mismatched shapes needs a codomain")
+    stage = _Stage((a, b), _product_values, _product_polynomials)
+    return _derived(
+        a.domain,
+        target,
+        (a.rows, b.cols, a.complex_entries),
+        stage,
+        "; ".join(s for s in (a.excluded, b.excluded) if s),
+        f"{a._describe()} * {b._describe()}",
+    )
+
+
+def _product_polynomials(a: MatrixMap, b: MatrixMap):
     summed = ComplexPolynomial.sum if a.complex_entries else Polynomial.sum
     nums: List[Polynomial] = []
     for i in range(a.rows):
@@ -603,17 +752,23 @@ def matrix_multiply(
                 nums.extend(entry)
             else:
                 nums.append(entry)
-    return MatrixMap(
-        a.domain,
-        target,
-        nums,
-        a.denominator * b.denominator,
-        rows=a.rows,
-        cols=b.cols,
-        complex_entries=a.complex_entries,
-        excluded="; ".join(s for s in (a.excluded, b.excluded) if s),
-        label=f"{a._describe()} * {b._describe()}",
-    )
+    return nums, a.denominator * b.denominator
+
+
+def _product_values(node, coords, memo):
+    a, b = node._stage.inputs
+    (x, x_den), (y, y_den) = a._values(coords, memo), b._values(coords, memo)
+    inner, cols = a.cols, b.cols
+    nums: List[Fraction] = []
+    for i in range(a.rows):
+        for j in range(cols):
+            if a.complex_entries:
+                pairs = [(2 * (i * inner + k), 2 * (k * cols + j)) for k in range(inner)]
+                nums.append(sum(x[s] * y[t] - x[s + 1] * y[t + 1] for s, t in pairs))
+                nums.append(sum(x[s] * y[t + 1] + x[s + 1] * y[t] for s, t in pairs))
+            else:
+                nums.append(sum(x[i * inner + k] * y[k * cols + j] for k in range(inner)))
+    return nums, x_den * y_den
 
 
 def identity_matrix_map(group: Variety, size: int, complex_entries: bool = False) -> MatrixMap:

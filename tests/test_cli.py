@@ -84,7 +84,7 @@ def test_eval_sampled_point_is_seed_deterministic(capsys):
 
 
 def test_eval_image_float_is_the_rounded_exact_image(capsys):
-    # the expanded chain map loses digits to cancellation in floats; the
+    # a float evaluation of the chain map loses digits to cancellation; the
     # reported float image must be the exact image, correctly rounded
     code, out, _ = run(capsys, ["eval", "chain:4:2", "--seed", "2"])
     assert code == 0
@@ -331,6 +331,8 @@ def test_factorial_cost_families_are_bounded(capsys):
         (["build", f"s:{catalog.SO_MAX_SIZE + 1}"], catalog.SO_MAX_SIZE),
         (["verify", f"r:{catalog.SO_MAX_SIZE + 1}"], catalog.SO_MAX_SIZE),
         (["build", f"su-retract:{catalog.SU_RETRACT_MAX_SIZE + 1}"], catalog.SU_RETRACT_MAX_SIZE),
+        (["build", "chain:9:2"], catalog.SO_MAX_SIZE),
+        (["verify", "chain:12:2"], catalog.SO_MAX_SIZE),
     ):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")

@@ -3,8 +3,8 @@ is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, no code skips the relation
 check of a point except where the point is valid by construction, no
 sum of polynomials is folded by hand, no pass/fail record besides the
-one verdict type serializes itself, and only the one sample stream spells
-its seed formula."""
+one verdict type serializes itself, only the one sample stream spells
+its seed formula, and the map builders never read a map's polynomials."""
 
 import ast
 from pathlib import Path
@@ -326,3 +326,39 @@ def test_only_the_sample_stream_spells_its_seed_formula():
     found = {path.name: stream_multipliers(path.read_text(encoding="utf-8")) for path in PACKAGE}
     assert {name: lines for name, lines in found.items() if lines and name != "varieties.py"} == {}
     assert len(found["varieties.py"]) == 1
+
+
+# Modules that build and check maps only through the operations of ``ratmap``.
+# Reading a map's polynomials there would expand a staged map unseen.
+STAGED_MODULES = ("groups.py", "catalog.py")
+POLYNOMIAL_READS = {"numerators", "denominator", "entry"}
+
+
+def polynomial_reads(source: str):
+    """Lines of each read of ``.numerators``, ``.denominator`` or ``.entry``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in POLYNOMIAL_READS
+    )
+
+
+def test_the_checker_finds_a_polynomial_read():
+    source = (
+        "a = m.numerators[0]\n"
+        "b = m.denominator.evaluate(x)\n"
+        "c = m.entry(0, 1)\n"
+        "d = m.values(x)\n"
+        "numerators = 'm.numerators'\n"
+    )
+    assert polynomial_reads(source) == [1, 2, 3]
+
+
+def test_map_builders_do_not_read_polynomials():
+    found = {
+        path.name: polynomial_reads(path.read_text(encoding="utf-8"))
+        for path in PACKAGE
+        if path.name in STAGED_MODULES
+    }
+    assert set(found) == set(STAGED_MODULES)
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,0 +1,121 @@
+"""Staged maps: composites and matrix products on domains without sphere
+blocks are evaluated pointwise and expanded only where polynomials are read."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from regmaps import cli, groups, ratmap
+from regmaps.polynomial import Polynomial
+from regmaps.ratmap import (
+    ExcludedLocusError,
+    RationalMap,
+    compose,
+    denominator_check,
+    identity_map,
+)
+from regmaps.varieties import euclidean, sample_points, special_orthogonal
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _fresh(name: str):
+    """A new, uncached, still staged catalog map and the embedding its
+    suite composes it with."""
+    if name.startswith("chain:"):
+        total, sub = map(int, name.split(":")[1:])
+        return groups.chain_retract.__wrapped__(total, sub), groups.embed_orthogonal(sub, total)
+    n = int(name.split(":")[1])
+    if name.startswith("r:"):
+        return groups.retract_so.__wrapped__(n), groups.embed_orthogonal(n - 1, n)
+    if name.startswith("r-u:"):
+        return groups.retract_u.__wrapped__(n), groups.embed_unitary(n - 1, n)
+    return groups.su_retract.__wrapped__(n), groups.embed_special_unitary(n)
+
+
+@pytest.mark.parametrize("name", ["chain:4:2", "chain:5:3", "r:3", "r-u:2", "su-retract:2"])
+def test_staged_values_are_a_positive_multiple_of_the_expanded_values(name):
+    m, embed = _fresh(name)
+    maps = [m, compose(m, embed)]
+    assert maps[1].staged
+    points = [sample_points(f.domain, 20, seed=7, height=4) for f in maps]
+    staged = [[f.values(p.coords) for p in pts] for f, pts in zip(maps, points)]
+    for f in maps:
+        f.numerators  # expands
+        assert not f.staged
+    for f, pts, before in zip(maps, points, staged):
+        for p, (nums, den) in zip(pts, before):
+            exp_nums, exp_den = f.values(p.coords)
+            assert _sign(den) == _sign(exp_den)
+            assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
+
+
+def _reciprocal_then_identity() -> RationalMap:
+    # inner X -> 1/X (numerator 1, denominator X), then a degree-1 outer map:
+    # the expansion is 1/X over the denominator X, negative for X < 0.
+    line = euclidean(1)
+    reg = line.registry
+    inner = RationalMap(line, line, [Polynomial.one(reg)], Polynomial.variable(reg, 0))
+    return compose(identity_map(line), inner)
+
+
+def test_a_nonpositive_inner_denominator_falls_back_to_the_expansion():
+    staged = _reciprocal_then_identity()
+    assert staged.staged
+    nums, den = staged.values([Fraction(-2)])
+    assert den < 0 and nums[0] / den == Fraction(-1, 2)
+    with pytest.raises(ExcludedLocusError):
+        _reciprocal_then_identity().evaluate_raw([Fraction(0)])
+    report = denominator_check(_reciprocal_then_identity(), samples=50, seed=3)
+    expanded = _reciprocal_then_identity()
+    expanded.numerators
+    assert report.evidence["negatives"] > 0
+    assert report == denominator_check(expanded, samples=50, seed=3)
+
+
+# sha256 of the stdout of `eval chain:5:3` and `verify chain:5:3`, as printed
+# when the chain map was expanded before it was evaluated.
+EXPANDED_STDOUT = {
+    "eval": "ec44158d13205fea6b0f0edca420d104d5c43ecb0c40e7540dda0706223fb442",
+    "verify": "a2e725cd6cda6abf1bbe4244ce56dc03b59408a6a21692bbac2b8d22b2fd67c1",
+}
+
+
+def test_eval_and_verify_of_a_chain_map_expand_nothing(capsys, monkeypatch):
+    for size in (5, 4):
+        groups.section_so(size)  # their symbolic construction checks expand
+
+    def refuse(*_):
+        raise AssertionError("a staged map was expanded")
+
+    groups.chain_retract.cache_clear()
+    monkeypatch.setattr(ratmap, "substitute_cleared", refuse)
+    try:
+        for verb, digest in EXPANDED_STDOUT.items():
+            assert cli.main([verb, "chain:5:3"]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    finally:
+        groups.chain_retract.cache_clear()
+
+
+def test_a_shared_stage_is_evaluated_once_per_point(monkeypatch):
+    m = groups.chain_retract.__wrapped__(6, 2)
+    point = sample_points(special_orthogonal(6), 1, seed=0, height=4)[0]
+    evaluated = []
+    polynomial_values = RationalMap._polynomial_values
+
+    def counted(self, coords):
+        evaluated.append(self.label)
+        return polynomial_values(self, coords)
+
+    monkeypatch.setattr(RationalMap, "_polynomial_values", counted)
+    m.values(point.coords)
+    # the identity feeds both the column and the product at each of 4 levels
+    assert evaluated.count("id_SO6") == 1
+
+
+def test_verify_chain_6_2_finishes(capsys):
+    assert cli.main(["verify", "chain:6:2", "--samples", "8", "--trials", "4"]) == 0
