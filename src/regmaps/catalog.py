@@ -67,7 +67,9 @@ def _jmap_spec(rest: List[str], name: str) -> list:
     if not rest:
         raise UnknownMapError(f"{name!r}: expected jmap:<builtin or file>")
     if rest[0] == "identity":
-        return [groups.jmap_constant_identity(*_params(2)(rest[1:], name))]
+        # bounded here: the family is built while the name is parsed
+        n, k = _bounded(FAMILIES["jmap"], _params(2)(rest[1:], name), name)
+        return [groups.jmap_constant_identity(n, k)]
     if rest == ["rotation"]:
         return [groups.jmap_rotation()]
     if rest == ["double-rotation"]:
@@ -271,8 +273,8 @@ class Family:
     same arguments and returns the checks that follow the two generic ones
     (``None``: the generic checks say it all).  ``generic_height`` overrides
     the sample height of the generic checks.  ``max_parameter`` bounds the
-    absolute value of every integer argument, for families whose build cost
-    grows without limit in a parameter."""
+    absolute value of every integer parameter in the name, for families whose
+    build cost grows without limit in a parameter."""
 
     forms: Dict[str, str]
     parse: Callable[[List[str], str], list]
@@ -296,26 +298,52 @@ SO_MAX_SIZE = 8
 EMBED_U_MAX_SIZE = 4
 SU_RETRACT_MAX_SIZE = 5
 
+# Sphere maps carry one dense exponent tuple per monomial, so their cost grows
+# with the dimension.  Each bound is the largest round size whose build took
+# under 50 s (raw, one fresh process each, 2-vCPU Xeon), which leaves room for
+# the host's speed swings below a 60 s budget.  build id:3000 32 s,
+# antipodal:3000 29 s, reflect:3000:2 28 s (at 4000: 49, 54, 58 s, 1 GB).
+# Where a family's suite builds a costlier map, its verify sets the bound
+# instead.  The stereo and phi suites build stereo-inv:n, whose symbolic
+# codomain check needs memory cubic in n: build stereo-inv:400 43 s at 1.3 GB,
+# verify stereo:400 49 s and phi:400 48 s (--samples 10 --trials 2), while
+# build phi:1000 takes 5 s.  The oplus suite builds the chart route: verify
+# oplus:100 35 s and oplus:80 24 s, while build oplus:300 takes 34 s at 1.2 GB.
+# build jmap:identity:700:700 32 s, 800:800 56 s (k = n is the worst shape:
+# 2:1000 38 s, 1000:2 6 s).  U(k) names its variables a{i}{j} without a
+# separator, so they collide from k = 11; build r-u:10 8 s, s-u:10 5 s and
+# p-u:10 2 s.
+SPHERE_MAX_DIM = 3000
+CHART_MAX_DIM = 400
+OPLUS_MAX_DIM = 100
+JMAP_MAX_SIZE = 700
+UNITARY_MAX_SIZE = 10
+
 FAMILIES: Dict[str, Family] = {
     "stereo": Family({"stereo:n": "stereographic chart S^n -> R^n"},
-                     _params(1), spheres.stereo, _chart_checks),
+                     _params(1), spheres.stereo, _chart_checks,
+                     max_parameter=CHART_MAX_DIM),
     "stereo-inv": Family({"stereo-inv:n": "inverse stereographic parametrization R^n -> S^n"},
-                         _params(1), spheres.stereo_inv, _chart_checks),
+                         _params(1), spheres.stereo_inv, _chart_checks,
+                         max_parameter=CHART_MAX_DIM),
     "oplus": Family({"oplus:n": "rational addition S^n x S^n -> S^n"},
-                    _params(1), spheres.oplus, _oplus_checks),
+                    _params(1), spheres.oplus, _oplus_checks,
+                    max_parameter=OPLUS_MAX_DIM),
     "reflect": Family({"reflect:n:j": "reflection of S^n negating coordinate j"},
-                      _params(2), spheres.reflect, _involution_checks),
+                      _params(2), spheres.reflect, _involution_checks,
+                      max_parameter=SPHERE_MAX_DIM),
     "phi": Family({"phi:k": "meridian-doubling self-map of S^k"},
-                  _params(1), spheres.phi_double, _phi_checks),
+                  _params(1), spheres.phi_double, _phi_checks,
+                  max_parameter=CHART_MAX_DIM),
     "zpow": Family({"zpow:d": "circle power z -> z^d"},
                    _params(1), spheres.circle_power, _winding_checks,
                    max_parameter=ZPOW_MAX_DEGREE),
     "rot": Family({"rot:c:s": "exact circle rotation by the rational point (c, s)"},
                   _params(2, Fraction), spheres.circle_rotation),
     "id": Family({"id:n": "identity self-map of S^n"},
-                 _params(1), spheres.sphere_identity),
+                 _params(1), spheres.sphere_identity, max_parameter=SPHERE_MAX_DIM),
     "antipodal": Family({"antipodal:n": "antipodal self-map of S^n"},
-                        _params(1), spheres.antipodal),
+                        _params(1), spheres.antipodal, max_parameter=SPHERE_MAX_DIM),
     "p": Family({"p:n": "first-column projection SO(n) -> S^{n-1}"},
                 _params(1), groups.first_column, _projection_checks,
                 max_parameter=SO_MAX_SIZE),
@@ -323,14 +351,17 @@ FAMILIES: Dict[str, Family] = {
                 _params(1), groups.section_so, _section_checks,
                 max_parameter=SO_MAX_SIZE),
     "p-u": Family({"p-u:k": "first-column projection U(k) -> S^{2k-1}"},
-                  _params(1), groups.first_column_u, _projection_u_checks),
+                  _params(1), groups.first_column_u, _projection_u_checks,
+                  max_parameter=UNITARY_MAX_SIZE),
     "s-u": Family({"s-u:k": "rational section S^{2k-1} -> U(k)"},
-                  _params(1), groups.section_u, _section_u_checks),
+                  _params(1), groups.section_u, _section_u_checks,
+                  max_parameter=UNITARY_MAX_SIZE),
     "r": Family({"r:n": "retraction of SO(n) onto the basepoint stabilizer"},
                 _params(1), groups.retract_so, _retract_checks,
                 max_parameter=SO_MAX_SIZE),
     "r-u": Family({"r-u:k": "retraction of U(k) onto the basepoint stabilizer"},
-                  _params(1), groups.retract_u, _retract_u_checks),
+                  _params(1), groups.retract_u, _retract_u_checks,
+                  max_parameter=UNITARY_MAX_SIZE),
     "chain": Family({"chain:m:k": "iterated retraction SO(m) -> embedded SO(k)"},
                     _params(2), groups.chain_retract, _chain_checks, generic_height=4,
                     max_parameter=SO_MAX_SIZE),
@@ -347,7 +378,7 @@ FAMILIES: Dict[str, Family] = {
             "jmap:double-rotation": "join-style map from the quadratic rotation family",
             "jmap:<file>": "join-style map from a JSON family description",
         },
-        _jmap_spec, groups.j_map, _jmap_checks,
+        _jmap_spec, groups.j_map, _jmap_checks, max_parameter=JMAP_MAX_SIZE,
     ),
 }
 
@@ -362,14 +393,18 @@ def _parse(name: str):
         raise UnknownMapError(
             f"unknown map family {prefix!r}; known forms: {', '.join(sorted(NAME_FORMS))}"
         )
-    args = family.parse(rest, name)
+    return family, _bounded(family, family.parse(rest, name), name)
+
+
+def _bounded(family: Family, args: list, name: str) -> list:
+    """``args``, unless an integer among them exceeds ``family.max_parameter``."""
     bound = family.max_parameter
     if bound is not None and any(isinstance(a, int) and abs(a) > bound for a in args):
         raise UnknownMapError(
-            f"{name!r}: {prefix} parameters are bounded by {bound} in absolute value "
-            f"(the build cost grows without limit in them)"
+            f"{name!r}: {name.split(':')[0]} parameters are bounded by {bound} in absolute "
+            f"value (the build cost grows without limit in them)"
         )
-    return family, args
+    return args
 
 
 # The name, map, row and arguments of the last ``resolve``.  A suite run on

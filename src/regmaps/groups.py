@@ -54,6 +54,7 @@ from .ratmap import (
     MatrixMap,
     RationalMap,
     compose,
+    coordinate_map,
     denominator_check,
     identity_matrix_map,
     matrix_multiply,
@@ -63,6 +64,7 @@ from .ratmap import (
 )
 from .varieties import (
     PointOnVariety,
+    Variety,
     complex_entry_polys,
     euclidean,
     poly_matrix_determinant,
@@ -84,97 +86,61 @@ _CHECK = (4, 23, 8)
 # ---------------------------------------------------------------------------
 
 
+def _identity_point(group: Variety, size: int, complex_entries: bool) -> PointOnVariety:
+    width = 2 if complex_entries else 1
+    coords = [Fraction(0)] * (width * size * size)
+    for i in range(size):
+        coords[width * (i * size + i)] = Fraction(1)
+    return PointOnVariety(group, coords)
+
+
 @lru_cache(maxsize=None)
 def orthogonal_identity(n: int) -> PointOnVariety:
-    coords = [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
-    return PointOnVariety(special_orthogonal(n), coords)
-
-
-def _unitary_identity_coords(k: int) -> List[Fraction]:
-    coords: List[Fraction] = []
-    for i in range(k):
-        for j in range(k):
-            coords.append(Fraction(1) if i == j else Fraction(0))
-            coords.append(Fraction(0))
-    return coords
+    return _identity_point(special_orthogonal(n), n, False)
 
 
 @lru_cache(maxsize=None)
 def unitary_identity(k: int) -> PointOnVariety:
-    return PointOnVariety(unitary(k), _unitary_identity_coords(k))
+    return _identity_point(unitary(k), k, True)
+
+
+def _embed_block(sub: int, total: int, group, complex_entries: bool, label: str) -> MatrixMap:
+    """group(sub) -> group(total) as the lower-right block, identity elsewhere.
+    An entry is one coordinate, or an interleaved (re, im) pair."""
+    if not 1 <= sub <= total:
+        raise ValueError("need 1 <= sub <= total")
+    width = 2 if complex_entries else 1
+    offset = total - sub
+    picks = []
+    for a in range(total):
+        for b in range(total):
+            for part in range(width):
+                if a < offset or b < offset:
+                    picks.append((None, 1 if a == b and part == 0 else 0))
+                else:
+                    picks.append((width * ((a - offset) * sub + b - offset) + part, 1))
+    shape = (total, total, complex_entries)
+    return coordinate_map(group(sub), group(total), picks, label, shape)
 
 
 @lru_cache(maxsize=None)
 def embed_orthogonal(sub: int, total: int) -> MatrixMap:
     """SO(sub) -> SO(total) as the lower-right block, identity elsewhere."""
-    if not 1 <= sub <= total:
-        raise ValueError("need 1 <= sub <= total")
-    dom = special_orthogonal(sub)
-    offset = total - sub
-    reg = dom.registry
-    nums: List[Polynomial] = []
-    for a in range(total):
-        for b in range(total):
-            if a < offset or b < offset:
-                nums.append(Polynomial.constant(reg, 1 if a == b else 0))
-            else:
-                nums.append(Polynomial.variable(reg, (a - offset) * sub + (b - offset)))
-    return MatrixMap(
-        dom,
-        special_orthogonal(total),
-        nums,
-        Polynomial.one(reg),
-        rows=total,
-        cols=total,
-        label=f"embed_SO{sub}_in_SO{total}",
-    )
+    return _embed_block(sub, total, special_orthogonal, False, f"embed_SO{sub}_in_SO{total}")
 
 
 @lru_cache(maxsize=None)
 def embed_unitary(sub: int, total: int) -> MatrixMap:
     """U(sub) -> U(total) as the lower-right block, identity elsewhere."""
-    if not 1 <= sub <= total:
-        raise ValueError("need 1 <= sub <= total")
-    dom = unitary(sub)
-    offset = total - sub
-    reg = dom.registry
-    nums: List[Polynomial] = []
-    for a in range(total):
-        for b in range(total):
-            if a < offset or b < offset:
-                nums.append(Polynomial.constant(reg, 1 if a == b else 0))
-                nums.append(Polynomial.zero(reg))
-            else:
-                base = 2 * ((a - offset) * sub + (b - offset))
-                nums.append(Polynomial.variable(reg, base))
-                nums.append(Polynomial.variable(reg, base + 1))
-    return MatrixMap(
-        dom,
-        unitary(total),
-        nums,
-        Polynomial.one(reg),
-        rows=total,
-        cols=total,
-        complex_entries=True,
-        label=f"embed_U{sub}_in_U{total}",
-    )
+    return _embed_block(sub, total, unitary, True, f"embed_U{sub}_in_U{total}")
 
 
 @lru_cache(maxsize=None)
 def embed_special_unitary(k: int) -> MatrixMap:
     """SU(k) -> U(k), the coordinate-wise inclusion."""
     dom = special_unitary(k)
-    nums = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
-    return MatrixMap(
-        dom,
-        unitary(k),
-        nums,
-        Polynomial.one(dom.registry),
-        rows=k,
-        cols=k,
-        complex_entries=True,
-        label=f"embed_SU{k}_in_U{k}",
-    )
+    picks = [(i, 1) for i in range(dom.ambient_dim)]
+    return coordinate_map(dom, unitary(k), picks, f"embed_SU{k}_in_U{k}", (k, k, True))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +151,9 @@ def embed_special_unitary(k: int) -> MatrixMap:
 def _block_column(m: int, size: int, label: str) -> RationalMap:
     """SO(m) -> S^{size-1}: the first column of the lower-right size x size
     block.  It lands on the sphere wherever the matrix is block-diagonal."""
-    dom = special_orthogonal(m)
     offset = m - size
-    nums = [Polynomial.variable(dom.registry, r * m + offset) for r in range(offset, m)]
-    return RationalMap(dom, sphere(size - 1), nums, Polynomial.one(dom.registry), label=label)
+    picks = [(r * m + offset, 1) for r in range(offset, m)]
+    return coordinate_map(special_orthogonal(m), sphere(size - 1), picks, label)
 
 
 @lru_cache(maxsize=None)
@@ -204,21 +169,9 @@ def first_column_u(k: int) -> RationalMap:
     """U(k) -> S^{2k-1}, the realified first column."""
     if k < 1:
         raise ValueError("need k >= 1")
-    dom = unitary(k)
-    nums: List[Polynomial] = []
-    for i in range(k):
-        base = 2 * (i * k)
-        nums.append(Polynomial.variable(dom.registry, base))
-        nums.append(Polynomial.variable(dom.registry, base + 1))
+    picks = [(2 * i * k + part, 1) for i in range(k) for part in (0, 1)]
     return verified(
-        RationalMap(
-            dom,
-            sphere(2 * k - 1),
-            nums,
-            Polynomial.one(dom.registry),
-            label=f"first_column_u_{k}",
-        ),
-        *_CHECK,
+        coordinate_map(unitary(k), sphere(2 * k - 1), picks, f"first_column_u_{k}"), *_CHECK
     )
 
 
@@ -307,33 +260,27 @@ def section_u(k: int) -> MatrixMap:
 # ---------------------------------------------------------------------------
 
 
+def _retract(section: MatrixMap, column: RationalMap, label: str) -> MatrixMap:
+    """g |-> section(column(g))^* g on the group of ``column``: the (conjugate)
+    transpose of the lifted section times the group element."""
+    lifted = compose(section, column)
+    identity = identity_matrix_map(column.domain, section.rows, section.complex_entries)
+    product = matrix_multiply(matrix_transpose(lifted), identity)
+    return verified(relabel(product, label, "first column at the antipode of e"), *_CHECK)
+
+
 @lru_cache(maxsize=None)
 def retract_so(n: int) -> MatrixMap:
     """SO(n) -> SO(n) with image the stabilizer of the basepoint:
     g |-> section(first_column(g))^T * g.  Fixes the embedded SO(n-1)."""
-    lifted = compose(section_so(n), first_column(n))
-    product = matrix_multiply(
-        matrix_transpose(lifted), identity_matrix_map(special_orthogonal(n), n)
-    )
-    return verified(
-        relabel(product, f"retract_so_{n}", "first column at the antipode of e"),
-        *_CHECK,
-    )
+    return _retract(section_so(n), first_column(n), f"retract_so_{n}")
 
 
 @lru_cache(maxsize=None)
 def retract_u(k: int) -> MatrixMap:
     """U(k) -> U(k) onto the stabilizer of the basepoint (conjugate-transpose
     of the lifted section times the group element)."""
-    lifted = compose(section_u(k), first_column_u(k))
-    product = matrix_multiply(
-        matrix_transpose(lifted),
-        identity_matrix_map(unitary(k), k, complex_entries=True),
-    )
-    return verified(
-        relabel(product, f"retract_u_{k}", "first column at the antipode of e"),
-        *_CHECK,
-    )
+    return _retract(section_u(k), first_column_u(k), f"retract_u_{k}")
 
 
 @lru_cache(maxsize=None)
@@ -402,30 +349,18 @@ def embed_u_in_so(k: int) -> MatrixMap:
     [[a, -b], [b, a]] (realification preserves products and adjoints)."""
     if k < 1:
         raise ValueError("need k >= 1")
-    dom = unitary(k)
-    reg = dom.registry
     total = 2 * k
-    nums: List[Polynomial] = [Polynomial.zero(reg)] * (total * total)
-    for i in range(k):
-        for j in range(k):
-            a = Polynomial.variable(reg, 2 * (i * k + j))
-            b = Polynomial.variable(reg, 2 * (i * k + j) + 1)
-            nums[(2 * i) * total + (2 * j)] = a
-            nums[(2 * i) * total + (2 * j + 1)] = -b
-            nums[(2 * i + 1) * total + (2 * j)] = b
-            nums[(2 * i + 1) * total + (2 * j + 1)] = a
-    return verified(
-        MatrixMap(
-            dom,
-            special_orthogonal(total),
-            nums,
-            Polynomial.one(reg),
-            rows=total,
-            cols=total,
-            label=f"embed_u{k}_in_so{total}",
-        ),
-        *_CHECK,
+    picks = []
+    for r in range(total):
+        for c in range(total):
+            # row s, column t of the block [[a, -b], [b, a]] of entry (i, j)
+            (i, s), (j, t) = divmod(r, 2), divmod(c, 2)
+            picks.append((2 * (i * k + j) + (s ^ t), -1 if s < t else 1))
+    embedding = coordinate_map(
+        unitary(k), special_orthogonal(total), picks, f"embed_u{k}_in_so{total}",
+        (total, total, False),
     )
+    return verified(embedding, *_CHECK)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ exponent at most one form a module basis for the quotient ring.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -69,7 +70,8 @@ class VarRegistry:
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in registry: {names}")
+            repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+            raise ValueError(f"duplicate variable names in registry: {repeated}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 

@@ -22,6 +22,11 @@ or by exact evaluation at sampled rational points.
 complex, in which case consecutive coordinate pairs hold the real and
 imaginary parts of each entry (row-major).
 
+A *coordinate map*, built by :func:`coordinate_map`, has each coordinate
+a constant multiple of one domain coordinate, or a constant, over the
+denominator 1: identities, constants, projections, reflections and
+subgroup inclusions are all of this kind.
+
 Composition is exact: substituting ``g = (M_1/E, ..., M_m/E)`` into a
 coordinate ``N/D`` of ``f`` clears denominators by homogenizing with
 ``E`` up to the maximal degree ``d`` appearing in ``f``, producing
@@ -468,22 +473,40 @@ def pair_map(first: RationalMap, second: RationalMap) -> RationalMap:
     return RationalMap(first.domain, target, nums, den, excluded, label)
 
 
+def coordinate_map(
+    domain: Variety,
+    codomain: Variety,
+    picks: Sequence[Tuple[Optional[int], Union[int, Fraction]]],
+    label: str,
+    shape: Optional[Tuple[int, int, bool]] = None,
+) -> RationalMap:
+    """The map over the denominator 1 whose coordinate k is ``c * x_i`` when
+    ``picks[k] == (i, c)`` and the constant ``c`` when ``picks[k] == (None, c)``;
+    a :class:`MatrixMap` when ``shape = (rows, cols, complex_entries)`` is given."""
+    reg = domain.registry
+    nums = [
+        Polynomial.constant(reg, c) if i is None else c * Polynomial.variable(reg, i)
+        for i, c in picks
+    ]
+    if shape is None:
+        return RationalMap(domain, codomain, nums, Polynomial.one(reg), label=label)
+    return MatrixMap(domain, codomain, nums, Polynomial.one(reg), *shape, label=label)
+
+
 def identity_map(variety: Variety) -> RationalMap:
-    nums = [Polynomial.variable(variety.registry, i) for i in range(variety.ambient_dim)]
-    return RationalMap(
-        variety, variety, nums, Polynomial.one(variety.registry), label=f"id_{variety.name}"
-    )
+    picks = [(i, 1) for i in range(variety.ambient_dim)]
+    return coordinate_map(variety, variety, picks, f"id_{variety.name}")
+
+
+def identity_matrix_map(group: Variety, size: int, complex_entries: bool = False) -> MatrixMap:
+    """The tautological self-map g -> g of a matrix-group variety."""
+    picks = [(i, 1) for i in range(group.ambient_dim)]
+    return coordinate_map(group, group, picks, f"id_{group.name}", (size, size, complex_entries))
 
 
 def constant_map(domain: Variety, value: PointOnVariety) -> RationalMap:
-    nums = [Polynomial.constant(domain.registry, c) for c in value.coords]
-    return RationalMap(
-        domain,
-        value.variety,
-        nums,
-        Polynomial.one(domain.registry),
-        label=f"const_{value.variety.name}",
-    )
+    picks = [(None, c) for c in value.coords]
+    return coordinate_map(domain, value.variety, picks, f"const_{value.variety.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -771,21 +794,6 @@ def _product_values(node, coords, memo):
     return nums, x_den * y_den
 
 
-def identity_matrix_map(group: Variety, size: int, complex_entries: bool = False) -> MatrixMap:
-    """The tautological self-map g -> g of a matrix-group variety."""
-    nums = [Polynomial.variable(group.registry, i) for i in range(group.ambient_dim)]
-    return MatrixMap(
-        group,
-        group,
-        nums,
-        Polynomial.one(group.registry),
-        rows=size,
-        cols=size,
-        complex_entries=complex_entries,
-        label=f"id_{group.name}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -809,12 +817,9 @@ def map_to_obj(m: RationalMap) -> dict:
     return out
 
 
-def map_from_obj(
-    obj: dict, resolve: Optional[Callable[[str], Variety]] = None
-) -> RationalMap:
-    resolve = resolve or variety_by_name
-    domain = resolve(obj["domain"])
-    codomain = resolve(obj["codomain"])
+def map_from_obj(obj: dict) -> RationalMap:
+    domain = variety_by_name(obj["domain"])
+    codomain = variety_by_name(obj["codomain"])
     nums = [polynomial_from_obj(p, domain.registry) for p in obj["numerators"]]
     den = polynomial_from_obj(obj["denominator"], domain.registry)
     excluded = obj.get("excluded", "")
@@ -839,8 +844,8 @@ def map_to_json(m: RationalMap) -> str:
     return json.dumps(map_to_obj(m), separators=(",", ":"), sort_keys=True)
 
 
-def map_from_json(text: str, resolve: Optional[Callable[[str], Variety]] = None) -> RationalMap:
-    return map_from_obj(json.loads(text), resolve)
+def map_from_json(text: str) -> RationalMap:
+    return map_from_obj(json.loads(text))
 
 
 def variety_by_name(name: str) -> Variety:

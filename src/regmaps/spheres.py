@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomial import ComplexPolynomial, Polynomial, normal_form
-from .ratmap import RationalMap, compose, pair_map, verified
+from .ratmap import RationalMap, compose, coordinate_map, identity_map, pair_map, verified
 from .varieties import PointOnVariety, euclidean, sphere, sphere_product
 
 # Construction-check sampling: (samples, seed, height).  Every domain here
@@ -106,15 +106,10 @@ def factor_projection(n: int, which: int) -> RationalMap:
     """Projection S^n x S^n -> S^n onto factor 1 or 2."""
     if which not in (1, 2):
         raise ValueError("factor index must be 1 or 2")
-    dom = sphere_product(n)
-    m = n + 1
-    offset = 0 if which == 1 else m
-    nums = [Polynomial.variable(dom.registry, offset + i) for i in range(m)]
+    offset = 0 if which == 1 else n + 1
+    picks = [(offset + i, 1) for i in range(n + 1)]
     return verified(
-        RationalMap(
-            dom, sphere(n), nums, Polynomial.one(dom.registry), label=f"proj{which}_{n}"
-        ),
-        *_CHECK,
+        coordinate_map(sphere_product(n), sphere(n), picks, f"proj{which}_{n}"), *_CHECK
     )
 
 
@@ -182,35 +177,19 @@ def reflect(n: int, j: int) -> RationalMap:
     """
     if not 2 <= j <= n + 1:
         raise ValueError(f"coordinate index must be in 2..{n + 1}")
-    dom = sphere(n)
-    nums = [
-        -Polynomial.variable(dom.registry, i) if i == j - 1 else Polynomial.variable(dom.registry, i)
-        for i in range(n + 1)
-    ]
-    return verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"reflect_{n}_{j}"),
-        *_CHECK,
-    )
+    picks = [(i, -1 if i == j - 1 else 1) for i in range(n + 1)]
+    return verified(coordinate_map(sphere(n), sphere(n), picks, f"reflect_{n}_{j}"), *_CHECK)
 
 
 @lru_cache(maxsize=None)
 def antipodal(n: int) -> RationalMap:
-    dom = sphere(n)
-    nums = [-Polynomial.variable(dom.registry, i) for i in range(n + 1)]
-    return verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"antipodal_{n}"),
-        *_CHECK,
-    )
+    picks = [(i, -1) for i in range(n + 1)]
+    return verified(coordinate_map(sphere(n), sphere(n), picks, f"antipodal_{n}"), *_CHECK)
 
 
 @lru_cache(maxsize=None)
 def sphere_identity(n: int) -> RationalMap:
-    dom = sphere(n)
-    nums = [Polynomial.variable(dom.registry, i) for i in range(n + 1)]
-    return verified(
-        RationalMap(dom, dom, nums, Polynomial.one(dom.registry), label=f"id_S{n}"),
-        *_CHECK,
-    )
+    return verified(identity_map(sphere(n)), *_CHECK)
 
 
 @lru_cache(maxsize=None)

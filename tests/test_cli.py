@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from regmaps import catalog, cli
-from regmaps.groups import jmap_double_rotation, jmap_input_to_obj
+from regmaps.groups import jmap_constant_identity, jmap_double_rotation, jmap_input_to_obj
 from regmaps.ratmap import map_from_obj
 from regmaps.spheres import circle_power
 from regmaps.topology import winding
-from regmaps.varieties import special_orthogonal
+from regmaps.varieties import euclidean, special_orthogonal, sphere, unitary
 
 
 def run(capsys, argv):
@@ -339,6 +339,30 @@ def test_factorial_cost_families_are_bounded(capsys):
         assert f"bounded by {bound}" in err
     assert special_orthogonal.cache_info().currsize == built  # refused before any build
     assert catalog._parse(f"p:{catalog.SO_MAX_SIZE}")[1] == [catalog.SO_MAX_SIZE]
+
+
+def test_dimension_cost_families_are_bounded(capsys):
+    builders = (sphere, unitary, euclidean, jmap_constant_identity)
+    built = [b.cache_info().currsize for b in builders]
+    for argv, bound in (
+        (["build", "id:100000"], catalog.SPHERE_MAX_DIM),
+        (["build", "oplus:100000"], catalog.OPLUS_MAX_DIM),
+        (["build", "reflect:100000:2"], catalog.SPHERE_MAX_DIM),
+        (["build", f"stereo:{catalog.CHART_MAX_DIM + 1}"], catalog.CHART_MAX_DIM),
+        (["build", "jmap:identity:100000:2"], catalog.JMAP_MAX_SIZE),
+        (["build", "p-u:11"], catalog.UNITARY_MAX_SIZE),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"bounded by {bound}" in err
+    assert [b.cache_info().currsize for b in builders] == built  # refused before any build
+    for name, args in (
+        (f"id:{catalog.SPHERE_MAX_DIM}", [catalog.SPHERE_MAX_DIM]),
+        (f"p-u:{catalog.UNITARY_MAX_SIZE}", [catalog.UNITARY_MAX_SIZE]),
+    ):
+        assert catalog._parse(name)[1] == args  # the bound itself is allowed
+    spec = catalog._parse(f"jmap:identity:{catalog.JMAP_MAX_SIZE}:1")[1][0]
+    assert (spec.base_dim, spec.matrix_size) == (catalog.JMAP_MAX_SIZE, 1)
 
 
 def test_unknown_verbs_exit_through_argparse(capsys):

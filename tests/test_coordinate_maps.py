@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from regmaps import groups, spheres
-from regmaps.ratmap import constant_map, identity_map, identity_matrix_map, map_to_json
+from regmaps.ratmap import (
+    MatrixMap,
+    constant_map,
+    coordinate_map,
+    identity_map,
+    identity_matrix_map,
+    map_to_json,
+)
 from regmaps.varieties import euclidean, sphere, unitary
 
 # builder call: sha256 of its map_to_json.
@@ -104,3 +111,19 @@ def test_identity_points_are_pinned():
     u2 = groups.unitary_identity(2)
     assert u2.variety.name == "U2"
     assert u2.coords == (one, zero, zero, zero, zero, zero, one, zero)
+
+
+def test_coordinate_map_negates_picks_and_places_constants():
+    picks = [(1, -1), (None, Fraction(1, 2)), (0, 1)]
+    m = coordinate_map(euclidean(2), euclidean(3), picks, "mixed")
+    assert not isinstance(m, MatrixMap)
+    assert m.label == "mixed"
+    assert m.evaluate_raw([Fraction(3), Fraction(5)]) == [-5, Fraction(1, 2), 3]
+
+
+def test_coordinate_map_with_a_shape_is_a_complex_matrix_map():
+    conjugate = coordinate_map(unitary(1), unitary(1), [(0, 1), (1, -1)], "conj", (1, 1, True))
+    assert isinstance(conjugate, MatrixMap)
+    assert (conjugate.rows, conjugate.cols, conjugate.complex_entries) == (1, 1, True)
+    z = [Fraction(3, 5), Fraction(4, 5)]
+    assert conjugate.evaluate_raw(z) == [Fraction(3, 5), Fraction(-4, 5)]

@@ -165,6 +165,12 @@ def test_registry_mismatch_rejected():
         X1 * Polynomial.variable(other, "x2")
 
 
+def test_duplicate_registry_names_are_listed_once_each():
+    with pytest.raises(ValueError) as exc:
+        VarRegistry(["x1", "x2", "x1", "y1", "x2", "x1"])
+    assert str(exc.value) == "duplicate variable names in registry: ['x1', 'x2']"
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(UnknownVariableError):
         Polynomial.variable(REG, "z9")
