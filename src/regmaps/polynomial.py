@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, neg
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 
 class RegistryMismatchError(ValueError):
@@ -115,7 +116,7 @@ def _grevlex_key(exponents: tuple) -> tuple:
 class Polynomial:
     """Sparse polynomial with exact coefficients in canonical term order."""
 
-    __slots__ = ("registry", "terms", "_evaluation_scalars")
+    __slots__ = ("registry", "terms", "_plan")
 
     def __init__(self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]]):
         """``terms`` is a mapping or an iterable of ``(exponents, coefficient)``
@@ -167,34 +168,43 @@ class Polynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        """Largest monomial degree; the zero polynomial has degree 0."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        """Largest monomial degree; the zero polynomial has degree 0.  Terms
+        are graded, highest first, so it is the degree of the first term."""
+        return sum(next(iter(self.terms), ()))
 
     def variables_used(self) -> tuple:
         return self._scalars()[0]
 
     def _scalars(self) -> tuple:
-        """``(variables_used, lcm of the coefficient denominators, total
-        degree)``, computed on first use and kept: every exact evaluation
-        needs all three."""
+        """The evaluation plan ``(variables_used, L, D, powers, terms)``,
+        built in one pass over the terms on first use and kept.
+
+        ``L`` is the lcm of the coefficient denominators and ``D`` the total
+        degree.  ``powers`` lists each distinct variable power ``x**e`` of
+        the terms once, as ``(k, e)`` with ``k`` the position of ``x`` in
+        ``variables_used``.  ``terms`` holds one ``(c * L / den, monomial,
+        D - deg)`` triple per term: its coefficient scaled to an integer,
+        its monomial as the indices of its factors in ``powers`` and the
+        power of the shared denominator that homogenizes it to degree ``D``.
+        """
         try:
-            return self._evaluation_scalars
+            return self._plan
         except AttributeError:
             pass
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        scalars = (
-            tuple(sorted(used)),
-            lcm(*[c.denominator for c in self.terms.values()]),
-            self.total_degree(),
-        )
-        object.__setattr__(self, "_evaluation_scalars", scalars)
-        return scalars
+        coeff_lcm = lcm(*[c.denominator for c in self.terms.values()])
+        degree = self.total_degree()
+        index: dict = {}
+        terms = []
+        for exps, coeff in self.terms.items():
+            mono = tuple(index.setdefault(pair, len(index)) for pair in enumerate(exps) if pair[1])
+            scaled = coeff.numerator * (coeff_lcm // coeff.denominator)
+            terms.append((scaled, mono, degree - sum(exps)))
+        used = tuple(sorted({i for i, _ in index}))
+        position = {i: k for k, i in enumerate(used)}
+        powers = tuple((position[i], e) for i, e in index)
+        plan = (used, coeff_lcm, degree, powers, tuple(terms))
+        object.__setattr__(self, "_plan", plan)
+        return plan
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -278,98 +288,52 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _assignment_vector(self, point: object) -> tuple:
-        """Resolve ``point`` to a list indexed by var id, checking coverage.
-
-        Returns the list and ``variables_used()``, the ids it was checked at.
-        """
-        n = self.registry.size
-        used = self.variables_used()
+    def _assignment_vector(self, point: object, used: tuple) -> list:
+        """The values that ``point``, a mapping or a sequence, assigns to the
+        ids in ``used``: ``None`` where it assigns none."""
         if isinstance(point, Mapping):
-            vals = [None] * n
-            for var_id, value in point.items():
-                vals[var_id] = value
-        else:
-            vals = list(point)
-            if len(vals) < n:
-                vals = vals + [None] * (n - len(vals))
-        missing = [i for i in used if i >= len(vals) or vals[i] is None]
-        if missing:
-            names = ", ".join(self.registry.name(i) for i in missing)
-            raise MissingAssignmentError(f"no value assigned to: {names}")
-        return vals, used
+            return [point.get(i) for i in used]
+        vals = list(point)
+        return [vals[i] if i < len(vals) else None for i in used]
 
     def evaluate(self, point: object) -> Fraction:
         """Exact evaluation at rational coordinates.
 
         ``point`` is either a sequence indexed by variable id or a mapping
         from variable id to value; values are ``Fraction`` or ``int`` (any
-        other value is read through ``Fraction``).  The sum is computed on
-        integers and reduced once: each value is written as ``p_i / q``
-        with one shared ``q``, each coefficient as ``c / L`` with one shared
-        ``L``, and each monomial is homogenized to the maximal degree ``D``,
-        so the result is a single integer over ``L * q**D``.
+        other value is read through ``Fraction``).  Only the used variables
+        are read, straight from a list or tuple that covers them.  The sum
+        runs over the evaluation plan (see :meth:`_scalars`) on integers and
+        is reduced once: each value is written as ``p_i / q`` with one
+        shared ``q``, so with the coefficients over ``L`` and every monomial
+        homogenized to degree ``D`` the result is one integer over
+        ``L * q**D``.
         """
-        vals, used = self._assignment_vector(point)
-        if not self.terms:
-            return Fraction(0)
-        rationals = [vals[i] for i in used]
-        for k, v in enumerate(rationals):
+        used, coeff_lcm, degree, powers, terms = self._scalars()
+        if isinstance(point, (list, tuple)) and (not used or len(point) > used[-1]):
+            values = [point[i] for i in used]
+        else:
+            values = self._assignment_vector(point, used)
+        for k, v in enumerate(values):
             if not isinstance(v, (Fraction, int)):
-                rationals[k] = Fraction(v)
-        q = lcm(*[v.denominator for v in rationals])
-        nums = [0] * self.registry.size
-        for i, v in zip(used, rationals):
-            nums[i] = v.numerator * (q // v.denominator)
-        _, coeff_lcm, degree = self._scalars()
+                if v is None:
+                    missing = (i for i, value in zip(used, values) if value is None)
+                    names = ", ".join(self.registry.name(i) for i in missing)
+                    raise MissingAssignmentError(f"no value assigned to: {names}")
+                values[k] = Fraction(v)
+        dens = [v.denominator for v in values]
+        q = lcm(*dens)
+        nums = [v.numerator * (q // d) for v, d in zip(values, dens)]
+        pows = [nums[k] ** e for k, e in powers]
         qpow = [1] * (degree + 1)
         for k in range(1, degree + 1):
             qpow[k] = qpow[k - 1] * q
-        powers: dict = {}
         total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff.numerator * (coeff_lcm // coeff.denominator)
-            mono_degree = 0
-            for i in used:
-                e = exps[i]
-                if e == 0:
-                    continue
-                mono_degree += e
-                if e == 1:
-                    p = nums[i]
-                else:
-                    key = (i, e)
-                    p = powers.get(key)
-                    if p is None:
-                        p = nums[i] ** e
-                        powers[key] = p
-                if p == 0:
-                    term = 0
-                    break
-                term *= p
-            if term:
-                total += term * qpow[degree - mono_degree]
+        for term, mono, rest in terms:
+            for k in mono:
+                term *= pows[k]
+            total += term * qpow[rest]
         return Fraction(total, coeff_lcm * qpow[degree])
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Floating-point evaluation, traversing terms in canonical order."""
-        vals, used = self._assignment_vector(point)
-        powers: dict = {}
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
-            for i in used:
-                e = exps[i]
-                if e == 0:
-                    continue
-                key = (i, e)
-                p = powers.get(key)
-                if p is None:
-                    p = float(vals[i]) ** e
-                    powers[key] = p
-                term = term * p
-            total += term
-        return total
 
     # -- presentation ------------------------------------------------------
 

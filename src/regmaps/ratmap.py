@@ -226,10 +226,6 @@ class RationalMap:
                 f"image of {self._describe()} left {self.codomain.name}: {exc}"
             ) from exc
 
-    def evaluate_float(self, coords: Sequence[float]) -> List[float]:
-        den_value = self.denominator.evaluate_float(coords)
-        return [n.evaluate_float(coords) / den_value for n in self.numerators]
-
     # -- structure ----------------------------------------------------------
 
     def max_degree(self) -> int:
@@ -641,11 +637,10 @@ def maps_into(
         return Verdict("symbolic", True, {"checked": len(f.codomain.relations)})
     points = _sampled_off_locus(f.domain, (f,), samples, seed, height)
     for done, (coords, ((nums, den),)) in enumerate(points):
-        image = [n / den for n in nums]
-        for index, relation in enumerate(f.codomain.relations):
-            if relation.evaluate(image) != 0:
-                evidence = {"checked": done + 1, "failed_relation": index}
-                return Verdict("sampling", False, evidence, coords)
+        violation = f.codomain.first_violation([n / den for n in nums])
+        if violation is not None:
+            evidence = {"checked": done + 1, "failed_relation": violation[0]}
+            return Verdict("sampling", False, evidence, coords)
     return Verdict("sampling", True, {"checked": samples})
 
 

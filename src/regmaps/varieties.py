@@ -91,6 +91,15 @@ class Variety:
         block_relations = {b.relation(self.registry) for b in self.blocks}
         return set(self.relations) == block_relations
 
+    def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
+        """``(index, residual)`` of the first relation that does not vanish
+        at ``coords``, or ``None`` when they all do."""
+        for index, relation in enumerate(self.relations):
+            residual = relation.evaluate(coords)
+            if residual:
+                return index, residual
+        return None
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Variety):
             return NotImplemented
@@ -115,14 +124,11 @@ class PointOnVariety:
                 f"{variety.name} needs {variety.ambient_dim} coordinates, "
                 f"got {len(coords)}"
             )
-        if check:
-            for relation in variety.relations:
-                value = relation.evaluate(coords)
-                if value != 0:
-                    raise PointValidationError(
-                        f"coordinates violate a relation of {variety.name}: "
-                        f"residual {value}"
-                    )
+        violation = variety.first_violation(coords) if check else None
+        if violation is not None:
+            raise PointValidationError(
+                f"coordinates violate a relation of {variety.name}: residual {violation[1]}"
+            )
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "coords", coords)
 

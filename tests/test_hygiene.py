@@ -4,7 +4,8 @@ class is referenced somewhere in the package, no code skips the relation
 check of a point except where the point is valid by construction, no
 sum of polynomials is folded by hand, no pass/fail record besides the
 one verdict type serializes itself, only the one sample stream spells
-its seed formula, and the map builders never read a map's polynomials."""
+its seed formula, the map builders never read a map's polynomials, and
+no ``isinstance`` tests against a ``typing`` alias."""
 
 import ast
 from pathlib import Path
@@ -362,3 +363,59 @@ def test_map_builders_do_not_read_polynomials():
     }
     assert set(found) == set(STAGED_MODULES)
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def typing_isinstance_checks(source: str):
+    """(line, name) of each class that an ``isinstance`` call tests against,
+    alone or in a tuple, and that comes from ``typing``: a name imported
+    from it or an attribute of the module.  The ``typing`` aliases are
+    deprecated and check more slowly than their ``collections.abc``
+    originals."""
+    tree = ast.parse(source)
+    from_typing = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "typing"
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        classes = node.args[1]
+        for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            if isinstance(cls, ast.Name) and cls.id in from_typing:
+                found.append((node.lineno, cls.id))
+            elif (
+                isinstance(cls, ast.Attribute)
+                and isinstance(cls.value, ast.Name)
+                and cls.value.id == "typing"
+            ):
+                found.append((node.lineno, f"typing.{cls.attr}"))
+    return sorted(found)
+
+
+def test_the_checker_finds_an_isinstance_on_a_typing_name():
+    source = (
+        "import typing\n"
+        "from collections.abc import Mapping\n"
+        "from typing import Mapping as M, Sequence\n"
+        "a = isinstance(x, M)\n"
+        "b = isinstance(x, (int, Sequence))\n"
+        "c = isinstance(x, typing.Iterable)\n"
+        "d = isinstance(x, (Mapping, list))\n"
+        "e: Sequence = []\n"
+    )
+    assert typing_isinstance_checks(source) == [(4, "M"), (5, "Sequence"), (6, "typing.Iterable")]
+
+
+def test_no_isinstance_tests_against_typing():
+    found = {
+        path.name: typing_isinstance_checks(path.read_text(encoding="utf-8")) for path in PACKAGE
+    }
+    assert {name: f for name, f in found.items() if f} == {}

@@ -313,7 +313,7 @@ def test_evaluate_sphere_addition_denominator_fixture():
     den = (one + x1) * (one + y1) + 2 * one - 2 * x1 * y1 + 2 * x2 * y2
     point = [Fraction(0), Fraction(1), Fraction(0), Fraction(1)]
     assert den.evaluate(point) == 5
-    assert abs(den.evaluate_float([0.0, 1.0, 0.0, 1.0]) - 5.0) < 1e-12
+    assert abs(float(den.evaluate([0.0, 1.0, 0.0, 1.0])) - 5.0) < 1e-12
 
 
 def test_evaluate_requires_full_assignment():
@@ -338,17 +338,43 @@ def test_evaluate_matches_the_naive_sum():
     rng = random.Random(20)
     for _ in range(300):
         p = random_poly(rng, terms=6, max_exp=4, height=rng.choice([1, 9, 1000]))
-        point = random_point(rng, height=rng.choice([1, 7, 10 ** 6]))
-        for k in range(len(point)):
-            if rng.random() < 0.2:
-                point[k] = Fraction(0)
-        expected = naive_evaluate(p, point)
-        assert p.evaluate(point) == expected
-        assert p.evaluate(tuple(point)) == expected
-        assert p.evaluate(dict(enumerate(point))) == expected
-        as_ints = [int(v) for v in point]
-        assert p.evaluate(as_ints) == naive_evaluate(p, as_ints)
-        assert type(p.evaluate(as_ints)) is Fraction
+        # Two points in a row: the first call builds the plan, the second reuses it.
+        for extra in (0, 2):
+            point = random_point(rng, height=rng.choice([1, 7, 10 ** 6]))
+            for k in range(len(point)):
+                if rng.random() < 0.2:
+                    point[k] = Fraction(0)
+            expected = naive_evaluate(p, point)
+            assert p.evaluate(point) == expected
+            # coordinates past the registry are never read
+            assert p.evaluate(tuple(point) + (Fraction(5, 3),) * extra) == expected
+            assert p.evaluate(dict(enumerate(point))) == expected
+            as_ints = [int(v) for v in point]
+            assert p.evaluate(as_ints) == naive_evaluate(p, as_ints)
+            assert type(p.evaluate(as_ints)) is Fraction
+
+
+def test_the_evaluation_plan_is_built_on_first_use_and_kept():
+    p = 3 * X1 ** 2 * Y1 - Fraction(1, 6) * X2 + 1
+    fresh = Polynomial(REG, p.terms)
+    assert not hasattr(p, "_plan") and not hasattr(fresh, "_plan")
+    assert p.evaluate([1, 6, 9, Fraction(1, 3)]) == 1
+    plan = p._plan
+    # used ids, L, D, the distinct powers as (position in used, exponent),
+    # then per term (c * L / den, indices into the powers, D - deg)
+    assert plan == (
+        (0, 1, 3),
+        6,
+        3,
+        ((0, 2), (2, 1), (1, 1)),
+        ((18, (0, 1), 0), (-1, (2,), 2), (6, (), 3)),
+    )
+    assert p.evaluate((2, 0, 7, Fraction(1, 4), 8)) == 4
+    assert p._plan is plan
+    assert p.variables_used() == (0, 1, 3)
+    # the plan is a cache: equality and hashing ignore it
+    assert p == fresh and hash(p) == hash(fresh)
+    assert not hasattr(fresh, "_plan")
 
 
 def test_evaluate_edge_cases():
@@ -369,17 +395,6 @@ def test_evaluate_edge_cases():
         p.evaluate([None, 1, 0, 0])
     with pytest.raises(MissingAssignmentError, match="x2"):
         p.evaluate({0: 1, 1: None})
-
-
-def test_float_evaluation_tracks_exact():
-    rng = random.Random(5050)
-    for _ in range(40):
-        p = random_poly(rng)
-        point = random_point(rng, height=5)
-        exact = p.evaluate(point)
-        approx = p.evaluate_float([float(c) for c in point])
-        scale = max(1.0, abs(float(exact)))
-        assert abs(approx - float(exact)) / scale < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_phi_double_is_angle_doubling_on_the_circle():
     phi = phi_double(1)
     for i in range(100):
         theta = 2 * math.pi * i / 100 + 0.01
-        out = phi.evaluate_float([math.cos(theta), math.sin(theta)])
+        out = [float(v) for v in phi.evaluate_raw([math.cos(theta), math.sin(theta)])]
         assert abs(out[0] - math.cos(2 * theta)) < 1e-12
         assert abs(out[1] - math.sin(2 * theta)) < 1e-12
 

@@ -186,11 +186,11 @@ def _frame_integrand(f, points):
     completion = np.random.default_rng(99).standard_normal((dim, dim - 1))
     dets = []
     for x in points:
-        den = f.denominator.evaluate_float(x)
-        nums = [p.evaluate_float(x) for p in f.numerators]
-        dden = [d.evaluate_float(x) for d in den_partials]
+        den = float(f.denominator.evaluate(x))
+        nums = [float(p.evaluate(x)) for p in f.numerators]
+        dden = [float(d.evaluate(x)) for d in den_partials]
         jac = np.array([
-            [(num_partials[i][j].evaluate_float(x) * den - nums[i] * dden[j]) / den**2
+            [(float(num_partials[i][j].evaluate(x)) * den - nums[i] * dden[j]) / den**2
              for j in range(dim)]
             for i in range(dim)
         ])
