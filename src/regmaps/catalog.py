@@ -289,11 +289,13 @@ class Family:
 # `degree zpow:200` takes 21 s (2-vCPU Xeon), nearly all in its compose.
 ZPOW_MAX_DEGREE = 200
 
-# SO(n) and SU(k) carry det = 1 with n! Leibniz terms (chain:m:k builds
-# SO(m)); embed-u:k lands in SO(2k).  Builds on a 2-vCPU Xeon: p:8 11 s,
-# s:8 32 s, r:8 39 s (n = 9 has 9 times the det terms; not run), embed-u:4
-# 11 s (k = 5 needs det at n = 10), su-retract:5 4 s and su-retract:6 61 s
-# at 1 GB peak RSS.
+# SO(n) has only its degree-two Gram relations; det = 1 is one integer
+# determinant per point.  Builds, one fresh process each on a 2-vCPU Xeon:
+# p:8 0.2 s, s:8 0.2 s, r:8 0.4 s and embed-u:4 (which lands in SO(8))
+# 0.2-0.3 s, at about 31 MB.  The SO bounds stay because chain:m:k shares
+# SO_MAX_SIZE and build chain:5:2 still expands without limit.  SU(k) still
+# carries det = 1 with k! Leibniz terms: su-retract:5 4 s and su-retract:6
+# 61 s at 1 GB peak RSS.
 SO_MAX_SIZE = 8
 EMBED_U_MAX_SIZE = 4
 SU_RETRACT_MAX_SIZE = 5

@@ -24,10 +24,12 @@ denominator (1 + z1)(1 + conj(z1)) = (1 + x1)^2 + x2^2):
     i != j, >1    -z_i conj(z_j) / (1 + conj(z1))
 
 Both sections send the basepoint to the identity matrix and are proved
-orthogonal/unitary (and determinant one in the real case) symbolically
-at construction time, by reducing the lifted codomain relations to zero
-normal form over the domain sphere; their denominators are sign-checked
-at sampled points.
+orthogonal/unitary symbolically at construction time, by reducing the
+lifted codomain relations to zero normal form over the domain sphere.
+In the real case that proof gives det^2 = 1, so det is +1 or -1 on
+the whole (irreducible) domain sphere, and one exact integer determinant
+at one sampled image shows which (see :func:`~regmaps.ratmap.maps_into`).
+Their denominators are sign-checked at sampled points.
 
 The module also provides the determinant-correcting retraction onto the
 special unitary group, the realification embedding of unitaries into

@@ -5,7 +5,8 @@ matrix inverse), by the Jacobian rank probe (exact nullspaces and ranks)
 and by checks that read a unitary image as a complex matrix.  Matrices
 are plain lists of lists of ``Fraction`` or :class:`GaussianRational`,
 the exact complex scalar defined here; everything is division-based
-Gaussian elimination, which both scalar types support.
+Gaussian elimination, which both scalar types support, except
+:func:`integer_determinant`, which stays on integers.
 """
 
 from __future__ import annotations
@@ -189,6 +190,34 @@ def determinant(a: Matrix) -> Scalar:
             factor = work[r][col] / inv
             work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return det
+
+
+def integer_determinant(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination: after step ``k`` every entry is a minor of
+    ``a``, so each division by the previous pivot is exact and the work
+    stays on integers.  A zero pivot is swapped with a lower row."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    work = [list(row) for row in a]
+    sign = 1
+    previous = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        for row in work[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
+        previous = pivot
+    return sign * work[-1][-1] if n else 1
 
 
 def row_echelon(a: Matrix) -> Matrix:

@@ -302,14 +302,12 @@ class Polynomial:
         ``point`` is either a sequence indexed by variable id or a mapping
         from variable id to value; values are ``Fraction`` or ``int`` (any
         other value is read through ``Fraction``).  Only the used variables
-        are read, straight from a list or tuple that covers them.  The sum
-        runs over the evaluation plan (see :meth:`_scalars`) on integers and
-        is reduced once: each value is written as ``p_i / q`` with one
-        shared ``q``, so with the coefficients over ``L`` and every monomial
-        homogenized to degree ``D`` the result is one integer over
-        ``L * q**D``.
+        are read, straight from a list or tuple that covers them.  Their
+        values are written over one shared denominator (see
+        :func:`scale_point`) and the integer core :meth:`evaluate_scaled`
+        does the rest.
         """
-        used, coeff_lcm, degree, powers, terms = self._scalars()
+        used = self._scalars()[0]
         if isinstance(point, (list, tuple)) and (not used or len(point) > used[-1]):
             values = [point[i] for i in used]
         else:
@@ -321,9 +319,23 @@ class Polynomial:
                     names = ", ".join(self.registry.name(i) for i in missing)
                     raise MissingAssignmentError(f"no value assigned to: {names}")
                 values[k] = Fraction(v)
-        dens = [v.denominator for v in values]
-        q = lcm(*dens)
-        nums = [v.numerator * (q // d) for v, d in zip(values, dens)]
+        q, nums = scale_point(values)
+        return self._integer_value(nums, q)
+
+    def evaluate_scaled(self, nums: Sequence[int], q: int) -> Fraction:
+        """Exact value at the point ``nums[i] / q``, with ``nums`` a sequence
+        of integers indexed by variable id and ``q`` positive: the form
+        :func:`scale_point` gives, so that one point scaled once can be
+        evaluated by many polynomials."""
+        return self._integer_value([nums[i] for i in self._scalars()[0]], q)
+
+    def _integer_value(self, nums: Sequence[int], q: int) -> Fraction:
+        # ``nums`` holds the scaled values of the used variables, in order.
+        # The sum runs over the evaluation plan (see :meth:`_scalars`) on
+        # integers and is reduced once: with the coefficients over ``L`` and
+        # every monomial homogenized to degree ``D`` the result is one
+        # integer over ``L * q**D``.
+        _, coeff_lcm, degree, powers, terms = self._scalars()
         pows = [nums[k] ** e for k, e in powers]
         qpow = [1] * (degree + 1)
         for k in range(1, degree + 1):
@@ -350,6 +362,14 @@ class Polynomial:
             body = "*".join(factors) if factors else "1"
             parts.append(f"({coeff})*{body}")
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def scale_point(values: Sequence[Union[int, Fraction]]) -> tuple:
+    """``(q, nums)``: the point ``values`` written as ``nums[i] / q`` with
+    ``q`` the lcm of the denominators and every ``nums[i]`` an integer."""
+    dens = [v.denominator for v in values]
+    q = lcm(*dens)
+    return q, [v.numerator * (q // d) for v, d in zip(values, dens)]
 
 
 def _check_registry(registry: VarRegistry, p: Polynomial) -> Polynomial:

@@ -58,7 +58,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -623,18 +623,29 @@ def maps_into(
 
     Symbolic route (complete proof) when the domain is reducible to sphere
     blocks: each codomain relation, cleared of denominators, must have zero
-    normal form.  Otherwise falls back to exact evaluation at sampled
-    points of the domain.  ``checked`` counts relations (symbolic) or
-    sample points (sampling).
+    normal form, and a codomain with ``unit_determinant`` then gets one
+    more step, :func:`_unit_determinant_holds`.  Otherwise falls back to
+    exact evaluation at sampled points of the domain, where
+    :meth:`~regmaps.varieties.Variety.first_violation` checks the
+    determinant too.  ``checked`` counts relations, the determinant step
+    included (symbolic), or sample points (sampling); a failed determinant
+    is ``failed_relation`` ``len(relations)``.
     """
     if f.domain.block_reducible():
-        for index, relation in enumerate(f.codomain.relations):
+        relations = f.codomain.relations
+        for index, relation in enumerate(relations):
             lifted = substitute_cleared(relation, f.numerators, f.denominator)
             if not normal_form(lifted, f.domain.blocks).is_zero():
                 return Verdict(
                     "symbolic", False, {"checked": index + 1, "failed_relation": index}
                 )
-        return Verdict("symbolic", True, {"checked": len(f.codomain.relations)})
+        checked = len(relations)
+        if f.codomain.unit_determinant:
+            if not _unit_determinant_holds(f, seed, height):
+                evidence = {"checked": checked + 1, "failed_relation": checked}
+                return Verdict("symbolic", False, evidence)
+            checked += 1
+        return Verdict("symbolic", True, {"checked": checked})
     points = _sampled_off_locus(f.domain, (f,), samples, seed, height)
     for done, (coords, ((nums, den),)) in enumerate(points):
         violation = f.codomain.first_violation([n / den for n in nums])
@@ -642,6 +653,45 @@ def maps_into(
             evidence = {"checked": done + 1, "failed_relation": violation[0]}
             return Verdict("sampling", False, evidence, coords)
     return Verdict("sampling", True, {"checked": samples})
+
+
+def _unit_determinant_holds(f: RationalMap, seed: int, height: int) -> bool:
+    """Whether det = 1 holds on the image of ``f``, a map from a
+    sphere-block domain whose cleared Gram relations reduce to zero.
+
+    Write ``f = N / E`` with ``N`` an ``n x n`` matrix.  Then
+    ``N^T N = E^2 I`` on the domain, so ``det(N)^2 = E^(2n)``: the product
+    ``(det N - E^n)(det N + E^n)`` vanishes identically.  Once its S^0
+    coordinates are fixed to signs, the domain (spheres S^k with k >= 1 and
+    free coordinates) is irreducible, so one factor vanishes identically
+    there, and one exact determinant at one point with ``E != 0`` says
+    which.  An S^0 block is two points, so each sign pattern of the S^0
+    coordinates is checked on its own; the sampler alone would only ever
+    give them the value 1.  Where the pattern fixes every coordinate and
+    ``E = 0``, the Gram relations force ``N = 0``, so ``det N = E^n``
+    holds with nothing to check.
+    """
+    domain = f.domain
+    signed = [b.variable_ids[0] for b in domain.blocks if len(b.variable_ids) == 1]
+    lone_point = len(signed) == domain.ambient_dim
+    for signs in product((1, -1), repeat=len(signed)):
+        for point in islice(sample_stream(domain, seed, height=height), 8):
+            coords = list(point.coords)
+            for i, sign in zip(signed, signs):
+                coords[i] = Fraction(sign)
+            nums, den = f.values(coords)
+            if den:
+                if f.codomain.first_violation([n / den for n in nums]) is not None:
+                    return False
+                break
+            if lone_point:
+                break
+        else:
+            raise ExcludedLocusError(
+                "sampling kept hitting vanishing denominators; "
+                "cannot check the determinant"
+            )
+    return True
 
 
 def denominator_check(

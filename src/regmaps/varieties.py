@@ -10,7 +10,12 @@ Built-in families
 * ``euclidean(n)``        affine n-space, variables ``X1..Xn``
 * ``sphere_product(n)``   two sphere blocks ``x*`` and ``y*``
 * ``special_orthogonal(n)``  n x n real matrices, entries ``g11..gnn``
-  row-major, with orthonormal rows and columns and determinant one
+  row-major, with orthonormal rows and columns and determinant one.  The
+  relations are the n(n+1) upper-triangle entries of ``M^T M - I`` and
+  ``M M^T - I``, each of degree two.  Determinant one is no relation but
+  the recorded ``unit_determinant``: points are checked by an exact
+  integer determinant (:meth:`Variety.first_violation`), and symbolic
+  proofs as :func:`regmaps.ratmap.maps_into` describes
 * ``unitary(k)``          k x k complex matrices; each entry ``z_ij``
   is stored as the interleaved real pair ``a_ij, b_ij`` (row-major), and
   the unitarity relations are the real and imaginary parts of
@@ -36,7 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
 from .linalg import GaussianRational
-from .polynomial import ComplexPolynomial, Polynomial, SphereBlock, VarRegistry
+from .polynomial import ComplexPolynomial, Polynomial, SphereBlock, VarRegistry, scale_point
 
 DEFAULT_HEIGHT = 1000
 
@@ -52,12 +57,22 @@ class PointValidationError(ValueError):
 class Variety:
     """An embedded real variety with named coordinates.
 
+    ``relations`` are the polynomials that vanish on it.  A matrix group
+    may also carry ``unit_determinant``: the size ``n`` when its
+    coordinates, read row-major, form an ``n x n`` real matrix of
+    determinant one, a condition checked at points by an exact integer
+    determinant instead of a polynomial with ``n!`` terms; it is 0
+    otherwise.  Only ``special_orthogonal`` sets it.
+
     Instances are immutable; equality is by name and registry, which the
     built-in constructors keep unique (they are cached and return the
     same object for the same parameters).
     """
 
-    __slots__ = ("name", "registry", "relations", "blocks", "sampler", "factors", "_hash")
+    __slots__ = (
+        "name", "registry", "relations", "blocks", "sampler", "factors",
+        "unit_determinant", "_hash",
+    )
 
     def __init__(
         self,
@@ -67,6 +82,7 @@ class Variety:
         blocks: Sequence[SphereBlock] = (),
         sampler: Optional[str] = None,
         factors: Sequence["Variety"] = (),
+        unit_determinant: int = 0,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "registry", registry)
@@ -74,6 +90,7 @@ class Variety:
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "unit_determinant", unit_determinant)
         object.__setattr__(self, "_hash", hash((name, registry)))
 
     def __setattr__(self, key, value):  # pragma: no cover
@@ -93,11 +110,25 @@ class Variety:
 
     def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
         """``(index, residual)`` of the first relation that does not vanish
-        at ``coords``, or ``None`` when they all do."""
+        at ``coords``, or ``None`` when they all do.
+
+        The point is scaled to integers once, ``coords[i] = nums[i] / q``,
+        and every relation is evaluated from that form.  With
+        ``unit_determinant`` set, the determinant comes last, as if it were
+        one more relation: ``det(q M) == q**n`` on integers, and a failure
+        reports ``(len(relations), det(M) - 1)``.
+        """
+        q, nums = scale_point(coords)
         for index, relation in enumerate(self.relations):
-            residual = relation.evaluate(coords)
+            residual = relation.evaluate_scaled(nums, q)
             if residual:
                 return index, residual
+        n = self.unit_determinant
+        if n:
+            det = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)])
+            scale = q**n
+            if det != scale:
+                return len(self.relations), Fraction(det - scale, scale)
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -280,10 +311,12 @@ def special_orthogonal(n: int) -> Variety:
     names = [f"g{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     registry = VarRegistry(names)
     entries = matrix_entry_polys(registry, n)
-    relations = _gram_relations(entries, conjugate=False)
-    relations.append(poly_matrix_determinant(entries) - 1)
     return Variety(
-        name=f"SO{n}", registry=registry, relations=relations, sampler="cayley-so"
+        name=f"SO{n}",
+        registry=registry,
+        relations=_gram_relations(entries, conjugate=False),
+        sampler="cayley-so",
+        unit_determinant=n,
     )
 
 

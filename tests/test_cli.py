@@ -101,6 +101,12 @@ def test_eval_rejects_bad_points(capsys):
     assert run(capsys, ["eval", "id:2", "--point=1,zero,0"])[0] == 2
 
 
+def test_eval_rejects_a_reflection_as_a_rotation(capsys):
+    code, out, err = run(capsys, ["eval", "r:3", "--point=-1,0,0,0,1,0,0,0,1"])
+    assert (code, out) == (2, "")
+    assert err == "error: coordinates violate a relation of SO3: residual -2\n"
+
+
 def test_eval_on_the_excluded_locus_is_a_check_failure(capsys):
     code, _, err = run(capsys, ["eval", "stereo:2", "--point=-1,0,0"])
     assert code == 1

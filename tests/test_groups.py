@@ -37,7 +37,9 @@ from regmaps.groups import (
 )
 from regmaps.ratmap import (
     ExcludedLocusError,
+    MatrixMap,
     compose,
+    coordinate_map,
     equal_symbolic,
     identity_map,
     maps_into,
@@ -140,6 +142,59 @@ def test_section_output_is_special_orthogonal_symbolically():
     for n in (2, 3):
         report = maps_into(section_so(n))
         assert report.passed and report.method == "symbolic"
+
+
+def test_section_proof_counts_the_determinant_step():
+    for n in range(2, 7):
+        report = maps_into(section_so(n))
+        assert report.passed and report.method == "symbolic"
+        assert report.evidence["checked"] == n * (n + 1) + 1, f"n={n}"
+
+
+def reflected_rows(m, n):
+    """The numerators of the n x n matrix map ``m`` with the first row negated."""
+    nums = list(m.numerators)
+    nums[:n] = [-p for p in nums[:n]]
+    return nums
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_orientation_reversing_section_fails_on_the_determinant(n):
+    s = section_so(n)
+    flipped = MatrixMap(s.domain, s.codomain, reflected_rows(s, n), s.denominator, n, n)
+    report = maps_into(flipped)
+    assert not report.passed and report.method == "symbolic"
+    assert report.evidence == {"checked": n * (n + 1) + 1, "failed_relation": n * (n + 1)}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_orientation_reversing_group_map_fails_by_sampling(n):
+    group = special_orthogonal(n)
+    picks = [(i, -1 if i < n else 1) for i in range(n * n)]
+    flipped = coordinate_map(group, group, picks, "negate_first_row", (n, n, False))
+    report = maps_into(flipped, samples=5, seed=1, height=20)
+    assert not report.passed and report.method == "sampling"
+    assert report.evidence == {"checked": 1, "failed_relation": n * (n + 1)}
+
+
+def test_each_point_of_a_zero_sphere_domain_gets_its_determinant_checked():
+    # x -> diag(1, x) is orthogonal on S^0 = {1, -1} but has det x; the S^0
+    # sampler only ever gives x = 1
+    picks = [(None, 1), (None, 0), (None, 0), (0, 1)]
+    diag = coordinate_map(sphere(0), special_orthogonal(2), picks, "diag_1_x", (2, 2, False))
+    report = maps_into(diag)
+    assert not report.passed and report.method == "symbolic"
+    assert report.evidence == {"checked": 7, "failed_relation": 6}
+    picks[-1] = (None, 1)
+    constant = coordinate_map(sphere(0), special_orthogonal(2), picks, "one", (2, 2, False))
+    assert maps_into(constant).evidence == {"checked": 7}
+    # (1 + x) I / (1 + x) is undefined at x = -1, where the cleared
+    # relations, det(N) - E^2 included, vanish: nothing fails there
+    reg = sphere(0).registry
+    den = Polynomial.one(reg) + Polynomial.variable(reg, 0)
+    zero = Polynomial.zero(reg)
+    undefined = MatrixMap(sphere(0), special_orthogonal(2), [den, zero, zero, den], den, 2, 2)
+    assert maps_into(undefined).evidence == {"checked": 7}
 
 
 def test_section_excluded_at_the_antipode():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regmaps.groups import fiber_points, j_map, jmap_rotation
+from regmaps.groups import fiber_points, first_column, j_map, jmap_rotation, section_so
 from regmaps.polynomial import Polynomial
 from regmaps.ratmap import RationalMap, compose, constant_map, identity_map
 from regmaps.spheres import (
@@ -29,7 +29,7 @@ from regmaps.topology import (
     regular_value_probe,
     winding,
 )
-from regmaps.varieties import sphere
+from regmaps.varieties import sample_points, special_orthogonal, sphere
 
 
 ROT = circle_rotation(Fraction(3, 5), Fraction(4, 5))
@@ -264,6 +264,19 @@ def test_probe_flags_points_off_the_fiber():
         regular_value_probe(sphere_identity(2), [])
     with pytest.raises(ValueError):
         regular_value_probe(sphere_identity(2), [basepoint(2)], value=basepoint(3))
+
+
+def test_probe_ranks_on_the_rotation_groups():
+    # det = 1 is no polynomial relation of SO(n); its gradient lies in the
+    # span of the Gram gradients on O(n), so tangent and normal spaces, and
+    # the ranks, are those the det polynomial gave
+    points = sample_points(special_orthogonal(3), 4, seed=7, height=30)
+    report = regular_value_probe(first_column(3), points)
+    assert report.evidence["ranks"] == (2, 2, 2, 2)
+    assert report.evidence["required_rank"] == 2
+    report = regular_value_probe(section_so(3), [basepoint(2)])
+    assert report.evidence["ranks"] == (2,)
+    assert report.evidence["required_rank"] == 3
 
 
 def test_probe_hopf_like_fiber():

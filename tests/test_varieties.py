@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from regmaps.linalg import GaussianRational, determinant, identity, mat_mul, transpose
+from regmaps.linalg import (
+    GaussianRational,
+    determinant,
+    identity,
+    integer_determinant,
+    mat_mul,
+    transpose,
+)
 from regmaps.polynomial import VarRegistry, polynomial_to_json
 from regmaps.varieties import (
     NoSamplerError,
@@ -297,6 +304,57 @@ def test_point_coordinates_are_fractions_and_every_relation_is_checked():
     # SO(2) with an orthogonal but reflecting matrix fails only the determinant relation
     with pytest.raises(PointValidationError):
         PointOnVariety(special_orthogonal(2), [1, 0, 0, -1])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_special_orthogonal_keeps_only_its_gram_relations(n):
+    # M^T M - I and M M^T - I, upper triangles, n + 1 terms each; det = 1
+    # is the recorded matrix size, not an n!-term polynomial
+    group = special_orthogonal(n)
+    assert len(group.relations) == n * (n + 1)
+    assert {r.total_degree() for r in group.relations} == {2}
+    assert max(len(r) for r in group.relations) <= n * n + 1
+    assert group.unit_determinant == n
+
+
+def test_first_violation_reports_the_determinant_after_the_relations():
+    so3 = special_orthogonal(3)
+    reflection = [Fraction(x) for x in (-1, 0, 0, 0, 1, 0, 0, 0, 1)]
+    assert so3.first_violation(reflection) == (12, Fraction(-2))
+    # a Gram relation fails first, at its own index and residual
+    stretched = [Fraction(x) for x in (2, 0, 0, 0, 1, 0, 0, 0, 1)]
+    assert so3.first_violation(stretched) == (0, Fraction(3))
+    assert special_orthogonal(1).first_violation([Fraction(-1)]) == (2, Fraction(-2))
+    assert special_orthogonal(1).first_violation([Fraction(1)]) is None
+    for point in sample_points(special_orthogonal(4), 5, seed=2, height=30):
+        assert special_orthogonal(4).first_violation(point.coords) is None
+
+
+def test_integer_determinant_matches_the_rational_elimination():
+    rng = random.Random(12)
+    cases = [
+        [[0, 2], [3, 4]],  # zero leading pivot
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # a zero pivot at two steps
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],  # singular
+        [[0, 1], [0, 5]],  # singular with a zero first column
+        [[7]],
+    ]
+
+    def entry():
+        return rng.choice((0, 0, rng.randint(-50, 50), rng.randint(-10**12, 10**12)))
+
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # the first row a combination of later ones
+            m[0] = [rng.randint(-3, 3) * a + b for a, b in zip(m[-1], m[n // 2])]
+        cases.append(m)
+    for m in cases:
+        expected = determinant([[Fraction(x) for x in row] for row in m])
+        assert integer_determinant(m) == expected, m
+    assert integer_determinant([]) == 1
+    with pytest.raises(ValueError):
+        integer_determinant([[1, 2]])
 
 
 def test_generic_determinant_has_every_permutation_term():
