@@ -522,8 +522,8 @@ def fiber_points(spec: JMapInput, count: int, seed: int = 0) -> List[PointOnVari
     dom = sphere(n + k)
     out = []
     for base in sample_points(sphere(n), count, seed):
-        coords = list(base.coords) + [Fraction(0)] * k
-        out.append(PointOnVariety(dom, coords, check=False))
+        q, nums = base.scaled
+        out.append(PointOnVariety.from_scaled(dom, q, nums + (0,) * k, check=False))
     return out
 
 

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the rationals and Gaussian rationals.
 
 Small helper kit used by the samplers (Cayley transforms need an exact
-matrix inverse), by the Jacobian rank probe (exact nullspaces and ranks)
+solve), by the Jacobian rank probe (exact nullspaces and ranks)
 and by checks that read a unitary image as a complex matrix.  Matrices
 are plain lists of lists of ``Fraction`` or :class:`GaussianRational`,
 the exact complex scalar defined here; everything is division-based
 Gaussian elimination, which both scalar types support, except
-:func:`integer_determinant`, which stays on integers.
+:func:`integer_determinant` and :func:`integer_solve`, which share one
+fraction-free elimination and stay on integers.
 """
 
 from __future__ import annotations
@@ -192,15 +193,17 @@ def determinant(a: Matrix) -> Scalar:
     return det
 
 
-def integer_determinant(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss's
-    fraction-free elimination: after step ``k`` every entry is a minor of
-    ``a``, so each division by the previous pivot is exact and the work
-    stays on integers.  A zero pivot is swapped with a lower row."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    work = [list(row) for row in a]
+def _bareiss(work: List[List[int]], n: int) -> int:
+    """Bareiss's fraction-free elimination of the first ``n`` columns of the
+    ``n`` integer rows ``work``, in place; the rows may carry more columns,
+    which are carried along.  After step ``k`` every entry right of column
+    ``k`` is a minor of the input, so each division by the previous pivot
+    is exact and the work stays on integers; row ``k`` then reads, from its
+    pivot on, as row ``k`` of an equivalent upper triangular system whose
+    last pivot times the returned sign is the determinant.  A zero pivot is
+    swapped with a lower row.  Returns the sign of the swaps, or 0 when a
+    column has no pivot (singular).  Needs ``n >= 1``."""
+    width = len(work[0])
     sign = 1
     previous = 1
     for k in range(n - 1):
@@ -214,10 +217,52 @@ def integer_determinant(a: Sequence[Sequence[int]]) -> int:
         pivot = pivot_row[k]
         for row in work[k + 1 :]:
             factor = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
         previous = pivot
-    return sign * work[-1][-1] if n else 1
+    return sign
+
+
+def integer_determinant(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination, which stays on integers."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    if not n:
+        return 1
+    work = [list(row) for row in a]
+    return _bareiss(work, n) * work[-1][-1]
+
+
+def integer_solve(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple:
+    """``(det(a), Y)`` with ``Y = det(a) * X`` for the solution ``X`` of
+    ``a @ X = rhs``, square invertible ``a`` and ``rhs`` integer matrices.
+
+    ``Y = adj(a) @ rhs`` is an integer matrix (Cramer's rule).  The
+    augmented rows ``[a | rhs]`` go through the elimination of
+    :func:`integer_determinant`; back-substitution from its last pivot
+    ``d`` then solves ``U_ii Y_i = d b_i - sum_{j > i} U_ij Y_j`` for each
+    row ``i`` of the triangular system ``U @ X = b``, and each division is
+    exact because ``d * X`` is integral."""
+    n = len(a)
+    if not n or any(len(row) != n for row in a) or len(rhs) != n:
+        raise ValueError("need a nonempty square matrix and as many right-hand rows")
+    work = [list(row) + list(extra) for row, extra in zip(a, rhs)]
+    sign = _bareiss(work, n)
+    last = work[-1][n - 1]
+    if not sign or not last:
+        raise ValueError("matrix is singular")
+    width = len(work[0]) - n
+    y = [[0] * width for _ in range(n)]
+    for i in reversed(range(n)):
+        row = work[i]
+        for c in range(width):
+            rest = sum(row[j] * y[j][c] for j in range(i + 1, n))
+            y[i][c] = (last * row[n + c] - rest) // row[i]
+    if sign < 0:
+        y = [[-v for v in row] for row in y]
+    return sign * last, y
 
 
 def row_echelon(a: Matrix) -> Matrix:

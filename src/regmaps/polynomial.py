@@ -304,7 +304,7 @@ class Polynomial:
         other value is read through ``Fraction``).  Only the used variables
         are read, straight from a list or tuple that covers them.  Their
         values are written over one shared denominator (see
-        :func:`scale_point`) and the integer core :meth:`evaluate_scaled`
+        :func:`scale_point`) and the integer core of :meth:`evaluate_scaled`
         does the rest.
         """
         used = self._scalars()[0]
@@ -320,21 +320,32 @@ class Polynomial:
                     raise MissingAssignmentError(f"no value assigned to: {names}")
                 values[k] = Fraction(v)
         q, nums = scale_point(values)
-        return self._integer_value(nums, q)
+        return Fraction(*self._integer_value(nums, q))
 
     def evaluate_scaled(self, nums: Sequence[int], q: int) -> Fraction:
         """Exact value at the point ``nums[i] / q``, with ``nums`` a sequence
-        of integers indexed by variable id and ``q`` positive: the form
-        :func:`scale_point` gives, so that one point scaled once can be
-        evaluated by many polynomials."""
-        return self._integer_value([nums[i] for i in self._scalars()[0]], q)
+        of integers indexed by variable id and ``q`` positive, so that one
+        point scaled once can be evaluated by many polynomials.  A sampled
+        point is drawn in this form and keeps it
+        (``PointOnVariety.scaled``), and :func:`scale_point` gives it for
+        ``Fraction`` coordinates.  The value is :meth:`scaled_numerator`
+        over its positive denominator, reduced once."""
+        return Fraction(*self._integer_value([nums[i] for i in self._scalars()[0]], q))
 
-    def _integer_value(self, nums: Sequence[int], q: int) -> Fraction:
+    def scaled_numerator(self, nums: Sequence[int], q: int) -> int:
+        """The integer ``L * q**D`` times the value at ``nums[i] / q`` (as for
+        :meth:`evaluate_scaled`), with ``L`` the lcm of the coefficient
+        denominators and ``D`` the total degree.  The factor is positive, so
+        this integer is zero exactly where the value is and has its sign:
+        a zero test or a sign test builds no ``Fraction``."""
+        return self._integer_value([nums[i] for i in self._scalars()[0]], q)[0]
+
+    def _integer_value(self, nums: Sequence[int], q: int) -> tuple:
         # ``nums`` holds the scaled values of the used variables, in order.
         # The sum runs over the evaluation plan (see :meth:`_scalars`) on
-        # integers and is reduced once: with the coefficients over ``L`` and
-        # every monomial homogenized to degree ``D`` the result is one
-        # integer over ``L * q**D``.
+        # integers: with the coefficients over ``L`` and every monomial
+        # homogenized to degree ``D`` the value is ``total / (L * q**D)``,
+        # returned as that pair of integers.
         _, coeff_lcm, degree, powers, terms = self._scalars()
         pows = [nums[k] ** e for k, e in powers]
         qpow = [1] * (degree + 1)
@@ -345,7 +356,7 @@ class Polynomial:
             for k in mono:
                 term *= pows[k]
             total += term * qpow[rest]
-        return Fraction(total, coeff_lcm * qpow[degree])
+        return total, coeff_lcm * qpow[degree]
 
     # -- presentation ------------------------------------------------------
 

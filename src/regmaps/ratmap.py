@@ -69,6 +69,7 @@ from .polynomial import (
     normal_form,
     polynomial_from_obj,
     polynomial_to_obj,
+    scale_point,
 )
 from .varieties import (
     PointOnVariety,
@@ -176,51 +177,74 @@ class RationalMap:
     def values(self, coords: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
         """Numerator values and denominator value at ``coords``: a positive
         multiple of the expanded map's, so ratios, zeros and signs are its."""
-        return self._values(coords, {})
+        return self._values(self._scaled(coords), {})
 
-    def _values(self, coords: Sequence[Fraction], memo: dict):
-        # ``memo`` maps id(node) -> (node, values) at this one point, so a
-        # stage that feeds several others is evaluated once; keeping the
-        # node alive keeps its id from being reused meanwhile.
+    def _scaled(self, coords: Sequence) -> tuple:
+        """``coords`` of the domain in scaled form; values other than
+        ``Fraction`` and ``int`` are read through ``Fraction``."""
+        if len(coords) != self.domain.ambient_dim:
+            raise VarietyMismatchError(
+                f"{self.domain.name} needs {self.domain.ambient_dim} coordinates, "
+                f"got {len(coords)}"
+            )
+        return scale_point([c if isinstance(c, (Fraction, int)) else Fraction(c) for c in coords])
+
+    def _values(self, scaled: tuple, memo: dict):
+        # ``scaled`` is the point as ``(q, nums)``, ``coords[i] = nums[i] / q``
+        # with ``q > 0``: every polynomial of every stage is evaluated from
+        # that one form.  ``memo`` maps id(node) -> (node, values) at this
+        # one point, so a stage that feeds several others is evaluated once;
+        # keeping the node alive keeps its id from being reused meanwhile.
         hit = memo.get(id(self))
         if hit is None:
             stage = self._stage
             found = (
-                self._polynomial_values(coords)
+                self._polynomial_values(scaled)
                 if stage is None
-                else stage.values(self, coords, memo)
+                else stage.values(self, scaled, memo)
             )
             hit = memo[id(self)] = (self, found)
         return hit[1]
 
-    def _polynomial_values(self, coords: Sequence[Fraction]):
-        nums, den = self._expanded()
-        return [n.evaluate(coords) for n in nums], den.evaluate(coords)
+    def _polynomial_values(self, scaled: tuple):
+        q, nums = scaled
+        polys, den = self._expanded()
+        return [p.evaluate_scaled(nums, q) for p in polys], den.evaluate_scaled(nums, q)
 
-    def _denominator_value(self, coords: Sequence[Fraction]) -> Fraction:
-        # An expanded map evaluates its denominator alone.
+    def _denominator_value(self, scaled: tuple) -> Union[int, Fraction]:
+        # A positive multiple of the denominator's value at ``scaled``.  An
+        # expanded map reads the integer numerator of its denominator alone.
         if self._stage is None:
-            return self._polys[1].evaluate(coords)
-        return self.values(coords)[1]
+            q, nums = scaled
+            return self._polys[1].scaled_numerator(nums, q)
+        return self._values(scaled, {})[1]
 
-    def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
-        """Exact image coordinates without variety bookkeeping."""
-        nums, den_value = self.values(coords)
+    def _checked_values(self, scaled: tuple):
+        """:meth:`values` at ``scaled``, raising :class:`ExcludedLocusError`
+        where the denominator vanishes."""
+        nums, den_value = self._values(scaled, {})
         if den_value == 0:
             raise ExcludedLocusError(
                 f"denominator of {self._describe()} vanishes at the given point"
                 + (f" (excluded locus: {self.excluded})" if self.excluded else "")
             )
+        return nums, den_value
+
+    def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
+        """Exact image coordinates without variety bookkeeping."""
+        nums, den_value = self._checked_values(self._scaled(coords))
         return [n / den_value for n in nums]
 
     def evaluate(self, point: PointOnVariety) -> PointOnVariety:
+        """The image of ``point``, built in scaled form and validated
+        against the codomain's relations."""
         if point.variety != self.domain:
             raise VarietyMismatchError(
                 f"point lives on {point.variety.name}, map expects {self.domain.name}"
             )
-        image = self.evaluate_raw(point.coords)
+        image = _scaled_image(*self._checked_values(point.scaled))
         try:
-            return PointOnVariety(self.codomain, image)
+            return PointOnVariety.from_scaled(self.codomain, *image)
         except PointValidationError as exc:
             raise CodomainViolationError(
                 f"image of {self._describe()} left {self.codomain.name}: {exc}"
@@ -311,6 +335,17 @@ class MatrixMap(RationalMap):
         return out
 
 
+def _scaled_image(nums: Sequence[Fraction], den: Fraction) -> Tuple[int, List[int]]:
+    """The point ``nums[i] / den``, ``den != 0``, in scaled form ``(q, ints)``:
+    the values scaled to integers together, ``den`` becoming ``q`` and its
+    sign moved into the numerators.  No quotient is formed."""
+    _, ints = scale_point([*nums, den])
+    q = ints.pop()
+    if q < 0:
+        return -q, [-n for n in ints]
+    return q, ints
+
+
 def _normalize_content(
     nums: List[Polynomial], den: Polynomial
 ) -> Tuple[List[Polynomial], Polynomial]:
@@ -372,10 +407,11 @@ def substitute_cleared(
 
 @dataclass(frozen=True)
 class _Stage:
-    """How a staged map follows from its ``inputs``.  ``values(node, coords,
-    memo)`` gives a positive multiple of the expanded map's values at
-    ``coords``; ``expand(*inputs)`` gives its polynomials before
-    normalization, by the same code that builds an expanded map."""
+    """How a staged map follows from its ``inputs``.  ``values(node, scaled,
+    memo)`` gives a positive multiple of the expanded map's values at the
+    point ``scaled = (q, nums)`` (see :meth:`RationalMap._values`);
+    ``expand(*inputs)`` gives its polynomials before normalization, by the
+    same code that builds an expanded map."""
 
     inputs: tuple
     values: Callable
@@ -415,9 +451,9 @@ def relabel(m: RationalMap, label: str, excluded: Optional[str] = None) -> Ratio
     return _derived(m.domain, m.codomain, _shape(m), stage, excluded, label)
 
 
-def _relabeled_values(node, coords, memo):
+def _relabeled_values(node, scaled, memo):
     (inner,) = node._stage.inputs
-    return inner._values(coords, memo)
+    return inner._values(scaled, memo)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
@@ -443,14 +479,14 @@ def _composite_polynomials(outer: RationalMap, inner: RationalMap):
     return nums, den
 
 
-def _composite_values(node, coords, memo):
+def _composite_values(node, scaled, memo):
     outer, inner = node._stage.inputs
-    image, den = inner._values(coords, memo)
+    image, den = inner._values(scaled, memo)
     if den > 0:
-        return outer.values([v / den for v in image])
+        return outer._values(_scaled_image(image, den), {})
     # The expansion carries the factor den ** deg(outer), which the rule
     # above drops; where den <= 0 it can vanish or flip the sign.
-    return node._polynomial_values(coords)
+    return node._polynomial_values(scaled)
 
 
 def pair_map(first: RationalMap, second: RationalMap) -> RationalMap:
@@ -557,15 +593,15 @@ def _check_same_signature(f: RationalMap, g: RationalMap) -> None:
 def _sampled_off_locus(
     domain: Variety, maps: Sequence[RationalMap], count: int, seed: int, height: int
 ):
-    """Lazily yield ``(coords, values of each map)`` at the first ``count``
-    sampled points of ``domain`` where no map's denominator vanishes.
-    Raises :class:`ExcludedLocusError` if ``8 * count`` draws do not find
-    them."""
+    """Lazily yield ``(point, values of each map)`` at the first ``count``
+    sampled points of ``domain`` where no map's denominator vanishes; every
+    map is evaluated from the point's one scaled form.  Raises
+    :class:`ExcludedLocusError` if ``8 * count`` draws do not find them."""
     found = 0
     for point in islice(sample_stream(domain, seed, height=height), 8 * count):
-        values = [m.values(point.coords) for m in maps]
+        values = [m._values(point.scaled, {}) for m in maps]
         if all(den != 0 for _, den in values):
-            yield point.coords, values
+            yield point, values
             found += 1
             if found == count:
                 return
@@ -588,9 +624,9 @@ def equal_mod(
     vanish at ``trials`` sampled rational points of the common domain."""
     _check_same_signature(f, g)
     points = _sampled_off_locus(f.domain, (f, g), trials, seed, height)
-    for done, (coords, ((nf, df), (ng, dg))) in enumerate(points):
+    for done, (point, ((nf, df), (ng, dg))) in enumerate(points):
         if any(a * dg != b * df for a, b in zip(nf, ng)):
-            return Verdict("sampling", False, {"trials": done + 1}, coords)
+            return Verdict("sampling", False, {"trials": done + 1}, point.coords)
     return Verdict("sampling", True, {"trials": trials})
 
 
@@ -647,11 +683,11 @@ def maps_into(
             checked += 1
         return Verdict("symbolic", True, {"checked": checked})
     points = _sampled_off_locus(f.domain, (f,), samples, seed, height)
-    for done, (coords, ((nums, den),)) in enumerate(points):
-        violation = f.codomain.first_violation([n / den for n in nums])
+    for done, (point, ((nums, den),)) in enumerate(points):
+        violation = f.codomain.first_violation_scaled(*_scaled_image(nums, den))
         if violation is not None:
             evidence = {"checked": done + 1, "failed_relation": violation[0]}
-            return Verdict("sampling", False, evidence, coords)
+            return Verdict("sampling", False, evidence, point.coords)
     return Verdict("sampling", True, {"checked": samples})
 
 
@@ -676,12 +712,13 @@ def _unit_determinant_holds(f: RationalMap, seed: int, height: int) -> bool:
     lone_point = len(signed) == domain.ambient_dim
     for signs in product((1, -1), repeat=len(signed)):
         for point in islice(sample_stream(domain, seed, height=height), 8):
-            coords = list(point.coords)
+            q, coords = point.scaled
+            coords = list(coords)
             for i, sign in zip(signed, signs):
-                coords[i] = Fraction(sign)
-            nums, den = f.values(coords)
+                coords[i] = sign * q
+            nums, den = f._values((q, coords), {})
             if den:
-                if f.codomain.first_violation([n / den for n in nums]) is not None:
+                if f.codomain.first_violation_scaled(*_scaled_image(nums, den)) is not None:
                     return False
                 break
             if lone_point:
@@ -702,12 +739,14 @@ def denominator_check(
     height: int = _varieties.DEFAULT_HEIGHT,
 ) -> Verdict:
     """Evaluate the denominator at sampled points and report any value
-    that is zero or negative."""
+    that is zero or negative.  Only the sign is read: on an expanded map it
+    is the sign of the denominator's integer numerator at the point's
+    scaled form, and no ``Fraction`` is built unless a point is reported."""
     zeros = 0
     negatives = 0
     witness = None
     for point in islice(sample_stream(f.domain, seed, height=height), samples):
-        value = f._denominator_value(point.coords)
+        value = f._denominator_value(point.scaled)
         if value == 0:
             zeros += 1
             witness = witness or point.coords
@@ -775,9 +814,9 @@ def _transposed_polynomials(m: MatrixMap):
     return _transposed(m, m.numerators), m.denominator
 
 
-def _transposed_values(node, coords, memo):
+def _transposed_values(node, scaled, memo):
     (m,) = node._stage.inputs
-    nums, den = m._values(coords, memo)
+    nums, den = m._values(scaled, memo)
     return _transposed(m, nums), den
 
 
@@ -823,9 +862,9 @@ def _product_polynomials(a: MatrixMap, b: MatrixMap):
     return nums, a.denominator * b.denominator
 
 
-def _product_values(node, coords, memo):
+def _product_values(node, scaled, memo):
     a, b = node._stage.inputs
-    (x, x_den), (y, y_den) = a._values(coords, memo), b._values(coords, memo)
+    (x, x_den), (y, y_den) = a._values(scaled, memo), b._values(scaled, memo)
     inner, cols = a.cols, b.cols
     nums: List[Fraction] = []
     for i in range(a.rows):

@@ -27,7 +27,15 @@ parametrization by inverse stereographic projection, matrix groups
 through the Cayley transform of a random skew-symmetric (respectively
 skew-Hermitian) rational matrix, with a determinant correction for the
 special unitary group.  All samplers are deterministic functions of the
-seed.
+seed.  A sampler returns its point scaled to integers, ``(q, nums)`` with
+``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``: the sphere,
+Euclidean and product samplers and the SO(n) Cayley transform (one
+fraction-free solve) work on integers throughout, while U(k) and SU(k)
+scale their ``Fraction`` matrix once.  :func:`sample_point` validates
+that form against every relation (:meth:`Variety.first_violation_scaled`)
+and keeps it in the :class:`PointOnVariety`, whose ``Fraction``
+coordinates are built on first read; the denominator audit of ``verify``
+reads only the scaled form.
 """
 
 from __future__ import annotations
@@ -110,19 +118,25 @@ class Variety:
 
     def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
         """``(index, residual)`` of the first relation that does not vanish
-        at ``coords``, or ``None`` when they all do.
+        at ``coords``, or ``None`` when they all do: the point is scaled to
+        integers once and checked by :meth:`first_violation_scaled`."""
+        return self.first_violation_scaled(*scale_point(coords))
 
-        The point is scaled to integers once, ``coords[i] = nums[i] / q``,
-        and every relation is evaluated from that form.  With
-        ``unit_determinant`` set, the determinant comes last, as if it were
-        one more relation: ``det(q M) == q**n`` on integers, and a failure
-        reports ``(len(relations), det(M) - 1)``.
+    def first_violation_scaled(
+        self, q: int, nums: Sequence[int]
+    ) -> Optional[Tuple[int, Fraction]]:
+        """:meth:`first_violation` at the point ``nums[i] / q``, ``q > 0``.
+
+        Each relation is tested by its integer numerator at that form
+        (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`) being
+        zero; only the relation that fails has its residual built as a
+        ``Fraction``.  With ``unit_determinant`` set, the determinant comes
+        last, as if it were one more relation: ``det(q M) == q**n`` on
+        integers, and a failure reports ``(len(relations), det(M) - 1)``.
         """
-        q, nums = scale_point(coords)
         for index, relation in enumerate(self.relations):
-            residual = relation.evaluate_scaled(nums, q)
-            if residual:
-                return index, residual
+            if relation.scaled_numerator(nums, q):
+                return index, relation.evaluate_scaled(nums, q)
         n = self.unit_determinant
         if n:
             det = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)])
@@ -144,24 +158,74 @@ class Variety:
 
 
 class PointOnVariety:
-    """Exact rational coordinates validated against the variety relations."""
+    """Exact rational coordinates validated against the variety relations.
 
-    __slots__ = ("variety", "coords")
+    A point has two forms of its coordinates: ``coords``, a tuple of
+    ``Fraction``, and ``scaled``, the pair ``(q, nums)`` of one positive
+    integer and one integer per coordinate with ``coords[i] == nums[i] / q``
+    (not necessarily in lowest terms).  The relations are checked on the
+    scaled form (:meth:`Variety.first_violation_scaled`).
+
+    A point built from coordinates keeps the given ``Fraction`` objects
+    (other values go through ``Fraction``) and scales them once to check
+    them.  A point built from its scaled form by :meth:`from_scaled`, as
+    every sampled point is, builds its ``coords`` on first read; the
+    denominator audit of ``verify`` never reads them.  ``check=False``
+    skips the relations, for points that hold them by construction.
+    """
+
+    __slots__ = ("variety", "_coords", "_scaled")
 
     def __init__(self, variety: Variety, coords: Sequence[Fraction], check: bool = True):
         coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-        if len(coords) != variety.ambient_dim:
+        self._init(variety, coords, None, check)
+
+    @classmethod
+    def from_scaled(
+        cls, variety: Variety, q: int, nums: Sequence[int], check: bool = True
+    ) -> "PointOnVariety":
+        """The point with coordinates ``nums[i] / q``, for ``q > 0``."""
+        if q <= 0:
+            raise PointValidationError(f"a scaled point needs q > 0, got {q}")
+        point = cls.__new__(cls)
+        point._init(variety, None, (q, tuple(nums)), check)
+        return point
+
+    def _init(self, variety: Variety, coords, scaled, check: bool) -> None:
+        # The one place a point is stored and its relations are checked;
+        # exactly one of ``coords`` and ``scaled`` is given.
+        size = len(coords) if scaled is None else len(scaled[1])
+        if size != variety.ambient_dim:
             raise PointValidationError(
-                f"{variety.name} needs {variety.ambient_dim} coordinates, "
-                f"got {len(coords)}"
+                f"{variety.name} needs {variety.ambient_dim} coordinates, got {size}"
             )
-        violation = variety.first_violation(coords) if check else None
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_scaled", scaled)
+        violation = variety.first_violation_scaled(*self.scaled) if check else None
         if violation is not None:
             raise PointValidationError(
                 f"coordinates violate a relation of {variety.name}: residual {violation[1]}"
             )
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "coords", coords)
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        coords = self._coords
+        if coords is None:
+            q, nums = self._scaled
+            coords = tuple([Fraction(n, q) for n in nums])
+            object.__setattr__(self, "_coords", coords)
+        return coords
+
+    @property
+    def scaled(self) -> Tuple[int, Tuple[int, ...]]:
+        """``(q, nums)`` with ``q > 0`` and ``coords[i] == nums[i] / q``."""
+        scaled = self._scaled
+        if scaled is None:
+            q, nums = scale_point(self._coords)
+            scaled = q, tuple(nums)
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("PointOnVariety is immutable")
@@ -354,43 +418,63 @@ def special_unitary(k: int) -> Variety:
 # ---------------------------------------------------------------------------
 
 
+def _bounded_pair(rng: random.Random, height: int) -> Tuple[int, int]:
+    """A random rational ``p / d`` of height ``height``, as the pair ``(p, d)``."""
+    return rng.randint(-height, height), rng.randint(1, height)
+
+
 def _bounded_fraction(rng: random.Random, height: int) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    return Fraction(*_bounded_pair(rng, height))
+
+
+def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """``(L, [p * L / d, ...])``: rationals given as integer pairs ``(p, d)``
+    with ``d > 0``, written over their least common denominator ``L``."""
+    common = lcm(*[d for _, d in pairs])
+    return common, [p * (common // d) for p, d in pairs]
 
 
 def sphere_coords_from_parameters(ts: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Rational point on the sphere from rational parameters via the inverse
     stereographic parametrization (never hits the pole (-1, 0, ..., 0))."""
-    return _sphere_coords([(t.numerator, t.denominator) for t in ts])
+    q, nums = _sphere_scaled([(t.numerator, t.denominator) for t in ts])
+    return tuple([Fraction(n, q) for n in nums])
 
 
-def _sphere_coords(pairs: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
-    """The same point from parameters given as integer pairs ``(p, q)``
-    meaning ``p / q`` with ``q > 0``.  Over one common denominator ``L`` the
-    parameters are ``T_i / L``; with ``S = sum T_i^2`` the coordinates are
-    ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``, one reduction
-    each."""
-    common = lcm(*[q for _, q in pairs])
-    scaled = [p * (common // q) for p, q in pairs]
+def _sphere_scaled(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """The same point in scaled form, from parameters given as integer pairs
+    ``(p, d)`` meaning ``p / d`` with ``d > 0``.  Over one common
+    denominator ``L`` the parameters are ``T_i / L``; with ``S = sum T_i^2``
+    the coordinates are ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``,
+    so ``q = L^2 + S``."""
+    common, scaled = _over_common_denominator(pairs)
     square = common * common
     s = sum(t * t for t in scaled)
-    den = square + s
-    return tuple([Fraction(square - s, den)] + [Fraction(2 * t * common, den) for t in scaled])
+    return square + s, [square - s] + [2 * t * common for t in scaled]
 
 
-def _cayley_orthogonal(params: Sequence[Fraction], n: int) -> List[List[Fraction]]:
-    """(I - A)(I + A)^{-1} for the skew-symmetric matrix built from params."""
-    a = [[Fraction(0)] * n for _ in range(n)]
-    it = iter(params)
+def _cayley_orthogonal(pairs: Sequence[Tuple[int, int]], n: int) -> Tuple[int, List[int]]:
+    """``(I - A)(I + A)^{-1}`` in scaled form, row-major, for the
+    skew-symmetric ``A`` whose upper triangle, row by row, holds the
+    parameters ``p / d`` given as integer pairs ``(p, d)``.
+
+    Over one common denominator ``L``, ``A = B / L`` with ``B`` an integer
+    skew matrix and ``G = (L I - B)(L I + B)^{-1}``.  Transposing
+    ``G (L I + B) = L I - B`` with ``B^T = -B`` gives
+    ``(L I - B) G^T = L I + B``: one fraction-free solve
+    (:func:`~regmaps.linalg.integer_solve`) over
+    ``q = det(L I - B) = det(L I + B)``, positive for a skew ``B``."""
+    common, scaled = _over_common_denominator(pairs)
+    lhs = [[common if i == j else 0 for j in range(n)] for i in range(n)]  # L I - B
+    rhs = [list(row) for row in lhs]  # L I + B
+    it = iter(scaled)
     for i in range(n):
         for j in range(i + 1, n):
             t = next(it)
-            a[i][j] = t
-            a[j][i] = -t
-    eye = linalg.identity(n)
-    i_minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
-    i_plus = [[eye[i][j] + a[i][j] for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(i_minus, linalg.inverse(i_plus))
+            lhs[i][j], lhs[j][i] = -t, t
+            rhs[i][j], rhs[j][i] = t, -t
+    q, transposed = linalg.integer_solve(lhs, rhs)
+    return q, [transposed[j][i] for i in range(n) for j in range(n)]
 
 
 def _cayley_unitary(rng: random.Random, k: int, height: int) -> List[List[GaussianRational]]:
@@ -417,48 +501,48 @@ def _flatten_complex(matrix: Sequence[Sequence[GaussianRational]]) -> List[Fract
     return coords
 
 
-def _sample_coords(variety: Variety, rng: random.Random, height: int) -> List[Fraction]:
+def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[int, List[int]]:
+    """A random point of ``variety`` in scaled form ``(q, nums)``."""
     kind = variety.sampler
     if kind is None:
         raise NoSamplerError(f"{variety.name} has no sampler")
     if kind == "euclidean":
-        return [_bounded_fraction(rng, height) for _ in range(variety.ambient_dim)]
+        return _over_common_denominator(
+            [_bounded_pair(rng, height) for _ in range(variety.ambient_dim)]
+        )
     if kind == "sphere":
         n = variety.ambient_dim - 1
-        pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(n)]
-        return list(_sphere_coords(pairs))
+        return _sphere_scaled([_bounded_pair(rng, height) for _ in range(n)])
     if kind == "product":
-        coords: List[Fraction] = []
-        for factor in variety.factors:
-            child = random.Random(rng.getrandbits(64))
-            coords.extend(_sample_coords(factor, child, height))
-        return coords
+        parts = [
+            _sample_scaled(factor, random.Random(rng.getrandbits(64)), height)
+            for factor in variety.factors
+        ]
+        q = lcm(*[part_q for part_q, _ in parts])
+        return q, [x * (q // part_q) for part_q, part in parts for x in part]
     if kind == "cayley-so":
         n = int(round(variety.ambient_dim ** 0.5))
-        params = [_bounded_fraction(rng, height) for _ in range(n * (n - 1) // 2)]
-        g = _cayley_orthogonal(params, n)
-        return [entry for row in g for entry in row]
+        return _cayley_orthogonal([_bounded_pair(rng, height) for _ in range(n * (n - 1) // 2)], n)
     if kind == "cayley-u":
         k = int(round((variety.ambient_dim / 2) ** 0.5))
-        return _flatten_complex(_cayley_unitary(rng, k, height))
+        return scale_point(_flatten_complex(_cayley_unitary(rng, k, height)))
     if kind == "cayley-su":
         k = int(round((variety.ambient_dim / 2) ** 0.5))
         u = _cayley_unitary(rng, k, height)
         det = linalg.determinant(u)
         for i in range(k):
             u[i][0] = u[i][0] * det.conjugate()
-        return _flatten_complex(u)
+        return scale_point(_flatten_complex(u))
     raise NoSamplerError(f"unknown sampler kind {kind!r}")
 
 
 def sample_point(
     variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> PointOnVariety:
-    """Deterministic exact rational point on the variety, validated against
-    every relation."""
+    """Deterministic exact rational point on the variety, drawn in scaled
+    form and validated against every relation."""
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
-    coords = _sample_coords(variety, rng, height)
-    return PointOnVariety(variety, coords)
+    return PointOnVariety.from_scaled(variety, *_sample_scaled(variety, rng, height))
 
 
 def sample_stream(

@@ -108,17 +108,44 @@ def test_every_private_helper_is_referenced():
 UNCHECKED_POINTS_ALLOWED = {("groups.py", "fiber_points")}
 
 
+# Where ``check`` sits among the positional arguments of each way to build a
+# point: ``PointOnVariety(variety, coords, check)``,
+# ``PointOnVariety.from_scaled(variety, q, nums, check)`` and the one place
+# both store and check a point, ``point._init(variety, coords, scaled, check)``.
+CHECK_POSITION = {"PointOnVariety": 2, "from_scaled": 3, "_init": 3}
+
+
+def _is_false_constant(node) -> bool:
+    return isinstance(node, ast.Constant) and not node.value
+
+
+def _skips_check(call: ast.Call) -> bool:
+    """Whether ``call`` passes a false constant as ``check``: by keyword to
+    any callee, or by position to one of the point builders.  After a
+    ``*args`` the position is unknown, so any false constant there counts."""
+    if any(kw.arg == "check" and _is_false_constant(kw.value) for kw in call.keywords):
+        return True
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    position = CHECK_POSITION.get(name)
+    if position is None:
+        return False
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return any(_is_false_constant(a) for a in call.args[index + 1 :])
+        if index == position:
+            return _is_false_constant(arg)
+    return False
+
+
 def unchecked_calls(module: str, source: str):
-    """(module, enclosing function, line) of each call passing a false
-    constant as ``check``."""
+    """(module, enclosing function, line) of each call that skips the
+    relation check of a point (see :func:`_skips_check`)."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and any(
-                kw.arg == "check" and isinstance(kw.value, ast.Constant) and not kw.value.value
-                for kw in child.keywords
-            ):
+            if isinstance(child, ast.Call) and _skips_check(child):
                 found.append((module, function, child.lineno))
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else function)
@@ -134,6 +161,28 @@ def test_the_checker_finds_an_unchecked_point():
         "x = sample_point(v, check=0)\n"
     )
     assert unchecked_calls("m.py", source) == [("m.py", "fast", 2), ("m.py", None, 5)]
+
+
+def test_the_checker_finds_an_unchecked_point_in_scaled_form():
+    source = (
+        "def by_keyword(v, q, n):\n    return PointOnVariety.from_scaled(v, q, n, check=False)\n"
+        "def by_position(v, q, n):\n    return PointOnVariety.from_scaled(v, q, n, 0)\n"
+        "def unpacked(v, s):\n    return PointOnVariety.from_scaled(v, *s, False)\n"
+        "def coords_by_position(v, c):\n    return PointOnVariety(v, c, False)\n"
+        "def bypass(p, v, s):\n    p._init(v, None, s, False)\n"
+        "def fine(v, q, n, s):\n"
+        "    a = PointOnVariety.from_scaled(v, q, n, True)\n"
+        "    b = PointOnVariety.from_scaled(v, *s)\n"
+        "    c = PointOnVariety.from_scaled(v, 1, [0, 0, 1])\n"
+        "    return PointOnVariety(v, [0, 1]), other(v, q, n, False)\n"
+    )
+    assert unchecked_calls("m.py", source) == [
+        ("m.py", "by_keyword", 2),
+        ("m.py", "by_position", 4),
+        ("m.py", "unpacked", 6),
+        ("m.py", "coords_by_position", 8),
+        ("m.py", "bypass", 10),
+    ]
 
 
 def test_points_are_validated_outside_the_allow_list():

@@ -19,6 +19,7 @@ from regmaps.polynomial import (
     polynomial_from_json,
     polynomial_to_json,
     polynomial_to_obj,
+    scale_point,
     transport_polynomial,
 )
 from regmaps.varieties import sphere_coords_from_parameters
@@ -352,6 +353,27 @@ def test_evaluate_matches_the_naive_sum():
             as_ints = [int(v) for v in point]
             assert p.evaluate(as_ints) == naive_evaluate(p, as_ints)
             assert type(p.evaluate(as_ints)) is Fraction
+
+
+def test_the_integer_core_has_the_sign_and_the_zeros_of_the_value():
+    rng = random.Random(23)
+    zeros = 0
+    for _ in range(300):
+        p = random_poly(rng, terms=6, max_exp=4, height=rng.choice([1, 9, 1000]))
+        point = random_point(rng, height=rng.choice([1, 7, 10 ** 6]))
+        if rng.random() < 0.3:  # shift p so that it vanishes at the point
+            p = p - p.evaluate(point)
+        q, nums = scale_point(point)
+        # an unreduced form: q shares the factor k with every numerator
+        k = rng.choice([2, 3, 30, 10 ** 9])
+        for form in ((q, nums), (k * q, [k * n for n in nums])):
+            value = p.evaluate_scaled(form[1], form[0])
+            assert value == p.evaluate(point) == naive_evaluate(p, point)
+            numerator = p.scaled_numerator(form[1], form[0])
+            assert type(numerator) is int
+            assert (numerator > 0) - (numerator < 0) == (value > 0) - (value < 0)
+            zeros += not numerator
+    assert zeros >= 100  # the zero test is exercised, not only the signs
 
 
 def test_the_evaluation_plan_is_built_on_first_use_and_kept():

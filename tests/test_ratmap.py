@@ -14,6 +14,7 @@ from regmaps.ratmap import (
     VarietyMismatchError,
     Verdict,
     ZeroDenominatorError,
+    _scaled_image,
     compose,
     constant_map,
     denominator_check,
@@ -205,6 +206,28 @@ def test_maps_into_fails_by_sampling_with_witness():
     assert not report.passed
     assert report.method == "sampling"
     assert report.witness is not None
+
+
+def test_sampled_images_keep_the_sign_of_a_negative_denominator():
+    # On SO(2) the denominator g11 takes both signs.  Where it is nonzero the
+    # image (g11, g21) lies on S^1 and (2 g11, g21) does not; the sampled
+    # check reads each image over |g11|, the sign moved into the numerators.
+    so2 = special_orthogonal(2)
+    reg = so2.registry
+    g11, g21 = Polynomial.variable(reg, 0), Polynomial.variable(reg, 2)
+    on = RationalMap(so2, sphere(1), [g11 * g11, g11 * g21], g11)
+    off = RationalMap(so2, sphere(1), [2 * g11 * g11, g11 * g21], g11)
+    assert maps_into(on, samples=30, seed=4, height=20).passed
+    report = maps_into(off, samples=30, seed=4, height=20)
+    assert not report.passed and report.evidence == {"checked": 1, "failed_relation": 0}
+    assert denominator_check(on, samples=30, seed=4, height=20).evidence["negatives"] > 0
+    for point in sample_points(so2, 30, seed=4, height=20):
+        nums, den = on.values(point.coords)
+        if not den:
+            continue
+        q, ints = _scaled_image(nums, den)
+        assert q > 0 and [Fraction(n, q) for n in ints] == [n / den for n in nums]
+        assert on.evaluate(point).coords == tuple(on.evaluate_raw(point.coords))
 
 
 def test_denominator_check_positive_and_negative_cases():

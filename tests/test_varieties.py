@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,10 @@ from regmaps.linalg import (
     determinant,
     identity,
     integer_determinant,
+    integer_solve,
+    inverse,
     mat_mul,
+    solve,
     transpose,
 )
 from regmaps.polynomial import VarRegistry, polynomial_to_json
@@ -147,11 +151,40 @@ def test_circle_parameter_one_maps_to_north():
         assert coords[0] ** 2 + coords[1] ** 2 == 1
 
 
+def cayley_matrix(params, n):
+    """The sampler's Cayley matrix for rational ``params``, as ``Fraction``s."""
+    q, nums = _cayley_orthogonal([(t.numerator, t.denominator) for t in params], n)
+    assert q > 0
+    return as_matrix([Fraction(x, q) for x in nums], n)
+
+
 def test_cayley_small_cases():
-    assert _cayley_orthogonal([], 1) == [[Fraction(1)]]
-    assert _cayley_orthogonal([Fraction(0)], 2) == identity(2)
-    got = _cayley_orthogonal([Fraction(1)], 2)
+    assert cayley_matrix([], 1) == [[Fraction(1)]]
+    assert cayley_matrix([Fraction(0)], 2) == identity(2)
+    got = cayley_matrix([Fraction(1)], 2)
     assert got == [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+
+
+def test_fraction_free_cayley_matches_the_rational_transform():
+    # (I - A)(I + A)^{-1} by Fraction elimination, the sampler's former route
+    rng = random.Random(21)
+    for n in (2, 3, 4, 5, 7):
+        for height in (4, 50, 1000):
+            for _ in range(6):
+                params = [
+                    Fraction(rng.randint(-height, height), rng.randint(1, height))
+                    for _ in range(n * (n - 1) // 2)
+                ]
+                a = [[Fraction(0)] * n for _ in range(n)]
+                it = iter(params)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        a[i][j] = next(it)
+                        a[j][i] = -a[i][j]
+                eye = identity(n)
+                minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
+                plus = [[eye[i][j] + a[i][j] for j in range(n)] for i in range(n)]
+                assert cayley_matrix(params, n) == mat_mul(minus, inverse(plus)), (n, params)
 
 
 def test_cayley_samples_are_special_orthogonal():
@@ -286,6 +319,84 @@ def test_sampled_points_are_pinned(kind):
             digest = hashlib.sha256(_points_text(points).encode()).hexdigest()
             assert digest == SAMPLE_DIGESTS[kind, height, seed], (height, seed)
             assert all(type(c) is Fraction for p in points for c in p.coords)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_KINDS))
+def test_sampled_points_are_drawn_over_one_positive_denominator(kind):
+    variety = SAMPLER_KINDS[kind]
+    for height in (1000, 50, 4):
+        for seed in (0, 5, 11):
+            for point in sample_points(variety, 20, seed, height=height):
+                q, nums = point.scaled
+                assert type(q) is int and q > 0
+                assert len(nums) == variety.ambient_dim
+                assert all(type(n) is int for n in nums)
+                assert all(type(c) is Fraction for c in point.coords)
+                assert [Fraction(n, q) for n in nums] == list(point.coords)
+                assert variety.first_violation_scaled(q, nums) is None
+
+
+def test_a_point_keeps_both_forms_of_its_coordinates():
+    v = sphere(1)
+    given = PointOnVariety(v, [Fraction(3, 5), Fraction(-4, 5)])
+    scaled = PointOnVariety.from_scaled(v, 10, [6, -8])  # not in lowest terms
+    assert scaled.scaled == (10, (6, -8))
+    assert scaled.coords == given.coords and scaled == given and hash(scaled) == hash(given)
+    assert scaled.coords is scaled.coords  # built once, on first read
+    assert given.scaled == (5, (3, -4))
+    with pytest.raises(PointValidationError):
+        PointOnVariety.from_scaled(v, 5, [3, 3])
+    with pytest.raises(PointValidationError):
+        PointOnVariety.from_scaled(v, 5, [3, -4, 0])
+    with pytest.raises(PointValidationError):
+        PointOnVariety.from_scaled(v, -5, [-3, 4])
+    raw = PointOnVariety.from_scaled(v, 5, [3, 3], check=False)
+    assert raw.coords == (Fraction(3, 5), Fraction(3, 5))
+
+
+def test_first_violation_is_the_same_from_either_form():
+    so3 = special_orthogonal(3)
+    cases = [
+        (so3, [Fraction(x) for x in (-1, 0, 0, 0, 1, 0, 0, 0, 1)], (12, Fraction(-2))),
+        (so3, [Fraction(x) for x in (2, 0, 0, 0, 1, 0, 0, 0, 1)], (0, Fraction(3))),
+        (sphere(2), [Fraction(1, 2), Fraction(1, 3), Fraction(0)], (0, Fraction(-23, 36))),
+        (special_unitary(1), [Fraction(0), Fraction(1)], (2, Fraction(-1))),
+        (sphere(2), [Fraction(3, 5), Fraction(0), Fraction(-4, 5)], None),
+    ]
+    rng = random.Random(3)
+    for variety, coords, expected in cases:
+        assert variety.first_violation(coords) == expected
+        q = lcm(*[c.denominator for c in coords])
+        for k in (1, 6, rng.randint(2, 10**9)):  # the reduced form and unreduced ones
+            nums = [c.numerator * (k * q // c.denominator) for c in coords]
+            assert variety.first_violation_scaled(k * q, nums) == expected, (variety, k)
+
+
+def test_integer_solve_matches_the_rational_solve():
+    rng = random.Random(8)
+    cases = [([[0, 2], [3, 4]], [[1], [2]]), ([[5]], [[3, -10]])]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, rng.randint(-9, 9), rng.randint(-10**9, 10**9))) for _ in range(n)]
+             for _ in range(n)]
+        width = rng.randint(1, n + 1)
+        b = [[rng.randint(-50, 50) for _ in range(width)] for _ in range(n)]
+        cases.append((a, b))
+    solved = 0
+    for a, b in cases:
+        det = integer_determinant(a)
+        if det == 0:
+            with pytest.raises(ValueError):
+                integer_solve(a, b)
+            continue
+        got_det, y = integer_solve(a, b)
+        assert got_det == det
+        expected = solve(
+            [[Fraction(x) for x in row] for row in a], [[Fraction(x) for x in row] for row in b]
+        )
+        assert [[Fraction(v, det) for v in row] for row in y] == expected
+        solved += 1
+    assert solved > 150
 
 
 def test_sphere_parameters_may_be_integers():
