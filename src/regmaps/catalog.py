@@ -313,8 +313,8 @@ SU_RETRACT_MAX_SIZE = 5
 # oplus:100 35 s and oplus:80 24 s, while build oplus:300 takes 34 s at 1.2 GB.
 # build jmap:identity:700:700 32 s, 800:800 56 s (k = n is the worst shape:
 # 2:1000 38 s, 1000:2 6 s).  U(k) names its variables a{i}{j} without a
-# separator, so they collide from k = 11; build r-u:10 8 s, s-u:10 5 s and
-# p-u:10 2 s.
+# separator, so they collide from k = 11; build r-u:10 7-8 s, s-u:10 4-5 s
+# and p-u:10 1 s.
 SPHERE_MAX_DIM = 3000
 CHART_MAX_DIM = 400
 OPLUS_MAX_DIM = 100

@@ -523,7 +523,7 @@ def fiber_points(spec: JMapInput, count: int, seed: int = 0) -> List[PointOnVari
     out = []
     for base in sample_points(sphere(n), count, seed):
         q, nums = base.scaled
-        out.append(PointOnVariety.from_scaled(dom, q, nums + (0,) * k, check=False))
+        out.append(PointOnVariety.from_scaled(dom, q, nums + (0,) * k))
     return out
 
 

@@ -1,13 +1,15 @@
 """Exact dense linear algebra over the rationals and Gaussian rationals.
 
-Small helper kit used by the samplers (Cayley transforms need an exact
-solve), by the Jacobian rank probe (exact nullspaces and ranks)
-and by checks that read a unitary image as a complex matrix.  Matrices
-are plain lists of lists of ``Fraction`` or :class:`GaussianRational`,
-the exact complex scalar defined here; everything is division-based
-Gaussian elimination, which both scalar types support, except
-:func:`integer_determinant` and :func:`integer_solve`, which share one
-fraction-free elimination and stay on integers.
+Matrices are plain lists of lists of ``Fraction`` or
+:class:`GaussianRational`, the exact complex scalar defined here.
+:func:`integer_determinant` and :func:`integer_solve` share one
+fraction-free elimination and stay on integers; the samplers use them
+(every Cayley transform is one :func:`integer_solve`) and so does the
+determinant check of an SO(n) point.  The rest is division-based Gaussian
+elimination, which both scalar types support.  It serves the Jacobian rank
+probe (exact nullspaces and ranks), the determinant correction of the
+SU(k) sampler (one :func:`determinant` over :class:`GaussianRational`) and
+the tests, which check the integer routines against it.
 """
 
 from __future__ import annotations

@@ -28,14 +28,14 @@ through the Cayley transform of a random skew-symmetric (respectively
 skew-Hermitian) rational matrix, with a determinant correction for the
 special unitary group.  All samplers are deterministic functions of the
 seed.  A sampler returns its point scaled to integers, ``(q, nums)`` with
-``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``: the sphere,
-Euclidean and product samplers and the SO(n) Cayley transform (one
-fraction-free solve) work on integers throughout, while U(k) and SU(k)
-scale their ``Fraction`` matrix once.  :func:`sample_point` validates
-that form against every relation (:meth:`Variety.first_violation_scaled`)
-and keeps it in the :class:`PointOnVariety`, whose ``Fraction``
-coordinates are built on first read; the denominator audit of ``verify``
-reads only the scaled form.
+``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``.  Every sampler
+works on integers: SO(n), U(k) and SU(k) share one Cayley transform, one
+fraction-free solve on the realified matrix (:func:`_cayley`), and only
+the determinant correction of SU(k) takes one exact Gaussian-rational
+determinant.  :func:`sample_point` validates that form against every
+relation (:meth:`Variety.first_violation_scaled`) and keeps it in the
+:class:`PointOnVariety`, whose ``Fraction`` coordinates are built on first
+read; the denominator audit of ``verify`` reads only the scaled form.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
@@ -170,28 +170,25 @@ class PointOnVariety:
     (other values go through ``Fraction``) and scales them once to check
     them.  A point built from its scaled form by :meth:`from_scaled`, as
     every sampled point is, builds its ``coords`` on first read; the
-    denominator audit of ``verify`` never reads them.  ``check=False``
-    skips the relations, for points that hold them by construction.
+    denominator audit of ``verify`` never reads them.
     """
 
     __slots__ = ("variety", "_coords", "_scaled")
 
-    def __init__(self, variety: Variety, coords: Sequence[Fraction], check: bool = True):
+    def __init__(self, variety: Variety, coords: Sequence[Fraction]):
         coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-        self._init(variety, coords, None, check)
+        self._init(variety, coords, None)
 
     @classmethod
-    def from_scaled(
-        cls, variety: Variety, q: int, nums: Sequence[int], check: bool = True
-    ) -> "PointOnVariety":
+    def from_scaled(cls, variety: Variety, q: int, nums: Sequence[int]) -> "PointOnVariety":
         """The point with coordinates ``nums[i] / q``, for ``q > 0``."""
         if q <= 0:
             raise PointValidationError(f"a scaled point needs q > 0, got {q}")
         point = cls.__new__(cls)
-        point._init(variety, None, (q, tuple(nums)), check)
+        point._init(variety, None, (q, tuple(nums)))
         return point
 
-    def _init(self, variety: Variety, coords, scaled, check: bool) -> None:
+    def _init(self, variety: Variety, coords, scaled) -> None:
         # The one place a point is stored and its relations are checked;
         # exactly one of ``coords`` and ``scaled`` is given.
         size = len(coords) if scaled is None else len(scaled[1])
@@ -202,7 +199,7 @@ class PointOnVariety:
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_scaled", scaled)
-        violation = variety.first_violation_scaled(*self.scaled) if check else None
+        violation = variety.first_violation_scaled(*self.scaled)
         if violation is not None:
             raise PointValidationError(
                 f"coordinates violate a relation of {variety.name}: residual {violation[1]}"
@@ -423,10 +420,6 @@ def _bounded_pair(rng: random.Random, height: int) -> Tuple[int, int]:
     return rng.randint(-height, height), rng.randint(1, height)
 
 
-def _bounded_fraction(rng: random.Random, height: int) -> Fraction:
-    return Fraction(*_bounded_pair(rng, height))
-
-
 def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
     """``(L, [p * L / d, ...])``: rationals given as integer pairs ``(p, d)``
     with ``d > 0``, written over their least common denominator ``L``."""
@@ -453,52 +446,48 @@ def _sphere_scaled(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
     return square + s, [square - s] + [2 * t * common for t in scaled]
 
 
-def _cayley_orthogonal(pairs: Sequence[Tuple[int, int]], n: int) -> Tuple[int, List[int]]:
-    """``(I - A)(I + A)^{-1}`` in scaled form, row-major, for the
-    skew-symmetric ``A`` whose upper triangle, row by row, holds the
-    parameters ``p / d`` given as integer pairs ``(p, d)``.
+def _cayley(
+    pairs: Sequence[Tuple[int, int]], k: int, complex_entries: bool
+) -> Tuple[int, List[int]]:
+    """``(I - H)(I + H)^{-1}`` in scaled form, row-major, for a k x k
+    skew-symmetric ``H`` (SO) or skew-Hermitian one (U, ``complex_entries``)
+    whose rows hold, in order, the parameters ``p / d`` given as integer
+    pairs ``(p, d)``: each entry right of the diagonal, for U as (re, im)
+    after the imaginary part of the diagonal entry.  U points interleave
+    (re, im) too.
 
-    Over one common denominator ``L``, ``A = B / L`` with ``B`` an integer
-    skew matrix and ``G = (L I - B)(L I + B)^{-1}``.  Transposing
-    ``G (L I + B) = L I - B`` with ``B^T = -B`` gives
-    ``(L I - B) G^T = L I + B``: one fraction-free solve
-    (:func:`~regmaps.linalg.integer_solve`) over
-    ``q = det(L I - B) = det(L I + B)``, positive for a skew ``B``."""
+    A complex ``H`` is realified entrywise by ``x + iy -> [[x, -y], [y, x]]``
+    as in :func:`regmaps.groups.embed_u_in_so`; realification commutes with
+    the transform, and column ``2j`` of the result holds column ``j`` of the
+    complex one.  Over one common denominator ``L`` the real ``H`` is
+    ``B / L``, ``B`` an integer skew matrix, and ``G = (L I - B)(L I +
+    B)^{-1}``.  The factors commute, so ``(L I + B) G = L I - B``: one
+    fraction-free solve (:func:`~regmaps.linalg.integer_solve`) for the
+    columns read, over ``q = det(L I + B)``, positive for a skew ``B``; the
+    point is returned in lowest terms."""
     common, scaled = _over_common_denominator(pairs)
-    lhs = [[common if i == j else 0 for j in range(n)] for i in range(n)]  # L I - B
-    rhs = [list(row) for row in lhs]  # L I + B
+    step = 2 if complex_entries else 1
+    size = step * k
+    upper = []  # (row, column, entry) of B above its diagonal
     it = iter(scaled)
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = next(it)
-            lhs[i][j], lhs[j][i] = -t, t
-            rhs[i][j], rhs[j][i] = t, -t
-    q, transposed = linalg.integer_solve(lhs, rhs)
-    return q, [transposed[j][i] for i in range(n) for j in range(n)]
-
-
-def _cayley_unitary(rng: random.Random, k: int, height: int) -> List[List[GaussianRational]]:
-    """Cayley transform of a random skew-Hermitian Gaussian-rational matrix."""
-    h = [[GaussianRational.of(0)] * k for _ in range(k)]
     for i in range(k):
-        h[i][i] = GaussianRational(Fraction(0), _bounded_fraction(rng, height))
+        if complex_entries:  # the block [[0, -y], [y, 0]] of the diagonal entry iy
+            upper.append((2 * i, 2 * i + 1, -next(it)))
         for j in range(i + 1, k):
-            z = GaussianRational(_bounded_fraction(rng, height), _bounded_fraction(rng, height))
-            h[i][j] = z
-            h[j][i] = -z.conjugate()
-    eye = linalg.identity(k, gaussian=True)
-    i_minus = [[eye[i][j] - h[i][j] for j in range(k)] for i in range(k)]
-    i_plus = [[eye[i][j] + h[i][j] for j in range(k)] for i in range(k)]
-    return linalg.mat_mul(i_minus, linalg.inverse(i_plus))
-
-
-def _flatten_complex(matrix: Sequence[Sequence[GaussianRational]]) -> List[Fraction]:
-    coords: List[Fraction] = []
-    for row in matrix:
-        for z in row:
-            coords.append(z.re)
-            coords.append(z.im)
-    return coords
+            if complex_entries:
+                x, y, r, c = next(it), next(it), 2 * i, 2 * j
+                upper.extend([(r, c, x), (r, c + 1, -y), (r + 1, c, y), (r + 1, c + 1, x)])
+            else:
+                upper.append((i, j, next(it)))
+    plus = [[common if r == c else 0 for c in range(size)] for r in range(size)]  # L I + B
+    minus = [list(row) for row in plus]  # L I - B
+    for r, c, t in upper:
+        plus[r][c], plus[c][r] = t, -t
+        minus[r][c], minus[c][r] = -t, t
+    q, g = linalg.integer_solve(plus, [row[::step] for row in minus])
+    nums = [g[step * i + s][j] for i in range(k) for j in range(k) for s in range(step)]
+    common = gcd(q, *nums)
+    return q // common, [x // common for x in nums]
 
 
 def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[int, List[int]]:
@@ -520,20 +509,19 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
         ]
         q = lcm(*[part_q for part_q, _ in parts])
         return q, [x * (q // part_q) for part_q, part in parts for x in part]
-    if kind == "cayley-so":
-        n = int(round(variety.ambient_dim ** 0.5))
-        return _cayley_orthogonal([_bounded_pair(rng, height) for _ in range(n * (n - 1) // 2)], n)
-    if kind == "cayley-u":
-        k = int(round((variety.ambient_dim / 2) ** 0.5))
-        return scale_point(_flatten_complex(_cayley_unitary(rng, k, height)))
+    if kind not in ("cayley-so", "cayley-u", "cayley-su"):
+        raise NoSamplerError(f"unknown sampler kind {kind!r}")
+    complex_entries = kind != "cayley-so"
+    k = isqrt(variety.ambient_dim // 2 if complex_entries else variety.ambient_dim)
+    count = k * k if complex_entries else k * (k - 1) // 2
+    q, nums = _cayley([_bounded_pair(rng, height) for _ in range(count)], k, complex_entries)
     if kind == "cayley-su":
-        k = int(round((variety.ambient_dim / 2) ** 0.5))
-        u = _cayley_unitary(rng, k, height)
-        det = linalg.determinant(u)
-        for i in range(k):
-            u[i][0] = u[i][0] * det.conjugate()
-        return scale_point(_flatten_complex(u))
-    raise NoSamplerError(f"unknown sampler kind {kind!r}")
+        # det(U) has modulus one: column 0 times its conjugate makes it one.
+        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in zip(nums[::2], nums[1::2])]
+        conj = linalg.determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
+        z[::k] = [e * conj for e in z[::k]]
+        return scale_point([x for e in z for x in (e.re, e.im)])
+    return q, nums
 
 
 def sample_point(

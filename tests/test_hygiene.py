@@ -1,8 +1,7 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
-class is referenced somewhere in the package, no code skips the relation
-check of a point except where the point is valid by construction, no
-sum of polynomials is folded by hand, no pass/fail record besides the
+class is referenced somewhere in the package, the samplers call no
+division-based linear algebra, no sum of polynomials is folded by hand, no pass/fail record besides the
 one verdict type serializes itself, only the one sample stream spells
 its seed formula, the map builders never read a map's polynomials, and
 no ``isinstance`` tests against a ``typing`` alias."""
@@ -102,97 +101,55 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
-# (module, function) of each call allowed to pass ``check=False``: the fiber
-# points (x, 0) of S^{n+k} are built from sampled, already validated points x
-# of S^n, so their relation holds by construction.
-UNCHECKED_POINTS_ALLOWED = {("groups.py", "fiber_points")}
+# The division-based routines of ``linalg``.  The samplers in ``varieties``
+# stay on integers: a Cayley transform is one fraction-free solve.
+DIVISION_BASED = {"solve", "inverse", "mat_mul"}
 
 
-# Where ``check`` sits among the positional arguments of each way to build a
-# point: ``PointOnVariety(variety, coords, check)``,
-# ``PointOnVariety.from_scaled(variety, q, nums, check)`` and the one place
-# both store and check a point, ``point._init(variety, coords, scaled, check)``.
-CHECK_POSITION = {"PointOnVariety": 2, "from_scaled": 3, "_init": 3}
-
-
-def _is_false_constant(node) -> bool:
-    return isinstance(node, ast.Constant) and not node.value
-
-
-def _skips_check(call: ast.Call) -> bool:
-    """Whether ``call`` passes a false constant as ``check``: by keyword to
-    any callee, or by position to one of the point builders.  After a
-    ``*args`` the position is unknown, so any false constant there counts."""
-    if any(kw.arg == "check" and _is_false_constant(kw.value) for kw in call.keywords):
-        return True
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    position = CHECK_POSITION.get(name)
-    if position is None:
-        return False
-    for index, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            return any(_is_false_constant(a) for a in call.args[index + 1 :])
-        if index == position:
-            return _is_false_constant(arg)
-    return False
-
-
-def unchecked_calls(module: str, source: str):
-    """(module, enclosing function, line) of each call that skips the
-    relation check of a point (see :func:`_skips_check`)."""
+def division_based_calls(source: str):
+    """(line, name) of each call of a division-based ``linalg`` routine:
+    ``linalg.<name>(...)``, or ``<name>(...)`` with the name imported from
+    ``linalg``."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg"
+        for alias in node.names
+        if alias.name in DIVISION_BASED
+    }
     found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            found.append((node.lineno, func.id))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in DIVISION_BASED
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "linalg"
+        ):
+            found.append((node.lineno, f"linalg.{func.attr}"))
+    return sorted(found)
 
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _skips_check(child):
-                found.append((module, function, child.lineno))
-            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_function else function)
 
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_the_checker_finds_an_unchecked_point():
+def test_the_checker_finds_a_division_based_call():
     source = (
-        "def fast(v, c):\n    return PointOnVariety(v, c, check=False)\n"
-        "def fine(v, c):\n    return PointOnVariety(v, c, check=True)\n"
-        "x = sample_point(v, check=0)\n"
+        "from . import linalg\n"
+        "from .linalg import inverse as inv, integer_solve\n"
+        "a = linalg.mat_mul(x, linalg.solve(y, z))\n"
+        "b = inv(x)\n"
+        "c = linalg.integer_solve(x, y), integer_solve(x, y), linalg.determinant(x)\n"
+        "d = other.solve(x), mat_mul(x, y), linalg.inverse\n"
     )
-    assert unchecked_calls("m.py", source) == [("m.py", "fast", 2), ("m.py", None, 5)]
+    assert division_based_calls(source) == [(3, "linalg.mat_mul"), (3, "linalg.solve"), (4, "inv")]
 
 
-def test_the_checker_finds_an_unchecked_point_in_scaled_form():
-    source = (
-        "def by_keyword(v, q, n):\n    return PointOnVariety.from_scaled(v, q, n, check=False)\n"
-        "def by_position(v, q, n):\n    return PointOnVariety.from_scaled(v, q, n, 0)\n"
-        "def unpacked(v, s):\n    return PointOnVariety.from_scaled(v, *s, False)\n"
-        "def coords_by_position(v, c):\n    return PointOnVariety(v, c, False)\n"
-        "def bypass(p, v, s):\n    p._init(v, None, s, False)\n"
-        "def fine(v, q, n, s):\n"
-        "    a = PointOnVariety.from_scaled(v, q, n, True)\n"
-        "    b = PointOnVariety.from_scaled(v, *s)\n"
-        "    c = PointOnVariety.from_scaled(v, 1, [0, 0, 1])\n"
-        "    return PointOnVariety(v, [0, 1]), other(v, q, n, False)\n"
-    )
-    assert unchecked_calls("m.py", source) == [
-        ("m.py", "by_keyword", 2),
-        ("m.py", "by_position", 4),
-        ("m.py", "unpacked", 6),
-        ("m.py", "coords_by_position", 8),
-        ("m.py", "bypass", 10),
-    ]
-
-
-def test_points_are_validated_outside_the_allow_list():
-    found = [
-        call
-        for path in PACKAGE
-        for call in unchecked_calls(path.name, path.read_text(encoding="utf-8"))
-    ]
-    assert [call[:2] for call in found if call[:2] not in UNCHECKED_POINTS_ALLOWED] == []
-    assert {call[:2] for call in found} == UNCHECKED_POINTS_ALLOWED
+def test_the_samplers_stay_on_integers():
+    varieties = next(p for p in PACKAGE if p.name == "varieties.py")
+    assert division_based_calls(varieties.read_text(encoding="utf-8")) == []
 
 
 # Modules whose loops fold scalars, never polynomials: ``linalg`` sums exact

@@ -24,7 +24,7 @@ from regmaps.varieties import (
     PointOnVariety,
     PointValidationError,
     Variety,
-    _cayley_orthogonal,
+    _cayley,
     euclidean,
     matrix_entry_polys,
     poly_matrix_determinant,
@@ -88,9 +88,6 @@ def test_point_validation():
         PointOnVariety(sphere(2), [1, 1, 0])
     with pytest.raises(PointValidationError):
         PointOnVariety(sphere(2), [1, 0])
-    # check=False admits off-variety coordinates (used for probe scaffolding)
-    raw = PointOnVariety(sphere(2), [1, 1, 0], check=False)
-    assert raw.coords[1] == 1
 
 
 def test_variety_is_immutable():
@@ -153,7 +150,7 @@ def test_circle_parameter_one_maps_to_north():
 
 def cayley_matrix(params, n):
     """The sampler's Cayley matrix for rational ``params``, as ``Fraction``s."""
-    q, nums = _cayley_orthogonal([(t.numerator, t.denominator) for t in params], n)
+    q, nums = _cayley([(t.numerator, t.denominator) for t in params], n, False)
     assert q > 0
     return as_matrix([Fraction(x, q) for x in nums], n)
 
@@ -166,25 +163,35 @@ def test_cayley_small_cases():
 
 
 def test_fraction_free_cayley_matches_the_rational_transform():
-    # (I - A)(I + A)^{-1} by Fraction elimination, the sampler's former route
+    # (I - H)(I + H)^{-1} by division-based elimination, the samplers' former
+    # route: H is skew-symmetric over Fraction for SO(k), and skew-Hermitian
+    # over GaussianRational for U(k), each row holding the imaginary part of
+    # its diagonal entry, then (re, im) of each entry right of it
     rng = random.Random(21)
-    for n in (2, 3, 4, 5, 7):
-        for height in (4, 50, 1000):
-            for _ in range(6):
-                params = [
-                    Fraction(rng.randint(-height, height), rng.randint(1, height))
-                    for _ in range(n * (n - 1) // 2)
-                ]
-                a = [[Fraction(0)] * n for _ in range(n)]
-                it = iter(params)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        a[i][j] = next(it)
-                        a[j][i] = -a[i][j]
-                eye = identity(n)
-                minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
-                plus = [[eye[i][j] + a[i][j] for j in range(n)] for i in range(n)]
-                assert cayley_matrix(params, n) == mat_mul(minus, inverse(plus)), (n, params)
+    for complex_entries, sizes in ((False, (2, 3, 4, 5, 7)), (True, (1, 2, 3, 4))):
+        for k in sizes:
+            count = k * k if complex_entries else k * (k - 1) // 2
+            for height in (4, 50, 1000):
+                for _ in range(6):
+                    pairs = [
+                        (rng.randint(-height, height), rng.randint(1, height)) for _ in range(count)
+                    ]
+                    it = (Fraction(p, d) for p, d in pairs)
+                    eye = identity(k, gaussian=complex_entries)
+                    h = [[x * 0 for x in row] for row in eye]  # zeros of the scalar type
+                    for i in range(k):
+                        if complex_entries:
+                            h[i][i] = GaussianRational(Fraction(0), next(it))
+                        for j in range(i + 1, k):
+                            z = GaussianRational(next(it), next(it)) if complex_entries else next(it)
+                            h[i][j], h[j][i] = z, -z.conjugate()
+                    minus = [[eye[i][j] - h[i][j] for j in range(k)] for i in range(k)]
+                    plus = [[eye[i][j] + h[i][j] for j in range(k)] for i in range(k)]
+                    q, nums = _cayley(pairs, k, complex_entries)
+                    assert q > 0
+                    coords = [Fraction(x, q) for x in nums]
+                    got = as_complex_matrix(coords, k) if complex_entries else as_matrix(coords, k)
+                    assert got == mat_mul(minus, inverse(plus)), (k, pairs)
 
 
 def test_cayley_samples_are_special_orthogonal():
@@ -367,8 +374,6 @@ def test_a_point_keeps_both_forms_of_its_coordinates():
         PointOnVariety.from_scaled(v, 5, [3, -4, 0])
     with pytest.raises(PointValidationError):
         PointOnVariety.from_scaled(v, -5, [-3, 4])
-    raw = PointOnVariety.from_scaled(v, 5, [3, 3], check=False)
-    assert raw.coords == (Fraction(3, 5), Fraction(3, 5))
 
 
 def test_first_violation_is_the_same_from_either_form():
