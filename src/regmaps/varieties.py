@@ -517,7 +517,8 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     q, nums = _cayley([_bounded_pair(rng, height) for _ in range(count)], k, complex_entries)
     if kind == "cayley-su":
         # det(U) has modulus one: column 0 times its conjugate makes it one.
-        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in zip(nums[::2], nums[1::2])]
+        pairs = zip(nums[::2], nums[1::2])
+        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in pairs]
         conj = linalg.determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
         z[::k] = [e * conj for e in z[::k]]
         return scale_point([x for e in z for x in (e.re, e.im)])

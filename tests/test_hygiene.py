@@ -1,10 +1,11 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, the samplers call no
-division-based linear algebra, no sum of polynomials is folded by hand, no pass/fail record besides the
-one verdict type serializes itself, only the one sample stream spells
-its seed formula, the map builders never read a map's polynomials, and
-no ``isinstance`` tests against a ``typing`` alias."""
+division-based linear algebra, no sum of polynomials is folded by hand,
+no pass/fail record besides the one verdict type serializes itself, only
+the one sample stream spells its seed formula, the map builders never
+read a map's polynomials, and no ``isinstance`` tests against a
+``typing`` alias."""
 
 import ast
 from pathlib import Path

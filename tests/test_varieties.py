@@ -183,7 +183,9 @@ def test_fraction_free_cayley_matches_the_rational_transform():
                         if complex_entries:
                             h[i][i] = GaussianRational(Fraction(0), next(it))
                         for j in range(i + 1, k):
-                            z = GaussianRational(next(it), next(it)) if complex_entries else next(it)
+                            z = next(it)
+                            if complex_entries:
+                                z = GaussianRational(z, next(it))
                             h[i][j], h[j][i] = z, -z.conjugate()
                     minus = [[eye[i][j] - h[i][j] for j in range(k)] for i in range(k)]
                     plus = [[eye[i][j] + h[i][j] for j in range(k)] for i in range(k)]
