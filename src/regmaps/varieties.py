@@ -516,9 +516,9 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     count = k * k if complex_entries else k * (k - 1) // 2
     q, nums = _cayley([_bounded_pair(rng, height) for _ in range(count)], k, complex_entries)
     if kind == "cayley-su":
-        # det(U) has modulus one: column 0 times its conjugate makes it one.
-        pairs = zip(nums[::2], nums[1::2])
-        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in pairs]
+        # det(U) has modulus one, so column 0 times conj(det(U)) has det one.
+        parts = zip(nums[::2], nums[1::2])
+        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in parts]
         conj = linalg.determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
         z[::k] = [e * conj for e in z[::k]]
         return scale_point([x for e in z for x in (e.re, e.im)])
