@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .polynomial import (
-    ComplexPolynomial,
+    ComplexPair,
     Polynomial,
     polynomial_from_obj,
     polynomial_to_obj,
@@ -220,11 +220,11 @@ def section_u(k: int) -> MatrixMap:
     dom = sphere(2 * k - 1)
     reg = dom.registry
     z = [
-        ComplexPolynomial(Polynomial.variable(reg, 2 * j), Polynomial.variable(reg, 2 * j + 1))
+        ComplexPair(Polynomial.variable(reg, 2 * j), Polynomial.variable(reg, 2 * j + 1))
         for j in range(k)
     ]
     zbar = [p.conjugate() for p in z]
-    lead = ComplexPolynomial(Polynomial.one(reg) + z[0].re, z[0].im)
+    lead = 1 + z[0]
     lead_bar = lead.conjugate()
     den_complex = lead * lead_bar
     den_re, den_im = den_complex

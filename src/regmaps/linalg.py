@@ -1,112 +1,31 @@
-"""Exact dense linear algebra over the rationals and Gaussian rationals.
+"""Exact dense linear algebra over the rationals, real or complex.
 
-Matrices are plain lists of lists of ``Fraction`` or
-:class:`GaussianRational`, the exact complex scalar defined here.
+Matrices are plain lists of lists of ``Fraction`` or, for complex
+entries, :class:`~regmaps.polynomial.ComplexPair` with rational parts.
 :func:`integer_determinant` and :func:`integer_solve` share one
 fraction-free elimination and stay on integers; the samplers use them
 (every Cayley transform is one :func:`integer_solve`) and so does the
 determinant check of an SO(n) point.  The rest is division-based Gaussian
 elimination, which both scalar types support.  It serves the Jacobian rank
 probe (exact nullspaces and ranks), the determinant correction of the
-SU(k) sampler (one :func:`determinant` over :class:`GaussianRational`) and
-the tests, which check the integer routines against it.
+SU(k) sampler (one :func:`determinant` over complex pairs) and the tests,
+which check the integer routines against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Union
 
+from .polynomial import ComplexPair
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "GaussianRational"):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "GaussianRational"):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: object):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        return _as_gaussian(other) - self
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: object):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussianRational":
-        other = _as_gaussian(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!s}, {self.im!s})"
-
-
-def _as_gaussian(value: object) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    raise TypeError(f"cannot interpret {value!r} as a GaussianRational")
-
-
-Scalar = Union[Fraction, GaussianRational]
+Scalar = Union[Fraction, ComplexPair]
 Matrix = List[List[Scalar]]
 
 
-def _is_zero(x: Scalar) -> bool:
-    if isinstance(x, GaussianRational):
-        return x.is_zero()
-    return x == 0
-
-
 def identity(n: int, gaussian: bool = False) -> Matrix:
-    one: Scalar = GaussianRational.of(1) if gaussian else Fraction(1)
-    zero: Scalar = GaussianRational.of(0) if gaussian else Fraction(0)
+    one: Scalar = ComplexPair(Fraction(1), Fraction(0)) if gaussian else Fraction(1)
+    zero: Scalar = ComplexPair(Fraction(0), Fraction(0)) if gaussian else Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -135,10 +54,7 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def conjugate_transpose(a: Matrix) -> Matrix:
-    return [
-        [x.conjugate() if isinstance(x, GaussianRational) else x for x in row]
-        for row in zip(*a)
-    ]
+    return [[x.conjugate() for x in row] for row in zip(*a)]
 
 
 def solve(a: Matrix, rhs: Matrix) -> Matrix:
@@ -149,7 +65,7 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix:
     width = len(rhs[0])
     aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not _is_zero(aug[r][col])), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         if pivot != col:
@@ -160,14 +76,14 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix:
             if r == col:
                 continue
             factor = aug[r][col]
-            if _is_zero(factor):
+            if not factor:
                 continue
             aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [row[n : n + width] for row in aug]
 
 
 def inverse(a: Matrix) -> Matrix:
-    gaussian = any(isinstance(x, GaussianRational) for row in a for x in row)
+    gaussian = any(isinstance(x, ComplexPair) for row in a for x in row)
     return solve(a, identity(len(a), gaussian=gaussian))
 
 
@@ -175,20 +91,19 @@ def determinant(a: Matrix) -> Scalar:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    gaussian = any(isinstance(x, GaussianRational) for row in a for x in row)
     work = [list(row) for row in a]
-    det: Scalar = GaussianRational.of(1) if gaussian else Fraction(1)
+    det: Scalar = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not _is_zero(work[r][col])), None)
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
-            return GaussianRational.of(0) if gaussian else Fraction(0)
+            return det * work[col][col]  # zero, of the entries' type
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
         det = det * work[col][col]
         inv = work[col][col]
         for r in range(col + 1, n):
-            if _is_zero(work[r][col]):
+            if not work[r][col]:
                 continue
             factor = work[r][col] / inv
             work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
@@ -277,14 +192,14 @@ def row_echelon(a: Matrix) -> Matrix:
     for col in range(cols):
         if lead >= rows:
             break
-        pivot = next((r for r in range(lead, rows) if not _is_zero(work[r][col])), None)
+        pivot = next((r for r in range(lead, rows) if work[r][col]), None)
         if pivot is None:
             continue
         work[lead], work[pivot] = work[pivot], work[lead]
         inv = work[lead][col]
         work[lead] = [x / inv for x in work[lead]]
         for r in range(rows):
-            if r == lead or _is_zero(work[r][col]):
+            if r == lead or not work[r][col]:
                 continue
             factor = work[r][col]
             work[r] = [x - factor * y for x, y in zip(work[r], work[lead])]
@@ -296,7 +211,7 @@ def rank(a: Matrix) -> int:
     if not a:
         return 0
     echelon = row_echelon(a)
-    return sum(1 for row in echelon if any(not _is_zero(x) for x in row))
+    return sum(1 for row in echelon if any(row))
 
 
 def nullspace_basis(a: Matrix) -> Matrix:
@@ -307,7 +222,7 @@ def nullspace_basis(a: Matrix) -> Matrix:
     echelon = row_echelon(a)
     pivots = {}
     for r in range(rows):
-        col = next((c for c in range(cols) if not _is_zero(echelon[r][c])), None)
+        col = next((c for c in range(cols) if echelon[r][c]), None)
         if col is not None:
             pivots[col] = r
     free = [c for c in range(cols) if c not in pivots]

@@ -14,11 +14,11 @@ Data model
   or an iterable of ``(exponents, coefficient)`` pairs, adds repeated
   monomials, drops zeros and sorts once.  :meth:`Polynomial.sum` adds many
   polynomials in one such pass instead of a quadratic chain of ``+``.
-* A complex polynomial in real variables is a :class:`ComplexPolynomial`,
-  the pair ``(re, im)`` of its real and imaginary parts.  Complex
-  quantities only occur while constructing maps into the circle and the
-  unitary groups, and the pair type is the one place that knows
-  ``(a + bi)(c + di)``.
+* A complex quantity is a :class:`ComplexPair`, the pair ``(re, im)`` of
+  its real and imaginary parts: polynomials in real variables while maps
+  into the circle and the unitary groups are built, exact rationals when
+  such maps are evaluated or U(k)/SU(k) points sampled.  The pair type is
+  the one place that knows ``(a + bi)(c + di)``.
 
 The module also implements reduction modulo "sphere blocks": for a block
 of variables ``v1..vm`` subject to ``v1^2 + ... + vm^2 = 1`` every
@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, neg
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class RegistryMismatchError(ValueError):
@@ -408,68 +408,103 @@ def transport_polynomial(
     return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()))
 
 
-class ComplexPolynomial(NamedTuple):
-    """The complex polynomial ``re + i*im`` in real variables, as the pair of
-    its real and imaginary parts over one registry.
+class ComplexPair(NamedTuple):
+    """The complex quantity ``re + i*im`` as the pair of its real and
+    imaginary parts, over any exact ring: polynomials in real variables
+    (over one registry) or ``int``/``Fraction`` scalars.
 
-    Only pairs combine with pairs; a real polynomial ``p`` enters as
-    ``ComplexPolynomial(p, zero)``.  Being a tuple, a pair unpacks as
-    ``re, im = z``.
+    Pairs combine with pairs and with ``int`` or ``Fraction`` operands,
+    which enter as ``(value, 0)``: on either side of ``+``, ``-`` and
+    ``*``, and as the divisor of ``/``.  A real polynomial ``p`` enters as
+    ``ComplexPair(p, zero)``.  Being a tuple, a pair unpacks as
+    ``re, im = z``; it is true when nonzero.  Division needs scalar parts
+    and is exact: the quotient's parts are ``Fraction``.
     """
 
-    re: Polynomial
-    im: Polynomial
+    re: Union[Polynomial, Fraction, int]
+    im: Union[Polynomial, Fraction, int]
 
     @property
     def registry(self) -> VarRegistry:
         return self.re.registry
 
     @staticmethod
-    def sum(
-        registry: VarRegistry, pairs: Iterable["ComplexPolynomial"]
-    ) -> "ComplexPolynomial":
-        """The sum of ``pairs``, all over ``registry``: one sum per part."""
+    def sum(registry: VarRegistry, pairs: Iterable["ComplexPair"]) -> "ComplexPair":
+        """The sum of polynomial ``pairs``, all over ``registry``: one sum per part."""
         pairs = list(pairs)
-        return ComplexPolynomial(
+        return ComplexPair(
             Polynomial.sum(registry, (z.re for z in pairs)),
             Polynomial.sum(registry, (z.im for z in pairs)),
         )
 
-    def __add__(self, other: object) -> "ComplexPolynomial":
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        return ComplexPolynomial(self.re + other.re, self.im + other.im)
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
 
-    def __sub__(self, other: object) -> "ComplexPolynomial":
-        if not isinstance(other, ComplexPolynomial):
+    def __add__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        if other is None:
             return NotImplemented
-        return ComplexPolynomial(self.re - other.re, self.im - other.im)
+        return ComplexPair(self.re + other.re, self.im + other.im)
 
-    def __neg__(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(-self.re, -self.im)
+    __radd__ = __add__
 
-    def __mul__(self, other: object) -> "ComplexPolynomial":
-        if not isinstance(other, ComplexPolynomial):
+    def __sub__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        if other is None:
             return NotImplemented
-        return ComplexPolynomial(
+        return ComplexPair(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        return NotImplemented if other is None else other - self
+
+    def __neg__(self) -> "ComplexPair":
+        return ComplexPair(-self.re, -self.im)
+
+    def __mul__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        if other is None:
+            return NotImplemented
+        return ComplexPair(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "ComplexPolynomial":
+    def __truediv__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        if other is None:
+            return NotImplemented
+        norm = other.re * other.re + other.im * other.im
+        if not norm:
+            raise ZeroDivisionError("division by a zero ComplexPair")
+        return ComplexPair(
+            Fraction(self.re * other.re + self.im * other.im, norm),
+            Fraction(self.im * other.re - self.re * other.im, norm),
+        )
+
+    def __pow__(self, exponent: int) -> "ComplexPair":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        registry = self.re.registry
-        result = ComplexPolynomial(Polynomial.one(registry), Polynomial.zero(registry))
+        result = ComplexPair(self.re * 0 + 1, self.im * 0)  # one, in the parts' ring
         for _ in range(exponent):
             result = result * self
         return result
 
-    def conjugate(self) -> "ComplexPolynomial":
+    def conjugate(self) -> "ComplexPair":
         """Complex conjugate; the variables are real, so only ``im`` flips."""
-        return ComplexPolynomial(self.re, -self.im)
+        return ComplexPair(self.re, -self.im)
+
+
+def _as_pair(value: object) -> Optional[ComplexPair]:
+    """``value`` as a pair: an ``int`` or ``Fraction`` enters as
+    ``(value, 0)``; ``None`` for any other non-pair."""
+    if isinstance(value, ComplexPair):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ComplexPair(value, 0)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ or by exact evaluation at sampled rational points.
 
 :class:`MatrixMap` refines this with a matrix shape; entries may be
 complex, in which case consecutive coordinate pairs hold the real and
-imaginary parts of each entry (row-major).
+imaginary parts of each entry (row-major).  One private reader,
+:func:`_rows`, turns such coordinates (polynomials or values) into rows of
+entries, :class:`~regmaps.polynomial.ComplexPair` when complex, and
+:func:`_coordinates` flattens rows back; evaluation, transpose and
+product all go through the pair.
 
 A *coordinate map*, built by :func:`coordinate_map`, has each coordinate
 a constant multiple of one domain coordinate, or a constant, over the
@@ -46,9 +50,9 @@ on them -- is the expanded map's.  A composite keeps the invariant by
 evaluating the outer map at the inner image only where the inner
 denominator is positive; elsewhere the dropped factor ``E^d`` could
 vanish or flip the sign, so it evaluates its own expansion.  Reading
-``numerators``, ``denominator``, ``entry``, ``max_degree``, ``==``,
-``hash`` or :func:`map_to_obj` expands the map once, by the same
-polynomial code an expanded map is built with, and releases its inputs.
+``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
+:func:`map_to_obj` expands the map once, by the same polynomial code an
+expanded map is built with, and releases its inputs.
 On sphere-block domains the operations expand at once.
 """
 
@@ -58,13 +62,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from math import gcd, lcm
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .linalg import GaussianRational
 from .polynomial import (
-    ComplexPolynomial,
+    ComplexPair,
     Polynomial,
     normal_form,
     polynomial_from_obj,
@@ -310,29 +314,26 @@ class MatrixMap(RationalMap):
         super().__init__(domain, codomain, numerators, denominator, excluded, label)
         self._set(rows=rows, cols=cols, complex_entries=complex_entries)
 
-    def entry(self, i: int, j: int) -> Union[Polynomial, ComplexPolynomial]:
-        """Numerator of entry (i, j); a (real, imaginary) pair when complex."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) out of range")
-        if self.complex_entries:
-            base = 2 * (i * self.cols + j)
-            return ComplexPolynomial(self.numerators[base], self.numerators[base + 1])
-        return self.numerators[i * self.cols + j]
-
     def evaluate_matrix(self, point: PointOnVariety) -> list:
-        """Image as a nested list of exact scalars (Gaussian when complex)."""
-        values = self.evaluate(point).coords
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                if self.complex_entries:
-                    base = 2 * (i * self.cols + j)
-                    row.append(GaussianRational(values[base], values[base + 1]))
-                else:
-                    row.append(values[i * self.cols + j])
-            out.append(row)
-        return out
+        """Image as a nested list of exact scalars, pairs when complex."""
+        return _rows(self, self.evaluate(point).coords)
+
+
+def _rows(m: MatrixMap, coords: Sequence) -> list:
+    """The row-major coordinates ``coords`` (polynomials or values) of a
+    matrix of ``m``'s shape as its rows of entries; when complex, each
+    entry is the :class:`ComplexPair` of two consecutive coordinates."""
+    if m.complex_entries:
+        entries = list(map(ComplexPair, coords[::2], coords[1::2]))
+    else:
+        entries = list(coords)
+    return [entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+
+
+def _coordinates(rows: Iterable[Sequence], complex_entries: bool) -> list:
+    """The row-major coordinates of the matrix ``rows``, undoing :func:`_rows`."""
+    entries = [e for row in rows for e in row]
+    return [x for pair in entries for x in pair] if complex_entries else entries
 
 
 def _scaled_image(nums: Sequence[Fraction], den: Fraction) -> Tuple[int, List[int]]:
@@ -781,33 +782,28 @@ def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMa
 # ---------------------------------------------------------------------------
 
 
-def matrix_transpose(m: MatrixMap, codomain: Optional[Variety] = None) -> MatrixMap:
-    """Transpose of a real matrix map; conjugate-transpose when complex.
+def matrix_transpose(m: MatrixMap) -> MatrixMap:
+    """Transpose of a square real matrix map into its own codomain;
+    conjugate-transpose when complex.
 
     For complex entries the conjugate transpose is the natural involution
     (entries swap indices, imaginary parts flip sign).
     """
-    target = codomain or (m.codomain if m.rows == m.cols else None)
-    if target is None:
-        raise VarietyMismatchError("transpose of a non-square map needs a codomain")
+    if m.rows != m.cols:
+        raise VarietyMismatchError(f"cannot transpose a non-square {m.rows}x{m.cols} map")
     stage = _Stage((m,), _transposed_values, _transposed_polynomials)
     label = f"({m._describe()})^T" if not m.complex_entries else f"({m._describe()})^*"
     shape = (m.cols, m.rows, m.complex_entries)
-    return _derived(m.domain, target, shape, stage, m.excluded, label)
+    return _derived(m.domain, m.codomain, shape, stage, m.excluded, label)
 
 
 def _transposed(m: MatrixMap, coords: Sequence) -> list:
     """Row-major coordinates (polynomials or values) of the transpose of the
     matrix ``coords`` of shape ``m``; conjugated when complex."""
-    out = []
-    for i in range(m.cols):
-        for j in range(m.rows):
-            if m.complex_entries:
-                base = 2 * (j * m.cols + i)
-                out.extend((coords[base], -coords[base + 1]))
-            else:
-                out.append(coords[j * m.cols + i])
-    return out
+    rows = _rows(m, coords)
+    if m.complex_entries:
+        rows = [[z.conjugate() for z in row] for row in rows]
+    return _coordinates(zip(*rows), m.complex_entries)
 
 
 def _transposed_polynomials(m: MatrixMap):
@@ -820,10 +816,9 @@ def _transposed_values(node, scaled, memo):
     return _transposed(m, nums), den
 
 
-def matrix_multiply(
-    a: MatrixMap, b: MatrixMap, codomain: Optional[Variety] = None
-) -> MatrixMap:
-    """Entrywise-exact product of two matrix maps over a common domain."""
+def matrix_multiply(a: MatrixMap, b: MatrixMap) -> MatrixMap:
+    """Entrywise-exact product of two matrix maps over a common domain and
+    into a common codomain, which the product lands in too."""
     if a.domain != b.domain:
         raise VarietyMismatchError("matrix factors must share a domain")
     if a.cols != b.rows or a.complex_entries != b.complex_entries:
@@ -831,16 +826,15 @@ def matrix_multiply(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols} "
             f"(complex={a.complex_entries}, {b.complex_entries})"
         )
-    target = codomain
-    if target is None:
-        if a.rows == b.cols and a.codomain == b.codomain:
-            target = a.codomain
-        else:
-            raise VarietyMismatchError("product of mismatched shapes needs a codomain")
+    if a.rows != b.cols or a.codomain != b.codomain:
+        raise VarietyMismatchError(
+            f"the {a.rows}x{b.cols} product does not land in a common codomain "
+            f"({a.codomain.name}, {b.codomain.name})"
+        )
     stage = _Stage((a, b), _product_values, _product_polynomials)
     return _derived(
         a.domain,
-        target,
+        a.codomain,
         (a.rows, b.cols, a.complex_entries),
         stage,
         "; ".join(s for s in (a.excluded, b.excluded) if s),
@@ -848,34 +842,28 @@ def matrix_multiply(
     )
 
 
+def _product(a: MatrixMap, b: MatrixMap, x: Sequence, y: Sequence, summed: Callable) -> list:
+    """Row-major coordinates of the product of the matrices ``x`` (shape of
+    ``a``) and ``y`` (shape of ``b``), polynomials or values; ``summed``
+    adds the products that make one entry."""
+    columns = list(zip(*_rows(b, y)))
+    product_rows = [
+        [summed(left * right for left, right in zip(row, column)) for column in columns]
+        for row in _rows(a, x)
+    ]
+    return _coordinates(product_rows, a.complex_entries)
+
+
 def _product_polynomials(a: MatrixMap, b: MatrixMap):
-    summed = ComplexPolynomial.sum if a.complex_entries else Polynomial.sum
-    nums: List[Polynomial] = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            products = (a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
-            entry = summed(a.domain.registry, products)  # type: ignore[arg-type]
-            if a.complex_entries:
-                nums.extend(entry)
-            else:
-                nums.append(entry)
-    return nums, a.denominator * b.denominator
+    entry_type = ComplexPair if a.complex_entries else Polynomial
+    summed = partial(entry_type.sum, a.domain.registry)
+    return _product(a, b, a.numerators, b.numerators, summed), a.denominator * b.denominator
 
 
 def _product_values(node, scaled, memo):
     a, b = node._stage.inputs
     (x, x_den), (y, y_den) = a._values(scaled, memo), b._values(scaled, memo)
-    inner, cols = a.cols, b.cols
-    nums: List[Fraction] = []
-    for i in range(a.rows):
-        for j in range(cols):
-            if a.complex_entries:
-                pairs = [(2 * (i * inner + k), 2 * (k * cols + j)) for k in range(inner)]
-                nums.append(sum(x[s] * y[t] - x[s + 1] * y[t + 1] for s, t in pairs))
-                nums.append(sum(x[s] * y[t + 1] + x[s + 1] * y[t] for s, t in pairs))
-            else:
-                nums.append(sum(x[i * inner + k] * y[k * cols + j] for k in range(inner)))
-    return nums, x_den * y_den
+    return _product(a, b, x, y, sum), x_den * y_den
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import ComplexPolynomial, Polynomial, normal_form
+from .polynomial import ComplexPair, Polynomial, normal_form
 from .ratmap import RationalMap, compose, coordinate_map, identity_map, pair_map, verified
 from .varieties import PointOnVariety, euclidean, sphere, sphere_product
 
@@ -245,7 +245,7 @@ def circle_power(d: int) -> RationalMap:
     """The circle self-map z -> z^d (z = x1 + i*x2); negative d conjugates."""
     dom = sphere(1)
     reg = dom.registry
-    z = ComplexPolynomial(Polynomial.variable(reg, 0), Polynomial.variable(reg, 1))
+    z = ComplexPair(Polynomial.variable(reg, 0), Polynomial.variable(reg, 1))
     re, im = (z if d >= 0 else z.conjugate()) ** abs(d)
     return verified(
         RationalMap(dom, dom, [re, im], Polynomial.one(reg), label=f"circle_power_{d}"),

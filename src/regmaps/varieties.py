@@ -19,7 +19,8 @@ Built-in families
 * ``unitary(k)``          k x k complex matrices; each entry ``z_ij``
   is stored as the interleaved real pair ``a_ij, b_ij`` (row-major), and
   the unitarity relations are the real and imaginary parts of
-  ``Z* Z - I`` and ``Z Z* - I``
+  ``Z* Z - I`` and ``Z Z* - I``, built over
+  :class:`~regmaps.polynomial.ComplexPair` entries
 * ``special_unitary(k)``  additionally determinant one (realified)
 
 Samplers produce exact rational points: spheres through the rational
@@ -31,9 +32,10 @@ seed.  A sampler returns its point scaled to integers, ``(q, nums)`` with
 ``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``.  Every sampler
 works on integers: SO(n), U(k) and SU(k) share one Cayley transform, one
 fraction-free solve on the realified matrix (:func:`_cayley`), and only
-the determinant correction of SU(k) takes one exact Gaussian-rational
-determinant.  :func:`sample_point` validates that form against every
-relation (:meth:`Variety.first_violation_scaled`) and keeps it in the
+the determinant correction of SU(k) takes one exact determinant over
+``ComplexPair`` entries with rational parts.  :func:`sample_point`
+validates that form against every relation
+(:meth:`Variety.first_violation_scaled`) and keeps it in the
 :class:`PointOnVariety`, whose ``Fraction`` coordinates are built on first
 read; the denominator audit of ``verify`` reads only the scaled form.
 """
@@ -48,8 +50,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
-from .linalg import GaussianRational
-from .polynomial import ComplexPolynomial, Polynomial, SphereBlock, VarRegistry, scale_point
+from .polynomial import ComplexPair, Polynomial, SphereBlock, VarRegistry, scale_point
 
 DEFAULT_HEIGHT = 1000
 
@@ -255,12 +256,12 @@ def matrix_entry_polys(variety_registry: VarRegistry, n: int) -> List[List[Polyn
     ]
 
 
-def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[ComplexPolynomial]]:
+def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[ComplexPair]]:
     """Complex k x k entries z_ij = a_ij + i b_ij over the interleaved
     row-major registry (a11, b11, a12, b12, ...)."""
     return [
         [
-            ComplexPolynomial(
+            ComplexPair(
                 Polynomial.variable(variety_registry, 2 * (i * k + j)),
                 Polynomial.variable(variety_registry, 2 * (i * k + j) + 1),
             )
@@ -270,12 +271,12 @@ def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[Comp
     ]
 
 
-_Entry = TypeVar("_Entry", Polynomial, ComplexPolynomial)
+_Entry = TypeVar("_Entry", Polynomial, ComplexPair)
 
 
 def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
     """Leibniz-formula determinant of a small matrix of polynomials, real
-    or :class:`~regmaps.polynomial.ComplexPolynomial` pairs alike."""
+    or :class:`~regmaps.polynomial.ComplexPair` pairs alike."""
     n = len(entries)
 
     def signed_product(perm: tuple) -> _Entry:
@@ -287,14 +288,14 @@ def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
 
     first = entries[0][0]
     terms = map(signed_product, itertools.permutations(range(n)))
-    # Polynomial.sum or ComplexPolynomial.sum, as the entries are.
+    # Polynomial.sum or ComplexPair.sum, as the entries are.
     return type(first).sum(first.registry, terms)
 
 
 def _gram_relations(entries: Sequence[Sequence[_Entry]], conjugate: bool) -> List[Polynomial]:
     """Entries of M* M - I and M M* - I (upper triangle, realified)."""
     n = len(entries)
-    summed = ComplexPolynomial.sum if conjugate else Polynomial.sum
+    summed = ComplexPair.sum if conjugate else Polynomial.sum
     out: List[Polynomial] = []
     for left_conj in (True, False):
         for i in range(n):
@@ -518,7 +519,7 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     if kind == "cayley-su":
         # det(U) has modulus one, so column 0 times conj(det(U)) has det one.
         parts = zip(nums[::2], nums[1::2])
-        z = [GaussianRational(Fraction(a, q), Fraction(b, q)) for a, b in parts]
+        z = [ComplexPair(Fraction(a, q), Fraction(b, q)) for a, b in parts]
         conj = linalg.determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
         z[::k] = [e * conj for e in z[::k]]
         return scale_point([x for e in z for x in (e.re, e.im)])

@@ -27,13 +27,13 @@ from regmaps.groups import (
     section_u,
 )
 from regmaps.linalg import (
-    GaussianRational,
     conjugate_transpose,
     determinant,
     identity,
     mat_mul,
     transpose,
 )
+from regmaps.polynomial import ComplexPair
 from regmaps.ratmap import (
     ExcludedLocusError,
     compose,
@@ -68,7 +68,7 @@ from regmaps.varieties import (
     unitary,
 )
 
-GAUSS_ONE = GaussianRational(Fraction(1), Fraction(0))
+GAUSS_ONE = ComplexPair(Fraction(1), Fraction(0))
 
 
 def verdict(number, problems, detail):
@@ -89,7 +89,7 @@ def as_matrix(coords, size):
 
 def as_complex(coords, size):
     flat = [
-        GaussianRational(coords[2 * i], coords[2 * i + 1])
+        ComplexPair(coords[2 * i], coords[2 * i + 1])
         for i in range(len(coords) // 2)
     ]
     return [flat[row * size : (row + 1) * size] for row in range(size)]

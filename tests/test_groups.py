@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from regmaps.linalg import (
-    GaussianRational,
     conjugate_transpose,
     determinant,
     identity,
     mat_mul,
     transpose,
 )
-from regmaps.polynomial import Polynomial
+from regmaps.polynomial import ComplexPair, Polynomial
 from regmaps.groups import (
     JMapInput,
     chain_retract,
@@ -70,14 +69,14 @@ def as_matrix(coords, n):
 def as_complex(coords, k):
     return [
         [
-            GaussianRational(coords[2 * (i * k + j)], coords[2 * (i * k + j) + 1])
+            ComplexPair(coords[2 * (i * k + j)], coords[2 * (i * k + j) + 1])
             for j in range(k)
         ]
         for i in range(k)
     ]
 
 
-GAUSS_ONE = GaussianRational(Fraction(1), Fraction(0))
+GAUSS_ONE = ComplexPair(Fraction(1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def test_unitary_section_is_unitary_at_samples():
         assert mat_mul(conjugate_transpose(m), m) == identity(2, gaussian=True), i
         det = determinant(m)
         assert det * det.conjugate() == GAUSS_ONE, f"sample {i}"
-        z1 = GaussianRational(pt.coords[0], pt.coords[1])
+        z1 = ComplexPair(pt.coords[0], pt.coords[1])
         lead = GAUSS_ONE + z1
         assert det * lead.conjugate() == lead, f"sample {i}: wrong phase"
         # realified 2k x 2k block form [[re, -im], [im, re]] has determinant 1

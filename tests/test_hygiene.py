@@ -3,9 +3,9 @@ is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, the samplers call no
 division-based linear algebra, no sum of polynomials is folded by hand,
 no pass/fail record besides the one verdict type serializes itself, only
-the one sample stream spells its seed formula, the map builders never
-read a map's polynomials, and no ``isinstance`` tests against a
-``typing`` alias."""
+polynomials and complex pairs multiply, only the one sample stream spells
+its seed formula, the map builders never read a map's polynomials, and no
+``isinstance`` tests against a ``typing`` alias."""
 
 import ast
 from pathlib import Path
@@ -276,16 +276,22 @@ def test_polynomial_sums_go_through_one_accumulator():
 TO_DICT_ALLOWED = {"Verdict", "DegreeEstimate", "RadonHurwitzValue", "CodimPairReport"}
 
 
-def classes_with_to_dict(source: str):
-    """Names of the classes that define a ``to_dict`` method."""
+def classes_defining(source: str, method: str):
+    """Names of the classes that define ``method``."""
     return [
         node.name
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ClassDef)
-        and any(
-            isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body
-        )
+        and any(isinstance(item, ast.FunctionDef) and item.name == method for item in node.body)
     ]
+
+
+def _package_classes_defining(method: str) -> set:
+    return {
+        name
+        for path in PACKAGE
+        for name in classes_defining(path.read_text(encoding="utf-8"), method)
+    }
 
 
 def test_the_checker_finds_a_class_with_to_dict():
@@ -293,14 +299,31 @@ def test_the_checker_finds_a_class_with_to_dict():
         "class Report:\n    def to_dict(self):\n        return {}\n"
         "class Plain:\n    def as_dict(self):\n        return {}\n"
     )
-    assert classes_with_to_dict(source) == ["Report"]
+    assert classes_defining(source, "to_dict") == ["Report"]
 
 
 def test_only_the_verdict_and_the_measurements_define_to_dict():
-    found = {
-        name for path in PACKAGE for name in classes_with_to_dict(path.read_text(encoding="utf-8"))
-    }
-    assert found - TO_DICT_ALLOWED == set()
+    assert _package_classes_defining("to_dict") - TO_DICT_ALLOWED == set()
+
+
+# The two classes that multiply: polynomials, and complex pairs over
+# polynomials or exact scalars.  A third would be one more place that knows
+# ``(a + bi)(c + di)`` or the product of two polynomials.
+MUL_ALLOWED = {"Polynomial", "ComplexPair"}
+
+
+def test_the_checker_finds_a_class_with_mul():
+    source = (
+        "class Gaussian(NamedTuple):\n    re: int\n    im: int\n"
+        "    def __mul__(self, other):\n        return self\n    __rmul__ = __mul__\n"
+        "class Scaled:\n    def __rmul__(self, other):\n        return self\n"
+        "def __mul__(a, b):\n    return a\n"
+    )
+    assert classes_defining(source, "__mul__") == ["Gaussian"]
+
+
+def test_only_polynomials_and_complex_pairs_multiply():
+    assert _package_classes_defining("__mul__") == MUL_ALLOWED
 
 
 # The multiplier of the sample-stream seed formula ``seed * 1_000_003 + i``.

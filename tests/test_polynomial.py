@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from regmaps.linalg import GaussianRational
 from regmaps.polynomial import (
-    ComplexPolynomial,
+    ComplexPair,
     MissingAssignmentError,
     OverlappingBlocksError,
     Polynomial,
@@ -142,20 +141,20 @@ def test_sum_rejects_a_summand_over_another_registry():
 
 def test_complex_sum_matches_its_fold():
     rng = random.Random(707)
-    zero = ComplexPolynomial(Polynomial.zero(REG), Polynomial.zero(REG))
+    zero = ComplexPair(Polynomial.zero(REG), Polynomial.zero(REG))
     for _ in range(30):
         pairs = [
-            ComplexPolynomial(random_poly(rng), random_poly(rng))
+            ComplexPair(random_poly(rng), random_poly(rng))
             for _ in range(rng.randrange(6))
         ]
         folded = zero
         for z in pairs:
             folded = folded + z
-        assert ComplexPolynomial.sum(REG, (z for z in pairs)) == folded
-    assert ComplexPolynomial.sum(REG, iter(())) == zero
+        assert ComplexPair.sum(REG, (z for z in pairs)) == folded
+    assert ComplexPair.sum(REG, iter(())) == zero
     with pytest.raises(RegistryMismatchError):
         other = Polynomial.zero(VarRegistry(["a"]))
-        ComplexPolynomial.sum(REG, [ComplexPolynomial(X1, X2), ComplexPolynomial(other, other)])
+        ComplexPair.sum(REG, [ComplexPair(X1, X2), ComplexPair(other, other)])
 
 
 def test_registry_mismatch_rejected():
@@ -180,18 +179,18 @@ def test_unknown_variable_rejected():
 
 
 # ---------------------------------------------------------------------------
-# gaussian coefficients
+# complex pairs
 # ---------------------------------------------------------------------------
 
 
 def test_gaussian_rational_field_ops():
-    a = GaussianRational(Fraction(1, 2), Fraction(3))
-    b = GaussianRational(Fraction(-2), Fraction(1, 3))
-    assert a + b == GaussianRational(Fraction(-3, 2), Fraction(10, 3))
-    assert a * b == GaussianRational(Fraction(-2), Fraction(-35, 6))
-    i = GaussianRational.of(0, 1)
-    assert i * i == GaussianRational(Fraction(-1), Fraction(0))
-    assert a.conjugate() == GaussianRational(Fraction(1, 2), Fraction(-3))
+    a = ComplexPair(Fraction(1, 2), Fraction(3))
+    b = ComplexPair(Fraction(-2), Fraction(1, 3))
+    assert a + b == ComplexPair(Fraction(-3, 2), Fraction(10, 3))
+    assert a * b == ComplexPair(Fraction(-2), Fraction(-35, 6))
+    i = ComplexPair(0, 1)
+    assert i * i == ComplexPair(Fraction(-1), Fraction(0))
+    assert a.conjugate() == ComplexPair(Fraction(1, 2), Fraction(-3))
     # |a|^2 = a * conj(a) is real
     norm = a * a.conjugate()
     assert norm.im == 0 and norm.re == Fraction(1, 4) + 9
@@ -199,7 +198,7 @@ def test_gaussian_rational_field_ops():
 
 def test_gaussian_polynomial_round_trip_to_real_parts():
     # (X1 + i X2)^2 = (X1^2 - X2^2) + i (2 X1 X2), carried as (re, im) pairs.
-    z = ComplexPolynomial(X1, X2)
+    z = ComplexPair(X1, X2)
     re, im = z * z
     assert re == X1 ** 2 - X2 ** 2
     assert im == 2 * X1 * X2
@@ -214,6 +213,44 @@ def test_gaussian_polynomial_round_trip_to_real_parts():
     assert -z == (-X1, -X2)
     with pytest.raises(TypeError):
         z + X1  # a real polynomial must enter as a pair
+
+
+def test_complex_pair_serves_polynomials_and_scalars_alike():
+    # Evaluating an operation on polynomial pairs part by part gives the same
+    # operation on the evaluated pairs: one (a + bi)(c + di) serves both.
+    rng = random.Random(1515)
+    for _ in range(25):
+        z = ComplexPair(random_poly(rng), random_poly(rng))
+        w = ComplexPair(random_poly(rng), random_poly(rng))
+        point = random_point(rng)
+
+        def at(pair):
+            return ComplexPair(pair.re.evaluate(point), pair.im.evaluate(point))
+
+        zv, wv = at(z), at(w)
+        assert at(z * w) == zv * wv
+        assert at(z + w) == zv + wv
+        assert at(z - w) == zv - wv
+        assert at(z.conjugate()) == zv.conjugate()
+        assert at(z ** 3) == zv ** 3
+        for scalar in (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)):
+            assert at(scalar * z) == scalar * zv == zv * scalar == at(z * scalar)
+            assert at(scalar + z) == scalar + zv == zv + scalar == at(z + scalar)
+            assert at(scalar - z) == scalar - zv == -(zv - scalar) == -at(z - scalar)
+            if scalar:
+                assert (zv / scalar) * scalar == zv
+        if wv:
+            assert (zv / wv) * wv == zv
+    assert not ComplexPair(0, 0)
+    assert not ComplexPair(Fraction(0), Fraction(0))
+    assert not ComplexPair(Polynomial.zero(REG), Polynomial.zero(REG))
+    assert ComplexPair(0, Fraction(1, 2)) and ComplexPair(Polynomial.zero(REG), X1)
+    quotient = ComplexPair(1, 2) / ComplexPair(3, 4)
+    assert quotient == (Fraction(11, 25), Fraction(2, 25))
+    assert all(type(part) is Fraction for part in quotient)
+    for zero in (ComplexPair(0, 0), ComplexPair(Fraction(0), Fraction(0)), 0):
+        with pytest.raises(ZeroDivisionError):
+            ComplexPair(1, 2) / zero
 
 
 # ---------------------------------------------------------------------------

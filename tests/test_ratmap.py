@@ -17,6 +17,7 @@ from regmaps.ratmap import (
     _scaled_image,
     compose,
     constant_map,
+    coordinate_map,
     denominator_check,
     equal_mod,
     equal_symbolic,
@@ -382,6 +383,18 @@ def test_matrix_transpose_and_multiply_agree_with_linalg():
         raw = g.evaluate_matrix(pt)
         assert got == mat_mul(tr(raw), raw)
         assert got == eye(3)
+
+
+def test_matrix_algebra_rejects_non_square_and_mismatched_shapes():
+    group = special_orthogonal(2)
+    column = coordinate_map(group, sphere(1), [(0, 1), (2, 1)], "column", (2, 1, False))
+    square = identity_matrix_map(group, 2)
+    with pytest.raises(VarietyMismatchError, match="non-square 2x1"):
+        matrix_transpose(column)
+    with pytest.raises(VarietyMismatchError, match="common codomain"):
+        matrix_multiply(square, column)  # a 2x1 product, and S1 is not SO2
+    with pytest.raises(VarietyMismatchError, match="cannot multiply 2x1 by 2x2"):
+        matrix_multiply(column, square)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from math import lcm
 import pytest
 
 from regmaps.linalg import (
-    GaussianRational,
     determinant,
     identity,
     integer_determinant,
@@ -18,7 +17,7 @@ from regmaps.linalg import (
     solve,
     transpose,
 )
-from regmaps.polynomial import VarRegistry, polynomial_to_json
+from regmaps.polynomial import ComplexPair, VarRegistry, polynomial_to_json
 from regmaps.varieties import (
     NoSamplerError,
     PointOnVariety,
@@ -50,7 +49,7 @@ def as_complex_matrix(coords, k):
         row = []
         for j in range(k):
             base = 2 * (i * k + j)
-            row.append(GaussianRational(coords[base], coords[base + 1]))
+            row.append(ComplexPair(coords[base], coords[base + 1]))
         out.append(row)
     return out
 
@@ -165,7 +164,7 @@ def test_cayley_small_cases():
 def test_fraction_free_cayley_matches_the_rational_transform():
     # (I - H)(I + H)^{-1} by division-based elimination, the samplers' former
     # route: H is skew-symmetric over Fraction for SO(k), and skew-Hermitian
-    # over GaussianRational for U(k), each row holding the imaginary part of
+    # over ComplexPair for U(k), each row holding the imaginary part of
     # its diagonal entry, then (re, im) of each entry right of it
     rng = random.Random(21)
     for complex_entries, sizes in ((False, (2, 3, 4, 5, 7)), (True, (1, 2, 3, 4))):
@@ -181,11 +180,11 @@ def test_fraction_free_cayley_matches_the_rational_transform():
                     h = [[x * 0 for x in row] for row in eye]  # zeros of the scalar type
                     for i in range(k):
                         if complex_entries:
-                            h[i][i] = GaussianRational(Fraction(0), next(it))
+                            h[i][i] = ComplexPair(Fraction(0), next(it))
                         for j in range(i + 1, k):
                             z = next(it)
                             if complex_entries:
-                                z = GaussianRational(z, next(it))
+                                z = ComplexPair(z, next(it))
                             h[i][j], h[j][i] = z, -z.conjugate()
                     minus = [[eye[i][j] - h[i][j] for j in range(k)] for i in range(k)]
                     plus = [[eye[i][j] + h[i][j] for j in range(k)] for i in range(k)]
@@ -218,7 +217,7 @@ def test_special_unitary_samples_have_unit_determinant():
     v = special_unitary(2)
     for p in sample_points(v, 40, seed=8, height=20):
         z = as_complex_matrix(p.coords, 2)
-        assert determinant(z) == GaussianRational(Fraction(1), Fraction(0))
+        assert determinant(z) == ComplexPair(Fraction(1), Fraction(0))
 
 
 def test_product_sampler_splits_coordinates():
