@@ -1,6 +1,7 @@
 """Golden pins for the catalog: the stdout and exit code of ``build`` and
 ``verify`` for one name per family and for every name built through
-complex arithmetic, and the table behind the names.
+complex arithmetic, of ``eval`` at sampled points of the group maps, and
+the table behind the names.
 
 The digests pin stdout byte for byte, so any change in what a name builds
 or checks shows here.
@@ -149,6 +150,34 @@ GOLDEN = {
     ),
 }
 
+
+# (name, seed): (sha256 of `eval NAME --seed SEED` stdout, exit code).  Group
+# maps, staged and expanded, real and complex, at two sampled points each.
+EVAL_GOLDEN = {
+    ("r:3", 0): ("0cabbb0a8dc80c56a74a9359e6834abb8fffc640a458485e0368c13fc727fd59", 0),
+    ("r:3", 3): ("6385776a44b0347267159556159365fea59ae6c960f37ea70f186f69a9a7cf48", 0),
+    ("r:4", 0): ("4f0c1f3e9be2f8506f9bf54517c78b27fe4d58df079f33129f2656014c779d5b", 0),
+    ("r:4", 3): ("3d6541141be2e37ec075c9185246abcb31b1b7f98790fa3ffab89d08005931ef", 0),
+    ("r-u:2", 0): ("5ce5e8732c4c0793d588ffe328e52f998c923ab74ee66e49d93ff90c5a812e67", 0),
+    ("r-u:2", 3): ("0dca76cf6e0928511f75eff1ab778fefc0301249761d01c4cf29fed3a0d4a6f4", 0),
+    ("r-u:3", 0): ("6b7712d3fc57c1c35f9322da470ae563cd492e3e6690fc5c3443cc8615939e4b", 0),
+    ("r-u:3", 3): ("cbfe0e3c5feaa4395bbbc21e22412ba5d06f579493dc2d64abc1bed6e48808d7", 0),
+    ("su-retract:2", 0): ("1bc66295966f3a0be805e0e4dfd5518012b8e165cb84fde8a011d8436a41f77b", 0),
+    ("su-retract:2", 3): ("db003147a2818cc21e3b51e7c6f30739d9bd7871839a3de98e43dd323b78df0e", 0),
+    ("su-retract:3", 0): ("e15d1b8aacd2e30cc7a40b17737a5b88d990c401f9e686c6f5f09549906ab84f", 0),
+    ("su-retract:3", 3): ("bc39570f4affe06699d3014b0bcc5dce47cdf54158dbfec4b45dd60295a7d160", 0),
+    ("embed-u:2", 0): ("638e3b208e13c2c75fdd34df1ee371b58718bcc343866439849379baec5ac59d", 0),
+    ("embed-u:2", 3): ("34d3ae5f8a8d74a4f40b7edc95761506fd2af9840f42b18ea0930b3be630ec2c", 0),
+    ("p:4", 0): ("7227d26533c0e717a687500c5da6b8fb80bec2e125b2bc67cb4906392f700c55", 0),
+    ("p:4", 3): ("35c6fceb2e00bd7399178949d89a7bbdb2e091c7901e8a0314766bb35eb5fb6c", 0),
+    ("p-u:2", 0): ("748a395469b746d036369078d25fc1bed6d7a4e80323dd30bc52db0f2ea2e7a0", 0),
+    ("p-u:2", 3): ("fd534c14a75fb8650409d62128bf925b57f9a99ab3b5a2d2a7c7499a0d46f078", 0),
+    ("chain:4:2", 0): ("01f097b77357f63b14b24de5d52afaf46ce901540ff698d91e829dcc22a7768d", 0),
+    ("chain:4:2", 3): ("26377d5f7224b3399651b8ffc1d01a8f36f27145d683ee63674c03af6bb4cfde", 0),
+    ("chain:6:2", 0): ("7ff4f34e04aaedc792fc0c1ac2ff30c7f74550501f80c30d49121a7788879d97", 0),
+    ("chain:6:2", 3): ("4a73b4f8406da9e36a7445be8f40cfa63ac8ae5eacec20b91e9a627389046e66", 0),
+}
+
 # The kinds of evidence a check may state, strongest first.
 VERDICT_METHODS = ("symbolic", "exact-evaluation", "sampling")
 
@@ -175,6 +204,19 @@ def test_build_and_verify_match_the_golden_output(capsys, name):
     build_sha, build_code, verify_sha, verify_code = GOLDEN[name]
     assert _run(capsys, ["build", name]) == (build_sha, build_code)
     assert _run(capsys, ["verify", name, *VERIFY_FLAGS]) == (verify_sha, verify_code)
+
+
+@pytest.mark.parametrize("name, seed", sorted(EVAL_GOLDEN))
+def test_eval_matches_the_golden_output(capsys, name, seed):
+    assert _run(capsys, ["eval", name, "--seed", str(seed)]) == EVAL_GOLDEN[name, seed]
+
+
+def test_eval_rejects_a_reflection_with_its_residual(capsys):
+    # orthogonal with determinant -1: only the determinant check of SO(3) fails
+    assert cli.main(["eval", "r:3", "--point=-1,0,0,0,1,0,0,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coordinates violate a relation of SO3: residual -2\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
