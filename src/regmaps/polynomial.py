@@ -304,8 +304,8 @@ class Polynomial:
         other value is read through ``Fraction``).  Only the used variables
         are read, straight from a list or tuple that covers them.  Their
         values are written over one shared denominator (see
-        :func:`scale_point`) and the integer core of :meth:`evaluate_scaled`
-        does the rest.
+        :func:`scale_point`) and the integer core of :meth:`scaled_numerator`
+        does the rest, over its positive factor, reduced once.
         """
         used = self._scalars()[0]
         if isinstance(point, (list, tuple)) and (not used or len(point) > used[-1]):
@@ -322,22 +322,13 @@ class Polynomial:
         q, nums = scale_point(values)
         return Fraction(*self._integer_value(nums, q))
 
-    def evaluate_scaled(self, nums: Sequence[int], q: int) -> Fraction:
-        """Exact value at the point ``nums[i] / q``, with ``nums`` a sequence
-        of integers indexed by variable id and ``q`` positive, so that one
-        point scaled once can be evaluated by many polynomials.  A sampled
-        point is drawn in this form and keeps it
-        (``PointOnVariety.scaled``), and :func:`scale_point` gives it for
-        ``Fraction`` coordinates.  The value is :meth:`scaled_numerator`
-        over its positive denominator, reduced once."""
-        return Fraction(*self._integer_value([nums[i] for i in self._scalars()[0]], q))
-
     def scaled_numerator(self, nums: Sequence[int], q: int) -> int:
-        """The integer ``L * q**D`` times the value at ``nums[i] / q`` (as for
-        :meth:`evaluate_scaled`), with ``L`` the lcm of the coefficient
-        denominators and ``D`` the total degree.  The factor is positive, so
-        this integer is zero exactly where the value is and has its sign:
-        a zero test or a sign test builds no ``Fraction``."""
+        """The integer ``L * q**D`` times the value at the point ``nums[i] / q``
+        (``nums`` indexed by variable id, ``q > 0``, as a point is sampled and
+        kept), with ``L`` the lcm of the coefficient denominators and ``D``
+        the total degree.  The factor is positive, so this integer is zero
+        exactly where the value is and has its sign: a zero test or a sign
+        test builds no ``Fraction``."""
         return self._integer_value([nums[i] for i in self._scalars()[0]], q)[0]
 
     def _integer_value(self, nums: Sequence[int], q: int) -> tuple:

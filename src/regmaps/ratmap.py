@@ -43,13 +43,18 @@ R^n) no normal form is involved, so :func:`compose`,
 return a *staged* map: it keeps its inputs and a rule for their values,
 a straight-line program in the sense of Kaltofen (JACM 1988).
 :meth:`RationalMap.values` evaluates it as it stands, each shared stage
-once per point.  Invariant: at every coordinate vector the values are a
-*positive multiple* of the expanded map's numerator and denominator
-values, so every ratio, zero test and sign -- hence every verdict built
-on them -- is the expanded map's.  A composite keeps the invariant by
-evaluating the outer map at the inner image only where the inner
-denominator is positive; elsewhere the dropped factor ``E^d`` could
-vanish or flip the sign, so it evaluates its own expansion.  Reading
+once per point, on integers: from the point in scaled form ``(q, nums)``
+every node returns integer numerator and denominator values, and
+``Fraction`` coordinates are built only where a caller reads them
+(:meth:`RationalMap.evaluate_raw`, :meth:`RationalMap.evaluate`).
+Invariant: at every coordinate vector the values are a *positive
+multiple* of the expanded map's numerator and denominator values, so
+every ratio, zero test and sign -- hence every verdict built on them --
+is the expanded map's.  A composite keeps the invariant by evaluating
+the outer map at the inner image, in scaled form reduced by one gcd,
+only where the inner denominator is positive; elsewhere the dropped
+factor ``E^d`` could vanish or flip the sign, so it evaluates its own
+expansion.  Reading
 ``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
 :func:`map_to_obj` expands the map once, by the same polynomial code an
 expanded map is built with, and releases its inputs.
@@ -178,9 +183,9 @@ class RationalMap:
 
     # -- evaluation -------------------------------------------------------
 
-    def values(self, coords: Sequence[Fraction]) -> Tuple[List[Fraction], Fraction]:
-        """Numerator values and denominator value at ``coords``: a positive
-        multiple of the expanded map's, so ratios, zeros and signs are its."""
+    def values(self, coords: Sequence[Fraction]) -> Tuple[List[int], int]:
+        """Integer numerator values and denominator value at ``coords``: a
+        positive multiple of the expanded map's, so ratios, zeros and signs are its."""
         return self._values(self._scaled(coords), {})
 
     def _scaled(self, coords: Sequence) -> tuple:
@@ -211,11 +216,16 @@ class RationalMap:
         return hit[1]
 
     def _polynomial_values(self, scaled: tuple):
+        # ``q**top`` times the values, ``top`` the largest degree: content
+        # normalization makes every coefficient an integer, so the integer
+        # numerator of a polynomial of degree D is ``q**D`` times its value.
         q, nums = scaled
-        polys, den = self._expanded()
-        return [p.evaluate_scaled(nums, q) for p in polys], den.evaluate_scaled(nums, q)
+        polys = [*self.numerators, self.denominator]
+        top = max(p.total_degree() for p in polys)
+        *values, den = [p.scaled_numerator(nums, q) * q ** (top - p.total_degree()) for p in polys]
+        return values, den
 
-    def _denominator_value(self, scaled: tuple) -> Union[int, Fraction]:
+    def _denominator_value(self, scaled: tuple) -> int:
         # A positive multiple of the denominator's value at ``scaled``.  An
         # expanded map reads the integer numerator of its denominator alone.
         if self._stage is None:
@@ -223,21 +233,22 @@ class RationalMap:
             return self._polys[1].scaled_numerator(nums, q)
         return self._values(scaled, {})[1]
 
-    def _checked_values(self, scaled: tuple):
-        """:meth:`values` at ``scaled``, raising :class:`ExcludedLocusError`
-        where the denominator vanishes."""
-        nums, den_value = self._values(scaled, {})
-        if den_value == 0:
+    def _image(self, scaled: tuple) -> Tuple[int, List[int]]:
+        """The image of the point ``scaled`` in scaled form (see
+        :func:`_scaled_image`), raising :class:`ExcludedLocusError` where
+        the denominator vanishes."""
+        nums, den = self._values(scaled, {})
+        if den == 0:
             raise ExcludedLocusError(
                 f"denominator of {self._describe()} vanishes at the given point"
                 + (f" (excluded locus: {self.excluded})" if self.excluded else "")
             )
-        return nums, den_value
+        return _scaled_image(nums, den)
 
     def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
         """Exact image coordinates without variety bookkeeping."""
-        nums, den_value = self._checked_values(self._scaled(coords))
-        return [n / den_value for n in nums]
+        q, nums = self._image(self._scaled(coords))
+        return [Fraction(n, q) for n in nums]
 
     def evaluate(self, point: PointOnVariety) -> PointOnVariety:
         """The image of ``point``, built in scaled form and validated
@@ -246,9 +257,8 @@ class RationalMap:
             raise VarietyMismatchError(
                 f"point lives on {point.variety.name}, map expects {self.domain.name}"
             )
-        image = _scaled_image(*self._checked_values(point.scaled))
         try:
-            return PointOnVariety.from_scaled(self.codomain, *image)
+            return PointOnVariety.from_scaled(self.codomain, *self._image(point.scaled))
         except PointValidationError as exc:
             raise CodomainViolationError(
                 f"image of {self._describe()} left {self.codomain.name}: {exc}"
@@ -336,15 +346,12 @@ def _coordinates(rows: Iterable[Sequence], complex_entries: bool) -> list:
     return [x for pair in entries for x in pair] if complex_entries else entries
 
 
-def _scaled_image(nums: Sequence[Fraction], den: Fraction) -> Tuple[int, List[int]]:
-    """The point ``nums[i] / den``, ``den != 0``, in scaled form ``(q, ints)``:
-    the values scaled to integers together, ``den`` becoming ``q`` and its
-    sign moved into the numerators.  No quotient is formed."""
-    _, ints = scale_point([*nums, den])
-    q = ints.pop()
-    if q < 0:
-        return -q, [-n for n in ints]
-    return q, ints
+def _scaled_image(nums: Sequence[int], den: int) -> Tuple[int, List[int]]:
+    """The point ``nums[i] / den``, integers with ``den != 0``, in scaled form
+    ``(q, ints)`` with ``q > 0``: all divided by their gcd, carrying the sign
+    of ``den``, as :func:`regmaps.varieties._cayley` reduces its point."""
+    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+    return den // g, [n // g for n in nums]
 
 
 def _normalize_content(
@@ -597,7 +604,10 @@ def _sampled_off_locus(
     """Lazily yield ``(point, values of each map)`` at the first ``count``
     sampled points of ``domain`` where no map's denominator vanishes; every
     map is evaluated from the point's one scaled form.  Raises
-    :class:`ExcludedLocusError` if ``8 * count`` draws do not find them."""
+    :class:`ExcludedLocusError` if ``8 * count`` draws do not find them, and
+    ``ValueError`` for a ``count`` below one: no verdict rests on no point."""
+    if count < 1:
+        raise ValueError("need at least one sample point")
     found = 0
     for point in islice(sample_stream(domain, seed, height=height), 8 * count):
         values = [m._values(point.scaled, {}) for m in maps]
@@ -606,11 +616,9 @@ def _sampled_off_locus(
             found += 1
             if found == count:
                 return
-    if found < count:
-        raise ExcludedLocusError(
-            "sampling kept hitting vanishing denominators; "
-            "cannot collect enough sample points"
-        )
+    raise ExcludedLocusError(
+        "sampling kept hitting vanishing denominators; cannot collect enough sample points"
+    )
 
 
 def equal_mod(
@@ -742,7 +750,10 @@ def denominator_check(
     """Evaluate the denominator at sampled points and report any value
     that is zero or negative.  Only the sign is read: on an expanded map it
     is the sign of the denominator's integer numerator at the point's
-    scaled form, and no ``Fraction`` is built unless a point is reported."""
+    scaled form, and no ``Fraction`` is built unless a point is reported.
+    Raises ``ValueError`` for ``samples`` below one."""
+    if samples < 1:
+        raise ValueError("need at least one sample point")
     zeros = 0
     negatives = 0
     witness = None

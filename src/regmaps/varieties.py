@@ -35,9 +35,10 @@ fraction-free solve on the realified matrix (:func:`_cayley`), and only
 the determinant correction of SU(k) takes one exact determinant over
 ``ComplexPair`` entries with rational parts.  :func:`sample_point`
 validates that form against every relation
-(:meth:`Variety.first_violation_scaled`) and keeps it in the
-:class:`PointOnVariety`, whose ``Fraction`` coordinates are built on first
-read; the denominator audit of ``verify`` reads only the scaled form.
+(:meth:`Variety.first_violation_scaled`) and keeps it as the only stored
+form of the :class:`PointOnVariety`, whose ``Fraction`` coordinates are
+built on first read; the denominator audit of ``verify`` and the
+evaluation of maps read only the scaled form.
 """
 
 from __future__ import annotations
@@ -130,14 +131,15 @@ class Variety:
 
         Each relation is tested by its integer numerator at that form
         (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`) being
-        zero; only the relation that fails has its residual built as a
-        ``Fraction``.  With ``unit_determinant`` set, the determinant comes
+        zero; only the relation that fails has its residual built, by
+        :meth:`~regmaps.polynomial.Polynomial.evaluate` at the ``Fraction``
+        coordinates.  With ``unit_determinant`` set, the determinant comes
         last, as if it were one more relation: ``det(q M) == q**n`` on
         integers, and a failure reports ``(len(relations), det(M) - 1)``.
         """
         for index, relation in enumerate(self.relations):
             if relation.scaled_numerator(nums, q):
-                return index, relation.evaluate_scaled(nums, q)
+                return index, relation.evaluate([Fraction(n, q) for n in nums])
         n = self.unit_determinant
         if n:
             det = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)])
@@ -161,46 +163,42 @@ class Variety:
 class PointOnVariety:
     """Exact rational coordinates validated against the variety relations.
 
-    A point has two forms of its coordinates: ``coords``, a tuple of
-    ``Fraction``, and ``scaled``, the pair ``(q, nums)`` of one positive
-    integer and one integer per coordinate with ``coords[i] == nums[i] / q``
-    (not necessarily in lowest terms).  The relations are checked on the
-    scaled form (:meth:`Variety.first_violation_scaled`).
-
-    A point built from coordinates keeps the given ``Fraction`` objects
-    (other values go through ``Fraction``) and scales them once to check
-    them.  A point built from its scaled form by :meth:`from_scaled`, as
-    every sampled point is, builds its ``coords`` on first read; the
-    denominator audit of ``verify`` never reads them.
+    A point stores one form: ``scaled``, one positive integer ``q`` and one
+    integer per coordinate, coordinate ``i`` being ``nums[i] / q`` (not
+    necessarily in lowest terms), on which the relations are checked
+    (:meth:`Variety.first_violation_scaled`).  Coordinates given to the
+    constructor (read through ``Fraction`` unless ``int``) are scaled once;
+    :meth:`from_scaled`, which builds every sampled point and every image
+    of a map, takes the form as given.  ``coords``, a tuple of
+    ``Fraction``, is built on first read; the denominator audit of
+    ``verify`` never reads it.
     """
 
-    __slots__ = ("variety", "_coords", "_scaled")
+    __slots__ = ("variety", "scaled", "_coords")
 
     def __init__(self, variety: Variety, coords: Sequence[Fraction]):
-        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-        self._init(variety, coords, None)
+        values = [c if isinstance(c, (Fraction, int)) else Fraction(c) for c in coords]
+        self._init(variety, *scale_point(values))
 
     @classmethod
     def from_scaled(cls, variety: Variety, q: int, nums: Sequence[int]) -> "PointOnVariety":
         """The point with coordinates ``nums[i] / q``, for ``q > 0``."""
-        if q <= 0:
-            raise PointValidationError(f"a scaled point needs q > 0, got {q}")
         point = cls.__new__(cls)
-        point._init(variety, None, (q, tuple(nums)))
+        point._init(variety, q, nums)
         return point
 
-    def _init(self, variety: Variety, coords, scaled) -> None:
-        # The one place a point is stored and its relations are checked;
-        # exactly one of ``coords`` and ``scaled`` is given.
-        size = len(coords) if scaled is None else len(scaled[1])
-        if size != variety.ambient_dim:
+    def _init(self, variety: Variety, q: int, nums: Sequence[int]) -> None:
+        # The one place a point is stored and its relations are checked.
+        if q <= 0:
+            raise PointValidationError(f"a scaled point needs q > 0, got {q}")
+        if len(nums) != variety.ambient_dim:
             raise PointValidationError(
-                f"{variety.name} needs {variety.ambient_dim} coordinates, got {size}"
+                f"{variety.name} needs {variety.ambient_dim} coordinates, got {len(nums)}"
             )
         object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_scaled", scaled)
-        violation = variety.first_violation_scaled(*self.scaled)
+        object.__setattr__(self, "scaled", (q, tuple(nums)))
+        object.__setattr__(self, "_coords", None)
+        violation = variety.first_violation_scaled(q, nums)
         if violation is not None:
             raise PointValidationError(
                 f"coordinates violate a relation of {variety.name}: residual {violation[1]}"
@@ -210,20 +208,10 @@ class PointOnVariety:
     def coords(self) -> Tuple[Fraction, ...]:
         coords = self._coords
         if coords is None:
-            q, nums = self._scaled
+            q, nums = self.scaled
             coords = tuple([Fraction(n, q) for n in nums])
             object.__setattr__(self, "_coords", coords)
         return coords
-
-    @property
-    def scaled(self) -> Tuple[int, Tuple[int, ...]]:
-        """``(q, nums)`` with ``q > 0`` and ``coords[i] == nums[i] / q``."""
-        scaled = self._scaled
-        if scaled is None:
-            q, nums = scale_point(self._coords)
-            scaled = q, tuple(nums)
-            object.__setattr__(self, "_scaled", scaled)
-        return scaled
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("PointOnVariety is immutable")

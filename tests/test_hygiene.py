@@ -4,8 +4,9 @@ class is referenced somewhere in the package, the samplers call no
 division-based linear algebra, no sum of polynomials is folded by hand,
 no pass/fail record besides the one verdict type serializes itself, only
 polynomials and complex pairs multiply, only the one sample stream spells
-its seed formula, the map builders never read a map's polynomials, and no
-``isinstance`` tests against a ``typing`` alias."""
+its seed formula, the map builders never read a map's polynomials, the
+stages of a map's values stay on integers, and no ``isinstance`` tests
+against a ``typing`` alias."""
 
 import ast
 from pathlib import Path
@@ -449,3 +450,69 @@ def test_no_isinstance_tests_against_typing():
         path.name: typing_isinstance_checks(path.read_text(encoding="utf-8")) for path in PACKAGE
     }
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# The functions of ``ratmap`` that compute a map's values at a point, stage
+# by stage: they add and multiply integers, and ``Fraction``s are built only
+# where a caller reads coordinates (``evaluate_raw``, ``evaluate``).
+VALUES_SUFFIX = "_values"
+FRACTION_BUILDERS = {"Fraction", "scale_point"}
+
+
+def fraction_work_in_values(source: str):
+    """(line, function, what) of each call of ``Fraction`` or
+    ``scale_point``, of a method named ``evaluate*`` and of each ``/`` in a
+    function whose name ends in ``_values``."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, _FUNCTIONS) and func.name.endswith(VALUES_SUFFIX)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                called = node.func
+                if isinstance(called, ast.Name) and called.id in FRACTION_BUILDERS:
+                    found.add((node.lineno, func.name, called.id))
+                elif isinstance(called, ast.Attribute) and (
+                    called.attr in FRACTION_BUILDERS or called.attr.startswith("evaluate")
+                ):
+                    found.add((node.lineno, func.name, called.attr))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.add((node.lineno, func.name, "/"))
+    return sorted(found)
+
+
+def test_the_checker_finds_fraction_work_in_a_values_function():
+    source = (
+        "def _leaf_values(node, scaled):\n"
+        "    q, nums = scaled\n"
+        "    a = [p.evaluate_scaled(nums, q) for p in node.polys]\n"
+        "    b = Fraction(1, q), fractions.Fraction(2), polynomial.scale_point(nums)\n"
+        "    c = nums[0] / q\n"
+        "    c /= q\n"
+        "    return a, b, c, q // 2, p.scaled_numerator(nums, q)\n"
+        "def evaluate_raw(m, coords):\n"
+        "    return [Fraction(n, 2) / 1 for n in m.evaluate(coords)]\n"
+        "class Node:\n"
+        "    def _product_values(self, x):\n"
+        "        return self.evaluate(x), self.values(x)\n"
+    )
+    assert fraction_work_in_values(source) == [
+        (3, "_leaf_values", "evaluate_scaled"),
+        (4, "_leaf_values", "Fraction"),
+        (4, "_leaf_values", "scale_point"),
+        (5, "_leaf_values", "/"),
+        (6, "_leaf_values", "/"),
+        (12, "_product_values", "evaluate"),
+    ]
+
+
+def test_the_stages_of_map_values_stay_on_integers():
+    source = next(p for p in PACKAGE if p.name == "ratmap.py").read_text(encoding="utf-8")
+    assert fraction_work_in_values(source) == []
+    checked = {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, _FUNCTIONS) and node.name.endswith(VALUES_SUFFIX)
+    }
+    # the rule is not vacuous: the leaf, the composite and the product are in it
+    assert {"_polynomial_values", "_composite_values", "_product_values"} <= checked

@@ -404,7 +404,7 @@ def test_the_integer_core_has_the_sign_and_the_zeros_of_the_value():
         # an unreduced form: q shares the factor k with every numerator
         k = rng.choice([2, 3, 30, 10 ** 9])
         for form in ((q, nums), (k * q, [k * n for n in nums])):
-            value = p.evaluate_scaled(form[1], form[0])
+            value = p.evaluate([Fraction(n, form[0]) for n in form[1]])
             assert value == p.evaluate(point) == naive_evaluate(p, point)
             numerator = p.scaled_numerator(form[1], form[0])
             assert type(numerator) is int

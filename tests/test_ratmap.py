@@ -227,7 +227,7 @@ def test_sampled_images_keep_the_sign_of_a_negative_denominator():
         if not den:
             continue
         q, ints = _scaled_image(nums, den)
-        assert q > 0 and [Fraction(n, q) for n in ints] == [n / den for n in nums]
+        assert q > 0 and [Fraction(n, q) for n in ints] == [Fraction(n, den) for n in nums]
         assert on.evaluate(point).coords == tuple(on.evaluate_raw(point.coords))
 
 
@@ -325,6 +325,19 @@ def test_equal_mod_gives_up_when_every_draw_hits_the_excluded_locus():
     with pytest.raises(ExcludedLocusError, match="vanishing denominators"):
         equal_mod(f, f, trials=3, height=1)
 
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampled_verdicts_need_at_least_one_point(count):
+    from regmaps.groups import retract_so
+
+    r3 = retract_so(3)
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        maps_into(r3, samples=count)
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        denominator_check(r3, samples=count)
+    with pytest.raises(ValueError, match="need at least one sample point"):
+        equal_mod(r3, r3, trials=count)
 
 def test_a_verdict_states_one_of_four_methods():
     verdict = Verdict("sampling", False, {"trials": 2}, (Fraction(1, 2),), name="n")

@@ -3,6 +3,7 @@ blocks are evaluated pointwise and expanded only where polynomials are read."""
 
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -49,6 +50,7 @@ def test_staged_values_are_a_positive_multiple_of_the_expanded_values(name):
     for f, pts, before in zip(maps, points, staged):
         for p, (nums, den) in zip(pts, before):
             exp_nums, exp_den = f.values(p.coords)
+            assert all(type(v) is int for v in (*nums, den, *exp_nums, exp_den))
             assert _sign(den) == _sign(exp_den)
             assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
 
@@ -119,3 +121,27 @@ def test_a_shared_stage_is_evaluated_once_per_point(monkeypatch):
 
 def test_verify_chain_6_2_finishes(capsys):
     assert cli.main(["verify", "chain:6:2", "--samples", "8", "--trials", "4"]) == 0
+
+
+def test_a_composite_hands_its_outer_map_a_reduced_point(monkeypatch):
+    m = groups.chain_retract.__wrapped__(6, 2)
+    outer_maps, stack = set(), [m]
+    while stack:
+        node = stack.pop()
+        if node.staged:
+            if node._stage.values is ratmap._composite_values:
+                outer_maps.add(id(node._stage.inputs[0]))
+            stack.extend(node._stage.inputs)
+    handed = []
+    node_values = RationalMap._values
+
+    def recorded(self, scaled, memo):
+        if id(self) in outer_maps:
+            handed.append(scaled)
+        return node_values(self, scaled, memo)
+
+    monkeypatch.setattr(RationalMap, "_values", recorded)
+    for point in sample_points(special_orthogonal(6), 5, seed=1, height=1000):
+        m.values(point.coords)
+    assert len(handed) >= 5 * len(outer_maps) > 0
+    assert all(gcd(q, *nums) == 1 for q, nums in handed)

@@ -434,7 +434,7 @@ def test_point_coordinates_are_fractions_and_every_relation_is_checked():
     point = PointOnVariety(sphere(1), [0, 1])
     assert all(type(c) is Fraction for c in point.coords)
     kept = Fraction(3, 5)
-    assert PointOnVariety(sphere(1), [kept, Fraction(4, 5)]).coords[0] is kept
+    assert PointOnVariety(sphere(1), [kept, Fraction(4, 5)]).coords[0] == kept
     # SO(2) with an orthogonal but reflecting matrix fails only the determinant relation
     with pytest.raises(PointValidationError):
         PointOnVariety(special_orthogonal(2), [1, 0, 0, -1])
