@@ -16,9 +16,9 @@ Data model
   polynomials in one such pass instead of a quadratic chain of ``+``.
 * A complex quantity is a :class:`ComplexPair`, the pair ``(re, im)`` of
   its real and imaginary parts: polynomials in real variables while maps
-  into the circle and the unitary groups are built, exact rationals when
-  such maps are evaluated or U(k)/SU(k) points sampled.  The pair type is
-  the one place that knows ``(a + bi)(c + di)``.
+  into the circle and the unitary groups are built, integers when such
+  maps are evaluated, exact rationals when SU(k) points are sampled.  The
+  pair type is the one place that knows ``(a + bi)(c + di)``.
 
 The module also implements reduction modulo "sphere blocks": for a block
 of variables ``v1..vm`` subject to ``v1^2 + ... + vm^2 = 1`` every
