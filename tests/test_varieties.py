@@ -235,6 +235,15 @@ def test_height_bound_controls_coordinate_size():
         assert c.denominator <= 4 * 5 ** 4
 
 
+@pytest.mark.parametrize("height", [0, -3])
+@pytest.mark.parametrize(
+    "variety", [sphere(2), sphere_product(2), special_orthogonal(3)], ids=lambda v: v.name
+)
+def test_a_height_below_one_is_refused(variety, height):
+    with pytest.raises(ValueError):
+        sample_point(variety, seed=0, height=height)
+
+
 # (family, k): (number of relations, sha256 of their JSON, one per line, in order).
 # `verify` reads the relations in this order, so the order is pinned too.
 RELATION_DIGESTS = {
