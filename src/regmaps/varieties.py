@@ -404,9 +404,30 @@ def special_unitary(k: int) -> Variety:
 # ---------------------------------------------------------------------------
 
 
-def _bounded_pair(rng: random.Random, height: int) -> Tuple[int, int]:
-    """A random rational ``p / d`` of height ``height``, as the pair ``(p, d)``."""
-    return rng.randint(-height, height), rng.randint(1, height)
+def _bounded_pairs(rng: random.Random, height: int, count: int) -> List[Tuple[int, int]]:
+    """``count`` random rationals ``p / d`` of height ``height``, as pairs
+    ``(p, d)`` with ``-height <= p <= height`` and ``1 <= d <= height``.
+
+    Each draw takes ``getrandbits(n.bit_length())`` until the result is
+    below ``n`` (``n = 2 * height + 1`` for ``p``, ``n = height`` for ``d``):
+    the rejection rule of ``randint``, so the stream and the generator's
+    final state are those of ``randint(-height, height), randint(1,
+    height)`` per pair.  The bit lengths are taken once per call."""
+    if height < 1:
+        raise ValueError(f"sample height must be at least 1, got {height}")
+    span = 2 * height + 1
+    span_bits, height_bits = span.bit_length(), height.bit_length()
+    getrandbits = rng.getrandbits
+    pairs = []
+    for _ in range(count):
+        p = getrandbits(span_bits)
+        while p >= span:
+            p = getrandbits(span_bits)
+        d = getrandbits(height_bits)
+        while d >= height:
+            d = getrandbits(height_bits)
+        pairs.append((p - height, d + 1))
+    return pairs
 
 
 def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
@@ -485,12 +506,10 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     if kind is None:
         raise NoSamplerError(f"{variety.name} has no sampler")
     if kind == "euclidean":
-        return _over_common_denominator(
-            [_bounded_pair(rng, height) for _ in range(variety.ambient_dim)]
-        )
+        return _over_common_denominator(_bounded_pairs(rng, height, variety.ambient_dim))
     if kind == "sphere":
         n = variety.ambient_dim - 1
-        return _sphere_scaled([_bounded_pair(rng, height) for _ in range(n)])
+        return _sphere_scaled(_bounded_pairs(rng, height, n))
     if kind == "product":
         parts = [
             _sample_scaled(factor, random.Random(rng.getrandbits(64)), height)
@@ -503,7 +522,7 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     complex_entries = kind != "cayley-so"
     k = isqrt(variety.ambient_dim // 2 if complex_entries else variety.ambient_dim)
     count = k * k if complex_entries else k * (k - 1) // 2
-    q, nums = _cayley([_bounded_pair(rng, height) for _ in range(count)], k, complex_entries)
+    q, nums = _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
     if kind == "cayley-su":
         # det(U) has modulus one, so column 0 times conj(det(U)) has det one.
         parts = zip(nums[::2], nums[1::2])

@@ -1,12 +1,12 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, the samplers call no
-division-based linear algebra, no sum of polynomials is folded by hand,
-no pass/fail record besides the one verdict type serializes itself, only
-polynomials and complex pairs multiply, only the one sample stream spells
-its seed formula, the map builders never read a map's polynomials, the
-stages of a map's values stay on integers, and no ``isinstance`` tests
-against a ``typing`` alias."""
+division-based linear algebra and draw only through ``getrandbits``, no
+sum of polynomials is folded by hand, no pass/fail record besides the one
+verdict type serializes itself, only polynomials and complex pairs
+multiply, only the one sample stream spells its seed formula, the map
+builders never read a map's polynomials, the stages of a map's values stay
+on integers, and no ``isinstance`` tests against a ``typing`` alias."""
 
 import ast
 from pathlib import Path
@@ -152,6 +152,53 @@ def test_the_checker_finds_a_division_based_call():
 def test_the_samplers_stay_on_integers():
     varieties = next(p for p in PACKAGE if p.name == "varieties.py")
     assert division_based_calls(varieties.read_text(encoding="utf-8")) == []
+
+
+# The drawing methods of ``random.Random`` besides ``getrandbits``.  The
+# samplers draw every coordinate through ``varieties._bounded_pairs``, which
+# spells out the rejection rule of ``randint`` on ``getrandbits``; a second
+# way to draw would be a second definition of the sample stream.
+DRAWING_METHODS = {"randint", "randrange", "random", "uniform", "choice", "shuffle"}
+
+
+def drawing_calls(source: str):
+    """(line, name) of each call of a method in ``DRAWING_METHODS``, or of
+    such a name imported from ``random``."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "random"
+        for alias in node.names
+        if alias.name in DRAWING_METHODS
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in DRAWING_METHODS:
+            found.append((node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id in imported:
+            found.append((node.lineno, func.id))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_drawing_call():
+    source = (
+        "import random\n"
+        "from random import choice as pick, getrandbits\n"
+        "a = rng.randint(1, h), random.Random(seed).random()\n"
+        "b = pick(xs), rng.randrange(9)\n"
+        "c = rng.getrandbits(8), getrandbits(8), random.Random(s), rng.shuffle\n"
+        "d = 'rng.uniform(0, 1)'\n"
+    )
+    assert drawing_calls(source) == [(3, "randint"), (3, "random"), (4, "pick"), (4, "randrange")]
+
+
+def test_the_samplers_draw_only_through_getrandbits():
+    varieties = next(p for p in PACKAGE if p.name == "varieties.py")
+    assert drawing_calls(varieties.read_text(encoding="utf-8")) == []
 
 
 # Modules whose loops fold scalars, never polynomials: ``linalg`` sums exact

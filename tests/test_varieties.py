@@ -23,6 +23,7 @@ from regmaps.varieties import (
     PointOnVariety,
     PointValidationError,
     Variety,
+    _bounded_pairs,
     _cayley,
     euclidean,
     matrix_entry_polys,
@@ -233,6 +234,24 @@ def test_height_bound_controls_coordinate_size():
     for c in p.coords:
         assert abs(c.numerator) <= 4 * 5 ** 4  # crude bound from the chart formula
         assert c.denominator <= 4 * 5 ** 4
+
+
+# Heights 1, 2 and 3 and the powers of two sit on the edges of the rejection
+# rule (a span of one, a span just below or at a power of two).
+STREAM_HEIGHTS = [1, 2, 3, 4, 50, 1000, 1024, 2**40 + 3]
+
+
+@pytest.mark.parametrize("height", STREAM_HEIGHTS)
+def test_bounded_pairs_draw_the_stream_of_randint(height):
+    for seed in range(10):
+        for count in range(8):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            expected = [
+                (reference.randint(-height, height), reference.randint(1, height))
+                for _ in range(count)
+            ]
+            assert _bounded_pairs(drawn, height, count) == expected, (seed, count)
+            assert drawn.getstate() == reference.getstate(), (seed, count)
 
 
 @pytest.mark.parametrize("height", [0, -3])
