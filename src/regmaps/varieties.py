@@ -28,10 +28,14 @@ parametrization by inverse stereographic projection, matrix groups
 through the Cayley transform of a random skew-symmetric (respectively
 skew-Hermitian) rational matrix, with a determinant correction for the
 special unitary group.  All samplers are deterministic functions of the
-seed.  A sampler returns its point scaled to integers, ``(q, nums)`` with
-``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``.  Every sampler
-works on integers: SO(n), U(k) and SU(k) share one Cayley transform, one
-fraction-free solve on the realified matrix (:func:`_cayley`), and only
+seed.  Every rational parameter is drawn by :func:`_bounded_pairs` straight
+from ``getrandbits``, with the rejection rule of ``randint``: the stream is
+the one ``randint`` draws, without its per-call overhead and without
+relying on CPython's private ``randrange``.  A sampler returns its point
+scaled to integers, ``(q, nums)`` with ``q > 0`` and coordinate ``i``
+equal to ``nums[i] / q``.  Every sampler works on integers: SO(n), U(k)
+and SU(k) share one Cayley transform, one fraction-free solve on the
+realified matrix (:func:`_cayley`), and only
 the determinant correction of SU(k) takes one exact determinant over
 ``ComplexPair`` entries with rational parts.  :func:`sample_point`
 validates that form against every relation
