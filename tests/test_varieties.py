@@ -299,8 +299,16 @@ SAMPLER_KINDS = {
 
 # Every sampler kind, and the U(3) and SU(3) that ``r-u:3``, ``su-retract:3``
 # and ``embed-u:3`` sample; the k = 3 digests were recorded before the unitary
-# samplers moved to the fraction-free Cayley transform.
-PINNED_VARIETIES = {**SAMPLER_KINDS, "cayley-u:3": unitary(3), "cayley-su:3": special_unitary(3)}
+# samplers moved to the fraction-free Cayley transform, and the SU(4)/SU(5)
+# ones (``su-retract:4``, ``su-retract:5``) before the SU(k) determinant
+# correction moved to Gaussian integers.
+PINNED_VARIETIES = {
+    **SAMPLER_KINDS,
+    "cayley-u:3": unitary(3),
+    "cayley-su:3": special_unitary(3),
+    "cayley-su:4": special_unitary(4),
+    "cayley-su:5": special_unitary(5),
+}
 
 # (sampler kind, height, seed): sha256 of the first 50 points of sample_points,
 # one point per line as comma-separated "numerator/denominator".
@@ -353,6 +361,18 @@ SAMPLE_DIGESTS = {
     ("cayley-su:3", 50, 11): "def7eb9cc2a61e66f9c884b829bf5fc165a8ff107953e2b3c2767597be53c45e",
     ("cayley-su:3", 4, 0): "3b00eee59e7a99bdb7209cb69f18cb82b9d66e92671a517029f9df0d0ad50b5f",
     ("cayley-su:3", 4, 11): "944ca18366e51b184e2f07d7c8043ed2522a7d4fa80e9d43ed66ff4ff28a0ff7",
+    ("cayley-su:4", 1000, 0): "5fbb564d6ff995be763a239923e19635a9081c12d803cf9ee8e2a376654ebba1",
+    ("cayley-su:4", 1000, 11): "24f119a15eb884d6e1ced21576e93aba6c1540ed64463d2d0a3384e869a780f1",
+    ("cayley-su:4", 50, 0): "22b3a06d810eed9ef61c2e0a167d28bd41deb0d29b0c8ee893e63d2631662df5",
+    ("cayley-su:4", 50, 11): "bc51eafc283e808637b5d51ff47feaf7832c0f87526bb9350ac4731e5e1de9d1",
+    ("cayley-su:4", 4, 0): "683c64e3152b5d8f614c9ea30b43f47be61f8e1c6b7f03ae6c6f0de0bcf1432c",
+    ("cayley-su:4", 4, 11): "9518e0f914cf0fc36d41ee32f76e3896207a039564ef9340e2aff0e0446c7f0d",
+    ("cayley-su:5", 1000, 0): "00e68754dfe7d567a27c4927859b3349d36955881c11048c2044fcf51b0ce601",
+    ("cayley-su:5", 1000, 11): "694281a94ec89374c99d949fe8b86f2cc6efebce0549804b6c5194ae10871641",
+    ("cayley-su:5", 50, 0): "c9f8ef7df06556754a6286c3b9c0a49af4435d938862240c76b42d3165dfa584",
+    ("cayley-su:5", 50, 11): "36853cd8c5fb24e7e21b26875db1612631838bfbccf56dba7ab8a1bc14976c9a",
+    ("cayley-su:5", 4, 0): "197d837ed5bd6d91a8e65d5f81bc2e1b2c5c74bef7a705986e47452c2c59094f",
+    ("cayley-su:5", 4, 11): "bc13084550c8ca94515b1c7fb03082f7cdb152d2a59e4629d1ace8919832d3a4",
 }
 
 
