@@ -1,15 +1,14 @@
-"""Exact dense linear algebra over the rationals, real or complex.
+"""Exact dense linear algebra.
 
-Matrices are plain lists of lists of ``Fraction`` or, for complex
-entries, :class:`~regmaps.polynomial.ComplexPair` with rational parts.
 :func:`integer_determinant` and :func:`integer_solve` share one
-fraction-free elimination and stay on integers; the samplers use them
-(every Cayley transform is one :func:`integer_solve`) and so does the
-determinant check of an SO(n) point.  The rest is division-based Gaussian
-elimination, which both scalar types support.  It serves the Jacobian rank
-probe (exact nullspaces and ranks), the determinant correction of the
-SU(k) sampler (one :func:`determinant` over complex pairs) and the tests,
-which check the integer routines against it.
+fraction-free (Bareiss) elimination and stay on integers; the determinant
+also takes Gaussian integers (:class:`~regmaps.polynomial.ComplexPair`
+with ``int`` parts, whose ``//`` divides exactly).  The samplers' Cayley
+transforms and SU(k) correction and the SO(n) point check use them.  The
+rest is Gaussian elimination over ``Fraction`` or ``ComplexPair`` with
+rational parts: :func:`row_echelon`, under the ranks and nullspaces of the
+Jacobian rank probe.  :func:`inverse` (through :func:`solve`) has no caller
+in the package: it stays only for the benchmark's ``linalg.inverse_s`` probe.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import List, Sequence, Union
 from .polynomial import ComplexPair
 
 Scalar = Union[Fraction, ComplexPair]
+Integral = Union[int, ComplexPair]  # a ComplexPair with int parts
 Matrix = List[List[Scalar]]
 
 
@@ -29,57 +29,16 @@ def identity(n: int, gaussian: bool = False) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("incompatible shapes for matrix product")
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out: Matrix = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> list:
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
-
-
-def conjugate_transpose(a: Matrix) -> Matrix:
-    return [[x.conjugate() for x in row] for row in zip(*a)]
-
-
 def solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve ``a @ x = rhs`` for square invertible ``a`` (exact elimination)."""
+    """Solve ``a @ x = rhs`` for square invertible ``a`` (exact elimination):
+    the reduced row echelon form of ``[a | rhs]`` reads ``[I | x]``."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    width = len(rhs[0])
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if not factor:
-                continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n : n + width] for row in aug]
+    echelon = row_echelon([list(row) + list(extra) for row, extra in zip(a, rhs)])
+    if not echelon[-1][n - 1]:  # no pivot in the last column of a: singular
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in echelon]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -87,39 +46,17 @@ def inverse(a: Matrix) -> Matrix:
     return solve(a, identity(len(a), gaussian=gaussian))
 
 
-def determinant(a: Matrix) -> Scalar:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    work = [list(row) for row in a]
-    det: Scalar = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return det * work[col][col]  # zero, of the entries' type
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col]
-        for r in range(col + 1, n):
-            if not work[r][col]:
-                continue
-            factor = work[r][col] / inv
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
-
-
-def _bareiss(work: List[List[int]], n: int) -> int:
+def _bareiss(work: List[List[Integral]], n: int) -> int:
     """Bareiss's fraction-free elimination of the first ``n`` columns of the
-    ``n`` integer rows ``work``, in place; the rows may carry more columns,
-    which are carried along.  After step ``k`` every entry right of column
-    ``k`` is a minor of the input, so each division by the previous pivot
-    is exact and the work stays on integers; row ``k`` then reads, from its
-    pivot on, as row ``k`` of an equivalent upper triangular system whose
-    last pivot times the returned sign is the determinant.  A zero pivot is
-    swapped with a lower row.  Returns the sign of the swaps, or 0 when a
-    column has no pivot (singular).  Needs ``n >= 1``."""
+    ``n`` rows ``work`` of integers or Gaussian integers, in place; the rows
+    may carry more columns, which are carried along.  After step ``k`` every
+    entry right of column ``k`` is a minor of the input, so each division by
+    the previous pivot is exact (in Z as in Z[i]) and the work stays on
+    integers; row ``k`` then reads, from its pivot on, as row ``k`` of an
+    equivalent upper triangular system whose last pivot times the returned
+    sign is the determinant.  A zero pivot is swapped with a lower row.
+    Returns the sign of the swaps, or 0 when a column has no pivot
+    (singular).  Needs ``n >= 1``."""
     width = len(work[0])
     sign = 1
     previous = 1
@@ -140,9 +77,9 @@ def _bareiss(work: List[List[int]], n: int) -> int:
     return sign
 
 
-def integer_determinant(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free
-    (Bareiss) elimination, which stays on integers."""
+def integer_determinant(a: Sequence[Sequence[Integral]]) -> Integral:
+    """Exact determinant of a square matrix of integers or of Gaussian
+    integers by fraction-free (Bareiss) elimination, which stays on them."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")

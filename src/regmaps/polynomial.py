@@ -409,7 +409,9 @@ class ComplexPair(NamedTuple):
     ``*``, and as the divisor of ``/``.  A real polynomial ``p`` enters as
     ``ComplexPair(p, zero)``.  Being a tuple, a pair unpacks as
     ``re, im = z``; it is true when nonzero.  Division needs scalar parts
-    and is exact: the quotient's parts are ``Fraction``.
+    and is exact: the quotient's parts are ``Fraction``.  Floor division
+    ``//`` is exact division of Gaussian integers: it needs ``int`` parts
+    and raises ``ValueError`` when the divisor does not divide.
     """
 
     re: Union[Polynomial, Fraction, int]
@@ -474,6 +476,19 @@ class ComplexPair(NamedTuple):
             Fraction(self.re * other.re + self.im * other.im, norm),
             Fraction(self.im * other.re - self.re * other.im, norm),
         )
+
+    def __floordiv__(self, other: object) -> "ComplexPair":
+        other = _as_pair(other)
+        if other is None:
+            return NotImplemented
+        norm = other.re * other.re + other.im * other.im
+        if not norm:
+            raise ZeroDivisionError("division by a zero ComplexPair")
+        re, re_rest = divmod(self.re * other.re + self.im * other.im, norm)
+        im, im_rest = divmod(self.im * other.re - self.re * other.im, norm)
+        if re_rest or im_rest:
+            raise ValueError(f"{other} does not divide {self} in the Gaussian integers")
+        return ComplexPair(re, im)
 
     def __pow__(self, exponent: int) -> "ComplexPair":
         if exponent < 0:
@@ -592,7 +607,10 @@ def _fraction_to_str(value: Fraction) -> str:
 
 
 def _fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has a zero denominator") from None
 
 
 def polynomial_to_obj(p: Polynomial) -> list:
@@ -606,15 +624,22 @@ def polynomial_to_obj(p: Polynomial) -> list:
 
 
 def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
+    """The inverse of :func:`polynomial_to_obj`.  A coefficient with a zero
+    denominator, an id or exponent that is no JSON integer, and a monomial
+    that lists a variable twice raise ``ValueError``."""
+
     def term(item: Mapping) -> tuple:
         coeff = _fraction_from_str(item["c"])
         exps = [0] * registry.size
-        for pair in item["m"]:
-            var_id, e = int(pair[0]), int(pair[1])
+        for var_id, e in item["m"]:
+            if type(var_id) is not int or type(e) is not int:
+                raise ValueError(f"serialized ids and exponents must be integers: {[var_id, e]}")
             if not 0 <= var_id < registry.size:
                 raise UnknownVariableError(f"no variable with id {var_id}")
             if e <= 0:
                 raise ValueError("serialized exponents must be positive")
+            if exps[var_id]:
+                raise ValueError(f"a monomial lists variable {var_id} twice")
             exps[var_id] = e
         return tuple(exps), coeff
 

@@ -347,13 +347,9 @@ def regular_value_probe(
             for row, y in zip(num_partials, image)
         ]
         relation_rows = [[d.evaluate(coords) for d in row] for row in relation_partials]
-        if relation_rows:
-            tangent = linalg.nullspace_basis(relation_rows)
-        else:
-            tangent = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
-        pushed = [linalg.mat_vec(jacobian, t) for t in tangent]
-        stacked = [list(col) for col in pushed] + [list(row) for row in codomain_normals]
-        ranks.append(linalg.rank(stacked) - normal_rank)
+        tangent = linalg.nullspace_basis(relation_rows) if relation_rows else linalg.identity(dim)
+        pushed = [[sum(a * t for a, t in zip(row, vec)) for row in jacobian] for vec in tangent]
+        ranks.append(linalg.rank(pushed + codomain_normals) - normal_rank)
 
     all_regular = all(r == required for r in ranks)
     evidence = {

@@ -35,9 +35,9 @@ relying on CPython's private ``randrange``.  A sampler returns its point
 scaled to integers, ``(q, nums)`` with ``q > 0`` and coordinate ``i``
 equal to ``nums[i] / q``.  Every sampler works on integers: SO(n), U(k)
 and SU(k) share one Cayley transform, one fraction-free solve on the
-realified matrix (:func:`_cayley`), and only
-the determinant correction of SU(k) takes one exact determinant over
-``ComplexPair`` entries with rational parts.  :func:`sample_point`
+realified matrix (:func:`_cayley`), and the determinant correction of
+SU(k) takes one fraction-free determinant over the Gaussian integers
+(``ComplexPair`` entries with ``int`` parts).  :func:`sample_point`
 validates that form against every relation
 (:meth:`Variety.first_violation_scaled`) and keeps it as the only stored
 form of the :class:`PointOnVariety`, whose ``Fraction`` coordinates are
@@ -441,19 +441,14 @@ def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Lis
     return common, [p * (common // d) for p, d in pairs]
 
 
-def sphere_coords_from_parameters(ts: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Rational point on the sphere from rational parameters via the inverse
-    stereographic parametrization (never hits the pole (-1, 0, ..., 0))."""
-    q, nums = _sphere_scaled([(t.numerator, t.denominator) for t in ts])
-    return tuple([Fraction(n, q) for n in nums])
-
-
 def _sphere_scaled(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
-    """The same point in scaled form, from parameters given as integer pairs
-    ``(p, d)`` meaning ``p / d`` with ``d > 0``.  Over one common
-    denominator ``L`` the parameters are ``T_i / L``; with ``S = sum T_i^2``
-    the coordinates are ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``,
-    so ``q = L^2 + S``."""
+    """Rational point on the sphere in scaled form, by the inverse
+    stereographic parametrization (never the pole (-1, 0, ..., 0)), from
+    parameters given as integer pairs ``(p, d)`` meaning ``p / d`` with
+    ``d > 0``.  Over one common denominator ``L`` the parameters are
+    ``T_i / L``; with ``S = sum T_i^2`` the coordinates are
+    ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``, so
+    ``q = L^2 + S``."""
     common, scaled = _over_common_denominator(pairs)
     square = common * common
     s = sum(t * t for t in scaled)
@@ -528,12 +523,15 @@ def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[i
     count = k * k if complex_entries else k * (k - 1) // 2
     q, nums = _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
     if kind == "cayley-su":
-        # det(U) has modulus one, so column 0 times conj(det(U)) has det one.
-        parts = zip(nums[::2], nums[1::2])
-        z = [ComplexPair(Fraction(a, q), Fraction(b, q)) for a, b in parts]
-        conj = linalg.determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
-        z[::k] = [e * conj for e in z[::k]]
-        return scale_point([x for e in z for x in (e.re, e.im)])
+        # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
+        # conjugate w over q**k has determinant one.  Over q**(k + 1) that is
+        # column 0 times w and the rest times q**k, then in lowest terms.
+        z = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
+        w = linalg.integer_determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
+        scale = q**k
+        nums = [x for i, e in enumerate(z) for x in e * (scale if i % k else w)]
+        common = gcd(q * scale, *nums)
+        return q * scale // common, [x // common for x in nums]
     return q, nums
 
 

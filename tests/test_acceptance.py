@@ -26,13 +26,8 @@ from regmaps.groups import (
     section_so,
     section_u,
 )
-from regmaps.linalg import (
-    conjugate_transpose,
-    determinant,
-    identity,
-    mat_mul,
-    transpose,
-)
+from reference_linalg import conjugate_transpose, determinant, mat_mul, transpose
+from regmaps.linalg import identity
 from regmaps.polynomial import ComplexPair
 from regmaps.ratmap import (
     ExcludedLocusError,

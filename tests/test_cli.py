@@ -314,6 +314,26 @@ def test_malformed_jmap_file_is_a_usage_error(capsys, tmp_path):
     assert run(capsys, ["build", f"jmap:{path}"])[0] == 2
 
 
+# One term of a valid family file, broken three ways: each makes the file
+# malformed, a usage error.
+BROKEN_TERMS = {
+    "zero-denominator": {"c": "1/0"},
+    "fractional-exponent": {"m": [[0, 1.5]]},
+    "variable-twice": {"m": [[0, 1], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_TERMS))
+def test_a_jmap_file_with_a_broken_term_is_malformed(capsys, tmp_path, broken):
+    obj = jmap_input_to_obj(jmap_double_rotation())
+    obj["entries"][0][0][0].update(BROKEN_TERMS[broken])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["build", f"jmap:{path}"])
+    assert (code, out) == (2, "")
+    assert "is malformed" in err
+
+
 def test_circle_power_degree_is_bounded(capsys):
     bound = catalog.ZPOW_MAX_DEGREE
     built = circle_power.cache_info().currsize

@@ -5,13 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from regmaps.linalg import (
-    conjugate_transpose,
-    determinant,
-    identity,
-    mat_mul,
-    transpose,
-)
+from reference_linalg import conjugate_transpose, determinant, mat_mul, transpose
+from regmaps.linalg import identity
 from regmaps.polynomial import ComplexPair, Polynomial
 from regmaps.groups import (
     JMapInput,

@@ -21,7 +21,7 @@ from regmaps.polynomial import (
     scale_point,
     transport_polynomial,
 )
-from regmaps.varieties import sphere_coords_from_parameters
+from reference_linalg import sphere_coords_from_parameters
 
 REG = VarRegistry(["x1", "x2", "x3", "y1"])
 X1 = Polynomial.variable(REG, "x1")
@@ -251,6 +251,32 @@ def test_complex_pair_serves_polynomials_and_scalars_alike():
     for zero in (ComplexPair(0, 0), ComplexPair(Fraction(0), Fraction(0)), 0):
         with pytest.raises(ZeroDivisionError):
             ComplexPair(1, 2) / zero
+
+
+def test_gaussian_integer_floor_division_is_exact():
+    rng = random.Random(12)
+
+    def gaussian(bound):
+        return ComplexPair(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    for _ in range(300):
+        a, b = gaussian(10**12), gaussian(50)
+        c = rng.randint(-50, 50)
+        if b:
+            quotient = (a * b) // b
+            assert quotient == a and all(type(part) is int for part in quotient)
+        if c:
+            assert (a * c) // c == a and all(type(part) is int for part in (a * c) // c)
+    assert ComplexPair(5, 0) // ComplexPair(2, 1) == ComplexPair(2, -1)
+    assert ComplexPair(0, 0) // ComplexPair(3, -7) == ComplexPair(0, 0)
+    # an exact rational quotient that is no Gaussian integer raises
+    inexact = ((ComplexPair(1, 0), ComplexPair(1, 1)), (ComplexPair(3, 2), 2), (ComplexPair(5, 0), 3))
+    for a, b in inexact:
+        with pytest.raises(ValueError):
+            a // b
+    for zero in (ComplexPair(0, 0), 0):
+        with pytest.raises(ZeroDivisionError):
+            ComplexPair(1, 2) // zero
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,8 @@ from math import lcm
 
 import pytest
 
-from regmaps.linalg import (
-    determinant,
-    identity,
-    integer_determinant,
-    integer_solve,
-    inverse,
-    mat_mul,
-    solve,
-    transpose,
-)
+from reference_linalg import determinant, mat_mul, sphere_coords_from_parameters, transpose
+from regmaps.linalg import identity, integer_determinant, integer_solve, inverse, solve
 from regmaps.polynomial import ComplexPair, VarRegistry, polynomial_to_json
 from regmaps.varieties import (
     NoSamplerError,
@@ -33,7 +25,6 @@ from regmaps.varieties import (
     special_orthogonal,
     special_unitary,
     sphere,
-    sphere_coords_from_parameters,
     sphere_product,
     unitary,
 )
@@ -459,6 +450,8 @@ def test_integer_solve_matches_the_rational_solve():
         if det == 0:
             with pytest.raises(ValueError):
                 integer_solve(a, b)
+            with pytest.raises(ValueError, match="singular"):
+                solve([[Fraction(x) for x in row] for row in a], [[Fraction(1)] for _ in a])
             continue
         got_det, y = integer_solve(a, b)
         assert got_det == det
@@ -537,6 +530,35 @@ def test_integer_determinant_matches_the_rational_elimination():
     assert integer_determinant([]) == 1
     with pytest.raises(ValueError):
         integer_determinant([[1, 2]])
+
+
+def test_integer_determinant_over_gaussian_integers_matches_the_rational_one():
+    rng = random.Random(31)
+
+    def entry():
+        return ComplexPair(*(rng.choice((0, rng.randint(-9, 9), rng.randint(-10**9, 10**9)))
+                             for _ in range(2)))
+
+    zero = ComplexPair(0, 0)
+    cases = [[[zero, ComplexPair(1, 2)], [ComplexPair(3, -1), ComplexPair(0, 5)]]]
+    for k in range(1, 6):
+        for _ in range(60):
+            m = [[entry() for _ in range(k)] for _ in range(k)]
+            shape = rng.randrange(3)
+            if k > 1 and shape == 1:  # a zero first pivot: the elimination swaps rows
+                m[0][0] = zero
+            elif k > 1 and shape == 2:  # singular: the first row a combination of later ones
+                factor = ComplexPair(rng.randint(-3, 3), rng.randint(-3, 3))
+                m[0] = [factor * a + b for a, b in zip(m[-1], m[k // 2])]
+            cases.append(m)
+    singular = 0
+    for m in cases:
+        rational = [[ComplexPair(Fraction(z.re), Fraction(z.im)) for z in row] for row in m]
+        expected = determinant(rational)
+        got = integer_determinant(m)
+        assert got == expected and all(type(part) is int for part in got), m
+        singular += not got
+    assert singular >= 30
 
 
 def test_generic_determinant_has_every_permutation_term():
