@@ -607,6 +607,8 @@ def _fraction_to_str(value: Fraction) -> str:
 
 
 def _fraction_from_str(text: str) -> Fraction:
+    if type(text) is not str:  # a JSON number would enter as a float's binary value
+        raise ValueError(f"serialized coefficients must be strings: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -624,9 +626,9 @@ def polynomial_to_obj(p: Polynomial) -> list:
 
 
 def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
-    """The inverse of :func:`polynomial_to_obj`.  A coefficient with a zero
-    denominator, an id or exponent that is no JSON integer, and a monomial
-    that lists a variable twice raise ``ValueError``."""
+    """The inverse of :func:`polynomial_to_obj`.  A coefficient that is no
+    string or has a zero denominator, an id or exponent that is no JSON
+    integer, and a monomial that lists a variable twice raise ``ValueError``."""
 
     def term(item: Mapping) -> tuple:
         coeff = _fraction_from_str(item["c"])

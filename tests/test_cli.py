@@ -314,10 +314,11 @@ def test_malformed_jmap_file_is_a_usage_error(capsys, tmp_path):
     assert run(capsys, ["build", f"jmap:{path}"])[0] == 2
 
 
-# One term of a valid family file, broken three ways: each makes the file
+# One term of a valid family file, broken four ways: each makes the file
 # malformed, a usage error.
 BROKEN_TERMS = {
     "zero-denominator": {"c": "1/0"},
+    "number-coefficient": {"c": 1.0},
     "fractional-exponent": {"m": [[0, 1.5]]},
     "variable-twice": {"m": [[0, 1], [0, 1]]},
 }
