@@ -11,13 +11,19 @@ before the first colon, gives the name forms with their help text, the
 parser of the parameters, the builder and the family's extra checks.
 :data:`NAME_FORMS`, :func:`resolve` and :func:`verification_suite` all
 follow from it.
+
+SO(n) and U(k) share their section and retraction contracts: each
+contract is one check function, and each group one ``_Group`` row that
+the ``p``, ``s``, ``r`` (and ``-u``) families bind into it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from . import groups, spheres, topology
@@ -159,65 +165,51 @@ def _winding_checks(m, d, **_) -> List[Verdict]:
     ]
 
 
-def _round_trip(project, section, sphere_dim: int) -> Verdict:
-    return replace(
-        equal_symbolic(compose(project, section), spheres.sphere_identity(sphere_dim)),
-        name="projection-after-section-is-identity",
-    )
+# A group G(n) fibred over a sphere, as functions of n: the first-column
+# projection, its section, the identity point, the group, the embedding
+# (sub, n) of G(sub), and the dimension of the sphere.
+_Group = namedtuple("_Group", "first_column section identity group embed sphere_dim")
+_SO = _Group(groups.first_column, groups.section_so, groups.orthogonal_identity,
+             special_orthogonal, groups.embed_orthogonal, lambda n: n - 1)
+_U = _Group(groups.first_column_u, groups.section_u, groups.unitary_identity,
+            unitary, groups.embed_unitary, lambda k: 2 * k - 1)
 
 
-def _at_identity(section, sphere_dim: int, identity) -> Verdict:
-    image = section.evaluate(spheres.basepoint(sphere_dim))
-    return Verdict(
-        "exact-evaluation", image.coords == identity.coords, {},
+def _projection_checks(g: _Group, m, n, **_) -> List[Verdict]:
+    round_trip = compose(g.first_column(n), g.section(n))
+    return [
+        replace(
+            equal_symbolic(round_trip, spheres.sphere_identity(g.sphere_dim(n))),
+            name="projection-after-section-is-identity",
+        )
+    ]
+
+
+def _section_checks(g: _Group, m, n, **_) -> List[Verdict]:
+    image = g.section(n).evaluate(spheres.basepoint(g.sphere_dim(n)))
+    at_identity = Verdict(
+        "exact-evaluation", image.coords == g.identity(n).coords, {},
         name="basepoint-to-identity-matrix",
     )
-
-
-def _projection_checks(m, n, **_) -> List[Verdict]:
-    return [_round_trip(groups.first_column(n), groups.section_so(n), n - 1)]
-
-
-def _section_checks(m, n, **_) -> List[Verdict]:
-    at_identity = _at_identity(groups.section_so(n), n - 1, groups.orthogonal_identity(n))
-    return _projection_checks(m, n) + [at_identity]
-
-
-def _projection_u_checks(m, k, **_) -> List[Verdict]:
-    return [_round_trip(groups.first_column_u(k), groups.section_u(k), 2 * k - 1)]
-
-
-def _section_u_checks(m, k, **_) -> List[Verdict]:
-    at_identity = _at_identity(groups.section_u(k), 2 * k - 1, groups.unitary_identity(k))
-    return _projection_u_checks(m, k) + [at_identity]
+    return _projection_checks(g, m, n) + [at_identity]
 
 
 def _agree(name: str, f, g, trials: int, seed: int) -> Verdict:
     return replace(equal_mod(f, g, trials=trials, seed=seed, height=50), name=name)
 
 
-def _retract_checks(m, n, *, trials, seed, **_) -> List[Verdict]:
-    projected = compose(groups.first_column(n), m)
-    target = constant_map(special_orthogonal(n), spheres.basepoint(n - 1))
-    embed = groups.embed_orthogonal(n - 1, n)
-    return [
-        _agree("image-projects-to-basepoint", projected, target, trials, seed),
-        _agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed),
-    ]
-
-
-def _retract_u_checks(m, k, *, trials, seed, **_) -> List[Verdict]:
-    projected = compose(groups.first_column_u(k), m)
-    target = constant_map(unitary(k), spheres.basepoint(2 * k - 1))
+def _retract_checks(g: _Group, m, n, *, trials, seed, **_) -> List[Verdict]:
+    projected = compose(g.first_column(n), m)
+    target = constant_map(g.group(n), spheres.basepoint(g.sphere_dim(n)))
     checks = [_agree("image-projects-to-basepoint", projected, target, trials, seed)]
-    if k == 1:
-        # The embedded U(0) is trivial: fixing it means fixing the identity.
-        identity = groups.unitary_identity(1)
+    if n == 1:
+        # The embedded G(0) is trivial: fixing it means fixing the identity.
+        identity = g.identity(1)
         fixed = m.evaluate(identity).coords == identity.coords
         return checks + [
             Verdict("exact-evaluation", fixed, {}, name="fixes-embedded-subgroup")
         ]
-    embed = groups.embed_unitary(k - 1, k)
+    embed = g.embed(n - 1, n)
     return checks + [_agree("fixes-embedded-subgroup", compose(m, embed), embed, trials, seed)]
 
 
@@ -249,7 +241,7 @@ def _su_retract_checks(m, k, *, trials, seed, **_) -> List[Verdict]:
     return [_agree("fixes-special-unitary-group", fixed, inclusion, trials, seed)]
 
 
-def _embed_u_checks(m, k, **_) -> List[Verdict]:
+def _realification_checks(m, k, **_) -> List[Verdict]:
     adjoint = matrix_transpose(identity_matrix_map(unitary(k), k, complex_entries=True))
     # The real transpose of the image is the image of the conjugate transpose.
     intertwines = matrix_transpose(m) == compose(m, adjoint)
@@ -347,22 +339,22 @@ FAMILIES: Dict[str, Family] = {
     "antipodal": Family({"antipodal:n": "antipodal self-map of S^n"},
                         _params(1), spheres.antipodal, max_parameter=SPHERE_MAX_DIM),
     "p": Family({"p:n": "first-column projection SO(n) -> S^{n-1}"},
-                _params(1), groups.first_column, _projection_checks,
+                _params(1), groups.first_column, partial(_projection_checks, _SO),
                 max_parameter=SO_MAX_SIZE),
     "s": Family({"s:n": "rational section S^{n-1} -> SO(n)"},
-                _params(1), groups.section_so, _section_checks,
+                _params(1), groups.section_so, partial(_section_checks, _SO),
                 max_parameter=SO_MAX_SIZE),
     "p-u": Family({"p-u:k": "first-column projection U(k) -> S^{2k-1}"},
-                  _params(1), groups.first_column_u, _projection_u_checks,
+                  _params(1), groups.first_column_u, partial(_projection_checks, _U),
                   max_parameter=UNITARY_MAX_SIZE),
     "s-u": Family({"s-u:k": "rational section S^{2k-1} -> U(k)"},
-                  _params(1), groups.section_u, _section_u_checks,
+                  _params(1), groups.section_u, partial(_section_checks, _U),
                   max_parameter=UNITARY_MAX_SIZE),
     "r": Family({"r:n": "retraction of SO(n) onto the basepoint stabilizer"},
-                _params(1), groups.retract_so, _retract_checks,
+                _params(1), groups.retract_so, partial(_retract_checks, _SO),
                 max_parameter=SO_MAX_SIZE),
     "r-u": Family({"r-u:k": "retraction of U(k) onto the basepoint stabilizer"},
-                  _params(1), groups.retract_u, _retract_u_checks,
+                  _params(1), groups.retract_u, partial(_retract_checks, _U),
                   max_parameter=UNITARY_MAX_SIZE),
     "chain": Family({"chain:m:k": "iterated retraction SO(m) -> embedded SO(k)"},
                     _params(2), groups.chain_retract, _chain_checks, generic_height=4,
@@ -371,7 +363,7 @@ FAMILIES: Dict[str, Family] = {
                          _params(1), groups.su_retract, _su_retract_checks,
                          max_parameter=SU_RETRACT_MAX_SIZE),
     "embed-u": Family({"embed-u:k": "realification embedding U(k) -> SO(2k)"},
-                      _params(1), groups.embed_u_in_so, _embed_u_checks,
+                      _params(1), groups.embed_u_in_so, _realification_checks,
                       max_parameter=EMBED_U_MAX_SIZE),
     "jmap": Family(
         {

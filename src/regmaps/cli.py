@@ -27,18 +27,11 @@ from . import catalog, topology
 from .ratmap import (
     CodomainViolationError,
     ExcludedLocusError,
-    VarietyMismatchError,
     ZeroDenominatorError,
     compose as compose_maps,
     map_to_obj,
 )
-from .varieties import (
-    NoSamplerError,
-    PointOnVariety,
-    PointValidationError,
-    sample_point,
-    sphere,
-)
+from .varieties import NoSamplerError, PointOnVariety, sample_point, sphere
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -247,15 +240,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.verb](args)
-    except (
-        catalog.UnknownMapError,
-        PointValidationError,
-        VarietyMismatchError,
-        NoSamplerError,
-        ValueError,
-    ) as exc:
-        _note(f"error: {exc}")
-        return USAGE_ERROR
+    # Check failures first: CodomainViolationError and ZeroDenominatorError
+    # are ValueErrors, as are unknown names, invalid points and mismatches.
     except (
         ExcludedLocusError,
         CodomainViolationError,
@@ -265,6 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         _note(f"check failed: {exc}")
         return CHECK_FAILED
+    except (NoSamplerError, ValueError) as exc:
+        _note(f"error: {exc}")
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -312,13 +312,10 @@ class Polynomial:
             values = [point[i] for i in used]
         else:
             values = self._assignment_vector(point, used)
-        for k, v in enumerate(values):
-            if not isinstance(v, (Fraction, int)):
-                if v is None:
-                    missing = (i for i, value in zip(used, values) if value is None)
-                    names = ", ".join(self.registry.name(i) for i in missing)
-                    raise MissingAssignmentError(f"no value assigned to: {names}")
-                values[k] = Fraction(v)
+        if any(v is None for v in values):
+            missing = (i for i, value in zip(used, values) if value is None)
+            names = ", ".join(self.registry.name(i) for i in missing)
+            raise MissingAssignmentError(f"no value assigned to: {names}")
         q, nums = scale_point(values)
         return Fraction(*self._integer_value(nums, q))
 
@@ -366,9 +363,11 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def scale_point(values: Sequence[Union[int, Fraction]]) -> tuple:
+def scale_point(values: Sequence) -> tuple:
     """``(q, nums)``: the point ``values`` written as ``nums[i] / q`` with
-    ``q`` the lcm of the denominators and every ``nums[i]`` an integer."""
+    ``q`` the lcm of the denominators and every ``nums[i]`` an integer.
+    Values other than ``Fraction`` and ``int`` are read through ``Fraction``."""
+    values = [v if isinstance(v, (Fraction, int)) else Fraction(v) for v in values]
     dens = [v.denominator for v in values]
     q = lcm(*dens)
     return q, [v.numerator * (q // d) for v, d in zip(values, dens)]

@@ -64,7 +64,6 @@ On sphere-block domains the operations expand at once.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -81,14 +80,15 @@ from .polynomial import (
     scale_point,
 )
 from .varieties import (
+    DEFAULT_HEIGHT,
     PointOnVariety,
     PointValidationError,
     Variety,
     sample_stream,
     sphere,
     sphere_product,
+    variety_by_name,
 )
-from . import varieties as _varieties
 
 
 class VarietyMismatchError(ValueError):
@@ -189,14 +189,13 @@ class RationalMap:
         return self._values(self._scaled(coords), {})
 
     def _scaled(self, coords: Sequence) -> tuple:
-        """``coords`` of the domain in scaled form; values other than
-        ``Fraction`` and ``int`` are read through ``Fraction``."""
+        """``coords`` of the domain in scaled form (see :func:`scale_point`)."""
         if len(coords) != self.domain.ambient_dim:
             raise VarietyMismatchError(
                 f"{self.domain.name} needs {self.domain.ambient_dim} coordinates, "
                 f"got {len(coords)}"
             )
-        return scale_point([c if isinstance(c, (Fraction, int)) else Fraction(c) for c in coords])
+        return scale_point(coords)
 
     def _values(self, scaled: tuple, memo: dict):
         # ``scaled`` is the point as ``(q, nums)``, ``coords[i] = nums[i] / q``
@@ -627,7 +626,7 @@ def equal_mod(
     trials: int = 20,
     seed: int = 0,
     *,
-    height: int = _varieties.DEFAULT_HEIGHT,
+    height: int = DEFAULT_HEIGHT,
 ) -> Verdict:
     """Exact-sampling equality: cross-multiplied coordinate differences must
     vanish at ``trials`` sampled rational points of the common domain."""
@@ -662,7 +661,7 @@ def maps_into(
     samples: int = 32,
     seed: int = 0,
     *,
-    height: int = _varieties.DEFAULT_HEIGHT,
+    height: int = DEFAULT_HEIGHT,
 ) -> Verdict:
     """Check that the image satisfies every codomain relation.
 
@@ -745,7 +744,7 @@ def denominator_check(
     samples: int = 100,
     seed: int = 0,
     *,
-    height: int = _varieties.DEFAULT_HEIGHT,
+    height: int = DEFAULT_HEIGHT,
 ) -> Verdict:
     """Evaluate the denominator at sampled points and report any value
     that is zero or negative.  Only the sign is read: on an expanded map it
@@ -929,25 +928,3 @@ def map_to_json(m: RationalMap) -> str:
 
 def map_from_json(text: str) -> RationalMap:
     return map_from_obj(json.loads(text))
-
-
-def variety_by_name(name: str) -> Variety:
-    """Resolve the built-in variety families by their canonical names."""
-    for pattern, build in (
-        (r"^S(\d+)xS(\d+)$", None),
-        (r"^S(\d+)$", _varieties.sphere),
-        (r"^R(\d+)$", _varieties.euclidean),
-        (r"^SO(\d+)$", _varieties.special_orthogonal),
-        (r"^SU(\d+)$", _varieties.special_unitary),
-        (r"^U(\d+)$", _varieties.unitary),
-    ):
-        match = re.match(pattern, name)
-        if not match:
-            continue
-        if build is None:
-            a, b = int(match.group(1)), int(match.group(2))
-            if a != b:
-                raise ValueError(f"unsupported product variety {name!r}")
-            return sphere_product(a)
-        return build(int(match.group(1)))
-    raise ValueError(f"unknown variety name {name!r}")

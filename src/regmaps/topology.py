@@ -20,7 +20,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import dropwhile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -159,15 +159,7 @@ class DegreeEstimate:
     conclusive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "rounded": self.rounded,
-            "half_width": self.half_width,
-            "samples": self.samples,
-            "seed": self.seed,
-            "resampled": self.resampled,
-            "conclusive": self.conclusive,
-        }
+        return asdict(self)
 
 
 class _MapTerms(NamedTuple):
@@ -393,12 +385,7 @@ class CodimPairReport:
     admissible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "modulus": self.modulus,
-            "admissible": self.admissible,
-        }
+        return asdict(self)
 
 
 def check_codim_pair(m: int, k: int) -> CodimPairReport:

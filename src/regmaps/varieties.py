@@ -2,7 +2,8 @@
 
 A :class:`Variety` bundles a variable registry, the defining relations,
 any sphere blocks (groups of variables summing-of-squares to one, which
-admit canonical normal forms), and an exact rational-point sampler.
+admit canonical normal forms), and an exact rational-point sampler, a
+function of ``(rng, height)`` that each constructor binds.
 
 Built-in families
 -----------------
@@ -23,22 +24,25 @@ Built-in families
   :class:`~regmaps.polynomial.ComplexPair` entries
 * ``special_unitary(k)``  additionally determinant one (realified)
 
+:func:`variety_by_name` reads each back from its ``name`` (``S2xS2``, ``SO4``).
+
 Samplers produce exact rational points: spheres through the rational
 parametrization by inverse stereographic projection, matrix groups
 through the Cayley transform of a random skew-symmetric (respectively
-skew-Hermitian) rational matrix, with a determinant correction for the
-special unitary group.  All samplers are deterministic functions of the
-seed.  Every rational parameter is drawn by :func:`_bounded_pairs` straight
-from ``getrandbits``, with the rejection rule of ``randint``: the stream is
-the one ``randint`` draws, without its per-call overhead and without
-relying on CPython's private ``randrange``.  A sampler returns its point
-scaled to integers, ``(q, nums)`` with ``q > 0`` and coordinate ``i``
-equal to ``nums[i] / q``.  Every sampler works on integers: SO(n), U(k)
-and SU(k) share one Cayley transform, one fraction-free solve on the
-realified matrix (:func:`_cayley`), and the determinant correction of
-SU(k) takes one fraction-free determinant over the Gaussian integers
-(``ComplexPair`` entries with ``int`` parts).  :func:`sample_point`
-validates that form against every relation
+skew-Hermitian) rational matrix, and the special unitary group through
+the unitary sampler followed by a determinant correction; the product of
+two spheres draws one point of each.  All samplers are deterministic
+functions of the seed.  Every rational parameter is drawn by
+:func:`_bounded_pairs` straight from ``getrandbits``, with the rejection
+rule of ``randint``: the stream is the one ``randint`` draws, without its
+per-call overhead and without relying on CPython's private ``randrange``.
+A sampler returns its point scaled to integers, ``(q, nums)`` with
+``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``.  Every sampler
+works on integers: SO(n), U(k) and SU(k) share one Cayley transform, one
+fraction-free solve on the realified matrix (:func:`_cayley`), and the
+determinant correction of SU(k) takes one fraction-free determinant over
+the Gaussian integers (``ComplexPair`` entries with ``int`` parts).
+:func:`sample_point` validates that form against every relation
 (:meth:`Variety.first_violation_scaled`) and keeps it as the only stored
 form of the :class:`PointOnVariety`, whose ``Fraction`` coordinates are
 built on first read; the denominator audit of ``verify`` and the
@@ -49,15 +53,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
+from functools import lru_cache, partial
+from math import gcd, lcm
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import linalg
 from .polynomial import ComplexPair, Polynomial, SphereBlock, VarRegistry, scale_point
 
 DEFAULT_HEIGHT = 1000
+
+# A point sampler: ``(rng, height)`` -> the point in scaled form ``(q, nums)``.
+Sampler = Callable[[random.Random, int], Tuple[int, List[int]]]
 
 
 class NoSamplerError(RuntimeError):
@@ -71,8 +79,10 @@ class PointValidationError(ValueError):
 class Variety:
     """An embedded real variety with named coordinates.
 
-    ``relations`` are the polynomials that vanish on it.  A matrix group
-    may also carry ``unit_determinant``: the size ``n`` when its
+    ``relations`` are the polynomials that vanish on it.  ``sampler`` (or
+    ``None``) is a :data:`Sampler` that its constructor binds to its size:
+    ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.  A matrix
+    group may also carry ``unit_determinant``: the size ``n`` when its
     coordinates, read row-major, form an ``n x n`` real matrix of
     determinant one, a condition checked at points by an exact integer
     determinant instead of a polynomial with ``n!`` terms; it is 0
@@ -84,8 +94,7 @@ class Variety:
     """
 
     __slots__ = (
-        "name", "registry", "relations", "blocks", "sampler", "factors",
-        "unit_determinant", "_hash",
+        "name", "registry", "relations", "blocks", "sampler", "unit_determinant", "_hash",
     )
 
     def __init__(
@@ -94,8 +103,7 @@ class Variety:
         registry: VarRegistry,
         relations: Sequence[Polynomial],
         blocks: Sequence[SphereBlock] = (),
-        sampler: Optional[str] = None,
-        factors: Sequence["Variety"] = (),
+        sampler: Optional[Sampler] = None,
         unit_determinant: int = 0,
     ):
         object.__setattr__(self, "name", name)
@@ -103,7 +111,6 @@ class Variety:
         object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "sampler", sampler)
-        object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "unit_determinant", unit_determinant)
         object.__setattr__(self, "_hash", hash((name, registry)))
 
@@ -181,8 +188,7 @@ class PointOnVariety:
     __slots__ = ("variety", "scaled", "_coords")
 
     def __init__(self, variety: Variety, coords: Sequence[Fraction]):
-        values = [c if isinstance(c, (Fraction, int)) else Fraction(c) for c in coords]
-        self._init(variety, *scale_point(values))
+        self._init(variety, *scale_point(coords))
 
     @classmethod
     def from_scaled(cls, variety: Variety, q: int, nums: Sequence[int]) -> "PointOnVariety":
@@ -327,7 +333,7 @@ def sphere(n: int) -> Variety:
         registry=registry,
         relations=[block.relation(registry)],
         blocks=[block],
-        sampler="sphere",
+        sampler=partial(_drawn, n, _sphere_scaled),
     )
 
 
@@ -336,7 +342,7 @@ def euclidean(n: int) -> Variety:
     if n < 1:
         raise ValueError("euclidean dimension must be positive")
     registry = VarRegistry([f"X{i}" for i in range(1, n + 1)])
-    return Variety(name=f"R{n}", registry=registry, relations=[], sampler="euclidean")
+    return Variety(f"R{n}", registry, [], sampler=partial(_drawn, n, _over_common_denominator))
 
 
 @lru_cache(maxsize=None)
@@ -353,8 +359,7 @@ def sphere_product(n: int) -> Variety:
         registry=registry,
         relations=[block_x.relation(registry), block_y.relation(registry)],
         blocks=[block_x, block_y],
-        sampler="product",
-        factors=(sphere(n), sphere(n)),
+        sampler=partial(_draw_pair, sphere(n).sampler),
     )
 
 
@@ -369,7 +374,7 @@ def special_orthogonal(n: int) -> Variety:
         name=f"SO{n}",
         registry=registry,
         relations=_gram_relations(entries, conjugate=False),
-        sampler="cayley-so",
+        sampler=partial(_draw_cayley, n, False),
         unit_determinant=n,
     )
 
@@ -384,11 +389,8 @@ def unitary(k: int) -> Variety:
             names.append(f"a{i}{j}")
             names.append(f"b{i}{j}")
     registry = VarRegistry(names)
-    entries = complex_entry_polys(registry, k)
-    relations = _gram_relations(entries, conjugate=True)
-    return Variety(
-        name=f"U{k}", registry=registry, relations=relations, sampler="cayley-u"
-    )
+    relations = _gram_relations(complex_entry_polys(registry, k), conjugate=True)
+    return Variety(f"U{k}", registry, relations, sampler=partial(_draw_cayley, k, True))
 
 
 @lru_cache(maxsize=None)
@@ -397,10 +399,30 @@ def special_unitary(k: int) -> Variety:
     registry = base.registry
     entries = complex_entry_polys(registry, k)
     det_re, det_im = poly_matrix_determinant(entries)
-    relations = list(base.relations) + [det_re - 1, det_im]
-    return Variety(
-        name=f"SU{k}", registry=registry, relations=relations, sampler="cayley-su"
-    )
+    relations = [*base.relations, det_re - 1, det_im]
+    return Variety(f"SU{k}", registry, relations, sampler=partial(_draw_special_unitary, k))
+
+
+# The constructor of each family by the prefix of its names, as in ``SO4``.
+_BY_PREFIX = {
+    "S": sphere, "R": euclidean, "SO": special_orthogonal, "U": unitary, "SU": special_unitary
+}
+
+
+def variety_by_name(name: str) -> Variety:
+    """The built-in variety whose ``name`` is ``name``: a prefix of
+    :data:`_BY_PREFIX` and a size, or ``S{n}xS{n}``."""
+    match = re.fullmatch(rf"({'|'.join(_BY_PREFIX)})(\d+)|S(\d+)xS(\d+)", name)
+    variety = None
+    if match and match[1]:
+        variety = _BY_PREFIX[match[1]](int(match[2]))
+    elif match:
+        if int(match[3]) != int(match[4]):
+            raise ValueError(f"unsupported product variety {name!r}")
+        variety = sphere_product(int(match[3]))
+    if variety is None or variety.name != name:  # not canonical, as ``S01``
+        raise ValueError(f"unknown variety name {name!r}")
+    return variety
 
 
 # ---------------------------------------------------------------------------
@@ -499,40 +521,37 @@ def _cayley(
     return q // common, [x // common for x in nums]
 
 
-def _sample_scaled(variety: Variety, rng: random.Random, height: int) -> Tuple[int, List[int]]:
-    """A random point of ``variety`` in scaled form ``(q, nums)``."""
-    kind = variety.sampler
-    if kind is None:
-        raise NoSamplerError(f"{variety.name} has no sampler")
-    if kind == "euclidean":
-        return _over_common_denominator(_bounded_pairs(rng, height, variety.ambient_dim))
-    if kind == "sphere":
-        n = variety.ambient_dim - 1
-        return _sphere_scaled(_bounded_pairs(rng, height, n))
-    if kind == "product":
-        parts = [
-            _sample_scaled(factor, random.Random(rng.getrandbits(64)), height)
-            for factor in variety.factors
-        ]
-        q = lcm(*[part_q for part_q, _ in parts])
-        return q, [x * (q // part_q) for part_q, part in parts for x in part]
-    if kind not in ("cayley-so", "cayley-u", "cayley-su"):
-        raise NoSamplerError(f"unknown sampler kind {kind!r}")
-    complex_entries = kind != "cayley-so"
-    k = isqrt(variety.ambient_dim // 2 if complex_entries else variety.ambient_dim)
+def _drawn(count: int, build, rng: random.Random, height: int) -> Tuple[int, List[int]]:
+    """``build`` of ``count`` random parameters ``(p, d)`` of height ``height``."""
+    return build(_bounded_pairs(rng, height, count))
+
+
+def _draw_cayley(k: int, complex_entries: bool, rng: random.Random, height: int):
+    """:func:`_cayley` of random parameters: a point of SO(k), or of U(k)."""
     count = k * k if complex_entries else k * (k - 1) // 2
-    q, nums = _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
-    if kind == "cayley-su":
-        # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
-        # conjugate w over q**k has determinant one.  Over q**(k + 1) that is
-        # column 0 times w and the rest times q**k, then in lowest terms.
-        z = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
-        w = linalg.integer_determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
-        scale = q**k
-        nums = [x for i, e in enumerate(z) for x in e * (scale if i % k else w)]
-        common = gcd(q * scale, *nums)
-        return q * scale // common, [x // common for x in nums]
-    return q, nums
+    return _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
+
+
+def _draw_pair(factor: Sampler, rng: random.Random, height: int) -> Tuple[int, List[int]]:
+    """Two points of ``factor``, each from its own generator seeded by
+    ``rng``, side by side over the lcm of their denominators."""
+    parts = [factor(random.Random(rng.getrandbits(64)), height) for _ in range(2)]
+    q = lcm(*[part_q for part_q, _ in parts])
+    return q, [x * (q // part_q) for part_q, part in parts for x in part]
+
+
+def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int, List[int]]:
+    """A point of ``unitary(k)`` with its determinant corrected in column 0."""
+    q, nums = unitary(k).sampler(rng, height)
+    # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
+    # conjugate w over q**k has determinant one.  Over q**(k + 1) that is
+    # column 0 times w and the rest times q**k, then in lowest terms.
+    z = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
+    w = linalg.integer_determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
+    scale = q**k
+    nums = [x for i, e in enumerate(z) for x in e * (scale if i % k else w)]
+    common = gcd(q * scale, *nums)
+    return q * scale // common, [x // common for x in nums]
 
 
 def sample_point(
@@ -540,8 +559,10 @@ def sample_point(
 ) -> PointOnVariety:
     """Deterministic exact rational point on the variety, drawn in scaled
     form and validated against every relation."""
+    if variety.sampler is None:
+        raise NoSamplerError(f"{variety.name} has no sampler")
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
-    return PointOnVariety.from_scaled(variety, *_sample_scaled(variety, rng, height))
+    return PointOnVariety.from_scaled(variety, *variety.sampler(rng, height))
 
 
 def sample_stream(

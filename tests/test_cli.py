@@ -1,17 +1,33 @@
 """End-to-end CLI tests, run in-process through ``cli.main``."""
 
+import ast
 import builtins
+import inspect
 import json
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from regmaps import catalog, cli
 from regmaps.groups import jmap_constant_identity, jmap_double_rotation, jmap_input_to_obj
-from regmaps.ratmap import map_from_obj
+from regmaps.ratmap import (
+    CodomainViolationError,
+    ExcludedLocusError,
+    VarietyMismatchError,
+    ZeroDenominatorError,
+    map_from_obj,
+)
 from regmaps.spheres import circle_power
-from regmaps.topology import winding
-from regmaps.varieties import euclidean, special_orthogonal, sphere, unitary
+from regmaps.topology import NonConvergenceError, winding
+from regmaps.varieties import (
+    NoSamplerError,
+    PointValidationError,
+    euclidean,
+    special_orthogonal,
+    sphere,
+    unitary,
+)
 
 
 def run(capsys, argv):
@@ -111,6 +127,13 @@ def test_eval_on_the_excluded_locus_is_a_check_failure(capsys):
     code, _, err = run(capsys, ["eval", "stereo:2", "--point=-1,0,0"])
     assert code == 1
     assert "check failed" in err
+
+
+def test_eval_whose_image_leaves_the_codomain_is_a_check_failure(capsys):
+    # jmap:rotation does not land on S2: its verify fails maps-into-codomain
+    code, out, err = run(capsys, ["eval", "jmap:rotation", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("check failed: image of jmap_rotation left S2: ")
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +422,57 @@ def test_unknown_verbs_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit status of errors
+# ---------------------------------------------------------------------------
+
+CHECK_FAILURE_CLASSES = [
+    ExcludedLocusError,
+    CodomainViolationError,
+    ZeroDenominatorError,
+    ZeroDivisionError,
+    NonConvergenceError,
+]
+USAGE_ERROR_CLASSES = [
+    catalog.UnknownMapError,
+    PointValidationError,
+    VarietyMismatchError,
+    NoSamplerError,
+    ValueError,
+]
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cls, 1) for cls in CHECK_FAILURE_CLASSES] + [(cls, 2) for cls in USAGE_ERROR_CLASSES],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_main_routes_each_error_to_its_exit_status(capsys, monkeypatch, error, code):
+    def verb(args):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "rh", verb)
+    prefix = "check failed: " if code == 1 else "error: "
+    assert run(capsys, ["rh", "2"]) == (code, "", prefix + "boom\n")
+
+
+def _except_clauses():
+    """The classes each ``except`` clause of ``cli.main`` catches, in order."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.main)))
+    handlers = next(node for node in ast.walk(tree) if isinstance(node, ast.Try)).handlers
+    clauses = []
+    for handler in handlers:
+        caught = eval(compile(ast.Expression(handler.type), "<main>", "eval"), vars(cli))
+        clauses.append(caught if isinstance(caught, tuple) else (caught,))
+    return clauses
+
+
+def test_each_check_failure_reaches_the_clause_that_names_it():
+    # CodomainViolationError and ZeroDenominatorError are ValueErrors: a
+    # clause for ValueError before theirs would report them as usage errors.
+    clauses = _except_clauses()
+    for cls in CHECK_FAILURE_CLASSES:
+        first = next(clause for clause in clauses if issubclass(cls, clause))
+        assert cls in first, (cls, first)

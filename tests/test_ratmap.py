@@ -47,8 +47,10 @@ from regmaps.varieties import (
     sample_point,
     sample_points,
     special_orthogonal,
+    special_unitary,
     sphere,
     sphere_product,
+    unitary,
 )
 
 
@@ -440,6 +442,8 @@ def test_variety_by_name_covers_the_registry():
         ("R3", euclidean(3)),
         ("S1xS1", sphere_product(1)),
         ("SO4", special_orthogonal(4)),
+        ("U2", unitary(2)),
+        ("SU3", special_unitary(3)),
     ]:
         assert variety_by_name(name) is expected
     with pytest.raises(ValueError):

