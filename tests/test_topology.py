@@ -203,7 +203,9 @@ def _frame_integrand(f, points):
 
 
 @pytest.mark.parametrize(
-    "f", [phi_double(3), antipodal(4), reflect(3, 2)], ids=["phi:3", "antipodal:4", "reflect:3:2"]
+    "f",
+    [phi_double(2), phi_double(3), antipodal(4), reflect(3, 2), phi_double(7)],
+    ids=["phi:2", "phi:3", "antipodal:4", "reflect:3:2", "phi:7"],
 )
 def test_frame_free_integrand_equals_the_tangent_frame_determinant(f):
     dim = f.domain.ambient_dim
@@ -219,10 +221,14 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(f):
 
 # estimate, half_width and resampled as measured with explicit tangent frames
 GOLDEN_RUNS = [
+    (2, 0, -0.013088865499482261, 0.049229494920091856, 0),
+    (2, 1, -0.011152785066281003, 0.04879627727402457, 0),
     (3, 0, 1.9823241219080745, 0.0422895532691579, 0),
     (3, 1, 1.9927365459084039, 0.04236432142701127, 0),
     (4, 0, -0.010686037473128516, 0.07410608606109013, 0),
     (4, 1, -0.03840900487312066, 0.07425097121880672, 0),
+    (7, 0, 1.9774131712597385, 0.13489563236525645, 0),
+    (7, 1, 1.9859895404267611, 0.13801285005962055, 0),
 ]
 
 
