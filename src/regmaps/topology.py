@@ -9,6 +9,11 @@
   those frames that matrix is [[1, f^T J B_x], [0, B_f^T J B_x]]; so no
   frame is built.  Deterministic for a fixed seed: points are drawn in
   fixed-size chunks from counter-based streams keyed by (seed, chunk).
+  Each chunk's matrices are held batch-last, one ``(dim, batch)`` array per
+  row, and up to ``LAPLACE_MAX_DIM`` their determinants come from a Laplace
+  expansion that builds the minors of the bottom k rows from those of the
+  bottom k - 1 (dim * 2^(dim-1) vector products, no call per matrix);
+  larger dimensions go to LAPACK through ``np.linalg.det``.
 * :func:`regular_value_probe` -- exact-arithmetic check that given fiber
   points map to a common value and that the differential, restricted to
   the domain tangent space and projected to the codomain tangent space,
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import dropwhile
+from itertools import combinations, dropwhile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +39,14 @@ from .spheres import stereo_inv
 from .varieties import PointOnVariety, sphere
 
 CHUNK_SIZE = 1 << 14
+
+# Largest dimension whose Monte Carlo determinants come from the shared-minor
+# expansion; above it, np.linalg.det.  One chunk of 16,384 matrices, best of
+# 15 on a 2-vCPU x86-64 machine with OpenBLAS 0.3.31 (expansion vs LAPACK):
+# d = 4 0.5 vs 7.4 ms, d = 5 1.5 vs 9.7 ms, d = 6 3.8 vs 13.1 ms,
+# d = 7 6.9 vs 12.6 ms, d = 8 16.4 vs 14.0 ms, d = 9 52 vs 26 ms.  The
+# expansion's cost doubles with each dimension; LAPACK's is polynomial.
+LAPLACE_MAX_DIM = 7
 
 
 class NonConvergenceError(RuntimeError):
@@ -179,28 +192,65 @@ def _map_terms(f: RationalMap) -> _MapTerms:
     )
 
 
+def _batch_det(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Determinants of a batch-last stack: ``rows[i][j]`` holds entry
+    ``(i, j)`` of every matrix.
+
+    Up to ``LAPLACE_MAX_DIM`` rows, a Laplace expansion along each row in
+    turn, bottom up: the minor of the bottom k rows on columns ``cols`` is
+    the alternating sum over ``p`` of ``row[cols[p]]`` times the minor of the
+    bottom k - 1 rows on ``cols`` without ``cols[p]``.  Exact on integer
+    entries whose products stay below 2**53.
+    """
+    dim = len(rows)
+    if dim > LAPLACE_MAX_DIM:
+        return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
+    minors = {(j,): rows[-1][j] for j in range(dim)}
+    for top in range(dim - 2, -1, -1):
+        row = rows[top]
+        below = minors
+        minors = {}
+        for cols in combinations(range(dim), dim - top):
+            acc = row[cols[0]] * below[cols[1:]]
+            for p in range(1, len(cols)):
+                term = row[cols[p]] * below[cols[:p] + cols[p + 1:]]
+                if p % 2:
+                    acc -= term
+                else:
+                    acc += term
+            minors[cols] = acc
+    return minors[tuple(range(dim))]
+
+
 def _degree_integrand(
     terms: _MapTerms, points: np.ndarray, den: np.ndarray, cache: dict
 ) -> np.ndarray:
     """``det(f x^T + J (I - x x^T))`` for each unit row ``x`` of ``points``.
 
     ``den`` is the denominator at the points and ``cache`` its power cache.
-    The matrices are built batch-last, ``(dim, dim, batch)``, column-wise.
+    Row i of the matrix is ``J_i + (f_i - J_i . x) x^T``, with the quotient
+    rule ``J_i = (dn_i den - n_i dden) / den^2``; it is built as one
+    ``(dim, batch)`` array, skipping partials that are identically zero.
     """
     dim = points.shape[1]
-    x = points.T
+    x = np.ascontiguousarray(points.T)
     nums = np.stack([_batch_eval(d, points, cache) for d in terms.num])
     images = nums / den
     images /= np.linalg.norm(images, axis=0)
-    dden = [_batch_eval(d, points, cache) for d in terms.dden]
-    m = np.empty((dim, dim, points.shape[0]))
+    dden = [_batch_eval(d, points, cache) if d else None for d in terms.dden]
+    den_sq = den * den
+    rows = []
     for i in range(dim):
+        row = np.zeros_like(x)
         for j in range(dim):
-            dn = _batch_eval(terms.dnum[i][j], points, cache)
-            m[i, j] = dn * den - nums[i] * dden[j]
-    m /= den * den  # m is now J; add (f - J x) x^T
-    m += (images - np.sum(m * x, axis=1))[:, None, :] * x
-    return np.linalg.det(np.ascontiguousarray(m.transpose(2, 0, 1)))
+            if terms.dnum[i][j]:
+                row[j] = _batch_eval(terms.dnum[i][j], points, cache) * den
+            if dden[j] is not None:
+                row[j] -= nums[i] * dden[j]
+        row /= den_sq  # row is now J_i; add (f_i - J_i . x) x^T
+        row += (images[i] - np.sum(row * x, axis=0)) * x
+        rows.append(row)
+    return _batch_det(rows)
 
 
 def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
@@ -210,6 +260,9 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
     points ``x`` (``f`` the normalized image, ``J`` the float Jacobian; the
     identity holds because the right-hand matrix is block upper-triangular
     with corner 1 in the oriented frames ``[x | B_x]``, ``[f | B_f]``).
+    The determinants of each chunk come from ``_batch_det``: a shared-minor
+    Laplace expansion up to ``LAPLACE_MAX_DIM`` (ambient dimension), else
+    ``np.linalg.det``.
     Reports a three-sigma half-width; the estimate is conclusive when
     the half-width is below one half.  Points where the denominator is
     numerically zero are redrawn from the same stream (and counted).

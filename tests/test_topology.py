@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regmaps.groups import fiber_points, first_column, j_map, jmap_rotation, section_so
+from regmaps.linalg import integer_determinant
 from regmaps.polynomial import Polynomial
 from regmaps.ratmap import RationalMap, compose, constant_map, identity_map
 from regmaps.spheres import (
@@ -20,6 +21,8 @@ from regmaps.spheres import (
     sphere_identity,
 )
 from regmaps.topology import (
+    LAPLACE_MAX_DIM,
+    _batch_det,
     _batch_eval,
     _degree_integrand,
     _map_terms,
@@ -167,6 +170,39 @@ def test_degree_rejects_seeds_outside_the_stream_key_range():
     top = degree_mc(phi_double(3), samples=100, seed=2**64 - 1)
     assert top.seed == 2**64 - 1
     assert top.estimate != degree_mc(phi_double(3), samples=100, seed=0).estimate
+
+
+KERNEL_DIMS = range(1, LAPLACE_MAX_DIM + 2)  # the expansion, then LAPACK
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_batch_determinant_agrees_with_lapack(dim):
+    stack = np.random.default_rng(dim).standard_normal((dim, dim, 2000))
+    reference = np.linalg.det(stack.transpose(2, 0, 1))
+    row_norms = np.prod(np.linalg.norm(stack, axis=1), axis=0)  # Hadamard's bound
+    assert np.all(np.abs(_batch_det(stack) - reference) <= 1e-12 * row_norms)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_batch_determinant_of_permutation_matrices_is_their_sign(dim):
+    rng = np.random.default_rng(dim)
+    perms = [rng.permutation(dim) for _ in range(500)]
+    stack = np.zeros((dim, dim, len(perms)))
+    for b, perm in enumerate(perms):
+        stack[np.arange(dim), perm, b] = 1.0
+    inversions = [sum(p[i] > p[j] for i in range(dim) for j in range(i + 1, dim)) for p in perms]
+    assert np.array_equal(_batch_det(stack), [(-1.0) ** n for n in inversions])
+
+
+@pytest.mark.parametrize("dim", range(2, LAPLACE_MAX_DIM + 1))
+def test_the_expansion_is_exact_on_small_integers(dim):
+    # pivoted LAPACK elimination rounds; the expansion only adds and multiplies
+    rng = np.random.default_rng(dim)
+    stack = rng.integers(-9, 10, size=(dim, dim, 300)).astype(float)
+    exact = [integer_determinant(stack[:, :, b].astype(int).tolist()) for b in range(300)]
+    assert np.array_equal(_batch_det(stack), exact)
+    stack[-1] = stack[0]  # a repeated row
+    assert np.all(_batch_det(stack) == 0)
 
 
 def _oriented_frame(v, completion):
