@@ -89,7 +89,11 @@ def _jmap_spec(rest: List[str], name: str) -> list:
     except json.JSONDecodeError as exc:
         raise UnknownMapError(f"family file {path!r} is not valid JSON: {exc}") from exc
     try:
+        # bounded before any polynomial of the file is built
+        _bounded(FAMILIES["jmap"], [obj["base_dim"], obj["matrix_size"]], name)
         return [groups.jmap_input_from_obj(obj)]
+    except UnknownMapError:
+        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise UnknownMapError(f"family file {path!r} is malformed: {exc}") from exc
 

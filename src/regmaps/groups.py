@@ -543,8 +543,9 @@ def jmap_input_to_obj(spec: JMapInput) -> dict:
 
 
 def jmap_input_from_obj(obj: dict) -> JMapInput:
-    n = int(obj["base_dim"])
-    k = int(obj["matrix_size"])
+    n, k = obj["base_dim"], obj["matrix_size"]
+    if type(n) is not int or type(k) is not int:
+        raise TypeError("base_dim and matrix_size must be integers")
     registry = euclidean(n + 1).registry
     entries = tuple(
         tuple(polynomial_from_obj(p, registry) for p in row) for row in obj["entries"]

@@ -358,6 +358,33 @@ def test_a_jmap_file_with_a_broken_term_is_malformed(capsys, tmp_path, broken):
     assert "is malformed" in err
 
 
+@pytest.mark.parametrize("size", [2.7, "3", True, None], ids=repr)
+@pytest.mark.parametrize("key", ["base_dim", "matrix_size"])
+def test_jmap_file_sizes_must_be_integers(capsys, tmp_path, key, size):
+    obj = jmap_input_to_obj(jmap_double_rotation())
+    obj[key] = size
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["build", f"jmap:{path}"])
+    assert (code, out) == (2, "")
+    assert "must be integers" in err
+
+
+@pytest.mark.parametrize("key", ["base_dim", "matrix_size"])
+def test_jmap_file_sizes_are_bounded(capsys, tmp_path, key):
+    bound = catalog.JMAP_MAX_SIZE
+    built = euclidean.cache_info().currsize
+    obj = jmap_input_to_obj(jmap_double_rotation())
+    for size in (bound + 1, -bound - 1):
+        obj[key] = size
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, ["build", f"jmap:{path}"])
+        assert (code, out) == (2, "")
+        assert f"bounded by {bound}" in err
+    assert euclidean.cache_info().currsize == built  # refused before any build
+
+
 def test_circle_power_degree_is_bounded(capsys):
     bound = catalog.ZPOW_MAX_DEGREE
     built = circle_power.cache_info().currsize
