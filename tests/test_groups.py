@@ -1,6 +1,7 @@
 """Maps into and out of the matrix groups: sections, retractions, embeddings,
 and the sphere maps built from matrix families."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from regmaps.ratmap import (
     coordinate_map,
     equal_symbolic,
     identity_map,
+    map_to_json,
     maps_into,
 )
 from regmaps.spheres import basepoint, sphere_identity
@@ -72,6 +74,51 @@ def as_complex(coords, k):
 
 
 GAUSS_ONE = ComplexPair(Fraction(1), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the bundle builders, pinned by the sha256 of their map_to_json
+# ---------------------------------------------------------------------------
+
+BUNDLE_PINS = {
+    ("section_so", 2): "a4a83bea9bb9904f5a3fddffd01334e635b243de3113d7f563bb53785f7bba48",
+    ("section_so", 3): "510a408fd6bedf5564afecd03fabbc0287280c2db6db68414330a6c0e164bbc1",
+    ("section_so", 4): "cee6b3c99e35c8889226162091a1f07c52410d4af8f0912faf7427fe2ebdd22f",
+    ("section_so", 5): "59a05d7e835013900abad5b3dad228c9a9cceab767cd4c0f16fd4a845f0c300a",
+    ("section_so", 6): "81160bd60b8880dd279383850420b983a998f2c2c7f6128121e3dddf6a2559ee",
+    ("section_so", 7): "cc3a4119d09d78d23312571266caffa04271c0ef35931dc0fae2fbb03a3996fa",
+    ("section_so", 8): "9731e8802e8f3a1bb00cbfb54b12c3061ecf83d90c06e576037e2b6047147717",
+    ("section_u", 1): "d545aaa83a1504e35363032249a437b4194339aca1dd1befcff8d292a230df09",
+    ("section_u", 2): "ad678b970263b93581e74aea776a542407bf281512f03124dab3851bcad9fd64",
+    ("section_u", 3): "8a9535bcbd49d18cf9090b48919417075827051e2d2f5255c058f64ded47eaad",
+    ("section_u", 4): "1939d2b9a1673ffe2138de53fa69acf338fb92a69a38e0fc638f3f6ead51f695",
+    ("section_u", 5): "f2ec40496171d9f3ed83978d2839bbb40eafa139d9a1920ae2ef37f4cf21fdbd",
+    ("first_column", 2): "893fdc435b20c4c83538710c7865e1dd23db6e131b838aca3a609c49a938c1dd",
+    ("first_column", 3): "b162bb033da2f68298184db686e252989b432ee0de96c13189e9e11a30f69b81",
+    ("first_column", 4): "5240aa658f444a0d3d16633d19ae6352ed019065201ce3bf3697abe5a926bfb4",
+    ("first_column", 5): "f426a97bca7f9a3073c0f52b38a8b4d93c869b411fa432b92f04a27d5e9de12d",
+    ("first_column", 6): "a0cdb7bf06cb14f1f110680793abdcb2ad40fa8c270de334a727017314241645",
+    ("first_column", 7): "f0d5279b95e4ad623f592fd3174696522b62e09beefa05a1227288abeecdb634",
+    ("first_column", 8): "e9641b45b1fac2155d708b58d441d58cc4eb50f5516e939057ca3cffd8e44759",
+    ("first_column_u", 1): "1443f4de0c21c57c26133abc66d8fc698e60428a663ba923b5da0bdc6f58c909",
+    ("first_column_u", 2): "7110b25fa0b17678267d0177d7f5fd5d6844ed1f3873a627db22513672bce091",
+    ("first_column_u", 3): "7fcf00d140f52868513db4cdf9f8361b8f3d4c73b0340f2d7743156c35cadb7a",
+    ("first_column_u", 4): "5cd7430f4dd0951bfb906d81eb225edea484c192fa507b4d1c158e58152437ae",
+    ("first_column_u", 5): "c51ad5e63063c78d344e5d3cbed6327f41a40830eafbfee58f0978b54ad0cc07",
+}
+BUILDERS = {
+    "section_so": section_so,
+    "section_u": section_u,
+    "first_column": first_column,
+    "first_column_u": first_column_u,
+}
+
+
+@pytest.mark.parametrize("builder, size", sorted(BUNDLE_PINS))
+def test_bundle_builder_json_is_pinned(builder, size):
+    built = BUILDERS[builder](size)
+    digest = hashlib.sha256(map_to_json(built).encode()).hexdigest()
+    assert digest == BUNDLE_PINS[builder, size]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +286,17 @@ def test_unitary_section_is_unitary_at_samples():
 def test_unitary_section_lands_in_the_group_symbolically():
     report = maps_into(section_u(2))
     assert report.passed and report.method == "symbolic"
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_sections_agree_on_the_real_slice(k):
+    # at (x1, 0, x2, 0, ...) every z_j is real, so the unitary section's
+    # entries are the rotation section's, with zero imaginary parts
+    for pt in sample_points(sphere(k - 1), 5, seed=k):
+        interleaved = [c for x in pt.coords for c in (x, Fraction(0))]
+        value = section_u(k).evaluate_raw(interleaved)
+        assert value[0::2] == section_so(k).evaluate_raw(pt.coords)
+        assert not any(value[1::2])
 
 
 # ---------------------------------------------------------------------------
