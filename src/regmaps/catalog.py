@@ -308,9 +308,9 @@ SU_RETRACT_MAX_SIZE = 5
 # build phi:1000 takes 5 s.  The oplus suite builds the chart route: verify
 # oplus:100 35 s and oplus:80 24 s, while build oplus:300 takes 34 s at 1.2 GB.
 # build jmap:identity:700:700 32 s, 800:800 56 s (k = n is the worst shape:
-# 2:1000 38 s, 1000:2 6 s).  U(k) names its variables a{i}{j} without a
-# separator, so they collide from k = 11; build r-u:10 7-8 s, s-u:10 4-5 s
-# and p-u:10 1 s.
+# 2:1000 38 s, 1000:2 6 s).  U(k) stops at the round size 10, whose builds
+# are short (build r-u:10 7-8 s, s-u:10 4-5 s, p-u:10 1 s); the verbs have not
+# been timed above it.
 SPHERE_MAX_DIM = 3000
 CHART_MAX_DIM = 400
 OPLUS_MAX_DIM = 100

@@ -39,10 +39,13 @@ CHECK_FAILED = 1
 
 def _emit(payload, output: Optional[str] = None) -> None:
     line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(line)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(line)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(line)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from exc
+    sys.stdout.write(line)
 
 
 def _note(message: str) -> None:

@@ -8,20 +8,18 @@ group onto the stabilizer subgroup of the basepoint, and iterating the
 retraction down a flag of embedded subgroups gives the chain retraction
 onto a small subgroup.
 
-Real case (n x n rotations, section over S^{n-1}, denominator 1 + x1):
+The section of SO(n) lives over S^{n-1} with real entries z_i = x_i; the
+section of U(k) lives over S^{2k-1} with z_j = x_{2j-1} + i x_{2j}.  One
+table gives both, with conj the identity on real entries.  Entry (i, j)
+is F_ij / (1 + conj(z1)):
 
-    column 1      x_i
-    row 1, j>1    -x_j
-    diagonal i>1  1 - x_i^2 / (1 + x1)
-    i != j, >1    -x_i x_j / (1 + x1)
+    column 1      z_i (1 + conj(z1))
+    row 1, j>1    -(1 + z1) conj(z_j)
+    diagonal i>1  (1 + conj(z1)) - z_i conj(z_i)
+    i != j, >1    -z_i conj(z_j)
 
-Complex case (k x k unitaries over S^{2k-1}; z_j = x_{2j-1} + i x_{2j},
-denominator (1 + z1)(1 + conj(z1)) = (1 + x1)^2 + x2^2):
-
-    column 1      z_i
-    row 1, j>1    -(1 + z1) conj(z_j) / (1 + conj(z1))
-    diagonal i>1  1 - z_i conj(z_i) / (1 + conj(z1))
-    i != j, >1    -z_i conj(z_j) / (1 + conj(z1))
+In the complex case every F_ij and the denominator are multiplied by
+(1 + z1), so the denominator is the real |1 + z1|^2 = (1 + x1)^2 + x2^2.
 
 Both sections send the basepoint to the identity matrix and are proved
 orthogonal/unitary symbolically at construction time, by reducing the
@@ -150,12 +148,17 @@ def embed_special_unitary(k: int) -> MatrixMap:
 # ---------------------------------------------------------------------------
 
 
-def _block_column(m: int, size: int, label: str) -> RationalMap:
-    """SO(m) -> S^{size-1}: the first column of the lower-right size x size
-    block.  It lands on the sphere wherever the matrix is block-diagonal."""
+def _block_column(m: int, size: int, label: str, complex_entries: bool = False) -> RationalMap:
+    """SO(m) -> S^{size-1}, or U(m) -> S^{2 size-1} realified: the first
+    column of the lower-right size x size block.  It lands on the sphere
+    wherever the matrix is block-diagonal."""
+    width = 2 if complex_entries else 1
     offset = m - size
-    picks = [(r * m + offset, 1) for r in range(offset, m)]
-    return coordinate_map(special_orthogonal(m), sphere(size - 1), picks, label)
+    picks = [
+        (width * (r * m + offset) + part, 1) for r in range(offset, m) for part in range(width)
+    ]
+    group = unitary(m) if complex_entries else special_orthogonal(m)
+    return coordinate_map(group, sphere(width * size - 1), picks, label)
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +174,42 @@ def first_column_u(k: int) -> RationalMap:
     """U(k) -> S^{2k-1}, the realified first column."""
     if k < 1:
         raise ValueError("need k >= 1")
-    picks = [(2 * i * k + part, 1) for i in range(k) for part in (0, 1)]
+    return verified(_block_column(k, k, f"first_column_u_{k}", True), *_CHECK)
+
+
+def _section(k: int, complex_entries: bool, excluded: str, label: str) -> MatrixMap:
+    """The k x k section over the sphere of first columns, entries as in the
+    module docstring's table.  Complex entries are multiplied by (1 + z1)
+    above and below, so that the denominator |1 + z1|^2 is real."""
+    dom = sphere((2 if complex_entries else 1) * k - 1)
+    x = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
+    if complex_entries:
+        z = [ComplexPair(x[2 * j], x[2 * j + 1]) for j in range(k)]
+        conj = ComplexPair.conjugate
+    else:
+        z, conj = x, lambda p: p
+    lead = 1 + z[0]
+    lead_bar = conj(lead)
+    entries = []
+    for i in range(k):
+        for j in range(k):
+            if j == 0:
+                entries.append(z[i] * lead_bar)
+            elif i == 0:
+                entries.append(-lead * conj(z[j]))
+            elif i == j:
+                entries.append(lead_bar - z[i] * conj(z[i]))
+            else:
+                entries.append(-z[i] * conj(z[j]))
+    if complex_entries:
+        nums = [part for entry in entries for part in entry * lead]
+        den = (lead_bar * lead).re
+    else:
+        nums, den = entries, lead_bar
+    group = unitary(k) if complex_entries else special_orthogonal(k)
     return verified(
-        coordinate_map(unitary(k), sphere(2 * k - 1), picks, f"first_column_u_{k}"), *_CHECK
+        MatrixMap(dom, group, nums, den, k, k, complex_entries, excluded=excluded, label=label),
+        *_CHECK,
     )
 
 
@@ -182,34 +218,7 @@ def section_so(n: int) -> MatrixMap:
     """S^{n-1} -> SO(n): a rotation with prescribed first column."""
     if n < 2:
         raise ValueError("need n >= 2")
-    dom = sphere(n - 1)
-    reg = dom.registry
-    x = [Polynomial.variable(reg, i) for i in range(n)]
-    den = Polynomial.one(reg) + x[0]
-    nums: List[Polynomial] = []
-    for i in range(n):
-        for j in range(n):
-            if j == 0:
-                nums.append(x[i] * den)
-            elif i == 0:
-                nums.append(-x[j] * den)
-            elif i == j:
-                nums.append(den - x[i] * x[i])
-            else:
-                nums.append(-x[i] * x[j])
-    return verified(
-        MatrixMap(
-            dom,
-            special_orthogonal(n),
-            nums,
-            den,
-            rows=n,
-            cols=n,
-            excluded="x1 = -1",
-            label=f"section_so_{n}",
-        ),
-        *_CHECK,
-    )
+    return _section(n, False, "x1 = -1", f"section_so_{n}")
 
 
 @lru_cache(maxsize=None)
@@ -217,44 +226,7 @@ def section_u(k: int) -> MatrixMap:
     """S^{2k-1} -> U(k): a unitary matrix with prescribed first column."""
     if k < 1:
         raise ValueError("need k >= 1")
-    dom = sphere(2 * k - 1)
-    reg = dom.registry
-    z = [
-        ComplexPair(Polynomial.variable(reg, 2 * j), Polynomial.variable(reg, 2 * j + 1))
-        for j in range(k)
-    ]
-    zbar = [p.conjugate() for p in z]
-    lead = 1 + z[0]
-    lead_bar = lead.conjugate()
-    den_complex = lead * lead_bar
-    den_re, den_im = den_complex
-    assert den_im.is_zero()
-    nums: List[Polynomial] = []
-    for i in range(k):
-        for j in range(k):
-            if j == 0:
-                entry = z[i] * den_complex
-            elif i == 0:
-                entry = -(lead * lead) * zbar[j]
-            elif i == j:
-                entry = lead * (lead_bar - z[i] * zbar[i])
-            else:
-                entry = -z[i] * zbar[j] * lead
-            nums.extend(entry)
-    return verified(
-        MatrixMap(
-            dom,
-            unitary(k),
-            nums,
-            den_re,
-            rows=k,
-            cols=k,
-            complex_entries=True,
-            excluded="x1 = -1, x2 = 0 (the antipode of the basepoint)",
-            label=f"section_u_{k}",
-        ),
-        *_CHECK,
-    )
+    return _section(k, True, "x1 = -1, x2 = 0 (the antipode of the basepoint)", f"section_u_{k}")
 
 
 # ---------------------------------------------------------------------------

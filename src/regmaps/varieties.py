@@ -10,7 +10,7 @@ Built-in families
 * ``sphere(n)``           unit sphere in R^{n+1}, variables ``x1..x{n+1}``
 * ``euclidean(n)``        affine n-space, variables ``X1..Xn``
 * ``sphere_product(n)``   two sphere blocks ``x*`` and ``y*``
-* ``special_orthogonal(n)``  n x n real matrices, entries ``g11..gnn``
+* ``special_orthogonal(n)``  n x n real matrices, entries ``g1_1..gn_n``
   row-major, with orthonormal rows and columns and determinant one.  The
   relations are the n(n+1) upper-triangle entries of ``M^T M - I`` and
   ``M M^T - I``, each of degree two.  Determinant one is no relation but
@@ -18,7 +18,7 @@ Built-in families
   integer determinant (:meth:`Variety.first_violation`), and symbolic
   proofs as :func:`regmaps.ratmap.maps_into` describes
 * ``unitary(k)``          k x k complex matrices; each entry ``z_ij``
-  is stored as the interleaved real pair ``a_ij, b_ij`` (row-major), and
+  is stored as the interleaved real pair ``ai_j, bi_j`` (row-major), and
   the unitarity relations are the real and imaginary parts of
   ``Z* Z - I`` and ``Z Z* - I``, built over
   :class:`~regmaps.polynomial.ComplexPair` entries
@@ -256,7 +256,7 @@ def matrix_entry_polys(variety_registry: VarRegistry, n: int) -> List[List[Polyn
 
 def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[ComplexPair]]:
     """Complex k x k entries z_ij = a_ij + i b_ij over the interleaved
-    row-major registry (a11, b11, a12, b12, ...)."""
+    row-major registry (a1_1, b1_1, a1_2, b1_2, ...)."""
     return [
         [
             ComplexPair(
@@ -367,7 +367,7 @@ def sphere_product(n: int) -> Variety:
 def special_orthogonal(n: int) -> Variety:
     if n < 1:
         raise ValueError("matrix size must be positive")
-    names = [f"g{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    names = [f"g{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     registry = VarRegistry(names)
     entries = matrix_entry_polys(registry, n)
     return Variety(
@@ -386,8 +386,8 @@ def unitary(k: int) -> Variety:
     names = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            names.append(f"a{i}{j}")
-            names.append(f"b{i}{j}")
+            names.append(f"a{i}_{j}")
+            names.append(f"b{i}_{j}")
     registry = VarRegistry(names)
     relations = _gram_relations(complex_entry_polys(registry, k), conjugate=True)
     return Variety(f"U{k}", registry, relations, sampler=partial(_draw_cayley, k, True))

@@ -77,6 +77,15 @@ def test_output_flag_tees_the_json(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_output_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "map.json"
+    code, out, err = run(capsys, ["build", "id:1", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "error: cannot write --output" in err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

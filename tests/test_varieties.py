@@ -64,6 +64,14 @@ def test_constructors_are_cached_and_compare_by_name():
     assert euclidean(4).ambient_dim == 4
 
 
+def test_matrix_groups_build_past_size_ten():
+    # the entry names separate row and column: a1_11 and a11_1 differ
+    so11, u11 = special_orthogonal(11), unitary(11)
+    assert so11.ambient_dim == 121 and u11.ambient_dim == 242
+    assert so11.registry.names[:2] == ("g1_1", "g1_2")
+    assert u11.registry.names[20:24] == ("a1_11", "b1_11", "a2_1", "b2_1")
+
+
 def test_block_reducibility_flags():
     assert sphere(3).block_reducible()
     assert sphere_product(2).block_reducible()
