@@ -442,6 +442,59 @@ def test_first_violation_is_the_same_from_either_form():
             assert variety.first_violation_scaled(k * q, nums) == expected, (variety, k)
 
 
+def _sampled_coords(variety, seed):
+    return list(sample_point(variety, seed, height=3).coords)
+
+
+def _failing_points():
+    """Named failing points of every built-in kind and small size, with
+    the first failing relation and its residual."""
+    f = Fraction
+    s4 = [f(3, 5), 0, 0, 0, f(8, 5)]
+    cases = {
+        "S0 stretched": (sphere(0), [f(2)], (0, f(3))),
+        "S2 stretched": (sphere(2), [f(6, 5), 0, f(4, 5)], (0, f(27, 25))),
+        "S4 stretched": (sphere(4), s4, (0, f(48, 25))),
+        "S2xS2 second block": (
+            sphere_product(2), [f(3, 5), f(4, 5), 0, 0, f(3, 5), f(8, 5)], (1, f(48, 25))
+        ),
+    }
+    scaled_row = {
+        2: f(27, 25), 3: f(13467, 10609), 4: f(30603, 243049), 5: f(1, 38307)
+    }
+    for n, residual in scaled_row.items():
+        group = special_orthogonal(n)
+        reflected = _sampled_coords(group, n)
+        reflected[:n] = [-x for x in reflected[:n]]  # det -1, Gram relations kept
+        cases[f"SO{n} reflected"] = (group, reflected, (n * (n + 1), f(-2)))
+        stretched = _sampled_coords(group, 7)
+        stretched[:n] = [2 * x for x in stretched[:n]]
+        cases[f"SO{n} scaled row"] = (group, stretched, (0, residual))
+    scaled_row = {1: f(3), 2: f(3, 17), 3: f(170787, 203125)}
+    for k, residual in scaled_row.items():
+        stretched = _sampled_coords(unitary(k), 7)
+        stretched[: 2 * k] = [2 * x for x in stretched[: 2 * k]]
+        cases[f"U{k} scaled row"] = (unitary(k), stretched, (0, residual))
+        group = special_unitary(k)
+        turned = _sampled_coords(group, k)
+        for i in range(0, 2 * k * k, 2 * k):  # column 0 times i: det i
+            turned[i], turned[i + 1] = -turned[i + 1], turned[i]
+        # det - 1 is the first relation after the Gram relations of U(k)
+        cases[f"SU{k} det i"] = (group, turned, (len(unitary(k).relations), f(-1)))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_failing_points()))
+def test_first_violation_is_pinned_on_failing_points_of_every_kind(name):
+    variety, coords, expected = _failing_points()[name]
+    coords = [Fraction(c) for c in coords]
+    assert variety.first_violation(coords) == expected
+    q = lcm(*[c.denominator for c in coords])
+    for k in (1, 7, 10**12 + 39):  # the reduced form and unreduced ones
+        nums = [c.numerator * (k * q // c.denominator) for c in coords]
+        assert variety.first_violation_scaled(k * q, nums) == expected, k
+
+
 def test_integer_solve_matches_the_rational_solve():
     rng = random.Random(8)
     cases = [([[0, 2], [3, 4]], [[1], [2]]), ([[5]], [[3, -10]])]
