@@ -667,13 +667,14 @@ def maps_into(
 
     Symbolic route (complete proof) when the domain is reducible to sphere
     blocks: each codomain relation, cleared of denominators, must have zero
-    normal form, and a codomain with ``unit_determinant`` then gets one
-    more step, :func:`_unit_determinant_holds`.  Otherwise falls back to
-    exact evaluation at sampled points of the domain, where
-    :meth:`~regmaps.varieties.Variety.first_violation` checks the
-    determinant too.  ``checked`` counts relations, the determinant step
-    included (symbolic), or sample points (sampling); a failed determinant
-    is ``failed_relation`` ``len(relations)``.
+    normal form, and a codomain whose ``unit_determinant`` is set (SO(n),
+    whose recorded :class:`~regmaps.varieties.MatrixGroup` is real and
+    special) then gets one more step, :func:`_unit_determinant_holds`.
+    Otherwise falls back to exact evaluation at sampled points of the
+    domain, where :meth:`~regmaps.varieties.Variety.first_violation`
+    checks the determinant too.  ``checked`` counts relations, the
+    determinant step included (symbolic), or sample points (sampling); a
+    failed determinant is ``failed_relation`` ``len(relations)``.
     """
     if f.domain.block_reducible():
         relations = f.codomain.relations

@@ -14,15 +14,18 @@ Built-in families
   row-major, with orthonormal rows and columns and determinant one.  The
   relations are the n(n+1) upper-triangle entries of ``M^T M - I`` and
   ``M M^T - I``, each of degree two.  Determinant one is no relation but
-  the recorded ``unit_determinant``: points are checked by an exact
-  integer determinant (:meth:`Variety.first_violation`), and symbolic
-  proofs as :func:`regmaps.ratmap.maps_into` describes
+  recorded in ``matrix`` (:class:`MatrixGroup`): points are checked by an
+  exact integer determinant (:meth:`Variety.first_violation`), and
+  symbolic proofs as :func:`regmaps.ratmap.maps_into` describes
 * ``unitary(k)``          k x k complex matrices; each entry ``z_ij``
   is stored as the interleaved real pair ``ai_j, bi_j`` (row-major), and
   the unitarity relations are the real and imaginary parts of
   ``Z* Z - I`` and ``Z Z* - I``, built over
   :class:`~regmaps.polynomial.ComplexPair` entries
-* ``special_unitary(k)``  additionally determinant one (realified)
+* ``special_unitary(k)``  additionally determinant one, as the real and
+  imaginary parts of a Leibniz determinant (k! terms); symbolic proofs
+  and the rank probe read them, points are checked by an exact
+  determinant over the Gaussian integers instead
 
 :func:`variety_by_name` reads each back from its ``name`` (``S2xS2``, ``SO4``).
 
@@ -43,7 +46,9 @@ fraction-free solve on the realified matrix (:func:`_cayley`), and the
 determinant correction of SU(k) takes one fraction-free determinant over
 the Gaussian integers (``ComplexPair`` entries with ``int`` parts).
 :func:`sample_point` validates that form against every relation
-(:meth:`Variety.first_violation_scaled`) and keeps it as the only stored
+(:meth:`Variety.first_violation_scaled`: on a built-in variety one exact
+integer kernel per kind of relation, sphere block, Gram block or unit
+determinant, with no polynomial evaluated) and keeps it as the only stored
 form of the :class:`PointOnVariety`, whose ``Fraction`` coordinates are
 built on first read; the denominator audit of ``verify`` and the
 evaluation of maps read only the scaled form.
@@ -57,7 +62,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 from . import linalg
 from .polynomial import ComplexPair, Polynomial, SphereBlock, VarRegistry, scale_point
@@ -76,17 +83,33 @@ class PointValidationError(ValueError):
     """Raised when coordinates do not satisfy a variety's relations."""
 
 
+class MatrixGroup(NamedTuple):
+    """What a matrix group's constructor knows of its coordinates: read
+    row-major, they are the entries of a ``size x size`` matrix, complex
+    ones (``complex_entries``) as interleaved (re, im) pairs, whose rows are
+    orthonormal; ``special`` when its determinant is one."""
+
+    size: int
+    complex_entries: bool
+    special: bool
+
+
 class Variety:
     """An embedded real variety with named coordinates.
 
     ``relations`` are the polynomials that vanish on it.  ``sampler`` (or
     ``None``) is a :data:`Sampler` that its constructor binds to its size:
-    ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.  A matrix
-    group may also carry ``unit_determinant``: the size ``n`` when its
-    coordinates, read row-major, form an ``n x n`` real matrix of
-    determinant one, a condition checked at points by an exact integer
-    determinant instead of a polynomial with ``n!`` terms; it is 0
-    otherwise.  Only ``special_orthogonal`` sets it.
+    ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.
+
+    Two records say what kind of identities the relations are, so that a
+    point is checked by one integer kernel per kind instead of one
+    polynomial at a time (:meth:`first_violation_scaled`): ``blocks``, the
+    sphere blocks, and ``matrix``, a :class:`MatrixGroup` or ``None``.
+    Only the built-in constructors set ``matrix``, and only for relations
+    that are exactly the Gram relations of that group (and for SU(k) its
+    realified determinant); the blocks are used when the relations are
+    exactly theirs.  The determinant of SO(n) is no relation but is
+    checked after them (:attr:`unit_determinant`).
 
     Instances are immutable; equality is by name and registry, which the
     built-in constructors keep unique (they are cached and return the
@@ -94,7 +117,8 @@ class Variety:
     """
 
     __slots__ = (
-        "name", "registry", "relations", "blocks", "sampler", "unit_determinant", "_hash",
+        "name", "registry", "relations", "blocks", "sampler", "matrix",
+        "_block_reducible", "_kernel", "_hash",
     )
 
     def __init__(
@@ -104,14 +128,29 @@ class Variety:
         relations: Sequence[Polynomial],
         blocks: Sequence[SphereBlock] = (),
         sampler: Optional[Sampler] = None,
-        unit_determinant: int = 0,
+        matrix: Optional[MatrixGroup] = None,
     ):
+        relations, blocks = tuple(relations), tuple(blocks)
+        # The relations are exactly the block relations: normal forms decide
+        # membership, and the sphere kernel decides a point.
+        if blocks:
+            reducible = set(relations) == {b.relation(registry) for b in blocks}
+        else:
+            reducible = not relations
+        if matrix is not None:
+            kernel = partial(_matrix_holds, matrix)
+        elif blocks and reducible:
+            kernel = partial(_blocks_hold, tuple(b.variable_ids for b in blocks))
+        else:
+            kernel = None
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "relations", tuple(relations))
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "sampler", sampler)
-        object.__setattr__(self, "unit_determinant", unit_determinant)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_block_reducible", reducible)
+        object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_hash", hash((name, registry)))
 
     def __setattr__(self, key, value):  # pragma: no cover
@@ -121,13 +160,21 @@ class Variety:
     def ambient_dim(self) -> int:
         return self.registry.size
 
+    @property
+    def unit_determinant(self) -> int:
+        """The size ``n`` when the coordinates form an ``n x n`` real matrix
+        of determinant one and that condition is no relation but checked at
+        points by an exact integer determinant instead of a polynomial with
+        ``n!`` terms (SO(n)); 0 otherwise."""
+        matrix = self.matrix
+        if matrix is None or not matrix.special or matrix.complex_entries:
+            return 0
+        return matrix.size
+
     def block_reducible(self) -> bool:
         """True when every relation is a sphere-block relation, so that
         membership in the relation ideal is decidable by normal forms."""
-        if not self.blocks and not self.relations:
-            return True
-        block_relations = {b.relation(self.registry) for b in self.blocks}
-        return set(self.relations) == block_relations
+        return self._block_reducible
 
     def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
         """``(index, residual)`` of the first relation that does not vanish
@@ -140,14 +187,26 @@ class Variety:
     ) -> Optional[Tuple[int, Fraction]]:
         """:meth:`first_violation` at the point ``nums[i] / q``, ``q > 0``.
 
-        Each relation is tested by its integer numerator at that form
-        (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`) being
+        A variety whose relations its records cover (every built-in one
+        with relations) first runs one exact integer kernel per kind on
+        ``nums``: per sphere block ``sum nums[i]**2 == q**2``; for a matrix
+        group ``N N* == q**2 I`` on the integer matrix ``N`` (``N N^T``
+        for real entries) and, if special, ``det N == q**n`` over Z or
+        Z[i] (:func:`~regmaps.linalg.integer_determinant`).  When they
+        hold, no relation is evaluated and the answer is ``None``.
+
+        Otherwise each relation is tested by its integer numerator at that
+        form (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`) being
         zero; only the relation that fails has its residual built, by
         :meth:`~regmaps.polynomial.Polynomial.evaluate` at the ``Fraction``
-        coordinates.  With ``unit_determinant`` set, the determinant comes
-        last, as if it were one more relation: ``det(q M) == q**n`` on
+        coordinates.  With :attr:`unit_determinant` set, the determinant
+        comes last, as if it were one more relation: ``det(q M) == q**n`` on
         integers, and a failure reports ``(len(relations), det(M) - 1)``.
+        This loop is the one place a failure is reported.
         """
+        kernel = self._kernel
+        if kernel is not None and kernel(q, nums):
+            return None
         for index, relation in enumerate(self.relations):
             if relation.scaled_numerator(nums, q):
                 return index, relation.evaluate([Fraction(n, q) for n in nums])
@@ -169,6 +228,49 @@ class Variety:
 
     def __repr__(self) -> str:
         return f"Variety({self.name!r}, dim ambient {self.ambient_dim})"
+
+
+def _blocks_hold(blocks: Tuple[Tuple[int, ...], ...], q: int, nums: Sequence[int]) -> bool:
+    """Whether ``sum nums[i]**2 == q**2`` over the variable ids of each block."""
+    square = q * q
+    for ids in blocks:
+        if sum([nums[i] * nums[i] for i in ids]) != square:
+            return False
+    return True
+
+
+def _matrix_holds(group: MatrixGroup, q: int, nums: Sequence[int]) -> bool:
+    """Whether ``nums / q`` is a point of ``group``: the rows of the integer
+    matrix ``N`` are orthogonal with squared norm ``q**2`` for the
+    Hermitian product (``N N* == q**2 I``), and ``det N == q**n`` when the
+    group is special.  ``N`` is square, so ``N N* == q**2 I`` makes
+    ``N* / q**2`` its inverse and ``N* N == q**2 I`` follows.
+
+    A complex row is its interleaved (re, im) integers.  For rows ``u``,
+    ``v`` the real part of ``sum u_m conj(v_m)`` is their dot product and
+    minus its imaginary part the dot product of ``u`` turned, each pair
+    ``(a, b)`` as ``(-b, a)``, with ``v``."""
+    n, complex_entries, special = group
+    width = 2 * n if complex_entries else n
+    rows = [nums[start : start + width] for start in range(0, n * width, width)]
+    square = q * q
+    for i, row in enumerate(rows):
+        if sum([x * x for x in row]) != square:
+            return False
+        turned = None
+        if complex_entries:
+            turned = [x for a, b in zip(row[::2], row[1::2]) for x in (-b, a)]
+        for other in rows[i + 1 :]:
+            if sum([x * y for x, y in zip(row, other)]):
+                return False
+            if complex_entries and sum([x * y for x, y in zip(turned, other)]):
+                return False
+    if not special:
+        return True
+    if complex_entries:
+        rows = [[ComplexPair(a, b) for a, b in zip(row[::2], row[1::2])] for row in rows]
+        return linalg.integer_determinant(rows) == (q**n, 0)
+    return linalg.integer_determinant(rows) == q**n
 
 
 class PointOnVariety:
@@ -375,7 +477,7 @@ def special_orthogonal(n: int) -> Variety:
         registry=registry,
         relations=_gram_relations(entries, conjugate=False),
         sampler=partial(_draw_cayley, n, False),
-        unit_determinant=n,
+        matrix=MatrixGroup(n, False, True),
     )
 
 
@@ -390,7 +492,13 @@ def unitary(k: int) -> Variety:
             names.append(f"b{i}_{j}")
     registry = VarRegistry(names)
     relations = _gram_relations(complex_entry_polys(registry, k), conjugate=True)
-    return Variety(f"U{k}", registry, relations, sampler=partial(_draw_cayley, k, True))
+    return Variety(
+        f"U{k}",
+        registry,
+        relations,
+        sampler=partial(_draw_cayley, k, True),
+        matrix=MatrixGroup(k, True, False),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +508,13 @@ def special_unitary(k: int) -> Variety:
     entries = complex_entry_polys(registry, k)
     det_re, det_im = poly_matrix_determinant(entries)
     relations = [*base.relations, det_re - 1, det_im]
-    return Variety(f"SU{k}", registry, relations, sampler=partial(_draw_special_unitary, k))
+    return Variety(
+        f"SU{k}",
+        registry,
+        relations,
+        sampler=partial(_draw_special_unitary, k),
+        matrix=MatrixGroup(k, True, True),
+    )
 
 
 # The constructor of each family by the prefix of its names, as in ``SO4``.

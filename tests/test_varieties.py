@@ -9,7 +9,9 @@ import pytest
 
 from reference_linalg import determinant, mat_mul, sphere_coords_from_parameters, transpose
 from regmaps.linalg import identity, integer_determinant, integer_solve, inverse, solve
-from regmaps.polynomial import ComplexPair, VarRegistry, polynomial_to_json
+from regmaps.polynomial import (
+    ComplexPair, Polynomial, SphereBlock, VarRegistry, polynomial_to_json,
+)
 from regmaps.varieties import (
     NoSamplerError,
     PointOnVariety,
@@ -493,6 +495,120 @@ def test_first_violation_is_pinned_on_failing_points_of_every_kind(name):
     for k in (1, 7, 10**12 + 39):  # the reduced form and unreduced ones
         nums = [c.numerator * (k * q // c.denominator) for c in coords]
         assert variety.first_violation_scaled(k * q, nums) == expected, k
+
+
+# Every built-in family at small sizes, with the size of its matrix when
+# det = 1 is checked after the relations (SO(n)), else 0.
+SMALL_VARIETIES = [
+    *[(sphere(n), 0) for n in range(5)],
+    *[(sphere_product(n), 0) for n in range(3)],
+    *[(euclidean(n), 0) for n in range(1, 4)],
+    *[(special_orthogonal(n), n) for n in range(1, 6)],
+    *[(unitary(k), 0) for k in range(1, 4)],
+    *[(special_unitary(k), 0) for k in range(1, 4)],
+]
+
+
+def _reference_violation(variety, determinant_size, coords):
+    """Every relation in order by exact ``Fraction`` evaluation, then the
+    SO determinant."""
+    for index, relation in enumerate(variety.relations):
+        residual = relation.evaluate(coords)
+        if residual:
+            return index, residual
+    if determinant_size:
+        det = determinant(as_matrix(coords, determinant_size))
+        if det != 1:
+            return len(variety.relations), det - 1
+    return None
+
+
+def _near_misses(variety, q, nums, rng):
+    """Scaled points near ``(q, nums)`` that break a relation, or the
+    determinant, in one way each: one coordinate moved; for a matrix
+    group, row 1 replaced by row 0 and by i times row 0, and row 0 times
+    -1 and times i."""
+    bumped = list(nums)
+    bumped[rng.randrange(len(nums))] += rng.choice((-1, 1)) * rng.randint(1, q)
+    yield bumped
+    group = variety.matrix
+    if group is None:
+        return
+    width = group.size * (2 if group.complex_entries else 1)
+    row, rest = list(nums[:width]), list(nums[width:])
+    yield [-x for x in row] + rest
+    if group.size > 1:
+        yield row + row + rest[width:]
+    if group.complex_entries:
+        turned = [x for a, b in zip(row[::2], row[1::2]) for x in (-b, a)]
+        yield turned + rest
+        if group.size > 1:
+            yield row + turned + rest[width:]
+
+
+@pytest.mark.parametrize("variety, determinant_size", SMALL_VARIETIES, ids=str)
+def test_first_violation_matches_the_relation_by_relation_reference(variety, determinant_size):
+    rng = random.Random(variety.name)
+    checked = failed = 0
+    for seed in (0, 9):
+        for point in sample_points(variety, 20, seed, height=50):
+            q, nums = point.scaled
+            for scaled in [nums, *_near_misses(variety, q, nums, rng)]:
+                k = rng.choice((1, 12))  # the sampled form, or an unreduced one
+                coords = [Fraction(n, q) for n in scaled]
+                expected = _reference_violation(variety, determinant_size, coords)
+                assert variety.first_violation_scaled(k * q, [k * n for n in scaled]) == expected
+                checked += 1
+                failed += expected is not None
+    for other, coords, _ in _failing_points().values():
+        if other is variety:
+            coords = [Fraction(c) for c in coords]
+            expected = _reference_violation(variety, determinant_size, coords)
+            assert expected is not None and variety.first_violation(coords) == expected
+    assert checked >= 80 and (failed >= 40 or not variety.relations)
+
+
+@pytest.fixture
+def scaled_numerator_calls(monkeypatch):
+    """The number of ``Polynomial.scaled_numerator`` calls so far, as a
+    one-item list."""
+    calls = [0]
+    original = Polynomial.scaled_numerator
+
+    def counted(self, nums, q):
+        calls[0] += 1
+        return original(self, nums, q)
+
+    monkeypatch.setattr(Polynomial, "scaled_numerator", counted)
+    return calls
+
+
+def test_sampled_points_of_built_in_groups_evaluate_no_relation(scaled_numerator_calls):
+    for name in ("S3", "S3xS3", "SO5", "U3", "SU3"):
+        variety = variety_by_name(name)
+        assert len(sample_points(variety, 20, seed=4, height=50)) == 20
+        assert scaled_numerator_calls == [0], name
+    # a failing point is reported by the relations, one at a time
+    q, nums = sample_point(unitary(3), 4, height=50).scaled
+    assert unitary(3).first_violation_scaled(q, [2 * n for n in nums]) is not None
+    assert scaled_numerator_calls[0] > 0
+
+
+def test_hand_built_varieties_check_each_relation(scaled_numerator_calls):
+    bare = Variety("bare", VarRegistry(["t"]), relations=())
+    assert bare._kernel is None and bare.first_violation_scaled(3, [5]) is None
+    registry = VarRegistry(["u", "v"])
+    block = SphereBlock((0, 1))
+    u = Polynomial.variable(registry, 0)
+    # the unit circle cut by (u - 2)(u + 1) = 0, the point (-1, 0): the
+    # second relation is no block relation
+    cut = Variety("cut", registry, [block.relation(registry), u * u - u - 2], [block])
+    assert cut._kernel is None and not cut.block_reducible()
+    assert cut.first_violation_scaled(5, [-5, 0]) is None
+    assert scaled_numerator_calls[0] == 2
+    assert cut.first_violation_scaled(5, [3, 4]) == (1, Fraction(-56, 25))
+    circle = Variety("circle", registry, [block.relation(registry)], [block])
+    assert circle._kernel is not None and circle.block_reducible()
 
 
 def test_integer_solve_matches_the_rational_solve():
