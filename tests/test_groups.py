@@ -419,6 +419,28 @@ def test_su_retract_fixes_the_special_unitary_group():
         assert r.evaluate(g).coords == g.coords
 
 
+@pytest.mark.parametrize("k, gram", [(1, 2), (2, 8)])
+def test_maps_into_special_unitary_is_proved_with_its_determinant_last(k, gram):
+    # the Gram relations of U(k), then Re det and Im det: one count each
+    report = maps_into(compose(su_retract(k), section_u(k)))
+    assert report.passed and report.method == "symbolic"
+    assert report.evidence == {"checked": gram + 2}
+    # the section's determinant is a phase, not one: Re det - 1 fails first
+    s = section_u(k)
+    declared = MatrixMap(s.domain, special_unitary(k), s.numerators, s.denominator, k, k, True)
+    report = maps_into(declared)
+    assert not report.passed and report.method == "symbolic"
+    assert report.evidence == {"checked": gram + 1, "failed_relation": gram}
+
+
+def test_a_unitary_map_declared_special_fails_on_the_determinant_by_sampling():
+    picks = [(i, 1) for i in range(8)]
+    declared = coordinate_map(unitary(2), special_unitary(2), picks, "u_in_su", (2, 2, True))
+    report = maps_into(declared, samples=5, seed=1, height=20)
+    assert not report.passed and report.method == "sampling"
+    assert report.evidence == {"checked": 1, "failed_relation": len(unitary(2).relations)}
+
+
 # ---------------------------------------------------------------------------
 # the realification embedding
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regmaps.groups import fiber_points, first_column, j_map, jmap_rotation, section_so
+from regmaps.groups import (
+    embed_special_unitary,
+    fiber_points,
+    first_column,
+    j_map,
+    jmap_rotation,
+    section_so,
+    su_retract,
+)
 from regmaps.linalg import integer_determinant
 from regmaps.polynomial import Polynomial
 from regmaps.ratmap import RationalMap, compose, constant_map, identity_map
@@ -32,7 +40,15 @@ from regmaps.topology import (
     regular_value_probe,
     winding,
 )
-from regmaps.varieties import sample_points, special_orthogonal, sphere
+from regmaps.varieties import (
+    PointOnVariety,
+    sample_point,
+    sample_points,
+    special_orthogonal,
+    special_unitary,
+    sphere,
+    unitary,
+)
 
 
 ROT = circle_rotation(Fraction(3, 5), Fraction(4, 5))
@@ -319,6 +335,33 @@ def test_probe_ranks_on_the_rotation_groups():
     report = regular_value_probe(section_so(3), [basepoint(2)])
     assert report.evidence["ranks"] == (2,)
     assert report.evidence["required_rank"] == 3
+
+
+def _diagonal_unitary(k, lam):
+    """diag(lam, 1, ..., 1) as a point of U(k), ``lam`` a (re, im) pair."""
+    coords = []
+    for i in range(k):
+        for j in range(k):
+            coords += (lam if i == 0 else (1, 0)) if i == j else (0, 0)
+    return PointOnVariety(unitary(k), coords)
+
+
+@pytest.mark.parametrize("k, dimension", [(2, 3), (3, 8)])
+def test_probe_ranks_on_the_special_unitary_groups(k, dimension):
+    # su_retract sends diag(lam, 1, ...) to the identity for |lam| = 1; the
+    # fiber's tangent directions are the k^2 - (k^2 - 1) = 1 phase of column 0
+    f = Fraction
+    lams = [(f(3, 5), f(4, 5)), (f(5, 13), f(-12, 13)), (f(1), f(0))]
+    report = regular_value_probe(su_retract(k), [_diagonal_unitary(k, lam) for lam in lams])
+    assert report.passed
+    assert report.evidence["required_rank"] == dimension
+    assert report.evidence["ranks"] == (dimension,) * 3
+    # SU(k) in U(k) has codimension one: never onto the tangent space
+    point = sample_point(special_unitary(k), 3, height=5)
+    report = regular_value_probe(embed_special_unitary(k), [point])
+    assert not report.passed and report.evidence["all_on_fiber"]
+    assert report.evidence["required_rank"] == dimension + 1
+    assert report.evidence["ranks"] == (dimension,)
 
 
 def test_probe_hopf_like_fiber():
