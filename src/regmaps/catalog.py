@@ -285,13 +285,13 @@ class Family:
 # `degree zpow:200` takes 21 s (2-vCPU Xeon), nearly all in its compose.
 ZPOW_MAX_DEGREE = 200
 
-# SO(n) has only its degree-two Gram relations; det = 1 is one integer
+# SO(n) and SU(k) have only degree-two Gram relations; det = 1 is one integer
 # determinant per point.  Builds, one fresh process each on a 2-vCPU Xeon:
 # p:8 0.2 s, s:8 0.2 s, r:8 0.4 s and embed-u:4 (which lands in SO(8))
 # 0.2-0.3 s, at about 31 MB.  The SO bounds stay because chain:m:k shares
-# SO_MAX_SIZE and build chain:5:2 still expands without limit.  SU(k) still
-# carries det = 1 with k! Leibniz terms: su-retract:5 4 s and su-retract:6
-# 61 s at 1 GB peak RSS.
+# SO_MAX_SIZE and build chain:5:2 still expands without limit.  su_retract
+# itself expands its column times the k!-term conj(det): verify su-retract:5
+# takes 2.7-5.4 s at 60 MB; su-retract:6 was measured at 61 s and 1 GB peak RSS.
 SO_MAX_SIZE = 8
 EMBED_U_MAX_SIZE = 4
 SU_RETRACT_MAX_SIZE = 5

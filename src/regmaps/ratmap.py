@@ -84,6 +84,7 @@ from .varieties import (
     PointOnVariety,
     PointValidationError,
     Variety,
+    poly_matrix_determinant,
     sample_stream,
     sphere,
     sphere_product,
@@ -663,29 +664,27 @@ def maps_into(
     *,
     height: int = DEFAULT_HEIGHT,
 ) -> Verdict:
-    """Check that the image satisfies every codomain relation.
+    """Check that the image satisfies every codomain relation, and det = 1
+    on a special codomain.
 
     Symbolic route (complete proof) when the domain is reducible to sphere
-    blocks: each codomain relation, cleared of denominators, must have zero
-    normal form, and a codomain whose ``unit_determinant`` is set (SO(n),
-    whose recorded :class:`~regmaps.varieties.MatrixGroup` is real and
-    special) then gets one more step, :func:`_unit_determinant_holds`.
-    Otherwise falls back to exact evaluation at sampled points of the
-    domain, where :meth:`~regmaps.varieties.Variety.first_violation`
-    checks the determinant too.  ``checked`` counts relations, the
-    determinant step included (symbolic), or sample points (sampling); a
-    failed determinant is ``failed_relation`` ``len(relations)``.
+    blocks: each polynomial of :func:`_cleared_relations` must have zero
+    normal form, and SO(n) then gets one more step,
+    :func:`_unit_determinant_holds`.  Otherwise falls back to exact
+    evaluation at sampled points of the domain, where
+    :meth:`~regmaps.varieties.Variety.first_violation` checks the
+    determinant too.  ``checked`` counts relations, the determinant steps
+    included (symbolic), or sample points (sampling); a failed determinant
+    is ``failed_relation`` ``len(relations)``, or one more for Im det.
     """
     if f.domain.block_reducible():
-        relations = f.codomain.relations
-        for index, relation in enumerate(relations):
-            lifted = substitute_cleared(relation, f.numerators, f.denominator)
+        checked = 0
+        for checked, lifted in enumerate(_cleared_relations(f), 1):
             if not normal_form(lifted, f.domain.blocks).is_zero():
-                return Verdict(
-                    "symbolic", False, {"checked": index + 1, "failed_relation": index}
-                )
-        checked = len(relations)
-        if f.codomain.unit_determinant:
+                evidence = {"checked": checked, "failed_relation": checked - 1}
+                return Verdict("symbolic", False, evidence)
+        group = f.codomain.matrix
+        if group is not None and group.special and not group.complex_entries:
             if not _unit_determinant_holds(f, seed, height):
                 evidence = {"checked": checked + 1, "failed_relation": checked}
                 return Verdict("symbolic", False, evidence)
@@ -698,6 +697,19 @@ def maps_into(
             evidence = {"checked": done + 1, "failed_relation": violation[0]}
             return Verdict("sampling", False, evidence, point.coords)
     return Verdict("sampling", True, {"checked": samples})
+
+
+def _cleared_relations(f: RationalMap) -> Iterable[Polynomial]:
+    """Lazily, each codomain relation of ``f = N / E`` cleared of
+    denominators, then for SU(k) Re and Im of ``det N - E^k`` (Leibniz)."""
+    for relation in f.codomain.relations:
+        yield substitute_cleared(relation, f.numerators, f.denominator)
+    group = f.codomain.matrix
+    if group is not None and group.special and group.complex_entries:
+        k, nums = group.size, f.numerators
+        entries = list(map(ComplexPair, nums[::2], nums[1::2]))
+        det = poly_matrix_determinant([entries[i * k : (i + 1) * k] for i in range(k)])
+        yield from det - ComplexPair(f.denominator**k, 0)
 
 
 def _unit_determinant_holds(f: RationalMap, seed: int, height: int) -> bool:

@@ -348,12 +348,12 @@ def regular_value_probe(
     tangent space and projected to the codomain's tangent space at the
     value.  Regular means that rank equals the codomain dimension.
 
-    All ranks are exact: domain tangent spaces are nullspaces of relation
-    Jacobians over the rationals, and the projected rank is obtained as
-    ``rank([W | N]) - rank(N)`` where ``W`` is the image of the tangent
-    space under the differential and ``N`` spans the codomain's normal
-    space (the two subspace ranks split because tangent and normal parts
-    are complementary).
+    All ranks are exact: domain tangent spaces are nullspaces of the
+    normal rows :meth:`~regmaps.varieties.Variety.normals` over the
+    rationals, and the projected rank is ``rank([W | N]) - rank(N)``, ``W``
+    the image of the tangent space under the differential and ``N`` the
+    codomain's normal rows (the two subspace ranks split because tangent
+    and normal parts are complementary).
     """
     if not points:
         raise ValueError("need at least one fiber point")
@@ -363,17 +363,13 @@ def regular_value_probe(
         raise ValueError("value must lie on the codomain")
     value_coords = value.coords
 
-    codomain_normals = [
-        [relation.differentiate(j).evaluate(value_coords) for j in range(f.codomain.ambient_dim)]
-        for relation in f.codomain.relations
-    ]
+    codomain_normals = f.codomain.normals(value_coords)
     normal_rank = linalg.rank(codomain_normals) if codomain_normals else 0
     required = f.codomain.ambient_dim - normal_rank
 
     dim = f.domain.ambient_dim
     num_partials = [[p.differentiate(j) for j in range(dim)] for p in f.numerators]
     den_partials = [f.denominator.differentiate(j) for j in range(dim)]
-    relation_partials = [[r.differentiate(j) for j in range(dim)] for r in f.domain.relations]
 
     all_on_fiber = True
     ranks: List[int] = []
@@ -391,8 +387,8 @@ def regular_value_probe(
             [(dn.evaluate(coords) - y * dd) / den_value for dn, dd in zip(row, dden)]
             for row, y in zip(num_partials, image)
         ]
-        relation_rows = [[d.evaluate(coords) for d in row] for row in relation_partials]
-        tangent = linalg.nullspace_basis(relation_rows) if relation_rows else linalg.identity(dim)
+        normals = f.domain.normals(coords)
+        tangent = linalg.nullspace_basis(normals) if normals else linalg.identity(dim)
         pushed = [[sum(a * t for a, t in zip(row, vec)) for row in jacobian] for vec in tangent]
         ranks.append(linalg.rank(pushed + codomain_normals) - normal_rank)
 

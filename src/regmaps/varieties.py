@@ -22,36 +22,27 @@ Built-in families
   the unitarity relations are the real and imaginary parts of
   ``Z* Z - I`` and ``Z Z* - I``, built over
   :class:`~regmaps.polynomial.ComplexPair` entries
-* ``special_unitary(k)``  additionally determinant one, as the real and
-  imaginary parts of a Leibniz determinant (k! terms); symbolic proofs
-  and the rank probe read them, points are checked by an exact
-  determinant over the Gaussian integers instead
+* ``special_unitary(k)``  the relations of ``unitary(k)``; determinant
+  one is recorded in ``matrix`` as for SO(n), and points are checked by an
+  exact determinant over the Gaussian integers
 
 :func:`variety_by_name` reads each back from its ``name`` (``S2xS2``, ``SO4``).
 
-Samplers produce exact rational points: spheres through the rational
-parametrization by inverse stereographic projection, matrix groups
-through the Cayley transform of a random skew-symmetric (respectively
-skew-Hermitian) rational matrix, and the special unitary group through
-the unitary sampler followed by a determinant correction; the product of
-two spheres draws one point of each.  All samplers are deterministic
-functions of the seed.  Every rational parameter is drawn by
-:func:`_bounded_pairs` straight from ``getrandbits``, with the rejection
-rule of ``randint``: the stream is the one ``randint`` draws, without its
-per-call overhead and without relying on CPython's private ``randrange``.
-A sampler returns its point scaled to integers, ``(q, nums)`` with
-``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``.  Every sampler
-works on integers: SO(n), U(k) and SU(k) share one Cayley transform, one
-fraction-free solve on the realified matrix (:func:`_cayley`), and the
-determinant correction of SU(k) takes one fraction-free determinant over
-the Gaussian integers (``ComplexPair`` entries with ``int`` parts).
-:func:`sample_point` validates that form against every relation
-(:meth:`Variety.first_violation_scaled`: on a built-in variety one exact
-integer kernel per kind of relation, sphere block, Gram block or unit
-determinant, with no polynomial evaluated) and keeps it as the only stored
-form of the :class:`PointOnVariety`, whose ``Fraction`` coordinates are
-built on first read; the denominator audit of ``verify`` and the
-evaluation of maps read only the scaled form.
+Samplers produce exact rational points, deterministic functions of the
+seed, on integers: spheres by inverse stereographic projection; SO(n),
+U(k) and SU(k) by one Cayley transform of a random skew-symmetric
+(skew-Hermitian) matrix, a fraction-free solve on the realified matrix
+(:func:`_cayley`), and for SU(k) a determinant correction by one
+fraction-free determinant over the Gaussian integers; the product of two
+spheres draws one point of each.  Every rational parameter is drawn by
+:func:`_bounded_pairs` straight from ``getrandbits`` with the rejection
+rule of ``randint``, so the stream is the one ``randint`` draws.  A
+sampler returns its point scaled to integers, ``(q, nums)`` with ``q > 0``
+and coordinate ``i`` equal to ``nums[i] / q``.  :func:`sample_point`
+validates that form (:meth:`Variety.first_violation_scaled`: on a built-in
+variety one integer kernel per kind of relation, sphere block, Gram block
+or unit determinant) and keeps it as the only stored form of the
+:class:`PointOnVariety`; ``Fraction`` coordinates are built on first read.
 """
 
 from __future__ import annotations
@@ -106,10 +97,9 @@ class Variety:
     polynomial at a time (:meth:`first_violation_scaled`): ``blocks``, the
     sphere blocks, and ``matrix``, a :class:`MatrixGroup` or ``None``.
     Only the built-in constructors set ``matrix``, and only for relations
-    that are exactly the Gram relations of that group (and for SU(k) its
-    realified determinant); the blocks are used when the relations are
-    exactly theirs.  The determinant of SO(n) is no relation but is
-    checked after them (:attr:`unit_determinant`).
+    that are exactly the Gram relations of that group; det = 1 of SO(n) and
+    SU(k) is no relation, only ``matrix.special``.  The blocks are used
+    when the relations are exactly theirs.
 
     Instances are immutable; equality is by name and registry, which the
     built-in constructors keep unique (they are cached and return the
@@ -118,7 +108,7 @@ class Variety:
 
     __slots__ = (
         "name", "registry", "relations", "blocks", "sampler", "matrix",
-        "_block_reducible", "_kernel", "_hash",
+        "_block_reducible", "_kernel", "_gradients", "_hash",
     )
 
     def __init__(
@@ -151,6 +141,7 @@ class Variety:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_block_reducible", reducible)
         object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_gradients", None)
         object.__setattr__(self, "_hash", hash((name, registry)))
 
     def __setattr__(self, key, value):  # pragma: no cover
@@ -159,17 +150,6 @@ class Variety:
     @property
     def ambient_dim(self) -> int:
         return self.registry.size
-
-    @property
-    def unit_determinant(self) -> int:
-        """The size ``n`` when the coordinates form an ``n x n`` real matrix
-        of determinant one and that condition is no relation but checked at
-        points by an exact integer determinant instead of a polynomial with
-        ``n!`` terms (SO(n)); 0 otherwise."""
-        matrix = self.matrix
-        if matrix is None or not matrix.special or matrix.complex_entries:
-            return 0
-        return matrix.size
 
     def block_reducible(self) -> bool:
         """True when every relation is a sphere-block relation, so that
@@ -189,34 +169,43 @@ class Variety:
 
         A variety whose relations its records cover (every built-in one
         with relations) first runs one exact integer kernel per kind on
-        ``nums``: per sphere block ``sum nums[i]**2 == q**2``; for a matrix
-        group ``N N* == q**2 I`` on the integer matrix ``N`` (``N N^T``
-        for real entries) and, if special, ``det N == q**n`` over Z or
-        Z[i] (:func:`~regmaps.linalg.integer_determinant`).  When they
-        hold, no relation is evaluated and the answer is ``None``.
+        ``nums``: ``sum nums[i]**2 == q**2`` per sphere block, or for a
+        matrix group ``N N* == q**2 I`` and, if special, ``det N == q**n``
+        over Z or Z[i].  When they hold, the answer is ``None``.
 
         Otherwise each relation is tested by its integer numerator at that
-        form (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`) being
-        zero; only the relation that fails has its residual built, by
-        :meth:`~regmaps.polynomial.Polynomial.evaluate` at the ``Fraction``
-        coordinates.  With :attr:`unit_determinant` set, the determinant
-        comes last, as if it were one more relation: ``det(q M) == q**n`` on
-        integers, and a failure reports ``(len(relations), det(M) - 1)``.
-        This loop is the one place a failure is reported.
-        """
+        form (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`), then
+        a special group's ``det M - 1`` as one more relation (SO(n)) or its
+        real and imaginary parts as two (SU(k)); only the first that fails
+        has its residual built.  This loop is the one place a failure is
+        reported."""
         kernel = self._kernel
         if kernel is not None and kernel(q, nums):
             return None
         for index, relation in enumerate(self.relations):
             if relation.scaled_numerator(nums, q):
                 return index, relation.evaluate([Fraction(n, q) for n in nums])
-        n = self.unit_determinant
-        if n:
-            det = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)])
-            scale = q**n
-            if det != scale:
-                return len(self.relations), Fraction(det - scale, scale)
+        for part, miss in enumerate(_determinant_misses(self.matrix, q, nums)):
+            if miss:
+                return len(self.relations) + part, Fraction(miss, q**self.matrix.size)
         return None
+
+    def normals(self, coords: Sequence[Fraction]) -> List[List[Fraction]]:
+        """Rows spanning the normal space at the point ``coords``: each
+        relation's gradient (the relations are differentiated once), then
+        for SU(k) the point and the point turned, ``(a, b)`` as ``(-b, a)``,
+        which are the gradients of Re det and Im det since ``adj g = g*``.
+        det is locally constant on O(n), so SO(n) adds no row."""
+        if self._gradients is None:
+            dim = self.ambient_dim
+            gradients = [[r.differentiate(j) for j in range(dim)] for r in self.relations]
+            object.__setattr__(self, "_gradients", gradients)
+        rows = [[d.evaluate(coords) for d in row] for row in self._gradients]
+        group = self.matrix
+        if group is not None and group.special and group.complex_entries:
+            turned = [x for a, b in zip(coords[::2], coords[1::2]) for x in (-b, a)]
+            rows += [list(coords), turned]
+        return rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Variety):
@@ -250,7 +239,7 @@ def _matrix_holds(group: MatrixGroup, q: int, nums: Sequence[int]) -> bool:
     ``v`` the real part of ``sum u_m conj(v_m)`` is their dot product and
     minus its imaginary part the dot product of ``u`` turned, each pair
     ``(a, b)`` as ``(-b, a)``, with ``v``."""
-    n, complex_entries, special = group
+    n, complex_entries, _ = group
     width = 2 * n if complex_entries else n
     rows = [nums[start : start + width] for start in range(0, n * width, width)]
     square = q * q
@@ -265,12 +254,19 @@ def _matrix_holds(group: MatrixGroup, q: int, nums: Sequence[int]) -> bool:
                 return False
             if complex_entries and sum([x * y for x, y in zip(turned, other)]):
                 return False
-    if not special:
-        return True
-    if complex_entries:
-        rows = [[ComplexPair(a, b) for a, b in zip(row[::2], row[1::2])] for row in rows]
-        return linalg.integer_determinant(rows) == (q**n, 0)
-    return linalg.integer_determinant(rows) == q**n
+    return not any(_determinant_misses(group, q, nums))
+
+
+def _determinant_misses(group: Optional[MatrixGroup], q: int, nums: Sequence[int]) -> list:
+    """``det N - q**n`` on the integer matrix ``N`` of ``nums``: ``[miss]``
+    over Z, ``[re, im]`` over Z[i], ``[]`` unless ``group`` is special."""
+    if group is None or not group.special:
+        return []
+    n = group.size
+    if group.complex_entries:
+        nums = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
+    miss = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)]) - q**n
+    return list(miss) if group.complex_entries else [miss]
 
 
 class PointOnVariety:
@@ -504,14 +500,10 @@ def unitary(k: int) -> Variety:
 @lru_cache(maxsize=None)
 def special_unitary(k: int) -> Variety:
     base = unitary(k)
-    registry = base.registry
-    entries = complex_entry_polys(registry, k)
-    det_re, det_im = poly_matrix_determinant(entries)
-    relations = [*base.relations, det_re - 1, det_im]
     return Variety(
         f"SU{k}",
-        registry,
-        relations,
+        base.registry,
+        base.relations,
         sampler=partial(_draw_special_unitary, k),
         matrix=MatrixGroup(k, True, True),
     )

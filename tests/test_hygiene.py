@@ -6,8 +6,9 @@ public linear-algebra routine but the benchmarked ``inverse`` has a caller,
 no sum of polynomials is folded by hand, no pass/fail record besides the one
 verdict type serializes itself, only polynomials and complex pairs
 multiply, only the one sample stream spells its seed formula, the map
-builders never read a map's polynomials, the stages of a map's values stay
-on integers, and no ``isinstance`` tests against a ``typing`` alias."""
+builders never read a map's polynomials, only the varieties and the
+membership check read a variety's relations, the stages of a map's values
+stay on integers, and no ``isinstance`` tests against a ``typing`` alias."""
 
 import ast
 from pathlib import Path
@@ -445,12 +446,12 @@ STAGED_MODULES = ("groups.py", "catalog.py")
 POLYNOMIAL_READS = {"numerators", "denominator", "entry"}
 
 
-def polynomial_reads(source: str):
-    """Lines of each read of ``.numerators``, ``.denominator`` or ``.entry``."""
+def attribute_reads(source: str, names):
+    """Lines of each read of an attribute named in ``names``."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in POLYNOMIAL_READS
+        if isinstance(node, ast.Attribute) and node.attr in names
     )
 
 
@@ -462,17 +463,33 @@ def test_the_checker_finds_a_polynomial_read():
         "d = m.values(x)\n"
         "numerators = 'm.numerators'\n"
     )
-    assert polynomial_reads(source) == [1, 2, 3]
+    assert attribute_reads(source, POLYNOMIAL_READS) == [1, 2, 3]
 
 
 def test_map_builders_do_not_read_polynomials():
     found = {
-        path.name: polynomial_reads(path.read_text(encoding="utf-8"))
+        path.name: attribute_reads(path.read_text(encoding="utf-8"), POLYNOMIAL_READS)
         for path in PACKAGE
         if path.name in STAGED_MODULES
     }
     assert set(found) == set(STAGED_MODULES)
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# The modules that read a variety's relations: ``varieties``, which builds
+# and checks them, and ``ratmap``, whose ``maps_into`` proves them on an
+# image.  Everyone else asks the variety (``first_violation``, ``normals``),
+# so det = 1, which is no relation, cannot be missed.
+RELATION_READERS = {"varieties.py", "ratmap.py"}
+
+
+def test_only_the_varieties_and_the_membership_check_read_relations():
+    readers = {
+        path.name
+        for path in PACKAGE
+        if attribute_reads(path.read_text(encoding="utf-8"), {"relations"})
+    }
+    assert readers == RELATION_READERS
 
 
 def typing_isinstance_checks(source: str):

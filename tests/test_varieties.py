@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -13,12 +14,14 @@ from regmaps.polynomial import (
     ComplexPair, Polynomial, SphereBlock, VarRegistry, polynomial_to_json,
 )
 from regmaps.varieties import (
+    MatrixGroup,
     NoSamplerError,
     PointOnVariety,
     PointValidationError,
     Variety,
     _bounded_pairs,
     _cayley,
+    complex_entry_polys,
     euclidean,
     matrix_entry_polys,
     poly_matrix_determinant,
@@ -265,26 +268,25 @@ def test_a_height_below_one_is_refused(variety, height):
         sample_point(variety, seed=0, height=height)
 
 
-# (family, k): (number of relations, sha256 of their JSON, one per line, in order).
+# k: (number of relations of U(k), sha256 of their JSON, one per line, in order).
 # `verify` reads the relations in this order, so the order is pinned too.
 RELATION_DIGESTS = {
-    (unitary, 1): (2, "ef602133c30ac7d2b1e081aa36542c4e3f3ee56898563e16809d0d34802da6e3"),
-    (unitary, 2): (8, "61075427cdfcc50daf04d6e5f43ecb08bbafb5b06e60925b635bb2258b345c1b"),
-    (unitary, 3): (18, "7bc070a472dbcc8137c05449fcb657c33c82329232b8c561527ce11d16a0c97b"),
-    (special_unitary, 1): (4, "7125b0ff0a09b6eba6439419f6d929aa0c8dc7c9b717000d1fa31aecf652472d"),
-    (special_unitary, 2): (10, "815088e08427d198b03401014a545e50e31882c5f542152776f41945dfa6a517"),
-    (special_unitary, 3): (20, "d544c9f7fce363bd97653d20136a18504a94b2b874c9f47207c1c54d43ca3771"),
+    1: (2, "ef602133c30ac7d2b1e081aa36542c4e3f3ee56898563e16809d0d34802da6e3"),
+    2: (8, "61075427cdfcc50daf04d6e5f43ecb08bbafb5b06e60925b635bb2258b345c1b"),
+    3: (18, "7bc070a472dbcc8137c05449fcb657c33c82329232b8c561527ce11d16a0c97b"),
 }
 
 
 @pytest.mark.parametrize(
-    "family, k", sorted(RELATION_DIGESTS, key=lambda fk: (fk[0].__name__, fk[1])),
+    "family, k", [(family, k) for family in (special_unitary, unitary) for k in RELATION_DIGESTS],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_unitary_relations_are_pinned(family, k):
+    # SU(k) has exactly the relations of U(k); det = 1 is in its ``matrix``
     relations = family(k).relations
+    assert relations == unitary(k).relations
     digest = hashlib.sha256("\n".join(map(polynomial_to_json, relations)).encode())
-    assert (len(relations), digest.hexdigest()) == RELATION_DIGESTS[family, k]
+    assert (len(relations), digest.hexdigest()) == RELATION_DIGESTS[k]
 
 
 # One variety per sampler kind; the digests were recorded before the sphere
@@ -497,8 +499,9 @@ def test_first_violation_is_pinned_on_failing_points_of_every_kind(name):
         assert variety.first_violation_scaled(k * q, nums) == expected, k
 
 
-# Every built-in family at small sizes, with the size of its matrix when
-# det = 1 is checked after the relations (SO(n)), else 0.
+# Every built-in family at small sizes, with the size of its real matrix
+# when det = 1 is checked after the relations by rational elimination
+# (SO(n)), else 0; SU(k) is checked by its Leibniz polynomials instead.
 SMALL_VARIETIES = [
     *[(sphere(n), 0) for n in range(5)],
     *[(sphere_product(n), 0) for n in range(3)],
@@ -509,17 +512,30 @@ SMALL_VARIETIES = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _leibniz_determinant(k):
+    """Re det - 1 and Im det of a k x k complex matrix over the registry of
+    U(k), by the Leibniz rule: k! terms each."""
+    det_re, det_im = poly_matrix_determinant(complex_entry_polys(unitary(k).registry, k))
+    return det_re - 1, det_im
+
+
 def _reference_violation(variety, determinant_size, coords):
     """Every relation in order by exact ``Fraction`` evaluation, then the
-    SO determinant."""
-    for index, relation in enumerate(variety.relations):
+    determinant: the SU one as two more relations, its Leibniz real and
+    imaginary parts, and the SO one by rational elimination."""
+    relations = list(variety.relations)
+    group = variety.matrix
+    if group is not None and group.special and group.complex_entries:
+        relations += _leibniz_determinant(group.size)
+    for index, relation in enumerate(relations):
         residual = relation.evaluate(coords)
         if residual:
             return index, residual
     if determinant_size:
         det = determinant(as_matrix(coords, determinant_size))
         if det != 1:
-            return len(variety.relations), det - 1
+            return len(relations), det - 1
     return None
 
 
@@ -666,7 +682,42 @@ def test_special_orthogonal_keeps_only_its_gram_relations(n):
     assert len(group.relations) == n * (n + 1)
     assert {r.total_degree() for r in group.relations} == {2}
     assert max(len(r) for r in group.relations) <= n * n + 1
-    assert group.unit_determinant == n
+    assert group.matrix == MatrixGroup(n, False, True)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_special_unitary_keeps_only_the_relations_of_unitary(k):
+    # det = 1 is the recorded matrix, not two k!-term polynomials
+    group = special_unitary(k)
+    assert group.relations == unitary(k).relations
+    assert group.matrix == MatrixGroup(k, True, True)
+    assert unitary(k).matrix == MatrixGroup(k, True, False)
+
+
+def test_no_built_in_relation_has_degree_above_two():
+    for family in (sphere, sphere_product, euclidean, special_orthogonal, unitary, special_unitary):
+        for size in range(0 if family in (sphere, sphere_product) else 1, 6):
+            degrees = {r.total_degree() for r in family(size).relations}
+            assert degrees <= {2}, family(size).name
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_special_unitary_normals_end_with_the_determinant_gradients(k):
+    # at g in SU(k), adj g = g*: the gradients of Re det and Im det are the
+    # point and the point turned, each pair (a, b) as (-b, a)
+    group = special_unitary(k)
+    dim = group.ambient_dim
+    leibniz = _leibniz_determinant(k)
+    for point in sample_points(group, 4, seed=k, height=20):
+        coords = point.coords
+        expected = [[p.differentiate(j).evaluate(coords) for j in range(dim)] for p in leibniz]
+        normals = group.normals(coords)
+        assert normals[-2:] == expected
+        assert normals[:-2] == unitary(k).normals(coords)
+        assert len(normals) == len(group.relations) + 2
+    # det is locally constant on O(n): SO(n) adds no row
+    rotation = sample_point(special_orthogonal(3), k, height=20).coords
+    assert len(special_orthogonal(3).normals(rotation)) == len(special_orthogonal(3).relations)
 
 
 def test_first_violation_reports_the_determinant_after_the_relations():
