@@ -285,8 +285,42 @@ def test_unitary_relations_are_pinned(family, k):
     # SU(k) has exactly the relations of U(k); det = 1 is in its ``matrix``
     relations = family(k).relations
     assert relations == unitary(k).relations
+    assert _relation_digest(relations) == RELATION_DIGESTS[k]
+
+
+def _relation_digest(relations):
+    """Count and sha256 of the JSON relation lines, in order."""
     digest = hashlib.sha256("\n".join(map(polynomial_to_json, relations)).encode())
-    assert (len(relations), digest.hexdigest()) == RELATION_DIGESTS[k]
+    return len(relations), digest.hexdigest()
+
+
+# The relations of the other built-in families, in order: ``failed_relation``
+# indices point into this order.
+OTHER_RELATION_DIGESTS = [
+    (special_orthogonal, 1, 2, "74c5727cd77fc5e21155cba6d5f16abd39e8594bb287171186626346259205af"),
+    (special_orthogonal, 2, 6, "1c589e8ecfedfe6bbab48a8efed34aa0143ace92be0dffc462157c89a46c1d3e"),
+    (special_orthogonal, 3, 12, "ee3fe67ceb2fbfb88b3b29d7908f0312bb1bdd9a0d5daef14627d52dc73511ac"),
+    (special_orthogonal, 4, 20, "64b1375afa4cc8efe71d8c46ad0c0f90a63d9a9fb0988bf540033b77569fa437"),
+    (special_orthogonal, 5, 30, "4d52a4dc8e5421da0bcacd0c35a64b1bd6704bd66369dcd09f14946e6faad549"),
+    (special_orthogonal, 6, 42, "295df865461a8ab86e0cbad8f5cb8f49dabf6aab5bdc06f0b5a3d40fd7b50885"),
+    (sphere, 0, 1, "6293ef42652569df872ffe71f6af0564237d0c747f0fe8b17bd3701036a21afc"),
+    (sphere, 1, 1, "3d1e91b7a44816d72d54a4151b4b16c2d6702a982dc769d810352ad8eb9cf41e"),
+    (sphere, 2, 1, "08706876059346096baebf61361eebe3acbabe7be41bb8bf29659b52e32a2021"),
+    (sphere, 3, 1, "44a2c2fce5cecfca42e949b0987b3c445a99c98d2cdfe081706faf6aeebc5818"),
+    (sphere, 4, 1, "5e0d9457ef12dde3fb0617ddb62514b9532efc7aa1161ad86ff792ef614ac0b4"),
+    (sphere_product, 1, 2, "49af76820597b5bc9398a3739a2de1120b1871806a35472f09b1f76200d6cc6f"),
+    (sphere_product, 2, 2, "3464c7e6892465189c7df5bc7253667bf535e90d83e382e1808d73ba091909cd"),
+    (sphere_product, 3, 2, "cb4eb78a57d2302b32ac2cbf8c12ae98d4a4bfcd7e4956a920e925eff3c392a6"),
+    (euclidean, 3, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, k, count, digest", OTHER_RELATION_DIGESTS,
+    ids=[f"{family.__name__}-{k}" for family, k, *_ in OTHER_RELATION_DIGESTS],
+)
+def test_relations_of_every_family_are_pinned(family, k, count, digest):
+    assert _relation_digest(family(k).relations) == (count, digest)
 
 
 # One variety per sampler kind; the digests were recorded before the sphere
