@@ -36,7 +36,6 @@ from .ratmap import (
     equal_mod,
     equal_symbolic,
     identity_map,
-    identity_matrix_map,
     maps_into,
     matrix_transpose,
 )
@@ -246,7 +245,7 @@ def _su_retract_checks(m, k, *, trials, seed, **_) -> List[Verdict]:
 
 
 def _realification_checks(m, k, **_) -> List[Verdict]:
-    adjoint = matrix_transpose(identity_matrix_map(unitary(k), k, complex_entries=True))
+    adjoint = matrix_transpose(identity_map(unitary(k)))
     # The real transpose of the image is the image of the conjugate transpose.
     intertwines = matrix_transpose(m) == compose(m, adjoint)
     return [Verdict("symbolic", intertwines, {}, name="intertwines-adjoints")]
@@ -299,8 +298,10 @@ SU_RETRACT_MAX_SIZE = 5
 # Sphere maps carry one dense exponent tuple per monomial, so their cost grows
 # with the dimension.  Each bound is the largest round size whose build took
 # under 50 s (raw, one fresh process each, 2-vCPU Xeon), which leaves room for
-# the host's speed swings below a 60 s budget.  build id:3000 32 s,
-# antipodal:3000 29 s, reflect:3000:2 28 s (at 4000: 49, 54, 58 s, 1 GB).
+# the host's speed swings below a 60 s budget.  build id:3000 16-18 s,
+# antipodal:3000 17-18 s, reflect:3000:2 16-18 s, at 0.53 GB.  At 4000 they
+# took 49, 54 and 58 s at 1 GB when sphere(n) still built its relation twice,
+# and have not been timed since.
 # Where a family's suite builds a costlier map, its verify sets the bound
 # instead.  The stereo and phi suites build stereo-inv:n, whose symbolic
 # codomain check needs memory cubic in n: build stereo-inv:400 43 s at 1.3 GB,

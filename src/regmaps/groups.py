@@ -34,6 +34,10 @@ special unitary group, the realification embedding of unitaries into
 rotations, and the join-style map builder that turns a rational family
 of rotations parametrized by a sphere into a map of a larger sphere,
 quadratic in the fiber directions.
+
+Every map here is a :class:`~regmaps.ratmap.RationalMap`; one into SO(n),
+U(k) or SU(k) is a matrix because its codomain is, and takes its shape
+from the codomain's ``MatrixGroup``.
 """
 
 from __future__ import annotations
@@ -51,12 +55,11 @@ from .polynomial import (
     transport_polynomial,
 )
 from .ratmap import (
-    MatrixMap,
     RationalMap,
     compose,
     coordinate_map,
     denominator_check,
-    identity_matrix_map,
+    identity_map,
     matrix_multiply,
     matrix_transpose,
     relabel,
@@ -86,30 +89,31 @@ _CHECK = (4, 23, 8)
 # ---------------------------------------------------------------------------
 
 
-def _identity_point(group: Variety, size: int, complex_entries: bool) -> PointOnVariety:
-    width = 2 if complex_entries else 1
-    coords = [Fraction(0)] * (width * size * size)
-    for i in range(size):
-        coords[width * (i * size + i)] = Fraction(1)
+def _identity_point(group: Variety) -> PointOnVariety:
+    """The identity matrix of ``group``: the (real part of each) diagonal
+    entry is one, read off the rows of the coordinate indices."""
+    coords = [0] * group.ambient_dim
+    for i, row in enumerate(group.matrix.rows(range(group.ambient_dim))):
+        coords[row[i][0] if group.matrix.complex_entries else row[i]] = 1
     return PointOnVariety(group, coords)
 
 
 @lru_cache(maxsize=None)
 def orthogonal_identity(n: int) -> PointOnVariety:
-    return _identity_point(special_orthogonal(n), n, False)
+    return _identity_point(special_orthogonal(n))
 
 
 @lru_cache(maxsize=None)
 def unitary_identity(k: int) -> PointOnVariety:
-    return _identity_point(unitary(k), k, True)
+    return _identity_point(unitary(k))
 
 
-def _embed_block(sub: int, total: int, group, complex_entries: bool, label: str) -> MatrixMap:
+def _embed_block(sub: int, total: int, group, label: str) -> RationalMap:
     """group(sub) -> group(total) as the lower-right block, identity elsewhere.
     An entry is one coordinate, or an interleaved (re, im) pair."""
     if not 1 <= sub <= total:
         raise ValueError("need 1 <= sub <= total")
-    width = 2 if complex_entries else 1
+    width = 2 if group(total).matrix.complex_entries else 1
     offset = total - sub
     picks = []
     for a in range(total):
@@ -119,28 +123,27 @@ def _embed_block(sub: int, total: int, group, complex_entries: bool, label: str)
                     picks.append((None, 1 if a == b and part == 0 else 0))
                 else:
                     picks.append((width * ((a - offset) * sub + b - offset) + part, 1))
-    shape = (total, total, complex_entries)
-    return coordinate_map(group(sub), group(total), picks, label, shape)
+    return coordinate_map(group(sub), group(total), picks, label)
 
 
 @lru_cache(maxsize=None)
-def embed_orthogonal(sub: int, total: int) -> MatrixMap:
+def embed_orthogonal(sub: int, total: int) -> RationalMap:
     """SO(sub) -> SO(total) as the lower-right block, identity elsewhere."""
-    return _embed_block(sub, total, special_orthogonal, False, f"embed_SO{sub}_in_SO{total}")
+    return _embed_block(sub, total, special_orthogonal, f"embed_SO{sub}_in_SO{total}")
 
 
 @lru_cache(maxsize=None)
-def embed_unitary(sub: int, total: int) -> MatrixMap:
+def embed_unitary(sub: int, total: int) -> RationalMap:
     """U(sub) -> U(total) as the lower-right block, identity elsewhere."""
-    return _embed_block(sub, total, unitary, True, f"embed_U{sub}_in_U{total}")
+    return _embed_block(sub, total, unitary, f"embed_U{sub}_in_U{total}")
 
 
 @lru_cache(maxsize=None)
-def embed_special_unitary(k: int) -> MatrixMap:
+def embed_special_unitary(k: int) -> RationalMap:
     """SU(k) -> U(k), the coordinate-wise inclusion."""
     dom = special_unitary(k)
     picks = [(i, 1) for i in range(dom.ambient_dim)]
-    return coordinate_map(dom, unitary(k), picks, f"embed_SU{k}_in_U{k}", (k, k, True))
+    return coordinate_map(dom, unitary(k), picks, f"embed_SU{k}_in_U{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +180,12 @@ def first_column_u(k: int) -> RationalMap:
     return verified(_block_column(k, k, f"first_column_u_{k}", True), *_CHECK)
 
 
-def _section(k: int, complex_entries: bool, excluded: str, label: str) -> MatrixMap:
-    """The k x k section over the sphere of first columns, entries as in the
-    module docstring's table.  Complex entries are multiplied by (1 + z1)
-    above and below, so that the denominator |1 + z1|^2 is real."""
+def _section(group: Variety, excluded: str, label: str) -> RationalMap:
+    """The section of the k x k ``group`` over the sphere of first columns,
+    entries as in the module docstring's table.  Complex entries are
+    multiplied by (1 + z1) above and below, so that the denominator
+    |1 + z1|^2 is real."""
+    k, complex_entries, _ = group.matrix
     dom = sphere((2 if complex_entries else 1) * k - 1)
     x = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
     if complex_entries:
@@ -206,27 +211,24 @@ def _section(k: int, complex_entries: bool, excluded: str, label: str) -> Matrix
         den = (lead_bar * lead).re
     else:
         nums, den = entries, lead_bar
-    group = unitary(k) if complex_entries else special_orthogonal(k)
-    return verified(
-        MatrixMap(dom, group, nums, den, k, k, complex_entries, excluded=excluded, label=label),
-        *_CHECK,
-    )
+    return verified(RationalMap(dom, group, nums, den, excluded, label), *_CHECK)
 
 
 @lru_cache(maxsize=None)
-def section_so(n: int) -> MatrixMap:
+def section_so(n: int) -> RationalMap:
     """S^{n-1} -> SO(n): a rotation with prescribed first column."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return _section(n, False, "x1 = -1", f"section_so_{n}")
+    return _section(special_orthogonal(n), "x1 = -1", f"section_so_{n}")
 
 
 @lru_cache(maxsize=None)
-def section_u(k: int) -> MatrixMap:
+def section_u(k: int) -> RationalMap:
     """S^{2k-1} -> U(k): a unitary matrix with prescribed first column."""
     if k < 1:
         raise ValueError("need k >= 1")
-    return _section(k, True, "x1 = -1, x2 = 0 (the antipode of the basepoint)", f"section_u_{k}")
+    excluded = "x1 = -1, x2 = 0 (the antipode of the basepoint)"
+    return _section(unitary(k), excluded, f"section_u_{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +236,30 @@ def section_u(k: int) -> MatrixMap:
 # ---------------------------------------------------------------------------
 
 
-def _retract(section: MatrixMap, column: RationalMap, label: str) -> MatrixMap:
+def _retract(section: RationalMap, column: RationalMap, label: str) -> RationalMap:
     """g |-> section(column(g))^* g on the group of ``column``: the (conjugate)
     transpose of the lifted section times the group element."""
     lifted = compose(section, column)
-    identity = identity_matrix_map(column.domain, section.rows, section.complex_entries)
-    product = matrix_multiply(matrix_transpose(lifted), identity)
+    product = matrix_multiply(matrix_transpose(lifted), identity_map(column.domain))
     return verified(relabel(product, label, "first column at the antipode of e"), *_CHECK)
 
 
 @lru_cache(maxsize=None)
-def retract_so(n: int) -> MatrixMap:
+def retract_so(n: int) -> RationalMap:
     """SO(n) -> SO(n) with image the stabilizer of the basepoint:
     g |-> section(first_column(g))^T * g.  Fixes the embedded SO(n-1)."""
     return _retract(section_so(n), first_column(n), f"retract_so_{n}")
 
 
 @lru_cache(maxsize=None)
-def retract_u(k: int) -> MatrixMap:
+def retract_u(k: int) -> RationalMap:
     """U(k) -> U(k) onto the stabilizer of the basepoint (conjugate-transpose
     of the lifted section times the group element)."""
     return _retract(section_u(k), first_column_u(k), f"retract_u_{k}")
 
 
 @lru_cache(maxsize=None)
-def chain_retract(m: int, k: int) -> MatrixMap:
+def chain_retract(m: int, k: int) -> RationalMap:
     """SO(m) -> SO(m) with image the embedded SO(k), obtained by iterating
     the one-step retraction down the flag SO(m) > SO(m-1) > ... > SO(k).
 
@@ -269,7 +270,7 @@ def chain_retract(m: int, k: int) -> MatrixMap:
     if not 2 <= k < m:
         raise ValueError("need 2 <= k < m")
     group = special_orthogonal(m)
-    current = identity_matrix_map(group, m)
+    current = identity_map(group)
     for size in range(m, k, -1):
         column = compose(_block_column(m, size, f"block_column_{size}"), current)
         block = compose(section_so(size), column)
@@ -288,7 +289,7 @@ def chain_retract(m: int, k: int) -> MatrixMap:
 
 
 @lru_cache(maxsize=None)
-def su_retract(k: int) -> MatrixMap:
+def su_retract(k: int) -> RationalMap:
     """U(k) -> SU(k): scale the first column by the conjugate determinant.
 
     On unitary matrices conj(det g) = det(g)^{-1}, so the result has
@@ -302,23 +303,12 @@ def su_retract(k: int) -> MatrixMap:
     for i in range(k):
         for j in range(k):
             nums.extend(entries[i][j] * det_conj if j == 0 else entries[i][j])
-    return verified(
-        MatrixMap(
-            dom,
-            special_unitary(k),
-            nums,
-            Polynomial.one(dom.registry),
-            rows=k,
-            cols=k,
-            complex_entries=True,
-            label=f"su_retract_{k}",
-        ),
-        *_CHECK,
-    )
+    one, label = Polynomial.one(dom.registry), f"su_retract_{k}"
+    return verified(RationalMap(dom, special_unitary(k), nums, one, label=label), *_CHECK)
 
 
 @lru_cache(maxsize=None)
-def embed_u_in_so(k: int) -> MatrixMap:
+def embed_u_in_so(k: int) -> RationalMap:
     """U(k) -> SO(2k): replace each complex entry a + bi by the 2x2 block
     [[a, -b], [b, a]] (realification preserves products and adjoints)."""
     if k < 1:
@@ -330,11 +320,8 @@ def embed_u_in_so(k: int) -> MatrixMap:
             # row s, column t of the block [[a, -b], [b, a]] of entry (i, j)
             (i, s), (j, t) = divmod(r, 2), divmod(c, 2)
             picks.append((2 * (i * k + j) + (s ^ t), -1 if s < t else 1))
-    embedding = coordinate_map(
-        unitary(k), special_orthogonal(total), picks, f"embed_u{k}_in_so{total}",
-        (total, total, False),
-    )
-    return verified(embedding, *_CHECK)
+    label = f"embed_u{k}_in_so{total}"
+    return verified(coordinate_map(unitary(k), special_orthogonal(total), picks, label), *_CHECK)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ equal.  Semantic equality as functions is checked either symbolically
 (cross-multiplied differences reduce to zero modulo the domain blocks)
 or by exact evaluation at sampled rational points.
 
-:class:`MatrixMap` refines this with a matrix shape; entries may be
-complex, in which case consecutive coordinate pairs hold the real and
-imaginary parts of each entry (row-major).  One private reader,
-:func:`_rows`, turns such coordinates (polynomials or values) into rows of
-entries, :class:`~regmaps.polynomial.ComplexPair` when complex, and
+A map is a matrix map exactly when its codomain is a matrix group: the
+codomain's :class:`~regmaps.varieties.MatrixGroup` is the only statement
+of its shape.  Entries may be complex, in which case consecutive
+coordinate pairs hold the real and imaginary parts of each entry
+(row-major).  :meth:`MatrixGroup.rows <regmaps.varieties.MatrixGroup.rows>`
+turns such coordinates (polynomials or values) into rows of entries,
+:class:`~regmaps.polynomial.ComplexPair` when complex, and
 :func:`_coordinates` flattens rows back; evaluation, transpose and
 product all go through the pair.
 
@@ -81,6 +83,7 @@ from .polynomial import (
 )
 from .varieties import (
     DEFAULT_HEIGHT,
+    MatrixGroup,
     PointOnVariety,
     PointValidationError,
     Variety,
@@ -264,6 +267,11 @@ class RationalMap:
                 f"image of {self._describe()} left {self.codomain.name}: {exc}"
             ) from exc
 
+    def evaluate_matrix(self, point: PointOnVariety) -> list:
+        """The image of ``point`` as rows of exact scalars, pairs when
+        complex; the codomain must be a matrix group."""
+        return _group(self).rows(self.evaluate(point).coords)
+
     # -- structure ----------------------------------------------------------
 
     def max_degree(self) -> int:
@@ -289,59 +297,20 @@ class RationalMap:
 
     def __repr__(self) -> str:
         size = "staged" if self.staged else f"degree {self.max_degree()}"
-        return f"{type(self).__name__}({self._describe()}, {size})"
+        return f"RationalMap({self._describe()}, {size})"
 
 
-class MatrixMap(RationalMap):
-    """Rational map whose image coordinates form a matrix.
-
-    For real entries the codomain has ``rows * cols`` coordinates in
-    row-major order.  For complex entries each matrix slot occupies two
-    consecutive coordinates (real part then imaginary part), so the
-    codomain has ``2 * rows * cols`` coordinates.
-    """
-
-    __slots__ = ("rows", "cols", "complex_entries")
-
-    def __init__(
-        self,
-        domain: Variety,
-        codomain: Variety,
-        numerators: Sequence[Polynomial],
-        denominator: Polynomial,
-        rows: int,
-        cols: int,
-        complex_entries: bool = False,
-        excluded: str = "",
-        label: str = "",
-    ):
-        expected = rows * cols * (2 if complex_entries else 1)
-        if len(numerators) != expected:
-            raise VarietyMismatchError(
-                f"{rows}x{cols} {'complex' if complex_entries else 'real'} matrix "
-                f"needs {expected} coordinates, got {len(numerators)}"
-            )
-        super().__init__(domain, codomain, numerators, denominator, excluded, label)
-        self._set(rows=rows, cols=cols, complex_entries=complex_entries)
-
-    def evaluate_matrix(self, point: PointOnVariety) -> list:
-        """Image as a nested list of exact scalars, pairs when complex."""
-        return _rows(self, self.evaluate(point).coords)
-
-
-def _rows(m: MatrixMap, coords: Sequence) -> list:
-    """The row-major coordinates ``coords`` (polynomials or values) of a
-    matrix of ``m``'s shape as its rows of entries; when complex, each
-    entry is the :class:`ComplexPair` of two consecutive coordinates."""
-    if m.complex_entries:
-        entries = list(map(ComplexPair, coords[::2], coords[1::2]))
-    else:
-        entries = list(coords)
-    return [entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+def _group(m: RationalMap) -> MatrixGroup:
+    """The :class:`~regmaps.varieties.MatrixGroup` of ``m``'s codomain."""
+    group = m.codomain.matrix
+    if group is None:
+        raise VarietyMismatchError(f"{m.codomain.name} is not a matrix group")
+    return group
 
 
 def _coordinates(rows: Iterable[Sequence], complex_entries: bool) -> list:
-    """The row-major coordinates of the matrix ``rows``, undoing :func:`_rows`."""
+    """The row-major coordinates of the matrix ``rows``, undoing
+    :meth:`~regmaps.varieties.MatrixGroup.rows`."""
     entries = [e for row in rows for e in row]
     return [x for pair in entries for x in pair] if complex_entries else entries
 
@@ -427,28 +396,16 @@ class _Stage:
 
 
 def _derived(
-    domain: Variety,
-    codomain: Variety,
-    shape: Optional[tuple],
-    stage: _Stage,
-    excluded: str,
-    label: str,
+    domain: Variety, codomain: Variety, stage: _Stage, excluded: str, label: str
 ) -> RationalMap:
-    """The map ``stage`` computes, with ``shape`` (rows, cols,
-    complex_entries) when it is a matrix map: staged on a domain without
-    sphere blocks, expanded at once on one with them."""
-    m = object.__new__(RationalMap if shape is None else MatrixMap)
+    """The map ``stage`` computes: staged on a domain without sphere
+    blocks, expanded at once on one with them."""
+    m = object.__new__(RationalMap)
     m._set(domain=domain, codomain=codomain, excluded=excluded, label=label)
     m._set(_polys=None, _stage=stage)
-    if shape is not None:
-        m._set(rows=shape[0], cols=shape[1], complex_entries=shape[2])
     if domain.blocks:
         m._expanded()
     return m
-
-
-def _shape(m: RationalMap) -> Optional[tuple]:
-    return (m.rows, m.cols, m.complex_entries) if isinstance(m, MatrixMap) else None
 
 
 def relabel(m: RationalMap, label: str, excluded: Optional[str] = None) -> RationalMap:
@@ -456,7 +413,7 @@ def relabel(m: RationalMap, label: str, excluded: Optional[str] = None) -> Ratio
     staged and is expanded at most once."""
     stage = _Stage((m,), _relabeled_values, lambda inner: inner._expanded())
     excluded = m.excluded if excluded is None else excluded
-    return _derived(m.domain, m.codomain, _shape(m), stage, excluded, label)
+    return _derived(m.domain, m.codomain, stage, excluded, label)
 
 
 def _relabeled_values(node, scaled, memo):
@@ -474,7 +431,7 @@ def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     excluded = "; ".join(s for s in (inner.excluded, outer.excluded) if s)
     label = f"{outer._describe()} . {inner._describe()}"
     stage = _Stage((outer, inner), _composite_values, _composite_polynomials)
-    return _derived(inner.domain, outer.codomain, _shape(outer), stage, excluded, label)
+    return _derived(inner.domain, outer.codomain, stage, excluded, label)
 
 
 def _composite_polynomials(outer: RationalMap, inner: RationalMap):
@@ -518,30 +475,20 @@ def coordinate_map(
     codomain: Variety,
     picks: Sequence[Tuple[Optional[int], Union[int, Fraction]]],
     label: str,
-    shape: Optional[Tuple[int, int, bool]] = None,
 ) -> RationalMap:
     """The map over the denominator 1 whose coordinate k is ``c * x_i`` when
-    ``picks[k] == (i, c)`` and the constant ``c`` when ``picks[k] == (None, c)``;
-    a :class:`MatrixMap` when ``shape = (rows, cols, complex_entries)`` is given."""
+    ``picks[k] == (i, c)`` and the constant ``c`` when ``picks[k] == (None, c)``."""
     reg = domain.registry
     nums = [
         Polynomial.constant(reg, c) if i is None else c * Polynomial.variable(reg, i)
         for i, c in picks
     ]
-    if shape is None:
-        return RationalMap(domain, codomain, nums, Polynomial.one(reg), label=label)
-    return MatrixMap(domain, codomain, nums, Polynomial.one(reg), *shape, label=label)
+    return RationalMap(domain, codomain, nums, Polynomial.one(reg), label=label)
 
 
 def identity_map(variety: Variety) -> RationalMap:
     picks = [(i, 1) for i in range(variety.ambient_dim)]
     return coordinate_map(variety, variety, picks, f"id_{variety.name}")
-
-
-def identity_matrix_map(group: Variety, size: int, complex_entries: bool = False) -> MatrixMap:
-    """The tautological self-map g -> g of a matrix-group variety."""
-    picks = [(i, 1) for i in range(group.ambient_dim)]
-    return coordinate_map(group, group, picks, f"id_{group.name}", (size, size, complex_entries))
 
 
 def constant_map(domain: Variety, value: PointOnVariety) -> RationalMap:
@@ -706,10 +653,8 @@ def _cleared_relations(f: RationalMap) -> Iterable[Polynomial]:
         yield substitute_cleared(relation, f.numerators, f.denominator)
     group = f.codomain.matrix
     if group is not None and group.special and group.complex_entries:
-        k, nums = group.size, f.numerators
-        entries = list(map(ComplexPair, nums[::2], nums[1::2]))
-        det = poly_matrix_determinant([entries[i * k : (i + 1) * k] for i in range(k)])
-        yield from det - ComplexPair(f.denominator**k, 0)
+        det = poly_matrix_determinant(group.rows(f.numerators))
+        yield from det - ComplexPair(f.denominator**group.size, 0)
 
 
 def _unit_determinant_holds(f: RationalMap, seed: int, height: int) -> bool:
@@ -801,35 +746,33 @@ def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMa
 
 
 # ---------------------------------------------------------------------------
-# Matrix-map algebra
+# Matrix-map algebra: maps into a matrix group, whose record is the shape
 # ---------------------------------------------------------------------------
 
 
-def matrix_transpose(m: MatrixMap) -> MatrixMap:
-    """Transpose of a square real matrix map into its own codomain;
+def matrix_transpose(m: RationalMap) -> RationalMap:
+    """Transpose of a map into a matrix group, into that group too;
     conjugate-transpose when complex.
 
     For complex entries the conjugate transpose is the natural involution
     (entries swap indices, imaginary parts flip sign).
     """
-    if m.rows != m.cols:
-        raise VarietyMismatchError(f"cannot transpose a non-square {m.rows}x{m.cols} map")
     stage = _Stage((m,), _transposed_values, _transposed_polynomials)
-    label = f"({m._describe()})^T" if not m.complex_entries else f"({m._describe()})^*"
-    shape = (m.cols, m.rows, m.complex_entries)
-    return _derived(m.domain, m.codomain, shape, stage, m.excluded, label)
+    label = f"({m._describe()})^{'*' if _group(m).complex_entries else 'T'}"
+    return _derived(m.domain, m.codomain, stage, m.excluded, label)
 
 
-def _transposed(m: MatrixMap, coords: Sequence) -> list:
+def _transposed(m: RationalMap, coords: Sequence) -> list:
     """Row-major coordinates (polynomials or values) of the transpose of the
-    matrix ``coords`` of shape ``m``; conjugated when complex."""
-    rows = _rows(m, coords)
-    if m.complex_entries:
+    matrix ``coords`` of ``m``'s group; conjugated when complex."""
+    group = m.codomain.matrix
+    rows = group.rows(coords)
+    if group.complex_entries:
         rows = [[z.conjugate() for z in row] for row in rows]
-    return _coordinates(zip(*rows), m.complex_entries)
+    return _coordinates(zip(*rows), group.complex_entries)
 
 
-def _transposed_polynomials(m: MatrixMap):
+def _transposed_polynomials(m: RationalMap):
     return _transposed(m, m.numerators), m.denominator
 
 
@@ -839,54 +782,49 @@ def _transposed_values(node, scaled, memo):
     return _transposed(m, nums), den
 
 
-def matrix_multiply(a: MatrixMap, b: MatrixMap) -> MatrixMap:
-    """Entrywise-exact product of two matrix maps over a common domain and
-    into a common codomain, which the product lands in too."""
+def matrix_multiply(a: RationalMap, b: RationalMap) -> RationalMap:
+    """Entrywise-exact product of two maps over a common domain into a
+    common matrix group, which the product lands in too."""
     if a.domain != b.domain:
         raise VarietyMismatchError("matrix factors must share a domain")
-    if a.cols != b.rows or a.complex_entries != b.complex_entries:
+    _group(a)  # the factors are matrices
+    if a.codomain != b.codomain:
         raise VarietyMismatchError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols} "
-            f"(complex={a.complex_entries}, {b.complex_entries})"
-        )
-    if a.rows != b.cols or a.codomain != b.codomain:
-        raise VarietyMismatchError(
-            f"the {a.rows}x{b.cols} product does not land in a common codomain "
-            f"({a.codomain.name}, {b.codomain.name})"
+            f"matrix factors must land in a common group ({a.codomain.name}, {b.codomain.name})"
         )
     stage = _Stage((a, b), _product_values, _product_polynomials)
     return _derived(
         a.domain,
         a.codomain,
-        (a.rows, b.cols, a.complex_entries),
         stage,
         "; ".join(s for s in (a.excluded, b.excluded) if s),
         f"{a._describe()} * {b._describe()}",
     )
 
 
-def _product(a: MatrixMap, b: MatrixMap, x: Sequence, y: Sequence, summed: Callable) -> list:
-    """Row-major coordinates of the product of the matrices ``x`` (shape of
-    ``a``) and ``y`` (shape of ``b``), polynomials or values; ``summed``
-    adds the products that make one entry."""
-    columns = list(zip(*_rows(b, y)))
+def _product(a: RationalMap, x: Sequence, y: Sequence, summed: Callable) -> list:
+    """Row-major coordinates of the product of the matrices ``x`` and ``y``
+    of ``a``'s group, polynomials or values; ``summed`` adds the products
+    that make one entry."""
+    group = a.codomain.matrix
+    columns = list(zip(*group.rows(y)))
     product_rows = [
         [summed(left * right for left, right in zip(row, column)) for column in columns]
-        for row in _rows(a, x)
+        for row in group.rows(x)
     ]
-    return _coordinates(product_rows, a.complex_entries)
+    return _coordinates(product_rows, group.complex_entries)
 
 
-def _product_polynomials(a: MatrixMap, b: MatrixMap):
-    entry_type = ComplexPair if a.complex_entries else Polynomial
+def _product_polynomials(a: RationalMap, b: RationalMap):
+    entry_type = ComplexPair if a.codomain.matrix.complex_entries else Polynomial
     summed = partial(entry_type.sum, a.domain.registry)
-    return _product(a, b, a.numerators, b.numerators, summed), a.denominator * b.denominator
+    return _product(a, a.numerators, b.numerators, summed), a.denominator * b.denominator
 
 
 def _product_values(node, scaled, memo):
     a, b = node._stage.inputs
     (x, x_den), (y, y_den) = a._values(scaled, memo), b._values(scaled, memo)
-    return _product(a, b, x, y, sum), x_den * y_den
+    return _product(a, x, y, sum), x_den * y_den
 
 
 # ---------------------------------------------------------------------------
@@ -903,13 +841,18 @@ def map_to_obj(m: RationalMap) -> dict:
     }
     if m.label:
         out["label"] = m.label
-    if isinstance(m, MatrixMap):
-        out["matrix"] = {
-            "rows": m.rows,
-            "cols": m.cols,
-            "complex_entries": m.complex_entries,
-        }
+    block = _matrix_block(m.codomain)
+    if block is not None:
+        out["matrix"] = block
     return out
+
+
+def _matrix_block(codomain: Variety) -> Optional[dict]:
+    """The ``"matrix"`` block of a map into ``codomain``: its group's shape."""
+    group = codomain.matrix
+    if group is None:
+        return None
+    return {"rows": group.size, "cols": group.size, "complex_entries": group.complex_entries}
 
 
 def map_from_obj(obj: dict) -> RationalMap:
@@ -917,22 +860,12 @@ def map_from_obj(obj: dict) -> RationalMap:
     codomain = variety_by_name(obj["codomain"])
     nums = [polynomial_from_obj(p, domain.registry) for p in obj["numerators"]]
     den = polynomial_from_obj(obj["denominator"], domain.registry)
-    excluded = obj.get("excluded", "")
-    label = obj.get("label", "")
     if "matrix" in obj:
-        shape = obj["matrix"]
-        return MatrixMap(
-            domain,
-            codomain,
-            nums,
-            den,
-            rows=int(shape["rows"]),
-            cols=int(shape["cols"]),
-            complex_entries=bool(shape.get("complex_entries", False)),
-            excluded=excluded,
-            label=label,
-        )
-    return RationalMap(domain, codomain, nums, den, excluded, label)
+        # exactly the codomain's block: ``3.0`` is not ``3``, nor ``1`` ``true``
+        block, given = _matrix_block(codomain), json.dumps(obj["matrix"], sort_keys=True)
+        if block is None or given != json.dumps(block, sort_keys=True):
+            raise ValueError(f"matrix block {obj['matrix']!r} is not that of {codomain.name}")
+    return RationalMap(domain, codomain, nums, den, obj.get("excluded", ""), obj.get("label", ""))
 
 
 def map_to_json(m: RationalMap) -> str:

@@ -1,9 +1,12 @@
 """Real algebraic varieties: carriers for the domains and codomains of maps.
 
-A :class:`Variety` bundles a variable registry, the defining relations,
-any sphere blocks (groups of variables summing-of-squares to one, which
-admit canonical normal forms), and an exact rational-point sampler, a
-function of ``(rng, height)`` that each constructor binds.
+A :class:`Variety` is declared by a variable registry, at most one
+record -- sphere blocks (groups of variables summing-of-squares to one,
+which admit canonical normal forms) or a :class:`MatrixGroup`, the one
+statement of a matrix group's shape, through which other modules read its
+row-major layout -- and an exact rational-point sampler, a function of
+``(rng, height)`` that each constructor binds.  The relations follow from
+the record.
 
 Built-in families
 -----------------
@@ -84,22 +87,33 @@ class MatrixGroup(NamedTuple):
     complex_entries: bool
     special: bool
 
+    def rows(self, coords: Sequence) -> list:
+        """The row-major ``coords`` (polynomials or values) as the rows of
+        the matrix; a complex entry is the :class:`ComplexPair` of two
+        consecutive coordinates.  Other modules read the layout only here."""
+        n = self.size
+        if self.complex_entries:
+            entries = list(map(ComplexPair, coords[::2], coords[1::2]))
+        else:
+            entries = list(coords)
+        return [entries[i * n : (i + 1) * n] for i in range(n)]
+
 
 class Variety:
     """An embedded real variety with named coordinates.
 
-    ``relations`` are the polynomials that vanish on it.  ``sampler`` (or
-    ``None``) is a :data:`Sampler` that its constructor binds to its size:
-    ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.
+    Two records declare it: ``blocks``, its sphere blocks, and ``matrix``,
+    a :class:`MatrixGroup` or ``None``; a variety has at most one of them.
+    ``relations``, the polynomials that vanish on it, follow: each block's
+    relation, then the Gram relations of ``matrix`` (:func:`_gram_relations`),
+    then ``extra_relations``.  They are built on first read; det = 1 of
+    SO(n) and SU(k) is no relation, only ``matrix.special``.  ``sampler``
+    (or ``None``) is a :data:`Sampler` that its constructor binds to its
+    size: ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.
 
-    Two records say what kind of identities the relations are, so that a
-    point is checked by one integer kernel per kind instead of one
-    polynomial at a time (:meth:`first_violation_scaled`): ``blocks``, the
-    sphere blocks, and ``matrix``, a :class:`MatrixGroup` or ``None``.
-    Only the built-in constructors set ``matrix``, and only for relations
-    that are exactly the Gram relations of that group; det = 1 of SO(n) and
-    SU(k) is no relation, only ``matrix.special``.  The blocks are used
-    when the relations are exactly theirs.
+    With no extra relation the records say what kind of identities the
+    relations are, so that a point is checked by one integer kernel per
+    kind instead of one polynomial at a time (:meth:`first_violation_scaled`).
 
     Instances are immutable; equality is by name and registry, which the
     built-in constructors keep unique (they are cached and return the
@@ -107,39 +121,34 @@ class Variety:
     """
 
     __slots__ = (
-        "name", "registry", "relations", "blocks", "sampler", "matrix",
-        "_block_reducible", "_kernel", "_gradients", "_hash",
+        "name", "registry", "blocks", "sampler", "matrix",
+        "_extra", "_relations", "_kernel", "_gradients", "_hash",
     )
 
     def __init__(
         self,
         name: str,
         registry: VarRegistry,
-        relations: Sequence[Polynomial],
         blocks: Sequence[SphereBlock] = (),
-        sampler: Optional[Sampler] = None,
         matrix: Optional[MatrixGroup] = None,
+        sampler: Optional[Sampler] = None,
+        extra_relations: Sequence[Polynomial] = (),
     ):
-        relations, blocks = tuple(relations), tuple(blocks)
-        # The relations are exactly the block relations: normal forms decide
-        # membership, and the sphere kernel decides a point.
-        if blocks:
-            reducible = set(relations) == {b.relation(registry) for b in blocks}
-        else:
-            reducible = not relations
-        if matrix is not None:
+        blocks, extra = tuple(blocks), tuple(extra_relations)
+        if blocks and matrix is not None:
+            raise ValueError(f"{name}: a variety has sphere blocks or a matrix group, not both")
+        kernel = None  # no record covers an extra relation: each is tested
+        if matrix is not None and not extra:
             kernel = partial(_matrix_holds, matrix)
-        elif blocks and reducible:
+        elif blocks and not extra:
             kernel = partial(_blocks_hold, tuple(b.variable_ids for b in blocks))
-        else:
-            kernel = None
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_block_reducible", reducible)
+        object.__setattr__(self, "_extra", extra)
+        object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_gradients", None)
         object.__setattr__(self, "_hash", hash((name, registry)))
@@ -151,10 +160,22 @@ class Variety:
     def ambient_dim(self) -> int:
         return self.registry.size
 
+    @property
+    def relations(self) -> Tuple[Polynomial, ...]:
+        relations = self._relations
+        if relations is None:
+            relations = [b.relation(self.registry) for b in self.blocks]
+            if self.matrix is not None:
+                relations += _gram_relations(self.registry, self.matrix)
+            relations = (*relations, *self._extra)
+            object.__setattr__(self, "_relations", relations)
+        return relations
+
     def block_reducible(self) -> bool:
-        """True when every relation is a sphere-block relation, so that
-        membership in the relation ideal is decidable by normal forms."""
-        return self._block_reducible
+        """True when every relation is a sphere-block relation (no matrix
+        group, no extra relation), so that membership in the relation ideal
+        is decidable by normal forms."""
+        return self.matrix is None and not self._extra
 
     def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
         """``(index, residual)`` of the first relation that does not vanish
@@ -167,11 +188,11 @@ class Variety:
     ) -> Optional[Tuple[int, Fraction]]:
         """:meth:`first_violation` at the point ``nums[i] / q``, ``q > 0``.
 
-        A variety whose relations its records cover (every built-in one
-        with relations) first runs one exact integer kernel per kind on
-        ``nums``: ``sum nums[i]**2 == q**2`` per sphere block, or for a
-        matrix group ``N N* == q**2 I`` and, if special, ``det N == q**n``
-        over Z or Z[i].  When they hold, the answer is ``None``.
+        A variety with no extra relation (every built-in one) first runs
+        one exact integer kernel per kind on ``nums``: ``sum nums[i]**2 ==
+        q**2`` per sphere block, or for a matrix group ``N N* == q**2 I``
+        and, if special, ``det N == q**n`` over Z or Z[i].  When they hold,
+        the answer is ``None``.
 
         Otherwise each relation is tested by its integer numerator at that
         form (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`), then
@@ -262,10 +283,7 @@ def _determinant_misses(group: Optional[MatrixGroup], q: int, nums: Sequence[int
     over Z, ``[re, im]`` over Z[i], ``[]`` unless ``group`` is special."""
     if group is None or not group.special:
         return []
-    n = group.size
-    if group.complex_entries:
-        nums = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
-    miss = linalg.integer_determinant([nums[i * n : (i + 1) * n] for i in range(n)]) - q**n
+    miss = linalg.integer_determinant(group.rows(nums)) - q**group.size
     return list(miss) if group.complex_entries else [miss]
 
 
@@ -388,9 +406,11 @@ def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
     return type(first).sum(first.registry, terms)
 
 
-def _gram_relations(entries: Sequence[Sequence[_Entry]], conjugate: bool) -> List[Polynomial]:
-    """Entries of M* M - I and M M* - I (upper triangle, realified)."""
-    n = len(entries)
+def _gram_relations(registry: VarRegistry, group: MatrixGroup) -> List[Polynomial]:
+    """Entries of M* M - I and M M* - I (upper triangle, realified) for the
+    matrix M of ``group`` over ``registry``."""
+    n, conjugate = group.size, group.complex_entries
+    entries = (complex_entry_polys if conjugate else matrix_entry_polys)(registry, n)
     summed = ComplexPair.sum if conjugate else Polynomial.sum
     out: List[Polynomial] = []
     for left_conj in (True, False):
@@ -426,13 +446,7 @@ def sphere(n: int) -> Variety:
         raise ValueError("sphere dimension must be nonnegative")
     registry = VarRegistry([f"x{i}" for i in range(1, n + 2)])
     block = SphereBlock(tuple(range(n + 1)))
-    return Variety(
-        name=f"S{n}",
-        registry=registry,
-        relations=[block.relation(registry)],
-        blocks=[block],
-        sampler=partial(_drawn, n, _sphere_scaled),
-    )
+    return Variety(f"S{n}", registry, [block], sampler=partial(_drawn, n, _sphere_scaled))
 
 
 @lru_cache(maxsize=None)
@@ -440,7 +454,7 @@ def euclidean(n: int) -> Variety:
     if n < 1:
         raise ValueError("euclidean dimension must be positive")
     registry = VarRegistry([f"X{i}" for i in range(1, n + 1)])
-    return Variety(f"R{n}", registry, [], sampler=partial(_drawn, n, _over_common_denominator))
+    return Variety(f"R{n}", registry, sampler=partial(_drawn, n, _over_common_denominator))
 
 
 @lru_cache(maxsize=None)
@@ -450,63 +464,33 @@ def sphere_product(n: int) -> Variety:
     m = n + 1
     names = [f"x{i}" for i in range(1, m + 1)] + [f"y{i}" for i in range(1, m + 1)]
     registry = VarRegistry(names)
-    block_x = SphereBlock(tuple(range(m)))
-    block_y = SphereBlock(tuple(range(m, 2 * m)))
-    return Variety(
-        name=f"S{n}xS{n}",
-        registry=registry,
-        relations=[block_x.relation(registry), block_y.relation(registry)],
-        blocks=[block_x, block_y],
-        sampler=partial(_draw_pair, sphere(n).sampler),
-    )
+    blocks = [SphereBlock(tuple(range(m))), SphereBlock(tuple(range(m, 2 * m)))]
+    return Variety(f"S{n}xS{n}", registry, blocks, sampler=partial(_draw_pair, sphere(n).sampler))
 
 
 @lru_cache(maxsize=None)
 def special_orthogonal(n: int) -> Variety:
     if n < 1:
         raise ValueError("matrix size must be positive")
-    names = [f"g{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    registry = VarRegistry(names)
-    entries = matrix_entry_polys(registry, n)
-    return Variety(
-        name=f"SO{n}",
-        registry=registry,
-        relations=_gram_relations(entries, conjugate=False),
-        sampler=partial(_draw_cayley, n, False),
-        matrix=MatrixGroup(n, False, True),
-    )
+    registry = VarRegistry([f"g{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
+    sampler = partial(_draw_cayley, n, False)
+    return Variety(f"SO{n}", registry, matrix=MatrixGroup(n, False, True), sampler=sampler)
 
 
 @lru_cache(maxsize=None)
 def unitary(k: int) -> Variety:
     if k < 1:
         raise ValueError("matrix size must be positive")
-    names = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            names.append(f"a{i}_{j}")
-            names.append(f"b{i}_{j}")
-    registry = VarRegistry(names)
-    relations = _gram_relations(complex_entry_polys(registry, k), conjugate=True)
-    return Variety(
-        f"U{k}",
-        registry,
-        relations,
-        sampler=partial(_draw_cayley, k, True),
-        matrix=MatrixGroup(k, True, False),
-    )
+    pairs = [(f"a{i}_{j}", f"b{i}_{j}") for i in range(1, k + 1) for j in range(1, k + 1)]
+    registry = VarRegistry([x for pair in pairs for x in pair])
+    sampler = partial(_draw_cayley, k, True)
+    return Variety(f"U{k}", registry, matrix=MatrixGroup(k, True, False), sampler=sampler)
 
 
 @lru_cache(maxsize=None)
 def special_unitary(k: int) -> Variety:
-    base = unitary(k)
-    return Variety(
-        f"SU{k}",
-        base.registry,
-        base.relations,
-        sampler=partial(_draw_special_unitary, k),
-        matrix=MatrixGroup(k, True, True),
-    )
+    registry, sampler = unitary(k).registry, partial(_draw_special_unitary, k)
+    return Variety(f"SU{k}", registry, matrix=MatrixGroup(k, True, True), sampler=sampler)
 
 
 # The constructor of each family by the prefix of its names, as in ``SO4``.
@@ -648,14 +632,15 @@ def _draw_pair(factor: Sampler, rng: random.Random, height: int) -> Tuple[int, L
 
 def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int, List[int]]:
     """A point of ``unitary(k)`` with its determinant corrected in column 0."""
-    q, nums = unitary(k).sampler(rng, height)
+    group = unitary(k)
+    q, nums = group.sampler(rng, height)
     # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
     # conjugate w over q**k has determinant one.  Over q**(k + 1) that is
     # column 0 times w and the rest times q**k, then in lowest terms.
-    z = [ComplexPair(a, b) for a, b in zip(nums[::2], nums[1::2])]
-    w = linalg.integer_determinant([z[i * k : (i + 1) * k] for i in range(k)]).conjugate()
+    rows = group.matrix.rows(nums)
+    w = linalg.integer_determinant(rows).conjugate()
     scale = q**k
-    nums = [x for i, e in enumerate(z) for x in e * (scale if i % k else w)]
+    nums = [x for row in rows for j, e in enumerate(row) for x in e * (scale if j else w)]
     common = gcd(q * scale, *nums)
     return q * scale // common, [x // common for x in nums]
 

@@ -10,14 +10,7 @@ from fractions import Fraction
 import pytest
 
 from regmaps import groups, spheres
-from regmaps.ratmap import (
-    MatrixMap,
-    constant_map,
-    coordinate_map,
-    identity_map,
-    identity_matrix_map,
-    map_to_json,
-)
+from regmaps.ratmap import constant_map, coordinate_map, identity_map, map_to_json, map_to_obj
 from regmaps.varieties import euclidean, sphere, unitary
 
 # builder call: sha256 of its map_to_json.
@@ -78,8 +71,8 @@ PINNED = {
         lambda: identity_map(euclidean(3)),
         "df2249600652a1435696d49c22123e660969a255389086ed61c0b4685b2624e7",
     ),
-    "identity_matrix_map(unitary(2), 2, True)": (
-        lambda: identity_matrix_map(unitary(2), 2, True),
+    "identity_map(unitary(2))": (
+        lambda: identity_map(unitary(2)),
         "d98558c5956c751c1c39f30091261ca6033139a765636dc48c9ddc882c2e6cdf",
     ),
     "constant_map(sphere(2), basepoint(2))": (
@@ -116,14 +109,14 @@ def test_identity_points_are_pinned():
 def test_coordinate_map_negates_picks_and_places_constants():
     picks = [(1, -1), (None, Fraction(1, 2)), (0, 1)]
     m = coordinate_map(euclidean(2), euclidean(3), picks, "mixed")
-    assert not isinstance(m, MatrixMap)
+    assert "matrix" not in map_to_obj(m)
     assert m.label == "mixed"
     assert m.evaluate_raw([Fraction(3), Fraction(5)]) == [-5, Fraction(1, 2), 3]
 
 
 def test_coordinate_map_with_a_shape_is_a_complex_matrix_map():
-    conjugate = coordinate_map(unitary(1), unitary(1), [(0, 1), (1, -1)], "conj", (1, 1, True))
-    assert isinstance(conjugate, MatrixMap)
-    assert (conjugate.rows, conjugate.cols, conjugate.complex_entries) == (1, 1, True)
+    # the shape is the codomain's
+    conjugate = coordinate_map(unitary(1), unitary(1), [(0, 1), (1, -1)], "conj")
+    assert map_to_obj(conjugate)["matrix"] == {"rows": 1, "cols": 1, "complex_entries": True}
     z = [Fraction(3, 5), Fraction(4, 5)]
     assert conjugate.evaluate_raw(z) == [Fraction(3, 5), Fraction(-4, 5)]

@@ -32,7 +32,7 @@ from regmaps.groups import (
 )
 from regmaps.ratmap import (
     ExcludedLocusError,
-    MatrixMap,
+    RationalMap,
     compose,
     coordinate_map,
     equal_symbolic,
@@ -202,7 +202,7 @@ def reflected_rows(m, n):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_orientation_reversing_section_fails_on_the_determinant(n):
     s = section_so(n)
-    flipped = MatrixMap(s.domain, s.codomain, reflected_rows(s, n), s.denominator, n, n)
+    flipped = RationalMap(s.domain, s.codomain, reflected_rows(s, n), s.denominator)
     report = maps_into(flipped)
     assert not report.passed and report.method == "symbolic"
     assert report.evidence == {"checked": n * (n + 1) + 1, "failed_relation": n * (n + 1)}
@@ -212,7 +212,7 @@ def test_orientation_reversing_section_fails_on_the_determinant(n):
 def test_orientation_reversing_group_map_fails_by_sampling(n):
     group = special_orthogonal(n)
     picks = [(i, -1 if i < n else 1) for i in range(n * n)]
-    flipped = coordinate_map(group, group, picks, "negate_first_row", (n, n, False))
+    flipped = coordinate_map(group, group, picks, "negate_first_row")
     report = maps_into(flipped, samples=5, seed=1, height=20)
     assert not report.passed and report.method == "sampling"
     assert report.evidence == {"checked": 1, "failed_relation": n * (n + 1)}
@@ -222,19 +222,19 @@ def test_each_point_of_a_zero_sphere_domain_gets_its_determinant_checked():
     # x -> diag(1, x) is orthogonal on S^0 = {1, -1} but has det x; the S^0
     # sampler only ever gives x = 1
     picks = [(None, 1), (None, 0), (None, 0), (0, 1)]
-    diag = coordinate_map(sphere(0), special_orthogonal(2), picks, "diag_1_x", (2, 2, False))
+    diag = coordinate_map(sphere(0), special_orthogonal(2), picks, "diag_1_x")
     report = maps_into(diag)
     assert not report.passed and report.method == "symbolic"
     assert report.evidence == {"checked": 7, "failed_relation": 6}
     picks[-1] = (None, 1)
-    constant = coordinate_map(sphere(0), special_orthogonal(2), picks, "one", (2, 2, False))
+    constant = coordinate_map(sphere(0), special_orthogonal(2), picks, "one")
     assert maps_into(constant).evidence == {"checked": 7}
     # (1 + x) I / (1 + x) is undefined at x = -1, where the cleared
     # relations, det(N) - E^2 included, vanish: nothing fails there
     reg = sphere(0).registry
     den = Polynomial.one(reg) + Polynomial.variable(reg, 0)
     zero = Polynomial.zero(reg)
-    undefined = MatrixMap(sphere(0), special_orthogonal(2), [den, zero, zero, den], den, 2, 2)
+    undefined = RationalMap(sphere(0), special_orthogonal(2), [den, zero, zero, den], den)
     assert maps_into(undefined).evidence == {"checked": 7}
 
 
@@ -427,7 +427,7 @@ def test_maps_into_special_unitary_is_proved_with_its_determinant_last(k, gram):
     assert report.evidence == {"checked": gram + 2}
     # the section's determinant is a phase, not one: Re det - 1 fails first
     s = section_u(k)
-    declared = MatrixMap(s.domain, special_unitary(k), s.numerators, s.denominator, k, k, True)
+    declared = RationalMap(s.domain, special_unitary(k), s.numerators, s.denominator)
     report = maps_into(declared)
     assert not report.passed and report.method == "symbolic"
     assert report.evidence == {"checked": gram + 1, "failed_relation": gram}
@@ -435,7 +435,7 @@ def test_maps_into_special_unitary_is_proved_with_its_determinant_last(k, gram):
 
 def test_a_unitary_map_declared_special_fails_on_the_determinant_by_sampling():
     picks = [(i, 1) for i in range(8)]
-    declared = coordinate_map(unitary(2), special_unitary(2), picks, "u_in_su", (2, 2, True))
+    declared = coordinate_map(unitary(2), special_unitary(2), picks, "u_in_su")
     report = maps_into(declared, samples=5, seed=1, height=20)
     assert not report.passed and report.method == "sampling"
     assert report.evidence == {"checked": 1, "failed_relation": len(unitary(2).relations)}

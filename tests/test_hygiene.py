@@ -7,8 +7,10 @@ no sum of polynomials is folded by hand, no pass/fail record besides the one
 verdict type serializes itself, only polynomials and complex pairs
 multiply, only the one sample stream spells its seed formula, the map
 builders never read a map's polynomials, only the varieties and the
-membership check read a variety's relations, the stages of a map's values
-stay on integers, and no ``isinstance`` tests against a ``typing`` alias."""
+membership check read a variety's relations, only the varieties read the
+row-major matrix layout or state a matrix group, the stages of a map's
+values stay on integers, and no ``isinstance`` tests against a ``typing``
+alias."""
 
 import ast
 from pathlib import Path
@@ -490,6 +492,55 @@ def test_only_the_varieties_and_the_membership_check_read_relations():
         if attribute_reads(path.read_text(encoding="utf-8"), {"relations"})
     }
     assert readers == RELATION_READERS
+
+
+# ``varieties`` declares each matrix group (``MatrixGroup``) and is the one
+# reader of its row-major layout (``MatrixGroup.rows``): elsewhere no
+# interleaved (re, im) coordinates are split by a step-2 slice, and no group
+# is stated again.
+LAYOUT_OWNER = "varieties.py"
+
+
+def layout_reads(source: str):
+    """(line, what) of each slice with step 2 and each call of ``MatrixGroup``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Slice) and isinstance(node.step, ast.Constant):
+            if node.step.value == 2:
+                found.append((node.lineno, "[::2]"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "MatrixGroup":
+                found.append((node.lineno, "MatrixGroup("))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_step_two_slice():
+    source = (
+        "a = list(map(ComplexPair, nums[::2], nums[1::2]))\n"
+        "b = nums[::step], nums[1:2], nums[::-2], '[::2]'\n"
+        "c = [x[0:n:2] for x in rows]\n"
+    )
+    assert layout_reads(source) == [(1, "[::2]"), (1, "[::2]"), (3, "[::2]")]
+
+
+def test_the_checker_finds_a_matrix_group_construction():
+    source = (
+        "from .varieties import MatrixGroup\n"
+        "a = MatrixGroup(2, False, True)\n"
+        "b = varieties.MatrixGroup(k, True, False).rows(x)\n"
+        "c = group.rows(x), isinstance(g, MatrixGroup), 'MatrixGroup(1)'\n"
+    )
+    assert layout_reads(source) == [(2, "MatrixGroup("), (3, "MatrixGroup(")]
+
+
+def test_only_the_varieties_read_the_matrix_layout_and_state_a_group():
+    found = {
+        path.name: layout_reads(path.read_text(encoding="utf-8")) for path in PACKAGE
+    }
+    assert found[LAYOUT_OWNER]  # the rule is not vacuous
+    assert {name: lines for name, lines in found.items() if lines and name != LAYOUT_OWNER} == {}
 
 
 def typing_isinstance_checks(source: str):

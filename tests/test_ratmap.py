@@ -1,15 +1,16 @@
 """Rational maps: composition, evaluation, verification, serialization."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from regmaps.groups import embed_orthogonal
 from regmaps.polynomial import Polynomial, VarRegistry
 from regmaps.ratmap import (
     CodomainViolationError,
     ExcludedLocusError,
-    MatrixMap,
     RationalMap,
     VarietyMismatchError,
     Verdict,
@@ -22,9 +23,9 @@ from regmaps.ratmap import (
     equal_mod,
     equal_symbolic,
     identity_map,
-    identity_matrix_map,
     map_from_json,
     map_to_json,
+    map_to_obj,
     maps_into,
     matrix_multiply,
     matrix_transpose,
@@ -381,8 +382,8 @@ def test_pair_map_requires_a_common_sphere_codomain():
 
 
 def test_matrix_map_reshapes_row_major():
-    g = identity_matrix_map(special_orthogonal(2), 2)
-    assert isinstance(g, MatrixMap)
+    g = identity_map(special_orthogonal(2))
+    assert map_to_obj(g)["matrix"] == {"rows": 2, "cols": 2, "complex_entries": False}
     pt = sample_point(special_orthogonal(2), seed=4)
     m = g.evaluate_matrix(pt)
     assert m == [list(pt.coords[0:2]), list(pt.coords[2:4])]
@@ -392,7 +393,7 @@ def test_matrix_transpose_and_multiply_agree_with_linalg():
     from reference_linalg import mat_mul, transpose as tr
     from regmaps.linalg import identity as eye
 
-    g = identity_matrix_map(special_orthogonal(3), 3)
+    g = identity_map(special_orthogonal(3))
     prod = matrix_multiply(matrix_transpose(g), g)
     for pt in sample_points(special_orthogonal(3), 10, seed=15, height=25):
         got = prod.evaluate_matrix(pt)
@@ -402,15 +403,20 @@ def test_matrix_transpose_and_multiply_agree_with_linalg():
 
 
 def test_matrix_algebra_rejects_non_square_and_mismatched_shapes():
+    # a map's shape is its codomain's: a map into a sphere is no matrix
     group = special_orthogonal(2)
-    column = coordinate_map(group, sphere(1), [(0, 1), (2, 1)], "column", (2, 1, False))
-    square = identity_matrix_map(group, 2)
-    with pytest.raises(VarietyMismatchError, match="non-square 2x1"):
+    column = coordinate_map(group, sphere(1), [(0, 1), (2, 1)], "column")
+    square = identity_map(group)
+    with pytest.raises(VarietyMismatchError, match="S1 is not a matrix group"):
         matrix_transpose(column)
-    with pytest.raises(VarietyMismatchError, match="common codomain"):
-        matrix_multiply(square, column)  # a 2x1 product, and S1 is not SO2
-    with pytest.raises(VarietyMismatchError, match="cannot multiply 2x1 by 2x2"):
+    with pytest.raises(VarietyMismatchError, match="S1 is not a matrix group"):
         matrix_multiply(column, square)
+    with pytest.raises(VarietyMismatchError, match=r"common group \(SO2, S1\)"):
+        matrix_multiply(square, column)
+    with pytest.raises(VarietyMismatchError, match="not a matrix group"):
+        column.evaluate_matrix(sample_point(group, seed=1))
+    with pytest.raises(VarietyMismatchError, match=r"common group \(SO2, SO3\)"):
+        matrix_multiply(square, embed_orthogonal(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +437,47 @@ def test_matrix_map_round_trip_keeps_shape():
 
     s = section_so(3)
     again = map_from_json(map_to_json(s))
-    assert isinstance(again, MatrixMap)
-    assert (again.rows, again.cols) == (3, 3)
+    assert map_to_obj(again)["matrix"] == {"rows": 3, "cols": 3, "complex_entries": False}
     assert again == s
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"rows": 9, "cols": 1, "complex_entries": False},
+        {"rows": "3", "cols": 3.7, "complex_entries": False},
+        {"rows": 3.0, "cols": 3, "complex_entries": False},
+        {"rows": 3, "cols": 3, "complex_entries": "false"},
+        {"rows": 3, "cols": 3, "complex_entries": 0},
+        {"rows": 3, "cols": 3, "complex_entries": True},
+        {"rows": 3, "cols": 3},
+        None,
+    ],
+)
+def test_map_from_json_refuses_a_matrix_block_not_the_codomains(block):
+    from regmaps.groups import section_so
+
+    obj = map_to_obj(section_so(3))
+    obj["matrix"] = block
+    with pytest.raises(ValueError, match="is not that of SO3"):
+        map_from_json(json.dumps(obj))
+
+
+def test_map_from_json_reads_the_shape_from_the_codomain():
+    from regmaps.groups import section_so
+
+    obj = map_to_obj(section_so(3))
+    del obj["matrix"]
+    assert map_from_json(json.dumps(obj)) == section_so(3)
+    # every map into a group writes its group's block
+    block = map_to_obj(identity_map(special_unitary(2)))["matrix"]
+    assert block == {"rows": 2, "cols": 2, "complex_entries": True}
+    # a sphere is no matrix group: no block is its block
+    obj = map_to_obj(phi_double(2))
+    assert "matrix" not in obj
+    obj["matrix"] = {"rows": 3, "cols": 1, "complex_entries": False}
+    with pytest.raises(ValueError, match="is not that of S2"):
+        map_from_json(json.dumps(obj))
 
 
 def test_variety_by_name_covers_the_registry():

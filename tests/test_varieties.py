@@ -645,20 +645,39 @@ def test_sampled_points_of_built_in_groups_evaluate_no_relation(scaled_numerator
 
 
 def test_hand_built_varieties_check_each_relation(scaled_numerator_calls):
-    bare = Variety("bare", VarRegistry(["t"]), relations=())
+    bare = Variety("bare", VarRegistry(["t"]))
     assert bare._kernel is None and bare.first_violation_scaled(3, [5]) is None
     registry = VarRegistry(["u", "v"])
     block = SphereBlock((0, 1))
     u = Polynomial.variable(registry, 0)
     # the unit circle cut by (u - 2)(u + 1) = 0, the point (-1, 0): the
     # second relation is no block relation
-    cut = Variety("cut", registry, [block.relation(registry), u * u - u - 2], [block])
+    cut = Variety("cut", registry, [block], extra_relations=[u * u - u - 2])
     assert cut._kernel is None and not cut.block_reducible()
     assert cut.first_violation_scaled(5, [-5, 0]) is None
     assert scaled_numerator_calls[0] == 2
     assert cut.first_violation_scaled(5, [3, 4]) == (1, Fraction(-56, 25))
-    circle = Variety("circle", registry, [block.relation(registry)], [block])
+    circle = Variety("circle", registry, [block])
     assert circle._kernel is not None and circle.block_reducible()
+    assert circle.relations == (block.relation(registry),)
+
+
+def test_a_matrix_group_with_an_extra_relation_checks_it():
+    # SO(2) cut by g1_1 = 1: the rotation (3/5, -4/5; 4/5, 3/5) is in SO(2)
+    # and fails the extra relation, which follows the six Gram relations
+    so2 = special_orthogonal(2)
+    g11 = Polynomial.variable(so2.registry, 0)
+    cut = Variety("cut", so2.registry, matrix=so2.matrix, extra_relations=[g11 - 1])
+    assert cut.relations == so2.relations + (g11 - 1,)
+    assert not cut.block_reducible()
+    rotation = [Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5)]
+    assert so2.first_violation(rotation) is None
+    assert cut.first_violation(rotation) == (6, Fraction(-2, 5))
+    assert cut.first_violation([1, 0, 0, 1]) is None
+    # det = 1 still follows the relations, the extra one included
+    assert cut.first_violation([1, 0, 0, -1]) == (7, Fraction(-2))
+    with pytest.raises(ValueError, match="not both"):
+        Variety("both", so2.registry, [SphereBlock((0, 1))], matrix=so2.matrix)
 
 
 def test_integer_solve_matches_the_rational_solve():
@@ -835,7 +854,7 @@ def test_generic_determinant_has_every_permutation_term():
 
 
 def test_missing_sampler_is_reported():
-    bare = Variety("bare", VarRegistry(["t"]), relations=())
+    bare = Variety("bare", VarRegistry(["t"]))
     with pytest.raises(NoSamplerError):
         sample_point(bare, seed=0)
 
