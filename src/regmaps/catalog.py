@@ -280,8 +280,9 @@ class Family:
 
 
 # Building z^d expands and normalizes a degree-|d| polynomial pair: about
-# 1 s at |d| = 200, 4 s at 400 and 13 s at 800, so the catalog stops at 200.
-# `degree zpow:200` takes 21 s (2-vCPU Xeon), nearly all in its compose.
+# 0.1 s at |d| = 200, 0.5 s at 400 and 2.1 s at 800 (in process).
+# `degree zpow:200` takes 3.8-4.7 s in a fresh process (2-vCPU Xeon), most
+# of it in its compose; the catalog stops at 200.
 ZPOW_MAX_DEGREE = 200
 
 # SO(n) and SU(k) have only degree-two Gram relations; det = 1 is one integer

@@ -2,7 +2,12 @@
 
 Data model
 ----------
-* Coefficients are ``fractions.Fraction`` (exact rationals).
+* Coefficients are exact rationals, stored as ``int`` numerators over one
+  positive ``int`` denominator per polynomial, in lowest terms: the value
+  is ``sum(c * x**e) / den`` with ``gcd(den, every c) == 1``.  Ring
+  operations stay on integers; ``Fraction`` is built only at the edges
+  (a constant or a scalar factor given as one, serialization, ``repr``
+  and the value of :meth:`Polynomial.evaluate`).
 * Variables live in a :class:`VarRegistry`, an immutable ordered list of
   names.  A variable is referred to by its integer id (its position).
 * A monomial is a dense exponent tuple, one entry per registry slot.
@@ -11,9 +16,10 @@ Data model
   (highest first) so that equal polynomials have identical iteration
   order and identical serialized bytes.
 * The constructor is the one place where terms combine: it takes a mapping
-  or an iterable of ``(exponents, coefficient)`` pairs, adds repeated
-  monomials, drops zeros and sorts once.  :meth:`Polynomial.sum` adds many
-  polynomials in one such pass instead of a quadratic chain of ``+``.
+  or an iterable of ``(exponents, coefficient)`` pairs and a denominator,
+  adds repeated monomials, drops zeros, reduces to lowest terms and sorts
+  once.  :meth:`Polynomial.sum` adds many polynomials in one such pass,
+  over the lcm of their denominators, instead of a quadratic chain of ``+``.
 * A complex quantity is a :class:`ComplexPair`, the pair ``(re, im)`` of
   its real and imaginary parts: polynomials in real variables while maps
   into the circle and the unitary groups are built, integers when such
@@ -37,8 +43,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import add, neg
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -108,28 +114,47 @@ class VarRegistry:
 
 
 def _grevlex_key(exponents: tuple) -> tuple:
-    # Sorting descending by this key yields graded reverse-lexicographic
-    # order, highest term first.
-    return (sum(exponents), tuple(map(neg, reversed(exponents))))
+    # Sorting ascending by this key yields graded reverse-lexicographic
+    # order, highest term first: higher degree first, then, within a
+    # degree, the smaller exponent tuple read from its last variable.
+    return (-sum(exponents), exponents[::-1])
 
 
 class Polynomial:
-    """Sparse polynomial with exact coefficients in canonical term order."""
+    """Sparse polynomial with integer coefficients over one positive
+    denominator ``den``, in lowest terms and canonical term order."""
 
-    __slots__ = ("registry", "terms", "_plan")
+    __slots__ = ("registry", "terms", "den", "_plan")
 
-    def __init__(self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]]):
-        """``terms`` is a mapping or an iterable of ``(exponents, coefficient)``
-        pairs.  Repeated monomials are added, zero coefficients dropped and
-        the result put in canonical order: every sum of terms is made here."""
+    def __init__(
+        self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]], den: int = 1
+    ):
+        """The polynomial ``sum(c * x**e) / den`` of ``terms``, a mapping or
+        an iterable of ``(exponents, coefficient)`` pairs with ``int``
+        coefficients, and the positive ``int`` ``den``.  Repeated monomials
+        are added, zero coefficients dropped, the coefficients and ``den``
+        divided by their gcd and the result put in canonical order: every
+        sum of terms is made here.  A coefficient that is no integer raises
+        ``TypeError``."""
         combined: dict = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             prev = combined.get(exps)
             combined[exps] = coeff if prev is None else prev + coeff
-        nonzero = (exps for exps, coeff in combined.items() if coeff != 0)
-        ordered = sorted(nonzero, key=_grevlex_key, reverse=True)
+        ordered = sorted((e for e, c in combined.items() if c), key=_grevlex_key)
+        self._store(registry, {exps: combined[exps] for exps in ordered}, den)
+
+    def _store(self, registry: VarRegistry, terms: dict, den: int) -> None:
+        """Keep ``terms``, nonzero ``int`` coefficients in canonical order,
+        over ``den``, both divided by their gcd."""
+        if den < 1:
+            raise ValueError(f"a polynomial's denominator must be positive, got {den}")
+        g = gcd(den, *terms.values())  # also refuses a coefficient that is no int
+        if g > 1:
+            terms = {exps: c // g for exps, c in terms.items()}
+            den //= g
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "terms", {exps: combined[exps] for exps in ordered})
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -142,7 +167,8 @@ class Polynomial:
 
     @staticmethod
     def constant(registry: VarRegistry, value: Union[int, Fraction]) -> "Polynomial":
-        return Polynomial(registry, {(0,) * registry.size: Fraction(value)})
+        value = value if isinstance(value, int) else Fraction(value)
+        return Polynomial(registry, {(0,) * registry.size: value.numerator}, value.denominator)
 
     @staticmethod
     def variable(registry: VarRegistry, var: Union[int, str]) -> "Polynomial":
@@ -150,7 +176,7 @@ class Polynomial:
         if not 0 <= var_id < registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
         exps = tuple(1 if i == var_id else 0 for i in range(registry.size))
-        return Polynomial(registry, {exps: Fraction(1)})
+        return Polynomial(registry, {exps: 1})
 
     @staticmethod
     def one(registry: VarRegistry) -> "Polynomial":
@@ -158,9 +184,12 @@ class Polynomial:
 
     @staticmethod
     def sum(registry: VarRegistry, polys: Iterable["Polynomial"]) -> "Polynomial":
-        """The sum of ``polys``, all over ``registry``, built in one pass."""
-        checked = (_check_registry(registry, p).terms.items() for p in polys)
-        return Polynomial(registry, chain.from_iterable(checked))
+        """The sum of ``polys``, all over ``registry``, built in one pass
+        over the lcm of their denominators."""
+        polys = [_check_registry(registry, p) for p in polys]
+        den = lcm(*[p.den for p in polys])
+        scaled = (_scaled_terms(p, den // p.den) for p in polys)
+        return Polynomial(registry, chain.from_iterable(scaled), den)
 
     # -- inspection ------------------------------------------------------
 
@@ -179,30 +208,28 @@ class Polynomial:
         """The evaluation plan ``(variables_used, L, D, powers, terms)``,
         built in one pass over the terms on first use and kept.
 
-        ``L`` is the lcm of the coefficient denominators and ``D`` the total
-        degree.  ``powers`` lists each distinct variable power ``x**e`` of
-        the terms once, as ``(k, e)`` with ``k`` the position of ``x`` in
-        ``variables_used``.  ``terms`` holds one ``(c * L / den, monomial,
-        D - deg)`` triple per term: its coefficient scaled to an integer,
-        its monomial as the indices of its factors in ``powers`` and the
-        power of the shared denominator that homogenizes it to degree ``D``.
+        ``L`` is the denominator ``den`` and ``D`` the total degree.
+        ``powers`` lists each distinct variable power ``x**e`` of the terms
+        once, as ``(k, e)`` with ``k`` the position of ``x`` in
+        ``variables_used``.  ``terms`` holds one ``(c, monomial, D - deg)``
+        triple per term: its integer coefficient over ``L``, its monomial as
+        the indices of its factors in ``powers`` and the power of the shared
+        denominator that homogenizes it to degree ``D``.
         """
         try:
             return self._plan
         except AttributeError:
             pass
-        coeff_lcm = lcm(*[c.denominator for c in self.terms.values()])
         degree = self.total_degree()
         index: dict = {}
         terms = []
         for exps, coeff in self.terms.items():
             mono = tuple(index.setdefault(pair, len(index)) for pair in enumerate(exps) if pair[1])
-            scaled = coeff.numerator * (coeff_lcm // coeff.denominator)
-            terms.append((scaled, mono, degree - sum(exps)))
+            terms.append((coeff, mono, degree - sum(exps)))
         used = tuple(sorted({i for i, _ in index}))
         position = {i: k for k, i in enumerate(used)}
         powers = tuple((position[i], e) for i, e in index)
-        plan = (used, coeff_lcm, degree, powers, tuple(terms))
+        plan = (used, self.den, degree, powers, tuple(terms))
         object.__setattr__(self, "_plan", plan)
         return plan
 
@@ -220,28 +247,37 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Polynomial":
-        other = _check_registry(self.registry, self._coerce(other))
-        negated = ((e, -c) for e, c in other.terms.items())
-        return Polynomial(self.registry, chain(self.terms.items(), negated))
+        return Polynomial.sum(self.registry, (self, -self._coerce(other)))
 
     def __rsub__(self, other: object) -> "Polynomial":
         return self._coerce(other) - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.registry, {e: -c for e, c in self.terms.items()})
+        return _ordered(self.registry, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.registry, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Polynomial.zero(self.registry)
+            factor = other.numerator
+            terms = {e: c * factor for e, c in self.terms.items()}
+            return _ordered(self.registry, terms, self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_registry(self.registry, other)
+        poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
+        if len(mono.terms) == 1:
+            # A one-term factor keeps the order of the other factor's terms:
+            # the order is a monomial order.
+            ((m, cm),) = mono.terms.items()
+            terms = {tuple(map(add, e, m)): c * cm for e, c in poly.terms.items()}
+            return _ordered(self.registry, terms, self.den * other.den)
         products = (
             (tuple(map(add, e1, e2)), c1 * c2)
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )
-        return Polynomial(self.registry, products)
+        return Polynomial(self.registry, products, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -268,10 +304,12 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
+        return (
+            self.registry == other.registry and self.den == other.den and self.terms == other.terms
+        )
 
     def __hash__(self) -> int:
-        return hash((self.registry, tuple(self.terms.items())))
+        return hash((self.registry, self.den, tuple(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -284,7 +322,7 @@ class Polynomial:
             for exps, coeff in self.terms.items()
             if exps[var_id]
         )
-        return Polynomial(self.registry, derivatives)
+        return Polynomial(self.registry, derivatives, self.den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -322,10 +360,10 @@ class Polynomial:
     def scaled_numerator(self, nums: Sequence[int], q: int) -> int:
         """The integer ``L * q**D`` times the value at the point ``nums[i] / q``
         (``nums`` indexed by variable id, ``q > 0``, as a point is sampled and
-        kept), with ``L`` the lcm of the coefficient denominators and ``D``
-        the total degree.  The factor is positive, so this integer is zero
-        exactly where the value is and has its sign: a zero test or a sign
-        test builds no ``Fraction``."""
+        kept), with ``L`` the denominator ``den`` and ``D`` the total
+        degree.  The factor is positive, so this integer is zero exactly
+        where the value is and has its sign: a zero test or a sign test
+        builds no ``Fraction``."""
         return self._integer_value([nums[i] for i in self._scalars()[0]], q)[0]
 
     def _integer_value(self, nums: Sequence[int], q: int) -> tuple:
@@ -353,6 +391,7 @@ class Polynomial:
             return "Polynomial(0)"
         parts = []
         for exps, coeff in self.terms.items():
+            coeff = Fraction(coeff, self.den)
             factors = [
                 self.registry.name(i) + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exps)
@@ -371,6 +410,21 @@ def scale_point(values: Sequence) -> tuple:
     dens = [v.denominator for v in values]
     q = lcm(*dens)
     return q, [v.numerator * (q // d) for v, d in zip(values, dens)]
+
+
+def _ordered(registry: VarRegistry, terms: dict, den: int) -> Polynomial:
+    """The polynomial of ``terms``, nonzero ``int`` coefficients already in
+    canonical order, over ``den``: no term is combined or sorted."""
+    p = object.__new__(Polynomial)
+    p._store(registry, terms, den)
+    return p
+
+
+def _scaled_terms(p: Polynomial, factor: int) -> Iterable[tuple]:
+    """The ``(exponents, coefficient)`` pairs of ``p`` with every coefficient
+    times ``factor``."""
+    items = p.terms.items()
+    return items if factor == 1 else ((e, c * factor) for e, c in items)
 
 
 def _check_registry(registry: VarRegistry, p: Polynomial) -> Polynomial:
@@ -395,7 +449,7 @@ def transport_polynomial(
                 out[var_map[i]] += e
         return tuple(out)
 
-    return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()))
+    return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()), p.den)
 
 
 class ComplexPair(NamedTuple):
@@ -578,6 +632,8 @@ def _reduce_one_block(p: Polynomial, block: SphereBlock) -> Polynomial:
     target = block.eliminated
     if not any(exps[target] >= 2 for exps in p.terms):
         return p
+    # The substitute and its powers have integer coefficients (``den`` 1),
+    # so every rewritten term stays over ``p.den``.
     substitute = block.substitute_polynomial(p.registry)
     sub_powers = [Polynomial.one(p.registry)]
 
@@ -593,7 +649,7 @@ def _reduce_one_block(p: Polynomial, block: SphereBlock) -> Polynomial:
             for sub_exps, sub_coeff in sub_powers[e // 2].terms.items():
                 yield tuple(map(add, base, sub_exps)), coeff * sub_coeff
 
-    return Polynomial(p.registry, rewritten())
+    return Polynomial(p.registry, rewritten(), p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +657,10 @@ def _reduce_one_block(p: Polynomial, block: SphereBlock) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_to_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _coefficient_to_str(coeff: int, den: int) -> str:
+    """The coefficient ``coeff / den`` as the string of its ``Fraction``."""
+    g = gcd(coeff, den)
+    return f"{coeff // g}/{den // g}"
 
 
 def _fraction_from_str(text: str) -> Fraction:
@@ -620,7 +678,7 @@ def polynomial_to_obj(p: Polynomial) -> list:
     out = []
     for exps, coeff in p.terms.items():
         mono = [[i, e] for i, e in enumerate(exps) if e]
-        out.append({"c": _fraction_to_str(coeff), "m": mono})
+        out.append({"c": _coefficient_to_str(coeff, p.den), "m": mono})
     return out
 
 
@@ -644,7 +702,9 @@ def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
             exps[var_id] = e
         return tuple(exps), coeff
 
-    return Polynomial(registry, (term(item) for item in obj))
+    pairs = [term(item) for item in obj]
+    den = lcm(*[c.denominator for _, c in pairs])
+    return Polynomial(registry, [(e, c.numerator * (den // c.denominator)) for e, c in pairs], den)
 
 
 def polynomial_to_json(p: Polynomial) -> str:

@@ -328,13 +328,17 @@ def _normalize_content(
 ) -> Tuple[List[Polynomial], Polynomial]:
     # Scale by the positive reciprocal of the rational content, so the
     # coefficients become integers with overall gcd one; the sign is kept.
-    coeffs = [c for p in nums + [den] for c in p.terms.values()]
-    num_gcd = gcd(*[c.numerator for c in coeffs])
-    den_lcm = lcm(*[c.denominator for c in coeffs])
-    scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
-    if scale != 1:
-        nums = [p * scale for p in nums]
-        den = den * scale
+    # Over the lcm ``L`` of the denominators, polynomial ``p`` has the
+    # integer coefficients ``c * (L // p.den)``; ``g`` is their gcd.
+    polys = nums + [den]
+    common = lcm(*[p.den for p in polys])
+    g = gcd(*[gcd(*p.terms.values()) * (common // p.den) for p in polys])
+    if common == 1 and g == 1:
+        return nums, den
+    *nums, den = [
+        Polynomial(p.registry, {e: c * (common // p.den) // g for e, c in p.terms.items()})
+        for p in polys
+    ]
     return nums, den
 
 
@@ -363,7 +367,7 @@ def substitute_cleared(
     image_powers: dict = {}
     den_powers = [Polynomial.one(target)]
 
-    def cleared_term(exps: tuple, coeff: Fraction) -> Polynomial:
+    def cleared_term(exps: tuple, coeff: int) -> Polynomial:
         term = Polynomial.constant(target, coeff)
         for i, e in enumerate(exps):
             if e == 0:
@@ -379,7 +383,10 @@ def substitute_cleared(
             den_powers.append(den_powers[-1] * denominator)
         return term * den_powers[k]
 
-    return Polynomial.sum(target, (cleared_term(e, c) for e, c in source.terms.items()))
+    # Each integer coefficient of ``source`` is cleared with its monomial;
+    # the sum is then put over ``source``'s denominator.
+    total = Polynomial.sum(target, (cleared_term(e, c) for e, c in source.terms.items()))
+    return total if source.den == 1 else Polynomial(target, total.terms, total.den * source.den)
 
 
 @dataclass(frozen=True)
@@ -865,7 +872,11 @@ def map_from_obj(obj: dict) -> RationalMap:
         block, given = _matrix_block(codomain), json.dumps(obj["matrix"], sort_keys=True)
         if block is None or given != json.dumps(block, sort_keys=True):
             raise ValueError(f"matrix block {obj['matrix']!r} is not that of {codomain.name}")
-    return RationalMap(domain, codomain, nums, den, obj.get("excluded", ""), obj.get("label", ""))
+    excluded, label = obj.get("excluded", ""), obj.get("label", "")
+    for key, text in (("excluded", excluded), ("label", label)):
+        if type(text) is not str:
+            raise ValueError(f"{key} must be a string, got {text!r}")
+    return RationalMap(domain, codomain, nums, den, excluded, label)
 
 
 def map_to_json(m: RationalMap) -> str:

@@ -62,10 +62,11 @@ TermData = List[Tuple[float, Tuple[Tuple[int, int], ...]]]
 
 
 def _term_data(p: Polynomial) -> TermData:
+    # ``coeff / p.den`` is correctly rounded, as ``float`` of the Fraction is.
     out = []
     for exps, coeff in p.terms.items():
         factors = tuple((i, e) for i, e in enumerate(exps) if e)
-        out.append((float(coeff), factors))
+        out.append((coeff / p.den, factors))
     return out
 
 
@@ -97,7 +98,7 @@ def _coefficients(p: Polynomial) -> List[Fraction]:
     """Dense coefficients of a one-variable polynomial, leading first."""
     coeffs = [Fraction(0)] * (p.total_degree() + 1) if p.terms else []
     for (e,), c in p.terms.items():
-        coeffs[-1 - e] = c
+        coeffs[-1 - e] = Fraction(c, p.den)
     return coeffs
 
 

@@ -9,13 +9,18 @@ multiply, only the one sample stream spells its seed formula, the map
 builders never read a map's polynomials, only the varieties and the
 membership check read a variety's relations, only the varieties read the
 row-major matrix layout or state a matrix group, the stages of a map's
-values stay on integers, and no ``isinstance`` tests against a ``typing``
-alias."""
+values stay on integers, no ``isinstance`` tests against a ``typing``
+alias, only the polynomial core and its two ported readers read a
+polynomial's stored coefficients, and every catalog map holds them as
+``int``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from regmaps import catalog
+from test_catalog import GOLDEN
 
 PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "regmaps").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]  # the package re-exports its imports
@@ -597,6 +602,41 @@ def test_no_isinstance_tests_against_typing():
         path.name: typing_isinstance_checks(path.read_text(encoding="utf-8")) for path in PACKAGE
     }
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# A polynomial stores ``int`` coefficients (``terms``) over one positive
+# ``int`` denominator (``den``).  Besides ``polynomial`` itself, two modules
+# read them: ``ratmap`` (content normalization and ``substitute_cleared``)
+# and ``topology`` (float coefficients and the Sturm sequence).  Everyone
+# else goes through the polynomial's operations, so no second scalar type
+# can creep in.
+COEFFICIENT_READERS = {"polynomial.py", "ratmap.py", "topology.py"}
+
+
+def test_the_checker_finds_a_coefficient_read():
+    source = (
+        "a = p.terms.items()\n"
+        "b = Fraction(c, p.den)\n"
+        "c = p.terminal, p.denominator, 'p.terms'\n"
+    )
+    assert attribute_reads(source, {"terms", "den"}) == [1, 2]
+
+
+def test_only_the_polynomial_core_and_its_ported_readers_read_coefficients():
+    readers = {
+        path.name
+        for path in PACKAGE
+        if attribute_reads(path.read_text(encoding="utf-8"), {"terms", "den"})
+    }
+    assert readers == COEFFICIENT_READERS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_golden_catalog_map_holds_int_coefficients(name):
+    m = catalog.resolve(name)
+    for p in [*m.numerators, m.denominator]:
+        assert type(p.den) is int and p.den == 1  # content normalization clears it
+        assert all(type(c) is int for c in p.terms.values())
 
 
 # The functions of ``ratmap`` that compute a map's values at a point, stage

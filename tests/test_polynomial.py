@@ -1,9 +1,13 @@
 """Exact polynomial arithmetic: ring axioms, normal forms, serialization."""
 
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmaps.polynomial import (
     ComplexPair,
@@ -21,6 +25,7 @@ from regmaps.polynomial import (
     scale_point,
     transport_polynomial,
 )
+import reference_polynomial as ref
 from reference_linalg import sphere_coords_from_parameters
 
 REG = VarRegistry(["x1", "x2", "x3", "y1"])
@@ -106,12 +111,13 @@ def test_power_matches_repeated_multiplication():
 
 def test_constructor_adds_repeated_pairs():
     e, f = (1, 0, 0, 0), (0, 2, 0, 0)
-    pairs = [(e, Fraction(1, 2)), (f, Fraction(3)), (e, Fraction(1, 3)), (f, Fraction(-3))]
-    p = Polynomial(REG, pairs)
-    assert p.terms == {e: Fraction(5, 6)}
-    assert p == Polynomial(REG, iter(pairs)) == Fraction(5, 6) * X1
-    assert Polynomial(REG, ((e, Fraction(1)) for _ in range(4))) == 4 * X1
-    assert Polynomial(REG, [(e, Fraction(2)), (e, Fraction(-2))]).is_zero()
+    # 1/2, 3, 1/3 and -3 over the denominator 6
+    pairs = [(e, 3), (f, 18), (e, 2), (f, -18)]
+    p = Polynomial(REG, pairs, 6)
+    assert {x: Fraction(c, p.den) for x, c in p.terms.items()} == {e: Fraction(5, 6)}
+    assert p == Polynomial(REG, iter(pairs), 6) == Fraction(5, 6) * X1
+    assert Polynomial(REG, ((e, 1) for _ in range(4))) == 4 * X1
+    assert Polynomial(REG, [(e, 2), (e, -2)], 3).is_zero()
     shuffled = list((X1 + X2**2 + X3 * Y1 + 1).terms.items())[::-1]
     assert list(Polynomial(REG, shuffled).terms) == list((X1 + X2**2 + X3 * Y1 + 1).terms)
 
@@ -391,7 +397,7 @@ def naive_evaluate(p, values):
     """Reference: the plain sum of c * prod(v ** e) in Fraction arithmetic."""
     total = Fraction(0)
     for exps, coeff in p.terms.items():
-        term = coeff
+        term = Fraction(coeff, p.den)
         for v, e in zip(values, exps):
             term *= Fraction(v) ** e
         total += term
@@ -441,7 +447,7 @@ def test_the_integer_core_has_the_sign_and_the_zeros_of_the_value():
 
 def test_the_evaluation_plan_is_built_on_first_use_and_kept():
     p = 3 * X1 ** 2 * Y1 - Fraction(1, 6) * X2 + 1
-    fresh = Polynomial(REG, p.terms)
+    fresh = Polynomial(REG, p.terms, p.den)
     assert not hasattr(p, "_plan") and not hasattr(fresh, "_plan")
     assert p.evaluate([1, 6, 9, Fraction(1, 3)]) == 1
     plan = p._plan
@@ -521,3 +527,139 @@ def test_transport_polynomial_renames_variables():
     x3 = Polynomial.variable(big, 2)
     x4 = Polynomial.variable(big, 3)
     assert moved == x3 ** 2 + 3 * x4
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients over one denominator, against a Fraction reference
+# ---------------------------------------------------------------------------
+
+# Derandomized, with no example database: the same examples on every run.
+REFERENCE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+REFERENCE_BLOCKS = ((0, 1, 2), (3,))
+
+fractions = st.builds(
+    Fraction,
+    st.integers(-60, 60) | st.integers(-(10**30), 10**30),
+    st.integers(1, 12) | st.sampled_from([2**40, 3**25 * 7]),
+)
+references = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * REG.size), fractions, max_size=6
+).map(lambda d: {e: c for e, c in d.items() if c})
+points = st.lists(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+    min_size=REG.size,
+    max_size=REG.size,
+)
+
+
+def assert_canonical(p):
+    """Integer coefficients over a positive denominator, in lowest terms."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+
+
+@REFERENCE_SETTINGS
+@given(references, references)
+def test_ring_operations_agree_with_the_fraction_reference(a, b):
+    p, q = ref.to_polynomial(REG, a), ref.to_polynomial(REG, b)
+    assert ref.from_polynomial(p) == a
+    for result, expected in (
+        (p + q, ref.add(a, b)),
+        (p - q, ref.sub(a, b)),
+        (p * q, ref.mul(a, b)),
+        (-p, ref.neg(a)),
+        (Polynomial.sum(REG, [p, q, -p]), b),
+    ):
+        assert_canonical(result)
+        assert ref.from_polynomial(result) == expected
+
+
+@REFERENCE_SETTINGS
+@given(references, st.integers(0, 3), fractions)
+def test_powers_and_scalar_products_agree_with_the_fraction_reference(a, exponent, scalar):
+    p = ref.to_polynomial(REG, a)
+    for result, expected in (
+        (p**exponent, ref.power(a, exponent, REG.size)),
+        (p * scalar, ref.mul(a, {(0,) * REG.size: scalar})),
+        (scalar * p, ref.mul(a, {(0,) * REG.size: scalar})),
+        (p * exponent, ref.mul(a, {(0,) * REG.size: Fraction(exponent)})),
+    ):
+        assert_canonical(result)
+        assert ref.from_polynomial(result) == expected
+
+
+@REFERENCE_SETTINGS
+@given(references)
+def test_derivatives_and_normal_forms_agree_with_the_fraction_reference(a):
+    p = ref.to_polynomial(REG, a)
+    for var_id in range(REG.size):
+        derivative = p.differentiate(var_id)
+        assert_canonical(derivative)
+        assert ref.from_polynomial(derivative) == ref.differentiate(a, var_id)
+    reduced = normal_form(p, [SphereBlock(block) for block in REFERENCE_BLOCKS])
+    assert_canonical(reduced)
+    assert ref.from_polynomial(reduced) == ref.normal_form(a, REFERENCE_BLOCKS)
+
+
+@REFERENCE_SETTINGS
+@given(references, points)
+def test_values_agree_with_the_fraction_reference(a, point):
+    p = ref.to_polynomial(REG, a)
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == ref.evaluate(a, point)
+    q, nums = scale_point(point)
+    numerator = p.scaled_numerator(nums, q)
+    assert Fraction(numerator, p.den * q ** p.total_degree()) == value
+
+
+@REFERENCE_SETTINGS
+@given(references)
+def test_the_serialized_form_is_the_fraction_references(a):
+    p = ref.to_polynomial(REG, a)
+    assert polynomial_to_obj(p) == ref.to_obj(a)
+    text = polynomial_to_json(p)
+    again = polynomial_from_json(text, REG)
+    assert again == p and again.den == p.den
+    assert list(again.terms.items()) == list(p.terms.items())
+    assert polynomial_to_json(again) == text
+
+
+@REFERENCE_SETTINGS
+@given(references, st.integers(1, 10**6))
+def test_equal_polynomials_built_by_different_routes_compare_and_hash_equal(a, k):
+    """From ``Fraction`` input, from integers over an unreduced denominator,
+    from the serialized form and by integer arithmetic: one canonical form."""
+    p = ref.to_polynomial(REG, a)
+    common = 1
+    for c in a.values():
+        common = common * c.denominator // gcd(common, c.denominator)
+    over_integers = Polynomial(
+        REG, {e: int(c * common) * k for e, c in a.items()}, common * k
+    )
+    routes = [
+        over_integers,
+        polynomial_from_json(json.dumps(ref.to_obj(a)), REG),
+        (p * 3 + p) * Fraction(1, 4),
+        (p + ONE) - ONE,
+        Polynomial(REG, reversed(list(p.terms.items())), p.den),
+    ]
+    for other in routes:
+        assert_canonical(other)
+        assert other == p and hash(other) == hash(p)
+        assert (other.den, list(other.terms.items())) == (p.den, list(p.terms.items()))
+
+
+def test_the_constructor_takes_integer_coefficients_over_a_positive_denominator():
+    e = (1, 0, 0, 0)
+    with pytest.raises(TypeError):
+        Polynomial(REG, {e: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="must be positive"):
+        Polynomial(REG, {e: 1}, 0)
+    with pytest.raises(ValueError, match="must be positive"):
+        Polynomial(REG, {e: 1}, -2)
+    p = Polynomial(REG, {e: 4, (0,) * 4: -6}, 10)
+    assert (p.den, list(p.terms.values())) == (5, [2, -3])
+    zero = Polynomial(REG, {e: 0}, 7)
+    assert zero.is_zero() and zero.den == 1 and zero == Polynomial.zero(REG)

@@ -463,6 +463,27 @@ def test_map_from_json_refuses_a_matrix_block_not_the_codomains(block):
         map_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"label": 5}, "label"),
+        ({"excluded": ["x"]}, "excluded"),
+        ({"label": 5, "excluded": ["x"]}, "excluded"),
+        ({"label": None}, "label"),
+    ],
+)
+def test_map_from_json_refuses_a_label_or_excluded_text_that_is_no_string(fields, key):
+    obj = {**map_to_obj(antipodal(1)), **fields}
+    with pytest.raises(ValueError, match=f"{key} must be a string"):
+        map_from_json(json.dumps(obj))
+    # both absent read as empty, as a map built without them writes them
+    obj = map_to_obj(antipodal(1))
+    del obj["excluded"]
+    obj.pop("label", None)
+    loaded = map_from_json(json.dumps(obj))
+    assert (loaded.excluded, loaded.label) == ("", "")
+
+
 def test_map_from_json_reads_the_shape_from_the_codomain():
     from regmaps.groups import section_so
 
