@@ -31,7 +31,7 @@ from .ratmap import (
     compose as compose_maps,
     map_to_obj,
 )
-from .varieties import NoSamplerError, PointOnVariety, sample_point, sphere
+from .varieties import PointOnVariety, sample_point, sphere
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -254,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         _note(f"check failed: {exc}")
         return CHECK_FAILED
-    except (NoSamplerError, ValueError) as exc:
+    except ValueError as exc:
         _note(f"error: {exc}")
         return USAGE_ERROR
 

@@ -68,7 +68,6 @@ from .ratmap import (
 from .varieties import (
     PointOnVariety,
     Variety,
-    complex_entry_polys,
     euclidean,
     poly_matrix_determinant,
     sample_points,
@@ -297,7 +296,8 @@ def su_retract(k: int) -> RationalMap:
     if k < 1:
         raise ValueError("need k >= 1")
     dom = unitary(k)
-    entries = complex_entry_polys(dom.registry, k)
+    coords = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
+    entries = dom.matrix.rows(coords)
     det_conj = poly_matrix_determinant(entries).conjugate()
     nums: List[Polynomial] = []
     for i in range(k):

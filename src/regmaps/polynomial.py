@@ -53,7 +53,7 @@ class RegistryMismatchError(ValueError):
 
 
 class UnknownVariableError(ValueError):
-    """Raised when a variable id or name is not present in a registry."""
+    """Raised when a variable id is not present in a registry."""
 
 
 class MissingAssignmentError(ValueError):
@@ -72,7 +72,7 @@ class VarRegistry:
     interchangeable.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -80,7 +80,6 @@ class VarRegistry:
             repeated = sorted(name for name, count in Counter(names).items() if count > 1)
             raise ValueError(f"duplicate variable names in registry: {repeated}")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("VarRegistry is immutable")
@@ -93,15 +92,6 @@ class VarRegistry:
         if not 0 <= var_id < len(self.names):
             raise UnknownVariableError(f"no variable with id {var_id}")
         return self.names[var_id]
-
-    def id(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise UnknownVariableError(f"no variable named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VarRegistry) and self.names == other.names
@@ -171,8 +161,7 @@ class Polynomial:
         return Polynomial(registry, {(0,) * registry.size: value.numerator}, value.denominator)
 
     @staticmethod
-    def variable(registry: VarRegistry, var: Union[int, str]) -> "Polynomial":
-        var_id = registry.id(var) if isinstance(var, str) else var
+    def variable(registry: VarRegistry, var_id: int) -> "Polynomial":
         if not 0 <= var_id < registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
         exps = tuple(1 if i == var_id else 0 for i in range(registry.size))
@@ -313,8 +302,7 @@ class Polynomial:
 
     # -- calculus ----------------------------------------------------------
 
-    def differentiate(self, var: Union[int, str]) -> "Polynomial":
-        var_id = self.registry.id(var) if isinstance(var, str) else var
+    def differentiate(self, var_id: int) -> "Polynomial":
         if not 0 <= var_id < self.registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
         derivatives = (
@@ -326,30 +314,20 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _assignment_vector(self, point: object, used: tuple) -> list:
-        """The values that ``point``, a mapping or a sequence, assigns to the
-        ids in ``used``: ``None`` where it assigns none."""
-        if isinstance(point, Mapping):
-            return [point.get(i) for i in used]
-        vals = list(point)
-        return [vals[i] if i < len(vals) else None for i in used]
-
-    def evaluate(self, point: object) -> Fraction:
+    def evaluate(self, point: Sequence) -> Fraction:
         """Exact evaluation at rational coordinates.
 
-        ``point`` is either a sequence indexed by variable id or a mapping
-        from variable id to value; values are ``Fraction`` or ``int`` (any
-        other value is read through ``Fraction``).  Only the used variables
-        are read, straight from a list or tuple that covers them.  Their
-        values are written over one shared denominator (see
-        :func:`scale_point`) and the integer core of :meth:`scaled_numerator`
-        does the rest, over its positive factor, reduced once.
+        ``point`` is a sequence indexed by variable id whose values are
+        ``Fraction`` or ``int`` (any other value is read through
+        ``Fraction``).  Only the used variables are read; one that ``point``
+        is too short to hold, or holds as ``None``, raises
+        :class:`MissingAssignmentError`.  Their values are written over one
+        shared denominator (see :func:`scale_point`) and the integer core of
+        :meth:`scaled_numerator` does the rest, over its positive factor,
+        reduced once.
         """
-        used = self._scalars()[0]
-        if isinstance(point, (list, tuple)) and (not used or len(point) > used[-1]):
-            values = [point[i] for i in used]
-        else:
-            values = self._assignment_vector(point, used)
+        used, size = self._scalars()[0], len(point)
+        values = [point[i] if i < size else None for i in used]
         if any(v is None for v in values):
             missing = (i for i, value in zip(used, values) if value is None)
             names = ", ".join(self.registry.name(i) for i in missing)

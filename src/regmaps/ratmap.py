@@ -39,28 +39,27 @@ coordinate ``N/D`` of ``f`` clears denominators by homogenizing with
 numerators ``N(M/E) * E^d`` and denominator ``D(M/E) * E^d`` --
 polynomials again, no division needed.
 
-Staged maps.  On a domain without sphere blocks (SO(n), U(k), SU(k),
-R^n) no normal form is involved, so :func:`compose`,
-:func:`matrix_multiply`, :func:`matrix_transpose` and :func:`relabel`
-return a *staged* map: it keeps its inputs and a rule for their values,
-a straight-line program in the sense of Kaltofen (JACM 1988).
+Staged maps.  :func:`compose`, :func:`matrix_multiply`,
+:func:`matrix_transpose` and :func:`relabel` return a *staged* map, on
+every domain: it keeps its inputs and a rule for their values, a
+straight-line program in the sense of Kaltofen (JACM 1988).
 :meth:`RationalMap.values` evaluates it as it stands, each shared stage
 once per point, on integers: from the point in scaled form ``(q, nums)``
 every node returns integer numerator and denominator values, and
 ``Fraction`` coordinates are built only where a caller reads them
 (:meth:`RationalMap.evaluate_raw`, :meth:`RationalMap.evaluate`).
-Invariant: at every coordinate vector the values are a *positive
+Invariant: at every point of the domain the values are a *positive
 multiple* of the expanded map's numerator and denominator values, so
 every ratio, zero test and sign -- hence every verdict built on them --
-is the expanded map's.  A composite keeps the invariant by evaluating
-the outer map at the inner image, in scaled form reduced by one gcd,
-only where the inner denominator is positive; elsewhere the dropped
-factor ``E^d`` could vanish or flip the sign, so it evaluates its own
-expansion.  Reading
+is the expanded map's.  On a domain with sphere blocks the expansion is
+a normal form, which agrees with the polynomials it reduces only on the
+domain.  A composite keeps the invariant by evaluating the outer map at
+the inner image, in scaled form reduced by one gcd, only where the inner
+denominator is positive; elsewhere the dropped factor ``E^d`` could
+vanish or flip the sign, so it evaluates its own expansion.  Reading
 ``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
 :func:`map_to_obj` expands the map once, by the same polynomial code an
 expanded map is built with, and releases its inputs.
-On sphere-block domains the operations expand at once.
 """
 
 from __future__ import annotations
@@ -89,6 +88,7 @@ from .varieties import (
     Variety,
     poly_matrix_determinant,
     sample_stream,
+    scaled_image,
     sphere,
     sphere_product,
     variety_by_name,
@@ -188,8 +188,9 @@ class RationalMap:
     # -- evaluation -------------------------------------------------------
 
     def values(self, coords: Sequence[Fraction]) -> Tuple[List[int], int]:
-        """Integer numerator values and denominator value at ``coords``: a
-        positive multiple of the expanded map's, so ratios, zeros and signs are its."""
+        """Integer numerator values and denominator value at ``coords``, a
+        point of the domain: a positive multiple of the expanded map's, so
+        ratios, zeros and signs are its."""
         return self._values(self._scaled(coords), {})
 
     def _scaled(self, coords: Sequence) -> tuple:
@@ -238,18 +239,19 @@ class RationalMap:
 
     def _image(self, scaled: tuple) -> Tuple[int, List[int]]:
         """The image of the point ``scaled`` in scaled form (see
-        :func:`_scaled_image`), raising :class:`ExcludedLocusError` where
-        the denominator vanishes."""
+        :func:`~regmaps.varieties.scaled_image`), raising
+        :class:`ExcludedLocusError` where the denominator vanishes."""
         nums, den = self._values(scaled, {})
         if den == 0:
             raise ExcludedLocusError(
                 f"denominator of {self._describe()} vanishes at the given point"
                 + (f" (excluded locus: {self.excluded})" if self.excluded else "")
             )
-        return _scaled_image(nums, den)
+        return scaled_image(nums, den)
 
     def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
-        """Exact image coordinates without variety bookkeeping."""
+        """Exact image coordinates of ``coords``, a point of the domain that
+        is not checked (see :meth:`values`), without variety bookkeeping."""
         q, nums = self._image(self._scaled(coords))
         return [Fraction(n, q) for n in nums]
 
@@ -313,14 +315,6 @@ def _coordinates(rows: Iterable[Sequence], complex_entries: bool) -> list:
     :meth:`~regmaps.varieties.MatrixGroup.rows`."""
     entries = [e for row in rows for e in row]
     return [x for pair in entries for x in pair] if complex_entries else entries
-
-
-def _scaled_image(nums: Sequence[int], den: int) -> Tuple[int, List[int]]:
-    """The point ``nums[i] / den``, integers with ``den != 0``, in scaled form
-    ``(q, ints)`` with ``q > 0``: all divided by their gcd, carrying the sign
-    of ``den``, as :func:`regmaps.varieties._cayley` reduces its point."""
-    g = gcd(den, *nums) * (-1 if den < 0 else 1)
-    return den // g, [n // g for n in nums]
 
 
 def _normalize_content(
@@ -405,21 +399,17 @@ class _Stage:
 def _derived(
     domain: Variety, codomain: Variety, stage: _Stage, excluded: str, label: str
 ) -> RationalMap:
-    """The map ``stage`` computes: staged on a domain without sphere
-    blocks, expanded at once on one with them."""
+    """The staged map ``stage`` computes."""
     m = object.__new__(RationalMap)
     m._set(domain=domain, codomain=codomain, excluded=excluded, label=label)
     m._set(_polys=None, _stage=stage)
-    if domain.blocks:
-        m._expanded()
     return m
 
 
-def relabel(m: RationalMap, label: str, excluded: Optional[str] = None) -> RationalMap:
-    """``m`` under a new label (and excluded-locus text); a staged map stays
+def relabel(m: RationalMap, label: str, excluded: str) -> RationalMap:
+    """``m`` under a new label and excluded-locus text; a staged map stays
     staged and is expanded at most once."""
     stage = _Stage((m,), _relabeled_values, lambda inner: inner._expanded())
-    excluded = m.excluded if excluded is None else excluded
     return _derived(m.domain, m.codomain, stage, excluded, label)
 
 
@@ -455,7 +445,7 @@ def _composite_values(node, scaled, memo):
     outer, inner = node._stage.inputs
     image, den = inner._values(scaled, memo)
     if den > 0:
-        return outer._values(_scaled_image(image, den), {})
+        return outer._values(scaled_image(image, den), {})
     # The expansion carries the factor den ** deg(outer), which the rule
     # above drops; where den <= 0 it can vanish or flip the sign.
     return node._polynomial_values(scaled)
@@ -602,7 +592,7 @@ def equal_symbolic(f: RationalMap, g: RationalMap) -> Verdict:
     if not f.domain.block_reducible():
         raise ValueError(
             f"symbolic equality needs a sphere-block domain; "
-            f"{f.domain.name} has extra relations"
+            f"{f.domain.name} is a matrix group"
         )
     equal = all(
         normal_form(nf * g.denominator - ng * f.denominator, f.domain.blocks).is_zero()
@@ -646,7 +636,7 @@ def maps_into(
         return Verdict("symbolic", True, {"checked": checked})
     points = _sampled_off_locus(f.domain, (f,), samples, seed, height)
     for done, (point, ((nums, den),)) in enumerate(points):
-        violation = f.codomain.first_violation_scaled(*_scaled_image(nums, den))
+        violation = f.codomain.first_violation_scaled(*scaled_image(nums, den))
         if violation is not None:
             evidence = {"checked": done + 1, "failed_relation": violation[0]}
             return Verdict("sampling", False, evidence, point.coords)
@@ -691,7 +681,7 @@ def _unit_determinant_holds(f: RationalMap, seed: int, height: int) -> bool:
                 coords[i] = sign * q
             nums, den = f._values((q, coords), {})
             if den:
-                if f.codomain.first_violation_scaled(*_scaled_image(nums, den)) is not None:
+                if f.codomain.first_violation_scaled(*scaled_image(nums, den)) is not None:
                     return False
                 break
             if lone_point:

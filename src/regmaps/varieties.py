@@ -42,9 +42,9 @@ spheres draws one point of each.  Every rational parameter is drawn by
 rule of ``randint``, so the stream is the one ``randint`` draws.  A
 sampler returns its point scaled to integers, ``(q, nums)`` with ``q > 0``
 and coordinate ``i`` equal to ``nums[i] / q``.  :func:`sample_point`
-validates that form (:meth:`Variety.first_violation_scaled`: on a built-in
-variety one integer kernel per kind of relation, sphere block, Gram block
-or unit determinant) and keeps it as the only stored form of the
+validates that form (:meth:`Variety.first_violation_scaled`: one integer
+kernel per kind of relation, sphere block, Gram block or unit
+determinant) and keeps it as the only stored form of the
 :class:`PointOnVariety`; ``Fraction`` coordinates are built on first read.
 """
 
@@ -67,10 +67,6 @@ DEFAULT_HEIGHT = 1000
 
 # A point sampler: ``(rng, height)`` -> the point in scaled form ``(q, nums)``.
 Sampler = Callable[[random.Random, int], Tuple[int, List[int]]]
-
-
-class NoSamplerError(RuntimeError):
-    """Raised when a variety provides no point sampler."""
 
 
 class PointValidationError(ValueError):
@@ -105,15 +101,15 @@ class Variety:
     Two records declare it: ``blocks``, its sphere blocks, and ``matrix``,
     a :class:`MatrixGroup` or ``None``; a variety has at most one of them.
     ``relations``, the polynomials that vanish on it, follow: each block's
-    relation, then the Gram relations of ``matrix`` (:func:`_gram_relations`),
-    then ``extra_relations``.  They are built on first read; det = 1 of
-    SO(n) and SU(k) is no relation, only ``matrix.special``.  ``sampler``
-    (or ``None``) is a :data:`Sampler` that its constructor binds to its
-    size: ``unitary(k)`` binds ``partial(_draw_cayley, k, True)``.
+    relation, then the Gram relations of ``matrix`` (:func:`_gram_relations`).
+    They are built on first read; det = 1 of SO(n) and SU(k) is no
+    relation, only ``matrix.special``.  ``sampler`` is a :data:`Sampler`
+    that its constructor binds to its size: ``unitary(k)`` binds
+    ``partial(_draw_cayley, k, True)``.
 
-    With no extra relation the records say what kind of identities the
-    relations are, so that a point is checked by one integer kernel per
-    kind instead of one polynomial at a time (:meth:`first_violation_scaled`).
+    The records say what kind of identities the relations are, so that a
+    point is checked by one integer kernel per kind instead of one
+    polynomial at a time (:meth:`first_violation_scaled`).
 
     Instances are immutable; equality is by name and registry, which the
     built-in constructors keep unique (they are cached and return the
@@ -122,7 +118,7 @@ class Variety:
 
     __slots__ = (
         "name", "registry", "blocks", "sampler", "matrix",
-        "_extra", "_relations", "_kernel", "_gradients", "_hash",
+        "_relations", "_kernel", "_gradients", "_hash",
     )
 
     def __init__(
@@ -131,23 +127,21 @@ class Variety:
         registry: VarRegistry,
         blocks: Sequence[SphereBlock] = (),
         matrix: Optional[MatrixGroup] = None,
-        sampler: Optional[Sampler] = None,
-        extra_relations: Sequence[Polynomial] = (),
+        *,
+        sampler: Sampler,
     ):
-        blocks, extra = tuple(blocks), tuple(extra_relations)
+        blocks = tuple(blocks)
         if blocks and matrix is not None:
             raise ValueError(f"{name}: a variety has sphere blocks or a matrix group, not both")
-        kernel = None  # no record covers an extra relation: each is tested
-        if matrix is not None and not extra:
+        if matrix is not None:
             kernel = partial(_matrix_holds, matrix)
-        elif blocks and not extra:
+        else:
             kernel = partial(_blocks_hold, tuple(b.variable_ids for b in blocks))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_extra", extra)
         object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_gradients", None)
@@ -167,15 +161,15 @@ class Variety:
             relations = [b.relation(self.registry) for b in self.blocks]
             if self.matrix is not None:
                 relations += _gram_relations(self.registry, self.matrix)
-            relations = (*relations, *self._extra)
+            relations = tuple(relations)
             object.__setattr__(self, "_relations", relations)
         return relations
 
     def block_reducible(self) -> bool:
         """True when every relation is a sphere-block relation (no matrix
-        group, no extra relation), so that membership in the relation ideal
-        is decidable by normal forms."""
-        return self.matrix is None and not self._extra
+        group), so that membership in the relation ideal is decidable by
+        normal forms."""
+        return self.matrix is None
 
     def first_violation(self, coords: Sequence[Fraction]) -> Optional[Tuple[int, Fraction]]:
         """``(index, residual)`` of the first relation that does not vanish
@@ -188,11 +182,10 @@ class Variety:
     ) -> Optional[Tuple[int, Fraction]]:
         """:meth:`first_violation` at the point ``nums[i] / q``, ``q > 0``.
 
-        A variety with no extra relation (every built-in one) first runs
-        one exact integer kernel per kind on ``nums``: ``sum nums[i]**2 ==
-        q**2`` per sphere block, or for a matrix group ``N N* == q**2 I``
-        and, if special, ``det N == q**n`` over Z or Z[i].  When they hold,
-        the answer is ``None``.
+        One exact integer kernel per kind of relation runs on ``nums``
+        first: ``sum nums[i]**2 == q**2`` per sphere block, or for a matrix
+        group ``N N* == q**2 I`` and, if special, ``det N == q**n`` over Z
+        or Z[i].  When they hold, the answer is ``None``.
 
         Otherwise each relation is tested by its integer numerator at that
         form (:meth:`~regmaps.polynomial.Polynomial.scaled_numerator`), then
@@ -200,8 +193,7 @@ class Variety:
         real and imaginary parts as two (SU(k)); only the first that fails
         has its residual built.  This loop is the one place a failure is
         reported."""
-        kernel = self._kernel
-        if kernel is not None and kernel(q, nums):
+        if self._kernel(q, nums):
             return None
         for index, relation in enumerate(self.relations):
             if relation.scaled_numerator(nums, q):
@@ -362,29 +354,6 @@ class PointOnVariety:
 # ---------------------------------------------------------------------------
 
 
-def matrix_entry_polys(variety_registry: VarRegistry, n: int) -> List[List[Polynomial]]:
-    """Real n x n entry polynomials g_ij over a row-major registry."""
-    return [
-        [Polynomial.variable(variety_registry, i * n + j) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def complex_entry_polys(variety_registry: VarRegistry, k: int) -> List[List[ComplexPair]]:
-    """Complex k x k entries z_ij = a_ij + i b_ij over the interleaved
-    row-major registry (a1_1, b1_1, a1_2, b1_2, ...)."""
-    return [
-        [
-            ComplexPair(
-                Polynomial.variable(variety_registry, 2 * (i * k + j)),
-                Polynomial.variable(variety_registry, 2 * (i * k + j) + 1),
-            )
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-
-
 _Entry = TypeVar("_Entry", Polynomial, ComplexPair)
 
 
@@ -410,7 +379,7 @@ def _gram_relations(registry: VarRegistry, group: MatrixGroup) -> List[Polynomia
     """Entries of M* M - I and M M* - I (upper triangle, realified) for the
     matrix M of ``group`` over ``registry``."""
     n, conjugate = group.size, group.complex_entries
-    entries = (complex_entry_polys if conjugate else matrix_entry_polys)(registry, n)
+    entries = group.rows([Polynomial.variable(registry, i) for i in range(registry.size)])
     summed = ComplexPair.sum if conjugate else Polynomial.sum
     out: List[Polynomial] = []
     for left_conj in (True, False):
@@ -421,7 +390,7 @@ def _gram_relations(registry: VarRegistry, group: MatrixGroup) -> List[Polynomia
                 else:
                     pairs = ((entries[i][m], entries[j][m]) for m in range(n))
                 products = ((a.conjugate() if conjugate else a) * b for a, b in pairs)
-                acc = summed(entries[0][0].registry, products)
+                acc = summed(registry, products)
                 if not conjugate:
                     out.append(acc - 1 if i == j else acc)
                     continue
@@ -553,6 +522,15 @@ def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, Lis
     return common, [p * (common // d) for p, d in pairs]
 
 
+def scaled_image(nums: Sequence[int], den: int) -> Tuple[int, List[int]]:
+    """The point ``nums[i] / den``, integers with ``den != 0``, in scaled form
+    ``(q, ints)`` with ``q > 0``: all divided by their gcd, carrying the sign
+    of ``den``.  The Cayley and SU(k) samplers reduce their points by it, and
+    :class:`~regmaps.ratmap.RationalMap` the image of a map."""
+    g = gcd(den, *nums) * (-1 if den < 0 else 1)
+    return den // g, [n // g for n in nums]
+
+
 def _sphere_scaled(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
     """Rational point on the sphere in scaled form, by the inverse
     stereographic parametrization (never the pole (-1, 0, ..., 0)), from
@@ -607,8 +585,7 @@ def _cayley(
         minus[r][c], minus[c][r] = -t, t
     q, g = linalg.integer_solve(plus, [row[::step] for row in minus])
     nums = [g[step * i + s][j] for i in range(k) for j in range(k) for s in range(step)]
-    common = gcd(q, *nums)
-    return q // common, [x // common for x in nums]
+    return scaled_image(nums, q)
 
 
 def _drawn(count: int, build, rng: random.Random, height: int) -> Tuple[int, List[int]]:
@@ -641,8 +618,7 @@ def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int,
     w = linalg.integer_determinant(rows).conjugate()
     scale = q**k
     nums = [x for row in rows for j, e in enumerate(row) for x in e * (scale if j else w)]
-    common = gcd(q * scale, *nums)
-    return q * scale // common, [x // common for x in nums]
+    return scaled_image(nums, q * scale)
 
 
 def sample_point(
@@ -650,8 +626,6 @@ def sample_point(
 ) -> PointOnVariety:
     """Deterministic exact rational point on the variety, drawn in scaled
     form and validated against every relation."""
-    if variety.sampler is None:
-        raise NoSamplerError(f"{variety.name} has no sampler")
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
     return PointOnVariety.from_scaled(variety, *variety.sampler(rng, height))
 

@@ -21,7 +21,6 @@ from regmaps.ratmap import (
 from regmaps.spheres import circle_power
 from regmaps.topology import NonConvergenceError, winding
 from regmaps.varieties import (
-    NoSamplerError,
     PointValidationError,
     euclidean,
     special_orthogonal,
@@ -475,7 +474,6 @@ USAGE_ERROR_CLASSES = [
     catalog.UnknownMapError,
     PointValidationError,
     VarietyMismatchError,
-    NoSamplerError,
     ValueError,
 ]
 

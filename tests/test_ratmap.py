@@ -15,7 +15,6 @@ from regmaps.ratmap import (
     VarietyMismatchError,
     Verdict,
     ZeroDenominatorError,
-    _scaled_image,
     compose,
     constant_map,
     coordinate_map,
@@ -47,6 +46,7 @@ from regmaps.varieties import (
     euclidean,
     sample_point,
     sample_points,
+    scaled_image,
     special_orthogonal,
     special_unitary,
     sphere,
@@ -229,7 +229,7 @@ def test_sampled_images_keep_the_sign_of_a_negative_denominator():
         nums, den = on.values(point.coords)
         if not den:
             continue
-        q, ints = _scaled_image(nums, den)
+        q, ints = scaled_image(nums, den)
         assert q > 0 and [Fraction(n, q) for n in ints] == [Fraction(n, den) for n in nums]
         assert on.evaluate(point).coords == tuple(on.evaluate_raw(point.coords))
 

@@ -1,5 +1,5 @@
-"""Staged maps: composites and matrix products on domains without sphere
-blocks are evaluated pointwise and expanded only where polynomials are read."""
+"""Staged maps: composites and matrix products, on every domain, are
+evaluated pointwise and expanded only where polynomials are read."""
 
 import hashlib
 from fractions import Fraction
@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from regmaps import cli, groups, ratmap
+from regmaps import cli, groups, ratmap, spheres
 from regmaps.polynomial import Polynomial
 from regmaps.ratmap import (
     ExcludedLocusError,
@@ -53,6 +53,35 @@ def test_staged_values_are_a_positive_multiple_of_the_expanded_values(name):
             assert all(type(v) is int for v in (*nums, den, *exp_nums, exp_den))
             assert _sign(den) == _sign(exp_den)
             assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
+
+
+# Composites on sphere domains, by the maps they compose.  The inner
+# denominator x1 of the meridian chart changes sign on S^2, so the first
+# takes the fallback to its expansion at some of the points, and the rule
+# for a positive one at others.
+SPHERE_COMPOSITES = {
+    "stereo_inv(2) . meridian_chart(2)": lambda: compose(
+        spheres.stereo_inv(2), spheres.meridian_chart(2)
+    ),
+    "sphere_identity(1) (+) circle_rotation(3/5, 4/5)": lambda: spheres.pointwise_oplus(
+        spheres.sphere_identity(1), spheres.circle_rotation(Fraction(3, 5), Fraction(4, 5))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_COMPOSITES))
+def test_composites_on_sphere_domains_are_staged(name):
+    build = SPHERE_COMPOSITES[name]
+    expanded = build()
+    expanded.numerators  # expands
+    for p in sample_points(expanded.domain, 20, seed=7):
+        m = build()  # a fresh one each time: the fallback expands the map it runs in
+        assert m.staged
+        (nums, den), (exp_nums, exp_den) = m.values(p.coords), expanded.values(p.coords)
+        assert den > 0 and exp_den > 0
+        assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
+    m = build()
+    assert m.staged and m == expanded
 
 
 def _reciprocal_then_identity() -> RationalMap:

@@ -15,15 +15,12 @@ from regmaps.polynomial import (
 )
 from regmaps.varieties import (
     MatrixGroup,
-    NoSamplerError,
     PointOnVariety,
     PointValidationError,
     Variety,
     _bounded_pairs,
     _cayley,
-    complex_entry_polys,
     euclidean,
-    matrix_entry_polys,
     poly_matrix_determinant,
     sample_point,
     sample_points,
@@ -84,11 +81,20 @@ def test_block_reducibility_flags():
     assert not special_orthogonal(3).block_reducible()
     assert not unitary(2).block_reducible()
     assert not special_unitary(2).block_reducible()
+    # a sphere-block variety's relations are its blocks' relations
+    circle = sphere(1)
+    assert circle.relations == (circle.blocks[0].relation(circle.registry),)
+    so2 = special_orthogonal(2)
+    with pytest.raises(ValueError, match="not both"):
+        Variety("both", so2.registry, [SphereBlock((0, 1))], so2.matrix, sampler=so2.sampler)
 
 
 def test_point_validation():
     e = PointOnVariety(sphere(2), [1, 0, 0])
     assert e.coords == (Fraction(1), Fraction(0), Fraction(0))
+    # a variety without relations accepts any point
+    assert euclidean(1).relations == ()
+    assert euclidean(1).first_violation_scaled(3, [5]) is None
     with pytest.raises(PointValidationError):
         PointOnVariety(sphere(2), [1, 1, 0])
     with pytest.raises(PointValidationError):
@@ -550,7 +556,9 @@ SMALL_VARIETIES = [
 def _leibniz_determinant(k):
     """Re det - 1 and Im det of a k x k complex matrix over the registry of
     U(k), by the Leibniz rule: k! terms each."""
-    det_re, det_im = poly_matrix_determinant(complex_entry_polys(unitary(k).registry, k))
+    group = unitary(k)
+    coords = [Polynomial.variable(group.registry, i) for i in range(group.ambient_dim)]
+    det_re, det_im = poly_matrix_determinant(group.matrix.rows(coords))
     return det_re - 1, det_im
 
 
@@ -638,46 +646,13 @@ def test_sampled_points_of_built_in_groups_evaluate_no_relation(scaled_numerator
         variety = variety_by_name(name)
         assert len(sample_points(variety, 20, seed=4, height=50)) == 20
         assert scaled_numerator_calls == [0], name
+    # a sphere-block variety checks a given point by its kernel too
+    assert sphere(1).first_violation_scaled(5, [3, 4]) is None
+    assert scaled_numerator_calls == [0]
     # a failing point is reported by the relations, one at a time
     q, nums = sample_point(unitary(3), 4, height=50).scaled
     assert unitary(3).first_violation_scaled(q, [2 * n for n in nums]) is not None
     assert scaled_numerator_calls[0] > 0
-
-
-def test_hand_built_varieties_check_each_relation(scaled_numerator_calls):
-    bare = Variety("bare", VarRegistry(["t"]))
-    assert bare._kernel is None and bare.first_violation_scaled(3, [5]) is None
-    registry = VarRegistry(["u", "v"])
-    block = SphereBlock((0, 1))
-    u = Polynomial.variable(registry, 0)
-    # the unit circle cut by (u - 2)(u + 1) = 0, the point (-1, 0): the
-    # second relation is no block relation
-    cut = Variety("cut", registry, [block], extra_relations=[u * u - u - 2])
-    assert cut._kernel is None and not cut.block_reducible()
-    assert cut.first_violation_scaled(5, [-5, 0]) is None
-    assert scaled_numerator_calls[0] == 2
-    assert cut.first_violation_scaled(5, [3, 4]) == (1, Fraction(-56, 25))
-    circle = Variety("circle", registry, [block])
-    assert circle._kernel is not None and circle.block_reducible()
-    assert circle.relations == (block.relation(registry),)
-
-
-def test_a_matrix_group_with_an_extra_relation_checks_it():
-    # SO(2) cut by g1_1 = 1: the rotation (3/5, -4/5; 4/5, 3/5) is in SO(2)
-    # and fails the extra relation, which follows the six Gram relations
-    so2 = special_orthogonal(2)
-    g11 = Polynomial.variable(so2.registry, 0)
-    cut = Variety("cut", so2.registry, matrix=so2.matrix, extra_relations=[g11 - 1])
-    assert cut.relations == so2.relations + (g11 - 1,)
-    assert not cut.block_reducible()
-    rotation = [Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5)]
-    assert so2.first_violation(rotation) is None
-    assert cut.first_violation(rotation) == (6, Fraction(-2, 5))
-    assert cut.first_violation([1, 0, 0, 1]) is None
-    # det = 1 still follows the relations, the extra one included
-    assert cut.first_violation([1, 0, 0, -1]) == (7, Fraction(-2))
-    with pytest.raises(ValueError, match="not both"):
-        Variety("both", so2.registry, [SphereBlock((0, 1))], matrix=so2.matrix)
 
 
 def test_integer_solve_matches_the_rational_solve():
@@ -845,18 +820,14 @@ def test_integer_determinant_over_gaussian_integers_matches_the_rational_one():
 def test_generic_determinant_has_every_permutation_term():
     n = 7
     reg = VarRegistry(f"g{i}{j}" for i in range(n) for j in range(n))
-    det = poly_matrix_determinant(matrix_entry_polys(reg, n))
+    det = poly_matrix_determinant(
+        MatrixGroup(n, False, False).rows([Polynomial.variable(reg, i) for i in range(n * n)])
+    )
     assert len(det) == 5040
     assert {abs(c) for c in det.terms.values()} == {1}
     rng = random.Random(49)
     m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
     assert det.evaluate([x for row in m for x in row]) == determinant(m)
-
-
-def test_missing_sampler_is_reported():
-    bare = Variety("bare", VarRegistry(["t"]))
-    with pytest.raises(NoSamplerError):
-        sample_point(bare, seed=0)
 
 
 @pytest.mark.parametrize(
