@@ -27,6 +27,8 @@ from regmaps.spheres import (
     pointwise_oplus,
     reflect,
     sphere_identity,
+    stereo,
+    stereo_inv,
 )
 from regmaps.topology import (
     LAPLACE_MAX_DIM,
@@ -170,8 +172,6 @@ def test_degree_estimate_report_shape():
 
 
 def test_degree_rejects_non_self_maps():
-    from regmaps.spheres import stereo
-
     with pytest.raises(ValueError):
         degree_mc(stereo(2), samples=100, seed=0)
     with pytest.raises(ValueError):
@@ -254,12 +254,23 @@ def _frame_integrand(f, points):
     return np.array(dets)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [phi_double(2), phi_double(3), antipodal(4), reflect(3, 2), phi_double(7)],
-    ids=["phi:2", "phi:3", "antipodal:4", "reflect:3:2", "phi:7"],
-)
-def test_frame_free_integrand_equals_the_tangent_frame_determinant(f):
+# Maps whose Monte Carlo integrand is pinned.  The last two have a
+# denominator E other than 1, so only they reach the quotient rule.
+MC_MAPS = {
+    "phi:2": lambda: phi_double(2),
+    "phi:3": lambda: phi_double(3),
+    "phi:4": lambda: phi_double(4),
+    "antipodal:4": lambda: antipodal(4),
+    "reflect:3:2": lambda: reflect(3, 2),
+    "phi:7": lambda: phi_double(7),
+    "compose(stereo-inv:2,stereo:2)": lambda: compose(stereo_inv(2), stereo(2)),  # E = 1 + x1
+    "oplus(id:2,antipodal:2)": lambda: pointwise_oplus(sphere_identity(2), antipodal(2)),  # E = 3 x1^2 + 1
+}
+
+
+@pytest.mark.parametrize("map_id", MC_MAPS)
+def test_frame_free_integrand_equals_the_tangent_frame_determinant(map_id):
+    f = MC_MAPS[map_id]()
     dim = f.domain.ambient_dim
     raw = np.random.default_rng(5).standard_normal((1000, dim))
     points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -273,20 +284,33 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(f):
 
 # estimate, half_width and resampled as measured with explicit tangent frames
 GOLDEN_RUNS = [
-    (2, 0, -0.013088865499482261, 0.049229494920091856, 0),
-    (2, 1, -0.011152785066281003, 0.04879627727402457, 0),
-    (3, 0, 1.9823241219080745, 0.0422895532691579, 0),
-    (3, 1, 1.9927365459084039, 0.04236432142701127, 0),
-    (4, 0, -0.010686037473128516, 0.07410608606109013, 0),
-    (4, 1, -0.03840900487312066, 0.07425097121880672, 0),
-    (7, 0, 1.9774131712597385, 0.13489563236525645, 0),
-    (7, 1, 1.9859895404267611, 0.13801285005962055, 0),
+    ("phi:2", 0, -0.013088865499482261, 0.049229494920091856, 0),
+    ("phi:2", 1, -0.011152785066281003, 0.04879627727402457, 0),
+    ("phi:3", 0, 1.9823241219080745, 0.0422895532691579, 0),
+    ("phi:3", 1, 1.9927365459084039, 0.04236432142701127, 0),
+    ("phi:4", 0, -0.010686037473128516, 0.07410608606109013, 0),
+    ("phi:4", 1, -0.03840900487312066, 0.07425097121880672, 0),
+    ("phi:7", 0, 1.9774131712597385, 0.13489563236525645, 0),
+    ("phi:7", 1, 1.9859895404267611, 0.13801285005962055, 0),
+    ("compose(stereo-inv:2,stereo:2)", 0, 1.0, 0.0, 0),
+    ("compose(stereo-inv:2,stereo:2)", 1, 1.0, 0.0, 0),
+    ("oplus(id:2,antipodal:2)", 0, 0.016880118686802927, 0.0451324870684163, 0),
+    ("oplus(id:2,antipodal:2)", 1, 0.010205728069611867, 0.045186546721000705, 0),
 ]
 
 
-@pytest.mark.parametrize("k, seed, estimate, half_width, resampled", GOLDEN_RUNS)
-def test_degree_matches_the_tangent_frame_golden_runs(k, seed, estimate, half_width, resampled):
-    est = degree_mc(phi_double(k), samples=20_000, seed=seed)
+def _run_id(row):
+    # a phi_double run is named by its k, as it was before other maps joined
+    # the table, so the ids of those runs stay the same
+    map_id, *rest = row
+    return "-".join(str(v) for v in (map_id.removeprefix("phi:"), *rest))
+
+
+@pytest.mark.parametrize(
+    "map_id, seed, estimate, half_width, resampled", GOLDEN_RUNS, ids=map(_run_id, GOLDEN_RUNS)
+)
+def test_degree_matches_the_tangent_frame_golden_runs(map_id, seed, estimate, half_width, resampled):
+    est = degree_mc(MC_MAPS[map_id](), samples=20_000, seed=seed)
     assert est.estimate == pytest.approx(estimate, rel=0, abs=1e-12)
     assert est.half_width == pytest.approx(half_width, rel=0, abs=1e-12)
     assert est.resampled == resampled
