@@ -316,6 +316,21 @@ def test_degree_matches_the_tangent_frame_golden_runs(map_id, seed, estimate, ha
     assert est.resampled == resampled
 
 
+def test_points_on_the_excluded_locus_are_redrawn_from_the_same_stream():
+    # phi_double(2) over the common factor x1^20, which is below 1e-12
+    # wherever |x1| < 1/4: about a quarter of the points are redrawn
+    s2 = sphere(2)
+    w = Polynomial.variable(s2.registry, 0) ** 20
+    f = RationalMap(s2, s2, [n * w for n in phi_double(2).numerators], w)
+    runs = [(0, 0.0029894295793753242, 0.05643093156739255, 6742),
+            (1, -0.007523582676442839, 0.05613732027794416, 6894)]
+    for seed, estimate, half_width, resampled in runs:
+        est = degree_mc(f, samples=20_000, seed=seed)
+        assert est.estimate == pytest.approx(estimate, rel=0, abs=1e-12)
+        assert est.half_width == pytest.approx(half_width, rel=0, abs=1e-12)
+        assert est.resampled == resampled
+
+
 # ---------------------------------------------------------------------------
 # regular values
 # ---------------------------------------------------------------------------
