@@ -53,8 +53,10 @@ multiple* of the expanded map's numerator and denominator values, so
 every ratio, zero test and sign -- hence every verdict built on them --
 is the expanded map's.  On a domain with sphere blocks the expansion is
 a normal form, which agrees with the polynomials it reduces only on the
-domain.  A composite keeps the invariant by evaluating the outer map at
-the inner image, in scaled form reduced by one gcd, only where the inner
+domain, so :meth:`RationalMap.values` and :meth:`RationalMap.evaluate_raw`
+refuse coordinates off the domain (:class:`PointValidationError`).  A
+composite keeps the invariant by evaluating the outer map at the inner
+image, in scaled form reduced by one gcd, only where the inner
 denominator is positive; elsewhere the dropped factor ``E^d`` could
 vanish or flip the sign, so it evaluates its own expansion.  Reading
 ``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
@@ -78,7 +80,6 @@ from .polynomial import (
     normal_form,
     polynomial_from_obj,
     polynomial_to_obj,
-    scale_point,
 )
 from .varieties import (
     DEFAULT_HEIGHT,
@@ -189,18 +190,20 @@ class RationalMap:
 
     def values(self, coords: Sequence[Fraction]) -> Tuple[List[int], int]:
         """Integer numerator values and denominator value at ``coords``, a
-        point of the domain: a positive multiple of the expanded map's, so
-        ratios, zeros and signs are its."""
+        point of the domain (checked, see :meth:`_scaled`): a positive
+        multiple of the expanded map's, so ratios, zeros and signs are its."""
         return self._values(self._scaled(coords), {})
 
     def _scaled(self, coords: Sequence) -> tuple:
-        """``coords`` of the domain in scaled form (see :func:`scale_point`)."""
+        """``coords`` in scaled form (see :func:`~regmaps.polynomial.scale_point`), refused with
+        :class:`PointValidationError` off the domain, where a staged map and
+        its expansion may disagree."""
         if len(coords) != self.domain.ambient_dim:
             raise VarietyMismatchError(
                 f"{self.domain.name} needs {self.domain.ambient_dim} coordinates, "
                 f"got {len(coords)}"
             )
-        return scale_point(coords)
+        return PointOnVariety(self.domain, coords).scaled
 
     def _values(self, scaled: tuple, memo: dict):
         # ``scaled`` is the point as ``(q, nums)``, ``coords[i] = nums[i] / q``
@@ -250,8 +253,9 @@ class RationalMap:
         return scaled_image(nums, den)
 
     def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
-        """Exact image coordinates of ``coords``, a point of the domain that
-        is not checked (see :meth:`values`), without variety bookkeeping."""
+        """Exact image coordinates of ``coords``, a point of the domain
+        (checked, see :meth:`_scaled`); the image is not checked against the
+        codomain."""
         q, nums = self._image(self._scaled(coords))
         return [Fraction(n, q) for n in nums]
 

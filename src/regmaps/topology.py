@@ -9,10 +9,14 @@
   those frames that matrix is [[1, f^T J B_x], [0, B_f^T J B_x]]; so no
   frame is built.  Deterministic for a fixed seed: points are drawn in
   fixed-size chunks from counter-based streams keyed by (seed, chunk).
-  Each chunk's matrices are held batch-last, one ``(dim, batch)`` array per
-  row, and up to ``LAPLACE_MAX_DIM`` their determinants come from a Laplace
-  expansion that builds the minors of the bottom k rows from those of the
-  bottom k - 1 (dim * 2^(dim-1) vector products, no call per matrix);
+  Each chunk is held batch-last: ``x[var]`` is one coordinate at every
+  point, and each polynomial value and Jacobian entry is a ``float`` where
+  it is constant, else one batch array, so a constant partial or
+  denominator costs scalar arithmetic.  The matrices are a ``dim x dim``
+  table of batch arrays.  Up to ``LAPLACE_MAX_DIM`` their determinants come
+  from a Laplace expansion that builds the minors of the bottom k rows from
+  those of the bottom k - 1 (dim * 2^(dim-1) vector products, all but the
+  first of each minor through one scratch buffer, no call per matrix);
   larger dimensions go to LAPACK through ``np.linalg.det``.
 * :func:`regular_value_probe` -- exact-arithmetic check that given fiber
   points map to a common value and that the differential, restricted to
@@ -28,7 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, dropwhile
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,11 +45,13 @@ from .varieties import PointOnVariety, sphere
 CHUNK_SIZE = 1 << 14
 
 # Largest dimension whose Monte Carlo determinants come from the shared-minor
-# expansion; above it, np.linalg.det.  One chunk of 16,384 matrices, best of
-# 15 on a 2-vCPU x86-64 machine with OpenBLAS 0.3.31 (expansion vs LAPACK):
-# d = 4 0.5 vs 7.4 ms, d = 5 1.5 vs 9.7 ms, d = 6 3.8 vs 13.1 ms,
-# d = 7 6.9 vs 12.6 ms, d = 8 16.4 vs 14.0 ms, d = 9 52 vs 26 ms.  The
-# expansion's cost doubles with each dimension; LAPACK's is polynomial.
+# expansion; above it, np.linalg.det.  One chunk of 16,384 matrices held as
+# a table of batch arrays, best of 15 on a 2-vCPU x86-64 machine with
+# OpenBLAS 0.3.31 on one thread (expansion through its scratch buffer vs
+# LAPACK): d = 4 1.0 vs 4.8 ms, d = 5 1.4 vs 6.6 ms, d = 6 3.7 vs 8.3 ms,
+# d = 7 7.3 vs 11.6 ms, d = 8 15.4 vs 13.5 ms, d = 9 52 vs 27 ms; d = 8 is
+# close (one run of three gave 20.0 vs 21.7 ms).  The expansion's cost
+# doubles with each dimension; LAPACK's is polynomial.
 LAPLACE_MAX_DIM = 7
 
 
@@ -59,6 +65,7 @@ class NonConvergenceError(RuntimeError):
 
 
 TermData = List[Tuple[float, Tuple[Tuple[int, int], ...]]]
+Value = Union[float, np.ndarray]  # a scalar where constant over the batch
 
 
 def _term_data(p: Polynomial) -> TermData:
@@ -70,22 +77,25 @@ def _term_data(p: Polynomial) -> TermData:
     return out
 
 
-def _batch_eval(
+def _evaluate(
     term_data: TermData,
-    points: np.ndarray,
-    power_cache: Dict[Tuple[int, int], np.ndarray],
-) -> np.ndarray:
-    total = np.zeros(points.shape[0])
+    x: np.ndarray,
+    powers: Dict[Tuple[int, int], np.ndarray],
+) -> Value:
+    """A polynomial at a batch of points held batch-last (``x[var]`` is
+    variable ``var`` at every point): a ``float`` when the polynomial is
+    constant, else an array.  ``powers`` caches each ``x[var] ** exp`` for
+    later calls on the same ``x``; a first power is the row itself."""
+    total = 0.0
     for coeff, factors in term_data:
-        acc = np.full(points.shape[0], coeff)
-        for var, exp in factors:
-            key = (var, exp)
-            arr = power_cache.get(key)
-            if arr is None:
-                arr = points[:, var] ** exp
-                power_cache[key] = arr
-            acc = acc * arr
-        total += acc
+        value = coeff
+        for key in factors:
+            power = powers.get(key)
+            if power is None:
+                var, exp = key
+                power = powers[key] = x[var] ** exp if exp > 1 else x[var]
+            value = value * power
+        total = total + value
     return total
 
 
@@ -193,20 +203,23 @@ def _map_terms(f: RationalMap) -> _MapTerms:
     )
 
 
-def _batch_det(rows: Sequence[np.ndarray]) -> np.ndarray:
+def _batch_det(rows: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     """Determinants of a batch-last stack: ``rows[i][j]`` holds entry
     ``(i, j)`` of every matrix.
 
     Up to ``LAPLACE_MAX_DIM`` rows, a Laplace expansion along each row in
     turn, bottom up: the minor of the bottom k rows on columns ``cols`` is
     the alternating sum over ``p`` of ``row[cols[p]]`` times the minor of the
-    bottom k - 1 rows on ``cols`` without ``cols[p]``.  Exact on integer
-    entries whose products stay below 2**53.
+    bottom k - 1 rows on ``cols`` without ``cols[p]``.  Each product after
+    the first goes through one scratch buffer, so a minor allocates only its
+    own array, and no entry is written.  Exact on integer entries whose
+    products stay below 2**53.
     """
     dim = len(rows)
     if dim > LAPLACE_MAX_DIM:
         return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
     minors = {(j,): rows[-1][j] for j in range(dim)}
+    term = np.empty_like(rows[-1][0])
     for top in range(dim - 2, -1, -1):
         row = rows[top]
         below = minors
@@ -214,7 +227,7 @@ def _batch_det(rows: Sequence[np.ndarray]) -> np.ndarray:
         for cols in combinations(range(dim), dim - top):
             acc = row[cols[0]] * below[cols[1:]]
             for p in range(1, len(cols)):
-                term = row[cols[p]] * below[cols[:p] + cols[p + 1:]]
+                np.multiply(row[cols[p]], below[cols[:p] + cols[p + 1:]], out=term)
                 if p % 2:
                     acc -= term
                 else:
@@ -224,34 +237,37 @@ def _batch_det(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _degree_integrand(
-    terms: _MapTerms, points: np.ndarray, den: np.ndarray, cache: dict
+    terms: _MapTerms, x: np.ndarray, den: Value, powers: dict
 ) -> np.ndarray:
-    """``det(f x^T + J (I - x x^T))`` for each unit row ``x`` of ``points``.
+    """``det(f x^T + J (I - x x^T))`` at each unit point of the batch-last
+    ``x``.
 
-    ``den`` is the denominator at the points and ``cache`` its power cache.
-    Row i of the matrix is ``J_i + (f_i - J_i . x) x^T``, with the quotient
-    rule ``J_i = (dn_i den - n_i dden) / den^2``; it is built as one
-    ``(dim, batch)`` array, skipping partials that are identically zero.
+    ``den`` is the denominator at the points and ``powers`` the power cache
+    of ``_evaluate`` on ``x``.  Entry ``(i, j)`` is ``J_ij + c_i x_j`` with
+    ``c_i = f_i - sum_j J_ij x_j`` and the quotient rule
+    ``J_ij = (dn_ij den - n_i dden_j) (1 / den^2)``.  Each value is a scalar
+    or a batch array, so a constant partial or denominator costs scalar
+    arithmetic; the products with a partial that vanishes identically, and
+    the ``J_ij`` that do, are left out.
     """
-    dim = points.shape[1]
-    x = np.ascontiguousarray(points.T)
-    nums = np.stack([_batch_eval(d, points, cache) for d in terms.num])
-    images = nums / den
-    images /= np.linalg.norm(images, axis=0)
-    dden = [_batch_eval(d, points, cache) if d else None for d in terms.dden]
-    den_sq = den * den
-    rows = []
-    for i in range(dim):
-        row = np.zeros_like(x)
-        for j in range(dim):
-            if terms.dnum[i][j]:
-                row[j] = _batch_eval(terms.dnum[i][j], points, cache) * den
-            if dden[j] is not None:
-                row[j] -= nums[i] * dden[j]
-        row /= den_sq  # row is now J_i; add (f_i - J_i . x) x^T
-        row += (images[i] - np.sum(row * x, axis=0)) * x
-        rows.append(row)
-    return _batch_det(rows)
+    nums = [_evaluate(t, x, powers) for t in terms.num]
+    images = [n / den for n in nums]
+    norm = np.sqrt(sum(f * f for f in images))
+    dden = {j: _evaluate(t, x, powers) for j, t in enumerate(terms.dden) if t}
+    inv_sq = 1 / (den * den)
+    table = []
+    for n, f, dnum in zip(nums, images, terms.dnum):
+        jac = {}
+        for j, t in enumerate(dnum):
+            if t or j in dden:
+                q = _evaluate(t, x, powers) * den
+                jac[j] = (q - n * dden[j] if j in dden else q) * inv_sq
+        c = f / norm - sum(v * x[j] for j, v in jac.items())
+        row = [c * x_j for x_j in x]
+        for j, v in jac.items():
+            row[j] += v
+        table.append(row)
+    return _batch_det(table)
 
 
 def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
@@ -289,9 +305,9 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         raw = rng.standard_normal((CHUNK_SIZE, dim))[:want]
-        points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        cache: Dict[Tuple[int, int], np.ndarray] = {}
-        den = _batch_eval(terms.den, points, cache)
+        x = np.ascontiguousarray((raw / np.linalg.norm(raw, axis=1, keepdims=True)).T)
+        powers: Dict[Tuple[int, int], np.ndarray] = {}
+        den = _evaluate(terms.den, x, powers)
         guard = 0
         while True:
             bad = (np.abs(den) < 1e-12) | ~np.isfinite(den)
@@ -305,12 +321,11 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
                 )
             resampled += count_bad
             redraw = rng.standard_normal((count_bad, dim))
-            redraw = redraw / np.linalg.norm(redraw, axis=1, keepdims=True)
-            points[bad] = redraw
-            cache = {}
-            den = _batch_eval(terms.den, points, cache)
+            x[:, bad] = (redraw / np.linalg.norm(redraw, axis=1, keepdims=True)).T
+            powers = {}
+            den = _evaluate(terms.den, x, powers)
 
-        dets = _degree_integrand(terms, points, den, cache)
+        dets = _degree_integrand(terms, x, den, powers)
         total += float(np.sum(dets))
         total_sq += float(np.sum(dets * dets))
         produced += want

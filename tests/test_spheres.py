@@ -219,7 +219,11 @@ def test_phi_double_is_angle_doubling_on_the_circle():
     phi = phi_double(1)
     for i in range(100):
         theta = 2 * math.pi * i / 100 + 0.01
-        out = [float(v) for v in phi.evaluate_raw([math.cos(theta), math.sin(theta)])]
+        # the rational point of the circle at the angle 2 atan(t), t the
+        # float nearest tan(theta / 2): theta up to rounding
+        t = Fraction(math.tan(theta / 2))
+        point = [(1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)]
+        out = [float(v) for v in phi.evaluate_raw(point)]
         assert abs(out[0] - math.cos(2 * theta)) < 1e-12
         assert abs(out[1] - math.sin(2 * theta)) < 1e-12
 

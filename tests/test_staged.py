@@ -16,7 +16,12 @@ from regmaps.ratmap import (
     denominator_check,
     identity_map,
 )
-from regmaps.varieties import euclidean, sample_points, special_orthogonal
+from regmaps.varieties import (
+    PointValidationError,
+    euclidean,
+    sample_points,
+    special_orthogonal,
+)
 
 
 def _sign(x: Fraction) -> int:
@@ -82,6 +87,20 @@ def test_composites_on_sphere_domains_are_staged(name):
         assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
     m = build()
     assert m.staged and m == expanded
+
+
+def test_coordinates_off_the_domain_are_refused():
+    # At (1, 1, 1), off S^2, the staged composite would give (-1/3, 2/3, 2/3)
+    # and its expansion, a normal form modulo the sphere, (1, 2, 2).
+    build = SPHERE_COMPOSITES["stereo_inv(2) . meridian_chart(2)"]
+    staged, expanded = build(), build()
+    expanded.numerators  # expands
+    for m in (staged, expanded):
+        with pytest.raises(PointValidationError):
+            m.evaluate_raw([1, 1, 1])
+        with pytest.raises(PointValidationError):
+            m.values([1, 1, 1])
+    assert staged.staged
 
 
 def _reciprocal_then_identity() -> RationalMap:

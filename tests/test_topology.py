@@ -33,8 +33,8 @@ from regmaps.spheres import (
 from regmaps.topology import (
     LAPLACE_MAX_DIM,
     _batch_det,
-    _batch_eval,
     _degree_integrand,
+    _evaluate,
     _map_terms,
     check_codim_pair,
     degree_mc,
@@ -210,6 +210,18 @@ def test_batch_determinant_of_permutation_matrices_is_their_sign(dim):
     assert np.array_equal(_batch_det(stack), [(-1.0) ** n for n in inversions])
 
 
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_batch_determinant_leaves_its_entries_unchanged(dim):
+    # its scratch buffer must never be one of the entries
+    rng = np.random.default_rng(dim)
+    table = [[rng.standard_normal(300) for _ in range(dim)] for _ in range(dim)]
+    saved = [[entry.copy() for entry in row] for row in table]
+    _batch_det(table)
+    for row, saved_row in zip(table, saved):
+        for entry, copy in zip(row, saved_row):
+            assert np.array_equal(entry, copy)
+
+
 @pytest.mark.parametrize("dim", range(2, LAPLACE_MAX_DIM + 1))
 def test_the_expansion_is_exact_on_small_integers(dim):
     # pivoted LAPACK elimination rounds; the expansion only adds and multiplies
@@ -275,9 +287,10 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(map_id):
     raw = np.random.default_rng(5).standard_normal((1000, dim))
     points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     terms = _map_terms(f)
-    cache = {}
-    den = _batch_eval(terms.den, points, cache)
-    fast = _degree_integrand(terms, points, den, cache)
+    x = np.ascontiguousarray(points.T)
+    powers = {}
+    den = _evaluate(terms.den, x, powers)
+    fast = _degree_integrand(terms, x, den, powers)
     reference = _frame_integrand(f, points)
     assert np.max(np.abs(fast - reference)) <= 1e-10
 
