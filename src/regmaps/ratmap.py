@@ -190,12 +190,13 @@ class RationalMap:
 
     def values(self, coords: Sequence[Fraction]) -> Tuple[List[int], int]:
         """Integer numerator values and denominator value at ``coords``, a
-        point of the domain (checked, see :meth:`_scaled`): a positive
+        point of the domain (else :class:`PointValidationError`): a positive
         multiple of the expanded map's, so ratios, zeros and signs are its."""
         return self._values(self._scaled(coords), {})
 
     def _scaled(self, coords: Sequence) -> tuple:
-        """``coords`` in scaled form (see :func:`~regmaps.polynomial.scale_point`), refused with
+        """``coords`` in scaled form (see
+        :func:`~regmaps.polynomial.scale_point`), refused with
         :class:`PointValidationError` off the domain, where a staged map and
         its expansion may disagree."""
         if len(coords) != self.domain.ambient_dim:
@@ -254,8 +255,8 @@ class RationalMap:
 
     def evaluate_raw(self, coords: Sequence[Fraction]) -> List[Fraction]:
         """Exact image coordinates of ``coords``, a point of the domain
-        (checked, see :meth:`_scaled`); the image is not checked against the
-        codomain."""
+        (else :class:`PointValidationError`); the image is not checked
+        against the codomain."""
         q, nums = self._image(self._scaled(coords))
         return [Fraction(n, q) for n in nums]
 

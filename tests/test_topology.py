@@ -295,7 +295,9 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(map_id):
     assert np.max(np.abs(fast - reference)) <= 1e-10
 
 
-# estimate, half_width and resampled as measured with explicit tangent frames
+# estimate, half_width and resampled: the phi_double runs as measured with
+# explicit tangent frames, the others from the frame-free integrand, which
+# the test above holds to the frames
 GOLDEN_RUNS = [
     ("phi:2", 0, -0.013088865499482261, 0.049229494920091856, 0),
     ("phi:2", 1, -0.011152785066281003, 0.04879627727402457, 0),
