@@ -223,13 +223,11 @@ def _chain_checks(m, total, sub, *, trials, seed, **_) -> List[Verdict]:
     offset = total - sub
     points = sample_points(special_orthogonal(total), min(trials, 4), seed, height=4)
     for point in points:
-        image = m.evaluate_raw(point.coords)
-        for a in range(total):
-            for b in range(total):
-                if a >= offset and b >= offset:
-                    continue
-                expected = Fraction(1 if a == b else 0)
-                ok_block = ok_block and image[a * total + b] == expected
+        rows = m.codomain.matrix.rows(m.evaluate_raw(point.coords))
+        for a, row in enumerate(rows):
+            for b, value in enumerate(row):
+                if a < offset or b < offset:
+                    ok_block = ok_block and value == (1 if a == b else 0)
     checks.append(
         Verdict(
             "sampling", ok_block, {"points": len(points)}, name="image-in-embedded-subgroup"

@@ -89,12 +89,11 @@ _CHECK = (4, 23, 8)
 
 
 def _identity_point(group: Variety) -> PointOnVariety:
-    """The identity matrix of ``group``: the (real part of each) diagonal
-    entry is one, read off the rows of the coordinate indices."""
-    coords = [0] * group.ambient_dim
-    for i, row in enumerate(group.matrix.rows(range(group.ambient_dim))):
-        coords[row[i][0] if group.matrix.complex_entries else row[i]] = 1
-    return PointOnVariety(group, coords)
+    """The identity matrix of ``group``."""
+    n, complex_entries, _ = group.matrix
+    one, zero = (ComplexPair(1, 0), ComplexPair(0, 0)) if complex_entries else (1, 0)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return PointOnVariety(group, group.matrix.coordinates(rows))
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +107,18 @@ def unitary_identity(k: int) -> PointOnVariety:
 
 
 def _embed_block(sub: int, total: int, group, label: str) -> RationalMap:
-    """group(sub) -> group(total) as the lower-right block, identity elsewhere.
-    An entry is one coordinate, or an interleaved (re, im) pair."""
+    """group(sub) -> group(total) as the lower-right block, identity elsewhere:
+    the identity's rows of constant picks (see
+    :func:`~regmaps.ratmap.coordinate_map`) with the domain's rows of picks
+    as their lower-right block."""
     if not 1 <= sub <= total:
         raise ValueError("need 1 <= sub <= total")
-    width = 2 if group(total).matrix.complex_entries else 1
-    offset = total - sub
-    picks = []
-    for a in range(total):
-        for b in range(total):
-            for part in range(width):
-                if a < offset or b < offset:
-                    picks.append((None, 1 if a == b and part == 0 else 0))
-                else:
-                    picks.append((width * ((a - offset) * sub + b - offset) + part, 1))
-    return coordinate_map(group(sub), group(total), picks, label)
+    dom, cod = group(sub), group(total)
+    rows = cod.matrix.rows([(None, c) for c in _identity_point(cod).coords])
+    block = dom.matrix.rows([(i, 1) for i in range(dom.ambient_dim)])
+    for row, block_row in zip(rows[total - sub :], block):
+        row[total - sub :] = block_row
+    return coordinate_map(dom, cod, cod.matrix.coordinates(rows), label)
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +150,11 @@ def _block_column(m: int, size: int, label: str, complex_entries: bool = False) 
     """SO(m) -> S^{size-1}, or U(m) -> S^{2 size-1} realified: the first
     column of the lower-right size x size block.  It lands on the sphere
     wherever the matrix is block-diagonal."""
-    width = 2 if complex_entries else 1
-    offset = m - size
-    picks = [
-        (width * (r * m + offset) + part, 1) for r in range(offset, m) for part in range(width)
-    ]
     group = unitary(m) if complex_entries else special_orthogonal(m)
-    return coordinate_map(group, sphere(width * size - 1), picks, label)
+    offset = m - size
+    rows = group.matrix.rows([(i, 1) for i in range(group.ambient_dim)])
+    picks = group.matrix.coordinates(row[offset : offset + 1] for row in rows[offset:])
+    return coordinate_map(group, sphere(len(picks) - 1), picks, label)
 
 
 @lru_cache(maxsize=None)
@@ -186,30 +180,26 @@ def _section(group: Variety, excluded: str, label: str) -> RationalMap:
     |1 + z1|^2 is real."""
     k, complex_entries, _ = group.matrix
     dom = sphere((2 if complex_entries else 1) * k - 1)
-    x = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
-    if complex_entries:
-        z = [ComplexPair(x[2 * j], x[2 * j + 1]) for j in range(k)]
-        conj = ComplexPair.conjugate
-    else:
-        z, conj = x, lambda p: p
+    z = group.matrix.entries([Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)])
+    conj = ComplexPair.conjugate if complex_entries else lambda p: p
     lead = 1 + z[0]
     lead_bar = conj(lead)
-    entries = []
-    for i in range(k):
-        for j in range(k):
-            if j == 0:
-                entries.append(z[i] * lead_bar)
-            elif i == 0:
-                entries.append(-lead * conj(z[j]))
-            elif i == j:
-                entries.append(lead_bar - z[i] * conj(z[i]))
-            else:
-                entries.append(-z[i] * conj(z[j]))
+
+    def entry(i: int, j: int):
+        if j == 0:
+            return z[i] * lead_bar
+        if i == 0:
+            return -lead * conj(z[j])
+        if i == j:
+            return lead_bar - z[i] * conj(z[i])
+        return -z[i] * conj(z[j])
+
+    rows = [[entry(i, j) for j in range(k)] for i in range(k)]
+    den = lead_bar
     if complex_entries:
-        nums = [part for entry in entries for part in entry * lead]
+        rows = [[e * lead for e in row] for row in rows]
         den = (lead_bar * lead).re
-    else:
-        nums, den = entries, lead_bar
+    nums = group.matrix.coordinates(rows)
     return verified(RationalMap(dom, group, nums, den, excluded, label), *_CHECK)
 
 
@@ -295,16 +285,13 @@ def su_retract(k: int) -> RationalMap:
     determinant one and every special unitary matrix is fixed."""
     if k < 1:
         raise ValueError("need k >= 1")
-    dom = unitary(k)
+    dom, cod = unitary(k), special_unitary(k)
     coords = [Polynomial.variable(dom.registry, i) for i in range(dom.ambient_dim)]
     entries = dom.matrix.rows(coords)
     det_conj = poly_matrix_determinant(entries).conjugate()
-    nums: List[Polynomial] = []
-    for i in range(k):
-        for j in range(k):
-            nums.extend(entries[i][j] * det_conj if j == 0 else entries[i][j])
+    nums = cod.matrix.coordinates([row[0] * det_conj, *row[1:]] for row in entries)
     one, label = Polynomial.one(dom.registry), f"su_retract_{k}"
-    return verified(RationalMap(dom, special_unitary(k), nums, one, label=label), *_CHECK)
+    return verified(RationalMap(dom, cod, nums, one, label=label), *_CHECK)
 
 
 @lru_cache(maxsize=None)
@@ -313,15 +300,15 @@ def embed_u_in_so(k: int) -> RationalMap:
     [[a, -b], [b, a]] (realification preserves products and adjoints)."""
     if k < 1:
         raise ValueError("need k >= 1")
-    total = 2 * k
-    picks = []
-    for r in range(total):
-        for c in range(total):
-            # row s, column t of the block [[a, -b], [b, a]] of entry (i, j)
-            (i, s), (j, t) = divmod(r, 2), divmod(c, 2)
-            picks.append((2 * (i * k + j) + (s ^ t), -1 if s < t else 1))
-    label = f"embed_u{k}_in_so{total}"
-    return verified(coordinate_map(unitary(k), special_orthogonal(total), picks, label), *_CHECK)
+    dom, cod = unitary(k), special_orthogonal(2 * k)
+    plus, minus = (dom.matrix.rows([(i, c) for i in range(dom.ambient_dim)]) for c in (1, -1))
+    rows = []
+    for row, negated in zip(plus, minus):
+        # each entry a + bi of the row becomes the block [[a, -b], [b, a]]
+        rows.append([pick for z, w in zip(row, negated) for pick in (z.re, w.im)])
+        rows.append([pick for z in row for pick in (z.im, z.re)])
+    picks = cod.matrix.coordinates(rows)
+    return verified(coordinate_map(dom, cod, picks, f"embed_u{k}_in_so{2 * k}"), *_CHECK)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +496,9 @@ def jmap_input_from_obj(obj: dict) -> JMapInput:
     entries = tuple(
         tuple(polynomial_from_obj(p, registry) for p in row) for row in obj["entries"]
     )
-    scale = polynomial_from_obj(obj["scale"], registry)
-    spec = JMapInput(entries, scale, n, k, label=obj.get("label", ""))
+    scale, label = polynomial_from_obj(obj["scale"], registry), obj.get("label", "")
+    if type(label) is not str:
+        raise ValueError(f"label must be a string, got {label!r}")
+    spec = JMapInput(entries, scale, n, k, label=label)
     spec.validate()
     return spec

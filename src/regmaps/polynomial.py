@@ -271,17 +271,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Polynomial.one(self.registry)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, Polynomial.one(self.registry))
 
     def _coerce(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -430,6 +420,20 @@ def transport_polynomial(
     return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()), p.den)
 
 
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by repeated squaring, from ``one`` of its ring."""
+    if exponent < 0:
+        raise ValueError("negative powers are not polynomials")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class ComplexPair(NamedTuple):
     """The complex quantity ``re + i*im`` as the pair of its real and
     imaginary parts, over any exact ring: polynomials in real variables
@@ -522,12 +526,7 @@ class ComplexPair(NamedTuple):
         return ComplexPair(re, im)
 
     def __pow__(self, exponent: int) -> "ComplexPair":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = ComplexPair(self.re * 0 + 1, self.im * 0)  # one, in the parts' ring
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self, exponent, ComplexPair(self.re * 0 + 1, self.im * 0))
 
     def conjugate(self) -> "ComplexPair":
         """Complex conjugate; the variables are real, so only ``im`` flips."""

@@ -25,8 +25,9 @@ coordinate pairs hold the real and imaginary parts of each entry
 (row-major).  :meth:`MatrixGroup.rows <regmaps.varieties.MatrixGroup.rows>`
 turns such coordinates (polynomials or values) into rows of entries,
 :class:`~regmaps.polynomial.ComplexPair` when complex, and
-:func:`_coordinates` flattens rows back; evaluation, transpose and
-product all go through the pair.
+:meth:`MatrixGroup.coordinates <regmaps.varieties.MatrixGroup.coordinates>`
+writes rows back; evaluation, transpose and product all go through the
+pair.
 
 A *coordinate map*, built by :func:`coordinate_map`, has each coordinate
 a constant multiple of one domain coordinate, or a constant, over the
@@ -39,14 +40,14 @@ coordinate ``N/D`` of ``f`` clears denominators by homogenizing with
 numerators ``N(M/E) * E^d`` and denominator ``D(M/E) * E^d`` --
 polynomials again, no division needed.
 
-Staged maps.  :func:`compose`, :func:`matrix_multiply`,
-:func:`matrix_transpose` and :func:`relabel` return a *staged* map, on
-every domain: it keeps its inputs and a rule for their values, a
-straight-line program in the sense of Kaltofen (JACM 1988).
-:meth:`RationalMap.values` evaluates it as it stands, each shared stage
-once per point, on integers: from the point in scaled form ``(q, nums)``
-every node returns integer numerator and denominator values, and
-``Fraction`` coordinates are built only where a caller reads them
+Staged maps.  :func:`compose`, :func:`matrix_multiply` and
+:func:`matrix_transpose` return a *staged* map, on every domain: it keeps
+its inputs and a rule for their values, a straight-line program in the
+sense of Kaltofen (JACM 1988); :func:`relabel` of a staged map shares its
+stage.  :meth:`RationalMap.values` evaluates it as it stands, each shared
+stage once per point, on integers: from the point in scaled form
+``(q, nums)`` every node returns integer numerator and denominator values,
+and ``Fraction`` coordinates are built only where a caller reads them
 (:meth:`RationalMap.evaluate_raw`, :meth:`RationalMap.evaluate`).
 Invariant: at every point of the domain the values are a *positive
 multiple* of the expanded map's numerator and denominator values, so
@@ -315,13 +316,6 @@ def _group(m: RationalMap) -> MatrixGroup:
     return group
 
 
-def _coordinates(rows: Iterable[Sequence], complex_entries: bool) -> list:
-    """The row-major coordinates of the matrix ``rows``, undoing
-    :meth:`~regmaps.varieties.MatrixGroup.rows`."""
-    entries = [e for row in rows for e in row]
-    return [x for pair in entries for x in pair] if complex_entries else entries
-
-
 def _normalize_content(
     nums: List[Polynomial], den: Polynomial
 ) -> Tuple[List[Polynomial], Polynomial]:
@@ -412,15 +406,12 @@ def _derived(
 
 
 def relabel(m: RationalMap, label: str, excluded: str) -> RationalMap:
-    """``m`` under a new label and excluded-locus text; a staged map stays
-    staged and is expanded at most once."""
-    stage = _Stage((m,), _relabeled_values, lambda inner: inner._expanded())
-    return _derived(m.domain, m.codomain, stage, excluded, label)
-
-
-def _relabeled_values(node, scaled, memo):
-    (inner,) = node._stage.inputs
-    return inner._values(scaled, memo)
+    """A copy of ``m`` under a new label and excluded-locus text.  The copy
+    keeps ``m``'s polynomials, or shares its stage while ``m`` is staged;
+    expanding the copy does not expand ``m``."""
+    copy = _derived(m.domain, m.codomain, m._stage, excluded, label)
+    copy._set(_polys=m._polys)
+    return copy
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
@@ -771,7 +762,7 @@ def _transposed(m: RationalMap, coords: Sequence) -> list:
     rows = group.rows(coords)
     if group.complex_entries:
         rows = [[z.conjugate() for z in row] for row in rows]
-    return _coordinates(zip(*rows), group.complex_entries)
+    return group.coordinates(zip(*rows))
 
 
 def _transposed_polynomials(m: RationalMap):
@@ -814,7 +805,7 @@ def _product(a: RationalMap, x: Sequence, y: Sequence, summed: Callable) -> list
         [summed(left * right for left, right in zip(row, column)) for column in columns]
         for row in group.rows(x)
     ]
-    return _coordinates(product_rows, group.complex_entries)
+    return group.coordinates(product_rows)
 
 
 def _product_polynomials(a: RationalMap, b: RationalMap):

@@ -3,10 +3,10 @@
 A :class:`Variety` is declared by a variable registry, at most one
 record -- sphere blocks (groups of variables summing-of-squares to one,
 which admit canonical normal forms) or a :class:`MatrixGroup`, the one
-statement of a matrix group's shape, through which other modules read its
-row-major layout -- and an exact rational-point sampler, a function of
-``(rng, height)`` that each constructor binds.  The relations follow from
-the record.
+statement of a matrix group's shape, through which other modules read and
+write its row-major layout -- and an exact rational-point sampler, a
+function of ``(rng, height)`` that each constructor binds.  The relations
+follow from the record.
 
 Built-in families
 -----------------
@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import (
-    Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
 )
 
 from . import linalg
@@ -83,16 +83,27 @@ class MatrixGroup(NamedTuple):
     complex_entries: bool
     special: bool
 
-    def rows(self, coords: Sequence) -> list:
-        """The row-major ``coords`` (polynomials or values) as the rows of
-        the matrix; a complex entry is the :class:`ComplexPair` of two
-        consecutive coordinates.  Other modules read the layout only here."""
-        n = self.size
+    def entries(self, coords: Sequence) -> list:
+        """The entries that ``coords`` (polynomials, values or picks) hold,
+        in order; a complex entry is the :class:`ComplexPair` of two
+        consecutive coordinates.  Any number of entries: a realified vector,
+        as the sphere S^{2k-1} read as k complex numbers, too."""
         if self.complex_entries:
-            entries = list(map(ComplexPair, coords[::2], coords[1::2]))
-        else:
-            entries = list(coords)
+            return list(map(ComplexPair, coords[::2], coords[1::2]))
+        return list(coords)
+
+    def rows(self, coords: Sequence) -> list:
+        """The row-major ``coords`` as the rows of the ``size x size``
+        matrix of their :meth:`entries`."""
+        n, entries = self.size, self.entries(coords)
         return [entries[i * n : (i + 1) * n] for i in range(n)]
+
+    def coordinates(self, rows: Iterable[Sequence]) -> list:
+        """The row-major coordinates of the matrix ``rows``, of any shape,
+        undoing :meth:`rows`: a complex entry gives its (re, im) parts in
+        turn.  Other modules read and write the layout only through these."""
+        entries = [e for row in rows for e in row]
+        return [x for pair in entries for x in pair] if self.complex_entries else entries
 
 
 class Variety:
@@ -617,8 +628,8 @@ def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int,
     rows = group.matrix.rows(nums)
     w = linalg.integer_determinant(rows).conjugate()
     scale = q**k
-    nums = [x for row in rows for j, e in enumerate(row) for x in e * (scale if j else w)]
-    return scaled_image(nums, q * scale)
+    rows = [[e * (scale if j else w) for j, e in enumerate(row)] for row in rows]
+    return scaled_image(group.matrix.coordinates(rows), q * scale)
 
 
 def sample_point(

@@ -366,6 +366,17 @@ def test_a_jmap_file_with_a_broken_term_is_malformed(capsys, tmp_path, broken):
     assert "is malformed" in err
 
 
+@pytest.mark.parametrize("label", [5, ["x"], True], ids=repr)
+def test_a_jmap_file_label_must_be_a_string(capsys, tmp_path, label):
+    obj = jmap_input_to_obj(jmap_double_rotation())
+    obj["label"] = label
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["build", f"jmap:{path}"])
+    assert (code, out) == (2, "")
+    assert "is malformed" in err and "label must be a string" in err
+
+
 @pytest.mark.parametrize("size", [2.7, "3", True, None], ids=repr)
 @pytest.mark.parametrize("key", ["base_dim", "matrix_size"])
 def test_jmap_file_sizes_must_be_integers(capsys, tmp_path, key, size):

@@ -7,12 +7,12 @@ no sum of polynomials is folded by hand, no pass/fail record besides the one
 verdict type serializes itself, only polynomials and complex pairs
 multiply, only the one sample stream spells its seed formula, the map
 builders never read a map's polynomials, only the varieties and the
-membership check read a variety's relations, only the varieties read the
-row-major matrix layout or state a matrix group, the stages of a map's
-values stay on integers, no ``isinstance`` tests against a ``typing``
-alias, only the polynomial core and its two ported readers read a
-polynomial's stored coefficients, and every catalog map holds them as
-``int``."""
+membership check read a variety's relations, only the varieties read or
+write the row-major matrix layout, compute a coordinate index or state a
+matrix group, the stages of a map's values stay on integers, no
+``isinstance`` tests against a ``typing`` alias, only the polynomial core
+and its two ported readers read a polynomial's stored coefficients, and
+every catalog map holds them as ``int``."""
 
 import ast
 from pathlib import Path
@@ -500,24 +500,58 @@ def test_only_the_varieties_and_the_membership_check_read_relations():
 
 
 # ``varieties`` declares each matrix group (``MatrixGroup``) and is the one
-# reader of its row-major layout (``MatrixGroup.rows``): elsewhere no
-# interleaved (re, im) coordinates are split by a step-2 slice, and no group
-# is stated again.
+# owner of its row-major layout (``MatrixGroup.entries``, ``rows`` and
+# ``coordinates``): elsewhere no interleaved (re, im) coordinates are split
+# by a step-2 slice, no coordinate index is computed by a multiplication, in
+# a subscript or in a pick of a coordinate map, or split by ``divmod``, and
+# no group is stated again.
 LAYOUT_OWNER = "varieties.py"
+# The exact Gaussian-integer division of ``ComplexPair`` takes a ``divmod``
+# of its parts, which has nothing to do with the layout.
+LAYOUT_ALLOWED = {("polynomial.py", "divmod(")}
+
+
+def _multiplies(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(node))
+
+
+def _pick_sources(tree: ast.AST):
+    """The expressions that make picks ``(index, coefficient)`` of a
+    coordinate map: a value assigned to ``picks``, the arguments of a
+    method of ``picks`` and the third argument of ``coordinate_map``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == "picks" for t in node.targets):
+                yield node.value
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "picks":
+                yield from node.args
+            elif getattr(func, "id", None) == "coordinate_map" and len(node.args) > 2:
+                yield node.args[2]
 
 
 def layout_reads(source: str):
-    """(line, what) of each slice with step 2 and each call of ``MatrixGroup``."""
+    """(line, what) of each slice with step 2, each subscript whose index
+    multiplies, each pick whose index multiplies, each ``divmod`` call and
+    each call of ``MatrixGroup``."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Slice) and isinstance(node.step, ast.Constant):
             if node.step.value == 2:
                 found.append((node.lineno, "[::2]"))
+        elif isinstance(node, ast.Subscript) and _multiplies(node.slice):
+            found.append((node.lineno, "[*]"))
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "MatrixGroup":
-                found.append((node.lineno, "MatrixGroup("))
+            if name in ("MatrixGroup", "divmod"):
+                found.append((node.lineno, f"{name}("))
+    for source_node in _pick_sources(tree):
+        for node in ast.walk(source_node):
+            if isinstance(node, ast.Tuple) and node.elts and _multiplies(node.elts[0]):
+                found.append((node.lineno, "pick *"))
     return sorted(found)
 
 
@@ -540,9 +574,29 @@ def test_the_checker_finds_a_matrix_group_construction():
     assert layout_reads(source) == [(2, "MatrixGroup("), (3, "MatrixGroup(")]
 
 
+def test_the_checker_finds_index_arithmetic():
+    # the coordinate indices ``catalog._chain_checks``, ``groups.embed_u_in_so``
+    # and ``groups._section`` computed before ``MatrixGroup.coordinates``
+    source = (
+        "ok = image[a * total + b] == expected\n"
+        "picks.append((2 * (i * k + j) + (s ^ t), -1 if s < t else 1))\n"
+        "z = [ComplexPair(x[2 * j], x[2 * j + 1]) for j in range(k)]\n"
+        "(i, s), (j, t) = divmod(r, 2), divmod(c, 2)\n"
+        "picks = [(width * (r * m + offset) + part, 1) for r in rows]\n"
+        "m = coordinate_map(dom, cod, [(3 * i, 1) for i in ids], label)\n"
+        "fine = x[i + 1], rows[a][b], (2 * i, 1), picks.append((i, 2 * c)), '[2 * j]'\n"
+    )
+    assert layout_reads(source) == [
+        (1, "[*]"), (2, "pick *"), (3, "[*]"), (3, "[*]"),
+        (4, "divmod("), (4, "divmod("), (5, "pick *"), (6, "pick *"),
+    ]
+
+
 def test_only_the_varieties_read_the_matrix_layout_and_state_a_group():
     found = {
-        path.name: layout_reads(path.read_text(encoding="utf-8")) for path in PACKAGE
+        path.name: [(line, what) for line, what in layout_reads(path.read_text(encoding="utf-8"))
+                    if (path.name, what) not in LAYOUT_ALLOWED]
+        for path in PACKAGE
     }
     assert found[LAYOUT_OWNER]  # the rule is not vacuous
     assert {name: lines for name, lines in found.items() if lines and name != LAYOUT_OWNER} == {}

@@ -126,6 +126,30 @@ def test_a_nonpositive_inner_denominator_falls_back_to_the_expansion():
     assert report == denominator_check(expanded, samples=50, seed=3)
 
 
+def _staged_retraction() -> RationalMap:
+    # the staged product of ``groups.retract_so(3)`` before its relabel
+    lifted = compose(groups.section_so(3), groups.first_column(3))
+    return ratmap.matrix_multiply(
+        ratmap.matrix_transpose(lifted), identity_map(special_orthogonal(3))
+    )
+
+
+def test_relabel_copies_the_node_it_is_given():
+    expanded = _staged_retraction()
+    expanded.numerators  # expands
+    copy = ratmap.relabel(expanded, "retract", "antipode")
+    assert not copy.staged and copy.numerators is expanded.numerators
+    assert (copy.label, copy.excluded) == ("retract", "antipode")
+    staged = _staged_retraction()
+    copy = ratmap.relabel(staged, "retract", "antipode")
+    assert copy.staged
+    point = sample_points(special_orthogonal(3), 1, seed=5, height=4)[0]
+    assert copy.values(point.coords) == staged.values(point.coords)
+    want = ratmap.map_to_json(ratmap.relabel(expanded, "retract", "antipode"))
+    assert ratmap.map_to_json(copy) == want  # expands the copy only
+    assert not copy.staged and staged.staged
+
+
 # sha256 of the stdout of `eval chain:5:3` and `verify chain:5:3`, as printed
 # when the chain map was expanded before it was evaluated.
 EXPANDED_STDOUT = {

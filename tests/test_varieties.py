@@ -722,6 +722,28 @@ def test_special_unitary_keeps_only_the_relations_of_unitary(k):
     assert unitary(k).matrix == MatrixGroup(k, True, False)
 
 
+@pytest.mark.parametrize("group", [special_orthogonal(3), unitary(2), special_unitary(2)],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("ring", ["polynomial", "integer"])
+def test_coordinates_and_rows_invert_each_other(group, ring):
+    matrix, dim = group.matrix, group.ambient_dim
+    if ring == "polynomial":
+        coords = [Polynomial.variable(group.registry, i) for i in range(dim)]
+    else:
+        coords = list(sample_point(group, seed=3, height=9).scaled[1])
+    assert matrix.coordinates(matrix.rows(coords)) == coords
+    # rows spelled out by the layout: row-major, a complex entry (re, im)
+    n, width = matrix.size, 2 if matrix.complex_entries else 1
+    parts = [[coords[width * (i * n + j) : width * (i * n + j + 1)] for j in range(n)]
+             for i in range(n)]
+    rows = [[ComplexPair(*p) if matrix.complex_entries else p[0] for p in row] for row in parts]
+    assert matrix.rows(coords) == rows
+    assert matrix.rows(matrix.coordinates(rows)) == rows
+    # any shape: one column is a realified vector, read back by ``entries``
+    column = [[row[0]] for row in rows]
+    assert matrix.entries(matrix.coordinates(column)) == [row[0] for row in rows]
+
+
 def test_no_built_in_relation_has_degree_above_two():
     for family in (sphere, sphere_product, euclidean, special_orthogonal, unitary, special_unitary):
         for size in range(0 if family in (sphere, sphere_product) else 1, 6):
