@@ -2,8 +2,10 @@
 
 The command-line interface addresses maps by compact names like
 ``oplus:2`` or ``chain:4:2``; :func:`resolve` turns such a name into the
-constructed map and :func:`verification_suite` runs the family-specific
-battery of exact checks against it.
+constructed map, and :func:`verification_suite` turns it into the
+family-specific battery of exact checks: it parses and builds the name
+itself, once, and hands the family's checks the map together with the
+arguments that built it.
 
 :data:`FAMILIES` is the one place that says what a name means, and so
 the one place to add a family: each row, keyed by the family prefix
@@ -277,10 +279,11 @@ class Family:
     max_parameter: Optional[int] = None
 
 
-# Building z^d expands and normalizes a degree-|d| polynomial pair: about
-# 0.1 s at |d| = 200, 0.5 s at 400 and 2.1 s at 800 (in process).
-# `degree zpow:200` takes 3.8-4.7 s in a fresh process (2-vCPU Xeon), most
-# of it in its compose; the catalog stops at 200.
+# Building z^d expands and normalizes a degree-|d| polynomial pair: in
+# process about 0.1 s at |d| = 200, 0.3-0.5 s at 400 and 2.1-2.4 s at 800.
+# One fresh process each (2-vCPU Xeon, compiled bytecode): `build zpow:200`
+# 0.4 s and `degree zpow:200` 5.3 s, most of it in its compose; the catalog
+# stops at 200.
 ZPOW_MAX_DEGREE = 200
 
 # SO(n) and SU(k) have only degree-two Gram relations; det = 1 is one integer
@@ -405,46 +408,35 @@ def _bounded(family: Family, args: list, name: str) -> list:
     return args
 
 
-# The name, map, row and arguments of the last ``resolve``.  A suite run on
-# that very map takes its arguments from here, so that a family file is read
-# once and the suite checks the spec that built the map.
-_last_resolved: tuple = (None, None, None, None)
+def _resolved(name: str):
+    """The table row, the parsed arguments and the built map of a catalog name."""
+    try:
+        family, args = _parse(name)
+        return family, args, family.build(*args)
+    except UnknownMapError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise UnknownMapError(f"cannot build {name!r}: {exc}") from exc
 
 
 def resolve(name: str) -> RationalMap:
     """Build the catalog map with the given compact name."""
-    global _last_resolved
-    try:
-        family, args = _parse(name)
-        m = family.build(*args)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, UnknownMapError):
-            raise
-        raise UnknownMapError(f"cannot build {name!r}: {exc}") from exc
-    _last_resolved = (name, m, family, args)
-    return m
+    return _resolved(name)[2]
 
 
 def verification_suite(
-    name: str,
-    m: Optional[RationalMap] = None,
-    *,
-    trials: int = 20,
-    samples: int = 100,
-    seed: int = 0,
+    name: str, *, trials: int = 20, samples: int = 100, seed: int = 0
 ) -> List[Verdict]:
     """Family-specific checks for a catalog map, each a named :class:`Verdict`.
 
-    Every suite starts with the two generic checks (codomain membership,
-    denominator signs) and adds the contracts that define the family:
-    round-trips for charts, unit laws for the addition, section/retraction
-    algebra for the group maps, fiber and regularity behavior for the
-    join-style maps.
+    The name is parsed and built once, and the family's checks get the map
+    with the arguments that built it.  Every suite starts with the two
+    generic checks (codomain membership, denominator signs) and adds the
+    contracts that define the family: round-trips for charts, unit laws for
+    the addition, section/retraction algebra for the group maps, fiber and
+    regularity behavior for the join-style maps.
     """
-    m = m if m is not None else resolve(name)
-    resolved_name, resolved_map, family, args = _last_resolved
-    if resolved_name != name or resolved_map is not m:
-        family, args = _parse(name)
+    family, args, m = _resolved(name)
     group_like = not m.domain.block_reducible()
     sample_height = family.generic_height or (50 if group_like else 1000)
     generic_samples = min(samples, 8) if group_like else samples

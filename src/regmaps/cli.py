@@ -163,9 +163,8 @@ def _cmd_verify(args) -> int:
     if args.samples < 1 or args.trials < 1:
         # a verdict drawn from no sampled point would be a pass without evidence
         raise ValueError("--samples and --trials must be at least 1")
-    m = catalog.resolve(args.name)
     checks = catalog.verification_suite(
-        args.name, m, trials=args.trials, samples=args.samples, seed=args.seed
+        args.name, trials=args.trials, samples=args.samples, seed=args.seed
     )
     _emit([c.to_dict() for c in checks], args.output)
     for c in checks:
@@ -245,6 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DISPATCH[args.verb](args)
     # Check failures first: CodomainViolationError and ZeroDenominatorError
     # are ValueErrors, as are unknown names, invalid points and mismatches.
+    # An OverflowError comes from an input whose values leave the float range.
     except (
         ExcludedLocusError,
         CodomainViolationError,
@@ -254,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         _note(f"check failed: {exc}")
         return CHECK_FAILED
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         _note(f"error: {exc}")
         return USAGE_ERROR
 

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from regmaps import catalog, cli
-from regmaps.groups import jmap_constant_identity, jmap_double_rotation, jmap_input_to_obj
+from regmaps.groups import (
+    JMapInput,
+    jmap_constant_identity,
+    jmap_double_rotation,
+    jmap_input_to_obj,
+)
+from regmaps.polynomial import Polynomial
 from regmaps.ratmap import (
     CodomainViolationError,
     ExcludedLocusError,
@@ -486,6 +492,7 @@ USAGE_ERROR_CLASSES = [
     PointValidationError,
     VarietyMismatchError,
     ValueError,
+    OverflowError,
 ]
 
 
@@ -501,6 +508,36 @@ def test_main_routes_each_error_to_its_exit_status(capsys, monkeypatch, error, c
     monkeypatch.setitem(cli._DISPATCH, "rh", verb)
     prefix = "check failed: " if code == 1 else "error: "
     assert run(capsys, ["rh", "2"]) == (code, "", prefix + "boom\n")
+
+
+# 10^400 is beyond the float range, which a float image or a float integrand
+# reaches from exact inputs.
+BEYOND_FLOAT = 10**400
+
+
+def test_an_image_beyond_the_float_range_is_a_usage_error(capsys):
+    # An exact point of S^2 whose exact image under the chart is (t, 0).
+    t = BEYOND_FLOAT
+    point = f"{1 - t * t}/{1 + t * t},{2 * t}/{1 + t * t},0"
+    code, out, err = run(capsys, ["eval", "stereo:2", f"--point={point}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_a_degree_integrand_beyond_the_float_range_is_a_usage_error(capsys, tmp_path):
+    # A self-map of S^2 from the family scale * I, whose scale
+    # 1 + t X1^2 - t X1 is positive on S^0 but has coefficients beyond floats.
+    registry = euclidean(1).registry
+    x1, t = Polynomial.variable(registry, 0), Polynomial.constant(registry, BEYOND_FLOAT)
+    scale = Polynomial.one(registry) + t * x1 * x1 - t * x1
+    zero = Polynomial.constant(registry, 0)
+    spec = JMapInput(((scale, zero), (zero, scale)), scale, 0, 2, label="beyond-float")
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(jmap_input_to_obj(spec)), encoding="utf-8")
+    assert run(capsys, ["build", f"jmap:{path}"])[0] == 0
+    code, out, err = run(capsys, ["degree", f"jmap:{path}", "--samples", "50"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def _except_clauses():

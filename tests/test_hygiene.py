@@ -11,8 +11,9 @@ membership check read a variety's relations, only the varieties read or
 write the row-major matrix layout, compute a coordinate index or state a
 matrix group, the stages of a map's values stay on integers, no
 ``isinstance`` tests against a ``typing`` alias, only the polynomial core
-and its two ported readers read a polynomial's stored coefficients, and
-every catalog map holds them as ``int``."""
+and its two ported readers read a polynomial's stored coefficients,
+every catalog map holds them as ``int``, and no function writes module
+state through a ``global`` statement."""
 
 import ast
 from pathlib import Path
@@ -757,3 +758,33 @@ def test_the_stages_of_map_values_stay_on_integers():
     }
     # the rule is not vacuous: the leaf, the composite and the product are in it
     assert {"_polynomial_values", "_composite_values", "_product_values"} <= checked
+
+
+# A function that rebinds a module name hands a value to later calls unseen,
+# so what a call returns depends on which calls came before it.
+def global_statements(source: str):
+    """Lines of each ``global`` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+def test_the_checker_finds_a_global_statement():
+    source = (
+        "_last_resolved: tuple = (None, None, None, None)\n"
+        "def resolve(name: str) -> RationalMap:\n"
+        "    global _last_resolved\n"
+        "    family, args = _parse(name)\n"
+        "    m = family.build(*args)\n"
+        "    _last_resolved = (name, m, family, args)\n"
+        "    return m\n"
+        "def verification_suite(name, m=None):\n"
+        "    resolved_name, resolved_map, family, args = _last_resolved\n"
+        "    def count():\n"
+        "        nonlocal m\n"
+        "    return family.checks(m, *args)\n"
+    )
+    assert global_statements(source) == [3]
+
+
+def test_no_function_writes_module_state():
+    found = {path.name: global_statements(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
