@@ -152,7 +152,8 @@ GOLDEN = {
 
 
 # (name, seed): (sha256 of `eval NAME --seed SEED` stdout, exit code).  Group
-# maps, staged and expanded, real and complex, at two sampled points each.
+# maps, staged and expanded, real and complex, at two sampled points each;
+# the two chain maps the benchmark evaluates at seeds 0-3.
 EVAL_GOLDEN = {
     ("r:3", 0): ("0cabbb0a8dc80c56a74a9359e6834abb8fffc640a458485e0368c13fc727fd59", 0),
     ("r:3", 3): ("6385776a44b0347267159556159365fea59ae6c960f37ea70f186f69a9a7cf48", 0),
@@ -173,7 +174,13 @@ EVAL_GOLDEN = {
     ("p-u:2", 0): ("748a395469b746d036369078d25fc1bed6d7a4e80323dd30bc52db0f2ea2e7a0", 0),
     ("p-u:2", 3): ("fd534c14a75fb8650409d62128bf925b57f9a99ab3b5a2d2a7c7499a0d46f078", 0),
     ("chain:4:2", 0): ("01f097b77357f63b14b24de5d52afaf46ce901540ff698d91e829dcc22a7768d", 0),
+    ("chain:4:2", 1): ("8bd166480a6ec743f9e2f447a72b512fae7cfb2d6dedcd363af2b47c128b4248", 0),
+    ("chain:4:2", 2): ("1e57aa87cab697fdc4eda01a53c04fbc387cafb71a3ed4ea11d38dfe588728fe", 0),
     ("chain:4:2", 3): ("26377d5f7224b3399651b8ffc1d01a8f36f27145d683ee63674c03af6bb4cfde", 0),
+    ("chain:5:3", 0): ("ec44158d13205fea6b0f0edca420d104d5c43ecb0c40e7540dda0706223fb442", 0),
+    ("chain:5:3", 1): ("ceebfae0aeb1b87128a97def2d302cf745708dfd9a717114fcbba0225e8836af", 0),
+    ("chain:5:3", 2): ("ac4838a43fd6fc11fb72df3a61c9f5a088e9ab218695e170e204a16dddf38b94", 0),
+    ("chain:5:3", 3): ("d3e14c70ef2257bc556c55b5b9d5a0a2f74a42152b1df71e7473e1f3a1468e4e", 0),
     ("chain:6:2", 0): ("7ff4f34e04aaedc792fc0c1ac2ff30c7f74550501f80c30d49121a7788879d97", 0),
     ("chain:6:2", 3): ("4a73b4f8406da9e36a7445be8f40cfa63ac8ae5eacec20b91e9a627389046e66", 0),
 }

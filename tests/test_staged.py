@@ -89,6 +89,37 @@ def test_composites_on_sphere_domains_are_staged(name):
     assert m.staged and m == expanded
 
 
+def _cubic_after_meridian_chart() -> RationalMap:
+    # an outer map of odd degree 3 after the meridian chart of S^2
+    plane = euclidean(2)
+    x, y = (Polynomial.variable(plane.registry, i) for i in range(2))
+    outer = RationalMap(plane, plane, [x**3 - y, x * y], 1 + y * y)
+    return compose(outer, spheres.meridian_chart(2))
+
+
+# Composites whose inner denominator, the x1 of the meridian chart, changes
+# sign on S^2, by the degree d of the outer map: their expansion carries the
+# factor E^d of that denominator E, even for the first and odd for the second.
+SIGN_CHANGING_COMPOSITES = {
+    "stereo_inv(2) . meridian_chart(2)": SPHERE_COMPOSITES["stereo_inv(2) . meridian_chart(2)"],
+    "cubic . meridian_chart(2)": _cubic_after_meridian_chart,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CHANGING_COMPOSITES))
+def test_a_negative_inner_denominator_keeps_the_values_of_the_expansion(name):
+    build = SIGN_CHANGING_COMPOSITES[name]
+    m, expanded = build(), build()
+    expanded.numerators  # expands
+    points = sample_points(m.domain, 60, seed=7)
+    assert any(p.coords[0] < 0 for p in points) and any(p.coords[0] > 0 for p in points)
+    for p in points:
+        (nums, den), (exp_nums, exp_den) = m.values(p.coords), expanded.values(p.coords)
+        assert den != 0
+        assert [_sign(v) for v in (*nums, den)] == [_sign(v) for v in (*exp_nums, exp_den)]
+        assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
+
+
 def test_coordinates_off_the_domain_are_refused():
     # At (1, 1, 1), off S^2, the staged composite would give (-1/3, 2/3, 2/3)
     # and its expansion, a normal form modulo the sphere, (1, 2, 2).
