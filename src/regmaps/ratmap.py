@@ -57,9 +57,11 @@ a normal form, which agrees with the polynomials it reduces only on the
 domain, so :meth:`RationalMap.values` and :meth:`RationalMap.evaluate_raw`
 refuse coordinates off the domain (:class:`PointValidationError`).  A
 composite keeps the invariant by evaluating the outer map at the inner
-image, in scaled form reduced by one gcd, only where the inner
-denominator is positive; elsewhere the dropped factor ``E^d`` could
-vanish or flip the sign, so it evaluates its own expansion.  Reading
+image, in scaled form reduced by one gcd, and restores the sign of the
+factor ``E^d`` that this drops, ``E`` the inner denominator and ``d`` the
+outer map's largest degree: it negates the values where ``E < 0`` and
+``d`` is odd.  Only where ``E = 0``, where that factor vanishes, does it
+evaluate its own expansion.  Reading
 ``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
 :func:`map_to_obj` expands the map once, by the same polynomial code an
 expanded map is built with, and releases its inputs.
@@ -440,11 +442,16 @@ def _composite_polynomials(outer: RationalMap, inner: RationalMap):
 def _composite_values(node, scaled, memo):
     outer, inner = node._stage.inputs
     image, den = inner._values(scaled, memo)
-    if den > 0:
-        return outer._values(scaled_image(image, den), {})
-    # The expansion carries the factor den ** deg(outer), which the rule
-    # above drops; where den <= 0 it can vanish or flip the sign.
-    return node._polynomial_values(scaled)
+    # The expansion carries the factor den ** d, d = outer.max_degree(),
+    # which the outer values at the image drop: where den = 0 it vanishes,
+    # so only the expansion has the values; where den < 0 it is negative
+    # for an odd d (reading d expands a staged outer map, not this one).
+    if den == 0:
+        return node._polynomial_values(scaled)
+    values, outer_den = outer._values(scaled_image(image, den), {})
+    if den < 0 and outer.max_degree() % 2:
+        return [-v for v in values], -outer_den
+    return values, outer_den
 
 
 def pair_map(first: RationalMap, second: RationalMap) -> RationalMap:

@@ -31,20 +31,27 @@ Built-in families
 
 :func:`variety_by_name` reads each back from its ``name`` (``S2xS2``, ``SO4``).
 
-Samplers produce exact rational points, deterministic functions of the
-seed, on integers: spheres by inverse stereographic projection; SO(n),
-U(k) and SU(k) by one Cayley transform of a random skew-symmetric
-(skew-Hermitian) matrix, a fraction-free solve on the realified matrix
-(:func:`_cayley`), and for SU(k) a determinant correction by one
-fraction-free determinant over the Gaussian integers; the product of two
-spheres draws one point of each.  Every rational parameter is drawn by
+Samplers produce exact rational points on integers: spheres by inverse
+stereographic projection; SO(n), U(k) and SU(k) by one Cayley transform
+of a random skew-symmetric (skew-Hermitian) matrix, a fraction-free solve
+on the realified matrix (:func:`_cayley`), and for SU(k) a determinant
+correction by one fraction-free determinant over the Gaussian integers;
+the product of two spheres draws one point of each, in turn, from the
+generator it is given.  Every rational parameter is drawn by
 :func:`_bounded_pairs` straight from ``getrandbits`` with the rejection
 rule of ``randint``, so the stream is the one ``randint`` draws.  A
 sampler returns its point scaled to integers, ``(q, nums)`` with ``q > 0``
-and coordinate ``i`` equal to ``nums[i] / q``.  :func:`sample_point`
-validates that form (:meth:`Variety.first_violation_scaled`: one integer
+and coordinate ``i`` equal to ``nums[i] / q``.
+
+:func:`sample_stream` is the one source of sampled points: it seeds one
+``random.Random`` from the text ``regmaps:{name}:{seed}`` and draws every
+point of the stream from it in turn, so the points are deterministic
+functions of the variety, the seed and the index, and no point pays for
+a seeding of its own.  :func:`sample_point` is the first point of that
+stream and :func:`sample_points` a prefix of it.  Each point is validated
+in scaled form (:meth:`Variety.first_violation_scaled`: one integer
 kernel per kind of relation, sphere block, Gram block or unit
-determinant) and keeps it as the only stored form of the
+determinant), which is kept as the only stored form of the
 :class:`PointOnVariety`; ``Fraction`` coordinates are built on first read.
 """
 
@@ -611,9 +618,9 @@ def _draw_cayley(k: int, complex_entries: bool, rng: random.Random, height: int)
 
 
 def _draw_pair(factor: Sampler, rng: random.Random, height: int) -> Tuple[int, List[int]]:
-    """Two points of ``factor``, each from its own generator seeded by
-    ``rng``, side by side over the lcm of their denominators."""
-    parts = [factor(random.Random(rng.getrandbits(64)), height) for _ in range(2)]
+    """Two points of ``factor``, drawn in turn from ``rng``, side by side
+    over the lcm of their denominators."""
+    parts = [factor(rng, height) for _ in range(2)]
     q = lcm(*[part_q for part_q, _ in parts])
     return q, [x * (q // part_q) for part_q, part in parts for x in part]
 
@@ -635,18 +642,22 @@ def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int,
 def sample_point(
     variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> PointOnVariety:
-    """Deterministic exact rational point on the variety, drawn in scaled
-    form and validated against every relation."""
-    rng = random.Random(f"regmaps:{variety.name}:{seed}")
-    return PointOnVariety.from_scaled(variety, *variety.sampler(rng, height))
+    """The first point of :func:`sample_stream` at ``seed``: a
+    deterministic exact rational point on the variety."""
+    return next(sample_stream(variety, seed, height=height))
 
 
 def sample_stream(
     variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> Iterator[PointOnVariety]:
-    """Lazy endless stream of samples; sample ``i`` depends only on ``(seed, i)``."""
-    for i in itertools.count():
-        yield sample_point(variety, seed * 1_000_003 + i, height=height)
+    """Lazy endless stream of exact rational points on the variety, each
+    drawn in scaled form and validated against every relation.  One
+    generator, seeded once from the text ``regmaps:{name}:{seed}``, draws
+    them all in turn, so a point depends on the seed and on its index."""
+    rng = random.Random(f"regmaps:{variety.name}:{seed}")
+    sampler = variety.sampler
+    while True:
+        yield PointOnVariety.from_scaled(variety, *sampler(rng, height))
 
 
 def sample_points(

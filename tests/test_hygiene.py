@@ -5,7 +5,7 @@ division-based linear algebra and draw only through ``getrandbits``, every
 public linear-algebra routine but the benchmarked ``inverse`` has a caller,
 no sum of polynomials is folded by hand, no pass/fail record besides the one
 verdict type serializes itself, only polynomials and complex pairs
-multiply, only the one sample stream spells its seed formula, the map
+multiply, only the one sample stream builds a random generator, the map
 builders never read a map's polynomials, only the varieties and the
 membership check read a variety's relations, only the varieties read or
 write the row-major matrix layout, compute a coordinate index or state a
@@ -415,37 +415,64 @@ def test_only_polynomials_and_complex_pairs_multiply():
     assert _package_classes_defining("__mul__") == MUL_ALLOWED
 
 
-# The multiplier of the sample-stream seed formula ``seed * 1_000_003 + i``.
-# ``varieties.sample_stream`` spells it once; every other sampler draws from
-# that stream, so the points of a seed are defined in one place.
-STREAM_MULTIPLIER = 1_000_003
+# The classes of ``random`` that build a generator, and the one function that
+# builds one: ``varieties.sample_stream`` seeds one generator per stream and
+# every sampler draws from the generator it is given, so the points of a
+# seed are defined in one place and no point pays for a seeding of its own.
+GENERATOR_CLASSES = {"Random", "SystemRandom"}
+GENERATOR_OWNER = ("varieties.py", "sample_stream")
 
 
-def stream_multipliers(source: str):
-    """Lines of each integer literal equal to the stream multiplier."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Constant)
-        and type(node.value) is int
-        and node.value == STREAM_MULTIPLIER
-    ]
+def generator_constructions(source: str):
+    """(line, innermost enclosing function or ``None``) of each call of a
+    class in ``GENERATOR_CLASSES``, as an attribute of any name or imported
+    from ``random`` under any name."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "random"
+        for alias in node.names
+        if alias.name in GENERATOR_CLASSES
+    }
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in GENERATOR_CLASSES) or (
+                    isinstance(func, ast.Name) and func.id in imported
+                ):
+                    found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, _FUNCTIONS) else function)
+
+    visit(tree, None)
+    return sorted(found, key=lambda site: site[0])
 
 
-def test_the_checker_finds_a_spelled_seed_formula():
+def test_the_checker_finds_a_generator_construction():
     source = (
-        "a = sample_point(v, seed * 1_000_003 + i)\n"
-        "b = sample_point(v, seed * 1000003 + i)\n"
-        "c = sample_point(v, seed * 1_000_004 + i)  # 1_000_003\n"
-        "d = '1_000_003'\n"
+        "import random\n"
+        "import random as rnd\n"
+        "from random import Random as R, getrandbits\n"
+        "a = random.Random(1)\n"
+        "def draw(seed):\n"
+        "    b = rnd.Random(seed), getrandbits(8)\n"
+        "    def inner():\n"
+        "        return R(seed), random.SystemRandom()\n"
+        "    return random.getrandbits(3), 'random.Random(2)', random.Random\n"
     )
-    assert stream_multipliers(source) == [1, 2]
+    assert generator_constructions(source) == [(4, None), (6, "draw"), (8, "inner"), (8, "inner")]
 
 
-def test_only_the_sample_stream_spells_its_seed_formula():
-    found = {path.name: stream_multipliers(path.read_text(encoding="utf-8")) for path in PACKAGE}
-    assert {name: lines for name, lines in found.items() if lines and name != "varieties.py"} == {}
-    assert len(found["varieties.py"]) == 1
+def test_only_the_sample_stream_constructs_a_generator():
+    sites = [
+        (path.name, function)
+        for path in PACKAGE
+        for _, function in generator_constructions(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == [GENERATOR_OWNER]
 
 
 # Modules that build and check maps only through the operations of ``ratmap``.

@@ -258,8 +258,8 @@ def test_denominator_check_positive_and_negative_cases():
 
 def test_denominator_check_reports_are_golden():
     # Sign-indefinite denominators on one- and two-block sphere domains; the
-    # counts and witnesses were recorded before the exact audit (sampler,
-    # point check, evaluation) moved to integer arithmetic.
+    # counts and witnesses were recorded when each sample stream came to
+    # draw every point from one generator.
     reg = sphere(2).registry
     x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
     on_sphere = RationalMap(
@@ -274,16 +274,19 @@ def test_denominator_check_reports_are_golden():
     meridian = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], x1)
     cases = [
         (denominator_check(on_sphere, samples=200, seed=3), {
-            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 167,
-            "witness": ["-395079601/399531729", "-58990696/399531729", "7603232/399531729"],
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 169,
+            "witness": [
+                "-186249823729/291551771257", "214071923268/291551771257",
+                "-66982461528/291551771257",
+            ],
         }),
         (denominator_check(on_product, samples=200, seed=5), {
-            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 108,
-            "witness": ["696687/701105", "-78584/701105", "-415521/816929", "-703360/816929"],
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 100,
+            "witness": ["273483/1064765", "1029044/1064765", "-817609/1170409", "837480/1170409"],
         }),
         (denominator_check(meridian, samples=200, seed=1, height=4), {
-            "method": "sampling", "samples": 200, "zeros": 5, "negatives": 166,
-            "witness": ["-1/33", "8/33", "-32/33"],
+            "method": "sampling", "samples": 200, "zeros": 6, "negatives": 161,
+            "witness": ["-4/13", "-12/13", "-3/13"],
         }),
     ]
     for report, expected in cases:

@@ -61,9 +61,8 @@ def test_staged_values_are_a_positive_multiple_of_the_expanded_values(name):
 
 
 # Composites on sphere domains, by the maps they compose.  The inner
-# denominator x1 of the meridian chart changes sign on S^2, so the first
-# takes the fallback to its expansion at some of the points, and the rule
-# for a positive one at others.
+# denominator x1 of the meridian chart changes sign on S^2; the outer map of
+# the first has even degree, so its values keep their sign where x1 < 0.
 SPHERE_COMPOSITES = {
     "stereo_inv(2) . meridian_chart(2)": lambda: compose(
         spheres.stereo_inv(2), spheres.meridian_chart(2)
@@ -79,13 +78,11 @@ def test_composites_on_sphere_domains_are_staged(name):
     build = SPHERE_COMPOSITES[name]
     expanded = build()
     expanded.numerators  # expands
+    m = build()
     for p in sample_points(expanded.domain, 20, seed=7):
-        m = build()  # a fresh one each time: the fallback expands the map it runs in
-        assert m.staged
         (nums, den), (exp_nums, exp_den) = m.values(p.coords), expanded.values(p.coords)
         assert den > 0 and exp_den > 0
         assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
-    m = build()
     assert m.staged and m == expanded
 
 
@@ -118,6 +115,7 @@ def test_a_negative_inner_denominator_keeps_the_values_of_the_expansion(name):
         assert den != 0
         assert [_sign(v) for v in (*nums, den)] == [_sign(v) for v in (*exp_nums, exp_den)]
         assert [a * exp_den for a in nums] == [b * den for b in exp_nums]
+    assert m.staged
 
 
 def test_coordinates_off_the_domain_are_refused():
@@ -136,7 +134,9 @@ def test_coordinates_off_the_domain_are_refused():
 
 def _reciprocal_then_identity() -> RationalMap:
     # inner X -> 1/X (numerator 1, denominator X), then a degree-1 outer map:
-    # the expansion is 1/X over the denominator X, negative for X < 0.
+    # the expansion is 1/X over the denominator X, negative for X < 0, where
+    # the staged values are negated, and zero at X = 0, where they are the
+    # expansion's.
     line = euclidean(1)
     reg = line.registry
     inner = RationalMap(line, line, [Polynomial.one(reg)], Polynomial.variable(reg, 0))
@@ -147,7 +147,7 @@ def test_a_nonpositive_inner_denominator_falls_back_to_the_expansion():
     staged = _reciprocal_then_identity()
     assert staged.staged
     nums, den = staged.values([Fraction(-2)])
-    assert den < 0 and nums[0] / den == Fraction(-1, 2)
+    assert den < 0 and nums[0] / den == Fraction(-1, 2) and staged.staged
     with pytest.raises(ExcludedLocusError):
         _reciprocal_then_identity().evaluate_raw([Fraction(0)])
     report = denominator_check(_reciprocal_then_identity(), samples=50, seed=3)

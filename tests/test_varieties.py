@@ -24,6 +24,7 @@ from regmaps.varieties import (
     poly_matrix_determinant,
     sample_point,
     sample_points,
+    sample_stream,
     special_orthogonal,
     special_unitary,
     sphere,
@@ -139,13 +140,6 @@ def test_sampler_is_deterministic():
         assert a.coords == b.coords
         c = sample_point(v, seed=10)
         assert a.coords != c.coords, f"{v.name}: different seeds collided"
-
-
-def test_sample_points_indexing_matches_single_samples():
-    v = sphere(2)
-    batch = sample_points(v, 4, seed=6)
-    for i, p in enumerate(batch):
-        assert p.coords == sample_point(v, 6 * 1_000_003 + i).coords
 
 
 def test_circle_parameter_one_maps_to_north():
@@ -341,11 +335,8 @@ SAMPLER_KINDS = {
     "cayley-su": special_unitary(2),
 }
 
-# Every sampler kind, and the U(3) and SU(3) that ``r-u:3``, ``su-retract:3``
-# and ``embed-u:3`` sample; the k = 3 digests were recorded before the unitary
-# samplers moved to the fraction-free Cayley transform, and the SU(4)/SU(5)
-# ones (``su-retract:4``, ``su-retract:5``) before the SU(k) determinant
-# correction moved to Gaussian integers.
+# Every sampler kind, and the U(3), SU(3), SU(4) and SU(5) that ``r-u:3``,
+# ``su-retract:3`` to ``su-retract:5`` and ``embed-u:3`` sample.
 PINNED_VARIETIES = {
     **SAMPLER_KINDS,
     "cayley-u:3": unitary(3),
@@ -355,68 +346,69 @@ PINNED_VARIETIES = {
 }
 
 # (sampler kind, height, seed): sha256 of the first 50 points of sample_points,
-# one point per line as comma-separated "numerator/denominator".
+# one point per line as comma-separated "numerator/denominator", recorded
+# when each stream came to draw all its points from one generator.
 SAMPLE_DIGESTS = {
-    ("euclidean", 1000, 0): "f7a73b26b94624ff0aca0ae11a26ccfe936a97036421c14bbdc1505e3bc80451",
-    ("euclidean", 1000, 11): "3d6568fa252d1cc99224111da847e918e5b71cb683f7f2167232fffe48ccc395",
-    ("euclidean", 50, 0): "f82aa90ee192a5b03c09b6b15a8a670b02289ebf8c3560297b6d59f2041caf45",
-    ("euclidean", 50, 11): "7bec3137980c7181fe8354dfaf82eb9433acf906ed2120078d88eca9ba20efff",
-    ("euclidean", 4, 0): "d4c4464e27a3a5c5578f7d3decb8cade98fa82178d871bb6622cb65fa604bd83",
-    ("euclidean", 4, 11): "a43ef245ffaf84e846dd43d00b1a50804e6a68aa14d6b5c19475eaf4a25c975f",
-    ("sphere", 1000, 0): "5e27192e2213f3454ff525dffe03481bda060a44081707e7834fcd96a5b21061",
-    ("sphere", 1000, 11): "986cec4af7467e3b32dc2fcaa1133c6ee77af8e7a5657fa96d2d17a3bcea4125",
-    ("sphere", 50, 0): "7c2e7ef1f4fab1f9cef6ddc1aeecb3b71d5a45bce33d36a0e8a75ce70c5a75cb",
-    ("sphere", 50, 11): "677f78a4449fdbe97606369e90550e61c108508debb12651a081e36d40572ec8",
-    ("sphere", 4, 0): "fad7ac1eeb410495d159bcf4ae1d0a2f2cee3e6b9773f7bdd4e0b28aec5e7c8a",
-    ("sphere", 4, 11): "ddd8dcfec48846b24a915864ce5b17e07a23c523cd4a92a1d0e8c0b158c1adf6",
-    ("product", 1000, 0): "29a60cde345151378ccb9a726aa4b31b00cdc570c6f07666862543c139900dd2",
-    ("product", 1000, 11): "b51b987515c2630ad22724e05bb294cb58b6e7e93a4c641b91cde1cdcab0c2f5",
-    ("product", 50, 0): "8e3cd8940d433d7849dbfe6b0d7f929ebd2d3c5c43cc4e671704ca1beabd3b4c",
-    ("product", 50, 11): "d5f7a5711ceb1b72910300f0c27aa9f185dbfd46d8f9cc2adeab2f16257000ad",
-    ("product", 4, 0): "2977b639bbf7c89e512d094051313f0f9ae054f326a71398e6db4f77af7e2db2",
-    ("product", 4, 11): "22f1dbfaec0aa4f87f6ad2eb673fd0c76ed85483779ec56944dbc051ec27f860",
-    ("cayley-so", 1000, 0): "c778fc4863d162dee2e275f203b843c4a8ba1d1e448d9fcc03ee9acfc55e3172",
-    ("cayley-so", 1000, 11): "b8be6d93deb2e5b5a10d62d757bc226350f56a38eb9a4166523430a6bbb41e21",
-    ("cayley-so", 50, 0): "60843bc37d1f1f05d632081b0f7be3e629f51e4b7c903a004db97515c80ae254",
-    ("cayley-so", 50, 11): "284abcb99f5e693e7ee05a7542c999e4c747ae0fb090ff5be2b49990f5506486",
-    ("cayley-so", 4, 0): "73fb864d8374008f0dcac034d2665a4580b2b50320ded8386200344cb2d2acee",
-    ("cayley-so", 4, 11): "730191b86daad3669a5bf8a4ba0c4a5203ba924d51b14a8933941b55af9946c8",
-    ("cayley-u", 1000, 0): "1d1da5d7ceeb44361208963aa5af43615a1002a68b1a5eb4100678dfb30b3261",
-    ("cayley-u", 1000, 11): "82ae74e00cd29af33db4caa0802cd1f41bb215ec1bdad0be63b338e8efe5553a",
-    ("cayley-u", 50, 0): "8845aef882f2e0587c23970e67f3a2c15f1580f244559ea930df411af79b54c5",
-    ("cayley-u", 50, 11): "acd5fa5dfa01507fa9fa403a090d91e8299308ec38620cb8a74895ac68b82e85",
-    ("cayley-u", 4, 0): "ecc7f2ad3ff670279be207ff3cbcc9fdbe1d48d3ffa4eb2ca86ba9a09b14bf07",
-    ("cayley-u", 4, 11): "6b743c2e113147c0e3db669f17fb97ec0694ee7e11919a6b5bf9fb9a6cd95ee8",
-    ("cayley-su", 1000, 0): "20cea0f93956b9cf224c1a213e27d368b9ef0395141793c7955527e2d63c721d",
-    ("cayley-su", 1000, 11): "0253fbc00a90c5adef68808a918da91aa79218bff455b01e485f72e293cb1569",
-    ("cayley-su", 50, 0): "47770ca0781ef80ffda3c881f87d6c3a4d84e3a6027588b140b44f5c3b05410c",
-    ("cayley-su", 50, 11): "4dcf5ac664aaafab709563a7d8173081ed4b5b8412550f8dfe81b73842bb9a5c",
-    ("cayley-su", 4, 0): "eac36d1f9a7662d8612fabd479373673cb85d89d8bae29778d96c8c12bffdffe",
-    ("cayley-su", 4, 11): "540c2c5e6f58e4a2680351fc98e971c3c59e925325ebe3cfd5b5d22122b7139a",
-    ("cayley-u:3", 1000, 0): "4cea182cdd78c60e3687e7f94d112eb1e84ab81e3b4e4a4adef990b8e2995473",
-    ("cayley-u:3", 1000, 11): "9356d89a69174235359951f9fcada394d4b1fe0c8cc30d8e3b85530119ed1ba8",
-    ("cayley-u:3", 50, 0): "bcfd56b16b108628f2d65ee47110054f8c9aa240f1b8c08b195d9bf5e7806d10",
-    ("cayley-u:3", 50, 11): "79cd7544100f45c85fe9a2ba22f4bb156ec3fc429ed313ef965d093427cbca1f",
-    ("cayley-u:3", 4, 0): "c24792d58a8ed9fd41f6b47c25ebe949c3be5cfb188d031f34c225f699a2ae77",
-    ("cayley-u:3", 4, 11): "144f6596659a8801fe535e186c3b58c12fef6c841a1379b3fa6a2584fe1fca46",
-    ("cayley-su:3", 1000, 0): "8624b023ac0b036a7290f2ddb0b68ce17347016eb1dbd06652e84427d3a21591",
-    ("cayley-su:3", 1000, 11): "9ea42f9e0bcc09e2c9562d0ea2315fa0698b885e4ea32c69d42df14301b19173",
-    ("cayley-su:3", 50, 0): "150777d90dbe91ab66c105df9582f186c295394353f9dc46befabcb4ec00dcec",
-    ("cayley-su:3", 50, 11): "def7eb9cc2a61e66f9c884b829bf5fc165a8ff107953e2b3c2767597be53c45e",
-    ("cayley-su:3", 4, 0): "3b00eee59e7a99bdb7209cb69f18cb82b9d66e92671a517029f9df0d0ad50b5f",
-    ("cayley-su:3", 4, 11): "944ca18366e51b184e2f07d7c8043ed2522a7d4fa80e9d43ed66ff4ff28a0ff7",
-    ("cayley-su:4", 1000, 0): "5fbb564d6ff995be763a239923e19635a9081c12d803cf9ee8e2a376654ebba1",
-    ("cayley-su:4", 1000, 11): "24f119a15eb884d6e1ced21576e93aba6c1540ed64463d2d0a3384e869a780f1",
-    ("cayley-su:4", 50, 0): "22b3a06d810eed9ef61c2e0a167d28bd41deb0d29b0c8ee893e63d2631662df5",
-    ("cayley-su:4", 50, 11): "bc51eafc283e808637b5d51ff47feaf7832c0f87526bb9350ac4731e5e1de9d1",
-    ("cayley-su:4", 4, 0): "683c64e3152b5d8f614c9ea30b43f47be61f8e1c6b7f03ae6c6f0de0bcf1432c",
-    ("cayley-su:4", 4, 11): "9518e0f914cf0fc36d41ee32f76e3896207a039564ef9340e2aff0e0446c7f0d",
-    ("cayley-su:5", 1000, 0): "00e68754dfe7d567a27c4927859b3349d36955881c11048c2044fcf51b0ce601",
-    ("cayley-su:5", 1000, 11): "694281a94ec89374c99d949fe8b86f2cc6efebce0549804b6c5194ae10871641",
-    ("cayley-su:5", 50, 0): "c9f8ef7df06556754a6286c3b9c0a49af4435d938862240c76b42d3165dfa584",
-    ("cayley-su:5", 50, 11): "36853cd8c5fb24e7e21b26875db1612631838bfbccf56dba7ab8a1bc14976c9a",
-    ("cayley-su:5", 4, 0): "197d837ed5bd6d91a8e65d5f81bc2e1b2c5c74bef7a705986e47452c2c59094f",
-    ("cayley-su:5", 4, 11): "bc13084550c8ca94515b1c7fb03082f7cdb152d2a59e4629d1ace8919832d3a4",
+    ("euclidean", 1000, 0): "1fbc62c6679ef3582e0aa7744329f9bb91eaa9a17ad54dcf27bc6bde62b3541a",
+    ("euclidean", 1000, 11): "efeeda456295bde9f91070bba431caa8c0d786f47bea337f720569852e3a9c62",
+    ("euclidean", 50, 0): "2d2d769708bdb4acad94d61ae82427ce86bd2bfe384bc0e5b6b3fcf0e1d8dfe1",
+    ("euclidean", 50, 11): "8cc05d04977e9fe7d70a5125098f69038114a5d986fbe7ba255c53d1d5f46bcb",
+    ("euclidean", 4, 0): "8f4cbe66c67e3a8dff242c6bdf5581f296306bb62b091ae6122e4bff66134480",
+    ("euclidean", 4, 11): "c72fa4fd2b6e1ead66db6f44c45ae89eeaad032a8715ab591d3e0d44d908ac0b",
+    ("sphere", 1000, 0): "52b55946804866c470deb61cbde11ad7d0dfc5e7b5239f4c073d6bc0cba48491",
+    ("sphere", 1000, 11): "5b676cfeb5f58270a8b80aa80dc8ad7f3df2968172378009d26f5a6251fd670d",
+    ("sphere", 50, 0): "af49edc1b00b17cdc33c2b0ab6356b90b6dc7bf40e9f9965e0eac12651b7c125",
+    ("sphere", 50, 11): "543b75ac24a93e489c33b773b8d3f82931e2cd22414349beb6a47734f2439ec0",
+    ("sphere", 4, 0): "b57c0842602a1d2165f011abfaa56786956450714528a986fb9c42f2f9433a12",
+    ("sphere", 4, 11): "3451514116a1597515098b11ed90a548e7914935a54ef4b2ce547715dec5c9af",
+    ("product", 1000, 0): "56ea320765d7fc42e0cd3a130192926433cfa0482b590ba4076f49e7a5eb8655",
+    ("product", 1000, 11): "e1728967f9533d2600ead741fb3d59a398038bba08a4151ac63a1359117a72c2",
+    ("product", 50, 0): "8462ab1502edfa044082e54ade39c8ecd6bdc0142d346a485f4c62f1fec30e8c",
+    ("product", 50, 11): "4c40de6eb5cb8ef517649967fe74aa07f8190db7c4e64895e114a6a43d259f72",
+    ("product", 4, 0): "521815a253121e04a88928622aad5af42333f9140153ae5a4d23b53534cf73a2",
+    ("product", 4, 11): "860183657f12fd7c4513bf20953cf8ab2ca05a81ea3cdc42ee55cf963ce1afd9",
+    ("cayley-so", 1000, 0): "660e04002310d2dd8e9718a15dff8e49cceb228f6b36ad2fb392d8b6a9670685",
+    ("cayley-so", 1000, 11): "6943059332de67c881f6d01a7aea3c51cd780b0bf38c0a3e5fc3b0c91a2c1fd3",
+    ("cayley-so", 50, 0): "e116e3966867b6bdb2e8d5394c82783603285f2e74794b6c956ef7d95ade3d7e",
+    ("cayley-so", 50, 11): "e8cd91746f2e4d10301bf3d3a4d3ca2925e5c7b542e89053808e2eca72e2e91d",
+    ("cayley-so", 4, 0): "56d1bfbeb3e676070557775ba8b413a3a08302d13a050f0fee5419e7acebd3c8",
+    ("cayley-so", 4, 11): "100f7bbe9e469c28dbecc3dca0ff0d3dcadbf5872b321bcf7612c49a59c04b66",
+    ("cayley-u", 1000, 0): "a5e35b24e508ed4b0c70a40d42cf1eba028ed3121f928bec5c07a6ead340602a",
+    ("cayley-u", 1000, 11): "5510d2d795d46e9a62141d8346da417d7c9ab13686324d3913ddfd987a5c59f8",
+    ("cayley-u", 50, 0): "e6bc60b14f831bbad6bfb88aa13dfca36894a95e351be86d789907687bf11f79",
+    ("cayley-u", 50, 11): "9f5f44b9e2ea771bc7eb1cd0b10327cb7d17ac4aeb1b2c9db15be4d63f533669",
+    ("cayley-u", 4, 0): "77034a67198a01c4e56cc98802d7bc1e8521861775673c151445eb224b37c763",
+    ("cayley-u", 4, 11): "27eea366c10dd19d78bee35ce0c77f78f93a7473a2fca3262081ee81f5b891ee",
+    ("cayley-su", 1000, 0): "7cd82fd5bde61ef77fcd22fd05a6146e2437a6c4306b04e88cc2ffd428895402",
+    ("cayley-su", 1000, 11): "83ff68f6ffaa2d5ac4ac63f80a69cf1d1f4eebd00caa8310b57742543b1642c9",
+    ("cayley-su", 50, 0): "9929eae1a22f49f6a93f1d614b529dbf4ab12a51e235ed97970e7865c82a852b",
+    ("cayley-su", 50, 11): "0ca0a8e82d2d37cf1f191e656b1fe7835f5978e02c843cda03cca4cf0d00e706",
+    ("cayley-su", 4, 0): "b3f9ce163913d768173d38a5dcd200bbf64df5a75daf727d92bb9659a206ac0f",
+    ("cayley-su", 4, 11): "e386c946aabd42f1291bedf700b43921f974e17a6d8fd2d4e885d0af8f5fa565",
+    ("cayley-u:3", 1000, 0): "fc4dc3c274c9ed45fd7be92af16f093eaec999f6f849265ba74fe39bacae1761",
+    ("cayley-u:3", 1000, 11): "249063da4901c5f39af2ca6dad3a0538ea257d8a955baf705a0ba14e7fb7961e",
+    ("cayley-u:3", 50, 0): "68ff1182f809d2898fc635168c8fb4947a7fc1241fd8cb9382a44212def40411",
+    ("cayley-u:3", 50, 11): "60398bdca82ce919ae1759e468c97e3e128e33ea1212bca66a9e7bea995c0a5e",
+    ("cayley-u:3", 4, 0): "fab65aebf470c534529bdc2e8719c8a3ab90a32392681c81864bdf25bfa228d1",
+    ("cayley-u:3", 4, 11): "17403d0680e2e7dec67c0d23f0e71c0d79a932986f585ac43a5ae2bad2882635",
+    ("cayley-su:3", 1000, 0): "656281ecbc1c8786dfc7eb7f6ece7f3f57b0c2b4422ebe61da12fb49651b9325",
+    ("cayley-su:3", 1000, 11): "6071d844ebbd816413287c8045c1208be4b5fda4be390cf865ba7a905460acc3",
+    ("cayley-su:3", 50, 0): "116d244dd18db947b015286d99d6a2880ee61b900df1ac46e82cd7d2b22c0da9",
+    ("cayley-su:3", 50, 11): "caac152bc6ef50f860497608a45ee143e63b9576da2fd828906588cb7f7b67e3",
+    ("cayley-su:3", 4, 0): "8e8ec2c9b862542732e53a23e9adcff90014d85024593a182f248080ddd77953",
+    ("cayley-su:3", 4, 11): "e5091317258c85012d57ea91d75af317c399ce4e0b56895ad5c83caa2479e0d1",
+    ("cayley-su:4", 1000, 0): "7cbf91fc9b2de10f9a05aba5e387dcaddd9a76c0ac7c91847c1e3f9e9ab565ec",
+    ("cayley-su:4", 1000, 11): "0731855492b1cccbf8fe1faa49732ee4b330c73b567ddffccf92f7f0d5437f75",
+    ("cayley-su:4", 50, 0): "02d4735cddd4b031684acd5e483047adc8650f441ede9aba507f3715edb7f69f",
+    ("cayley-su:4", 50, 11): "dc21f82c9ea8c41605f5a216493559f09a22d10f7e2940500527625ae8a5dd61",
+    ("cayley-su:4", 4, 0): "ad1706bacaae6367995930118f9e915e4597e67a69eb3452faf1f84abf109084",
+    ("cayley-su:4", 4, 11): "25fcf81ab65a9a41aca61341e7663c292c19f77faa688788188843e663e1004b",
+    ("cayley-su:5", 1000, 0): "c2b565eaa09e922d58fb83afda339d1d120269a7520840a588eeb5053cb8e8a0",
+    ("cayley-su:5", 1000, 11): "7aaf23886ebe6ef9a47179e07043d1dc14f4d4565e97759f1b939427979d8e04",
+    ("cayley-su:5", 50, 0): "1af645616858102a018f7e3e4546e037ea64e1c1349b50c8dfa9bf0dcae61d8b",
+    ("cayley-su:5", 50, 11): "8c25ea960a0646e88bc9e1857e94a9fbc54f845dd33b7421695610466d72e3e5",
+    ("cayley-su:5", 4, 0): "b1cf5fa5fc7a772af11bdde8336f300fdb14cb2991c7b4c3a73fdc80be221c6c",
+    ("cayley-su:5", 4, 11): "aef451d984b461757a28e669b7555506dd98d152d406c387a1f1a5b109030a3c",
 }
 
 
@@ -450,6 +442,26 @@ def test_sampled_points_are_drawn_over_one_positive_denominator(kind):
                 assert all(type(c) is Fraction for c in point.coords)
                 assert [Fraction(n, q) for n in nums] == list(point.coords)
                 assert variety.first_violation_scaled(q, nums) is None
+
+
+def test_a_stream_starts_at_the_sampled_point_of_its_seed():
+    for kind, variety in SAMPLER_KINDS.items():
+        for seed in (0, 3, 31):
+            first = next(sample_stream(variety, seed))
+            assert first.scaled == sample_point(variety, seed).scaled, (kind, seed)
+
+
+def test_a_shorter_sample_is_a_prefix_of_a_longer_one():
+    for kind, variety in SAMPLER_KINDS.items():
+        short, longer = (sample_points(variety, count, 5) for count in (3, 7))
+        assert [p.scaled for p in short] == [p.scaled for p in longer[:3]], kind
+
+
+def test_neighbouring_seeds_share_no_point():
+    for kind, variety in SAMPLER_KINDS.items():
+        first, second = ({p.coords for p in sample_points(variety, 200, s)} for s in (0, 1))
+        assert len(first) == len(second) == 200, kind
+        assert not first & second, kind
 
 
 def test_a_point_keeps_both_forms_of_its_coordinates():
