@@ -434,17 +434,19 @@ def verification_suite(
     generic checks (codomain membership, denominator signs) and adds the
     contracts that define the family: round-trips for charts, unit laws for
     the addition, section/retraction algebra for the group maps, fiber and
-    regularity behavior for the join-style maps.
+    regularity behavior for the join-style maps.  Membership that the map's
+    construction proved symbolically (``codomain_proof``) is reported as
+    proved, not proved again.
     """
     family, args, m = _resolved(name)
     group_like = not m.domain.block_reducible()
     sample_height = family.generic_height or (50 if group_like else 1000)
     generic_samples = min(samples, 8) if group_like else samples
+    membership = m.codomain_proof or maps_into(
+        m, samples=generic_samples, seed=seed, height=sample_height
+    )
     checks = [
-        replace(
-            maps_into(m, samples=generic_samples, seed=seed, height=sample_height),
-            name="maps-into-codomain",
-        ),
+        replace(membership, name="maps-into-codomain"),
         replace(
             denominator_check(m, samples=generic_samples, seed=seed, height=sample_height),
             name="denominator-signs",

@@ -120,9 +120,14 @@ class RationalMap:
 
     A staged map (see the module docstring) holds ``_stage`` until its
     polynomials are first read; then it holds ``_polys``, as an expanded
-    map does from construction."""
+    map does from construction.  ``codomain_proof`` is the symbolic
+    :func:`maps_into` verdict that :func:`verified` proved when it checked
+    the map, else ``None``: a proof, whatever the seed, which a suite can
+    report without proving it again."""
 
-    __slots__ = ("domain", "codomain", "excluded", "label", "_polys", "_stage")
+    __slots__ = (
+        "domain", "codomain", "excluded", "label", "codomain_proof", "_polys", "_stage"
+    )
 
     def __init__(
         self,
@@ -134,7 +139,7 @@ class RationalMap:
         label: str = "",
     ):
         self._set(domain=domain, codomain=codomain, excluded=excluded, label=label, _stage=None)
-        self._set(_polys=self._normalized(numerators, denominator))
+        self._set(_polys=self._normalized(numerators, denominator), codomain_proof=None)
 
     def __setattr__(self, key, value):  # pragma: no cover
         raise AttributeError("RationalMap is immutable")
@@ -403,7 +408,7 @@ def _derived(
     """The staged map ``stage`` computes."""
     m = object.__new__(RationalMap)
     m._set(domain=domain, codomain=codomain, excluded=excluded, label=label)
-    m._set(_polys=None, _stage=stage)
+    m._set(_polys=None, _stage=stage, codomain_proof=None)
     return m
 
 
@@ -729,13 +734,16 @@ def denominator_check(
 def verified(m: RationalMap, samples: int, seed: int, height: int) -> RationalMap:
     """One-time construction check of a catalog map: codomain membership
     (a symbolic proof on sphere-block domains, sampled otherwise), then
-    denominator signs at sampled points.  Returns ``m`` or raises
+    denominator signs at sampled points.  Returns ``m``, which keeps a
+    symbolic membership verdict as ``codomain_proof``, or raises
     ``AssertionError`` with the failing report."""
     report = maps_into(m, samples=samples, seed=seed, height=height)
     if not report.passed:
         raise AssertionError(
             f"catalog map {m._describe()} failed codomain check: {report.info}"
         )
+    if report.method == "symbolic":
+        m._set(codomain_proof=report)
     sign_report = denominator_check(m, samples=samples, seed=seed, height=height)
     if not sign_report.passed:
         raise AssertionError(

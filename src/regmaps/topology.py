@@ -270,6 +270,19 @@ def _degree_integrand(
     return _batch_det(table)
 
 
+def _unit_columns(raw: np.ndarray) -> np.ndarray:
+    """The rows of ``raw`` (points by coordinates) scaled to unit length, as
+    the columns of a contiguous batch-last array.  The squares are added
+    coordinate by coordinate, left to right: the order of numpy's reduction
+    along a row shorter than 8, so below ambient dimension 8 the columns
+    equal ``raw / np.linalg.norm(raw, axis=1, keepdims=True)`` bit for bit."""
+    columns = np.ascontiguousarray(raw.T)
+    squares = columns[0] * columns[0]
+    for row in columns[1:]:
+        squares += row * row
+    return columns / np.sqrt(squares)
+
+
 def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
     """Monte Carlo estimate of the mapping degree of a sphere self-map.
 
@@ -305,7 +318,7 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         raw = rng.standard_normal((CHUNK_SIZE, dim))[:want]
-        x = np.ascontiguousarray((raw / np.linalg.norm(raw, axis=1, keepdims=True)).T)
+        x = _unit_columns(raw)
         powers: Dict[Tuple[int, int], np.ndarray] = {}
         den = _evaluate(terms.den, x, powers)
         guard = 0
@@ -321,7 +334,7 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
                 )
             resampled += count_bad
             redraw = rng.standard_normal((count_bad, dim))
-            x[:, bad] = (redraw / np.linalg.norm(redraw, axis=1, keepdims=True)).T
+            x[:, bad] = _unit_columns(redraw)
             powers = {}
             den = _evaluate(terms.den, x, powers)
 

@@ -35,24 +35,36 @@ Samplers produce exact rational points on integers: spheres by inverse
 stereographic projection; SO(n), U(k) and SU(k) by one Cayley transform
 of a random skew-symmetric (skew-Hermitian) matrix, a fraction-free solve
 on the realified matrix (:func:`_cayley`), and for SU(k) a determinant
-correction by one fraction-free determinant over the Gaussian integers;
-the product of two spheres draws one point of each, in turn, from the
-generator it is given.  Every rational parameter is drawn by
-:func:`_bounded_pairs` straight from ``getrandbits`` with the rejection
-rule of ``randint``, so the stream is the one ``randint`` draws.  A
-sampler returns its point scaled to integers, ``(q, nums)`` with ``q > 0``
-and coordinate ``i`` equal to ``nums[i] / q``.
+correction by one fraction-free determinant over the Gaussian integers.
+Every random integer is drawn straight from ``getrandbits`` with the
+rejection rule of ``randint``, so the stream is the one ``randint`` draws.
 
-:func:`sample_stream` is the one source of sampled points: it seeds one
-``random.Random`` from the text ``regmaps:{name}:{seed}`` and draws every
-point of the stream from it in turn, so the points are deterministic
-functions of the variety, the seed and the index, and no point pays for
-a seeding of its own.  :func:`sample_point` is the first point of that
-stream and :func:`sample_points` a prefix of it.  Each point is validated
-in scaled form (:meth:`Variety.first_violation_scaled`: one integer
-kernel per kind of relation, sphere block, Gram block or unit
-determinant), which is kept as the only stored form of the
-:class:`PointOnVariety`; ``Fraction`` coordinates are built on first read.
+A sphere, Euclidean or sphere-product point is drawn on a grid
+(:func:`_grid_draws`): one denominator ``L = randint(1, H)`` and one
+numerator ``T_i = randint(-H, H)`` per parameter, ``H`` the height.
+Given ``L``, each parameter ``T_i / L`` is uniform on the set
+``{T / L : |T| <= H}`` of ``2H + 1`` values, independently of the others.
+A point of R^n is those parameters; a point of S^n their inverse
+stereographic image, ``q = L^2 + sum T_i^2``; a point of S^n x S^n one
+such image of the first n parameters and one of the last n.  The Cayley
+samplers draw each parameter as ``p / d`` with its own denominator
+(:func:`_bounded_pairs`) and put them over their lcm.
+
+A sampler is a function of ``(rng, height)`` that each constructor binds;
+it returns an endless iterator of points in scaled form, ``(q, nums)``
+with ``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``, all drawn in
+turn from ``rng``.  :func:`sample_stream` is the one source of sampled
+points: it seeds one ``random.Random`` from the text
+``regmaps:{name}:{seed}`` and builds each point of the sampler's stream,
+so the points are deterministic functions of the variety, the seed and
+the index, and no point pays for a seeding of its own.
+:func:`sample_point` is the first point of that stream and
+:func:`sample_points` a prefix of it.  Each point is validated in scaled
+form by :meth:`PointOnVariety.from_scaled`
+(:meth:`Variety.first_violation_scaled`: one integer kernel per kind of
+relation, sphere block, Gram block or unit determinant), which is kept as
+the only stored form of the :class:`PointOnVariety`; ``Fraction``
+coordinates are built on first read.
 """
 
 from __future__ import annotations
@@ -72,8 +84,9 @@ from .polynomial import ComplexPair, Polynomial, SphereBlock, VarRegistry, scale
 
 DEFAULT_HEIGHT = 1000
 
-# A point sampler: ``(rng, height)`` -> the point in scaled form ``(q, nums)``.
-Sampler = Callable[[random.Random, int], Tuple[int, List[int]]]
+# A point sampler: ``(rng, height)`` -> an endless iterator of points in
+# scaled form ``(q, nums)``, drawn in turn from ``rng``.
+Sampler = Callable[[random.Random, int], Iterator[Tuple[int, List[int]]]]
 
 
 class PointValidationError(ValueError):
@@ -123,7 +136,7 @@ class Variety:
     They are built on first read; det = 1 of SO(n) and SU(k) is no
     relation, only ``matrix.special``.  ``sampler`` is a :data:`Sampler`
     that its constructor binds to its size: ``unitary(k)`` binds
-    ``partial(_draw_cayley, k, True)``.
+    ``partial(_cayley_points, k, True)``.
 
     The records say what kind of identities the relations are, so that a
     point is checked by one integer kernel per kind instead of one
@@ -304,41 +317,38 @@ class PointOnVariety:
     integer per coordinate, coordinate ``i`` being ``nums[i] / q`` (not
     necessarily in lowest terms), on which the relations are checked
     (:meth:`Variety.first_violation_scaled`).  Coordinates given to the
-    constructor (read through ``Fraction`` unless ``int``) are scaled once;
-    :meth:`from_scaled`, which builds every sampled point and every image
-    of a map, takes the form as given.  ``coords``, a tuple of
+    constructor (read through ``Fraction`` unless ``int``) are scaled once
+    and handed to :meth:`from_scaled`, which builds every point, sampled
+    points and images of maps included.  ``coords``, a tuple of
     ``Fraction``, is built on first read; the denominator audit of
     ``verify`` never reads it.
     """
 
     __slots__ = ("variety", "scaled", "_coords")
 
-    def __init__(self, variety: Variety, coords: Sequence[Fraction]):
-        self._init(variety, *scale_point(coords))
+    def __new__(cls, variety: Variety, coords: Sequence[Fraction]) -> "PointOnVariety":
+        return cls.from_scaled(variety, *scale_point(coords))
 
     @classmethod
     def from_scaled(cls, variety: Variety, q: int, nums: Sequence[int]) -> "PointOnVariety":
-        """The point with coordinates ``nums[i] / q``, for ``q > 0``."""
-        point = cls.__new__(cls)
-        point._init(variety, q, nums)
-        return point
-
-    def _init(self, variety: Variety, q: int, nums: Sequence[int]) -> None:
-        # The one place a point is stored and its relations are checked.
+        """The point with coordinates ``nums[i] / q``, for ``q > 0``: the one
+        place a point is stored and its relations are checked."""
         if q <= 0:
             raise PointValidationError(f"a scaled point needs q > 0, got {q}")
         if len(nums) != variety.ambient_dim:
             raise PointValidationError(
                 f"{variety.name} needs {variety.ambient_dim} coordinates, got {len(nums)}"
             )
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "scaled", (q, tuple(nums)))
-        object.__setattr__(self, "_coords", None)
         violation = variety.first_violation_scaled(q, nums)
         if violation is not None:
             raise PointValidationError(
                 f"coordinates violate a relation of {variety.name}: residual {violation[1]}"
             )
+        point = object.__new__(cls)
+        object.__setattr__(point, "variety", variety)
+        object.__setattr__(point, "scaled", (q, tuple(nums)))
+        object.__setattr__(point, "_coords", None)
+        return point
 
     @property
     def coords(self) -> Tuple[Fraction, ...]:
@@ -433,7 +443,7 @@ def sphere(n: int) -> Variety:
         raise ValueError("sphere dimension must be nonnegative")
     registry = VarRegistry([f"x{i}" for i in range(1, n + 2)])
     block = SphereBlock(tuple(range(n + 1)))
-    return Variety(f"S{n}", registry, [block], sampler=partial(_drawn, n, _sphere_scaled))
+    return Variety(f"S{n}", registry, [block], sampler=partial(_sphere_points, n))
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +451,7 @@ def euclidean(n: int) -> Variety:
     if n < 1:
         raise ValueError("euclidean dimension must be positive")
     registry = VarRegistry([f"X{i}" for i in range(1, n + 1)])
-    return Variety(f"R{n}", registry, sampler=partial(_drawn, n, _over_common_denominator))
+    return Variety(f"R{n}", registry, sampler=partial(_grid_draws, n))
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +462,7 @@ def sphere_product(n: int) -> Variety:
     names = [f"x{i}" for i in range(1, m + 1)] + [f"y{i}" for i in range(1, m + 1)]
     registry = VarRegistry(names)
     blocks = [SphereBlock(tuple(range(m))), SphereBlock(tuple(range(m, 2 * m)))]
-    return Variety(f"S{n}xS{n}", registry, blocks, sampler=partial(_draw_pair, sphere(n).sampler))
+    return Variety(f"S{n}xS{n}", registry, blocks, sampler=partial(_sphere_pair_points, n))
 
 
 @lru_cache(maxsize=None)
@@ -460,7 +470,7 @@ def special_orthogonal(n: int) -> Variety:
     if n < 1:
         raise ValueError("matrix size must be positive")
     registry = VarRegistry([f"g{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
-    sampler = partial(_draw_cayley, n, False)
+    sampler = partial(_cayley_points, n, False)
     return Variety(f"SO{n}", registry, matrix=MatrixGroup(n, False, True), sampler=sampler)
 
 
@@ -470,13 +480,13 @@ def unitary(k: int) -> Variety:
         raise ValueError("matrix size must be positive")
     pairs = [(f"a{i}_{j}", f"b{i}_{j}") for i in range(1, k + 1) for j in range(1, k + 1)]
     registry = VarRegistry([x for pair in pairs for x in pair])
-    sampler = partial(_draw_cayley, k, True)
+    sampler = partial(_cayley_points, k, True)
     return Variety(f"U{k}", registry, matrix=MatrixGroup(k, True, False), sampler=sampler)
 
 
 @lru_cache(maxsize=None)
 def special_unitary(k: int) -> Variety:
-    registry, sampler = unitary(k).registry, partial(_draw_special_unitary, k)
+    registry, sampler = unitary(k).registry, partial(_special_unitary_points, k)
     return Variety(f"SU{k}", registry, matrix=MatrixGroup(k, True, True), sampler=sampler)
 
 
@@ -533,6 +543,37 @@ def _bounded_pairs(rng: random.Random, height: int, count: int) -> List[Tuple[in
     return pairs
 
 
+def _grid_draws(
+    count: int, rng: random.Random, height: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """Endless grid draws ``(L, [T_1, ..., T_count])`` of height ``height``,
+    with ``1 <= L <= height`` and ``-height <= T_i <= height``: the
+    parameters ``T_i / L`` of one point over one denominator.
+
+    Each integer takes ``getrandbits(n.bit_length())`` until the result is
+    below ``n`` (``n = height`` for ``L``, ``n = 2 * height + 1`` for each
+    ``T_i``), as :func:`_bounded_pairs` does, so each draw is the stream,
+    and leaves the generator state, of ``randint(1, height)`` and then
+    ``count`` times ``randint(-height, height)``."""
+    if height < 1:
+        raise ValueError(f"sample height must be at least 1, got {height}")
+    span = 2 * height + 1
+    span_bits, height_bits = span.bit_length(), height.bit_length()
+    getrandbits = rng.getrandbits
+    draws = range(count)
+    while True:
+        common = getrandbits(height_bits)
+        while common >= height:
+            common = getrandbits(height_bits)
+        ts = []
+        for _ in draws:
+            t = getrandbits(span_bits)
+            while t >= span:
+                t = getrandbits(span_bits)
+            ts.append(t - height)
+        yield common + 1, ts
+
+
 def _over_common_denominator(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
     """``(L, [p * L / d, ...])``: rationals given as integer pairs ``(p, d)``
     with ``d > 0``, written over their least common denominator ``L``."""
@@ -549,18 +590,37 @@ def scaled_image(nums: Sequence[int], den: int) -> Tuple[int, List[int]]:
     return den // g, [n // g for n in nums]
 
 
-def _sphere_scaled(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
-    """Rational point on the sphere in scaled form, by the inverse
-    stereographic parametrization (never the pole (-1, 0, ..., 0)), from
-    parameters given as integer pairs ``(p, d)`` meaning ``p / d`` with
-    ``d > 0``.  Over one common denominator ``L`` the parameters are
-    ``T_i / L``; with ``S = sum T_i^2`` the coordinates are
+def _stereographic(common: int, ts: Sequence[int]) -> Tuple[int, List[int]]:
+    """The point of the sphere with parameters ``T_i / L`` (``common`` is
+    ``L > 0``, ``ts`` the ``T_i``) by the inverse stereographic
+    parametrization, which never gives the pole (-1, 0, ..., 0), in scaled
+    form: with ``S = sum T_i^2`` the coordinates are
     ``(L^2 - S) / (L^2 + S)`` and ``2 T_i L / (L^2 + S)``, so
     ``q = L^2 + S``."""
-    common, scaled = _over_common_denominator(pairs)
     square = common * common
-    s = sum(t * t for t in scaled)
-    return square + s, [square - s] + [2 * t * common for t in scaled]
+    s = sum([t * t for t in ts])
+    twice = 2 * common
+    return square + s, [square - s] + [twice * t for t in ts]
+
+
+def _sphere_points(
+    n: int, rng: random.Random, height: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """Points of S^n: the image of each grid draw of n parameters."""
+    return itertools.starmap(_stereographic, _grid_draws(n, rng, height))
+
+
+def _sphere_pair_points(
+    n: int, rng: random.Random, height: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """Points of S^n x S^n: of each grid draw of 2n parameters, the image
+    of the first n and of the last n, side by side over the lcm of their
+    denominators."""
+    for common, ts in _grid_draws(2 * n, rng, height):
+        q, x = _stereographic(common, ts[:n])
+        r, y = _stereographic(common, ts[n:])
+        both = lcm(q, r)
+        yield both, [v * (both // q) for v in x] + [v * (both // r) for v in y]
 
 
 def _cayley(
@@ -606,37 +666,30 @@ def _cayley(
     return scaled_image(nums, q)
 
 
-def _drawn(count: int, build, rng: random.Random, height: int) -> Tuple[int, List[int]]:
-    """``build`` of ``count`` random parameters ``(p, d)`` of height ``height``."""
-    return build(_bounded_pairs(rng, height, count))
-
-
-def _draw_cayley(k: int, complex_entries: bool, rng: random.Random, height: int):
-    """:func:`_cayley` of random parameters: a point of SO(k), or of U(k)."""
+def _cayley_points(
+    k: int, complex_entries: bool, rng: random.Random, height: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """Points of SO(k), or of U(k): :func:`_cayley` of each draw of random
+    parameters."""
     count = k * k if complex_entries else k * (k - 1) // 2
-    return _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
+    while True:
+        yield _cayley(_bounded_pairs(rng, height, count), k, complex_entries)
 
 
-def _draw_pair(factor: Sampler, rng: random.Random, height: int) -> Tuple[int, List[int]]:
-    """Two points of ``factor``, drawn in turn from ``rng``, side by side
-    over the lcm of their denominators."""
-    parts = [factor(rng, height) for _ in range(2)]
-    q = lcm(*[part_q for part_q, _ in parts])
-    return q, [x * (q // part_q) for part_q, part in parts for x in part]
-
-
-def _draw_special_unitary(k: int, rng: random.Random, height: int) -> Tuple[int, List[int]]:
-    """A point of ``unitary(k)`` with its determinant corrected in column 0."""
-    group = unitary(k)
-    q, nums = group.sampler(rng, height)
-    # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
-    # conjugate w over q**k has determinant one.  Over q**(k + 1) that is
-    # column 0 times w and the rest times q**k, then in lowest terms.
-    rows = group.matrix.rows(nums)
-    w = linalg.integer_determinant(rows).conjugate()
-    scale = q**k
-    rows = [[e * (scale if j else w) for j, e in enumerate(row)] for row in rows]
-    return scaled_image(group.matrix.coordinates(rows), q * scale)
+def _special_unitary_points(
+    k: int, rng: random.Random, height: int
+) -> Iterator[Tuple[int, List[int]]]:
+    """Points of U(k) with the determinant corrected in column 0."""
+    group = unitary(k).matrix
+    for q, nums in _cayley_points(k, True, rng, height):
+        # det(q U) = q**k det(U) has modulus q**k, so column 0 times its
+        # conjugate w over q**k has determinant one.  Over q**(k + 1) that
+        # is column 0 times w and the rest times q**k, then in lowest terms.
+        rows = group.rows(nums)
+        w = linalg.integer_determinant(rows).conjugate()
+        scale = q**k
+        rows = [[e * (scale if j else w) for j, e in enumerate(row)] for row in rows]
+        yield scaled_image(group.coordinates(rows), q * scale)
 
 
 def sample_point(
@@ -650,14 +703,15 @@ def sample_point(
 def sample_stream(
     variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
 ) -> Iterator[PointOnVariety]:
-    """Lazy endless stream of exact rational points on the variety, each
-    drawn in scaled form and validated against every relation.  One
-    generator, seeded once from the text ``regmaps:{name}:{seed}``, draws
-    them all in turn, so a point depends on the seed and on its index."""
+    """Lazy endless stream of exact rational points on the variety: the
+    points of its sampler's stream, each validated against every relation
+    by :meth:`PointOnVariety.from_scaled`.  One generator, seeded once from
+    the text ``regmaps:{name}:{seed}``, draws them all in turn, so a point
+    depends on the seed and on its index."""
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
-    sampler = variety.sampler
-    while True:
-        yield PointOnVariety.from_scaled(variety, *sampler(rng, height))
+    from_scaled = PointOnVariety.from_scaled
+    for q, nums in variety.sampler(rng, height):
+        yield from_scaled(variety, q, nums)
 
 
 def sample_points(

@@ -9,7 +9,6 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from regmaps.linalg import Matrix, Scalar
-from regmaps.varieties import _sphere_scaled
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -51,7 +50,9 @@ def determinant(a: Matrix) -> Scalar:
 
 
 def sphere_coords_from_parameters(ts: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Rational point on the sphere from rational parameters via the inverse
-    stereographic parametrization, as the samplers build it."""
-    q, nums = _sphere_scaled([(t.numerator, t.denominator) for t in ts])
-    return tuple([Fraction(n, q) for n in nums])
+    """Rational point on the sphere from rational parameters ``t_i`` via the
+    inverse stereographic parametrization: with ``s = sum t_i^2``, the
+    coordinates ``(1 - s) / (1 + s)`` and ``2 t_i / (1 + s)``."""
+    ts = [Fraction(t) for t in ts]
+    s = sum([t * t for t in ts], Fraction(0))
+    return ((1 - s) / (1 + s), *[2 * t / (1 + s) for t in ts])

@@ -153,7 +153,8 @@ GOLDEN = {
 
 # (name, seed): (sha256 of `eval NAME --seed SEED` stdout, exit code).  Group
 # maps, staged and expanded, real and complex, at two sampled points each;
-# the two chain maps the benchmark evaluates at seeds 0-3.
+# the two chain maps the benchmark evaluates at seeds 0-3; maps on a sphere
+# product, a sphere and into SO(6) from S^5 at two grid-drawn points each.
 EVAL_GOLDEN = {
     ("r:3", 0): ("0cabbb0a8dc80c56a74a9359e6834abb8fffc640a458485e0368c13fc727fd59", 0),
     ("r:3", 3): ("6385776a44b0347267159556159365fea59ae6c960f37ea70f186f69a9a7cf48", 0),
@@ -183,6 +184,14 @@ EVAL_GOLDEN = {
     ("chain:5:3", 3): ("d3e14c70ef2257bc556c55b5b9d5a0a2f74a42152b1df71e7473e1f3a1468e4e", 0),
     ("chain:6:2", 0): ("7ff4f34e04aaedc792fc0c1ac2ff30c7f74550501f80c30d49121a7788879d97", 0),
     ("chain:6:2", 3): ("4a73b4f8406da9e36a7445be8f40cfa63ac8ae5eacec20b91e9a627389046e66", 0),
+    ("oplus:3", 0): ("59b14544706579774bfb407b28064fe8205fea67e78cd339d14f116a888925d4", 0),
+    ("oplus:3", 3): ("b5612db0ccc3ecd1fc3a66f21e1163096997ad70bc011b54ff680cae4c5b1ff1", 0),
+    ("stereo:5", 0): ("b9e96e830e4d5986b9304ea53f2edfcf17f9238cca5c29ae89cc8dd1137e4c5a", 0),
+    ("stereo:5", 3): ("24d013dcf2c5ce1ee6c3eecfe3ba6c5613a74ed4a97a69532776fcc7a1bf624c", 0),
+    ("phi:4", 0): ("033cbe3a4b70386a1fd3bfeeae4bfc0b758956457eb5d087bf5f16e2cec03fa9", 0),
+    ("phi:4", 3): ("a5eeb36433413ad73aceb5693c21b2d7cf5b630f4cbc6c707b14b3200e4a8d6d", 0),
+    ("s:6", 0): ("802ec2774bd5c8410ffc278fa95a0819978b442c9e981e29e77625ecc4682a94", 0),
+    ("s:6", 3): ("e0c27c8d225e3b3dcc65fa7623e1d8f283b91265b21758ae891363396bcc1775", 0),
 }
 
 # The kinds of evidence a check may state, strongest first.
@@ -233,6 +242,18 @@ def test_every_verify_check_states_its_method(capsys, name):
         assert check["info"]["method"] in VERDICT_METHODS, check
         # `passed` carries the result; the evidence does not repeat it.
         assert not {"ok", "equal", "all_positive"} & set(check["info"]), check
+
+
+@pytest.mark.parametrize("name", ["s:4", "s-u:2", "oplus:2"])
+def test_a_suite_reports_the_membership_its_map_proved_at_construction(monkeypatch, name):
+    proof = catalog.resolve(name).codomain_proof
+    assert proof is not None and proof.method == "symbolic"
+    monkeypatch.setattr(catalog, "maps_into", None)  # proved once, not again
+    checks = catalog.verification_suite(name, trials=3, samples=20)
+    assert checks[0].name == "maps-into-codomain"
+    assert (checks[0].method, checks[0].passed, checks[0].evidence) == (
+        "symbolic", True, proof.evidence
+    )
 
 
 def test_the_winding_check_is_symbolic():

@@ -1,11 +1,12 @@
 """Source hygiene checks that need no linter: every name a module imports
 is used somewhere in that module, every private module-level function or
 class is referenced somewhere in the package, the samplers call no
-division-based linear algebra and draw only through ``getrandbits``, every
-public linear-algebra routine but the benchmarked ``inverse`` has a caller,
-no sum of polynomials is folded by hand, no pass/fail record besides the one
-verdict type serializes itself, only polynomials and complex pairs
-multiply, only the one sample stream builds a random generator, the map
+division-based linear algebra and draw only through ``getrandbits``, which
+only two draw routines read, every public linear-algebra routine but the
+benchmarked ``inverse`` has a caller, no sum of polynomials is folded by
+hand, no pass/fail record besides the one verdict type serializes itself,
+only polynomials and complex pairs multiply, only the one sample stream
+builds a random generator, the map
 builders never read a map's polynomials, only the varieties and the
 membership check read a variety's relations, only the varieties read or
 write the row-major matrix layout, compute a coordinate index or state a
@@ -196,9 +197,11 @@ def test_every_public_linalg_routine_has_a_caller_in_the_package():
 
 
 # The drawing methods of ``random.Random`` besides ``getrandbits``.  The
-# samplers draw every coordinate through ``varieties._bounded_pairs``, which
-# spells out the rejection rule of ``randint`` on ``getrandbits``; a second
-# way to draw would be a second definition of the sample stream.
+# samplers draw every random integer through ``varieties._bounded_pairs`` (the
+# Cayley parameters) or ``varieties._grid_draws`` (the grid of the sphere,
+# Euclidean and sphere-product points), which spell out the rejection rule
+# of ``randint`` on ``getrandbits``; a second way to draw would be a second
+# definition of the sample stream.
 DRAWING_METHODS = {"randint", "randrange", "random", "uniform", "choice", "shuffle"}
 
 
@@ -473,6 +476,53 @@ def test_only_the_sample_stream_constructs_a_generator():
         for _, function in generator_constructions(path.read_text(encoding="utf-8"))
     ]
     assert sites == [GENERATOR_OWNER]
+
+
+# The two routines that read ``getrandbits``, each with the rejection rule of
+# ``randint`` spelled out once: ``_bounded_pairs`` draws the Cayley
+# parameters, ``_grid_draws`` one denominator and its numerators per point.
+GETRANDBITS_READERS = {("varieties.py", "_bounded_pairs"), ("varieties.py", "_grid_draws")}
+
+
+def getrandbits_reads(source: str):
+    """(line, innermost enclosing function or ``None``) of each read of
+    ``getrandbits``: an attribute of any name, a name, or an import."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (
+                (isinstance(child, ast.Attribute) and child.attr == "getrandbits")
+                or (isinstance(child, ast.Name) and child.id == "getrandbits")
+                or (isinstance(child, ast.alias) and child.name == "getrandbits")
+            ):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, _FUNCTIONS) else function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda site: site[0])
+
+
+def test_the_checker_finds_a_getrandbits_read():
+    source = (
+        "from random import getrandbits as bits\n"
+        "def draw(rng):\n"
+        "    draw_bits = rng.getrandbits\n"
+        "    def inner(getrandbits):\n"
+        "        return getrandbits(3), 'rng.getrandbits(2)'\n"
+        "    return rng.randint(1, 2)\n"
+        "a = random.Random(1).getrandbits(8)\n"
+    )
+    assert getrandbits_reads(source) == [(1, None), (3, "draw"), (5, "inner"), (7, None)]
+
+
+def test_only_the_two_draw_routines_read_getrandbits():
+    sites = {
+        (path.name, function)
+        for path in PACKAGE
+        for _, function in getrandbits_reads(path.read_text(encoding="utf-8"))
+    }
+    assert sites == GETRANDBITS_READERS
 
 
 # Modules that build and check maps only through the operations of ``ratmap``.

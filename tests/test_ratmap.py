@@ -258,8 +258,8 @@ def test_denominator_check_positive_and_negative_cases():
 
 def test_denominator_check_reports_are_golden():
     # Sign-indefinite denominators on one- and two-block sphere domains; the
-    # counts and witnesses were recorded when each sample stream came to
-    # draw every point from one generator.
+    # counts and witnesses were recorded when the sphere samplers came to
+    # draw each point over one denominator.
     reg = sphere(2).registry
     x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
     on_sphere = RationalMap(
@@ -274,19 +274,16 @@ def test_denominator_check_reports_are_golden():
     meridian = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], x1)
     cases = [
         (denominator_check(on_sphere, samples=200, seed=3), {
-            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 169,
-            "witness": [
-                "-186249823729/291551771257", "214071923268/291551771257",
-                "-66982461528/291551771257",
-            ],
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 142,
+            "witness": ["-1065865/2009803", "-1103322/2009803", "-1298430/2009803"],
         }),
         (denominator_check(on_product, samples=200, seed=5), {
-            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 100,
-            "witness": ["273483/1064765", "1029044/1064765", "-817609/1170409", "837480/1170409"],
+            "method": "sampling", "samples": 200, "zeros": 0, "negatives": 103,
+            "witness": ["5220/21349", "20701/21349", "-164892/829117", "812555/829117"],
         }),
         (denominator_check(meridian, samples=200, seed=1, height=4), {
-            "method": "sampling", "samples": 200, "zeros": 6, "negatives": 161,
-            "witness": ["-4/13", "-12/13", "-3/13"],
+            "method": "sampling", "samples": 200, "zeros": 6, "negatives": 159,
+            "witness": ["-4/13", "12/13", "-3/13"],
         }),
     ]
     for report, expected in cases:
@@ -311,6 +308,16 @@ def test_verified_checks_the_codomain_then_the_denominator_signs():
     )
     with pytest.raises(AssertionError, match="sign-indefinite denominator"):
         verified(signed, 12, 17, 20)
+
+
+def test_verified_keeps_a_symbolic_membership_proof():
+    # a proof holds whatever the seed; sampled membership is not kept
+    m = RationalMap(sphere(2), sphere(2), reflect(2, 2).numerators, reflect(2, 2).denominator)
+    assert m.codomain_proof is None
+    assert verified(m, 12, 17, 20).codomain_proof == maps_into(m, seed=5)
+    assert m.codomain_proof.method == "symbolic" and m.codomain_proof.passed
+    assert embed_orthogonal(2, 3).codomain_proof is None
+    assert maps_into(embed_orthogonal(2, 3)).method == "sampling"
 
 
 def test_equal_mod_distinguishes_maps_and_reports_witness():

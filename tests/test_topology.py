@@ -36,6 +36,7 @@ from regmaps.topology import (
     _degree_integrand,
     _evaluate,
     _map_terms,
+    _unit_columns,
     check_codim_pair,
     degree_mc,
     radon_hurwitz,
@@ -186,6 +187,18 @@ def test_degree_rejects_seeds_outside_the_stream_key_range():
     top = degree_mc(phi_double(3), samples=100, seed=2**64 - 1)
     assert top.seed == 2**64 - 1
     assert top.estimate != degree_mc(phi_double(3), samples=100, seed=0).estimate
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_unit_columns_are_the_normalized_rows_batch_last(dim):
+    raw = np.random.default_rng(dim).standard_normal((3000, dim))
+    reference = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).T
+    columns = _unit_columns(raw)
+    assert columns.flags.c_contiguous
+    if dim < 8:  # numpy adds a short row left to right, as _unit_columns does
+        assert np.array_equal(columns, reference)
+    else:
+        np.testing.assert_allclose(columns, reference, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 KERNEL_DIMS = range(1, LAPLACE_MAX_DIM + 2)  # the expansion, then LAPACK

@@ -20,6 +20,7 @@ from regmaps.varieties import (
     Variety,
     _bounded_pairs,
     _cayley,
+    _grid_draws,
     euclidean,
     poly_matrix_determinant,
     sample_point,
@@ -235,10 +236,16 @@ def test_product_sampler_splits_coordinates():
 
 
 def test_height_bound_controls_coordinate_size():
-    p = sample_point(sphere(2), seed=1, height=5)
-    for c in p.coords:
-        assert abs(c.numerator) <= 4 * 5 ** 4  # crude bound from the chart formula
-        assert c.denominator <= 4 * 5 ** 4
+    # q = L^2 + sum T_i^2 with 1 <= L <= H and |T_i| <= H: at most (n + 1) H^2
+    # on S^n, and every coordinate is a fraction over q
+    for n in (1, 2, 5):
+        for height in (1, 5, 1000):
+            bound = (n + 1) * height**2
+            for p in sample_points(sphere(n), 50, seed=1, height=height):
+                q, nums = p.scaled
+                assert q <= bound, (n, height)
+                assert all(abs(x) <= q for x in nums)
+                assert all(c.denominator <= bound for c in p.coords)
 
 
 # Heights 1, 2 and 3 and the powers of two sit on the edges of the rejection
@@ -259,9 +266,50 @@ def test_bounded_pairs_draw_the_stream_of_randint(height):
             assert drawn.getstate() == reference.getstate(), (seed, count)
 
 
+@pytest.mark.parametrize("height", STREAM_HEIGHTS)
+def test_grid_draws_draw_the_stream_of_randint(height):
+    for seed in range(10):
+        for count in range(8):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            draws = _grid_draws(count, drawn, height)
+            for index in range(3):
+                common = reference.randint(1, height)
+                expected = (common, [reference.randint(-height, height) for _ in range(count)])
+                assert next(draws) == expected, (seed, count, index)
+                assert drawn.getstate() == reference.getstate(), (seed, count, index)
+
+
+def _both_images(ts):
+    half = len(ts) // 2
+    return sphere_coords_from_parameters(ts[:half]) + sphere_coords_from_parameters(ts[half:])
+
+
+# (variety, parameters per point, the point of the parameters T_i / L).
+GRID_DOMAINS = [
+    (euclidean(3), 3, tuple),
+    (sphere(1), 1, sphere_coords_from_parameters),
+    (sphere(3), 3, sphere_coords_from_parameters),
+    (sphere_product(2), 4, _both_images),
+]
+
+
+@pytest.mark.parametrize(
+    "variety, count, image", GRID_DOMAINS, ids=[v.name for v, *_ in GRID_DOMAINS]
+)
+def test_grid_domains_sample_the_image_of_one_grid_draw_per_point(variety, count, image):
+    for height in (1, 4, 1000):
+        for seed in (0, 7):
+            rng = random.Random(f"regmaps:{variety.name}:{seed}")
+            draws = _grid_draws(count, rng, height)
+            for point, (common, ts) in zip(sample_points(variety, 30, seed, height=height), draws):
+                assert point.coords == image([Fraction(t, common) for t in ts]), (height, seed)
+
+
 @pytest.mark.parametrize("height", [0, -3])
 @pytest.mark.parametrize(
-    "variety", [sphere(2), sphere_product(2), special_orthogonal(3)], ids=lambda v: v.name
+    "variety",
+    [sphere(2), euclidean(2), sphere_product(2), special_orthogonal(3)],
+    ids=lambda v: v.name,
 )
 def test_a_height_below_one_is_refused(variety, height):
     with pytest.raises(ValueError):
@@ -323,8 +371,7 @@ def test_relations_of_every_family_are_pinned(family, k, count, digest):
     assert _relation_digest(family(k).relations) == (count, digest)
 
 
-# One variety per sampler kind; the digests were recorded before the sphere
-# sampler moved to integer arithmetic, so they pin the exact points (and the
+# One variety per sampler kind; the digests pin the exact points (and the
 # random draws behind them) of every sampler.
 SAMPLER_KINDS = {
     "euclidean": euclidean(3),
@@ -347,26 +394,28 @@ PINNED_VARIETIES = {
 
 # (sampler kind, height, seed): sha256 of the first 50 points of sample_points,
 # one point per line as comma-separated "numerator/denominator", recorded
-# when each stream came to draw all its points from one generator.
+# when each stream came to draw all its points from one generator; the
+# euclidean, sphere and product kinds again when they came to draw each
+# point over one denominator.
 SAMPLE_DIGESTS = {
-    ("euclidean", 1000, 0): "1fbc62c6679ef3582e0aa7744329f9bb91eaa9a17ad54dcf27bc6bde62b3541a",
-    ("euclidean", 1000, 11): "efeeda456295bde9f91070bba431caa8c0d786f47bea337f720569852e3a9c62",
-    ("euclidean", 50, 0): "2d2d769708bdb4acad94d61ae82427ce86bd2bfe384bc0e5b6b3fcf0e1d8dfe1",
-    ("euclidean", 50, 11): "8cc05d04977e9fe7d70a5125098f69038114a5d986fbe7ba255c53d1d5f46bcb",
-    ("euclidean", 4, 0): "8f4cbe66c67e3a8dff242c6bdf5581f296306bb62b091ae6122e4bff66134480",
-    ("euclidean", 4, 11): "c72fa4fd2b6e1ead66db6f44c45ae89eeaad032a8715ab591d3e0d44d908ac0b",
-    ("sphere", 1000, 0): "52b55946804866c470deb61cbde11ad7d0dfc5e7b5239f4c073d6bc0cba48491",
-    ("sphere", 1000, 11): "5b676cfeb5f58270a8b80aa80dc8ad7f3df2968172378009d26f5a6251fd670d",
-    ("sphere", 50, 0): "af49edc1b00b17cdc33c2b0ab6356b90b6dc7bf40e9f9965e0eac12651b7c125",
-    ("sphere", 50, 11): "543b75ac24a93e489c33b773b8d3f82931e2cd22414349beb6a47734f2439ec0",
-    ("sphere", 4, 0): "b57c0842602a1d2165f011abfaa56786956450714528a986fb9c42f2f9433a12",
-    ("sphere", 4, 11): "3451514116a1597515098b11ed90a548e7914935a54ef4b2ce547715dec5c9af",
-    ("product", 1000, 0): "56ea320765d7fc42e0cd3a130192926433cfa0482b590ba4076f49e7a5eb8655",
-    ("product", 1000, 11): "e1728967f9533d2600ead741fb3d59a398038bba08a4151ac63a1359117a72c2",
-    ("product", 50, 0): "8462ab1502edfa044082e54ade39c8ecd6bdc0142d346a485f4c62f1fec30e8c",
-    ("product", 50, 11): "4c40de6eb5cb8ef517649967fe74aa07f8190db7c4e64895e114a6a43d259f72",
-    ("product", 4, 0): "521815a253121e04a88928622aad5af42333f9140153ae5a4d23b53534cf73a2",
-    ("product", 4, 11): "860183657f12fd7c4513bf20953cf8ab2ca05a81ea3cdc42ee55cf963ce1afd9",
+    ("euclidean", 1000, 0): "43bdfa5cb54307550bbbbd687989b33b907cff4b2bea09ef2334757229c8c653",
+    ("euclidean", 1000, 11): "59f96fe320e59dd158f1a3c680b258c8cc41a54cde300fc6756af6c84d0e0e40",
+    ("euclidean", 50, 0): "e037b96860ebe74ea6150d7b9aa1046c94812343e54bc285de38f265e0d06340",
+    ("euclidean", 50, 11): "49d395699884ef95faf71febb8bc7d8e5d3b3b436bc48df3103dbd7b4f6e4142",
+    ("euclidean", 4, 0): "fe0a986c73af747549f11b94ce1adccab8cd93b7aa5df437e75a9791c05733ec",
+    ("euclidean", 4, 11): "4a3115f824e1427b4f567ac2ba4e7291e1671d4735b45b56a21420e03a8da7a3",
+    ("sphere", 1000, 0): "9cc2baf6472063880e73a339f220fa905548e93543394eda30faa454c9dfa7b5",
+    ("sphere", 1000, 11): "45a6be337948218af0c3823b11079a7b0ef29cb7e9c634fc8d0af052d3eb0707",
+    ("sphere", 50, 0): "83cf8a99e6997258ffffa8c0e9a37036ad54db86a9ecdacb4086c3b0b69e5d38",
+    ("sphere", 50, 11): "5c5fb9831f0916073cd181ce1aaa4e21575c0104d0beb508f8d2713656889004",
+    ("sphere", 4, 0): "945b396ad2507cfca4f715c14f4841cd7ebe2212e0c228ee76053b2f27e67401",
+    ("sphere", 4, 11): "4b81a97c4642729ec43bbb748f443b76f1680849e1721d0c0bbd8ac9afdb92bb",
+    ("product", 1000, 0): "31cad61c38e1f1c3efe934c34530904a841833beab063e18330a9db46850d04f",
+    ("product", 1000, 11): "e16dfe97f363b01878c145ab308aeec2eae6bba31acebf6f3bba567ba9bb4cd9",
+    ("product", 50, 0): "c7889923687c4e58b85280194672b2f2b5281495cc03f4f1255ea3c1ff158140",
+    ("product", 50, 11): "a088d81cddc8d0cca049cfcc94ff07a8463af941e71efc2875615d06230da4d7",
+    ("product", 4, 0): "7d718a0ebf5d591c77d983c5a2b62ef4ec921eb150954f9f0a9438cac92b8c99",
+    ("product", 4, 11): "1dce48dcd0049d58675ffe4fae3bf288a12d95422746fcc92264426401b41410",
     ("cayley-so", 1000, 0): "660e04002310d2dd8e9718a15dff8e49cceb228f6b36ad2fb392d8b6a9670685",
     ("cayley-so", 1000, 11): "6943059332de67c881f6d01a7aea3c51cd780b0bf38c0a3e5fc3b0c91a2c1fd3",
     ("cayley-so", 50, 0): "e116e3966867b6bdb2e8d5394c82783603285f2e74794b6c956ef7d95ade3d7e",
