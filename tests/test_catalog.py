@@ -151,6 +151,21 @@ GOLDEN = {
 }
 
 
+# name: (sha256 of `build` stdout, exit code) for maps over large registries,
+# where most monomials have one or two nonzero exponents among hundreds of
+# variables.  Only `build` is pinned: `verify jmap:identity:40:40` alone
+# takes tens of seconds.
+BUILD_GOLDEN = {
+    "id:500": ("09f65723896818a3544e9a8c8d1cd331a395b98e0d6d763ed6cf6e9455ecb1f6", 0),
+    "antipodal:500": ("3c2fd7a2bae6db82e3d25ab3394b0a04ed24cecbaf525ca4bf9db49864b34bd2", 0),
+    "stereo-inv:60": ("e1e4dfedee2b6cc775b86fea4443846b52aae423867e9bd3115fffb2f39999d8", 0),
+    "oplus:20": ("462bbef5bf73a945aefdf33f897372ebdfbd2f95a81ea753fda483a676f806b1", 0),
+    "jmap:identity:40:40": (
+        "116028302fda600d24f3f4b503a5e2403dce5217580b21dc05c8ab4b0841ca1b", 0,
+    ),
+}
+
+
 # (name, seed): (sha256 of `eval NAME --seed SEED` stdout, exit code).  Group
 # maps, staged and expanded, real and complex, at two sampled points each;
 # the two chain maps the benchmark evaluates at seeds 0-3; maps on a sphere
@@ -220,6 +235,11 @@ def test_build_and_verify_match_the_golden_output(capsys, name):
     build_sha, build_code, verify_sha, verify_code = GOLDEN[name]
     assert _run(capsys, ["build", name]) == (build_sha, build_code)
     assert _run(capsys, ["verify", name, *VERIFY_FLAGS]) == (verify_sha, verify_code)
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_GOLDEN))
+def test_build_of_a_large_registry_map_matches_the_golden_output(capsys, name):
+    assert _run(capsys, ["build", name]) == BUILD_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name, seed", sorted(EVAL_GOLDEN))
