@@ -292,28 +292,33 @@ ZPOW_MAX_DEGREE = 200
 # 0.2-0.3 s, at about 31 MB.  The SO bounds stay because chain:m:k shares
 # SO_MAX_SIZE and build chain:5:2 still expands without limit.  su_retract
 # itself expands its column times the k!-term conj(det): verify su-retract:5
-# takes 2.7-5.4 s at 60 MB; su-retract:6 was measured at 61 s and 1 GB peak RSS.
+# takes 2.0 s at 42 MB (2.7-5.4 s at 58-60 MB with dense exponent tuples);
+# su-retract:6 was measured at 61 s and 1 GB peak RSS, with tuples.
 SO_MAX_SIZE = 8
 EMBED_U_MAX_SIZE = 4
 SU_RETRACT_MAX_SIZE = 5
 
-# Sphere maps carry one dense exponent tuple per monomial, so their cost grows
-# with the dimension.  Each bound is the largest round size whose build took
-# under 50 s (raw, one fresh process each, 2-vCPU Xeon), which leaves room for
-# the host's speed swings below a 60 s budget.  build id:3000 16-18 s,
-# antipodal:3000 17-18 s, reflect:3000:2 16-18 s, at 0.53 GB.  At 4000 they
-# took 49, 54 and 58 s at 1 GB when sphere(n) still built its relation twice,
-# and have not been timed since.
+# Sphere maps carry one integer per monomial, its exponent fields as wide as
+# the registry, so their cost grows with the dimension.  Each bound is the
+# largest round size whose build took under 50 s (raw, one fresh process
+# each, 2-vCPU Xeon) when a monomial was a dense exponent tuple, which leaves
+# room for the host's speed swings below a 60 s budget.  With one integer per
+# monomial: build id:3000 3.2 s at 125 MB (11.3 s at 452 MB with tuples),
+# antipodal:3000 3.3 s and reflect:3000:2 3.0 s at 126 MB; stereo-inv:300
+# 2.1 s at 165 MB (9.0 s at 478 MB with tuples).  The size-4000 builds were
+# last timed at 49-58 s and 1 GB, with tuples, when sphere(n) still built its
+# relation twice.
 # Where a family's suite builds a costlier map, its verify sets the bound
 # instead.  The stereo and phi suites build stereo-inv:n, whose symbolic
-# codomain check needs memory cubic in n: build stereo-inv:400 43 s at 1.3 GB,
-# verify stereo:400 49 s and phi:400 48 s (--samples 10 --trials 2), while
-# build phi:1000 takes 5 s.  The oplus suite builds the chart route: verify
-# oplus:100 35 s and oplus:80 24 s, while build oplus:300 takes 34 s at 1.2 GB.
-# build jmap:identity:700:700 32 s, 800:800 56 s (k = n is the worst shape:
-# 2:1000 38 s, 1000:2 6 s).  U(k) stops at the round size 10, whose builds
-# are short (build r-u:10 7-8 s, s-u:10 4-5 s, p-u:10 1 s); the verbs have not
-# been timed above it.
+# codomain check needs memory cubic in n: build stereo-inv:400 6.3 s at
+# 322 MB, verify stereo:400 7.7 s and phi:400 7.2 s (--samples 10 --trials 2)
+# at 323 MB; with tuples 43 s at 1.3 GB, 49 s and 48 s, while build phi:1000
+# took 5 s.  The oplus suite builds the chart route: verify oplus:100 2.5 s
+# at 140 MB (35 s with tuples; oplus:80 took 24 s and build oplus:300 34 s at
+# 1.2 GB).  build jmap:identity:700:700 17 s at 217 MB (32 s with tuples;
+# 800:800 took 56 s, and k = n is the worst shape: 2:1000 38 s, 1000:2 6 s).
+# U(k) stops at the round size 10, whose builds are short (build r-u:10
+# 7-8 s, s-u:10 4-5 s, p-u:10 1 s); the verbs have not been timed above it.
 SPHERE_MAX_DIM = 3000
 CHART_MAX_DIM = 400
 OPLUS_MAX_DIM = 100

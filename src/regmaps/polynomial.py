@@ -10,13 +10,20 @@ Data model
   and the value of :meth:`Polynomial.evaluate`).
 * Variables live in a :class:`VarRegistry`, an immutable ordered list of
   names.  A variable is referred to by its integer id (its position).
-* A monomial is a dense exponent tuple, one entry per registry slot.
+* A monomial is one non-negative ``int``: the exponent of variable ``i``
+  sits in bits ``[16 i, 16 i + 16)`` (``FIELD`` bits per variable) and the
+  total degree above them, from bit ``registry.shift = 16 * size`` on.  A
+  product of monomials is one integer addition, and the canonical order
+  is one comparison of keys.  A monomial's degree stays below ``2**16``,
+  so no exponent field carries into its neighbour: a product that would
+  reach it raises ``OverflowError``.  :func:`exponents` and :func:`pack`
+  convert between a key and its exponent tuple.
 * A :class:`Polynomial` is a mapping monomial -> coefficient with no zero
   coefficients, kept in a canonical graded-reverse-lexicographic order
   (highest first) so that equal polynomials have identical iteration
   order and identical serialized bytes.
 * The constructor is the one place where terms combine: it takes a mapping
-  or an iterable of ``(exponents, coefficient)`` pairs and a denominator,
+  or an iterable of ``(monomial, coefficient)`` pairs and a denominator,
   adds repeated monomials, drops zeros, reduces to lowest terms and sorts
   once.  :meth:`Polynomial.sum` adds many polynomials in one such pass,
   over the lcm of their denominators, instead of a quadratic chain of ``+``.
@@ -38,13 +45,13 @@ exponent at most one form a module basis for the quotient ring.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -64,15 +71,21 @@ class OverlappingBlocksError(ValueError):
     """Raised when sphere blocks given to a normal-form pass share variables."""
 
 
+FIELD = 16  # bits per exponent in a monomial key
+_MASK = (1 << FIELD) - 1
+DEGREE_LIMIT = 1 << FIELD  # every monomial's degree stays below this
+
+
 class VarRegistry:
     """Immutable ordered collection of variable names.
 
     The id of a variable is its index in ``names``.  Registries compare by
     value so two independently built registries with the same names are
-    interchangeable.
+    interchangeable.  ``shift`` is the bit where a monomial key's degree
+    starts and ``low`` masks the exponent fields below it.
     """
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "shift", "low")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -80,6 +93,8 @@ class VarRegistry:
             repeated = sorted(name for name, count in Counter(names).items() if count > 1)
             raise ValueError(f"duplicate variable names in registry: {repeated}")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "shift", FIELD * len(names))
+        object.__setattr__(self, "low", (1 << FIELD * len(names)) - 1)
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("VarRegistry is immutable")
@@ -103,11 +118,41 @@ class VarRegistry:
         return f"VarRegistry({list(self.names)!r})"
 
 
-def _grevlex_key(exponents: tuple) -> tuple:
-    # Sorting ascending by this key yields graded reverse-lexicographic
-    # order, highest term first: higher degree first, then, within a
-    # degree, the smaller exponent tuple read from its last variable.
-    return (-sum(exponents), exponents[::-1])
+def pack(exps: Sequence[int], registry: VarRegistry) -> int:
+    """The monomial key of the exponent tuple ``exps`` (one non-negative
+    ``int`` per variable of ``registry``).  A degree of ``DEGREE_LIMIT`` or
+    more raises ``OverflowError``."""
+    degree = sum(exps)
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(f"monomial degree {degree} reaches the limit {DEGREE_LIMIT}")
+    key = degree << registry.shift
+    for i, e in enumerate(exps):
+        key |= e << FIELD * i
+    return key
+
+
+def exponents(m: int, registry: VarRegistry) -> tuple:
+    """The exponent tuple of the monomial key ``m``, one entry per variable
+    of ``registry``: the inverse of :func:`pack`."""
+    # Each FIELD-bit exponent is one native unsigned short ("H") of the bytes.
+    fields = (m & registry.low).to_bytes(2 * registry.size, sys.byteorder)
+    return tuple(memoryview(fields).cast("H"))
+
+
+def _factors(fields: int) -> list:
+    """``[variable id, exponent]`` of each nonzero exponent in ``fields``, a
+    monomial key without its degree (``m & registry.low``), by increasing
+    id: the serialized form.  Only the nonzero fields are visited."""
+    out = []
+    var = 0
+    while fields:
+        skip = ((fields & -fields).bit_length() - 1) // FIELD  # zero fields below
+        fields >>= FIELD * skip
+        var += skip
+        out.append([var, fields & _MASK])
+        fields >>= FIELD
+        var += 1
+    return out
 
 
 class Polynomial:
@@ -120,18 +165,24 @@ class Polynomial:
         self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]], den: int = 1
     ):
         """The polynomial ``sum(c * x**e) / den`` of ``terms``, a mapping or
-        an iterable of ``(exponents, coefficient)`` pairs with ``int``
+        an iterable of ``(monomial key, coefficient)`` pairs with ``int``
         coefficients, and the positive ``int`` ``den``.  Repeated monomials
         are added, zero coefficients dropped, the coefficients and ``den``
         divided by their gcd and the result put in canonical order: every
         sum of terms is made here.  A coefficient that is no integer raises
         ``TypeError``."""
         combined: dict = {}
-        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            prev = combined.get(exps)
-            combined[exps] = coeff if prev is None else prev + coeff
-        ordered = sorted((e for e, c in combined.items() if c), key=_grevlex_key)
-        self._store(registry, {exps: combined[exps] for exps in ordered}, den)
+        for m, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            prev = combined.get(m)
+            combined[m] = coeff if prev is None else prev + coeff
+        # Graded reverse-lexicographic order, highest first, is the
+        # descending order of the keys with their exponent fields flipped:
+        # the higher degree first, then the smaller fields, the last
+        # variable's compared first.
+        ordered = sorted(
+            (m for m, c in combined.items() if c), key=registry.low.__xor__, reverse=True
+        )
+        self._store(registry, {m: combined[m] for m in ordered}, den)
 
     def _store(self, registry: VarRegistry, terms: dict, den: int) -> None:
         """Keep ``terms``, nonzero ``int`` coefficients in canonical order,
@@ -140,7 +191,7 @@ class Polynomial:
             raise ValueError(f"a polynomial's denominator must be positive, got {den}")
         g = gcd(den, *terms.values())  # also refuses a coefficient that is no int
         if g > 1:
-            terms = {exps: c // g for exps, c in terms.items()}
+            terms = {m: c // g for m, c in terms.items()}
             den //= g
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "terms", terms)
@@ -158,14 +209,13 @@ class Polynomial:
     @staticmethod
     def constant(registry: VarRegistry, value: Union[int, Fraction]) -> "Polynomial":
         value = value if isinstance(value, int) else Fraction(value)
-        return Polynomial(registry, {(0,) * registry.size: value.numerator}, value.denominator)
+        return Polynomial(registry, {0: value.numerator}, value.denominator)
 
     @staticmethod
     def variable(registry: VarRegistry, var_id: int) -> "Polynomial":
         if not 0 <= var_id < registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
-        exps = tuple(1 if i == var_id else 0 for i in range(registry.size))
-        return Polynomial(registry, {exps: 1})
+        return Polynomial(registry, {(1 << registry.shift) | (1 << FIELD * var_id): 1})
 
     @staticmethod
     def one(registry: VarRegistry) -> "Polynomial":
@@ -188,7 +238,7 @@ class Polynomial:
     def total_degree(self) -> int:
         """Largest monomial degree; the zero polynomial has degree 0.  Terms
         are graded, highest first, so it is the degree of the first term."""
-        return sum(next(iter(self.terms), ()))
+        return next(iter(self.terms), 0) >> self.registry.shift
 
     def variables_used(self) -> tuple:
         return self._scalars()[0]
@@ -209,12 +259,12 @@ class Polynomial:
             return self._plan
         except AttributeError:
             pass
-        degree = self.total_degree()
+        degree, shift, low = self.total_degree(), self.registry.shift, self.registry.low
         index: dict = {}
         terms = []
-        for exps, coeff in self.terms.items():
-            mono = tuple(index.setdefault(pair, len(index)) for pair in enumerate(exps) if pair[1])
-            terms.append((coeff, mono, degree - sum(exps)))
+        for m, coeff in self.terms.items():
+            mono = tuple(index.setdefault((i, e), len(index)) for i, e in _factors(m & low))
+            terms.append((coeff, mono, degree - (m >> shift)))
         used = tuple(sorted({i for i, _ in index}))
         position = {i: k for k, i in enumerate(used)}
         powers = tuple((position[i], e) for i, e in index)
@@ -242,29 +292,36 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __neg__(self) -> "Polynomial":
-        return _ordered(self.registry, {e: -c for e, c in self.terms.items()}, self.den)
+        return _ordered(self.registry, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.registry)
             factor = other.numerator
-            terms = {e: c * factor for e, c in self.terms.items()}
+            terms = {m: c * factor for m, c in self.terms.items()}
             return _ordered(self.registry, terms, self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_registry(self.registry, other)
+        if not (self.terms and other.terms):
+            return Polynomial.zero(self.registry)
+        # The leading keys hold the largest degrees: their sum bounds the
+        # degree of every product of monomials.
+        degree = (next(iter(self.terms)) + next(iter(other.terms))) >> self.registry.shift
+        if degree >= DEGREE_LIMIT:
+            raise OverflowError(f"a product of degree {degree} reaches the limit {DEGREE_LIMIT}")
         poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
         if len(mono.terms) == 1:
             # A one-term factor keeps the order of the other factor's terms:
             # the order is a monomial order.
             ((m, cm),) = mono.terms.items()
-            terms = {tuple(map(add, e, m)): c * cm for e, c in poly.terms.items()}
+            terms = {k + m: c * cm for k, c in poly.terms.items()}
             return _ordered(self.registry, terms, self.den * other.den)
         products = (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
+            (m1 + m2, c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
         )
         return Polynomial(self.registry, products, self.den * other.den)
 
@@ -295,12 +352,16 @@ class Polynomial:
     def differentiate(self, var_id: int) -> "Polynomial":
         if not 0 <= var_id < self.registry.size:
             raise UnknownVariableError(f"no variable with id {var_id}")
-        derivatives = (
-            (exps[:var_id] + (exps[var_id] - 1,) + exps[var_id + 1 :], coeff * exps[var_id])
-            for exps, coeff in self.terms.items()
-            if exps[var_id]
-        )
-        return Polynomial(self.registry, derivatives, self.den)
+        # Lowering one exponent and the degree by one keeps the terms that
+        # hold the variable in canonical order.
+        start = FIELD * var_id
+        lowered = (1 << self.registry.shift) + (1 << start)
+        derivatives = {}
+        for m, coeff in self.terms.items():
+            e = (m >> start) & _MASK
+            if e:
+                derivatives[m - lowered] = coeff * e
+        return _ordered(self.registry, derivatives, self.den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -358,12 +419,11 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         parts = []
-        for exps, coeff in self.terms.items():
+        for m, coeff in self.terms.items():
             coeff = Fraction(coeff, self.den)
             factors = [
                 self.registry.name(i) + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
+                for i, e in _factors(m & self.registry.low)
             ]
             body = "*".join(factors) if factors else "1"
             parts.append(f"({coeff})*{body}")
@@ -389,10 +449,10 @@ def _ordered(registry: VarRegistry, terms: dict, den: int) -> Polynomial:
 
 
 def _scaled_terms(p: Polynomial, factor: int) -> Iterable[tuple]:
-    """The ``(exponents, coefficient)`` pairs of ``p`` with every coefficient
-    times ``factor``."""
+    """The ``(monomial key, coefficient)`` pairs of ``p`` with every
+    coefficient times ``factor``."""
     items = p.terms.items()
-    return items if factor == 1 else ((e, c * factor) for e, c in items)
+    return items if factor == 1 else ((m, c * factor) for m, c in items)
 
 
 def _check_registry(registry: VarRegistry, p: Polynomial) -> Polynomial:
@@ -410,14 +470,13 @@ def transport_polynomial(
     """Rewrite ``p`` over ``new_registry``, sending old variable id ``i``
     to new id ``var_map[i]``."""
 
-    def moved(exps: tuple) -> tuple:
+    def moved(m: int) -> int:
         out = [0] * new_registry.size
-        for i, e in enumerate(exps):
-            if e:
-                out[var_map[i]] += e
-        return tuple(out)
+        for i, e in _factors(m & p.registry.low):
+            out[var_map[i]] += e
+        return pack(out, new_registry)
 
-    return Polynomial(new_registry, ((moved(e), c) for e, c in p.terms.items()), p.den)
+    return Polynomial(new_registry, ((moved(m), c) for m, c in p.terms.items()), p.den)
 
 
 def _power(base, exponent: int, one):
@@ -606,25 +665,27 @@ def normal_form(p: Polynomial, blocks: Sequence[SphereBlock]) -> Polynomial:
 
 
 def _reduce_one_block(p: Polynomial, block: SphereBlock) -> Polynomial:
-    target = block.eliminated
-    if not any(exps[target] >= 2 for exps in p.terms):
+    start = FIELD * block.eliminated
+    if not any((m >> start) & _MASK >= 2 for m in p.terms):
         return p
     # The substitute and its powers have integer coefficients (``den`` 1),
     # so every rewritten term stays over ``p.den``.
     substitute = block.substitute_polynomial(p.registry)
     sub_powers = [Polynomial.one(p.registry)]
+    # ``v_last**2`` as a key: two in the eliminated field and two in the degree.
+    square = (2 << p.registry.shift) + (2 << start)
 
     def rewritten():
-        for exps, coeff in p.terms.items():
-            e = exps[target]
-            if e < 2:
-                yield exps, coeff
+        for m, coeff in p.terms.items():
+            half = ((m >> start) & _MASK) // 2
+            if not half:
+                yield m, coeff
                 continue
-            while len(sub_powers) <= e // 2:
+            while len(sub_powers) <= half:
                 sub_powers.append(sub_powers[-1] * substitute)
-            base = exps[:target] + (e % 2,) + exps[target + 1 :]
-            for sub_exps, sub_coeff in sub_powers[e // 2].terms.items():
-                yield tuple(map(add, base, sub_exps)), coeff * sub_coeff
+            base = m - half * square
+            for sub_m, sub_coeff in sub_powers[half].terms.items():
+                yield base + sub_m, coeff * sub_coeff
 
     return Polynomial(p.registry, rewritten(), p.den)
 
@@ -652,17 +713,18 @@ def _fraction_from_str(text: str) -> Fraction:
 def polynomial_to_obj(p: Polynomial) -> list:
     """JSON-ready form: canonical term list, each term a coefficient string
     plus sparse `[variable-id, exponent]` pairs sorted by variable id."""
-    out = []
-    for exps, coeff in p.terms.items():
-        mono = [[i, e] for i, e in enumerate(exps) if e]
-        out.append({"c": _coefficient_to_str(coeff, p.den), "m": mono})
-    return out
+    low = p.registry.low
+    return [
+        {"c": _coefficient_to_str(coeff, p.den), "m": _factors(m & low)}
+        for m, coeff in p.terms.items()
+    ]
 
 
 def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
     """The inverse of :func:`polynomial_to_obj`.  A coefficient that is no
     string or has a zero denominator, an id or exponent that is no JSON
-    integer, and a monomial that lists a variable twice raise ``ValueError``."""
+    integer, a monomial that lists a variable twice and one whose degree
+    reaches ``DEGREE_LIMIT`` raise ``ValueError``."""
 
     def term(item: Mapping) -> tuple:
         coeff = _fraction_from_str(item["c"])
@@ -677,11 +739,13 @@ def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
             if exps[var_id]:
                 raise ValueError(f"a monomial lists variable {var_id} twice")
             exps[var_id] = e
-        return tuple(exps), coeff
+        if sum(exps) >= DEGREE_LIMIT:
+            raise ValueError(f"a monomial's degree must be below {DEGREE_LIMIT} (2**{FIELD})")
+        return pack(exps, registry), coeff
 
     pairs = [term(item) for item in obj]
     den = lcm(*[c.denominator for _, c in pairs])
-    return Polynomial(registry, [(e, c.numerator * (den // c.denominator)) for e, c in pairs], den)
+    return Polynomial(registry, [(m, c.numerator * (den // c.denominator)) for m, c in pairs], den)
 
 
 def polynomial_to_json(p: Polynomial) -> str:

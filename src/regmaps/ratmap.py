@@ -80,6 +80,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 from .polynomial import (
     ComplexPair,
     Polynomial,
+    _ordered,
+    exponents,
     normal_form,
     polynomial_from_obj,
     polynomial_to_obj,
@@ -336,7 +338,7 @@ def _normalize_content(
     if common == 1 and g == 1:
         return nums, den
     *nums, den = [
-        Polynomial(p.registry, {e: c * (common // p.den) // g for e, c in p.terms.items()})
+        _ordered(p.registry, {m: c * (common // p.den) // g for m, c in p.terms.items()}, 1)
         for p in polys
     ]
     return nums, den
@@ -367,8 +369,9 @@ def substitute_cleared(
     image_powers: dict = {}
     den_powers = [Polynomial.one(target)]
 
-    def cleared_term(exps: tuple, coeff: int) -> Polynomial:
+    def cleared_term(m: int, coeff: int) -> Polynomial:
         term = Polynomial.constant(target, coeff)
+        exps = exponents(m, source.registry)
         for i, e in enumerate(exps):
             if e == 0:
                 continue
@@ -385,8 +388,8 @@ def substitute_cleared(
 
     # Each integer coefficient of ``source`` is cleared with its monomial;
     # the sum is then put over ``source``'s denominator.
-    total = Polynomial.sum(target, (cleared_term(e, c) for e, c in source.terms.items()))
-    return total if source.den == 1 else Polynomial(target, total.terms, total.den * source.den)
+    total = Polynomial.sum(target, (cleared_term(m, c) for m, c in source.terms.items()))
+    return total if source.den == 1 else _ordered(target, total.terms, total.den * source.den)
 
 
 @dataclass(frozen=True)

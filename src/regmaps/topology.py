@@ -37,7 +37,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import linalg
-from .polynomial import Polynomial
+from .polynomial import Polynomial, exponents
 from .ratmap import RationalMap, Verdict, compose
 from .spheres import stereo_inv
 from .varieties import PointOnVariety, sphere
@@ -71,8 +71,8 @@ Value = Union[float, np.ndarray]  # a scalar where constant over the batch
 def _term_data(p: Polynomial) -> TermData:
     # ``coeff / p.den`` is correctly rounded, as ``float`` of the Fraction is.
     out = []
-    for exps, coeff in p.terms.items():
-        factors = tuple((i, e) for i, e in enumerate(exps) if e)
+    for m, coeff in p.terms.items():
+        factors = tuple((i, e) for i, e in enumerate(exponents(m, p.registry)) if e)
         out.append((coeff / p.den, factors))
     return out
 
@@ -107,7 +107,8 @@ def _evaluate(
 def _coefficients(p: Polynomial) -> List[Fraction]:
     """Dense coefficients of a one-variable polynomial, leading first."""
     coeffs = [Fraction(0)] * (p.total_degree() + 1) if p.terms else []
-    for (e,), c in p.terms.items():
+    for m, c in p.terms.items():
+        (e,) = exponents(m, p.registry)
         coeffs[-1 - e] = Fraction(c, p.den)
     return coeffs
 

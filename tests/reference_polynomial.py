@@ -1,20 +1,21 @@
 """Reference model of a polynomial for the tests: a dict from exponent tuple
 to nonzero ``Fraction``, with the textbook operations on it.  The package
-stores integer coefficients over one denominator per polynomial; the tests
+stores integer coefficients over one denominator per polynomial, keyed by
+packed monomials that :func:`~regmaps.polynomial.exponents` reads; the tests
 check its arithmetic, normal forms, values and serialized form against the
 plain ``Fraction`` forms here."""
 
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from regmaps.polynomial import Polynomial, VarRegistry
+from regmaps.polynomial import Polynomial, VarRegistry, exponents
 
 Reference = Dict[Tuple[int, ...], Fraction]
 
 
 def from_polynomial(p: Polynomial) -> Reference:
     """The coefficients of ``p`` as ``Fraction``s."""
-    return {e: Fraction(c, p.den) for e, c in p.terms.items()}
+    return {exponents(m, p.registry): Fraction(c, p.den) for m, c in p.terms.items()}
 
 
 def to_polynomial(registry: VarRegistry, ref: Reference) -> Polynomial:

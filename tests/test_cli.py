@@ -372,6 +372,16 @@ def test_a_jmap_file_with_a_broken_term_is_malformed(capsys, tmp_path, broken):
     assert "is malformed" in err
 
 
+def test_a_jmap_file_exponent_at_the_degree_limit_is_malformed(capsys, tmp_path):
+    obj = jmap_input_to_obj(jmap_double_rotation())
+    obj["entries"][0][0][0]["m"] = [[0, 2**16]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, ["build", f"jmap:{path}"])
+    assert (code, out) == (2, "")
+    assert "is malformed" in err and "degree must be below 65536" in err
+
+
 @pytest.mark.parametrize("label", [5, ["x"], True], ids=repr)
 def test_a_jmap_file_label_must_be_a_string(capsys, tmp_path, label):
     obj = jmap_input_to_obj(jmap_double_rotation())

@@ -13,8 +13,9 @@ write the row-major matrix layout, compute a coordinate index or state a
 matrix group, the stages of a map's values stay on integers, no
 ``isinstance`` tests against a ``typing`` alias, only the polynomial core
 and its two ported readers read a polynomial's stored coefficients,
-every catalog map holds them as ``int``, and no function writes module
-state through a ``global`` statement."""
+every catalog map holds them as ``int``, only the polynomial core reads
+the bit layout of a monomial, and no function writes module state
+through a ``global`` statement."""
 
 import ast
 from pathlib import Path
@@ -736,12 +737,13 @@ def test_no_isinstance_tests_against_typing():
     assert {name: f for name, f in found.items() if f} == {}
 
 
-# A polynomial stores ``int`` coefficients (``terms``) over one positive
-# ``int`` denominator (``den``).  Besides ``polynomial`` itself, two modules
-# read them: ``ratmap`` (content normalization and ``substitute_cleared``)
-# and ``topology`` (float coefficients and the Sturm sequence).  Everyone
-# else goes through the polynomial's operations, so no second scalar type
-# can creep in.
+# A polynomial stores ``int`` coefficients (``terms``, keyed by packed
+# monomials) over one positive ``int`` denominator (``den``).  Besides
+# ``polynomial`` itself, two modules read them: ``ratmap`` (content
+# normalization and ``substitute_cleared``) and ``topology`` (float
+# coefficients and the Sturm sequence); both read a monomial only through
+# ``exponents``.  Everyone else goes through the polynomial's operations, so
+# no second scalar type can creep in.
 COEFFICIENT_READERS = {"polynomial.py", "ratmap.py", "topology.py"}
 
 
@@ -769,6 +771,93 @@ def test_every_golden_catalog_map_holds_int_coefficients(name):
     for p in [*m.numerators, m.denominator]:
         assert type(p.den) is int and p.den == 1  # content normalization clears it
         assert all(type(c) is int for c in p.terms.values())
+
+
+# A monomial is one ``int``: ``FIELD`` bits per exponent and the degree
+# from a registry's ``shift`` on, below its ``low`` mask.  Only
+# ``polynomial`` reads that layout; the readers of ``terms`` elsewhere go
+# through ``exponents``, so the layout can change in one module.
+MONOMIAL_LAYOUT_OWNER = "polynomial.py"
+LAYOUT_ATTRIBUTES = {"shift", "low"}
+_BIT_OPS = (ast.LShift, ast.RShift, ast.BitAnd)
+
+
+def _iterates_terms(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x.terms``, ``x.terms.items()``, ``x.terms.keys()``
+    or ``iter(x.terms)``: an iteration whose first items are monomial keys."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "iter":
+        node = node.args[0]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        node = node.func.value if node.func.attr in ("items", "keys") else node
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _monomial_names(tree: ast.AST) -> set:
+    """Names bound to monomial keys: the target, or the first name of a
+    tuple target, of a loop or comprehension over a polynomial's terms."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)) and _iterates_terms(node.iter):
+            target = node.target
+            if isinstance(target, ast.Tuple) and target.elts:
+                target = target.elts[0]
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+    return names
+
+
+def monomial_layout_reads(source: str):
+    """Lines that read the monomial layout: a use of ``FIELD``, a read of an
+    attribute ``shift`` or ``low``, and a shift or mask of a monomial key
+    (a name bound by iterating a polynomial's terms, or an expression that
+    reads ``terms``)."""
+    tree = ast.parse(source)
+    keys = _monomial_names(tree)
+
+    def holds_a_key(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id in keys) or _iterates_terms(n) for n in ast.walk(node)
+        )
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "FIELD":
+            found.add(node.lineno)
+        elif isinstance(node, ast.alias) and "FIELD" in (node.name, node.asname):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES:
+            found.add(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BIT_OPS):
+            if holds_a_key(node.left) or holds_a_key(node.right):
+                found.add(node.lineno)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, _BIT_OPS):
+            if holds_a_key(node.target) or holds_a_key(node.value):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_checker_finds_a_read_of_the_monomial_layout():
+    source = (
+        "from .polynomial import FIELD as F, exponents\n"
+        "a = registry.shift + p.registry.low\n"
+        "for m, c in p.terms.items():\n"
+        "    d = m >> 400\n"
+        "e = [k & 65535 for k in p.terms]\n"
+        "f = next(iter(p.terms)) >> s\n"
+        "for key in q.terms.keys():\n"
+        "    key &= 3\n"
+        "g = x >> 2, 1 << 14\n"
+        "h = [exponents(m, r) for m in p.terms], FIELD\n"
+        "shift = 'p.shift'\n"
+    )
+    assert monomial_layout_reads(source) == [1, 2, 4, 5, 6, 8, 10]
+
+
+def test_only_the_polynomial_core_reads_the_monomial_layout():
+    readers = {
+        path.name for path in PACKAGE if monomial_layout_reads(path.read_text(encoding="utf-8"))
+    }
+    assert readers == {MONOMIAL_LAYOUT_OWNER}
 
 
 # The functions of ``ratmap`` that compute a map's values at a point, stage

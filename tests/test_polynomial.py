@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmaps.polynomial import (
+    DEGREE_LIMIT,
     ComplexPair,
     MissingAssignmentError,
     OverlappingBlocksError,
@@ -18,8 +19,11 @@ from regmaps.polynomial import (
     SphereBlock,
     UnknownVariableError,
     VarRegistry,
+    exponents,
     normal_form,
+    pack,
     polynomial_from_json,
+    polynomial_from_obj,
     polynomial_to_json,
     polynomial_to_obj,
     scale_point,
@@ -110,7 +114,7 @@ def test_power_matches_repeated_multiplication():
 
 
 def test_constructor_adds_repeated_pairs():
-    e, f = (1, 0, 0, 0), (0, 2, 0, 0)
+    e, f = pack((1, 0, 0, 0), REG), pack((0, 2, 0, 0), REG)
     # 1/2, 3, 1/3 and -3 over the denominator 6
     pairs = [(e, 3), (f, 18), (e, 2), (f, -18)]
     p = Polynomial(REG, pairs, 6)
@@ -338,8 +342,8 @@ def test_normal_form_idempotent_and_degree_bounded():
         nf = normal_form(p, [S1_BLOCK])
         assert normal_form(nf, [S1_BLOCK]) == nf
         # eliminated variable appears with exponent <= 1 after rewriting
-        for exps in nf.terms:
-            assert exps[1] <= 1
+        for m in nf.terms:
+            assert exponents(m, S1_REG)[1] <= 1
 
 
 def test_normal_form_sound_at_exact_circle_points():
@@ -397,9 +401,9 @@ def test_evaluate_requires_full_assignment():
 def naive_evaluate(p, values):
     """Reference: the plain sum of c * prod(v ** e) in Fraction arithmetic."""
     total = Fraction(0)
-    for exps, coeff in p.terms.items():
+    for m, coeff in p.terms.items():
         term = Fraction(coeff, p.den)
-        for v, e in zip(values, exps):
+        for v, e in zip(values, exponents(m, p.registry)):
             term *= Fraction(v) ** e
         total += term
     return total
@@ -495,7 +499,7 @@ def test_evaluate_edge_cases():
 
 def test_canonical_term_order_is_graded():
     p = X1 + X3 ** 2 + ONE + X1 * X2
-    degrees = [sum(exps) for exps, _ in sorted(p.terms.items(), key=lambda kv: kv[0])]
+    degrees = [sum(exponents(m, REG)) for m, _ in sorted(p.terms.items(), key=lambda kv: kv[0])]
     obj = polynomial_to_obj(p)
     listed = [sum(e for _, e in term["m"]) for term in obj]
     assert listed == sorted(listed, reverse=True), "terms not in graded order"
@@ -636,7 +640,7 @@ def test_equal_polynomials_built_by_different_routes_compare_and_hash_equal(a, k
     for c in a.values():
         common = common * c.denominator // gcd(common, c.denominator)
     over_integers = Polynomial(
-        REG, {e: int(c * common) * k for e, c in a.items()}, common * k
+        REG, {pack(e, REG): int(c * common) * k for e, c in a.items()}, common * k
     )
     routes = [
         over_integers,
@@ -652,14 +656,97 @@ def test_equal_polynomials_built_by_different_routes_compare_and_hash_equal(a, k
 
 
 def test_the_constructor_takes_integer_coefficients_over_a_positive_denominator():
-    e = (1, 0, 0, 0)
+    e = pack((1, 0, 0, 0), REG)
     with pytest.raises(TypeError):
         Polynomial(REG, {e: Fraction(1, 2)})
     with pytest.raises(ValueError, match="must be positive"):
         Polynomial(REG, {e: 1}, 0)
     with pytest.raises(ValueError, match="must be positive"):
         Polynomial(REG, {e: 1}, -2)
-    p = Polynomial(REG, {e: 4, (0,) * 4: -6}, 10)
+    p = Polynomial(REG, {e: 4, pack((0,) * 4, REG): -6}, 10)
     assert (p.den, list(p.terms.values())) == (5, [2, -3])
     zero = Polynomial(REG, {e: 0}, 7)
     assert zero.is_zero() and zero.den == 1 and zero == Polynomial.zero(REG)
+
+
+# ---------------------------------------------------------------------------
+# the monomial layout: one integer per monomial, degree below 2**16
+# ---------------------------------------------------------------------------
+
+TOP = DEGREE_LIMIT - 1  # the largest exponent and degree a monomial holds
+
+
+def _below_the_limit(exps):
+    """``exps`` with each entry cut to the degree still free, so the total
+    stays at most ``TOP``; a first large entry keeps up to ``TOP``."""
+    room, out = TOP, []
+    for e in exps:
+        out.append(min(e, room))
+        room -= out[-1]
+    return out
+
+
+def exponent_tuples(size):
+    entries = st.integers(0, 3) | st.integers(0, TOP) | st.just(TOP)
+    return (
+        st.lists(entries, min_size=size, max_size=size)
+        .map(_below_the_limit)
+        .flatmap(st.permutations)
+        .map(tuple)
+    )
+
+
+@REFERENCE_SETTINGS
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(exponent_tuples(n), min_size=1, max_size=12)))
+def test_packed_monomials_sort_in_graded_reverse_lexicographic_order(tuples):
+    registry = VarRegistry(f"v{i}" for i in range(len(tuples[0])))
+    keys = [pack(e, registry) for e in tuples]
+    assert [exponents(m, registry) for m in keys] == tuples
+    p = Polynomial(registry, [(m, 1) for m in keys])
+    expected = sorted(set(tuples), key=lambda e: (-sum(e), e[::-1]))
+    assert [exponents(m, registry) for m in p.terms] == expected
+
+
+def test_a_product_that_reaches_the_degree_limit_overflows():
+    full = X2**TOP
+    assert exponents(next(iter(full.terms)), REG) == (0, TOP, 0, 0)
+    assert full.total_degree() == TOP
+    for product in (
+        lambda: full * X1,
+        lambda: X1**DEGREE_LIMIT,
+        lambda: (X1**40000 + X3) * (Y1**25536 - 1),
+        lambda: ComplexPair(full, ONE) * ComplexPair(ONE, X3),
+    ):
+        with pytest.raises(OverflowError, match=str(DEGREE_LIMIT)):
+            product()
+    with pytest.raises(OverflowError):
+        pack((0, DEGREE_LIMIT, 0, 0), REG)
+    # a product just below the limit is exact and leaves its neighbours alone
+    assert (X1**40000 * Y1**25535).evaluate([2, 3, 5, 1]) == 2**40000
+    assert exponents(next(iter((X1**40000 * Y1**25535).terms)), REG) == (40000, 0, 0, 25535)
+
+
+def test_a_serialized_monomial_at_the_degree_limit_is_refused():
+    assert polynomial_from_obj([{"c": "1/1", "m": [[1, TOP]]}], REG) == X2**TOP
+    for mono in ([[1, DEGREE_LIMIT]], [[0, 30000], [3, 35536]]):
+        with pytest.raises(ValueError, match=f"below {DEGREE_LIMIT}"):
+            polynomial_from_obj([{"c": "1/1", "m": mono}], REG)
+
+
+def test_calculus_and_normal_forms_at_a_full_exponent_field():
+    # x2 holds 65535: lowering it, or a field beside it, borrows nothing
+    full = 3 * X2**TOP
+    assert full.differentiate(1) == 3 * TOP * X2 ** (TOP - 1)
+    assert full.differentiate(0).is_zero() and full.differentiate(2).is_zero()
+    beside = X3 * X2 ** (TOP - 1) + X1
+    assert beside.differentiate(2) == X2 ** (TOP - 1)
+    assert beside.differentiate(1) == (TOP - 1) * X3 * X2 ** (TOP - 2)
+    assert exponents(next(iter(beside.differentiate(1).terms)), REG) == (0, TOP - 2, 1, 0)
+    # the block x2**2 = 1 rewrites x2**65535 to x2, the block x1**2 + x2**2 = 1
+    # leaves x1 at 65535
+    assert normal_form(full + X1, [SphereBlock((1,))]) == 3 * X2 + X1
+    x1, x2 = Polynomial.variable(S1_REG, 0), Polynomial.variable(S1_REG, 1)
+    assert normal_form(x1 ** (TOP - 2) * x2**2, [S1_BLOCK]) == x1 ** (TOP - 2) - x1**TOP
+    reduced = normal_form(x1 ** (TOP - 3) * x2**3, [S1_BLOCK])
+    assert [exponents(m, S1_REG) for m in reduced.terms] == [(TOP - 1, 1), (TOP - 3, 1)]
+    assert reduced == x1 ** (TOP - 3) * x2 - x1 ** (TOP - 1) * x2
