@@ -1,7 +1,8 @@
 """Golden pins for the catalog: the stdout and exit code of ``build`` and
 ``verify`` for one name per family and for every name built through
-complex arithmetic, of ``eval`` at sampled points of the group maps, and
-the table behind the names.
+complex arithmetic, of ``compose`` for one composite and ``build`` of a
+family file, of ``eval`` at sampled points of the group maps, and the table
+behind the names.
 
 The digests pin stdout byte for byte, so any change in what a name builds
 or checks shows here.
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from regmaps import catalog, cli
+from regmaps.groups import jmap_double_rotation, jmap_input_to_obj
 from regmaps.ratmap import RationalMap
 
 VERIFY_FLAGS = ["--samples", "50", "--trials", "5", "--seed", "0"]
@@ -153,8 +155,9 @@ GOLDEN = {
 
 # name: (sha256 of `build` stdout, exit code) for maps over large registries,
 # where most monomials have one or two nonzero exponents among hundreds of
-# variables.  Only `build` is pinned: `verify jmap:identity:40:40` alone
-# takes tens of seconds.
+# variables, and for the two largest group expansions the benchmark builds.
+# Only `build` is pinned: `verify jmap:identity:40:40` alone takes tens of
+# seconds.
 BUILD_GOLDEN = {
     "id:500": ("09f65723896818a3544e9a8c8d1cd331a395b98e0d6d763ed6cf6e9455ecb1f6", 0),
     "antipodal:500": ("3c2fd7a2bae6db82e3d25ab3394b0a04ed24cecbaf525ca4bf9db49864b34bd2", 0),
@@ -163,7 +166,19 @@ BUILD_GOLDEN = {
     "jmap:identity:40:40": (
         "116028302fda600d24f3f4b503a5e2403dce5217580b21dc05c8ab4b0841ca1b", 0,
     ),
+    "chain:5:3": ("feb8f45c99b041539e3e088d9cc1e58ae8b1eb7829f9024e3c9dcabbe001bc44", 0),
+    "s-u:4": ("73e69ee745b816a6049e4945d9826fe5898b10c1e9a5c8132ed65cd94510a4ea", 0),
 }
+
+# (sha256 of `compose stereo-inv:3 stereo:3` stdout, exit code): a composite,
+# expanded only to be written out.
+COMPOSE_GOLDEN = ("200d1d3ba57628f23dbd2b645e00187e00358888b945a9ad2b1109f0fa393481", 0)
+
+# A family label the writer must escape: a quote, a backslash and non-ASCII
+# characters, and (sha256 of `build jmap:<file>` stdout, exit code) for the
+# double-rotation family under that label.
+ESCAPED_LABEL = 'say "\\x" \u00e9t\u00e9 \u2192 \u00b2'
+ESCAPED_LABEL_GOLDEN = ("da8e28dc310ec07221b6877485f8d1d9f1d41af0331499096ff433d09b5ad36d", 0)
 
 
 # (name, seed): (sha256 of `eval NAME --seed SEED` stdout, exit code).  Group
@@ -240,6 +255,20 @@ def test_build_and_verify_match_the_golden_output(capsys, name):
 @pytest.mark.parametrize("name", sorted(BUILD_GOLDEN))
 def test_build_of_a_large_registry_map_matches_the_golden_output(capsys, name):
     assert _run(capsys, ["build", name]) == BUILD_GOLDEN[name]
+
+
+def test_compose_matches_the_golden_output(capsys):
+    assert _run(capsys, ["compose", "stereo-inv:3", "stereo:3"]) == COMPOSE_GOLDEN
+
+
+def test_build_of_a_family_file_escapes_its_label(capsys, tmp_path):
+    obj = {**jmap_input_to_obj(jmap_double_rotation()), "label": ESCAPED_LABEL}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert _run(capsys, ["build", f"jmap:{path}"]) == ESCAPED_LABEL_GOLDEN
+    cli.main(["build", f"jmap:{path}"])
+    out = capsys.readouterr().out
+    assert out.isascii() and json.loads(out)["label"] == ESCAPED_LABEL
 
 
 @pytest.mark.parametrize("name, seed", sorted(EVAL_GOLDEN))
