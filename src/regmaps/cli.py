@@ -29,7 +29,7 @@ from .ratmap import (
     ExcludedLocusError,
     ZeroDenominatorError,
     compose as compose_maps,
-    map_to_obj,
+    map_to_json,
 )
 from .varieties import PointOnVariety, sample_point, sphere
 
@@ -38,7 +38,12 @@ CHECK_FAILED = 1
 
 
 def _emit(payload, output: Optional[str] = None) -> None:
-    line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    _write(json.dumps(payload, sort_keys=True, separators=(",", ":")), output)
+
+
+def _write(text: str, output: Optional[str] = None) -> None:
+    """Print the canonical line ``text``, and write it to ``output`` too."""
+    line = text + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -133,7 +138,7 @@ def _summary(m) -> str:
 
 def _cmd_build(args) -> int:
     m = catalog.resolve(args.name)
-    _emit(map_to_obj(m), args.output)
+    _write(map_to_json(m), args.output)
     _note(_summary(m))
     return 0
 
@@ -183,7 +188,7 @@ def _cmd_compose(args) -> int:
     m = maps[-1]
     for outer in reversed(maps[:-1]):
         m = compose_maps(outer, m)
-    _emit(map_to_obj(m), args.output)
+    _write(map_to_json(m), args.output)
     _note(_summary(m))
     return 0
 

@@ -139,20 +139,19 @@ def exponents(m: int, registry: VarRegistry) -> tuple:
     return tuple(memoryview(fields).cast("H"))
 
 
-def _factors(fields: int) -> list:
-    """``[variable id, exponent]`` of each nonzero exponent in ``fields``, a
-    monomial key without its degree (``m & registry.low``), by increasing
-    id: the serialized form.  Only the nonzero fields are visited."""
-    out = []
+def _factors(fields: int) -> Iterator[tuple]:
+    """Yield ``(variable id, exponent)`` for each nonzero exponent in
+    ``fields``, a monomial key without its degree (``m & registry.low``), by
+    increasing id: the order of the serialized form.  Only the nonzero
+    fields are visited."""
     var = 0
     while fields:
         skip = ((fields & -fields).bit_length() - 1) // FIELD  # zero fields below
         fields >>= FIELD * skip
         var += skip
-        out.append([var, fields & _MASK])
+        yield var, fields & _MASK
         fields >>= FIELD
         var += 1
-    return out
 
 
 class Polynomial:
@@ -263,7 +262,7 @@ class Polynomial:
         index: dict = {}
         terms = []
         for m, coeff in self.terms.items():
-            mono = tuple(index.setdefault((i, e), len(index)) for i, e in _factors(m & low))
+            mono = tuple(index.setdefault(f, len(index)) for f in _factors(m & low))
             terms.append((coeff, mono, degree - (m >> shift)))
         used = tuple(sorted({i for i, _ in index}))
         position = {i: k for k, i in enumerate(used)}
@@ -711,13 +710,10 @@ def _fraction_from_str(text: str) -> Fraction:
 
 
 def polynomial_to_obj(p: Polynomial) -> list:
-    """JSON-ready form: canonical term list, each term a coefficient string
-    plus sparse `[variable-id, exponent]` pairs sorted by variable id."""
-    low = p.registry.low
-    return [
-        {"c": _coefficient_to_str(coeff, p.den), "m": _factors(m & low)}
-        for m, coeff in p.terms.items()
-    ]
+    """The parsed canonical text :func:`polynomial_to_json`: the term list,
+    each term a coefficient string plus sparse ``[variable-id, exponent]``
+    pairs sorted by variable id."""
+    return json.loads(polynomial_to_json(p))
 
 
 def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
@@ -749,7 +745,16 @@ def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
 
 
 def polynomial_to_json(p: Polynomial) -> str:
-    return json.dumps(polynomial_to_obj(p), separators=(",", ":"))
+    """The canonical text of ``p``, the one encoder of the serialized form:
+    ``[{"c":"n/d","m":[[i,e],...]},...]`` in canonical term order, with no
+    whitespace, written straight from the monomial keys."""
+    low, den = p.registry.low, p.den
+    terms = ",".join(
+        '{"c":"%s","m":[%s]}'
+        % (_coefficient_to_str(coeff, den), ",".join(map("[%d,%d]".__mod__, _factors(m & low))))
+        for m, coeff in p.terms.items()
+    )
+    return f"[{terms}]"
 
 
 def polynomial_from_json(text: str, registry: VarRegistry) -> Polynomial:

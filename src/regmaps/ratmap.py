@@ -63,7 +63,7 @@ outer map's largest degree: it negates the values where ``E < 0`` and
 ``d`` is odd.  Only where ``E = 0``, where that factor vanishes, does it
 evaluate its own expansion.  Reading
 ``numerators``, ``denominator``, ``max_degree``, ``==``, ``hash`` or
-:func:`map_to_obj` expands the map once, by the same polynomial code an
+:func:`map_to_json` expands the map once, by the same polynomial code an
 expanded map is built with, and releases its inputs.
 """
 
@@ -84,7 +84,7 @@ from .polynomial import (
     exponents,
     normal_form,
     polynomial_from_obj,
-    polynomial_to_obj,
+    polynomial_to_json,
 )
 from .varieties import (
     DEFAULT_HEIGHT,
@@ -843,19 +843,8 @@ def _product_values(node, scaled, memo):
 # ---------------------------------------------------------------------------
 
 def map_to_obj(m: RationalMap) -> dict:
-    out = {
-        "domain": m.domain.name,
-        "codomain": m.codomain.name,
-        "numerators": [polynomial_to_obj(p) for p in m.numerators],
-        "denominator": polynomial_to_obj(m.denominator),
-        "excluded": m.excluded,
-    }
-    if m.label:
-        out["label"] = m.label
-    block = _matrix_block(m.codomain)
-    if block is not None:
-        out["matrix"] = block
-    return out
+    """The parsed canonical text :func:`map_to_json`."""
+    return json.loads(map_to_json(m))
 
 
 def _matrix_block(codomain: Variety) -> Optional[dict]:
@@ -884,7 +873,25 @@ def map_from_obj(obj: dict) -> RationalMap:
 
 
 def map_to_json(m: RationalMap) -> str:
-    return json.dumps(map_to_obj(m), separators=(",", ":"), sort_keys=True)
+    """The canonical text of ``m``, one line with no whitespace: its keys
+    in sorted order, ``"label"`` only when set and ``"matrix"`` only into a
+    matrix group.  Polynomials are written by :func:`polynomial_to_json`;
+    strings and the matrix block go through ``json.dumps``, which escapes
+    them as ASCII."""
+    fields = [
+        ("codomain", json.dumps(m.codomain.name)),
+        ("denominator", polynomial_to_json(m.denominator)),
+        ("domain", json.dumps(m.domain.name)),
+        ("excluded", json.dumps(m.excluded)),
+    ]
+    if m.label:
+        fields.append(("label", json.dumps(m.label)))
+    block = _matrix_block(m.codomain)
+    if block is not None:
+        fields.append(("matrix", json.dumps(block, separators=(",", ":"), sort_keys=True)))
+    numerators = ",".join(polynomial_to_json(p) for p in m.numerators)
+    fields.append(("numerators", f"[{numerators}]"))
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields) + "}"
 
 
 def map_from_json(text: str) -> RationalMap:

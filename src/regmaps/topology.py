@@ -32,12 +32,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, dropwhile
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import linalg
-from .polynomial import Polynomial, exponents
+from .polynomial import Polynomial, exponents, scale_point
 from .ratmap import RationalMap, Verdict, compose
 from .spheres import stereo_inv
 from .varieties import PointOnVariety, sphere
@@ -410,16 +411,27 @@ def regular_value_probe(
         image = f.evaluate_raw(coords)
         if tuple(image) != value_coords:
             all_on_fiber = False
-        # quotient rule with n / d = image: d(n / d) = (dn - image * dd) / d
-        den_value = f.denominator.evaluate(coords)
+        # The Jacobian times the denominator's value d: by the quotient rule
+        # with n / d = image, d * d(n / d) = dn - image * dd.  It is written
+        # as integers over one common denominator and each tangent vector
+        # over its own, so every pushed row is the true one times a nonzero
+        # factor, which keeps the rank, and the products stay on integers
+        # (made ``Fraction`` for the elimination of ``linalg.rank``, which divides).
         dden = [d.evaluate(coords) for d in den_partials]
-        jacobian = [
-            [(dn.evaluate(coords) - y * dd) / den_value for dn, dd in zip(row, dden)]
-            for row, y in zip(num_partials, image)
-        ]
+        _, flat = scale_point(
+            [
+                dn.evaluate(coords) - y * dd
+                for row, y in zip(num_partials, image)
+                for dn, dd in zip(row, dden)
+            ]
+        )
+        jacobian = [flat[i : i + dim] for i in range(0, len(flat), dim)]
         normals = f.domain.normals(coords)
         tangent = linalg.nullspace_basis(normals) if normals else linalg.identity(dim)
-        pushed = [[sum(a * t for a, t in zip(row, vec)) for row in jacobian] for vec in tangent]
+        pushed = []
+        for vec in tangent:
+            _, t = scale_point(vec)
+            pushed.append([Fraction(sum(map(mul, row, t))) for row in jacobian])
         ranks.append(linalg.rank(pushed + codomain_normals) - normal_rank)
 
     all_regular = all(r == required for r in ranks)

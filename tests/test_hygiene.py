@@ -14,8 +14,9 @@ matrix group, the stages of a map's values stay on integers, no
 ``isinstance`` tests against a ``typing`` alias, only the polynomial core
 and its two ported readers read a polynomial's stored coefficients,
 every catalog map holds them as ``int``, only the polynomial core reads
-the bit layout of a monomial, and no function writes module state
-through a ``global`` statement."""
+the bit layout of a monomial, no function writes module state
+through a ``global`` statement, and no module encodes the object form of
+a map or a polynomial again."""
 
 import ast
 from pathlib import Path
@@ -954,3 +955,106 @@ def test_the_checker_finds_a_global_statement():
 def test_no_function_writes_module_state():
     found = {path.name: global_statements(path.read_text(encoding="utf-8")) for path in PACKAGE}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# ``map_to_json`` and ``polynomial_to_json`` are the one writer of a serialized
+# map or polynomial, and the object forms ``map_to_obj`` and
+# ``polynomial_to_obj`` are that text parsed: encoding one again builds an
+# object per term and writes every term a second time.
+OBJECT_FORMS = {"map_to_obj", "polynomial_to_obj"}
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _arguments(call: ast.Call) -> list:
+    return call.args + [k.value for k in call.keywords]
+
+
+def _encoders(tree: ast.AST) -> set:
+    """``dumps`` and each function of ``tree`` that hands one of its
+    parameters on to an encoder, as ``cli._emit`` hands its payload to
+    ``json.dumps``."""
+    encoders = {"dumps"}
+    functions = [node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)]
+    while True:
+        added = set()
+        for fn in functions:
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and _called_name(node) in encoders:
+                    passed = {
+                        name.id
+                        for arg in _arguments(node)
+                        for name in ast.walk(arg)
+                        if isinstance(name, ast.Name)
+                    }
+                    if passed & params:
+                        added.add(fn.name)
+        if added <= encoders:
+            return encoders
+        encoders |= added
+
+
+def _holds_object_form(node: ast.AST, bound: set) -> bool:
+    return any(
+        (isinstance(inner, ast.Call) and _called_name(inner) in OBJECT_FORMS)
+        or (isinstance(inner, ast.Name) and inner.id in bound)
+        for inner in ast.walk(node)
+    )
+
+
+def reencoded_object_forms(source: str):
+    """(line, encoder) of each call of an encoder (see :func:`_encoders`)
+    whose arguments hold a call of an object form, or a name assigned
+    from an expression that holds one."""
+    tree = ast.parse(source)
+    encoders = _encoders(tree)
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _holds_object_form(node.value, set())
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) in encoders:
+            if any(_holds_object_form(arg, bound) for arg in _arguments(node)):
+                found.append((node.lineno, _called_name(node)))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_reencoded_object_form():
+    source = (
+        "import json\n"
+        "def _emit(payload, output=None):\n"
+        "    line = json.dumps(payload, sort_keys=True) + '\\n'\n"
+        "def _cmd_build(args):\n"
+        "    m = catalog.resolve(args.name)\n"
+        "    _emit(map_to_obj(m), args.output)\n"
+        "def map_to_json(m):\n"
+        "    return json.dumps(map_to_obj(m), sort_keys=True)\n"
+        "def entries(spec):\n"
+        "    obj = [polynomial_to_obj(p) for p in spec.entries]\n"
+        "    return json.dumps({'entries': obj})\n"
+        "def fine(m):\n"
+        "    return json.loads(map_to_json(m)), json.dumps(m.label), _emit(m.name)\n"
+    )
+    assert reencoded_object_forms(source) == [(6, "_emit"), (8, "dumps"), (11, "dumps")]
+
+
+def test_the_checker_finds_the_cli_printing_an_object_form():
+    cli = next(p for p in PACKAGE if p.name == "cli.py").read_text(encoding="utf-8")
+    reencoding = cli.replace("_write(map_to_json(m)", "_emit(map_to_obj(m)")
+    assert reencoding != cli
+    assert [name for _, name in reencoded_object_forms(reencoding)] == ["_emit", "_emit"]
+
+
+def test_no_module_encodes_an_object_form_again():
+    found = {
+        path.name: reencoded_object_forms(path.read_text(encoding="utf-8")) for path in PACKAGE
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -624,10 +624,39 @@ def test_the_serialized_form_is_the_fraction_references(a):
     p = ref.to_polynomial(REG, a)
     assert polynomial_to_obj(p) == ref.to_obj(a)
     text = polynomial_to_json(p)
+    assert text == json.dumps(ref.to_obj(a), separators=(",", ":"))
     again = polynomial_from_json(text, REG)
     assert again == p and again.den == p.den
     assert list(again.terms.items()) == list(p.terms.items())
     assert polynomial_to_json(again) == text
+
+
+def _exps(size: int, fields=()) -> tuple:
+    """The exponent tuple over ``size`` variables with ``{id: exponent}`` set."""
+    return tuple(dict(fields).get(i, 0) for i in range(size))
+
+
+WIDE = VarRegistry([f"w{i}" for i in range(20)])
+
+# name: (registry, reference polynomial), each at an edge of the writer.
+WRITER_CASES = {
+    "zero": (REG, {}),
+    "constant": (REG, {_exps(4): Fraction(5)}),
+    "two-byte-exponent": (REG, {_exps(4, {1: 300}): 1, _exps(4, {2: 256, 3: 1}): 2}),
+    "variable-id-at-least-16": (WIDE, {_exps(20, {16: 2, 19: 1}): 1, _exps(20, {0: 1, 17: 3}): 4}),
+    "denominator-above-one": (REG, {_exps(4, {0: 1}): Fraction(1, 6), _exps(4): Fraction(5, 4)}),
+    "negative-coefficients": (REG, {_exps(4, {0: 2}): -3, _exps(4, {1: 1}): Fraction(-7, 2)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_the_writer_matches_the_reference_encoding(case):
+    registry, a = WRITER_CASES[case]
+    p = ref.to_polynomial(registry, a)
+    text = polynomial_to_json(p)
+    assert text == json.dumps(ref.to_obj(a), separators=(",", ":"))
+    assert polynomial_to_obj(p) == ref.to_obj(a)
+    assert polynomial_from_json(text, registry) == p
 
 
 @REFERENCE_SETTINGS
