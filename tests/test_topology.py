@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from regmaps import catalog
 from regmaps.groups import (
     embed_special_unitary,
     fiber_points,
@@ -45,6 +46,7 @@ from regmaps.topology import (
 )
 from regmaps.varieties import (
     PointOnVariety,
+    euclidean,
     sample_point,
     sample_points,
     special_orthogonal,
@@ -438,6 +440,46 @@ def test_probe_hopf_like_fiber():
     assert report.passed
     assert report.evidence["required_rank"] == 2
     assert set(report.evidence["ranks"]) == {2}
+
+
+def test_probe_ranks_with_a_euclidean_side():
+    # no codomain normals: the rank is that of the Jacobian on the tangent plane
+    report = regular_value_probe(stereo(2), sample_points(sphere(2), 3, seed=1, height=20))
+    assert report.evidence["required_rank"] == 2
+    assert report.evidence["ranks"] == (2, 2, 2)
+    assert not report.evidence["all_on_fiber"]
+    # no domain normals: the whole Jacobian, projected to the sphere's tangent plane
+    report = regular_value_probe(stereo_inv(2), sample_points(euclidean(2), 3, seed=1, height=20))
+    assert report.evidence["required_rank"] == 2
+    assert report.evidence["ranks"] == (2, 2, 2)
+
+
+def test_probe_rank_drops_on_the_equator_of_phi_double():
+    # phi_double crushes the equator x1 = 0 to -e; along it only the
+    # meridian direction survives
+    equator = [
+        PointOnVariety(sphere(2), (0, 1, 0)),
+        PointOnVariety(sphere(2), (0, Fraction(3, 5), Fraction(-4, 5))),
+    ]
+    report = regular_value_probe(phi_double(2), equator)
+    assert report.evidence["all_on_fiber"]
+    assert not report.evidence["all_regular"]
+    assert report.evidence["required_rank"] == 2
+    assert report.evidence["ranks"] == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "name, required, rank",
+    [("r:3", 3, 1), ("r-u:2", 4, 1), ("embed-u:2", 6, 4), ("oplus:2", 2, 2)],
+)
+def test_probe_ranks_with_dependent_normal_rows(name, required, rank):
+    # the Gram relations of SO(n) and U(k) give twice as many normal rows as
+    # the codimension (12 rows of rank 6 on SO(3), 8 of rank 4 on U(2));
+    # a product of spheres gives one row per factor
+    m = catalog.resolve(name)
+    report = regular_value_probe(m, sample_points(m.domain, 3, seed=2, height=20))
+    assert report.evidence["required_rank"] == required
+    assert report.evidence["ranks"] == (rank,) * 3
 
 
 # ---------------------------------------------------------------------------
