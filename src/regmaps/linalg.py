@@ -1,22 +1,22 @@
 """Exact dense linear algebra.
 
-:func:`integer_determinant` and :func:`integer_solve` share one
-fraction-free (Bareiss) elimination and stay on integers; the determinant
-also takes Gaussian integers (:class:`~regmaps.polynomial.ComplexPair`
-with ``int`` parts, whose ``//`` divides exactly).  The samplers' Cayley
-transforms and SU(k) correction and the SO(n) point check use them.  The
-rest is Gaussian elimination over ``Fraction`` or ``ComplexPair`` with
-rational parts: :func:`row_echelon`, under the ranks and nullspaces of the
-Jacobian rank probe.  :func:`inverse` (through :func:`solve`) has no caller
-in the package: it stays only for the benchmark's ``linalg.inverse_s`` probe.
+:func:`integer_determinant`, :func:`integer_solve` and :func:`rank` share
+one fraction-free (Bareiss) elimination and stay on integers (:func:`rank`
+scales each row to integers first); the determinant also takes Gaussian
+integers (:class:`~regmaps.polynomial.ComplexPair` with ``int`` parts,
+whose ``//`` divides exactly).  The samplers, the SO(n) point check and the
+Jacobian rank probe use them.  :func:`row_echelon`, Gaussian elimination
+over ``Fraction`` or ``ComplexPair`` with rational parts, remains only
+under :func:`inverse` (through :func:`solve`), which has no caller in the
+package: it stays only for the benchmark's ``linalg.inverse_s`` probe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
-from .polynomial import ComplexPair
+from .polynomial import ComplexPair, scale_point
 
 Scalar = Union[Fraction, ComplexPair]
 Integral = Union[int, ComplexPair]  # a ComplexPair with int parts
@@ -46,35 +46,41 @@ def inverse(a: Matrix) -> Matrix:
     return solve(a, identity(len(a), gaussian=gaussian))
 
 
-def _bareiss(work: List[List[Integral]], n: int) -> int:
-    """Bareiss's fraction-free elimination of the first ``n`` columns of the
-    ``n`` rows ``work`` of integers or Gaussian integers, in place; the rows
-    may carry more columns, which are carried along.  After step ``k`` every
-    entry right of column ``k`` is a minor of the input, so each division by
-    the previous pivot is exact (in Z as in Z[i]) and the work stays on
-    integers; row ``k`` then reads, from its pivot on, as row ``k`` of an
-    equivalent upper triangular system whose last pivot times the returned
-    sign is the determinant.  A zero pivot is swapped with a lower row.
-    Returns the sign of the swaps, or 0 when a column has no pivot
-    (singular).  Needs ``n >= 1``."""
-    width = len(work[0])
+def _bareiss(work: List[List[Integral]], columns: int) -> Tuple[int, List[int]]:
+    """Bareiss's fraction-free elimination of the first ``columns`` columns
+    of the rows ``work`` of integers or Gaussian integers, in place; the
+    rows may carry more columns, which are carried along.  Each column with
+    a nonzero entry at or below the next pivot row gives a pivot (swapped up
+    when needed); one with none is skipped.  Every entry below and right of
+    the last pivot is then a minor of the input, so each division by the
+    previous pivot is exact (in Z as in Z[i]).  With a pivot in every column
+    of a square matrix, row ``k`` reads, from its pivot on, as row ``k`` of
+    an equivalent upper triangular system whose last pivot times the sign
+    is the determinant.  Returns ``(sign, pivots)``: the sign of the swaps
+    and the pivot columns, as many as the rank.  Needs a row."""
+    rows, width = len(work), len(work[0])
     sign = 1
     previous = 1
-    for k in range(n - 1):
-        if not work[k][k]:
-            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
+    pivots: List[int] = []
+    for c in range(columns):
+        k = len(pivots)
+        if k == rows:
+            break
+        if not work[k][c]:
+            swap = next((r for r in range(k + 1, rows) if work[r][c]), None)
             if swap is None:
-                return 0
+                continue
             work[k], work[swap] = work[swap], work[k]
             sign = -sign
         pivot_row = work[k]
-        pivot = pivot_row[k]
+        pivot = pivot_row[c]
         for row in work[k + 1 :]:
-            factor = row[k]
-            for j in range(k + 1, width):
+            factor = row[c]
+            for j in range(c + 1, width):
                 row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
         previous = pivot
-    return sign
+        pivots.append(c)
+    return sign, pivots
 
 
 def integer_determinant(a: Sequence[Sequence[Integral]]) -> Integral:
@@ -86,7 +92,8 @@ def integer_determinant(a: Sequence[Sequence[Integral]]) -> Integral:
     if not n:
         return 1
     work = [list(row) for row in a]
-    return _bareiss(work, n) * work[-1][-1]
+    sign, pivots = _bareiss(work, n)
+    return (sign if len(pivots) == n else 0) * work[-1][-1]
 
 
 def integer_solve(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> tuple:
@@ -103,10 +110,10 @@ def integer_solve(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> t
     if not n or any(len(row) != n for row in a) or len(rhs) != n:
         raise ValueError("need a nonempty square matrix and as many right-hand rows")
     work = [list(row) + list(extra) for row, extra in zip(a, rhs)]
-    sign = _bareiss(work, n)
-    last = work[-1][n - 1]
-    if not sign or not last:
+    sign, pivots = _bareiss(work, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
+    last = work[-1][n - 1]
     width = len(work[0]) - n
     y = [[0] * width for _ in range(n)]
     for i in reversed(range(n)):
@@ -144,30 +151,12 @@ def row_echelon(a: Matrix) -> Matrix:
     return work
 
 
-def rank(a: Matrix) -> int:
-    if not a:
+def rank(a: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Exact rank of a matrix of integers or ``Fraction`` entries: each
+    nonzero row, scaled to integers (which keeps the rank), goes through the
+    fraction-free elimination of :func:`integer_determinant`, and the rank
+    is its number of pivot columns."""
+    rows = [scale_point(row)[1] for row in a if any(row)]
+    if not rows:
         return 0
-    echelon = row_echelon(a)
-    return sum(1 for row in echelon if any(row))
-
-
-def nullspace_basis(a: Matrix) -> Matrix:
-    """Basis (list of vectors) of the right nullspace of ``a``."""
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    echelon = row_echelon(a)
-    pivots = {}
-    for r in range(rows):
-        col = next((c for c in range(cols) if echelon[r][c]), None)
-        if col is not None:
-            pivots[col] = r
-    free = [c for c in range(cols) if c not in pivots]
-    basis: Matrix = []
-    for f in free:
-        vec: list = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for col, r in pivots.items():
-            vec[col] = -echelon[r][f]
-        basis.append(vec)
-    return basis
+    return len(_bareiss(rows, len(rows[0]))[1])

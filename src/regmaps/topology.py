@@ -21,7 +21,9 @@
 * :func:`regular_value_probe` -- exact-arithmetic check that given fiber
   points map to a common value and that the differential, restricted to
   the domain tangent space and projected to the codomain tangent space,
-  has full rank there.
+  has full rank there.  That rank is one bordered rank,
+  rank [[J, N_c^T], [N_d, 0]] - rank N_d - rank N_c with ``N_d`` and ``N_c``
+  the domain's and codomain's normal rows, so no tangent basis is built.
 * :func:`radon_hurwitz` / :func:`check_codim_pair` -- the classical
   power-of-two counting function and the congruence test it feeds.
 """
@@ -32,13 +34,12 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, dropwhile
-from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import linalg
-from .polynomial import Polynomial, exponents, scale_point
+from .polynomial import Polynomial, exponents
 from .ratmap import RationalMap, Verdict, compose
 from .spheres import stereo_inv
 from .varieties import PointOnVariety, sphere
@@ -379,12 +380,16 @@ def regular_value_probe(
     tangent space and projected to the codomain's tangent space at the
     value.  Regular means that rank equals the codomain dimension.
 
-    All ranks are exact: domain tangent spaces are nullspaces of the
-    normal rows :meth:`~regmaps.varieties.Variety.normals` over the
-    rationals, and the projected rank is ``rank([W | N]) - rank(N)``, ``W``
-    the image of the tangent space under the differential and ``N`` the
-    codomain's normal rows (the two subspace ranks split because tangent
-    and normal parts are complementary).
+    All ranks are exact (:func:`~regmaps.linalg.rank`).  With ``J`` the
+    Jacobian, ``N_d`` the domain's normal rows at the point and ``N_c`` the
+    codomain's at the value (:meth:`~regmaps.varieties.Variety.normals`;
+    none on a Euclidean side), the projected rank is
+    ``rank [[J, N_c^T], [N_d, 0]] - rank N_d - rank N_c``: the kernel of
+    ``(x, y) -> (J x + N_c^T y, N_d x)`` is the tangent ``x`` with ``J x``
+    normal to the codomain, each with a coset of ``ker N_c^T``.  The top
+    rows hold ``d * J``, ``d`` the denominator's value: that is the top rows
+    times ``d`` and the last columns times ``1 / d``, and nonzero row and
+    column scalings keep the rank.
     """
     if not points:
         raise ValueError("need at least one fiber point")
@@ -395,8 +400,9 @@ def regular_value_probe(
     value_coords = value.coords
 
     codomain_normals = f.codomain.normals(value_coords)
-    normal_rank = linalg.rank(codomain_normals) if codomain_normals else 0
+    normal_rank = linalg.rank(codomain_normals)
     required = f.codomain.ambient_dim - normal_rank
+    border = [0] * len(codomain_normals)
 
     dim = f.domain.ambient_dim
     num_partials = [[p.differentiate(j) for j in range(dim)] for p in f.numerators]
@@ -411,28 +417,17 @@ def regular_value_probe(
         image = f.evaluate_raw(coords)
         if tuple(image) != value_coords:
             all_on_fiber = False
-        # The Jacobian times the denominator's value d: by the quotient rule
-        # with n / d = image, d * d(n / d) = dn - image * dd.  It is written
-        # as integers over one common denominator and each tangent vector
-        # over its own, so every pushed row is the true one times a nonzero
-        # factor, which keeps the rank, and the products stay on integers
-        # (made ``Fraction`` for the elimination of ``linalg.rank``, which divides).
+        # Row i of d * J, by the quotient rule with n / d = image:
+        # d * d(n_i / d) = dn_i - image_i * dd.
         dden = [d.evaluate(coords) for d in den_partials]
-        _, flat = scale_point(
-            [
-                dn.evaluate(coords) - y * dd
-                for row, y in zip(num_partials, image)
-                for dn, dd in zip(row, dden)
-            ]
-        )
-        jacobian = [flat[i : i + dim] for i in range(0, len(flat), dim)]
+        bordered = [
+            [dn.evaluate(coords) - y * dd for dn, dd in zip(row, dden)]
+            + [normal[i] for normal in codomain_normals]
+            for i, (row, y) in enumerate(zip(num_partials, image))
+        ]
         normals = f.domain.normals(coords)
-        tangent = linalg.nullspace_basis(normals) if normals else linalg.identity(dim)
-        pushed = []
-        for vec in tangent:
-            _, t = scale_point(vec)
-            pushed.append([Fraction(sum(map(mul, row, t))) for row in jacobian])
-        ranks.append(linalg.rank(pushed + codomain_normals) - normal_rank)
+        bordered += [list(normal) + border for normal in normals]
+        ranks.append(linalg.rank(bordered) - linalg.rank(normals) - normal_rank)
 
     all_regular = all(r == required for r in ranks)
     evidence = {

@@ -116,10 +116,11 @@ def test_every_private_helper_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
-# The division-based routines of ``linalg``.  The samplers in ``varieties``
+# The routines of ``linalg`` that divide or take ``Fraction`` entries
+# (``rank`` scales its rows to integers first).  The samplers in ``varieties``
 # stay on integers: a Cayley transform is one fraction-free solve, and the
 # SU(k) correction one fraction-free determinant over the Gaussian integers.
-DIVISION_BASED = {"solve", "inverse", "row_echelon", "rank", "nullspace_basis"}
+DIVISION_BASED = {"solve", "inverse", "row_echelon", "rank"}
 
 
 def linalg_calls(source: str, names, local: bool = False):

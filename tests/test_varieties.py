@@ -9,7 +9,15 @@ from math import lcm
 import pytest
 
 from reference_linalg import determinant, mat_mul, sphere_coords_from_parameters, transpose
-from regmaps.linalg import identity, integer_determinant, integer_solve, inverse, solve
+from regmaps.linalg import (
+    identity,
+    integer_determinant,
+    integer_solve,
+    inverse,
+    rank,
+    row_echelon,
+    solve,
+)
 from regmaps.polynomial import (
     ComplexPair, Polynomial, SphereBlock, VarRegistry, polynomial_to_json,
 )
@@ -898,6 +906,53 @@ def test_integer_determinant_over_gaussian_integers_matches_the_rational_one():
         assert got == expected and all(type(part) is int for part in got), m
         singular += not got
     assert singular >= 30
+
+
+def test_rank_matches_the_pivots_of_the_rational_echelon_form():
+    # products of random factors of every inner width r, so every rank
+    # deficiency occurs, then zero rows, zero columns and repeated rows
+    rng = random.Random(41)
+
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-10**9, 10**9)))
+
+    cases = [[[]], [[0, 0]], [[0], [0]], [[Fraction(1, 3), 2], [1, 6]]]
+    for _ in range(240):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        r = rng.randint(0, min(rows, cols))
+        left = [[entry() for _ in range(r)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(r)]
+        m = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(cols)] for row in left]
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, len(m)), [0] * cols)
+        if rng.random() < 0.3:
+            at = rng.randint(0, cols)
+            m = [row[:at] + [0] + row[at:] for row in m]
+        if rng.random() < 0.3:
+            m.append(list(rng.choice(m)))
+        if rng.random() < 0.5:  # Fraction entries: each row over its own denominator
+            m = [[Fraction(x, d) for x in row] for row in m for d in [rng.randint(1, 10**6)]]
+        cases.append(m)
+    shapes, deficiencies = set(), set()
+    for m in cases:
+        echelon = row_echelon([[Fraction(x) for x in row] for row in m])
+        expected = sum(1 for row in echelon if any(row))
+        assert rank(m) == expected, m
+        rows, cols = len(m), len(m[0])
+        shapes.add((rows > cols) - (rows < cols))
+        deficiencies.add(min(rows, cols) - expected)
+    assert shapes == {-1, 0, 1}
+    assert set(range(8)) <= deficiencies
+    # the shared elimination still reports singular square matrices: a
+    # Gaussian-integer determinant as a zero ComplexPair, a solve by raising
+    zero, z = ComplexPair(0, 0), ComplexPair(2, -3)
+    for m in ([[zero, z], [zero, z * z]], [[z, z * z], [ComplexPair(1, 0), z]]):
+        got = integer_determinant(m)
+        assert isinstance(got, ComplexPair) and not got
+        assert list(got - 1) == [-1, 0]
+    for a in ([[0, 1], [0, 5]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[2, 4], [3, 6]]):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            integer_solve(a, [[1] for _ in a])
 
 
 def test_generic_determinant_has_every_permutation_term():
