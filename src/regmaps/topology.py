@@ -7,17 +7,21 @@
   frames ([x | B_x], [f | B_f] positive), averaged over uniform points x,
   estimates the degree.  It equals det(f x^T + J (I - x x^T)), since in
   those frames that matrix is [[1, f^T J B_x], [0, B_f^T J B_x]]; so no
-  frame is built.  Deterministic for a fixed seed: points are drawn in
-  fixed-size chunks from counter-based streams keyed by (seed, chunk).
-  Each chunk is held batch-last: ``x[var]`` is one coordinate at every
-  point, and each polynomial value and Jacobian entry is a ``float`` where
-  it is constant, else one batch array, so a constant partial or
-  denominator costs scalar arithmetic.  The matrices are a ``dim x dim``
-  table of batch arrays.  Up to ``LAPLACE_MAX_DIM`` their determinants come
-  from a Laplace expansion that builds the minors of the bottom k rows from
-  those of the bottom k - 1 (dim * 2^(dim-1) vector products, all but the
-  first of each minor through one scratch buffer, no call per matrix);
-  larger dimensions go to LAPACK through ``np.linalg.det``.
+  frame is built, and that determinant is -det B / den^dim for the
+  (dim + 1)-square bordered matrix B with top rows
+  (dn_ij - y_i dden_j | n_i / |y|), y = n / den, and bottom row (x^T | 0).
+  Deterministic for a fixed seed: points are drawn in fixed-size chunks
+  from counter-based streams keyed by (seed, chunk).  Each chunk is held
+  batch-last: ``x[var]`` is one coordinate at every point, and each entry
+  of B is a ``float`` where it is constant, else one batch array.  Which
+  entries can be nonzero follows from the variables each numerator and
+  the denominator contain; from that pattern an expansion plan is compiled
+  once per map, listing only the minors that can be nonzero (bitmask keys),
+  and run on every chunk.  Where the plan would take more products than
+  LAPACK's fitted cost (``LAPACK_COST`` (dim + 1)^3), the dense stack goes
+  to ``np.linalg.det``; where both would pass ``CHUNK_COST_CEILING`` per
+  chunk, the map is refused before any point is drawn.  The variance merges
+  each chunk's count, mean and squared deviations.
 * :func:`regular_value_probe` -- exact-arithmetic check that given fiber
   points map to a common value and that the differential, restricted to
   the domain tangent space and projected to the codomain tangent space,
@@ -33,8 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, dropwhile
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import dropwhile
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,15 +50,21 @@ from .varieties import PointOnVariety, sphere
 
 CHUNK_SIZE = 1 << 14
 
-# Largest dimension whose Monte Carlo determinants come from the shared-minor
-# expansion; above it, np.linalg.det.  One chunk of 16,384 matrices held as
-# a table of batch arrays, best of 15 on a 2-vCPU x86-64 machine with
-# OpenBLAS 0.3.31 on one thread (expansion through its scratch buffer vs
-# LAPACK): d = 4 1.0 vs 4.8 ms, d = 5 1.4 vs 6.6 ms, d = 6 3.7 vs 8.3 ms,
-# d = 7 7.3 vs 11.6 ms, d = 8 15.4 vs 13.5 ms, d = 9 52 vs 27 ms; d = 8 is
-# close (one run of three gave 20.0 vs 21.7 ms).  The expansion's cost
-# doubles with each dimension; LAPACK's is polynomial.
-LAPLACE_MAX_DIM = 7
+# np.linalg.det of one chunk's dense m-square stack, filling it included, in
+# products of the expansion plan: LAPACK_COST * m**3.  Fitted as the
+# geometric mean of time / m**3 over m = 3..24, about the stacks the ceiling
+# below admits (three runs gave 1.74, 1.75 and 1.76), a plan product costing
+# 19-20 us on the dense plans of m = 4..10; best of 7 on a 2-vCPU x86-64
+# machine with OpenBLAS 0.3.31 on one thread.  LAPACK there: m = 5 6.2 ms,
+# m = 7 13 ms, m = 8 17-21 ms, m = 10 32-35 ms, m = 16 81 ms, m = 24
+# 188-193 ms; dense plans: m = 6 3.1 ms (192 products), m = 7 8.3 ms (448),
+# m = 8 21 ms (1,024).  The fit underrates LAPACK below m = 10, where its
+# fixed cost per matrix dominates, and overrates it above m = 11.
+LAPACK_COST = 1.75
+# The most one chunk's determinants may cost, in plan products.  The largest
+# id:k admitted is id:196 (19,897 products); `degree id:196 --samples
+# 1000000` took 32.5 s at 191 MB peak RSS on that machine.
+CHUNK_COST_CEILING = 20_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -87,18 +97,22 @@ def _evaluate(
     """A polynomial at a batch of points held batch-last (``x[var]`` is
     variable ``var`` at every point): a ``float`` when the polynomial is
     constant, else an array.  ``powers`` caches each ``x[var] ** exp`` for
-    later calls on the same ``x``; a first power is the row itself."""
-    total = 0.0
+    later calls on the same ``x``; a first power is the row itself.  A unit
+    coefficient costs no product and a lone term no sum, so the result may
+    be a cached power or a row of ``x``: callers must not write into it."""
+    total = None
     for coeff, factors in term_data:
-        value = coeff
+        value = None if coeff == 1.0 else coeff
         for key in factors:
             power = powers.get(key)
             if power is None:
                 var, exp = key
                 power = powers[key] = x[var] ** exp if exp > 1 else x[var]
-            value = value * power
-        total = total + value
-    return total
+            value = power if value is None else value * power
+        if value is None:
+            value = 1.0
+        total = value if total is None else total + value
+    return 0.0 if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -189,88 +203,174 @@ class DegreeEstimate:
         return asdict(self)
 
 
+# One level of an expansion plan: per minor key, its (odd, column, below) terms.
+_Plan = List[List[Tuple[int, List[Tuple[int, int, int]]]]]
+
+
 class _MapTerms(NamedTuple):
     num: List[TermData]
     den: TermData
-    dnum: List[List[TermData]]  # dnum[i][j] = d num_i / d x_j
-    dden: List[TermData]
+    dnum: List[Dict[int, TermData]]  # dnum[i][j] = d num_i / d x_j, where nonzero
+    dden: Dict[int, TermData]
+    pattern: List[Tuple[int, ...]]  # the columns of each row of B that can be nonzero
+    plan: Optional[_Plan]  # None: LAPACK on the dense stack
+
+
+def _bordered_pattern(f: RationalMap) -> List[Tuple[int, ...]]:
+    """The columns of each row of the bordered matrix ``B`` (see
+    :func:`_degree_integrand`) that can be nonzero, read from the variables
+    each polynomial contains, before any derivative is taken.  Entry
+    ``(i, j)`` of the top block is ``dn_ij - y_i dden_j``: it can be nonzero
+    where ``num_i`` holds ``x_j``, or where the denominator does and
+    ``num_i`` is not zero.  The last column, ``dim``, holds ``n_i / |y|`` and
+    comes last in each top row that has entries.  The bottom row is ``x``
+    and 0."""
+    dim = f.domain.ambient_dim
+    den_vars = set(f.denominator.variables_used())
+    rows = [
+        () if n.is_zero() else tuple(sorted(den_vars.union(n.variables_used()))) + (dim,)
+        for n in f.numerators
+    ]
+    return rows + [tuple(range(dim))]
+
+
+def _expansion_plan(pattern: Sequence[Sequence[int]], limit: float) -> Optional[_Plan]:
+    """The Laplace expansion of a determinant whose row ``r`` can be nonzero
+    only in the columns ``pattern[r]``, or ``None`` once it would take more
+    than ``limit`` products.
+
+    Level ``k`` lists the minors of the first ``k + 1`` rows that can be
+    nonzero, each keyed by its column set as a bitmask: expanding along its
+    last row, the minor on ``S`` is the sum over ``c`` in ``S`` of
+    ``(-1)^(#columns of S above c) * row[c] * (minor on S - c)``.  The last
+    level holds the whole determinant, or nothing when no term survives.
+    """
+    level: Dict[int, list] = {0: []}
+    plan: _Plan = []
+    count = 0
+    for cols in pattern:
+        built: Dict[int, list] = {}
+        for below in level:
+            for c in cols:
+                bit = 1 << c
+                if below & bit:
+                    continue
+                count += 1
+                if count > limit:
+                    return None
+                key = below | bit
+                built.setdefault(key, []).append(((key >> c + 1).bit_count() & 1, c, below))
+        plan.append(list(built.items()))
+        level = built
+    return plan
+
+
+def _determinant_plan(pattern: List[Tuple[int, ...]]) -> Optional[_Plan]:
+    """The expansion plan of ``B``, or ``None`` where LAPACK is cheaper.
+    Raises ``ValueError`` when both would cost more than
+    ``CHUNK_COST_CEILING`` per chunk."""
+    size = len(pattern)
+    lapack = LAPACK_COST * size**3
+    plan = _expansion_plan(pattern, min(lapack, CHUNK_COST_CEILING))
+    if plan is None and lapack > CHUNK_COST_CEILING:
+        raise ValueError(
+            f"a Monte Carlo degree in ambient dimension {size - 1} would cost more "
+            f"than {CHUNK_COST_CEILING} vector products per chunk of {CHUNK_SIZE} points"
+        )
+    return plan
 
 
 def _map_terms(f: RationalMap) -> _MapTerms:
-    dim = f.domain.ambient_dim
+    pattern = _bordered_pattern(f)
+    plan = _determinant_plan(pattern)
     return _MapTerms(
         num=[_term_data(p) for p in f.numerators],
         den=_term_data(f.denominator),
-        dnum=[[_term_data(p.differentiate(j)) for j in range(dim)] for p in f.numerators],
-        dden=[_term_data(f.denominator.differentiate(j)) for j in range(dim)],
+        dnum=[
+            {j: _term_data(p.differentiate(j)) for j in p.variables_used()}
+            for p in f.numerators
+        ],
+        dden={
+            j: _term_data(f.denominator.differentiate(j))
+            for j in f.denominator.variables_used()
+        },
+        pattern=pattern,
+        plan=plan,
     )
 
 
-def _batch_det(rows: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """Determinants of a batch-last stack: ``rows[i][j]`` holds entry
-    ``(i, j)`` of every matrix.
-
-    Up to ``LAPLACE_MAX_DIM`` rows, a Laplace expansion along each row in
-    turn, bottom up: the minor of the bottom k rows on columns ``cols`` is
-    the alternating sum over ``p`` of ``row[cols[p]]`` times the minor of the
-    bottom k - 1 rows on ``cols`` without ``cols[p]``.  Each product after
-    the first goes through one scratch buffer, so a minor allocates only its
-    own array, and no entry is written.  Exact on integer entries whose
-    products stay below 2**53.
-    """
-    dim = len(rows)
-    if dim > LAPLACE_MAX_DIM:
-        return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
-    minors = {(j,): rows[-1][j] for j in range(dim)}
-    term = np.empty_like(rows[-1][0])
-    for top in range(dim - 2, -1, -1):
-        row = rows[top]
+def _run_plan(plan: _Plan, rows: Sequence[Dict[int, Value]]) -> Value:
+    """The determinant by an expansion plan, ``rows[r][c]`` holding entry
+    ``(r, c)`` (a ``float`` where constant); 0.0 when the plan has no full
+    minor.  No entry is written: each minor after the first level starts
+    from a fresh product and accumulates in place."""
+    minors: Dict[int, Value] = {0: 1.0}
+    for level, row in zip(plan, rows):
         below = minors
         minors = {}
-        for cols in combinations(range(dim), dim - top):
-            acc = row[cols[0]] * below[cols[1:]]
-            for p in range(1, len(cols)):
-                np.multiply(row[cols[p]], below[cols[:p] + cols[p + 1:]], out=term)
-                if p % 2:
-                    acc -= term
+        for key, terms in level:
+            (odd, c, sub), *rest = terms
+            acc = row[c] * below[sub] if sub else row[c]  # the first level: entries
+            if odd:
+                acc = -acc
+            for odd, c, sub in rest:
+                if odd:
+                    acc -= row[c] * below[sub]
                 else:
-                    acc += term
-            minors[cols] = acc
-    return minors[tuple(range(dim))]
+                    acc += row[c] * below[sub]
+            minors[key] = acc
+    return minors.get((1 << len(rows)) - 1, 0.0)
+
+
+def _lapack_det(rows: Sequence[Dict[int, Value]], points: int) -> np.ndarray:
+    """The determinant of every matrix from its dense stack, by LAPACK."""
+    size = len(rows)
+    stack = np.zeros((size, size, points))
+    for r, row in enumerate(rows):
+        for c, value in row.items():
+            stack[r, c] = value
+    return np.linalg.det(np.moveaxis(stack, -1, 0))
 
 
 def _degree_integrand(
     terms: _MapTerms, x: np.ndarray, den: Value, powers: dict
-) -> np.ndarray:
+) -> Value:
     """``det(f x^T + J (I - x x^T))`` at each unit point of the batch-last
-    ``x``.
+    ``x``, as ``-det B / den^dim``.
 
     ``den`` is the denominator at the points and ``powers`` the power cache
-    of ``_evaluate`` on ``x``.  Entry ``(i, j)`` is ``J_ij + c_i x_j`` with
-    ``c_i = f_i - sum_j J_ij x_j`` and the quotient rule
-    ``J_ij = (dn_ij den - n_i dden_j) (1 / den^2)``.  Each value is a scalar
-    or a batch array, so a constant partial or denominator costs scalar
-    arithmetic; the products with a partial that vanishes identically, and
-    the ``J_ij`` that do, are left out.
+    of ``_evaluate`` on ``x``.  ``B`` is the ``(dim + 1)``-square bordered
+    matrix with top rows ``(dn_ij - y_i dden_j | n_i / |y|)``, ``y = n / den``,
+    and bottom row ``(x^T | 0)``: the matrix ``[[J, f], [x^T, 0]]``, ``J``
+    the Jacobian and ``f = y / |y|``, with its top rows times ``den``, which
+    multiplies the determinant by ``den^dim``.  With ``|x| = 1``,
+    subtracting ``(J x)_i`` times the bottom row from top row ``i``, adding
+    ``x_j`` times the last column to column ``j`` and then subtracting the
+    first ``dim`` columns weighted by ``x`` from the last turns
+    ``[[J, f], [x^T, 0]]`` into ``[[M, 0], [x^T, -1]]``, ``M`` the matrix
+    above.  Entries are scalars where constant and only those in
+    ``terms.pattern`` are formed; the determinant comes from ``terms.plan``,
+    or from LAPACK where the plan is ``None``.  A pattern with no full minor
+    gives 0.0.
     """
+    dim = len(terms.num)
     nums = [_evaluate(t, x, powers) for t in terms.num]
-    images = [n / den for n in nums]
-    norm = np.sqrt(sum(f * f for f in images))
-    dden = {j: _evaluate(t, x, powers) for j, t in enumerate(terms.dden) if t}
-    inv_sq = 1 / (den * den)
-    table = []
-    for n, f, dnum in zip(nums, images, terms.dnum):
-        jac = {}
-        for j, t in enumerate(dnum):
-            if t or j in dden:
-                q = _evaluate(t, x, powers) * den
-                jac[j] = (q - n * dden[j] if j in dden else q) * inv_sq
-        c = f / norm - sum(v * x[j] for j, v in jac.items())
-        row = [c * x_j for x_j in x]
-        for j, v in jac.items():
-            row[j] += v
-        table.append(row)
-    return _batch_det(table)
+    scale = abs(den) / np.sqrt(sum(n * n for n in nums))  # n_i / |y| = n_i * scale
+    dden = {j: _evaluate(t, x, powers) for j, t in terms.dden.items()}
+    rows = []
+    for n, dnum, cols in zip(nums, terms.dnum, terms.pattern):
+        row = {dim: n * scale} if cols else {}
+        y = n / den if dden else 0.0
+        for j in cols[:-1]:
+            value = _evaluate(dnum.get(j, []), x, powers)
+            row[j] = value - y * dden[j] if j in dden else value
+        rows.append(row)
+    rows.append(dict(enumerate(x)))
+    if terms.plan is None:
+        det = _lapack_det(rows, x.shape[1])
+    else:
+        det = _run_plan(terms.plan, rows)
+    return det * (-1.0 / den**dim)
 
 
 def _unit_columns(raw: np.ndarray) -> np.ndarray:
@@ -286,44 +386,23 @@ def _unit_columns(raw: np.ndarray) -> np.ndarray:
     return columns / np.sqrt(squares)
 
 
-def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
-    """Monte Carlo estimate of the mapping degree of a sphere self-map.
-
-    Averages ``det(B_f^T J B_x) = det(f x^T + J (I - x x^T))`` over uniform
-    points ``x`` (``f`` the normalized image, ``J`` the float Jacobian; the
-    identity holds because the right-hand matrix is block upper-triangular
-    with corner 1 in the oriented frames ``[x | B_x]``, ``[f | B_f]``).
-    The determinants of each chunk come from ``_batch_det``: a shared-minor
-    Laplace expansion up to ``LAPLACE_MAX_DIM`` (ambient dimension), else
-    ``np.linalg.det``.
-    Reports a three-sigma half-width; the estimate is conclusive when
-    the half-width is below one half.  Points where the denominator is
-    numerically zero are redrawn from the same stream (and counted).
-    ``seed`` keys the stream and must lie in ``[0, 2**64)``.
-    """
-    n = f.domain.ambient_dim - 1
-    if f.domain != sphere(n) or f.codomain != f.domain:
-        raise ValueError("mapping degree needs a sphere self-map")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError("seed must lie in [0, 2**64)")
-    dim = n + 1
-    terms = _map_terms(f)
-
-    total = 0.0
-    total_sq = 0.0
-    produced = 0
-    resampled = 0
-    chunk_index = 0
-    while produced < samples:
-        want = min(CHUNK_SIZE, samples - produced)
+def _integrand_chunks(
+    terms: _MapTerms, samples: int, seed: int
+) -> Iterator[Tuple[np.ndarray, int]]:
+    """The integrand at ``samples`` points, one chunk at a time, each with
+    the number of its points redrawn off the excluded locus.  Chunk ``i``
+    is drawn from the Philox stream keyed by ``(seed, i)``; a point where
+    the denominator is numerically zero is redrawn from the same stream."""
+    dim = len(terms.num)
+    for chunk_index, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        want = min(CHUNK_SIZE, samples - start)
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         raw = rng.standard_normal((CHUNK_SIZE, dim))[:want]
         x = _unit_columns(raw)
         powers: Dict[Tuple[int, int], np.ndarray] = {}
         den = _evaluate(terms.den, x, powers)
+        resampled = 0
         guard = 0
         while True:
             bad = (np.abs(den) < 1e-12) | ~np.isfinite(den)
@@ -340,16 +419,62 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
             x[:, bad] = _unit_columns(redraw)
             powers = {}
             den = _evaluate(terms.den, x, powers)
-
         dets = _degree_integrand(terms, x, den, powers)
-        total += float(np.sum(dets))
-        total_sq += float(np.sum(dets * dets))
-        produced += want
-        chunk_index += 1
+        yield np.broadcast_to(dets, (want,)), resampled
+
+
+def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEstimate:
+    """Monte Carlo estimate of the mapping degree of a sphere self-map.
+
+    Averages ``det(B_f^T J B_x) = det(f x^T + J (I - x x^T))`` over uniform
+    points ``x`` (``f`` the normalized image, ``J`` the float Jacobian; the
+    identity holds because the right-hand matrix is block upper-triangular
+    with corner 1 in the oriented frames ``[x | B_x]``, ``[f | B_f]``).
+    Each determinant is ``-det B / den^dim`` for the bordered matrix ``B``
+    of :func:`_degree_integrand`.  The expansion plan of ``B`` is compiled
+    once per map from the variables each numerator and the denominator
+    contain; it lists only the minors that can be nonzero, and runs on each
+    chunk with constant entries as floats.  Where the plan would take more
+    products than LAPACK's fitted cost (``LAPACK_COST``), the dense stack
+    goes to ``np.linalg.det``.  When the cheaper of the two would cost more
+    than ``CHUNK_COST_CEILING`` per chunk, ``ValueError`` is raised before
+    any point is drawn.
+    Reports a three-sigma half-width; the estimate is conclusive when
+    the half-width is below one half.  The variance merges each chunk's
+    count, mean and sum of squared deviations (Chan et al.), so integrands
+    that agree to rounding give a half-width of rounding size.  Points
+    where the denominator is numerically zero are redrawn from the same
+    stream (and counted).  ``seed`` keys the stream and must lie in
+    ``[0, 2**64)``.
+    """
+    n = f.domain.ambient_dim - 1
+    if f.domain != sphere(n) or f.codomain != f.domain:
+        raise ValueError("mapping degree needs a sphere self-map")
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    terms = _map_terms(f)
+
+    total = 0.0
+    merged = 0
+    merged_mean = 0.0
+    squares = 0.0  # sum of squared deviations from merged_mean
+    resampled = 0
+    for dets, redrawn in _integrand_chunks(terms, samples, seed):
+        chunk_sum = float(np.sum(dets))
+        chunk_mean = chunk_sum / len(dets)
+        delta = chunk_mean - merged_mean
+        count = merged + len(dets)
+        merged_mean += delta * len(dets) / count
+        squares += float(np.sum(np.square(dets - chunk_mean)))
+        squares += delta * delta * merged * len(dets) / count
+        merged = count
+        total += chunk_sum
+        resampled += redrawn
 
     mean = total / samples
-    variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    half_width = 3.0 * math.sqrt(variance / samples)
+    half_width = 3.0 * math.sqrt(squares / (samples - 1) / samples)
     rounded = int(round(mean))
     return DegreeEstimate(
         estimate=mean,

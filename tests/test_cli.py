@@ -281,6 +281,14 @@ def test_degree_inconclusive_run_exits_1(capsys):
     assert json.loads(out)["conclusive"] is False
 
 
+def test_a_degree_above_the_cost_ceiling_is_a_usage_error(capsys):
+    # id:196 is the largest identity the ceiling admits
+    for name, dim in [("id:197", 198), ("phi:400", 401)]:
+        code, out, err = run(capsys, ["degree", name, "--samples", "1000000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"ambient dimension {dim} " in err
+
+
 # ---------------------------------------------------------------------------
 # rh
 # ---------------------------------------------------------------------------

@@ -32,11 +32,14 @@ from regmaps.spheres import (
     stereo_inv,
 )
 from regmaps.topology import (
-    LAPLACE_MAX_DIM,
-    _batch_det,
+    _bordered_pattern,
     _degree_integrand,
     _evaluate,
+    _expansion_plan,
+    _integrand_chunks,
+    _lapack_det,
     _map_terms,
+    _run_plan,
     _unit_columns,
     check_codim_pair,
     degree_mc,
@@ -203,15 +206,56 @@ def test_unit_columns_are_the_normalized_rows_batch_last(dim):
         np.testing.assert_allclose(columns, reference, rtol=8 * np.finfo(float).eps, atol=0)
 
 
-KERNEL_DIMS = range(1, LAPLACE_MAX_DIM + 2)  # the expansion, then LAPACK
+KERNEL_DIMS = range(1, 9)
+
+
+def _plan_det(stack, pattern):
+    """The plan's determinants of a batch-last stack, entries outside
+    ``pattern`` taken as zero; constant rows of the stack enter as floats."""
+    rows = []
+    for entries, cols in zip(stack, pattern):
+        row = {}
+        for c in cols:
+            entry = entries[c]
+            row[c] = float(entry[0]) if np.all(entry == entry[0]) else entry
+        rows.append(row)
+    det = _run_plan(_expansion_plan(pattern, float("inf")), rows)
+    return np.broadcast_to(det, stack.shape[-1:])
+
+
+def _patterns(dim, rng):
+    """A dense pattern, a random sparse one with a full transversal, and for
+    dim >= 3 the pattern of phi_double(dim - 2)'s bordered matrix, an
+    arrowhead with one dense row."""
+    dense = [tuple(range(dim))] * dim
+    shift = rng.permutation(dim)
+    sparse = [
+        tuple(sorted({int(shift[i])} | {c for c in range(dim) if rng.random() < 0.4}))
+        for i in range(dim)
+    ]
+    out = [dense, sparse]
+    if dim >= 3:
+        out.append(_bordered_pattern(phi_double(dim - 2)))
+    return out
+
+
+def _masked(stack, pattern):
+    out = np.zeros_like(stack)
+    for r, cols in enumerate(pattern):
+        out[r, list(cols)] = stack[r, list(cols)]
+    return out
 
 
 @pytest.mark.parametrize("dim", KERNEL_DIMS)
 def test_batch_determinant_agrees_with_lapack(dim):
-    stack = np.random.default_rng(dim).standard_normal((dim, dim, 2000))
-    reference = np.linalg.det(stack.transpose(2, 0, 1))
-    row_norms = np.prod(np.linalg.norm(stack, axis=1), axis=0)  # Hadamard's bound
-    assert np.all(np.abs(_batch_det(stack) - reference) <= 1e-12 * row_norms)
+    rng = np.random.default_rng(dim)
+    for pattern in _patterns(dim, rng):
+        stack = _masked(rng.standard_normal((dim, dim, 2000)), pattern)
+        reference = np.linalg.det(stack.transpose(2, 0, 1))
+        row_norms = np.prod(np.linalg.norm(stack, axis=1), axis=0)  # Hadamard's bound
+        assert np.all(np.abs(_plan_det(stack, pattern) - reference) <= 1e-12 * row_norms)
+        rows = [{c: stack[r, c] for c in cols} for r, cols in enumerate(pattern)]
+        assert np.array_equal(_lapack_det(rows, 2000), reference)
 
 
 @pytest.mark.parametrize("dim", KERNEL_DIMS)
@@ -222,30 +266,53 @@ def test_batch_determinant_of_permutation_matrices_is_their_sign(dim):
     for b, perm in enumerate(perms):
         stack[np.arange(dim), perm, b] = 1.0
     inversions = [sum(p[i] > p[j] for i in range(dim) for j in range(i + 1, dim)) for p in perms]
-    assert np.array_equal(_batch_det(stack), [(-1.0) ** n for n in inversions])
+    signs = [(-1.0) ** n for n in inversions]
+    assert np.array_equal(_plan_det(stack, [tuple(range(dim))] * dim), signs)
+    # each permutation's own nonzeros: one product per row, constant entries
+    for perm, sign in list(zip(perms, signs))[:20]:
+        pattern = [(int(c),) for c in perm]
+        assert _run_plan(_expansion_plan(pattern, dim), [{c: 1.0} for (c,) in pattern]) == sign
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_batch_determinant_leaves_its_entries_unchanged(dim):
-    # its scratch buffer must never be one of the entries
+    # each minor accumulates in place, so none may start as an entry
     rng = np.random.default_rng(dim)
-    table = [[rng.standard_normal(300) for _ in range(dim)] for _ in range(dim)]
-    saved = [[entry.copy() for entry in row] for row in table]
-    _batch_det(table)
-    for row, saved_row in zip(table, saved):
-        for entry, copy in zip(row, saved_row):
-            assert np.array_equal(entry, copy)
+    for pattern in _patterns(dim, rng):
+        rows = [{c: rng.standard_normal(300) if (r + c) % 3 else 2.5 for c in cols}
+                for r, cols in enumerate(pattern)]
+        saved = [{c: np.copy(v) for c, v in row.items()} for row in rows]
+        _run_plan(_expansion_plan(pattern, float("inf")), rows)
+        for row, saved_row in zip(rows, saved):
+            for c, entry in row.items():
+                assert np.array_equal(entry, saved_row[c])
 
 
-@pytest.mark.parametrize("dim", range(2, LAPLACE_MAX_DIM + 1))
+@pytest.mark.parametrize("dim", range(2, 8))
 def test_the_expansion_is_exact_on_small_integers(dim):
     # pivoted LAPACK elimination rounds; the expansion only adds and multiplies
     rng = np.random.default_rng(dim)
-    stack = rng.integers(-9, 10, size=(dim, dim, 300)).astype(float)
-    exact = [integer_determinant(stack[:, :, b].astype(int).tolist()) for b in range(300)]
-    assert np.array_equal(_batch_det(stack), exact)
-    stack[-1] = stack[0]  # a repeated row
-    assert np.all(_batch_det(stack) == 0)
+    for pattern in _patterns(dim, rng):
+        stack = _masked(rng.integers(-9, 10, size=(dim, dim, 300)).astype(float), pattern)
+        exact = [integer_determinant(stack[:, :, b].astype(int).tolist()) for b in range(300)]
+        assert np.array_equal(_plan_det(stack, pattern), exact)
+        stack[-1] = stack[0]  # a repeated row
+        assert np.all(_plan_det(stack, [tuple(range(dim))] * dim) == 0)
+
+
+def test_a_pattern_with_no_full_minor_gives_zero():
+    # a zero row, or two rows confined to one column: no term survives
+    for pattern in ([(0, 1), (), (0, 1)], [(0,), (0,), (0, 1, 2)]):
+        plan = _expansion_plan(pattern, float("inf"))
+        rows = [{c: np.ones(5) for c in cols} for cols in pattern]
+        assert _run_plan(plan, rows) == 0.0
+
+
+def test_the_plan_stops_at_its_limit():
+    dense = [tuple(range(6))] * 6  # sum of k * C(6, k) = 6 * 2^5 = 192 products
+    assert _expansion_plan(dense, 191) is None
+    plan = _expansion_plan(dense, 192)
+    assert sum(len(terms) for level in plan for _, terms in level) == 192
 
 
 def _oriented_frame(v, completion):
@@ -281,8 +348,34 @@ def _frame_integrand(f, points):
     return np.array(dets)
 
 
-# Maps whose Monte Carlo integrand is pinned.  The last two have a
-# denominator E other than 1, so only they reach the quotient rule.
+def _householder_after_phi(k):
+    """The reflection in the hyperplane normal to (1, 2, ..., k + 1) after
+    phi_double(k): every numerator holds every variable, so the Jacobian,
+    and the top rows of the bordered matrix, are dense."""
+    f = phi_double(k)
+    reg = f.domain.registry
+    v = range(1, k + 2)
+    norm = sum(c * c for c in v)
+    xs = [Polynomial.variable(reg, j) for j in range(k + 1)]
+    rows = [
+        Polynomial.sum(reg, [(int(a == b) - Fraction(2 * a * b, norm)) * x for b, x in zip(v, xs)])
+        for a in v
+    ]
+    return compose(RationalMap(f.domain, f.domain, rows, Polynomial.one(reg)), f)
+
+
+def _dilation():
+    """The conformal self-map of S^2 that doubles the stereographic chart
+    from -e, over the denominator 5 - 3 x1: its last two numerators lack x1."""
+    reg = sphere(2).registry
+    x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
+    return RationalMap(sphere(2), sphere(2), [5 * x1 - 3, 4 * x2, 4 * x3], 5 - 3 * x1)
+
+
+# Maps whose Monte Carlo integrand is pinned.  The compose, oplus and
+# dilation rows have a denominator E other than 1, so only they reach the
+# quotient rule; the Householder rows have dense Jacobians (the first runs the plan, the
+# second LAPACK), and the constant map's bordered matrix has no full minor.
 MC_MAPS = {
     "phi:2": lambda: phi_double(2),
     "phi:3": lambda: phi_double(3),
@@ -290,8 +383,14 @@ MC_MAPS = {
     "antipodal:4": lambda: antipodal(4),
     "reflect:3:2": lambda: reflect(3, 2),
     "phi:7": lambda: phi_double(7),
+    "phi:8": lambda: phi_double(8),
+    "antipodal:8": lambda: antipodal(8),
     "compose(stereo-inv:2,stereo:2)": lambda: compose(stereo_inv(2), stereo(2)),  # E = 1 + x1
     "oplus(id:2,antipodal:2)": lambda: pointwise_oplus(sphere_identity(2), antipodal(2)),  # E = 3 x1^2 + 1
+    "dilation:2": _dilation,
+    "householder(phi:4)": lambda: _householder_after_phi(4),
+    "householder(phi:8)": lambda: _householder_after_phi(8),
+    "const:2": lambda: constant_map(sphere(2), basepoint(2)),
 }
 
 
@@ -308,6 +407,66 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(map_id):
     fast = _degree_integrand(terms, x, den, powers)
     reference = _frame_integrand(f, points)
     assert np.max(np.abs(fast - reference)) <= 1e-10
+
+
+def _products(f):
+    plan = _map_terms(f).plan
+    return None if plan is None else sum(len(terms) for level in plan for _, terms in level)
+
+
+def test_plan_sizes_and_the_lapack_fallback():
+    names = ("phi:3", "phi:4", "antipodal:4", "reflect:3:2", "phi:30", "id:196")
+    sizes = {name: _products(catalog.resolve(name)) for name in names}
+    assert sizes == {
+        "phi:3": 21, "phi:4": 29, "antipodal:4": 25, "reflect:3:2": 18, "phi:30": 588,
+        "id:196": 19_897,
+    }
+    # dense top rows: the plan while it is cheaper than LAPACK's fitted cost
+    assert _products(_householder_after_phi(4)) == 191
+    assert _products(_householder_after_phi(8)) is None
+    assert _products(_householder_after_phi(20)) is None  # LAPACK's largest stack under the ceiling
+
+
+def test_degree_of_a_constant_map_is_zero():
+    # its bordered matrix has zero rows, so the plan has no full minor
+    est = degree_mc(constant_map(sphere(3), basepoint(3)), samples=20_000, seed=0)
+    assert (est.estimate, est.half_width, est.rounded, est.conclusive) == (0.0, 0.0, 0, True)
+
+
+@pytest.mark.parametrize(
+    "map_id, samples", [("phi:3", 40_000), ("compose(stereo-inv:2,stereo:2)", 20_000)]
+)
+def test_the_half_width_is_the_two_pass_deviation_of_the_stream(map_id, samples):
+    # the second map's integrand is 1 up to rounding: a one-pass sum of
+    # squares would keep only its rounding noise
+    f = MC_MAPS[map_id]()
+    dets = np.concatenate([d for d, _ in _integrand_chunks(_map_terms(f), samples, 3)])
+    est = degree_mc(f, samples=samples, seed=3)
+    assert len(dets) == samples
+    assert est.half_width == pytest.approx(3 * np.sqrt(np.var(dets, ddof=1) / samples), rel=1e-9)
+
+
+def test_an_oversized_degree_is_refused_before_any_point_is_drawn(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for a refused map")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(Polynomial, "differentiate", refuse)
+    # the plans of the first three outgrow the ceiling; the dense one's
+    # LAPACK stack is 23-square
+    for f, dim in [(sphere_identity(197), 198), (antipodal(197), 198), (phi_double(197), 198),
+                   (_householder_after_phi(21), 22)]:
+        with pytest.raises(ValueError, match=f"ambient dimension {dim} "):
+            degree_mc(f, samples=100, seed=0)
+
+
+# The Monte Carlo names of the degree-mc benchmark workload and of the CLI and
+# acceptance tests, and the largest id:k and phi:k under the ceiling.
+@pytest.mark.parametrize(
+    "name", ["phi:3", "phi:4", "antipodal:4", "reflect:3:2", "antipodal:2", "id:196", "phi:195"]
+)
+def test_every_benchmark_and_test_degree_name_is_admitted(name):
+    assert _map_terms(catalog.resolve(name)).plan is not None
 
 
 # estimate, half_width and resampled: the phi_double runs as measured with
