@@ -50,8 +50,9 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
@@ -393,6 +394,29 @@ class Polynomial:
         where the value is and has its sign: a zero test or a sign test
         builds no ``Fraction``."""
         return self._integer_value([nums[i] for i in self._scalars()[0]], q)[0]
+
+    def scaled_numerators(self, columns: Sequence[Sequence[int]], qs: Sequence[int]) -> list:
+        """:meth:`scaled_numerator` at each point of a block given as integer
+        columns: point ``j`` is ``columns[i][j] / qs[j]`` in coordinate ``i``
+        (``columns`` indexed by variable id, every ``qs[j] > 0``).  The plan
+        of :meth:`_scalars` runs once over the block, a column per power and
+        per term, multiplied and summed by ``map``; the integers are those of
+        :meth:`scaled_numerator`, point by point."""
+        used, _, degree, powers, terms = self._scalars()
+        pows = [
+            columns[used[k]] if e == 1 else list(map(pow, columns[used[k]], repeat(e)))
+            for k, e in powers
+        ]
+        qpow = [None, qs]  # qpow[r] is the column of q**r; q**0 is never read
+        for _ in range(2, degree + 1):
+            qpow.append(list(map(mul, qpow[-1], qs)))
+        total = [0] * len(qs)
+        for coeff, mono, rest in terms:
+            column = repeat(coeff)
+            for factor in [pows[k] for k in mono] + ([qpow[rest]] if rest else []):
+                column = map(mul, column, factor)
+            total = list(map(add, total, column))
+        return total
 
     def _integer_value(self, nums: Sequence[int], q: int) -> tuple:
         # ``nums`` holds the scaled values of the used variables, in order.

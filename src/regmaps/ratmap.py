@@ -243,13 +243,14 @@ class RationalMap:
         *values, den = [p.scaled_numerator(nums, q) * q ** (top - p.total_degree()) for p in polys]
         return values, den
 
-    def _denominator_value(self, scaled: tuple) -> int:
-        # A positive multiple of the denominator's value at ``scaled``.  An
-        # expanded map reads the integer numerator of its denominator alone.
+    def _denominator_values(self, qs: tuple, columns: List[tuple]) -> List[int]:
+        # Positive multiples of the denominator's values at a block of
+        # points given as columns (``SampleStream.columns``).  An expanded
+        # map reads the integer numerators of its denominator alone, over
+        # the columns; a staged map evaluates its stages point by point.
         if self._stage is None:
-            q, nums = scaled
-            return self._polys[1].scaled_numerator(nums, q)
-        return self._values(scaled, {})[1]
+            return self._polys[1].scaled_numerators(columns, qs)
+        return [self._values((q, nums), {})[1] for q, nums in zip(qs, zip(*columns))]
 
     def _image(self, scaled: tuple) -> Tuple[int, List[int]]:
         """The image of the point ``scaled`` in scaled form (see
@@ -511,6 +512,10 @@ def constant_map(domain: Variety, value: PointOnVariety) -> RationalMap:
 
 METHODS = ("symbolic", "exact-evaluation", "sampling")
 
+# Points per block of the denominator audit: a fixed size, so that the
+# audit's memory does not grow with its sample count.
+AUDIT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -713,23 +718,30 @@ def denominator_check(
     height: int = DEFAULT_HEIGHT,
 ) -> Verdict:
     """Evaluate the denominator at sampled points and report any value
-    that is zero or negative.  Only the sign is read: on an expanded map it
-    is the sign of the denominator's integer numerator at the point's
-    scaled form, and no ``Fraction`` is built unless a point is reported.
+    that is zero or negative.  The points are the first ``samples`` of
+    :func:`~regmaps.varieties.sample_stream`, read :data:`AUDIT_BLOCK` at a
+    time as validated integer columns
+    (:meth:`~regmaps.varieties.SampleStream.columns`), so no
+    :class:`PointOnVariety` is built and memory does not grow with
+    ``samples``.  Only the sign is read: on an expanded map it is the sign
+    of the denominator's integer numerator, evaluated over the columns
+    (:meth:`~regmaps.polynomial.Polynomial.scaled_numerators`), and no
+    ``Fraction`` is built but for the first point reported, the witness.
     Raises ``ValueError`` for ``samples`` below one."""
     if samples < 1:
         raise ValueError("need at least one sample point")
+    stream = sample_stream(f.domain, seed, height=height)
     zeros = 0
     negatives = 0
     witness = None
-    for point in islice(sample_stream(f.domain, seed, height=height), samples):
-        value = f._denominator_value(point.scaled)
-        if value == 0:
-            zeros += 1
-            witness = witness or point.coords
-        elif value < 0:
-            negatives += 1
-            witness = witness or point.coords
+    for start in range(0, samples, AUDIT_BLOCK):
+        qs, columns = stream.columns(min(AUDIT_BLOCK, samples - start))
+        values = f._denominator_values(qs, columns)
+        zeros += values.count(0)
+        negatives += len([v for v in values if v < 0])
+        if witness is None and (zeros or negatives):
+            j = next(j for j, v in enumerate(values) if v <= 0)
+            witness = tuple([Fraction(column[j], qs[j]) for column in columns])
     evidence = {"samples": samples, "zeros": zeros, "negatives": negatives}
     return Verdict("sampling", zeros == negatives == 0, evidence, witness)
 

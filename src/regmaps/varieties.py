@@ -55,16 +55,19 @@ it returns an endless iterator of points in scaled form, ``(q, nums)``
 with ``q > 0`` and coordinate ``i`` equal to ``nums[i] / q``, all drawn in
 turn from ``rng``.  :func:`sample_stream` is the one source of sampled
 points: it seeds one ``random.Random`` from the text
-``regmaps:{name}:{seed}`` and builds each point of the sampler's stream,
-so the points are deterministic functions of the variety, the seed and
-the index, and no point pays for a seeding of its own.
-:func:`sample_point` is the first point of that stream and
-:func:`sample_points` a prefix of it.  Each point is validated in scaled
-form by :meth:`PointOnVariety.from_scaled`
+``regmaps:{name}:{seed}`` and hands out the sampler's stream as a
+:class:`SampleStream`, so the points are deterministic functions of the
+variety, the seed and the index, and no point pays for a seeding of its
+own.  :func:`sample_point` is the first point of that stream and
+:func:`sample_points` a prefix of it.  Iterated, the stream validates
+each point in scaled form by :meth:`PointOnVariety.from_scaled`
 (:meth:`Variety.first_violation_scaled`: one integer kernel per kind of
 relation, sphere block, Gram block or unit determinant), which is kept as
 the only stored form of the :class:`PointOnVariety`; ``Fraction``
-coordinates are built on first read.
+coordinates are built on first read.  :meth:`SampleStream.columns` hands
+out the same draws a block at a time as integer columns, each sphere
+block's relation checked over the whole block at once, and builds no
+point.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
+from operator import add, mul
 from typing import (
     Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
 )
@@ -320,8 +324,10 @@ class PointOnVariety:
     constructor (read through ``Fraction`` unless ``int``) are scaled once
     and handed to :meth:`from_scaled`, which builds every point, sampled
     points and images of maps included.  ``coords``, a tuple of
-    ``Fraction``, is built on first read; the denominator audit of
-    ``verify`` never reads it.
+    ``Fraction``, is built on first read.  The denominator audit of
+    ``verify`` builds no point: it reads its draws a block at a time as
+    integer columns (:meth:`SampleStream.columns`), checked as
+    :meth:`from_scaled` checks a point.
     """
 
     __slots__ = ("variety", "scaled", "_coords")
@@ -702,16 +708,86 @@ def sample_point(
 
 def sample_stream(
     variety: Variety, seed: int = 0, *, height: int = DEFAULT_HEIGHT
-) -> Iterator[PointOnVariety]:
-    """Lazy endless stream of exact rational points on the variety: the
-    points of its sampler's stream, each validated against every relation
-    by :meth:`PointOnVariety.from_scaled`.  One generator, seeded once from
-    the text ``regmaps:{name}:{seed}``, draws them all in turn, so a point
-    depends on the seed and on its index."""
+) -> "SampleStream":
+    """Lazy endless stream of exact rational points on the variety, as a
+    :class:`SampleStream`: the points of its sampler's stream, each
+    validated against every relation, one at a time by iteration or a
+    block at a time by :meth:`SampleStream.columns`.  One generator, seeded
+    once from the text ``regmaps:{name}:{seed}``, draws them all in turn, so
+    a point depends on the seed and on its index."""
     rng = random.Random(f"regmaps:{variety.name}:{seed}")
-    from_scaled = PointOnVariety.from_scaled
-    for q, nums in variety.sampler(rng, height):
-        yield from_scaled(variety, q, nums)
+    return SampleStream(variety, variety.sampler(rng, height))
+
+
+class SampleStream:
+    """The draws of one variety's sampler, validated as they are handed out.
+
+    Iteration yields each draw as a :class:`PointOnVariety`
+    (:meth:`PointOnVariety.from_scaled`).  :meth:`columns` hands out the
+    next draws of the same stream a block at a time, as integer columns,
+    and builds no point.  A draw that fails its check raises the
+    :class:`PointValidationError` of :meth:`PointOnVariety.from_scaled` and
+    ends the stream: nothing after it is handed out."""
+
+    __slots__ = ("variety", "_draws")
+
+    def __init__(self, variety: Variety, draws: Iterator[Tuple[int, List[int]]]):
+        self.variety = variety
+        self._draws = draws
+
+    def __iter__(self) -> "SampleStream":
+        return self
+
+    def __next__(self) -> PointOnVariety:
+        return self._validated(*next(self._draws))
+
+    def columns(self, count: int) -> Tuple[tuple, List[tuple]]:
+        """The next ``count`` draws as ``(qs, columns)``: draw ``j`` is the
+        point ``columns[i][j] / qs[j]`` in coordinate ``i``.
+
+        Every draw is checked exactly, as :meth:`PointOnVariety.from_scaled`
+        checks it, by :func:`_columns_hold`: per sphere block a whole block
+        of draws at once, for a matrix group draw by draw.  A block that
+        fails is read again through :meth:`PointOnVariety.from_scaled`,
+        which raises at its first failing draw."""
+        rows = list(itertools.islice(self._draws, count))
+        qs, points = zip(*rows) if rows else ((), ())
+        columns = list(zip(*points)) or [()] * self.variety.ambient_dim
+        if not _columns_hold(self.variety, qs, columns, points):
+            for q, nums in rows:
+                self._validated(q, nums)
+        return qs, columns
+
+    def _validated(self, q: int, nums: List[int]) -> PointOnVariety:
+        """:meth:`PointOnVariety.from_scaled` of one draw; a draw it refuses
+        ends the stream."""
+        try:
+            return PointOnVariety.from_scaled(self.variety, q, nums)
+        except PointValidationError:
+            self._draws = iter(())
+            raise
+
+
+def _columns_hold(
+    variety: Variety, qs: tuple, columns: List[tuple], points: tuple
+) -> bool:
+    """Whether every draw of a block, given as ``qs`` and ``columns`` and
+    as ``points``, passes the checks of :meth:`PointOnVariety.from_scaled`:
+    ``q > 0`` and one coordinate per variable, then ``sum of squares ==
+    q**2`` over each sphere block's columns, all draws at once, or for a
+    matrix group :meth:`Variety.first_violation_scaled` draw by draw."""
+    if min(qs, default=1) <= 0 or set(map(len, points)) - {variety.ambient_dim}:
+        return False
+    if variety.matrix is not None:
+        return all(variety.first_violation_scaled(q, nums) is None for q, nums in zip(qs, points))
+    squares = list(map(mul, qs, qs))
+    for block in variety.blocks:
+        sums = itertools.repeat(0)
+        for i in block.variable_ids:
+            sums = map(add, sums, map(mul, columns[i], columns[i]))
+        if list(sums) != squares:
+            return False
+    return True
 
 
 def sample_points(

@@ -2,13 +2,17 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from regmaps.catalog import resolve
 from regmaps.groups import embed_orthogonal
 from regmaps.polynomial import Polynomial, VarRegistry
 from regmaps.ratmap import (
+    AUDIT_BLOCK,
     CodomainViolationError,
     ExcludedLocusError,
     RationalMap,
@@ -42,10 +46,12 @@ from regmaps.spheres import (
     stereo_inv,
 )
 from regmaps.varieties import (
+    DEFAULT_HEIGHT,
     PointOnVariety,
     euclidean,
     sample_point,
     sample_points,
+    sample_stream,
     scaled_image,
     special_orthogonal,
     special_unitary,
@@ -256,10 +262,11 @@ def test_denominator_check_positive_and_negative_cases():
     assert bad.witness is not None
 
 
-def test_denominator_check_reports_are_golden():
-    # Sign-indefinite denominators on one- and two-block sphere domains; the
-    # counts and witnesses were recorded when the sphere samplers came to
-    # draw each point over one denominator.
+def _golden_sign_cases():
+    """Sign-indefinite denominators on one- and two-block sphere domains,
+    as ``(map, denominator_check arguments, report info)``; the counts and
+    witnesses were recorded when the sphere samplers came to draw each
+    point over one denominator."""
     reg = sphere(2).registry
     x1, x2, x3 = (Polynomial.variable(reg, i) for i in range(3))
     on_sphere = RationalMap(
@@ -272,23 +279,123 @@ def test_denominator_check_reports_are_golden():
         y[0] * y[3] - Fraction(1, 3) * y[1],
     )
     meridian = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], x1)
-    cases = [
-        (denominator_check(on_sphere, samples=200, seed=3), {
+    return [
+        (on_sphere, {"samples": 200, "seed": 3}, {
             "method": "sampling", "samples": 200, "zeros": 0, "negatives": 142,
             "witness": ["-1065865/2009803", "-1103322/2009803", "-1298430/2009803"],
         }),
-        (denominator_check(on_product, samples=200, seed=5), {
+        (on_product, {"samples": 200, "seed": 5}, {
             "method": "sampling", "samples": 200, "zeros": 0, "negatives": 103,
             "witness": ["5220/21349", "20701/21349", "-164892/829117", "812555/829117"],
         }),
-        (denominator_check(meridian, samples=200, seed=1, height=4), {
+        (meridian, {"samples": 200, "seed": 1, "height": 4}, {
             "method": "sampling", "samples": 200, "zeros": 6, "negatives": 159,
             "witness": ["-4/13", "12/13", "-3/13"],
         }),
     ]
-    for report, expected in cases:
+
+
+def test_denominator_check_reports_are_golden():
+    for m, arguments, expected in _golden_sign_cases():
+        report = denominator_check(m, **arguments)
         assert not report.passed
         assert report.info == expected
+
+
+def _reference_denominator_check(f, samples, seed=0, height=DEFAULT_HEIGHT):
+    """``(info, witness)`` of :func:`denominator_check`, read from one
+    validated point of ``sample_stream`` at a time: the expanded
+    denominator's ``Fraction`` value, or a staged map's values."""
+    zeros = negatives = 0
+    witness = None
+    for point in islice(sample_stream(f.domain, seed, height=height), samples):
+        value = f.values(point.coords)[1] if f.staged else f.denominator.evaluate(point.coords)
+        if value <= 0:
+            zeros += value == 0
+            negatives += value < 0
+            witness = witness or point.coords
+    info = {"method": "sampling", "samples": samples, "zeros": zeros, "negatives": negatives}
+    if witness is not None:
+        info["witness"] = [str(c) for c in witness]
+    return info, witness
+
+
+# The maps of the ``verify`` jobs of the sphere benchmark.
+SPHERE_VERIFY_NAMES = (
+    "oplus:3", "stereo:5", "phi:4", "reflect:4:2", "s:6", "s-u:3",
+    "jmap:double-rotation", "jmap:rotation",
+)
+
+
+def _staged_meridian() -> RationalMap:
+    # a staged map on S^2 whose denominator x1 has both signs and zeros; its
+    # inner denominator is 1, so no point makes it fall back to its expansion
+    reg = sphere(2).registry
+    outer = RationalMap(sphere(2), euclidean(1), [Polynomial.one(reg)], Polynomial.variable(reg, 0))
+    return compose(outer, identity_map(sphere(2)))
+
+
+def _audit_cases():
+    """``(map, denominator_check arguments)``: the sphere benchmark's maps,
+    the golden cases, a staged map and a group-domain map with both signs."""
+    cases = [(resolve(name), {}) for name in SPHERE_VERIFY_NAMES]
+    cases += [(m, {k: v for k, v in a.items() if k != "samples"}) for m, a, _ in _golden_sign_cases()]
+    so2 = special_orthogonal(2)
+    g11 = Polynomial.variable(so2.registry, 0)
+    g21 = Polynomial.variable(so2.registry, 2)
+    on_group = RationalMap(so2, sphere(1), [g11 * g11, g11 * g21], g11)
+    cases += [(_staged_meridian(), {"seed": 1, "height": 4}), (on_group, {"seed": 4, "height": 20})]
+    return cases
+
+
+@pytest.mark.parametrize("samples", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1])
+def test_the_block_audit_reports_what_a_walk_of_the_stream_reports(samples):
+    cases = _audit_cases()
+    assert cases[-2][0].staged and not cases[-1][0].domain.block_reducible()
+    for m, arguments in cases:
+        report = denominator_check(m, samples=samples, **arguments)
+        info, witness = _reference_denominator_check(m, samples, **arguments)
+        assert (report.info, report.witness) == (info, witness), (m, arguments)
+    assert cases[-2][0].staged  # the audit read the staged map's values, not its expansion
+
+
+def test_the_block_audit_of_the_benchmark_maps_matches_the_walk_at_ten_thousand():
+    for name in SPHERE_VERIFY_NAMES:
+        m = resolve(name)
+        report = denominator_check(m, samples=10_000)
+        assert report.passed, name
+        assert (report.info, report.witness) == _reference_denominator_check(m, 10_000), name
+    staged = _staged_meridian()
+    report = denominator_check(staged, samples=10_000, seed=1, height=4)
+    assert not report.passed and staged.staged
+    assert (report.info, report.witness) == _reference_denominator_check(staged, 10_000, 1, 4)
+
+
+def test_a_passing_audit_builds_no_point_and_keeps_a_flat_memory_peak(monkeypatch):
+    m = stereo(5)
+    assert m.domain == sphere(5) and not m.staged
+    denominator_check(m, samples=AUDIT_BLOCK)  # plans are built and kept on first use
+    built = [0]
+    from_scaled = PointOnVariety.from_scaled.__func__
+
+    def counted(cls, variety, q, nums):
+        built[0] += 1
+        return from_scaled(cls, variety, q, nums)
+
+    monkeypatch.setattr(PointOnVariety, "from_scaled", classmethod(counted))
+    assert denominator_check(m, samples=10_000).passed
+    assert built == [0]
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert denominator_check(m, samples=samples).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(20_000)
+    assert large <= small + 16_384, (small, large)
 
 
 def test_verified_checks_the_codomain_then_the_denominator_signs():

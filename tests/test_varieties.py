@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -21,6 +22,7 @@ from regmaps.linalg import (
 from regmaps.polynomial import (
     ComplexPair, Polynomial, SphereBlock, VarRegistry, polynomial_to_json,
 )
+from regmaps.ratmap import AUDIT_BLOCK, denominator_check, identity_map
 from regmaps.varieties import (
     MatrixGroup,
     PointOnVariety,
@@ -512,6 +514,58 @@ def test_a_shorter_sample_is_a_prefix_of_a_longer_one():
     for kind, variety in SAMPLER_KINDS.items():
         short, longer = (sample_points(variety, count, 5) for count in (3, 7))
         assert [p.scaled for p in short] == [p.scaled for p in longer[:3]], kind
+
+
+def test_a_column_read_hands_out_the_points_of_the_stream():
+    for kind, variety in SAMPLER_KINDS.items():
+        for height in (1000, 4):
+            points = sample_points(variety, 9, 5, height=height)
+            stream = sample_stream(variety, 5, height=height)
+            blocks = [stream.columns(count) for count in (4, 1, 4)]
+            read = [(q, nums) for qs, cols in blocks for q, nums in zip(qs, zip(*cols))]
+            assert read == [p.scaled for p in points], (kind, height)
+            assert next(stream).scaled == sample_points(variety, 10, 5, height=height)[9].scaled
+
+
+# Ways to spoil one draw: off the variety, one coordinate short, and the
+# point negated over a negative q, on the variety but not a scaled form.
+SPOILED_DRAWS = {
+    "off": lambda q, nums: (q + 1, nums),
+    "short": lambda q, nums: (q, nums[:-1]),
+    "negative": lambda q, nums: (-q, [-n for n in nums]),
+}
+
+
+# first, inside and last of the second block of the denominator audit
+@pytest.mark.parametrize("bad", [AUDIT_BLOCK, AUDIT_BLOCK + 44, 2 * AUDIT_BLOCK - 1])
+@pytest.mark.parametrize("spoil", sorted(SPOILED_DRAWS))
+@pytest.mark.parametrize("name", ["S2", "SO3"])
+def test_a_column_read_refuses_a_bad_draw_as_a_point_read_does(name, spoil, bad):
+    base = variety_by_name(name)
+    drawn = []
+
+    def sampler(rng, height):
+        for index, (q, nums) in enumerate(base.sampler(rng, height)):
+            drawn.append(index)
+            yield SPOILED_DRAWS[spoil](q, nums) if index == bad else (q, nums)
+
+    variety = Variety(name, base.registry, base.blocks, base.matrix, sampler=sampler)
+    with pytest.raises(PointValidationError) as by_points:
+        sample_points(variety, 2 * AUDIT_BLOCK)
+    assert drawn[-1] == bad
+    drawn.clear()
+    stream = sample_stream(variety)
+    assert len(stream.columns(AUDIT_BLOCK)[0]) == AUDIT_BLOCK
+    with pytest.raises(PointValidationError) as by_columns:
+        stream.columns(AUDIT_BLOCK)
+    assert str(by_columns.value) == str(by_points.value)
+    # the stream has ended: no draw after the bad one is handed out
+    assert drawn[-1] < 2 * AUDIT_BLOCK
+    assert stream.columns(AUDIT_BLOCK) == ((), [()] * variety.ambient_dim)
+    assert next(stream, None) is None
+    f = identity_map(variety)
+    with pytest.raises(PointValidationError, match=re.escape(str(by_points.value))):
+        denominator_check(f, samples=10_000)
 
 
 def test_neighbouring_seeds_share_no_point():
