@@ -392,11 +392,11 @@ def j_map(spec: JMapInput) -> RationalMap:
         [transport_polynomial(p, reg, var_map) for p in row] for row in spec.entries
     ]
     ys = [Polynomial.variable(reg, n + 1 + j) for j in range(k)]
-    y_norm = Polynomial.sum(reg, (y * y for y in ys))
+    y_norm = Polynomial.dot(reg, ys, ys)
     q_squared = scale_t * scale_t
     nums = [q_squared - y_norm]
     for j in range(k):
-        nums.append(2 * Polynomial.sum(reg, (entries_t[i][j] * ys[i] for i in range(k))))
+        nums.append(2 * Polynomial.dot(reg, [row[j] for row in entries_t], ys))
     den = q_squared + y_norm
     label = spec.label or f"j_map_{n}_{k}"
     built = RationalMap(

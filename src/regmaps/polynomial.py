@@ -22,11 +22,15 @@ Data model
   coefficients, kept in a canonical graded-reverse-lexicographic order
   (highest first) so that equal polynomials have identical iteration
   order and identical serialized bytes.
-* The constructor is the one place where terms combine: it takes a mapping
-  or an iterable of ``(monomial, coefficient)`` pairs and a denominator,
-  adds repeated monomials, drops zeros, reduces to lowest terms and sorts
-  once.  :meth:`Polynomial.sum` adds many polynomials in one such pass,
-  over the lcm of their denominators, instead of a quadratic chain of ``+``.
+* The constructor takes a mapping or an iterable of ``(monomial,
+  coefficient)`` pairs and a denominator, adds repeated monomials, drops
+  zeros, reduces to lowest terms and sorts once.
+  :meth:`Polynomial.sum_of_products` is the one accumulator of sums of
+  products ``coeff * left * right``: it multiplies every product straight
+  into one dict over the lcm of the denominators and settles the sum the
+  same way, once, so no product is built, sorted or reduced on its own.
+  ``+``, ``-``, :meth:`Polynomial.sum` and every product of two factors of
+  more than one term go through it.
 * A complex quantity is a :class:`ComplexPair`, the pair ``(re, im)`` of
   its real and imaginary parts: polynomials in real variables while maps
   into the circle and the unitary groups are built, integers when such
@@ -50,10 +54,11 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import partial
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 
 class RegistryMismatchError(ValueError):
@@ -75,6 +80,8 @@ class OverlappingBlocksError(ValueError):
 FIELD = 16  # bits per exponent in a monomial key
 _MASK = (1 << FIELD) - 1
 DEGREE_LIMIT = 1 << FIELD  # every monomial's degree stays below this
+_WORD = 64  # bits of a monomial key whose text the writer keeps as one piece
+_WORD_MASK = (1 << _WORD) - 1
 
 
 class VarRegistry:
@@ -140,12 +147,12 @@ def exponents(m: int, registry: VarRegistry) -> tuple:
     return tuple(memoryview(fields).cast("H"))
 
 
-def _factors(fields: int) -> Iterator[tuple]:
+def _factors(fields: int, var: int = 0) -> Iterator[tuple]:
     """Yield ``(variable id, exponent)`` for each nonzero exponent in
     ``fields``, a monomial key without its degree (``m & registry.low``), by
     increasing id: the order of the serialized form.  Only the nonzero
-    fields are visited."""
-    var = 0
+    fields are visited.  ``var`` is the id of the lowest field: nonzero when
+    ``fields`` is a key shifted down past its first ``var`` fields."""
     while fields:
         skip = ((fields & -fields).bit_length() - 1) // FIELD  # zero fields below
         fields >>= FIELD * skip
@@ -168,13 +175,20 @@ class Polynomial:
         an iterable of ``(monomial key, coefficient)`` pairs with ``int``
         coefficients, and the positive ``int`` ``den``.  Repeated monomials
         are added, zero coefficients dropped, the coefficients and ``den``
-        divided by their gcd and the result put in canonical order: every
-        sum of terms is made here.  A coefficient that is no integer raises
-        ``TypeError``."""
-        combined: dict = {}
-        for m, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            prev = combined.get(m)
-            combined[m] = coeff if prev is None else prev + coeff
+        divided by their gcd and the result put in canonical order.  A
+        coefficient that is no integer raises ``TypeError``."""
+        if isinstance(terms, Mapping):
+            combined = terms
+        else:
+            combined = {}
+            for m, coeff in terms:
+                prev = combined.get(m)
+                combined[m] = coeff if prev is None else prev + coeff
+        self._settle(registry, combined, den)
+
+    def _settle(self, registry: VarRegistry, combined: Mapping, den: int) -> None:
+        """Keep the nonzero terms of ``combined``, each monomial once, put in
+        canonical order, over ``den``: one sort and one gcd."""
         # Graded reverse-lexicographic order, highest first, is the
         # descending order of the keys with their exponent fields flipped:
         # the higher degree first, then the smaller fields, the last
@@ -223,12 +237,66 @@ class Polynomial:
 
     @staticmethod
     def sum(registry: VarRegistry, polys: Iterable["Polynomial"]) -> "Polynomial":
-        """The sum of ``polys``, all over ``registry``, built in one pass
-        over the lcm of their denominators."""
-        polys = [_check_registry(registry, p) for p in polys]
-        den = lcm(*[p.den for p in polys])
-        scaled = (_scaled_terms(p, den // p.den) for p in polys)
-        return Polynomial(registry, chain.from_iterable(scaled), den)
+        """The sum of ``polys``, all over ``registry``: a
+        :meth:`sum_of_products` of lone factors."""
+        return Polynomial.sum_of_products(registry, [(1, p, None) for p in polys])
+
+    @staticmethod
+    def dot(
+        registry: VarRegistry, lefts: Iterable["Polynomial"], rights: Iterable["Polynomial"]
+    ) -> "Polynomial":
+        """The sum of the products ``lefts[j] * rights[j]``, all over
+        ``registry``: one :meth:`sum_of_products`."""
+        return Polynomial.sum_of_products(registry, [(1, x, y) for x, y in zip(lefts, rights)])
+
+    @staticmethod
+    def sum_of_products(registry: VarRegistry, terms: Iterable[tuple]) -> "Polynomial":
+        """The sum of ``coeff * left * right`` over ``terms``, triples of an
+        ``int`` ``coeff`` and polynomials over ``registry``; ``right`` is
+        ``None`` for the lone factor ``coeff * left``.
+
+        This is the one accumulator of sums and products: every product is
+        multiplied straight into one dict over the lcm of the terms'
+        denominators, so no product is built as a polynomial of its own, and
+        the sum is sorted and reduced once.  An operand over another
+        registry raises :class:`RegistryMismatchError` and a product whose
+        degree reaches ``DEGREE_LIMIT`` raises ``OverflowError``, as ``*``
+        does."""
+        shift = registry.shift
+        checked = []
+        for coeff, left, right in terms:
+            den = _check_registry(registry, left).den
+            if right is not None:
+                den *= _check_registry(registry, right).den
+                if left.terms and right.terms:
+                    # The leading keys hold the largest degrees: their sum
+                    # bounds the degree of every product of monomials.
+                    degree = (next(iter(left.terms)) + next(iter(right.terms))) >> shift
+                    if degree >= DEGREE_LIMIT:
+                        raise OverflowError(
+                            f"a product of degree {degree} reaches the limit {DEGREE_LIMIT}"
+                        )
+            checked.append((coeff, left, right, den))
+        den = lcm(*[term_den for *_, term_den in checked])
+        acc: dict = {}
+        get = acc.get
+        for coeff, left, right, term_den in checked:
+            factor = coeff * (den // term_den)
+            if right is None:
+                for m, c in left.terms.items():
+                    acc[m] = get(m, 0) + c * factor
+                continue
+            if len(left.terms) > len(right.terms):
+                left, right = right, left
+            inner = list(right.terms.items())
+            for m1, c1 in left.terms.items():
+                c1 *= factor
+                for m2, c2 in inner:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        out = object.__new__(Polynomial)
+        out._settle(registry, acc, den)
+        return out
 
     # -- inspection ------------------------------------------------------
 
@@ -286,7 +354,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Polynomial":
-        return Polynomial.sum(self.registry, (self, -self._coerce(other)))
+        terms = [(1, self, None), (-1, self._coerce(other), None)]
+        return Polynomial.sum_of_products(self.registry, terms)
 
     def __rsub__(self, other: object) -> "Polynomial":
         return self._coerce(other) - self
@@ -304,31 +373,22 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_registry(self.registry, other)
-        if not (self.terms and other.terms):
-            return Polynomial.zero(self.registry)
-        # The leading keys hold the largest degrees: their sum bounds the
-        # degree of every product of monomials.
-        degree = (next(iter(self.terms)) + next(iter(other.terms))) >> self.registry.shift
+        poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
+        if len(mono.terms) != 1 or not poly.terms:
+            return Polynomial.sum_of_products(self.registry, [(1, self, other)])
+        # A one-term factor keeps the order of the other factor's terms: the
+        # order is a monomial order.
+        ((m, cm),) = mono.terms.items()
+        degree = (next(iter(poly.terms)) + m) >> self.registry.shift
         if degree >= DEGREE_LIMIT:
             raise OverflowError(f"a product of degree {degree} reaches the limit {DEGREE_LIMIT}")
-        poly, mono = (self, other) if len(other.terms) == 1 else (other, self)
-        if len(mono.terms) == 1:
-            # A one-term factor keeps the order of the other factor's terms:
-            # the order is a monomial order.
-            ((m, cm),) = mono.terms.items()
-            terms = {k + m: c * cm for k, c in poly.terms.items()}
-            return _ordered(self.registry, terms, self.den * other.den)
-        products = (
-            (m1 + m2, c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        )
-        return Polynomial(self.registry, products, self.den * other.den)
+        terms = {k + m: c * cm for k, c in poly.terms.items()}
+        return _ordered(self.registry, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        return _power(self, exponent, Polynomial.one(self.registry))
+        return _power(self, exponent, partial(Polynomial.one, self.registry))
 
     def _coerce(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -471,13 +531,6 @@ def _ordered(registry: VarRegistry, terms: dict, den: int) -> Polynomial:
     return p
 
 
-def _scaled_terms(p: Polynomial, factor: int) -> Iterable[tuple]:
-    """The ``(monomial key, coefficient)`` pairs of ``p`` with every
-    coefficient times ``factor``."""
-    items = p.terms.items()
-    return items if factor == 1 else ((m, c * factor) for m, c in items)
-
-
 def _check_registry(registry: VarRegistry, p: Polynomial) -> Polynomial:
     """``p``, after checking that it lives over ``registry``."""
     if p.registry != registry:
@@ -502,18 +555,19 @@ def transport_polynomial(
     return Polynomial(new_registry, ((moved(m), c) for m, c in p.terms.items()), p.den)
 
 
-def _power(base, exponent: int, one):
-    """``base ** exponent`` by repeated squaring, from ``one`` of its ring."""
+def _power(base, exponent: int, one: Callable):
+    """``base ** exponent`` by repeated squaring.  ``one()`` builds the one
+    of its ring, the power for the exponent 0: it is never multiplied in."""
     if exponent < 0:
         raise ValueError("negative powers are not polynomials")
-    result = one
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else result * base
         exponent >>= 1
         if exponent:
             base = base * base
-    return result
+    return one() if result is None else result
 
 
 class ComplexPair(NamedTuple):
@@ -523,7 +577,9 @@ class ComplexPair(NamedTuple):
 
     Pairs combine with pairs and with ``int`` or ``Fraction`` operands,
     which enter as ``(value, 0)``: on either side of ``+``, ``-`` and
-    ``*``, and as the divisor of ``/``.  A real polynomial ``p`` enters as
+    ``*``, and as the divisor of ``/``.  The product of two pairs of
+    polynomials is a one-term :meth:`dot`, two sums of products of the
+    accumulator.  A real polynomial ``p`` enters as
     ``ComplexPair(p, zero)``.  Being a tuple, a pair unpacks as
     ``re, im = z``; it is true when nonzero.  Division needs scalar parts
     and is exact: the quotient's parts are ``Fraction``.  Floor division
@@ -539,12 +595,18 @@ class ComplexPair(NamedTuple):
         return self.re.registry
 
     @staticmethod
-    def sum(registry: VarRegistry, pairs: Iterable["ComplexPair"]) -> "ComplexPair":
-        """The sum of polynomial ``pairs``, all over ``registry``: one sum per part."""
-        pairs = list(pairs)
+    def dot(
+        registry: VarRegistry, lefts: Iterable["ComplexPair"], rights: Iterable["ComplexPair"]
+    ) -> "ComplexPair":
+        """The sum of the products ``lefts[j] * rights[j]``, pairs of
+        polynomials over ``registry``: one
+        :meth:`~Polynomial.sum_of_products` per part, with two products per
+        pair in each."""
+        pairs = list(zip(lefts, rights))
+        re = [t for x, y in pairs for t in ((1, x.re, y.re), (-1, x.im, y.im))]
+        im = [t for x, y in pairs for t in ((1, x.re, y.im), (1, x.im, y.re))]
         return ComplexPair(
-            Polynomial.sum(registry, (z.re for z in pairs)),
-            Polynomial.sum(registry, (z.im for z in pairs)),
+            Polynomial.sum_of_products(registry, re), Polynomial.sum_of_products(registry, im)
         )
 
     def __bool__(self) -> bool:
@@ -575,6 +637,8 @@ class ComplexPair(NamedTuple):
         other = _as_pair(other)
         if other is None:
             return NotImplemented
+        if all(isinstance(part, Polynomial) for part in (*self, *other)):
+            return ComplexPair.dot(self.registry, [self], [other])
         return ComplexPair(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -608,7 +672,7 @@ class ComplexPair(NamedTuple):
         return ComplexPair(re, im)
 
     def __pow__(self, exponent: int) -> "ComplexPair":
-        return _power(self, exponent, ComplexPair(self.re * 0 + 1, self.im * 0))
+        return _power(self, exponent, lambda: ComplexPair(self.re * 0 + 1, self.im * 0))
 
     def conjugate(self) -> "ComplexPair":
         """Complex conjugate; the variables are real, so only ``im`` flips."""
@@ -652,13 +716,19 @@ class SphereBlock:
 
     def relation(self, registry: VarRegistry) -> Polynomial:
         """The defining polynomial `v1^2 + ... + vm^2 - 1`."""
-        squares = (Polynomial.variable(registry, v) ** 2 for v in self.variable_ids)
-        return Polynomial.sum(registry, squares) - 1
+        return _sum_of_squares(registry, self.variable_ids) - 1
 
     def substitute_polynomial(self, registry: VarRegistry) -> Polynomial:
         """`1 - v1^2 - ... - v(m-1)^2`, the replacement for `v_last^2`."""
-        squares = (Polynomial.variable(registry, v) ** 2 for v in self.variable_ids[:-1])
-        return 1 - Polynomial.sum(registry, squares)
+        return 1 - _sum_of_squares(registry, self.variable_ids[:-1])
+
+
+def _sum_of_squares(registry: VarRegistry, variable_ids: Sequence[int]) -> Polynomial:
+    """`v1^2 + ... + vk^2` over ``variable_ids``.  Each square is made, and
+    its variable dropped, before the next: a block may span thousands of
+    variables, and their keys as many kilobytes each."""
+    squares = (Polynomial.variable(registry, v) ** 2 for v in variable_ids)
+    return Polynomial.sum(registry, squares)
 
 
 def check_blocks_disjoint(blocks: Sequence[SphereBlock]) -> None:
@@ -768,17 +838,44 @@ def polynomial_from_obj(obj: Sequence, registry: VarRegistry) -> Polynomial:
     return Polynomial(registry, [(m, c.numerator * (den // c.denominator)) for m, c in pairs], den)
 
 
-def polynomial_to_json(p: Polynomial) -> str:
+def polynomial_to_json(p: Polynomial, cache: Optional[dict] = None) -> str:
     """The canonical text of ``p``, the one encoder of the serialized form:
     ``[{"c":"n/d","m":[[i,e],...]},...]`` in canonical term order, with no
-    whitespace, written straight from the monomial keys."""
+    whitespace, written straight from the monomial keys.
+
+    A monomial's ``"m"`` list is joined from the text of each nonzero
+    ``_WORD``-bit word of its key (``_WORD // FIELD`` exponent fields),
+    kept in ``cache`` under the word's position and bits and written on a
+    miss: pass one dict to the calls for several polynomials to share it
+    (:func:`~regmaps.ratmap.map_to_json` does, for a map's).  Zero words are
+    skipped a run at a time, by the lowest set bit as :func:`_factors` skips
+    zero fields, so a long key costs the shifts of its nonzero words only."""
+    cache = {} if cache is None else cache
     low, den = p.registry.low, p.den
-    terms = ",".join(
-        '{"c":"%s","m":[%s]}'
-        % (_coefficient_to_str(coeff, den), ",".join(map("[%d,%d]".__mod__, _factors(m & low))))
-        for m, coeff in p.terms.items()
-    )
-    return f"[{terms}]"
+    # Over the denominator 1 a coefficient's text is ``n/1``, with no gcd.
+    coefficient = "%d/1".__mod__ if den == 1 else partial(_coefficient_to_str, den=den)
+    terms = []
+    for m, coeff in p.terms.items():
+        fields = m & low
+        text = ""
+        word = 0
+        while fields:
+            bits = fields & _WORD_MASK
+            if not bits:
+                skip = ((fields & -fields).bit_length() - 1) // _WORD  # zero words below
+                fields >>= _WORD * skip
+                word += skip
+                bits = fields & _WORD_MASK
+            key = (word, bits)
+            piece = cache.get(key)
+            if piece is None:
+                first = word * (_WORD // FIELD)  # the id of the word's lowest field
+                piece = cache[key] = ",".join(map("[%d,%d]".__mod__, _factors(bits, first)))
+            text = f"{text},{piece}" if text else piece
+            fields >>= _WORD
+            word += 1
+        terms.append('{"c":"%s","m":[%s]}' % (coefficient(coeff), text))
+    return "[" + ",".join(terms) + "]"
 
 
 def polynomial_from_json(text: str, registry: VarRegistry) -> Polynomial:

@@ -72,9 +72,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, product
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
@@ -368,28 +369,36 @@ def substitute_cleared(
         raise ValueError("clearing degree is smaller than the source degree")
     target = denominator.registry
     image_powers: dict = {}
-    den_powers = [Polynomial.one(target)]
+    den_powers = [None, denominator]  # den_powers[k] is denominator ** k, k >= 1
 
-    def cleared_term(m: int, coeff: int) -> Polynomial:
-        term = Polynomial.constant(target, coeff)
+    def cleared_term(m: int, coeff: int) -> tuple:
+        # ``coeff`` times the image of the monomial ``m`` times
+        # ``denominator ** (degree - deg m)``, as one term of the
+        # accumulator: all factors but the largest are multiplied out,
+        # smallest first, and the largest is left to the accumulator.
         exps = exponents(m, source.registry)
+        factors = []
         for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            key = (i, e)
-            p = image_powers.get(key)
-            if p is None:
-                p = images[i] ** e
-                image_powers[key] = p
-            term = term * p
+            if e:
+                p = image_powers.get((i, e))
+                if p is None:
+                    p = image_powers[(i, e)] = images[i] ** e
+                factors.append(p)
         k = degree - sum(exps)
-        while len(den_powers) <= k:
-            den_powers.append(den_powers[-1] * denominator)
-        return term * den_powers[k]
+        if k:
+            while len(den_powers) <= k:
+                den_powers.append(den_powers[-1] * denominator)
+            factors.append(den_powers[k])
+        if not factors:
+            return coeff, Polynomial.one(target), None
+        factors.sort(key=len)
+        *rest, largest = factors
+        return (coeff, reduce(mul, rest), largest) if rest else (coeff, largest, None)
 
     # Each integer coefficient of ``source`` is cleared with its monomial;
     # the sum is then put over ``source``'s denominator.
-    total = Polynomial.sum(target, (cleared_term(m, c) for m, c in source.terms.items()))
+    cleared = [cleared_term(m, c) for m, c in source.terms.items()]
+    total = Polynomial.sum_of_products(target, cleared)
     return total if source.den == 1 else _ordered(target, total.terms, total.den * source.den)
 
 
@@ -825,29 +834,34 @@ def matrix_multiply(a: RationalMap, b: RationalMap) -> RationalMap:
     )
 
 
-def _product(a: RationalMap, x: Sequence, y: Sequence, summed: Callable) -> list:
+def _product(a: RationalMap, x: Sequence, y: Sequence, dot: Callable) -> list:
     """Row-major coordinates of the product of the matrices ``x`` and ``y``
-    of ``a``'s group, polynomials or values; ``summed`` adds the products
-    that make one entry."""
+    of ``a``'s group, polynomials or values; ``dot(row, column)`` is one
+    entry."""
     group = a.codomain.matrix
     columns = list(zip(*group.rows(y)))
-    product_rows = [
-        [summed(left * right for left, right in zip(row, column)) for column in columns]
-        for row in group.rows(x)
-    ]
+    product_rows = [[dot(row, column) for column in columns] for row in group.rows(x)]
     return group.coordinates(product_rows)
 
 
 def _product_polynomials(a: RationalMap, b: RationalMap):
+    # Each entry is one sum of products of the accumulator, two for a
+    # complex entry: no product of two entries is built on its own.
     entry_type = ComplexPair if a.codomain.matrix.complex_entries else Polynomial
-    summed = partial(entry_type.sum, a.domain.registry)
-    return _product(a, a.numerators, b.numerators, summed), a.denominator * b.denominator
+    dot = partial(entry_type.dot, a.domain.registry)
+    return _product(a, a.numerators, b.numerators, dot), a.denominator * b.denominator
 
 
 def _product_values(node, scaled, memo):
     a, b = node._stage.inputs
     (x, x_den), (y, y_den) = a._values(scaled, memo), b._values(scaled, memo)
-    return _product(a, x, y, sum), x_den * y_den
+    return _product(a, x, y, _scalar_dot), x_den * y_den
+
+
+def _scalar_dot(row: Sequence, column: Sequence):
+    """The sum of the products of ``row`` and ``column``, scalars or pairs of
+    scalars."""
+    return sum(map(mul, row, column))
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +901,13 @@ def map_from_obj(obj: dict) -> RationalMap:
 def map_to_json(m: RationalMap) -> str:
     """The canonical text of ``m``, one line with no whitespace: its keys
     in sorted order, ``"label"`` only when set and ``"matrix"`` only into a
-    matrix group.  Polynomials are written by :func:`polynomial_to_json`;
-    strings and the matrix block go through ``json.dumps``, which escapes
-    them as ASCII."""
+    matrix group.  Polynomials are written by :func:`polynomial_to_json`,
+    all from one cache of monomial text; strings and the matrix block go
+    through ``json.dumps``, which escapes them as ASCII."""
+    cache: dict = {}  # the monomial text of every polynomial of the map
     fields = [
         ("codomain", json.dumps(m.codomain.name)),
-        ("denominator", polynomial_to_json(m.denominator)),
+        ("denominator", polynomial_to_json(m.denominator, cache)),
         ("domain", json.dumps(m.domain.name)),
         ("excluded", json.dumps(m.excluded)),
     ]
@@ -901,7 +916,7 @@ def map_to_json(m: RationalMap) -> str:
     block = _matrix_block(m.codomain)
     if block is not None:
         fields.append(("matrix", json.dumps(block, separators=(",", ":"), sort_keys=True)))
-    numerators = ",".join(polynomial_to_json(p) for p in m.numerators)
+    numerators = ",".join(polynomial_to_json(p, cache) for p in m.numerators)
     fields.append(("numerators", f"[{numerators}]"))
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields) + "}"
 

@@ -61,7 +61,8 @@ def stereo_inv(n: int) -> RationalMap:
         raise ValueError("need n >= 1")
     dom = euclidean(n)
     reg = dom.registry
-    norm = Polynomial.sum(reg, (Polynomial.variable(reg, i) ** 2 for i in range(n)))
+    xs = [Polynomial.variable(reg, i) for i in range(n)]
+    norm = Polynomial.dot(reg, xs, xs)
     den = Polynomial.one(reg) + norm
     nums = [Polynomial.one(reg) - norm]
     nums += [2 * Polynomial.variable(reg, i) for i in range(n)]
@@ -82,7 +83,7 @@ def oplus(n: int) -> RationalMap:
     x = [Polynomial.variable(reg, i) for i in range(m)]
     y = [Polynomial.variable(reg, m + i) for i in range(m)]
     one = Polynomial.one(reg)
-    cross = Polynomial.sum(reg, (x[j] * y[j] for j in range(1, m)))
+    cross = Polynomial.dot(reg, x[1:], y[1:])
     product_term = (one + x[0]) * (one + y[0])
     den = product_term + 2 * one - 2 * x[0] * y[0] + 2 * cross
     nums = [product_term - 2 * one + 2 * x[0] * y[0] - 2 * cross]
@@ -162,8 +163,8 @@ def chart_sum_identity_residual(n: int) -> Polynomial:
     y = [Polynomial.variable(reg, m + i) for i in range(m)]
     one = Polynomial.one(reg)
     u = [x[j] * (one + y[0]) + y[j] * (one + x[0]) for j in range(1, m)]
-    lhs = Polynomial.sum(reg, (u_i * u_i for u_i in u))
-    cross = Polynomial.sum(reg, (x[j] * y[j] for j in range(1, m)))
+    lhs = Polynomial.dot(reg, u, u)
+    cross = Polynomial.dot(reg, x[1:], y[1:])
     rhs = (2 * one - 2 * x[0] * y[0] + 2 * cross) * (one + x[0]) * (one + y[0])
     return normal_form(lhs - rhs, dom.blocks)
 

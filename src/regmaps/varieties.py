@@ -393,38 +393,41 @@ _Entry = TypeVar("_Entry", Polynomial, ComplexPair)
 
 def poly_matrix_determinant(entries: Sequence[Sequence[_Entry]]) -> _Entry:
     """Leibniz-formula determinant of a small matrix of polynomials, real
-    or :class:`~regmaps.polynomial.ComplexPair` pairs alike."""
+    or :class:`~regmaps.polynomial.ComplexPair` pairs alike.  Each signed
+    term multiplies out its factors from all rows but the last; the products
+    with the last row's factors are summed by the accumulator, as one dot
+    product."""
     n = len(entries)
+    first = entries[0][0]
+    if n == 1:
+        return first
+    perms = list(itertools.permutations(range(n)))
 
-    def signed_product(perm: tuple) -> _Entry:
+    def signed_head(perm: tuple) -> _Entry:
         term = entries[0][perm[0]]
-        for i in range(1, n):
+        for i in range(1, n - 1):
             term = term * entries[i][perm[i]]
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         return -term if inversions % 2 else term
 
-    first = entries[0][0]
-    terms = map(signed_product, itertools.permutations(range(n)))
-    # Polynomial.sum or ComplexPair.sum, as the entries are.
-    return type(first).sum(first.registry, terms)
+    lasts = [entries[-1][perm[-1]] for perm in perms]
+    # Polynomial.dot or ComplexPair.dot, as the entries are.
+    return type(first).dot(first.registry, map(signed_head, perms), lasts)
 
 
 def _gram_relations(registry: VarRegistry, group: MatrixGroup) -> List[Polynomial]:
     """Entries of M* M - I and M M* - I (upper triangle, realified) for the
     matrix M of ``group`` over ``registry``."""
     n, conjugate = group.size, group.complex_entries
-    entries = group.rows([Polynomial.variable(registry, i) for i in range(registry.size)])
-    summed = ComplexPair.sum if conjugate else Polynomial.sum
+    rows = group.rows([Polynomial.variable(registry, i) for i in range(registry.size)])
+    dot = ComplexPair.dot if conjugate else Polynomial.dot
     out: List[Polynomial] = []
-    for left_conj in (True, False):
+    # M* M pairs the columns of M, M M* its rows.
+    for lines in (list(zip(*rows)), rows):
         for i in range(n):
             for j in range(i, n):
-                if left_conj:
-                    pairs = ((entries[m][i], entries[m][j]) for m in range(n))
-                else:
-                    pairs = ((entries[i][m], entries[j][m]) for m in range(n))
-                products = ((a.conjugate() if conjugate else a) * b for a, b in pairs)
-                acc = summed(registry, products)
+                lefts = [a.conjugate() for a in lines[i]] if conjugate else lines[i]
+                acc = dot(registry, lefts, lines[j])
                 if not conjugate:
                     out.append(acc - 1 if i == j else acc)
                     continue

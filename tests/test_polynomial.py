@@ -149,22 +149,22 @@ def test_sum_rejects_a_summand_over_another_registry():
         Polynomial.sum(other, [X1])
 
 
-def test_complex_sum_matches_its_fold():
+def test_complex_dot_matches_its_fold():
     rng = random.Random(707)
     zero = ComplexPair(Polynomial.zero(REG), Polynomial.zero(REG))
     for _ in range(30):
-        pairs = [
-            ComplexPair(random_poly(rng), random_poly(rng))
-            for _ in range(rng.randrange(6))
-        ]
+        lefts, rights = (
+            [ComplexPair(random_poly(rng), random_poly(rng)) for _ in range(3)] for _ in range(2)
+        )
+        length = rng.randrange(4)
         folded = zero
-        for z in pairs:
-            folded = folded + z
-        assert ComplexPair.sum(REG, (z for z in pairs)) == folded
-    assert ComplexPair.sum(REG, iter(())) == zero
+        for x, y in zip(lefts[:length], rights[:length]):
+            folded = folded + ComplexPair(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+        assert ComplexPair.dot(REG, lefts[:length], rights[:length]) == folded
+    assert ComplexPair.dot(REG, [], []) == zero
     with pytest.raises(RegistryMismatchError):
         other = Polynomial.zero(VarRegistry(["a"]))
-        ComplexPair.sum(REG, [ComplexPair(X1, X2), ComplexPair(other, other)])
+        ComplexPair.dot(REG, [ComplexPair(X1, X2)] * 2, [ComplexPair(X1, X2), ComplexPair(other, X1)])
 
 
 def test_registry_mismatch_rejected():
@@ -631,6 +631,95 @@ def test_the_serialized_form_is_the_fraction_references(a):
     assert polynomial_to_json(again) == text
 
 
+# ---------------------------------------------------------------------------
+# the accumulator of sums of products, against the Fraction reference
+# ---------------------------------------------------------------------------
+
+coefficients = st.integers(-5, 5) | st.integers(-(10**20), 10**20)
+product_terms = st.lists(st.tuples(coefficients, references, st.none() | references), max_size=5)
+
+
+def _reference_sum(terms) -> dict:
+    """The sum of ``coeff * left * right`` over reference triples."""
+    out: dict = {}
+    for coeff, left, right in terms:
+        product = left if right is None else ref.mul(left, right)
+        out = ref.add(out, ref.mul(product, {(0,) * REG.size: Fraction(coeff)}))
+    return out
+
+
+@REFERENCE_SETTINGS
+@given(product_terms, st.booleans())
+def test_the_accumulator_agrees_with_the_fraction_reference(terms, cancel):
+    """Denominators above one, lone factors, and, when ``cancel``, every term
+    again with its coefficient negated, so that the sum cancels to zero."""
+    if cancel:
+        terms = terms + [(-coeff, left, right) for coeff, left, right in terms]
+    built = [
+        (coeff, ref.to_polynomial(REG, left), None if right is None else ref.to_polynomial(REG, right))
+        for coeff, left, right in terms
+    ]
+    total = Polynomial.sum_of_products(REG, built)
+    assert_canonical(total)
+    assert ref.from_polynomial(total) == _reference_sum(terms)
+    assert total.is_zero() or not cancel
+    # the canonical order of the terms: that of any other route to the sum
+    folded = Polynomial.zero(REG)
+    for coeff, left, right in built:
+        folded = folded + coeff * (left if right is None else left * right)
+    assert (total.den, list(total.terms.items())) == (folded.den, list(folded.terms.items()))
+
+
+def test_the_accumulator_of_no_terms_is_zero():
+    total = Polynomial.sum_of_products(REG, [])
+    assert total == Polynomial.zero(REG) and total.den == 1
+    assert Polynomial.sum_of_products(REG, iter([(0, X1, X2), (3, ONE - ONE, None)])).is_zero()
+    assert Polynomial.dot(REG, [], []) == Polynomial.zero(REG)
+
+
+pairs_of_references = st.tuples(references, references)
+
+
+@REFERENCE_SETTINGS
+@given(st.lists(st.tuples(pairs_of_references, pairs_of_references), max_size=4))
+def test_a_complex_matrix_product_entry_agrees_with_the_fraction_reference(pairs):
+    """One entry of a product of complex matrices: the sum over ``j`` of
+    ``(a + bi)(c + di)``, Re and Im each one sum of products."""
+    lefts = [ComplexPair(*(ref.to_polynomial(REG, p) for p in x)) for x, _ in pairs]
+    rights = [ComplexPair(*(ref.to_polynomial(REG, p) for p in y)) for _, y in pairs]
+    re, im = ComplexPair.dot(REG, lefts, rights)
+    expected_re = _reference_sum(t for (a, b), (c, d) in pairs for t in ((1, a, c), (-1, b, d)))
+    expected_im = _reference_sum(t for (a, b), (c, d) in pairs for t in ((1, a, d), (1, b, c)))
+    for part, expected in ((re, expected_re), (im, expected_im)):
+        assert_canonical(part)
+        assert ref.from_polynomial(part) == expected
+
+
+def test_the_accumulator_refuses_what_a_product_refuses():
+    other = VarRegistry(["x1", "x2"])
+    stranger = Polynomial.variable(other, 0)
+    message = (
+        r"operands use different registries: \('x1', 'x2', 'x3', 'y1'\) vs \('x1', 'x2'\)$"
+    )
+    for terms in ([(1, X1, None), (2, stranger, None)], [(1, X1, stranger)], [(1, stranger, X1)]):
+        with pytest.raises(RegistryMismatchError, match=message):
+            Polynomial.sum_of_products(REG, terms)
+    full = X2**TOP
+    limit = f"^a product of degree {DEGREE_LIMIT} reaches the limit {DEGREE_LIMIT}$"
+    for terms in ([(1, full, X1)], [(1, X1 + X3, full + 1)], [(1, ONE, X1), (-1, full, Y1)]):
+        with pytest.raises(OverflowError, match=limit):
+            Polynomial.sum_of_products(REG, terms)
+    # a lone factor of full degree, and a product just below the limit, are fine
+    assert Polynomial.sum_of_products(REG, [(1, full, None), (1, X2 ** (TOP - 1), X1)]) == (
+        full + X2 ** (TOP - 1) * X1
+    )
+
+
+# ---------------------------------------------------------------------------
+# the writer
+# ---------------------------------------------------------------------------
+
+
 def _exps(size: int, fields=()) -> tuple:
     """The exponent tuple over ``size`` variables with ``{id: exponent}`` set."""
     return tuple(dict(fields).get(i, 0) for i in range(size))
@@ -657,6 +746,37 @@ def test_the_writer_matches_the_reference_encoding(case):
     assert text == json.dumps(ref.to_obj(a), separators=(",", ":"))
     assert polynomial_to_obj(p) == ref.to_obj(a)
     assert polynomial_from_json(text, registry) == p
+
+
+def _word_edges(size: int) -> list:
+    """Reference polynomials over ``size`` variables with exponents in the
+    first, a middle and the last 64-bit word of a key (four exponent fields
+    each), across words, and in the empty monomial."""
+    last = size - 1
+    return [
+        {_exps(size): Fraction(3), _exps(size, {0: 2, 3: 1}): 1},
+        {_exps(size, {5: 1, 6: 4}): Fraction(-2, 3), _exps(size, {last: 7}): 5},
+        {_exps(size, {1: 1, 4: 2, last: 1}): -1, _exps(size, {3: 300, 4: 1}): Fraction(7, 2)},
+        {_exps(size, {0: 2, 3: 1, last: 2}): 4, _exps(size, {5: 1, 6: 4, 8: 1}): 1},
+        {},
+    ]
+
+
+def test_a_shared_word_cache_writes_what_fresh_caches_write():
+    """Over 9 and 13 variables, so that the last word is partly empty.  A
+    word's text depends on its position, not on the registry around it, so
+    one cache serves both."""
+    shared: dict = {}
+    for size in (9, 13, 9):
+        registry = VarRegistry(f"v{i}" for i in range(size))
+        cases = _word_edges(size)
+        polys = [ref.to_polynomial(registry, a) for a in cases]
+        expected = [json.dumps(ref.to_obj(a), separators=(",", ":")) for a in cases]
+        assert [polynomial_to_json(p) for p in polys] == expected
+        assert [polynomial_to_json(p, shared) for p in polys] == expected
+        assert [polynomial_to_json(p, shared) for p in reversed(polys)] == expected[::-1]
+        assert [polynomial_from_json(text, registry) for text in expected] == polys
+    assert shared
 
 
 @REFERENCE_SETTINGS
