@@ -166,7 +166,7 @@ class Polynomial:
     """Sparse polynomial with integer coefficients over one positive
     denominator ``den``, in lowest terms and canonical term order."""
 
-    __slots__ = ("registry", "terms", "den", "_plan")
+    __slots__ = ("registry", "terms", "den", "_plan", "_gradient")
 
     def __init__(
         self, registry: VarRegistry, terms: Union[Mapping, Iterable[tuple]], den: int = 1
@@ -422,6 +422,19 @@ class Polynomial:
             if e:
                 derivatives[m - lowered] = coeff * e
         return _ordered(self.registry, derivatives, self.den)
+
+    def gradient(self) -> dict:
+        """``{var_id: d self / d x_var}`` over :meth:`variables_used`: the
+        nonzero partials, since lowering one exponent keeps distinct
+        monomials distinct; every other partial is zero.  Built on first use
+        and kept, as the evaluation plan is: callers must not write into it."""
+        try:
+            return self._gradient
+        except AttributeError:
+            pass
+        gradient = {j: self.differentiate(j) for j in self.variables_used()}
+        object.__setattr__(self, "_gradient", gradient)
+        return gradient
 
     # -- evaluation ----------------------------------------------------------
 

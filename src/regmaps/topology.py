@@ -13,9 +13,10 @@
   Deterministic for a fixed seed: points are drawn in fixed-size chunks
   from counter-based streams keyed by (seed, chunk).  Each chunk is held
   batch-last: ``x[var]`` is one coordinate at every point, and each entry
-  of B is a ``float`` where it is constant, else one batch array.  Which
-  entries can be nonzero follows from the variables each numerator and
-  the denominator contain; from that pattern an expansion plan is compiled
+  of B is a ``float`` where it is constant, else one batch array; each
+  polynomial runs its own evaluation plan, the one exact evaluation runs.
+  Which entries can be nonzero follows from the variables each numerator
+  and the denominator contain; from that pattern an expansion plan is compiled
   once per map, listing only the minors that can be nonzero (bitmask keys),
   and run on every chunk.  Where the plan would take more products than
   LAPACK's fitted cost (``LAPACK_COST`` (dim + 1)^3), the dense stack goes
@@ -28,6 +29,8 @@
   has full rank there.  That rank is one bordered rank,
   rank [[J, N_c^T], [N_d, 0]] - rank N_d - rank N_c with ``N_d`` and ``N_c``
   the domain's and codomain's normal rows, so no tangent basis is built.
+  Its rows of d * J are B's top rows, by the same quotient-rule row from
+  each polynomial's nonzero partials (``Polynomial.gradient``), in ``Fraction``s.
 * :func:`radon_hurwitz` / :func:`check_codim_pair` -- the classical
   power-of-two counting function and the congruence test it feeds.
 """
@@ -37,8 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import dropwhile
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import methodcaller
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,34 +81,24 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-TermData = List[Tuple[float, Tuple[Tuple[int, int], ...]]]
 Value = Union[float, np.ndarray]  # a scalar where constant over the batch
 
 
-def _term_data(p: Polynomial) -> TermData:
-    # ``coeff / p.den`` is correctly rounded, as ``float`` of the Fraction is.
-    out = []
-    for m, coeff in p.terms.items():
-        factors = tuple((i, e) for i, e in enumerate(exponents(m, p.registry)) if e)
-        out.append((coeff / p.den, factors))
-    return out
-
-
-def _evaluate(
-    term_data: TermData,
-    x: np.ndarray,
-    powers: Dict[Tuple[int, int], np.ndarray],
-) -> Value:
-    """A polynomial at a batch of points held batch-last (``x[var]`` is
-    variable ``var`` at every point): a ``float`` when the polynomial is
-    constant, else an array.  ``powers`` caches each ``x[var] ** exp`` for
-    later calls on the same ``x``; a first power is the row itself.  A unit
-    coefficient costs no product and a lone term no sum, so the result may
-    be a cached power or a row of ``x``: callers must not write into it."""
+def _evaluate(p: Polynomial, x: np.ndarray, powers: Dict[Tuple[int, int], np.ndarray]) -> Value:
+    """``p`` at a batch of points held batch-last (``x[var]`` is variable
+    ``var`` at every point), by the evaluation plan exact evaluation runs
+    (``Polynomial._scalars``): a ``float`` when ``p`` is constant, else an
+    array.  ``powers`` caches each ``x[var] ** exp`` for later calls on the
+    same ``x``; a first power is the row itself.  A unit coefficient costs
+    no product and a lone term no sum, so the result may be a cached power
+    or a row of ``x``: callers must not write into it."""
+    used, den, _, factors, terms = p._scalars()
+    keys = [(used[k], e) for k, e in factors]
     total = None
-    for coeff, factors in term_data:
+    for coeff, mono, _ in terms:
+        coeff /= den  # correctly rounded; the factors come by increasing id
         value = None if coeff == 1.0 else coeff
-        for key in factors:
+        for key in map(keys.__getitem__, mono):
             power = powers.get(key)
             if power is None:
                 var, exp = key
@@ -205,18 +200,10 @@ class DegreeEstimate:
 
 # One level of an expansion plan: per minor key, its (odd, column, below) terms.
 _Plan = List[List[Tuple[int, List[Tuple[int, int, int]]]]]
+_Pattern = List[Tuple[int, ...]]  # per row, the columns that can be nonzero
 
 
-class _MapTerms(NamedTuple):
-    num: List[TermData]
-    den: TermData
-    dnum: List[Dict[int, TermData]]  # dnum[i][j] = d num_i / d x_j, where nonzero
-    dden: Dict[int, TermData]
-    pattern: List[Tuple[int, ...]]  # the columns of each row of B that can be nonzero
-    plan: Optional[_Plan]  # None: LAPACK on the dense stack
-
-
-def _bordered_pattern(f: RationalMap) -> List[Tuple[int, ...]]:
+def _bordered_pattern(f: RationalMap) -> _Pattern:
     """The columns of each row of the bordered matrix ``B`` (see
     :func:`_degree_integrand`) that can be nonzero, read from the variables
     each polynomial contains, before any derivative is taken.  Entry
@@ -224,7 +211,8 @@ def _bordered_pattern(f: RationalMap) -> List[Tuple[int, ...]]:
     where ``num_i`` holds ``x_j``, or where the denominator does and
     ``num_i`` is not zero.  The last column, ``dim``, holds ``n_i / |y|`` and
     comes last in each top row that has entries.  The bottom row is ``x``
-    and 0."""
+    and 0.  The top rows but their last column are the rows of ``d * J``
+    (:func:`_quotient_row`), which the regularity probe reads too."""
     dim = f.domain.ambient_dim
     den_vars = set(f.denominator.variables_used())
     rows = [
@@ -265,7 +253,7 @@ def _expansion_plan(pattern: Sequence[Sequence[int]], limit: float) -> Optional[
     return plan
 
 
-def _determinant_plan(pattern: List[Tuple[int, ...]]) -> Optional[_Plan]:
+def _determinant_plan(pattern: _Pattern) -> Optional[_Plan]:
     """The expansion plan of ``B``, or ``None`` where LAPACK is cheaper.
     Raises ``ValueError`` when both would cost more than
     ``CHUNK_COST_CEILING`` per chunk."""
@@ -280,23 +268,19 @@ def _determinant_plan(pattern: List[Tuple[int, ...]]) -> Optional[_Plan]:
     return plan
 
 
-def _map_terms(f: RationalMap) -> _MapTerms:
-    pattern = _bordered_pattern(f)
-    plan = _determinant_plan(pattern)
-    return _MapTerms(
-        num=[_term_data(p) for p in f.numerators],
-        den=_term_data(f.denominator),
-        dnum=[
-            {j: _term_data(p.differentiate(j)) for j in p.variables_used()}
-            for p in f.numerators
-        ],
-        dden={
-            j: _term_data(f.denominator.differentiate(j))
-            for j in f.denominator.variables_used()
-        },
-        pattern=pattern,
-        plan=plan,
-    )
+def _quotient_row(num: Polynomial, dden: dict, cols: Sequence[int], value: Callable, y) -> dict:
+    """Row ``i`` of ``d * J`` for ``num = n_i`` and ``y = y_i = n_i / d``:
+    ``{j: dn_ij - y_i dd_j}`` by the quotient rule, over the columns
+    ``cols[:-1]`` of row ``i`` of :func:`_bordered_pattern`.  ``value``
+    evaluates a polynomial (on floats or exactly) and ``dden`` holds the
+    denominator's nonzero partials evaluated by it; a zero partial of
+    ``num`` enters as ``0``."""
+    dnum = num.gradient()
+    row = {}
+    for j in cols[:-1]:
+        entry = value(dnum[j]) if j in dnum else 0
+        row[j] = entry - y * dden[j] if j in dden else entry
+    return row
 
 
 def _run_plan(plan: _Plan, rows: Sequence[Dict[int, Value]]) -> Value:
@@ -333,7 +317,8 @@ def _lapack_det(rows: Sequence[Dict[int, Value]], points: int) -> np.ndarray:
 
 
 def _degree_integrand(
-    terms: _MapTerms, x: np.ndarray, den: Value, powers: dict
+    f: RationalMap, pattern: _Pattern, plan: Optional[_Plan], x: np.ndarray, den: Value,
+    powers: dict,
 ) -> Value:
     """``det(f x^T + J (I - x x^T))`` at each unit point of the batch-last
     ``x``, as ``-det B / den^dim``.
@@ -349,27 +334,23 @@ def _degree_integrand(
     first ``dim`` columns weighted by ``x`` from the last turns
     ``[[J, f], [x^T, 0]]`` into ``[[M, 0], [x^T, -1]]``, ``M`` the matrix
     above.  Entries are scalars where constant and only those in
-    ``terms.pattern`` are formed; the determinant comes from ``terms.plan``,
-    or from LAPACK where the plan is ``None``.  A pattern with no full minor
-    gives 0.0.
+    ``pattern`` are formed, the top rows by :func:`_quotient_row`; the
+    determinant comes from ``plan``, or from LAPACK where the plan is
+    ``None``.  A pattern with no full minor gives 0.0.
     """
-    dim = len(terms.num)
-    nums = [_evaluate(t, x, powers) for t in terms.num]
+    dim = len(f.numerators)
+    value = partial(_evaluate, x=x, powers=powers)
+    nums = [value(p) for p in f.numerators]
     scale = abs(den) / np.sqrt(sum(n * n for n in nums))  # n_i / |y| = n_i * scale
-    dden = {j: _evaluate(t, x, powers) for j, t in terms.dden.items()}
+    dden = {j: value(d) for j, d in f.denominator.gradient().items()}
     rows = []
-    for n, dnum, cols in zip(nums, terms.dnum, terms.pattern):
-        row = {dim: n * scale} if cols else {}
-        y = n / den if dden else 0.0
-        for j in cols[:-1]:
-            value = _evaluate(dnum.get(j, []), x, powers)
-            row[j] = value - y * dden[j] if j in dden else value
+    for p, n, cols in zip(f.numerators, nums, pattern):
+        row = _quotient_row(p, dden, cols, value, n / den if dden else 0.0)
+        if cols:
+            row[dim] = n * scale
         rows.append(row)
     rows.append(dict(enumerate(x)))
-    if terms.plan is None:
-        det = _lapack_det(rows, x.shape[1])
-    else:
-        det = _run_plan(terms.plan, rows)
+    det = _lapack_det(rows, x.shape[1]) if plan is None else _run_plan(plan, rows)
     return det * (-1.0 / den**dim)
 
 
@@ -387,13 +368,13 @@ def _unit_columns(raw: np.ndarray) -> np.ndarray:
 
 
 def _integrand_chunks(
-    terms: _MapTerms, samples: int, seed: int
+    f: RationalMap, pattern: _Pattern, plan: Optional[_Plan], samples: int, seed: int
 ) -> Iterator[Tuple[np.ndarray, int]]:
     """The integrand at ``samples`` points, one chunk at a time, each with
     the number of its points redrawn off the excluded locus.  Chunk ``i``
     is drawn from the Philox stream keyed by ``(seed, i)``; a point where
     the denominator is numerically zero is redrawn from the same stream."""
-    dim = len(terms.num)
+    dim = f.domain.ambient_dim
     for chunk_index, start in enumerate(range(0, samples, CHUNK_SIZE)):
         want = min(CHUNK_SIZE, samples - start)
         key = np.array([seed, chunk_index], dtype=np.uint64)
@@ -401,7 +382,7 @@ def _integrand_chunks(
         raw = rng.standard_normal((CHUNK_SIZE, dim))[:want]
         x = _unit_columns(raw)
         powers: Dict[Tuple[int, int], np.ndarray] = {}
-        den = _evaluate(terms.den, x, powers)
+        den = _evaluate(f.denominator, x, powers)
         resampled = 0
         guard = 0
         while True:
@@ -418,8 +399,8 @@ def _integrand_chunks(
             redraw = rng.standard_normal((count_bad, dim))
             x[:, bad] = _unit_columns(redraw)
             powers = {}
-            den = _evaluate(terms.den, x, powers)
-        dets = _degree_integrand(terms, x, den, powers)
+            den = _evaluate(f.denominator, x, powers)
+        dets = _degree_integrand(f, pattern, plan, x, den, powers)
         yield np.broadcast_to(dets, (want,)), resampled
 
 
@@ -454,14 +435,15 @@ def degree_mc(f: RationalMap, samples: int = 10_000, seed: int = 0) -> DegreeEst
         raise ValueError("need at least two samples")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
-    terms = _map_terms(f)
+    pattern = _bordered_pattern(f)
+    plan = _determinant_plan(pattern)
 
     total = 0.0
     merged = 0
     merged_mean = 0.0
     squares = 0.0  # sum of squared deviations from merged_mean
     resampled = 0
-    for dets, redrawn in _integrand_chunks(terms, samples, seed):
+    for dets, redrawn in _integrand_chunks(f, pattern, plan, samples, seed):
         chunk_sum = float(np.sum(dets))
         chunk_mean = chunk_sum / len(dets)
         delta = chunk_mean - merged_mean
@@ -512,9 +494,10 @@ def regular_value_probe(
     ``rank [[J, N_c^T], [N_d, 0]] - rank N_d - rank N_c``: the kernel of
     ``(x, y) -> (J x + N_c^T y, N_d x)`` is the tangent ``x`` with ``J x``
     normal to the codomain, each with a coset of ``ker N_c^T``.  The top
-    rows hold ``d * J``, ``d`` the denominator's value: that is the top rows
-    times ``d`` and the last columns times ``1 / d``, and nonzero row and
-    column scalings keep the rank.
+    rows hold ``d * J``, ``d`` the denominator's value, row by row from
+    :func:`_quotient_row` and zero outside :func:`_bordered_pattern`: that
+    is the top rows times ``d`` and the last columns times ``1 / d``, and
+    nonzero row and column scalings keep the rank.
     """
     if not points:
         raise ValueError("need at least one fiber point")
@@ -530,8 +513,7 @@ def regular_value_probe(
     border = [0] * len(codomain_normals)
 
     dim = f.domain.ambient_dim
-    num_partials = [[p.differentiate(j) for j in range(dim)] for p in f.numerators]
-    den_partials = [f.denominator.differentiate(j) for j in range(dim)]
+    pattern = _bordered_pattern(f)
 
     all_on_fiber = True
     ranks: List[int] = []
@@ -542,14 +524,14 @@ def regular_value_probe(
         image = f.evaluate_raw(coords)
         if tuple(image) != value_coords:
             all_on_fiber = False
-        # Row i of d * J, by the quotient rule with n / d = image:
-        # d * d(n_i / d) = dn_i - image_i * dd.
-        dden = [d.evaluate(coords) for d in den_partials]
-        bordered = [
-            [dn.evaluate(coords) - y * dd for dn, dd in zip(row, dden)]
-            + [normal[i] for normal in codomain_normals]
-            for i, (row, y) in enumerate(zip(num_partials, image))
-        ]
+        exact = methodcaller("evaluate", coords)
+        dden = {j: exact(d) for j, d in f.denominator.gradient().items()}
+        bordered = []
+        for i, (num, y, cols) in enumerate(zip(f.numerators, image, pattern)):
+            row = _quotient_row(num, dden if y else {}, cols, exact, y)  # y_i = 0: dn_i
+            bordered.append(
+                [row.get(j, 0) for j in range(dim)] + [normal[i] for normal in codomain_normals]
+            )
         normals = f.domain.normals(coords)
         bordered += [list(normal) + border for normal in normals]
         ranks.append(linalg.rank(bordered) - linalg.rank(normals) - normal_rank)

@@ -153,7 +153,7 @@ class Variety:
 
     __slots__ = (
         "name", "registry", "blocks", "sampler", "matrix",
-        "_relations", "_kernel", "_gradients", "_hash",
+        "_relations", "_kernel", "_hash",
     )
 
     def __init__(
@@ -179,7 +179,6 @@ class Variety:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_relations", None)
         object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_gradients", None)
         object.__setattr__(self, "_hash", hash((name, registry)))
 
     def __setattr__(self, key, value):  # pragma: no cover
@@ -240,15 +239,16 @@ class Variety:
 
     def normals(self, coords: Sequence[Fraction]) -> List[List[Fraction]]:
         """Rows spanning the normal space at the point ``coords``: each
-        relation's gradient (the relations are differentiated once), then
+        relation's gradient (its nonzero partials, which each relation keeps
+        from its first :meth:`~regmaps.polynomial.Polynomial.gradient`), then
         for SU(k) the point and the point turned, ``(a, b)`` as ``(-b, a)``,
         which are the gradients of Re det and Im det since ``adj g = g*``.
         det is locally constant on O(n), so SO(n) adds no row."""
-        if self._gradients is None:
-            dim = self.ambient_dim
-            gradients = [[r.differentiate(j) for j in range(dim)] for r in self.relations]
-            object.__setattr__(self, "_gradients", gradients)
-        rows = [[d.evaluate(coords) for d in row] for row in self._gradients]
+        zero = Fraction(0)
+        rows = [
+            [g[j].evaluate(coords) if j in g else zero for j in range(self.ambient_dim)]
+            for g in map(Polynomial.gradient, self.relations)
+        ]
         group = self.matrix
         if group is not None and group.special and group.complex_entries:
             turned = [x for a, b in zip(coords[::2], coords[1::2]) for x in (-b, a)]

@@ -6,7 +6,8 @@ only two draw routines read, every public linear-algebra routine but the
 benchmarked ``inverse`` has a caller, no sum of polynomials is folded by
 hand, no pass/fail record besides the one verdict type serializes itself,
 only polynomials and complex pairs multiply, only the one sample stream
-builds a random generator, the map
+builds a random generator, only a polynomial's gradient and Sturm's
+derivative differentiate, the map
 builders never read a map's polynomials, only the varieties and the
 membership check read a variety's relations, only the varieties read or
 write the row-major matrix layout, compute a coordinate index or state a
@@ -526,6 +527,53 @@ def test_only_the_two_draw_routines_read_getrandbits():
         for _, function in getrandbits_reads(path.read_text(encoding="utf-8"))
     }
     assert sites == GETRANDBITS_READERS
+
+
+# ``Polynomial.gradient`` is the one differentiation: it takes a polynomial's
+# nonzero partials once and keeps them, and the Monte Carlo degree, the
+# regularity probe and the varieties' normal rows all read them.  Only
+# Sturm's ``p'`` in ``_real_roots`` takes a derivative of its own.
+DIFFERENTIATORS = {("polynomial.py", "gradient"), ("topology.py", "_real_roots")}
+
+
+def differentiate_calls(source: str):
+    """(line, innermost enclosing function or ``None``) of each call of a
+    ``differentiate`` attribute of any object."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "differentiate"
+            ):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, _FUNCTIONS) else function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda site: site[0])
+
+
+def test_the_checker_finds_a_differentiate_call():
+    source = (
+        "def normals(self, coords):\n"
+        "    rows = [[r.differentiate(j) for j in range(3)] for r in self.relations]\n"
+        "    def inner(p):\n"
+        "        return p.differentiate(0).evaluate(coords), 'p.differentiate(1)'\n"
+        "    return p.gradient(), Polynomial.differentiate\n"
+        "den = f.denominator.differentiate(2)\n"
+    )
+    assert differentiate_calls(source) == [(2, "normals"), (4, "inner"), (6, None)]
+
+
+def test_only_the_gradient_and_sturms_derivative_differentiate():
+    sites = {
+        (path.name, function)
+        for path in PACKAGE
+        for _, function in differentiate_calls(path.read_text(encoding="utf-8"))
+    }
+    assert sites == DIFFERENTIATORS
 
 
 # Modules that build and check maps only through the operations of ``ratmap``.

@@ -607,6 +607,21 @@ def test_derivatives_and_normal_forms_agree_with_the_fraction_reference(a):
 
 
 @REFERENCE_SETTINGS
+@given(references)
+def test_the_gradient_holds_the_nonzero_partials(a):
+    p = ref.to_polynomial(REG, a)
+    gradient = p.gradient()
+    assert tuple(gradient) == p.variables_used()
+    for var_id in range(REG.size):
+        derivative = p.differentiate(var_id)
+        if var_id in gradient:
+            assert gradient[var_id] == derivative and not derivative.is_zero()
+        else:
+            assert derivative.is_zero()
+    assert p.gradient() is gradient  # built once and kept, as the evaluation plan is
+
+
+@REFERENCE_SETTINGS
 @given(references, points)
 def test_values_agree_with_the_fraction_reference(a, point):
     p = ref.to_polynomial(REG, a)

@@ -12,6 +12,7 @@ from regmaps.groups import (
     fiber_points,
     first_column,
     j_map,
+    jmap_constant_identity,
     jmap_rotation,
     section_so,
     su_retract,
@@ -34,11 +35,11 @@ from regmaps.spheres import (
 from regmaps.topology import (
     _bordered_pattern,
     _degree_integrand,
+    _determinant_plan,
     _evaluate,
     _expansion_plan,
     _integrand_chunks,
     _lapack_det,
-    _map_terms,
     _run_plan,
     _unit_columns,
     check_codim_pair,
@@ -204,6 +205,25 @@ def test_unit_columns_are_the_normalized_rows_batch_last(dim):
         assert np.array_equal(columns, reference)
     else:
         np.testing.assert_allclose(columns, reference, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def test_the_batch_evaluator_agrees_with_exact_evaluation():
+    reg = sphere(3).registry
+    x1, x2, x3, x4 = (Polynomial.variable(reg, i) for i in range(4))
+    polys = [
+        Fraction(3, 7) * x1**3 * x4 - Fraction(5, 2) * x2 * x3 + Fraction(1, 3),  # den 42
+        x1 * x2 + x3**2 + x4,  # unit coefficients: no products by them
+        (x1 + 2 * x2 - x4) ** 3 * Fraction(1, 10**20 + 3),
+        x2**5,  # one cached power
+    ]
+    x = np.random.default_rng(7).uniform(0.5, 2.0, (4, 40))  # batch-last
+    for p in polys:
+        exact = [float(p.evaluate([Fraction(v) for v in x[:, k]])) for k in range(x.shape[1])]
+        assert _evaluate(p, x, {}) == pytest.approx(exact, rel=1e-12, abs=0)
+    constant = _evaluate(Polynomial.constant(reg, Fraction(-5, 3)), x, {})
+    assert type(constant) is float and constant == -5 / 3
+    zero = _evaluate(Polynomial.zero(reg), x, {})
+    assert type(zero) is float and zero == 0.0
 
 
 KERNEL_DIMS = range(1, 9)
@@ -400,17 +420,17 @@ def test_frame_free_integrand_equals_the_tangent_frame_determinant(map_id):
     dim = f.domain.ambient_dim
     raw = np.random.default_rng(5).standard_normal((1000, dim))
     points = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    terms = _map_terms(f)
+    pattern = _bordered_pattern(f)
     x = np.ascontiguousarray(points.T)
     powers = {}
-    den = _evaluate(terms.den, x, powers)
-    fast = _degree_integrand(terms, x, den, powers)
+    den = _evaluate(f.denominator, x, powers)
+    fast = _degree_integrand(f, pattern, _determinant_plan(pattern), x, den, powers)
     reference = _frame_integrand(f, points)
     assert np.max(np.abs(fast - reference)) <= 1e-10
 
 
 def _products(f):
-    plan = _map_terms(f).plan
+    plan = _determinant_plan(_bordered_pattern(f))
     return None if plan is None else sum(len(terms) for level in plan for _, terms in level)
 
 
@@ -440,7 +460,9 @@ def test_the_half_width_is_the_two_pass_deviation_of_the_stream(map_id, samples)
     # the second map's integrand is 1 up to rounding: a one-pass sum of
     # squares would keep only its rounding noise
     f = MC_MAPS[map_id]()
-    dets = np.concatenate([d for d, _ in _integrand_chunks(_map_terms(f), samples, 3)])
+    pattern = _bordered_pattern(f)
+    chunks = _integrand_chunks(f, pattern, _determinant_plan(pattern), samples, 3)
+    dets = np.concatenate([d for d, _ in chunks])
     est = degree_mc(f, samples=samples, seed=3)
     assert len(dets) == samples
     assert est.half_width == pytest.approx(3 * np.sqrt(np.var(dets, ddof=1) / samples), rel=1e-9)
@@ -466,7 +488,7 @@ def test_an_oversized_degree_is_refused_before_any_point_is_drawn(monkeypatch):
     "name", ["phi:3", "phi:4", "antipodal:4", "reflect:3:2", "antipodal:2", "id:196", "phi:195"]
 )
 def test_every_benchmark_and_test_degree_name_is_admitted(name):
-    assert _map_terms(catalog.resolve(name)).plan is not None
+    assert _determinant_plan(_bordered_pattern(catalog.resolve(name))) is not None
 
 
 # estimate, half_width and resampled: the phi_double runs as measured with
@@ -639,6 +661,27 @@ def test_probe_ranks_with_dependent_normal_rows(name, required, rank):
     report = regular_value_probe(m, sample_points(m.domain, 3, seed=2, height=20))
     assert report.evidence["required_rank"] == required
     assert report.evidence["ranks"] == (rank,) * 3
+
+
+def test_the_probe_differentiates_only_along_the_variables_each_polynomial_holds(monkeypatch):
+    spec = jmap_constant_identity(6, 5)
+    points = fiber_points(spec, 6, seed=4)
+    regular_value_probe(j_map(spec), points)  # the varieties keep their normals' partials
+    f = j_map(spec)  # a fresh build: its polynomials have taken no derivative
+    calls = []
+    differentiate = Polynomial.differentiate
+
+    def counted(p, var_id):
+        calls.append(var_id)
+        return differentiate(p, var_id)
+
+    monkeypatch.setattr(Polynomial, "differentiate", counted)
+    report = regular_value_probe(f, points, value=basepoint(5))
+    # one partial per variable held, not one per ambient variable, which
+    # would be (5 + 1) * 12 for the numerators and 12 for the denominator
+    assert len(calls) == sum(len(p.variables_used()) for p in (*f.numerators, f.denominator)) == 19
+    assert report.evidence["ranks"] == (5,) * 6
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------
